@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -45,6 +46,13 @@ CLASS_RESIDUAL_NAMES = (
     "unit_det_plus",
     "unit_det_conj",
 )
+
+
+class Island(Enum):
+    """One of the two half-lines: LEFT is (-inf, -L), RIGHT is (L, inf)."""
+
+    LEFT = "left"
+    RIGHT = "right"
 
 
 def _check_extended_real(value: float, name: str) -> float:
@@ -301,9 +309,10 @@ def random_rho(rng: np.random.Generator, p_infinite: float = 0.15) -> RhoBC:
     """Random separating condition; each component +inf with probability
     p_infinite, else Cauchy-distributed (covers the whole tangent range).
 
-    Finite draws are capped at |rho| = 1e3: beyond that the parameter sits
-    within ~1e-13 of the tangent pole and double-precision round trips
-    degrade, without exercising anything new.
+    Finite draws are capped at |rho| = 1e3.  Far beyond the cap, from about
+    |rho| = 2e10/sqrt(1+m^2), the diagonal unitary's phase comes within
+    ``DEFAULT_TOL`` of -1 and maps back to +inf by design, so a round trip
+    there is not an identity.
     """
 
     def component() -> float:

@@ -23,9 +23,8 @@ import sys
 import numpy as np
 
 from . import boundary, correspondence, deficiency, matrix2, scattering
-from .boundary import AlphaBC, BDForm, RhoBC
+from .boundary import AlphaBC, BDForm, Island, RhoBC
 from .correspondence import Separating, Transmitting
-from .deficiency import Island
 from .errors import InternalInconsistencyError, JunctionError, ValidationError
 from .matrix2 import DEFAULT_TOL
 
@@ -333,6 +332,8 @@ def _rho_distance(a: RhoBC, b: RhoBC) -> float:
 
 
 def _verify_fuzz(count: int, m: float, tol: float, seed: int) -> bool:
+    if count < 1:
+        raise ValidationError(f"--fuzz needs N >= 1 instances, got {count}")
     rng = np.random.default_rng(seed)
     worst = {
         "class": 0.0,
@@ -418,7 +419,7 @@ def cmd_verify(args) -> int:
         else:
             ok &= _verify_rho(bc.rho, args.mass, args.tol, args.seed)
         ran = True
-    if args.fuzz:
+    if args.fuzz is not None:
         ok &= _verify_fuzz(args.fuzz, args.mass, args.tol, args.seed)
         ran = True
     if not ran:
@@ -620,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", help="rho_plus,rho_minus")
     p.add_argument("--gamma", help="g1,g2,g3 complex shorthand")
     p.add_argument("--matrix", help="JSON 2x2 matrix")
-    p.add_argument("--fuzz", type=int, default=0, metavar="N", help="check N random instances")
+    p.add_argument("--fuzz", type=int, default=None, metavar="N", help="check N >= 1 random instances")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -669,6 +670,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_merge_payload_flags(argv))
     try:
+        args.mass = correspondence.check_mass(args.mass)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

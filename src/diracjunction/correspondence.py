@@ -35,11 +35,11 @@ from .errors import (
     NotUnimodularError,
     NotUnitaryError,
     SingularSystemError,
+    ValidationError,
 )
 from .matrix2 import (
     DEFAULT_TOL,
     QuaternionForm,
-    arg_2pi,
     as_c2matrix,
     decompose_u2,
     is_diagonal,
@@ -50,14 +50,14 @@ from .matrix2 import (
 def check_mass(m: float) -> float:
     m = float(m)
     if not math.isfinite(m) or m < 0.0:
-        raise ValueError(f"mass must be finite and >= 0, got {m!r}")
+        raise ValidationError(f"mass must be finite and >= 0, got {m!r}")
     return m
 
 
 def mu_constant(m: float) -> complex:
     """Unimodular constant mu = (1 + i m)/sqrt(1 + m^2)."""
     m = check_mass(m)
-    s = math.sqrt(1.0 + m * m)
+    s = math.hypot(1.0, m)
     return complex(1.0 / s, m / s)
 
 
@@ -102,10 +102,16 @@ def diagonal_u2_to_rho(
     m = check_mass(m)
     gl = _require_unimodular(gl, "gamma_left", tol)
     gr = _require_unimodular(gr, "gamma_right", tol)
-    s = math.sqrt(1.0 + m * m)
+    s = math.hypot(1.0, m)
 
     def finite(g: complex, sign: float) -> float:
-        return sign * (math.tan(arg_2pi(g) / 2.0) - m) / s
+        # tan(arg(g)/2) from the half-angle identities, using whichever
+        # denominator stays away from zero; no trig round trip near the pole.
+        if g.real >= 0.0:
+            t = g.imag / (1.0 + g.real)
+        else:
+            t = (1.0 - g.real) / g.imag
+        return sign * (t - m) / s
 
     rho_minus = math.inf if abs(1.0 + gl) <= tol else finite(gl, +1.0)
     rho_plus = math.inf if abs(1.0 + gr) <= tol else finite(gr, -1.0)
@@ -115,11 +121,17 @@ def diagonal_u2_to_rho(
 def rho_to_diagonal_u2(r: RhoBC, m: float) -> tuple[complex, complex]:
     """Diagonal unitary parameters (gl, gr) for a separating condition."""
     m = check_mass(m)
-    s = math.sqrt(1.0 + m * m)
+    s = math.hypot(1.0, m)
 
     def phase(t: float) -> complex:
-        a = 2.0 * math.atan(t)
-        return complex(math.cos(a), math.sin(a))
+        # e^{2i atan t} = (1 + i t)^2 / (1 + t^2), in 1/t when |t| > 1 so
+        # that t^2 cannot overflow.
+        if abs(t) <= 1.0:
+            d = 1.0 + t * t
+            return complex((1.0 - t * t) / d, 2.0 * t / d)
+        u = 1.0 / t
+        d = u * u + 1.0
+        return complex((u * u - 1.0) / d, 2.0 * u / d)
 
     gl = -1.0 + 0.0j if math.isinf(r.rho_minus) else phase(m + s * r.rho_minus)
     gr = -1.0 + 0.0j if math.isinf(r.rho_plus) else phase(m - s * r.rho_plus)
@@ -140,7 +152,7 @@ def oracle_rho_from_diagonal(
     gl = _require_unimodular(gl, "gamma_left", tol)
     gr = _require_unimodular(gr, "gamma_right", tol)
     mu = mu_constant(m)
-    scale = math.exp(-math.sqrt(1.0 + m * m) * lam)
+    scale = math.exp(-math.hypot(1.0, m) * lam)
 
     def face(g: complex, up: complex, down: complex) -> float:
         if abs(1.0 + g) <= tol:
@@ -182,7 +194,7 @@ def u2_to_alpha(q: QuaternionForm, m: float, tol: float = DEFAULT_TOL) -> AlphaB
             "not transmitting ones"
         )
     mu = mu_constant(m)
-    s = math.sqrt(1.0 + m * m)
+    s = math.hypot(1.0, m)
     g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
     inv = s / g2
     return AlphaBC(
@@ -198,7 +210,7 @@ def _boundary_basis(m: float, lam: float) -> dict[str, np.ndarray]:
     unit internal normalization (the common factor cancels in every ratio
     used here, avoiding underflow at large lam)."""
     mu = mu_constant(m)
-    e = math.exp(-math.sqrt(1.0 + m * m) * lam)
+    e = math.exp(-math.hypot(1.0, m) * lam)
     return {
         "Lp_minus": e * np.array([1.0, -mu]),
         "Lm_minus": e * np.array([1.0, np.conj(mu)]),
@@ -341,12 +353,13 @@ def closed_form_u2_candidate(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> 
     theta = alpha_to_bd(a, tol).theta
     a1, a2, a3, a4 = a.as_tuple()
     w = -np.conj(mu) * a1 + a2 - a3 + mu * a4
-    gamma0 = (4.0 / (1.0 + m * m) + abs(w) ** 2) ** -0.5
+    g2_scale = 2.0 / math.hypot(1.0, m)  # 2/sqrt(1+m^2)
+    gamma0 = 1.0 / math.hypot(g2_scale, abs(w))
     half = theta - math.pi / 2.0
     phase = complex(math.cos(half), -math.sin(half))  # e^{-i(theta - pi/2)}
     return QuaternionForm(
         gamma0 * phase * w,
-        gamma0 * phase * 2.0 / math.sqrt(1.0 + m * m),
+        gamma0 * phase * g2_scale,
         gamma0 * phase * mu * np.conj(a1 + np.conj(mu) * a2 + mu * a3 + a4),
     )
 

@@ -37,17 +37,11 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .boundary import random_spinor
+from .boundary import Island, random_spinor
 from .correspondence import ExtensionClass, Transmitting, mu_constant
 from .errors import OutsideIslandError, QuadratureFailureError, ValidationError
 from .matrix2 import as_c2vector
-
-
-class Island(Enum):
-    LEFT = "left"
-    RIGHT = "right"
 
 
 class Sign(Enum):
@@ -56,12 +50,13 @@ class Sign(Enum):
 
 
 def decay_rate(m: float) -> float:
-    return math.sqrt(1.0 + float(m) ** 2)
+    return math.hypot(1.0, m)
 
 
 def reference_normalization(m: float, lam: float) -> float:
     """Reference prefactor (1+m^2)^{1/4} e^{-sqrt(1+m^2) lam}."""
-    return (1.0 + float(m) ** 2) ** 0.25 * math.exp(-decay_rate(m) * lam)
+    rate = decay_rate(m)
+    return math.sqrt(rate) * math.exp(-rate * lam)
 
 
 def eigen_spinor(island: Island, sign: Sign, m: float) -> np.ndarray:
@@ -170,7 +165,28 @@ def ode_residual(f: DeficiencyFunction, x: float, h: float) -> float:
     return float(np.abs(diff - coupling @ f.evaluate(x)).max())
 
 
+def _simpson_points(n: int) -> int:
+    """Grid size accepted by :func:`_simpson`: odd and at least 3."""
+    if n < 3 or n % 2 == 0:
+        raise ValidationError(
+            f"composite Simpson quadrature needs an odd number of points >= 3, got {n}"
+        )
+    return n
+
+
+def _simpson(y: np.ndarray, xs: np.ndarray):
+    """Composite Simpson rule for samples ``y`` on the equally spaced grid ``xs``.
+
+    Only odd-length grids are accepted, where the rule is exact for cubics;
+    there is no even-length correction.
+    """
+    n = _simpson_points(xs.size)
+    h = (xs[-1] - xs[0]) / (n - 1)
+    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+
+
 def _island_grid(island: Island, lam: float, reach: float, n: int) -> np.ndarray:
+    n = _simpson_points(n)
     if island is Island.LEFT:
         return np.linspace(-lam - reach, -lam, n)
     return np.linspace(lam, lam + reach, n)
@@ -188,7 +204,9 @@ def gram_matrix(
 
     Off-diagonal entries are exactly zero (disjoint supports); the
     diagonals are computed by composite Simpson on each half-line,
-    truncated where the integrand is below double precision.  With
+    truncated where the integrand is below double precision.
+    ``num_points`` must be odd and at least 3 (:class:`ValidationError`
+    otherwise).  With
     ``normalization=None`` the reference prefactor is used, making the
     diagonal e^{-4 sqrt(1+m^2) lam}.  Rank 2 certifies deficiency
     indices (2, 2).
@@ -203,7 +221,7 @@ def gram_matrix(
         f = DeficiencyFunction(island, sign, m, lam, norm)
         xs = _island_grid(island, lam, reach, num_points)
         vals = f.evaluate(xs)
-        diag.append(float(simpson(np.abs(vals[0]) ** 2 + np.abs(vals[1]) ** 2, x=xs)))
+        diag.append(float(_simpson(np.abs(vals[0]) ** 2 + np.abs(vals[1]) ** 2, xs)))
     if tail > 1e-13 * max(1.0, *diag):
         raise QuadratureFailureError(
             f"truncation tail {tail:.3e} exceeds tolerance for extent {reach}"
@@ -338,6 +356,9 @@ def boundary_form_quadrature(
 ) -> complex:
     """<H psi | phi> - <psi | H phi> by composite Simpson on both half-lines.
 
+    ``num_points`` must be odd and at least 3 (:class:`ValidationError`
+    otherwise).
+
     The maximal operator is applied analytically on the basis functions, so
     the only error source is the quadrature itself; the result matches
     :func:`boundary_form` of the combinations' boundary values.
@@ -351,7 +372,7 @@ def boundary_form_quadrature(
         hp = _apply_operator(pv, pd, m)
         hq = _apply_operator(qv, qd, m)
         integrand = (np.conj(hp) * qv - np.conj(pv) * hq).sum(axis=0)
-        total += complex(simpson(integrand, x=xs))
+        total += complex(_simpson(integrand, xs))
     return total
 
 

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import AlphaBC, RhoBC, make_phase_shift, make_spin_flip
+from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip
 from .correspondence import ExtensionClass, Transmitting, check_mass
-from .deficiency import Island
 from .errors import BelowGapError, ResonanceSingularError
 
 #: Flag carried by sweep rows whose matching system was singular.

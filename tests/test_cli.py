@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_process(*args):
+    """Run a fresh interpreter with the package's source tree on its path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON value {token}")
 
 
 class TestParsers:
@@ -193,6 +211,44 @@ class TestVerify:
     def test_no_payload_exits_2(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
+
+    def test_fuzz_needs_positive_count(self, capsys):
+        for n in ("-3", "0"):
+            code, out, err = run(capsys, "verify", "--fuzz", n)
+            assert code == 2
+            assert out == "" and "N >= 1" in err
+
+
+class TestExitCodeContract:
+    """Whole-process runs: exit code, stdout and a traceback-free stderr."""
+
+    def test_negative_mass_exits_2(self):
+        p = run_process("-m", "diracjunction.cli", "verify", "--alpha", "0,1,1,0", "--mass", "-1")
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert "Traceback" not in p.stderr and "mass must be finite" in p.stderr
+
+    def test_negative_fuzz_count_exits_2(self):
+        p = run_process("-m", "diracjunction.cli", "verify", "--fuzz", "-3")
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert "Traceback" not in p.stderr
+
+    def test_huge_mass_gives_finite_json(self):
+        p = run_process(
+            "-m", "diracjunction.cli", "convert", "bc-to-u2", "--alpha", "0,1,1,0", "--mass", "1e200"
+        )
+        assert p.returncode == 0
+        assert p.stderr == ""
+        payload = json.loads(p.stdout, parse_constant=_reject_constant)
+        assert math.isfinite(payload["closed_form_comparison"]["max_abs_difference"])
+
+    def test_cli_import_leaves_scipy_out(self):
+        p = run_process(
+            "-c", "import sys, diracjunction.cli; print('scipy' in sys.modules)"
+        )
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.strip() == "False"
 
 
 class TestScatter:

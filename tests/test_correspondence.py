@@ -25,6 +25,7 @@ from diracjunction.errors import (
     NotUnimodularError,
     NotUnitaryError,
     SingularSystemError,
+    ValidationError,
 )
 from diracjunction.matrix2 import (
     QuaternionForm,
@@ -49,6 +50,19 @@ TRIPLES = [
 
 def alpha_diff(a: AlphaBC, b: AlphaBC) -> float:
     return max(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple()))
+
+
+def test_mass_is_validated():
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            mu_constant(bad)
+
+
+def test_huge_mass_stays_unimodular():
+    mu = mu_constant(1e200)
+    assert abs(mu) == pytest.approx(1.0, abs=1e-15)
+    cmp = compare_closed_form(AlphaBC(0, 1, 1, 0), 1e200)
+    assert math.isfinite(cmp.difference) and math.isfinite(cmp.difference_flipped)
 
 
 def test_mu_constant():
@@ -93,10 +107,12 @@ class TestDiagonalCorrespondence:
         assert gl == pytest.approx(1j) and gr == pytest.approx(1j)
 
     def test_roundtrip_rho_origin(self):
+        # enough draws to reach the tangent pole (|rho| ~ 1e3, so
+        # t = m + sqrt(1+m^2) rho ~ 1e4 at m = 10) for every mass
         rng = np.random.default_rng(21)
         from diracjunction.boundary import random_rho
 
-        for i in range(500):
+        for i in range(24000):
             r = random_rho(rng)
             m = MASSES[i % 4]
             back = diagonal_u2_to_rho(*rho_to_diagonal_u2(r, m), m)
@@ -105,6 +121,12 @@ class TestDiagonalCorrespondence:
                     assert x == y
                 else:
                     assert abs(x - y) <= 1e-12 * max(1.0, abs(x))
+
+    def test_phase_at_overflowing_tangent(self):
+        # t = m + sqrt(1+m^2) rho overflows to -inf: the phase is its limit -1
+        gl, gr = rho_to_diagonal_u2(RhoBC(1e200, -1e300), 1e200)
+        assert gl == pytest.approx(-1.0, abs=1e-15)
+        assert gr == pytest.approx(-1.0, abs=1e-15)
 
     def test_formula_agrees_with_boundary_ratio_oracle(self):
         rng = np.random.default_rng(22)

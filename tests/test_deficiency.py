@@ -20,6 +20,7 @@ from diracjunction.deficiency import (
     reference_normalization,
     verify_selfadjoint_domain,
 )
+from diracjunction.deficiency import _simpson
 from diracjunction.errors import OutsideIslandError, ValidationError
 
 
@@ -137,6 +138,35 @@ class TestGram:
 
         with pytest.raises(QuadratureFailureError):
             gram_matrix(Sign.PLUS, m=0.0, lam=0.0, extent=1.0)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 10.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 1.0])
+    def test_reference_diagonal_is_analytic(self, m, lam):
+        g = gram_matrix(Sign.MINUS, m=m, lam=lam)
+        expected = math.exp(-4.0 * math.sqrt(1.0 + m * m) * lam)
+        np.testing.assert_allclose(np.diag(g), expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [-3, 0, 1, 2, 4, 2**16])
+    def test_grid_must_be_odd_and_at_least_three(self, n):
+        f = DeficiencyFunction(Island.LEFT, Sign.PLUS, m=0.0)
+        with pytest.raises(ValidationError, match="odd number of points"):
+            gram_matrix(Sign.PLUS, m=0.0, lam=0.0, num_points=n)
+        with pytest.raises(ValidationError, match="odd number of points"):
+            boundary_form_quadrature([(1.0, f)], [(1.0, f)], m=0.0, num_points=n)
+
+
+class TestSimpson:
+    def test_exact_on_cubic(self):
+        xs = np.linspace(-0.5, 2.0, 9)
+        y = 3.0 * xs**3 - 2.0 * xs**2 + xs - 7.0
+        exact = 0.75 * xs**4 - 2.0 / 3.0 * xs**3 + 0.5 * xs**2 - 7.0 * xs
+        value = _simpson(y, xs)
+        assert value == pytest.approx(exact[-1] - exact[0], rel=1e-12)
+
+    def test_even_grid_rejected(self):
+        xs = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(ValidationError):
+            _simpson(xs, xs)
 
 
 class TestBoundaryForm:
