@@ -121,9 +121,25 @@ class ClassReport:
         return name, self.residuals[name]
 
 
+def _norm_sq_parts(a: AlphaBC) -> tuple[float, float]:
+    """(big, sigma) with sum |a_i|^2 = big^2 * sigma and big = max |a_i|.
+
+    Scaling by the largest magnitude first (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., sec. 2) keeps every term at most 1,
+    so nothing overflows before the final product.
+    """
+    mags = [abs(x) for x in a.as_tuple()]
+    big = max(mags)
+    if big == 0.0:
+        return 0.0, 0.0
+    return big, sum((x / big) ** 2 for x in mags)
+
+
 def class_scale(a: AlphaBC) -> float:
-    """Scale for residual comparison: max(1, sum |a_i|^2)."""
-    return max(1.0, sum(abs(x) ** 2 for x in a.as_tuple()))
+    """Scale for residual comparison: max(1, sum |a_i|^2); inf when the sum
+    exceeds the float range."""
+    big, sigma = _norm_sq_parts(a)
+    return max(1.0, big * big * sigma)
 
 
 def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
@@ -131,6 +147,8 @@ def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
 
     A residual r passes when r <= tol * max(1, sum |a_i|^2), making the
     verdict invariant under rescaling the overall magnitude of the data.
+    When sum |a_i|^2 overflows, the comparison is made in units of
+    max |a_i|^2, so it stays exact; a residual that itself overflowed fails.
     """
     a1, a2, a3, a4 = a.as_tuple()
     residuals = {
@@ -142,7 +160,11 @@ def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
         "unit_det_conj": abs(a1 * np.conj(a4) + np.conj(a2) * a3 - 1.0),
     }
     scale = class_scale(a)
-    valid = all(r <= tol * scale for r in residuals.values())
+    if math.isinf(scale):
+        big, sigma = _norm_sq_parts(a)
+        valid = all(r / big <= tol * big * sigma for r in residuals.values())
+    else:
+        valid = all(r <= tol * scale for r in residuals.values())
     return ClassReport(valid=valid, residuals=residuals, scale=scale)
 
 

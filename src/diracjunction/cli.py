@@ -31,6 +31,10 @@ from .matrix2 import DEFAULT_TOL
 DEFAULT_SEED = 20177
 
 CSV_HEADER = "E,k,lambda,re_r,im_r,re_t,im_t,R,T,phase_t,flag"
+#: 17-significant-digit decimal; round-trips float64 exactly.
+FMT17 = "%.17g"
+_CSV_ROW = ",".join([FMT17] * 10 + ["%s"])
+_JSON_ROW = "{" + ", ".join(f'"{name}": %s' for name in CSV_HEADER.split(",")[:-1]) + ', "flag": "%s"}'
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +63,8 @@ def parse_complex(token: str) -> complex:
 
 
 def parse_complex_list(text: str, count: int, what: str) -> list[complex]:
-    parts = text.split(",")
+    """Split on the commas outside brackets, so JSON [re, im] entries stay whole."""
+    parts = re.split(r",(?![^\[]*\])", text)
     if len(parts) != count:
         raise ValidationError(f"{what} needs {count} comma-separated values, got {len(parts)}")
     return [parse_complex(p) for p in parts]
@@ -122,7 +127,7 @@ def parse_angle(text: str) -> float:
 
 def fmt17(x: float) -> str:
     """17-significant-digit decimal; round-trips float64 exactly."""
-    return f"{float(x):.17g}"
+    return FMT17 % float(x)
 
 
 def cjson(z: complex) -> list[float]:
@@ -138,13 +143,16 @@ def rho_json_value(v: float):
     return "inf" if math.isinf(v) else float(v)
 
 
-def emit(obj, out=None) -> None:
-    text = json.dumps(obj)
+def write(text: str, out=None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def emit(obj, out=None) -> None:
+    write(json.dumps(obj) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -433,48 +441,34 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scatter_rows_payload(rows) -> list[dict]:
-    payload = []
-    for row in rows:
-        payload.append(
-            {
-                "E": row.E,
-                "k": row.k,
-                "lambda": row.lam,
-                "re_r": complex(row.r).real,
-                "im_r": complex(row.r).imag,
-                "re_t": complex(row.t).real,
-                "im_t": complex(row.t).imag,
-                "R": row.R,
-                "T": row.T,
-                "phase_t": row.transmission_phase,
-                "flag": row.flag or "",
-            }
-        )
-    return payload
+def _sweep_fields(cols: scattering.ScatteringColumns) -> list[list]:
+    """A sweep's output fields in :data:`CSV_HEADER` order, one list per field."""
+    flags = [scattering.RESONANCE_FLAG if f else "" for f in cols.resonance.tolist()]
+    values = (cols.E, cols.k, cols.lam, cols.r.real, cols.r.imag,
+              cols.t.real, cols.t.imag, cols.R, cols.T, cols.phase_t)
+    return [v.tolist() for v in values] + [flags]
+
+
+def _csv_text(records) -> str:
+    """CSV of output records (tuples in :data:`CSV_HEADER` order)."""
+    return "\n".join([CSV_HEADER, *map(_CSV_ROW.__mod__, records)]) + "\n"
+
+
+def _json_text(fields: list[list]) -> str:
+    """The JSON array of row records, byte for byte what ``json.dumps`` gives
+    for the list of dicts.  ``str`` of a float is the ``repr`` that ``json``
+    writes; only the non-finite values are spelled differently."""
+    text = "[" + ", ".join(map(_JSON_ROW.__mod__, zip(*fields))) + "]\n"
+    return text.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(": -inf", ": -Infinity")
 
 
 def _rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for rec in _scatter_rows_payload(rows):
-        lines.append(
-            ",".join(
-                [
-                    fmt17(rec["E"]),
-                    fmt17(rec["k"]),
-                    fmt17(rec["lambda"]),
-                    fmt17(rec["re_r"]),
-                    fmt17(rec["im_r"]),
-                    fmt17(rec["re_t"]),
-                    fmt17(rec["im_t"]),
-                    fmt17(rec["R"]),
-                    fmt17(rec["T"]),
-                    fmt17(rec["phase_t"]),
-                    rec["flag"],
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """CSV of :class:`~diracjunction.scattering.ScatteringResult` rows."""
+    return _csv_text(
+        (row.E, row.k, row.lam, row.r.real, row.r.imag, row.t.real, row.t.imag,
+         row.R, row.T, row.transmission_phase, row.flag or "")
+        for row in rows
+    )
 
 
 def cmd_scatter(args) -> int:
@@ -493,18 +487,11 @@ def cmd_scatter(args) -> int:
         raise ValidationError("scatter needs --alpha, --rho, --gamma or --matrix")
     face = Island.LEFT if args.face == "left" else Island.RIGHT
     try:
-        rows = scattering.sweep(bc, args.emin, args.emax, args.steps, m, face=face)
+        cols = scattering.sweep_columns(bc, args.emin, args.emax, args.steps, m, face=face)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    if args.format == "csv":
-        text = _rows_to_csv(rows)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        emit(_scatter_rows_payload(rows), args.out)
+    fields = _sweep_fields(cols)
+    write(_csv_text(zip(*fields)) if args.format == "csv" else _json_text(fields), args.out)
     return 0
 
 

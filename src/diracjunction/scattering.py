@@ -19,6 +19,11 @@ transmits nothing.
 Only the particle branch E > m is exposed; the hole branch E < -m would
 need nothing beyond sign bookkeeping in :func:`plane_spinors` but is left
 out as untested scope.
+
+One batch kernel, :func:`scatter_batch`, computes every quantity for a
+whole energy array at once and returns it as columns
+(:class:`ScatteringColumns`); :func:`scatter_alpha`, :func:`scatter_rho`
+and :func:`sweep` are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip
-from .correspondence import ExtensionClass, Transmitting, check_mass
+from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
 from .errors import BelowGapError, ResonanceSingularError
 
 #: Flag carried by sweep rows whose matching system was singular.
@@ -47,14 +52,34 @@ class PlaneWaveBasis:
     u_minus: np.ndarray
 
 
+def _above_gap(E, m: float) -> np.ndarray:
+    """Energies as a float array; :class:`BelowGapError` if any E <= m."""
+    E = np.asarray(E, dtype=float)
+    below = E <= m
+    if np.count_nonzero(below):
+        raise BelowGapError(
+            f"E = {float(E[below].flat[0])} is not above the mass gap m = {m}"
+        )
+    return E
+
+
+def _wavenumbers(E, m: float):
+    """k and lambda = k/(E + m), as lambda = sqrt((E - m)/(E + m)), k = lambda (E + m).
+
+    Neither squares E, so both stay finite for huge masses and keep full
+    relative accuracy next to the gap; at m = 0 they give lambda = 1 and
+    k = E exactly.
+    """
+    above = E + m
+    lam = np.sqrt((E - m) / above)
+    return lam * above, lam
+
+
 def plane_spinors(E: float, m: float) -> PlaneWaveBasis:
     """Propagating modes: k = sqrt(E^2 - m^2), u_+- = (1, +-k/(E+m))."""
     m = check_mass(m)
-    E = float(E)
-    if E <= m:
-        raise BelowGapError(f"E = {E} is not above the mass gap m = {m}")
-    k = math.sqrt(E * E - m * m)
-    lam = k / (E + m)
+    E = float(_above_gap(E, m))
+    k, lam = (float(x) for x in _wavenumbers(E, m))
     return PlaneWaveBasis(
         E=E,
         k=k,
@@ -93,6 +118,114 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0.0 else np.zeros_like(v)
 
 
+@dataclass(frozen=True)
+class ScatteringColumns:
+    """Scattering results over an energy grid, one array per quantity.
+
+    ``resonance`` marks the rows whose matching system was singular; they
+    carry NaN in every column but ``E``.  ``face`` is the face the incident
+    wave arrives at (always LEFT for a transmitting condition).
+    """
+
+    face: Island
+    E: np.ndarray
+    k: np.ndarray
+    lam: np.ndarray
+    r: np.ndarray
+    t: np.ndarray
+    R: np.ndarray
+    T: np.ndarray
+    phase_t: np.ndarray
+    resonance: np.ndarray
+
+    def row(self, i: int) -> ScatteringResult:
+        """Row ``i`` as a :class:`ScatteringResult`, spins included."""
+        E = float(self.E[i])
+        if self.resonance[i]:
+            return ScatteringResult.flagged(E, RESONANCE_FLAG)
+        lam, t = float(self.lam[i]), complex(self.t[i])
+        norm = math.hypot(1.0, lam)
+        right = np.array([1.0, lam], dtype=complex) / norm
+        incoming = right if self.face is Island.LEFT else np.array([1.0, -lam], dtype=complex) / norm
+        return ScatteringResult(
+            E=E,
+            k=float(self.k[i]),
+            lam=lam,
+            r=complex(self.r[i]),
+            t=t,
+            R=float(self.R[i]),
+            T=float(self.T[i]),
+            incoming_spin=incoming,
+            # t u_+ normalised: the right-moving spinor times the phase of t
+            transmitted_spin=(t / abs(t)) * right if t else np.zeros(2, dtype=complex),
+            transmission_phase=float(self.phase_t[i]),
+        )
+
+    def rows(self) -> list[ScatteringResult]:
+        return [self.row(i) for i in range(self.E.size)]
+
+
+def _transmitting_amplitudes(a: AlphaBC, lam: np.ndarray):
+    """(r, t, singular) of t u_+ = B (u_+ + r u_-) by Cramer's rule.
+
+    The system's columns multiply (r, t): r B u_- - t u_+ = -B u_+, i.e.
+    [[s0, -1], [s1, -lam]] with (s0, s1) = B u_-.  A row is singular when
+    |det| <= 1e-14 max(1, max|system|)^2.
+    """
+    a1, a2, a3, a4 = a.as_tuple()
+    lam = lam.astype(complex)
+    a2_lam, a4_lam = a2 * lam, a4 * lam
+    s0, s1 = a1 - a2_lam, a3 - a4_lam
+    neg_det = lam * s0 - s1
+    singular = np.abs(neg_det) <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(s0), np.abs(s1))) ** 2
+    if np.count_nonzero(singular):
+        neg_det = np.where(singular, 1.0, neg_det)
+    # numerators and determinant negated together, so that exact zeros come
+    # out as +0; t's numerator reduces to -2 lam det(B)
+    r = ((a3 + a4_lam) - lam * (a1 + a2_lam)) / neg_det
+    t = (2.0 * (a1 * a4 - a2 * a3)) * lam / neg_det
+    return r, t, singular
+
+
+def scatter_batch(
+    bc: ExtensionClass, E, m: float, face: Island = Island.LEFT
+) -> ScatteringColumns:
+    """Scatter the incident mode off ``bc`` at every energy of ``E`` at once.
+
+    Transmitting conditions solve the 2x2 matching system per energy (rows
+    where it is singular are marked, not dropped); separating conditions
+    reflect totally at ``face``.  Raises :class:`BelowGapError` if any
+    E <= m.
+    """
+    m = check_mass(m)
+    E = _above_gap(E, m).ravel()
+    k, lam = _wavenumbers(E, m)
+    if isinstance(bc, Transmitting):
+        face = Island.LEFT
+        r, t, singular = _transmitting_amplitudes(bc.alpha, lam)
+        T = np.abs(t) ** 2
+        phase = np.angle(t)
+    else:
+        value = bc.rho.rho_minus if face is Island.LEFT else bc.rho.rho_plus
+        if math.isinf(value):
+            r = np.full(E.shape, -1.0 + 0.0j)
+        else:
+            # left face r = (lam - i rho)/(lam + i rho) = e^{-2i phi}, phi = atan2(rho, lam);
+            # the right face mirrors the sign.  |r| = 1 to within an ulp.
+            sign = -2.0 if face is Island.LEFT else 2.0
+            r = np.exp(1j * sign * np.arctan2(value, lam))
+        t = np.zeros(E.shape, dtype=complex)
+        T = np.zeros(E.shape)
+        phase = np.zeros(E.shape)
+        singular = np.zeros(E.shape, dtype=bool)
+    R = np.abs(r) ** 2
+    if np.count_nonzero(singular):
+        nan = complex(math.nan, math.nan)
+        r, t = np.where(singular, nan, r), np.where(singular, nan, t)
+        k, lam, R, T, phase = (np.where(singular, math.nan, x) for x in (k, lam, R, T, phase))
+    return ScatteringColumns(face, E, k, lam, r, t, R, T, phase, singular)
+
+
 def scatter_alpha(a: AlphaBC, E: float, m: float) -> ScatteringResult:
     """Scatter the right-moving mode off a transmitting condition.
 
@@ -100,28 +233,10 @@ def scatter_alpha(a: AlphaBC, E: float, m: float) -> ScatteringResult:
     :class:`ResonanceSingularError` when the system is singular at this
     energy (no regularization is applied).
     """
-    basis = plane_spinors(E, m)
-    b = a.matrix()
-    # columns multiply (r, t): r * B u_minus - t * u_plus = -B u_plus
-    system = np.column_stack([b @ basis.u_minus, -basis.u_plus])
-    rhs = -(b @ basis.u_plus)
-    det = system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0]
-    if abs(det) <= 1e-14 * max(1.0, float(np.abs(system).max()) ** 2):
+    cols = scatter_batch(Transmitting(a), E, m)
+    if cols.resonance[0]:
         raise ResonanceSingularError(f"matching system singular at E = {E}")
-    r, t = np.linalg.solve(system, rhs)
-    transmitted = t * basis.u_plus
-    return ScatteringResult(
-        E=basis.E,
-        k=basis.k,
-        lam=basis.lam,
-        r=complex(r),
-        t=complex(t),
-        R=abs(r) ** 2,
-        T=abs(t) ** 2,
-        incoming_spin=_unit(basis.u_plus),
-        transmitted_spin=_unit(transmitted),
-        transmission_phase=float(np.angle(t)),
-    )
+    return cols.row(0)
 
 
 def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> ScatteringResult:
@@ -131,27 +246,7 @@ def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> S
     right face mirrors to r = (lambda + i rho)/(lambda - i rho); rho = +inf gives r = -1.
     Always |r| = 1 and T = 0.
     """
-    basis = plane_spinors(E, m)
-    value = rho.rho_minus if face is Island.LEFT else rho.rho_plus
-    if math.isinf(value):
-        r = -1.0 + 0.0j
-    elif face is Island.LEFT:
-        r = (basis.lam - 1j * value) / (basis.lam + 1j * value)
-    else:
-        r = (basis.lam + 1j * value) / (basis.lam - 1j * value)
-    incoming = basis.u_plus if face is Island.LEFT else basis.u_minus
-    return ScatteringResult(
-        E=basis.E,
-        k=basis.k,
-        lam=basis.lam,
-        r=complex(r),
-        t=0j,
-        R=abs(r) ** 2,
-        T=0.0,
-        incoming_spin=_unit(incoming),
-        transmitted_spin=np.zeros(2, dtype=complex),
-        transmission_phase=0.0,
-    )
+    return scatter_batch(Separating(rho), E, m, face).row(0)
 
 
 def scattering_state_faces(res: ScatteringResult) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +254,26 @@ def scattering_state_faces(res: ScatteringResult) -> tuple[np.ndarray, np.ndarra
     u_plus = np.array([1.0, res.lam], dtype=complex)
     u_minus = np.array([1.0, -res.lam], dtype=complex)
     return u_plus + res.r * u_minus, res.t * u_plus
+
+
+def sweep_columns(
+    bc: ExtensionClass,
+    e_min: float,
+    e_max: float,
+    steps: int,
+    m: float,
+    face: Island = Island.LEFT,
+) -> ScatteringColumns:
+    """Uniform energy grid of scattering results, ordered by E, as columns.
+
+    Singular rows are marked in ``resonance``, never dropped.
+    """
+    m = check_mass(m)
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+    if not (m < e_min < e_max < math.inf):
+        raise ValueError("need m < e_min < e_max, all finite")
+    return scatter_batch(bc, np.linspace(e_min, e_max, steps), m, face)
 
 
 def sweep(
@@ -173,22 +288,7 @@ def sweep(
 
     Singular rows are flagged (:data:`RESONANCE_FLAG`), never dropped.
     """
-    m = check_mass(m)
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    if not (m < e_min < e_max):
-        raise ValueError("need m < e_min < e_max")
-    rows: list[ScatteringResult] = []
-    for E in np.linspace(e_min, e_max, steps):
-        E = float(E)
-        try:
-            if isinstance(bc, Transmitting):
-                rows.append(scatter_alpha(bc.alpha, E, m))
-            else:
-                rows.append(scatter_rho(bc.rho, E, m, face=face))
-        except ResonanceSingularError:
-            rows.append(ScatteringResult.flagged(E, RESONANCE_FLAG))
-    return rows
+    return sweep_columns(bc, e_min, e_max, steps, m, face).rows()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from diracjunction.boundary import (
     apply_alpha,
     bd_equivalent,
     bd_to_alpha,
+    class_scale,
     current,
     invert_alpha,
     make_phase_shift,
@@ -64,6 +65,24 @@ class TestValidateClass:
         assert not report.valid
         assert report.residuals["re_a1_a2"] == pytest.approx(1.0)
         assert len(report.residuals) == 6
+
+
+class TestClassScaleOverflow:
+    def test_scale_of_huge_parameters_is_inf_not_an_error(self):
+        assert math.isinf(class_scale(AlphaBC(1e200, 0, 0, 1e-200)))
+        assert class_scale(AlphaBC(3, 4j, 0, 0)) == 25.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_verdict_stays_exact_when_the_scale_overflows(self):
+        # diag(1e200, 1e-200) and [[1e200, 1e200 i], [0, 1e-200]] are in the class
+        assert validate_class(AlphaBC(1e200, 0, 0, 1e-200)).valid
+        assert validate_class(AlphaBC(1e200, 1e200j, 0, 1e-200)).valid
+        f = alpha_to_bd(AlphaBC(1e200, 0, 0, 1e-200))
+        assert (f.theta, f.bs()) == (0.0, (1e200, 0.0, 0.0, 1e-200))
+        # Re(a1 a2*) / |a|^2 = 1e-5 is far outside the 1e-10 tolerance
+        assert not validate_class(AlphaBC(1e155, 1e150, 0, 1e-155)).valid
+        # an overflowing residual fails rather than passing vacuously
+        assert not validate_class(AlphaBC(1e200, 1e200, 0, 0)).valid
 
 
 class TestBDForm:

@@ -14,7 +14,11 @@ from diracjunction.cli import (
     parse_complex,
     parse_rho,
 )
+from diracjunction.boundary import AlphaBC, RhoBC
+from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.errors import ValidationError
+
+CSV_HEADER_FIELDS = "E,k,lambda,re_r,im_r,re_t,im_t,R,T,phase_t,flag".split(",")
 
 ROT_JSON = "[[[0,0],[-1,0]],[[1,0],[0,0]]]"
 IDENTITY_JSON = "[[[1,0],[0,0]],[[0,0],[1,0]]]"
@@ -68,6 +72,23 @@ class TestParsers:
         assert parse_angle("-pi/4") == pytest.approx(-math.pi / 4)
         assert parse_angle("3pi/2") == pytest.approx(3 * math.pi / 2)
         assert parse_angle("0.75") == 0.75
+
+    def test_bracketed_entries_in_comma_lists(self, capsys):
+        for flag, bracketed, plain in (
+            ("--gamma", "[1,0],0,1", "1,0,1"),
+            ("--gamma", "[0.6, 0.8],[0,0],[1,0]", "0.6+0.8i,0,1"),
+            ("--diag", "[-1,0],-1", "-1,-1"),
+            ("--alpha", "[0,0],[1,0],1,[0, 0]", "0,1,1,0"),
+        ):
+            direction = "bc-to-u2" if flag == "--alpha" else "u2-to-bc"
+            code, out, err = run(capsys, "convert", direction, flag, bracketed)
+            assert (code, err) == (0, "")
+            assert out == run(capsys, "convert", direction, flag, plain)[1]
+
+    def test_bracketed_list_still_counts_entries(self, capsys):
+        code, out, err = run(capsys, "convert", "u2-to-bc", "--gamma", "[1,0],0")
+        assert code == 2 and out == ""
+        assert "needs 3 comma-separated values, got 2" in err
 
     def test_fmt17_roundtrips_bit_exactly(self):
         rng = np.random.default_rng(71)
@@ -243,6 +264,36 @@ class TestExitCodeContract:
         payload = json.loads(p.stdout, parse_constant=_reject_constant)
         assert math.isfinite(payload["closed_form_comparison"]["max_abs_difference"])
 
+    @pytest.mark.parametrize("condition", [["--alpha", "0,1,1,0"], ["--rho", "0,0"]])
+    def test_huge_mass_scatter_rows_are_finite(self, condition):
+        p = run_process(
+            "-m", "diracjunction.cli", "scatter", *condition, "--mass", "1e200",
+            "--emin", "2e200", "--emax", "3e200", "--steps", "2",
+        )
+        assert p.returncode == 0
+        assert p.stderr == ""
+        rows = [line.split(",") for line in p.stdout.splitlines()[1:]]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(x)) for row in rows for x in row[:-1])
+
+    def test_huge_alpha_converts_without_overflow(self):
+        p = run_process(
+            "-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", "1e200,0,0,1e-200"
+        )
+        assert p.returncode == 0
+        assert "Traceback" not in p.stderr
+        payload = json.loads(p.stdout, parse_constant=_reject_constant)
+        assert payload == {"theta": 0.0, "a": [1e200, 0.0, 0.0, 1e-200]}
+
+    def test_huge_out_of_class_alpha_exits_2(self):
+        # |a|^2 overflows; the class check must still see Re(a1 a2*) != 0
+        p = run_process(
+            "-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", "1e155,1e150,0,1e-155"
+        )
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert "Traceback" not in p.stderr and "class constraint" in p.stderr
+
     def test_cli_import_leaves_scipy_out(self):
         p = run_process(
             "-c", "import sys, diracjunction.cli; print('scipy' in sys.modules)"
@@ -346,6 +397,32 @@ class TestScatter:
         line = text.strip().split("\n")[1]
         assert line.endswith(",RESONANCE")
         assert line.startswith("1.5,nan,")
+
+    def test_json_text_matches_json_dumps(self):
+        from diracjunction.cli import _json_text, _sweep_fields
+        from diracjunction.scattering import sweep_columns
+
+        keys = CSV_HEADER_FIELDS
+        for bc, m in (
+            (Transmitting(AlphaBC(1, 0, 1, 0)), 1e-14),  # mixed resonance rows
+            (Separating(RhoBC(math.inf, 0.5)), 1.0),
+        ):
+            fields = _sweep_fields(sweep_columns(bc, m + 0.4, 2.0, 7, m))
+            records = [dict(zip(keys, values)) for values in zip(*fields)]
+            assert _json_text(fields) == json.dumps(records) + "\n"
+            assert "NaN" in _json_text(fields) or isinstance(bc, Separating)
+        # json's spellings of the non-finite floats
+        fields = [[math.inf, -math.inf, math.nan, -0.0]] * 10 + [["", "RESONANCE", "", ""]]
+        records = [dict(zip(keys, values)) for values in zip(*fields)]
+        assert _json_text(fields) == json.dumps(records) + "\n"
+
+    def test_infinite_grid_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "scatter", "--rho", "0,0", "--mass", "0",
+            "--emin", "0.5", "--emax", "inf", "--steps", "3",
+        )
+        assert code == 2 and out == ""
 
     def test_write_to_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -20,7 +20,7 @@ from diracjunction.deficiency import (
     reference_normalization,
     verify_selfadjoint_domain,
 )
-from diracjunction.deficiency import _simpson
+from diracjunction.deficiency import _domain_pair, _simpson, _violating_pairs
 from diracjunction.errors import OutsideIslandError, ValidationError
 
 
@@ -265,6 +265,30 @@ class TestSelfAdjointVerifier:
         bad = BoundaryPair([0, 0], [1, 0])
         good = BoundaryPair([0, 1], [0, 1])  # satisfies the identity condition
         assert abs(boundary_form(bad, good)) == pytest.approx(1.0)
+
+    def test_matches_pairwise_loop(self):
+        # reference: the form evaluated pair by pair with boundary_form
+        rng = np.random.default_rng(10)
+        for i in range(12):
+            bc = Transmitting(random_alpha(rng)) if i % 2 else Separating(random_rho(rng))
+            report = verify_selfadjoint_domain(bc, samples=30, seed=i)
+            draws = np.random.default_rng(i)
+            pairs = [_domain_pair(bc, draws) for _ in range(30)]
+            worst = max(
+                abs(boundary_form(p, q)) / max(1.0, p.magnitude() * q.magnitude())
+                for p in pairs
+                for q in pairs
+            )
+            assert report.max_symmetry_residual == pytest.approx(worst, rel=0, abs=1e-15)
+            for face, bad in _violating_pairs(bc).items():
+                expected = max(abs(boundary_form(bad, q)) for q in pairs[:16])
+                assert report.witness_magnitudes[face] == pytest.approx(expected, rel=1e-15)
+
+    def test_zero_samples_never_pass(self):
+        report = verify_selfadjoint_domain(Transmitting(AlphaBC(0, 1, 1, 0)), samples=0)
+        assert report.max_symmetry_residual == 0.0
+        assert report.witness_magnitudes == {"plus_face": 0.0, "minus_face": 0.0}
+        assert not report.passed
 
     def test_random_conditions(self):
         rng = np.random.default_rng(9)

@@ -15,13 +15,17 @@ from diracjunction.boundary import (
 )
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.deficiency import Island
-from diracjunction.errors import BelowGapError
+from diracjunction.errors import BelowGapError, ResonanceSingularError
 from diracjunction.scattering import (
+    RESONANCE_FLAG,
+    ScatteringResult,
     plane_spinors,
     scatter_alpha,
+    scatter_batch,
     scatter_rho,
     scattering_state_faces,
     sweep,
+    sweep_columns,
     switch_demo,
 )
 
@@ -200,6 +204,124 @@ class TestSweep:
                 a = make_spin_flip(float(theta), b2)
                 for E in (0.2, 1.0, 5.0):
                     assert scatter_alpha(a, E, 0.0).T == pytest.approx(1.0)
+
+
+def solve_oracle(a: AlphaBC, lam: float) -> tuple[complex, complex, bool]:
+    """Per-energy reference: np.linalg.solve on the matching system, with the
+    singularity test |det| <= 1e-14 max(1, max|system|)^2."""
+    b = a.matrix()
+    u_plus = np.array([1.0, lam], dtype=complex)
+    u_minus = np.array([1.0, -lam], dtype=complex)
+    system = np.column_stack([b @ u_minus, -u_plus])
+    det = system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0]
+    if abs(det) <= 1e-14 * max(1.0, float(np.abs(system).max()) ** 2):
+        return complex("nan+nanj"), complex("nan+nanj"), True
+    r, t = np.linalg.solve(system, -(b @ u_plus))
+    return complex(r), complex(t), False
+
+
+def assert_same_result(x: ScatteringResult, y: ScatteringResult) -> None:
+    for name in ScatteringResult.__dataclass_fields__:
+        u, v = getattr(x, name), getattr(y, name)
+        if isinstance(u, np.ndarray):
+            assert np.array_equal(u, v), name
+        elif isinstance(u, (float, complex)) and u != u:  # NaN
+            assert v != v, name
+        else:
+            assert u == v, name
+
+
+def random_grid(rng, m: float, n: int) -> np.ndarray:
+    return np.sort(m + np.exp(rng.uniform(math.log(1e-6), math.log(30.0), n)))
+
+
+class TestScatterBatch:
+    def test_matches_per_energy_solve(self):
+        rng = np.random.default_rng(64)
+        worst = 0.0
+        for i in range(200):
+            m = [0.0, 0.5, 1.0, 10.0][i % 4]
+            a = random_alpha(rng)
+            cols = scatter_batch(Transmitting(a), random_grid(rng, m, 25), m)
+            assert not cols.resonance.any()
+            for lam, r, t in zip(cols.lam, cols.r, cols.t):
+                r0, t0, _ = solve_oracle(a, float(lam))
+                worst = max(worst, abs(r - r0), abs(t - t0))
+        assert worst <= 1e-13
+
+    def test_sweep_rows_equal_scalar_wrappers(self):
+        rng = np.random.default_rng(65)
+        for m in (0.0, 0.5, 1.0, 10.0):
+            a = random_alpha(rng)
+            for row in sweep(Transmitting(a), m + 0.01, m + 5.0, 9, m):
+                assert_same_result(row, scatter_alpha(a, row.E, m))
+            rho = RhoBC(float(rng.standard_cauchy()), math.inf)
+            for face in (Island.LEFT, Island.RIGHT):
+                for row in sweep(Separating(rho), m + 0.01, m + 5.0, 9, m, face=face):
+                    assert_same_result(row, scatter_rho(rho, row.E, m, face=face))
+
+    def test_resonance_mask_matches_threshold(self):
+        bad = AlphaBC(1, 0, 1, 0)  # det = 1 - lambda: singular as lambda -> 1
+        for m, emin, emax in ((0.0, 0.5, 2.0), (1e-14, 0.5, 2.0), (1e-14, 0.2, 0.9)):
+            cols = sweep_columns(Transmitting(bad), emin, emax, 6, m)
+            expected = [solve_oracle(bad, plane_spinors(E, m).lam)[2] for E in cols.E]
+            assert cols.resonance.tolist() == expected
+        # m = 1e-14 over [0.5, 2]: rows below E = 1 solve, rows above are flagged
+        mixed = sweep_columns(Transmitting(bad), 0.5, 2.0, 6, 1e-14)
+        assert mixed.resonance.tolist() == [False, False, True, True, True, True]
+        rows = mixed.rows()
+        assert rows[0].flag is None and rows[-1].flag == RESONANCE_FLAG
+        assert all(math.isnan(x) for x in (mixed.k[2], mixed.lam[2], mixed.R[2], mixed.phase_t[2]))
+        assert mixed.E[2] == np.linspace(0.5, 2.0, 6)[2]
+        with pytest.raises(ResonanceSingularError):
+            scatter_alpha(bad, float(mixed.E[-1]), 1e-14)
+
+    def test_conservation_on_sweeps(self):
+        rng = np.random.default_rng(66)
+        for i in range(100):
+            m = [0.0, 0.5, 1.0, 10.0][i % 4]
+            grid = random_grid(rng, m, 50)
+            cols = scatter_batch(Transmitting(random_alpha(rng)), grid, m)
+            assert np.abs(cols.R + cols.T - 1.0).max() <= 1e-12
+            face = Island.LEFT if i % 2 else Island.RIGHT
+            cols = scatter_batch(Separating(random_rho(rng)), grid, m, face)
+            assert np.abs(np.abs(cols.r) - 1.0).max() <= 1e-12
+            assert not cols.T.any() and not cols.t.any()
+
+    def test_separating_unimodularity_no_worse_than_division(self):
+        rng = np.random.default_rng(67)
+        new = old = 0.0
+        for i in range(400):
+            m = [0.0, 0.5, 1.0, 10.0][i % 4]
+            rho = float(rng.standard_cauchy()) * 10.0 ** rng.integers(-3, 4)
+            cols = scatter_batch(Separating(RhoBC(0.0, rho)), random_grid(rng, m, 50), m)
+            new = max(new, float(np.abs(np.abs(cols.r) - 1.0).max()))
+            # the direct quotient r = (lambda - i rho)/(lambda + i rho)
+            old = max(old, max(abs(abs((lam - 1j * rho) / (lam + 1j * rho)) - 1.0)
+                               for lam in cols.lam.tolist()))
+        assert new <= old
+
+    def test_huge_mass_is_finite(self):
+        m = 1e200
+        for bc in (Transmitting(SPIN_FLIP), Separating(RhoBC(0.0, 0.0))):
+            cols = sweep_columns(bc, 2e200, 3e200, 5, m)
+            for x in (cols.k, cols.lam, cols.r, cols.t, cols.R, cols.T, cols.phase_t):
+                assert np.isfinite(x).all()
+        # lambda = sqrt((E - m)/(E + m)) is exact at E = 2m, 3m up to rounding
+        np.testing.assert_allclose(cols.lam[[0, -1]], [3 ** -0.5, 2 ** -0.5], rtol=1e-15)
+
+    def test_massless_wavenumber_is_exact(self):
+        grid = np.random.default_rng(68).uniform(0.01, 50.0, 1000)
+        cols = scatter_batch(Transmitting(SPIN_FLIP), grid, 0.0)
+        assert (cols.k == grid).all() and (cols.lam == 1.0).all()
+
+    def test_rejects_energies_below_gap(self):
+        with pytest.raises(BelowGapError):
+            scatter_batch(Transmitting(SPIN_FLIP), [2.0, 1.0, 3.0], 1.0)
+
+    def test_grid_must_be_finite(self):
+        with pytest.raises(ValueError):
+            sweep_columns(Transmitting(SPIN_FLIP), 1.0, math.inf, 3, 0.0)
 
 
 class TestSwitchDemo:
