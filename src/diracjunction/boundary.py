@@ -152,10 +152,11 @@ def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
     """
     a1, a2, a3, a4 = a.as_tuple()
     residuals = {
-        "re_a1_a2": abs((a1 * np.conj(a2)).real),
-        "re_a1_a3": abs((a1 * np.conj(a3)).real),
-        "re_a2_a4": abs((a2 * np.conj(a4)).real),
-        "re_a3_a4": abs((a3 * np.conj(a4)).real),
+        # Re(x y*) formed alone: the imaginary part of x y* may overflow
+        "re_a1_a2": abs(a1.real * a2.real + a1.imag * a2.imag),
+        "re_a1_a3": abs(a1.real * a3.real + a1.imag * a3.imag),
+        "re_a2_a4": abs(a2.real * a4.real + a2.imag * a4.imag),
+        "re_a3_a4": abs(a3.real * a4.real + a3.imag * a4.imag),
         "unit_det_plus": abs(a1 * np.conj(a4) + a2 * np.conj(a3) - 1.0),
         "unit_det_conj": abs(a1 * np.conj(a4) + np.conj(a2) * a3 - 1.0),
     }
@@ -182,31 +183,25 @@ def alpha_to_bd(a: AlphaBC, tol: float = DEFAULT_TOL) -> BDForm:
     """Extract (theta, b1..b4) with B = e^{i theta} [[b1, i b2], [i b3, b4]].
 
     Branches on |a1| > tol; for class input at least one of a1, a3 is
-    nonzero.  The b's are real for class input up to rounding; residual
-    imaginary parts beyond tolerance raise :class:`NotInClassError`.
+    nonzero.  The pivot is divided by its modulus before any product is
+    formed, so entries near the float range do not overflow.  The b's are
+    real for class input up to rounding; residual imaginary parts beyond
+    tolerance raise :class:`NotInClassError`.
     """
     require_class(a, tol)
     a1, a2, a3, a4 = a.as_tuple()
     if abs(a1) > tol:
         theta = arg_2pi(a1)
         r = abs(a1)
-        bs = (
-            complex(r),
-            -1j * np.conj(a1 * np.conj(a2)) / r,
-            -1j * np.conj(a1 * np.conj(a3)) / r,
-            np.conj(a1 * np.conj(a4)) / r,
-        )
+        u = np.conj(a1 / r)
+        bs = (complex(r), -1j * u * a2, -1j * u * a3, u * a4)
     else:
         if a3 == 0:
             raise NotInClassError("a1 ~ 0 and a3 = 0: no admissible matrix has both")
         theta = arg_2pi(-1j * a3 / abs(a3))
         r = abs(a3)
-        bs = (
-            1j * a1 * np.conj(a3) / r,
-            a2 * np.conj(a3) / r,
-            complex(r),
-            1j * np.conj(a3 * np.conj(a4)) / r,
-        )
+        u = np.conj(a3 / r)
+        bs = (1j * u * a1, u * a2, complex(r), 1j * u * a4)
     scale = max(1.0, max(abs(b) for b in bs))
     worst_imag = max(abs(complex(b).imag) for b in bs)
     if worst_imag > tol * scale:

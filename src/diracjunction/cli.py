@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import boundary, correspondence, deficiency, matrix2, scattering
+from . import boundary, checks, correspondence, matrix2, scattering
 from .boundary import AlphaBC, BDForm, Island, RhoBC
 from .correspondence import Separating, Transmitting
 from .errors import InternalInconsistencyError, JunctionError, ValidationError
@@ -48,8 +48,7 @@ def parse_complex(token: str) -> complex:
     if s.startswith("["):
         try:
             pair = json.loads(s)
-            re_, im_ = float(pair[0]), float(pair[1])
-            return complex(re_, im_)
+            return complex(float(pair[0]), float(pair[1]))
         except (ValueError, TypeError, IndexError) as exc:
             raise ValidationError(f"bad complex literal {token!r}") from exc
     t = s.replace(" ", "").replace("i", "j")
@@ -125,6 +124,19 @@ def parse_angle(text: str) -> float:
         raise ValidationError(f"bad angle {text!r}") from exc
 
 
+def parse_bd(text: str) -> BDForm:
+    """Parse theta,b1,b2,b3,b4; theta accepts pi expressions."""
+    parts = text.split(",")
+    if len(parts) != 5:
+        raise ValidationError("--bd needs five comma-separated values")
+    theta = parse_angle(parts[0])
+    try:
+        bs = [float(p) for p in parts[1:]]
+    except ValueError as exc:
+        raise ValidationError(f"bad --bd values: {exc}") from exc
+    return BDForm(theta % (2.0 * math.pi), *bs)
+
+
 def fmt17(x: float) -> str:
     """17-significant-digit decimal; round-trips float64 exactly."""
     return FMT17 % float(x)
@@ -156,284 +168,120 @@ def emit(obj, out=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# decompose
+# Payloads: the one condition or unitary a command works on
 # ---------------------------------------------------------------------------
+
+#: flag name -> (help, parser of the flag's text and --tol).  --alpha and
+#: --rho give a boundary condition, --gamma/--matrix/--diag a unitary.
+_PAYLOADS = {
+    "alpha": (
+        "a1,a2,a3,a4 complex shorthand",
+        lambda text, tol: Transmitting(AlphaBC(*parse_complex_list(text, 4, "--alpha"))),
+    ),
+    "rho": ("rho_plus,rho_minus ('inf' allowed)", lambda text, tol: Separating(parse_rho(text))),
+    "gamma": (
+        "g1,g2,g3 complex shorthand",
+        lambda text, tol: matrix2.compose(
+            matrix2.QuaternionForm(*parse_complex_list(text, 3, "--gamma")), tol
+        ),
+    ),
+    "matrix": ("JSON 2x2 matrix of [re,im] pairs", lambda text, tol: parse_matrix(text)),
+    "diag": ("gL,gR complex shorthand", lambda text, tol: np.diag(parse_complex_list(text, 2, "--diag"))),
+    "bd": ("theta,b1,b2,b3,b4 (theta accepts pi expressions)", lambda text, tol: parse_bd(text)),
+}
+_CONDITION = ("alpha", "rho", "gamma", "matrix")
+_CONVERT = {
+    "u2-to-bc": ("gamma", "matrix", "diag"),
+    "bc-to-u2": ("alpha",),
+    "alpha-to-bd": ("alpha",),
+    "bd-to-alpha": ("bd",),
+    "rho-to-u2": ("rho",),
+}
+
+
+def _payload(args, accepted: tuple[str, ...]):
+    """The one payload flag given, parsed.
+
+    Exactly one payload flag must be given, and it must be in ``accepted``;
+    ``--fuzz N`` counts as one and resolves to N.
+    """
+    given = [name for name in (*_PAYLOADS, "fuzz") if getattr(args, name, None) is not None]
+    if len(given) != 1 or given[0] not in accepted:
+        what = getattr(args, "direction", args.command)
+        found = ", ".join(f"--{name}" for name in given) or "none"
+        raise ValidationError(
+            f"{what} takes exactly one of {', '.join(f'--{n}' for n in accepted)}; got {found}"
+        )
+    name = given[0]
+    return args.fuzz if name == "fuzz" else _PAYLOADS[name][1](getattr(args, name), args.tol)
+
+
+# ---------------------------------------------------------------------------
+# Commands
+# ---------------------------------------------------------------------------
+
+
+def _gammas_json(q: matrix2.QuaternionForm) -> dict:
+    return {"gamma1": cjson(q.g1), "gamma2": cjson(q.g2), "gamma3": cjson(q.g3)}
 
 
 def cmd_decompose(args) -> int:
-    m = parse_matrix(args.matrix)
-    try:
-        q = matrix2.decompose_u2(m, args.tol)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    emit(
-        {
-            "gamma1": cjson(q.g1),
-            "gamma2": cjson(q.g2),
-            "gamma3": cjson(q.g3),
-            "branch": matrix2.decompose_branch(m, args.tol),
-        },
-        args.out,
-    )
+    m = _payload(args, ("matrix",))
+    q = matrix2.decompose_u2(m, args.tol)
+    emit({**_gammas_json(q), "branch": matrix2.decompose_branch(m, args.tol)}, args.out)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# convert
-# ---------------------------------------------------------------------------
-
-
-def _gamma_from_args(args) -> matrix2.QuaternionForm:
-    g1, g2, g3 = parse_complex_list(args.gamma, 3, "--gamma")
-    return matrix2.QuaternionForm(g1, g2, g3)
-
-
-def _alpha_from_args(args) -> AlphaBC:
-    a1, a2, a3, a4 = parse_complex_list(args.alpha, 4, "--alpha")
-    return AlphaBC(a1, a2, a3, a4)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
 
 
 def cmd_convert(args) -> int:
     m = args.mass
+    x = _payload(args, _CONVERT[args.direction])
     if args.direction == "u2-to-bc":
-        if args.diag is not None:
-            gl, gr = parse_complex_list(args.diag, 2, "--diag")
-            u = np.diag([gl, gr])
-        elif args.gamma is not None:
-            u = matrix2.compose(_gamma_from_args(args), args.tol)
-        elif args.matrix is not None:
-            u = parse_matrix(args.matrix)
-        else:
-            raise ValidationError("u2-to-bc needs --gamma, --matrix or --diag")
-        bc = correspondence.classify(u, m, args.tol)
+        bc = correspondence.classify(x, m, args.tol)
         if isinstance(bc, Separating):
-            emit(
-                {
-                    "type": "separating",
-                    "rho_plus": rho_json_value(bc.rho.rho_plus),
-                    "rho_minus": rho_json_value(bc.rho.rho_minus),
-                },
-                args.out,
-            )
+            payload = {
+                "type": "separating",
+                "rho_plus": rho_json_value(bc.rho.rho_plus),
+                "rho_minus": rho_json_value(bc.rho.rho_minus),
+            }
         else:
-            emit({"type": "transmitting", "alpha": alpha_json(bc.alpha)}, args.out)
+            payload = {"type": "transmitting", "alpha": alpha_json(bc.alpha)}
     elif args.direction == "bc-to-u2":
-        _require(args.alpha is not None, "bc-to-u2 needs --alpha (use rho-to-u2 for separating)")
-        a = _alpha_from_args(args)
-        comparison = correspondence.compare_closed_form(a, m)
-        q = comparison.primary
-        emit(
-            {
-                "gamma1": cjson(q.g1),
-                "gamma2": cjson(q.g2),
-                "gamma3": cjson(q.g3),
-                "closed_form_comparison": {
-                    "agrees_exactly": comparison.agrees_exactly,
-                    "agrees_up_to_sign_pair": comparison.agrees_up_to_sign_pair,
-                    "disagrees": comparison.disagrees,
-                    "max_abs_difference": min(
-                        comparison.difference, comparison.difference_flipped
-                    ),
-                },
+        comparison = correspondence.compare_closed_form(x.alpha, m)
+        payload = {
+            **_gammas_json(comparison.primary),
+            "closed_form_comparison": {
+                "agrees_exactly": comparison.agrees_exactly,
+                "agrees_up_to_sign_pair": comparison.agrees_up_to_sign_pair,
+                "disagrees": comparison.disagrees,
+                "max_abs_difference": min(comparison.difference, comparison.difference_flipped),
             },
-            args.out,
-        )
+        }
     elif args.direction == "alpha-to-bd":
-        _require(args.alpha is not None, "alpha-to-bd needs --alpha")
-        f = boundary.alpha_to_bd(_alpha_from_args(args), args.tol)
-        emit({"theta": f.theta, "a": [f.b1, f.b2, f.b3, f.b4]}, args.out)
+        f = boundary.alpha_to_bd(x.alpha, args.tol)
+        payload = {"theta": f.theta, "a": [f.b1, f.b2, f.b3, f.b4]}
     elif args.direction == "bd-to-alpha":
-        _require(args.bd is not None, "bd-to-alpha needs --bd theta,b1,b2,b3,b4")
-        parts = args.bd.split(",")
-        _require(len(parts) == 5, "--bd needs five comma-separated values")
-        theta = parse_angle(parts[0])
-        try:
-            bs = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise ValidationError(f"bad --bd values: {exc}") from exc
-        a = boundary.bd_to_alpha(
-            BDForm(theta % (2.0 * math.pi), *bs), args.tol
-        )
-        emit({"alpha": alpha_json(a)}, args.out)
+        payload = {"alpha": alpha_json(boundary.bd_to_alpha(x, args.tol))}
     else:  # rho-to-u2
-        _require(args.rho is not None, "rho-to-u2 needs --rho")
-        gl, gr = correspondence.rho_to_diagonal_u2(parse_rho(args.rho), m)
-        emit({"gamma_left": cjson(gl), "gamma_right": cjson(gr)}, args.out)
+        gl, gr = correspondence.rho_to_diagonal_u2(x.rho, m)
+        payload = {"gamma_left": cjson(gl), "gamma_right": cjson(gr)}
+    emit(payload, args.out)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-
-def _print_check(name: str, ok: bool, residual: float) -> bool:
-    print(f"{'PASS' if ok else 'FAIL'} {name} residual={residual:.6e}")
-    return ok
-
-
-def _verify_alpha(a: AlphaBC, m: float, tol: float, seed: int) -> bool:
-    report = boundary.validate_class(a, tol)
-    name, worst = report.worst()
-    if not report.valid:
-        print(f"FAIL class-constraints {name} residual={worst:.6e}")
-        return False
-    ok = _print_check("class-constraints", True, worst)
-
-    q = correspondence.alpha_to_u2(a, m, tol)
-    back = correspondence.u2_to_alpha(q, m, tol)
-    scale = max(1.0, max(abs(x) for x in a.as_tuple()))
-    diff = max(abs(x - y) for x, y in zip(a.as_tuple(), back.as_tuple())) / scale
-    ok &= _print_check("extension-round-trip", diff <= 1e-10, diff)
-
-    ident = max(correspondence.inverse_identity_residuals(q, a, m))
-    ok &= _print_check("defining-identities", ident <= 1e-10 * scale, ident)
-
-    rng = np.random.default_rng(seed)
-    b = a.matrix()
-    cur = 0.0
-    for _ in range(100):
-        v = boundary.random_spinor(rng)
-        cur = max(
-            cur,
-            abs(boundary.current(b @ v) - boundary.current(v))
-            / max(1.0, float(np.abs(v).max()) ** 2 * scale**2),
-        )
-    ok &= _print_check("current-conservation", cur <= 1e-12, cur)
-
-    sa = deficiency.verify_selfadjoint_domain(Transmitting(a), samples=50, seed=seed)
-    ok &= _print_check("boundary-form-symmetry", sa.passed, sa.max_symmetry_residual)
-
-    comparison = correspondence.compare_closed_form(a, m)
-    print(f"INFO closed-form-inverse classification={comparison.classification}")
-    return ok
-
-
-def _verify_rho(r: RhoBC, m: float, tol: float, seed: int) -> bool:
-    gl, gr = correspondence.rho_to_diagonal_u2(r, m)
-    back = correspondence.diagonal_u2_to_rho(gl, gr, m, tol)
-    diff = _rho_distance(r, back)
-    ok = _print_check("extension-round-trip", diff <= 1e-12, diff)
-
-    oracle = correspondence.oracle_rho_from_diagonal(gl, gr, m, tol=tol)
-    diff2 = _rho_distance(r, oracle)
-    ok &= _print_check("boundary-ratio-oracle", diff2 <= 1e-12, diff2)
-
-    sa = deficiency.verify_selfadjoint_domain(Separating(r), samples=50, seed=seed)
-    ok &= _print_check("boundary-form-symmetry", sa.passed, sa.max_symmetry_residual)
-    return ok
-
-
-def _rho_distance(a: RhoBC, b: RhoBC) -> float:
-    def comp(x: float, y: float) -> float:
-        if math.isinf(x) or math.isinf(y):
-            return 0.0 if x == y else math.inf
-        return abs(x - y) / max(1.0, abs(x), abs(y))
-
-    return max(comp(a.rho_plus, b.rho_plus), comp(a.rho_minus, b.rho_minus))
-
-
-def _verify_fuzz(count: int, m: float, tol: float, seed: int) -> bool:
-    if count < 1:
-        raise ValidationError(f"--fuzz needs N >= 1 instances, got {count}")
-    rng = np.random.default_rng(seed)
-    worst = {
-        "class": 0.0,
-        "round-trip": 0.0,
-        "current": 0.0,
-        "scatter-unitarity": 0.0,
-        "rho-round-trip": 0.0,
-        "rho-reflection": 0.0,
-    }
-    counts = {"exact": 0, "sign_pair": 0, "mismatch": 0}
-    for _ in range(count):
-        a = boundary.random_alpha(rng)
-        report = boundary.validate_class(a, tol)
-        _, w = report.worst()
-        worst["class"] = max(worst["class"], w / report.scale)
-        if not report.valid:
-            print("FAIL fuzz generated instance outside the class")
-            return False
-        scale = max(1.0, max(abs(x) for x in a.as_tuple()))
-        q = correspondence.alpha_to_u2(a, m, tol)
-        back = correspondence.u2_to_alpha(q, m, tol)
-        worst["round-trip"] = max(
-            worst["round-trip"],
-            max(abs(x - y) for x, y in zip(a.as_tuple(), back.as_tuple())) / scale,
-        )
-        v = boundary.random_spinor(rng)
-        worst["current"] = max(
-            worst["current"],
-            abs(boundary.current(a.matrix() @ v) - boundary.current(v))
-            / max(1.0, float(np.abs(v).max()) ** 2 * scale**2),
-        )
-        E = m + math.exp(rng.uniform(math.log(0.05), math.log(3.0)))
-        res = scattering.scatter_alpha(a, E, m)
-        worst["scatter-unitarity"] = max(worst["scatter-unitarity"], abs(res.R + res.T - 1.0))
-        counts[correspondence.compare_closed_form(a, m).classification] += 1
-
-        r = boundary.random_rho(rng)
-        gl, gr = correspondence.rho_to_diagonal_u2(r, m)
-        worst["rho-round-trip"] = max(
-            worst["rho-round-trip"],
-            _rho_distance(r, correspondence.diagonal_u2_to_rho(gl, gr, m, tol)),
-        )
-        rr = scattering.scatter_rho(r, E, m)
-        worst["rho-reflection"] = max(worst["rho-reflection"], abs(abs(rr.r) - 1.0) + rr.T)
-    limits = {
-        "class": 1e-12,
-        "round-trip": 1e-10,
-        "current": 1e-12,
-        "scatter-unitarity": 1e-12,
-        "rho-round-trip": 1e-12,
-        "rho-reflection": 1e-12,
-    }
-    ok = True
-    for name, value in worst.items():
-        ok &= _print_check(f"fuzz-{name}", value <= limits[name], value)
-    print(
-        "INFO closed-form-inverse "
-        f"exact={counts['exact']} sign_pair={counts['sign_pair']} mismatch={counts['mismatch']}"
-    )
-    return ok
-
-
 def cmd_verify(args) -> int:
-    ok = True
-    ran = False
-    if args.alpha is not None:
-        ok &= _verify_alpha(_alpha_from_args(args), args.mass, args.tol, args.seed)
-        ran = True
-    if args.rho is not None:
-        ok &= _verify_rho(parse_rho(args.rho), args.mass, args.tol, args.seed)
-        ran = True
-    if args.gamma is not None or args.matrix is not None:
-        if args.matrix is not None:
-            u = parse_matrix(args.matrix)
-        else:
-            u = matrix2.compose(_gamma_from_args(args), args.tol)
-        q = matrix2.decompose_u2(u, args.tol)
-        diff = float(np.abs(matrix2.compose(q) - u).max())
-        ok &= _print_check("decomposition-round-trip", diff <= 1e-12, diff)
-        bc = correspondence.classify(u, args.mass, args.tol)
-        if isinstance(bc, Transmitting):
-            ok &= _verify_alpha(bc.alpha, args.mass, args.tol, args.seed)
-        else:
-            ok &= _verify_rho(bc.rho, args.mass, args.tol, args.seed)
-        ran = True
-    if args.fuzz is not None:
-        ok &= _verify_fuzz(args.fuzz, args.mass, args.tol, args.seed)
-        ran = True
-    if not ran:
-        raise ValidationError("verify needs a payload (--alpha/--rho/--gamma/--matrix) or --fuzz N")
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    x = _payload(args, (*_CONDITION, "fuzz"))
+    verify = checks.verify_condition if args.fuzz is None else checks.verify_fuzz
+    result = verify(x, args.mass, args.tol, args.seed)
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.name} residual={r.residual:.6e}"
+        for r in result.records
+    ]
+    if result.closed_form:
+        tally = " ".join(f"{key}={value}" for key, value in result.closed_form.items())
+        lines.append(f"INFO closed-form-inverse {tally}")
+    lines.append("PASS" if result.passed else "FAIL")
+    write("\n".join(lines) + "\n", args.out)
+    return 0 if result.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -462,32 +310,14 @@ def _json_text(fields: list[list]) -> str:
     return text.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(": -inf", ": -Infinity")
 
 
-def _rows_to_csv(rows) -> str:
-    """CSV of :class:`~diracjunction.scattering.ScatteringResult` rows."""
-    return _csv_text(
-        (row.E, row.k, row.lam, row.r.real, row.r.imag, row.t.real, row.t.imag,
-         row.R, row.T, row.transmission_phase, row.flag or "")
-        for row in rows
-    )
-
-
 def cmd_scatter(args) -> int:
-    m = args.mass
-    if args.alpha is not None:
-        bc = Transmitting(_alpha_from_args(args))
+    bc = _payload(args, _CONDITION)
+    if isinstance(bc, Transmitting):
         boundary.require_class(bc.alpha, args.tol)
-    elif args.rho is not None:
-        bc = Separating(parse_rho(args.rho))
-    elif args.gamma is not None or args.matrix is not None:
-        u = parse_matrix(args.matrix) if args.matrix is not None else matrix2.compose(
-            _gamma_from_args(args), args.tol
-        )
-        bc = correspondence.classify(u, m, args.tol)
-    else:
-        raise ValidationError("scatter needs --alpha, --rho, --gamma or --matrix")
-    face = Island.LEFT if args.face == "left" else Island.RIGHT
+    elif isinstance(bc, np.ndarray):
+        bc = correspondence.classify(bc, args.mass, args.tol)
     try:
-        cols = scattering.sweep_columns(bc, args.emin, args.emax, args.steps, m, face=face)
+        cols = scattering.sweep_columns(bc, args.emin, args.emax, args.steps, args.mass, face=Island(args.face))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     fields = _sweep_fields(cols)
@@ -501,6 +331,7 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_demo_switch(args) -> int:
+    theta = None if args.phase is None else parse_angle(args.phase)
     report = scattering.switch_demo()
     ok = report.ok
 
@@ -540,24 +371,16 @@ def cmd_demo_switch(args) -> int:
         f"up->down |{abs(report.unit1.up_maps_to[1]):.3f}|, "
         f"spin swapped: {report.unit1.swaps_spin}"
     )
-    if args.phase is not None:
-        theta = parse_angle(args.phase)
-        res = scattering.scatter_alpha(boundary.make_phase_shift(theta, 1.0), 1.0, 0.0)
-        phase_ok = bool(
-            abs(res.T - 1.0) <= 1e-12
-            and abs(np.exp(1j * (res.transmission_phase - theta)) - 1.0) <= 1e-12
-        )
-        ok = ok and phase_ok
+    if theta is not None:
+        v = scattering.phase_variant(theta)
+        ok = ok and v.verified
         payload["phase_request"] = {
             "theta": theta,
-            "transmission_phase": res.transmission_phase,
-            "T": res.T,
-            "verified": phase_ok,
+            "transmission_phase": v.transmission_phase,
+            "T": v.T,
+            "verified": v.verified,
         }
-        print(
-            f"Phase variant theta={theta:.12g}: transmitted phase "
-            f"{res.transmission_phase:.12g}, T={res.T:.12g}"
-        )
+        print(f"Phase variant theta={theta:.12g}: transmitted phase {v.transmission_phase:.12g}, T={v.T:.12g}")
     payload["ok"] = ok
     emit(payload, args.out)
     return 0 if ok else 1
@@ -567,11 +390,17 @@ def cmd_demo_switch(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+_COMMON = {
+    "mass": {"type": float, "default": 0.0, "help": "particle mass m >= 0"},
+    "tol": {"type": float, "default": DEFAULT_TOL, "help": "membership tolerance"},
+    "out": {"default": None, "help": "write output to this path instead of stdout"},
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mass", type=float, default=0.0, help="particle mass m >= 0")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="membership tolerance")
-    p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Declare payload flags (:data:`_PAYLOADS`) and common flags by name."""
+    for name in names:
+        p.add_argument(f"--{name}", **({"help": _PAYLOADS[name][0]} if name in _PAYLOADS else _COMMON[name]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,50 +414,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="split a unitary into phase * SU(2) parameters")
-    p.add_argument("--matrix", required=True, help='JSON [[ [re,im],... ], ...]')
-    _add_common(p)
+    _add_flags(p, "matrix", "tol", "out")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("convert", help="convert between parameterizations")
-    p.add_argument(
-        "direction",
-        choices=["u2-to-bc", "bc-to-u2", "alpha-to-bd", "bd-to-alpha", "rho-to-u2"],
-    )
-    p.add_argument("--gamma", help="g1,g2,g3 complex shorthand")
-    p.add_argument("--matrix", help="JSON 2x2 matrix of [re,im]")
-    p.add_argument("--diag", help="gL,gR complex shorthand")
-    p.add_argument("--alpha", help="a1,a2,a3,a4 complex shorthand")
-    p.add_argument("--rho", help="rho_plus,rho_minus ('inf' allowed)")
-    p.add_argument("--bd", help="theta,b1,b2,b3,b4 (theta accepts pi expressions)")
-    _add_common(p)
+    p.add_argument("direction", choices=list(_CONVERT))
+    _add_flags(p, *_PAYLOADS, "mass", "tol", "out")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("verify", help="run constraint, round-trip and symmetry checks")
-    p.add_argument("--alpha", help="a1,a2,a3,a4 complex shorthand")
-    p.add_argument("--rho", help="rho_plus,rho_minus")
-    p.add_argument("--gamma", help="g1,g2,g3 complex shorthand")
-    p.add_argument("--matrix", help="JSON 2x2 matrix")
+    _add_flags(p, *_CONDITION)
     p.add_argument("--fuzz", type=int, default=None, metavar="N", help="check N >= 1 random instances")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_common(p)
+    _add_flags(p, "mass", "tol", "out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scatter", help="energy sweep of reflection/transmission")
-    p.add_argument("--alpha", help="a1,a2,a3,a4 complex shorthand")
-    p.add_argument("--rho", help="rho_plus,rho_minus")
-    p.add_argument("--gamma", help="g1,g2,g3 complex shorthand")
-    p.add_argument("--matrix", help="JSON 2x2 matrix")
+    _add_flags(p, *_CONDITION)
     p.add_argument("--emin", type=float, required=True)
     p.add_argument("--emax", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--face", choices=["left", "right"], default="left")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(p)
+    _add_flags(p, "mass", "tol", "out")
     p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("demo-switch", help="two-unit spin/phase switching demonstration")
     p.add_argument("--phase", default=None, help="extra phase-shift variant, e.g. pi/2")
-    _add_common(p)
+    _add_flags(p, "out")
     p.set_defaults(func=cmd_demo_switch)
 
     return parser
@@ -636,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Flags whose values may begin with '-' (e.g. --diag -1,-1); they are merged
 #: into --flag=value before argparse sees them.
-_PAYLOAD_FLAGS = {"--gamma", "--diag", "--alpha", "--rho", "--bd", "--matrix", "--phase"}
+_MERGED_FLAGS = {f"--{name}" for name in _PAYLOADS} | {"--phase"}
 
 
 def _merge_payload_flags(argv: list[str]) -> list[str]:
@@ -644,7 +457,7 @@ def _merge_payload_flags(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _PAYLOAD_FLAGS and i + 1 < len(argv):
+        if tok in _MERGED_FLAGS and i + 1 < len(argv):
             merged.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -657,7 +470,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_merge_payload_flags(argv))
     try:
-        args.mass = correspondence.check_mass(args.mass)
+        if hasattr(args, "mass"):
+            args.mass = correspondence.check_mass(args.mass)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -391,10 +391,12 @@ class ClosedFormComparison:
 
 
 def compare_closed_form(
-    a: AlphaBC, m: float, tol: float = 1e-8
+    a: AlphaBC, m: float, tol: float = 1e-8, primary: QuaternionForm | None = None
 ) -> ClosedFormComparison:
-    """Classify the closed-form candidate against the solved extension."""
-    primary = alpha_to_u2(a, m)
+    """Classify the closed-form candidate against the solved extension
+    ``primary`` (:func:`alpha_to_u2` of ``a``, solved here when not given)."""
+    if primary is None:
+        primary = alpha_to_u2(a, m)
     candidate = closed_form_u2_candidate(a, m)
     diff = float(np.abs(candidate.as_array() - primary.as_array()).max())
     diff_flipped = float(np.abs(candidate.as_array() + primary.as_array()).max())

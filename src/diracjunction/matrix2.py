@@ -75,12 +75,6 @@ class QuaternionForm:
         g3 = complex(self.g3)
         return g3.imag > 0.0 or (g3.imag == 0.0 and g3.real > 0.0)
 
-    def canonicalized(self) -> "QuaternionForm":
-        """Return the sign-pair member with arg(g3) in [0, pi)."""
-        if self.is_canonical():
-            return self
-        return QuaternionForm(-self.g1, -self.g2, -self.g3)
-
     def negated(self) -> "QuaternionForm":
         return QuaternionForm(-self.g1, -self.g2, -self.g3)
 
@@ -184,10 +178,3 @@ def random_quaternion_form(
             continue
         phi = rng.uniform(0.0, 2.0 * math.pi)
         return QuaternionForm(g1, g2, complex(math.cos(phi), math.sin(phi)))
-
-
-def random_unitary(
-    rng: np.random.Generator, min_offdiag: float = 0.0
-) -> np.ndarray:
-    """Random unitary obtained by composing a random valid form."""
-    return compose(random_quaternion_form(rng, min_offdiag=min_offdiag))

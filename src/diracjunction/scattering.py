@@ -319,6 +319,14 @@ class PhaseVariant:
     T: float
     transmission_phase: float
 
+    @property
+    def verified(self) -> bool:
+        """Full transmission with phase theta (mod 2 pi), both within 1e-12."""
+        return bool(
+            abs(self.T - 1.0) <= 1e-12
+            and abs(np.exp(1j * (self.transmission_phase - self.theta)) - 1.0) <= 1e-12
+        )
+
 
 @dataclass(frozen=True)
 class SwitchDemoReport:
@@ -349,6 +357,12 @@ def _unit_report(name: str, a: AlphaBC, E: float, m: float) -> UnitReport:
     )
 
 
+def phase_variant(theta: float, E: float = 1.0, m: float = 0.0) -> PhaseVariant:
+    """Transmission through the spin-preserving condition of phase theta, b1 = 1."""
+    res = scatter_alpha(make_phase_shift(theta, 1.0), E, m)
+    return PhaseVariant(theta=theta, t=res.t, T=res.T, transmission_phase=res.transmission_phase)
+
+
 def switch_demo(E: float = 1.0, m: float = 0.0) -> SwitchDemoReport:
     """Two-unit qubit-channel switch at the default operating point.
 
@@ -360,17 +374,7 @@ def switch_demo(E: float = 1.0, m: float = 0.0) -> SwitchDemoReport:
     """
     unit0 = _unit_report("unit0", make_phase_shift(0.0, 1.0), E, m)
     unit1 = _unit_report("unit1", make_spin_flip(-math.pi / 2.0, 1.0), E, m)
-    variants = []
-    for theta in (math.pi / 4.0, math.pi / 2.0):
-        res = scatter_alpha(make_phase_shift(theta, 1.0), E, m)
-        variants.append(
-            PhaseVariant(
-                theta=theta,
-                t=res.t,
-                T=res.T,
-                transmission_phase=res.transmission_phase,
-            )
-        )
+    variants = [phase_variant(theta, E, m) for theta in (math.pi / 4.0, math.pi / 2.0)]
     ok = (
         unit0.preserves_spin
         and not unit0.swaps_spin
@@ -378,10 +382,7 @@ def switch_demo(E: float = 1.0, m: float = 0.0) -> SwitchDemoReport:
         and not unit1.preserves_spin
         and abs(unit0.T - 1.0) <= 1e-12
         and abs(unit1.T - 1.0) <= 1e-12
-        and all(abs(v.T - 1.0) <= 1e-12 for v in variants)
-        and all(
-            abs(v.transmission_phase - v.theta) <= 1e-12 for v in variants
-        )
+        and all(v.verified for v in variants)
     )
     return SwitchDemoReport(
         unit0=unit0, unit1=unit1, phase_variants=tuple(variants), ok=ok

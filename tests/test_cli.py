@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -233,11 +234,118 @@ class TestVerify:
         code, _, err = run(capsys, "verify")
         assert code == 2
 
+    ALPHA_CHECKS = [
+        "PASS class-constraints",
+        "PASS extension-round-trip",
+        "PASS defining-identities",
+        "PASS current-conservation",
+        "PASS boundary-form-symmetry",
+    ]
+    RHO_CHECKS = [
+        "PASS extension-round-trip",
+        "PASS boundary-ratio-oracle",
+        "PASS boundary-form-symmetry",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, lines, code",
+        [
+            (["--alpha", "0,1,1,0", "--mass", "1"],
+             ALPHA_CHECKS + ["INFO closed-form-inverse classification=sign_pair", "PASS"], 0),
+            (["--rho", "0,inf", "--mass", "1"], RHO_CHECKS + ["PASS"], 0),
+            (["--matrix", ROT_JSON],
+             ["PASS decomposition-round-trip", *ALPHA_CHECKS,
+              "INFO closed-form-inverse classification=sign_pair", "PASS"], 0),
+            (["--gamma", "0,-i,i"],
+             ["PASS decomposition-round-trip", *ALPHA_CHECKS,
+              "INFO closed-form-inverse classification=mismatch", "PASS"], 0),
+            (["--gamma", "1,0,1", "--mass", "0.5"],
+             ["PASS decomposition-round-trip", *RHO_CHECKS, "PASS"], 0),
+            (["--fuzz", "20", "--mass", "1"],
+             ["PASS fuzz-class", "PASS fuzz-round-trip", "PASS fuzz-current",
+              "PASS fuzz-scatter-unitarity", "PASS fuzz-rho-round-trip",
+              "PASS fuzz-rho-reflection",
+              "INFO closed-form-inverse exact=0 sign_pair=0 mismatch=20", "PASS"], 0),
+            (["--alpha", "1,1,0,1"], ["FAIL class-constraints re_a1_a2", "FAIL"], 1),
+        ],
+    )
+    def test_output_structure(self, capsys, argv, lines, code):
+        got_code, out, err = run(capsys, "verify", *argv)
+        assert (got_code, err) == (code, "")
+        got = out.splitlines()
+        for line in got:
+            if " residual=" in line:
+                assert re.fullmatch(r".* residual=\d\.\d{6}e[+-]\d\d", line), line
+        assert [line.split(" residual=")[0] for line in got] == lines
+
+    def test_fuzz_solves_each_instance_once(self, capsys, monkeypatch):
+        from diracjunction import correspondence
+
+        solve = correspondence.solve_u2_matrix
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(correspondence, "solve_u2_matrix", counting)
+        code, out, _ = run(capsys, "verify", "--fuzz", "30", "--mass", "1")
+        assert code == 0 and "mismatch=30" in out
+        assert len(calls) == 30
+
+    def test_fuzz_instance_outside_tight_tolerance_fails(self, capsys):
+        code, out, err = run(capsys, "verify", "--fuzz", "3", "--tol", "1e-20")
+        assert (code, err) == (1, "")
+        assert [line.split(" residual=")[0] for line in out.splitlines()] == [
+            "FAIL fuzz-class", "FAIL"
+        ]
+
+    def test_report_to_file(self, capsys, tmp_path):
+        path = tmp_path / "report.txt"
+        code, out, _ = run(capsys, "verify", "--rho", "0,inf", "--out", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_text() == run(capsys, "verify", "--rho", "0,inf")[1]
+
     def test_fuzz_needs_positive_count(self, capsys):
         for n in ("-3", "0"):
             code, out, err = run(capsys, "verify", "--fuzz", n)
             assert code == 2
             assert out == "" and "N >= 1" in err
+
+
+class TestPayloadFlags:
+    """A command takes exactly one payload flag, and only one it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convert", "alpha-to-bd", "--alpha", "0,1,1,0", "--rho", "0,0"],
+            ["convert", "u2-to-bc", "--gamma", "0,-i,i", "--matrix", ROT_JSON],
+            ["convert", "rho-to-u2", "--rho", "0,0", "--diag", "1,1"],
+            ["convert", "bd-to-alpha", "--bd", "0,1,0,0,1", "--alpha", "1,0,0,1"],
+            ["verify", "--alpha", "0,1,1,0", "--rho", "0,0"],
+            ["verify", "--matrix", ROT_JSON, "--fuzz", "5"],
+            ["scatter", "--alpha", "0,1,1,0", "--gamma", "0,-i,i",
+             "--emin", "0.5", "--emax", "2", "--steps", "2"],
+        ],
+    )
+    def test_conflicting_payloads_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "takes exactly one of" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo-switch", "--mass", "5"],
+            ["demo-switch", "--tol", "1e-3"],
+            ["decompose", "--matrix", ROT_JSON, "--mass", "1"],
+        ],
+    )
+    def test_undeclared_flags_exit_2(self, argv):
+        p = run_process("-m", "diracjunction.cli", *argv)
+        assert (p.returncode, p.stdout) == (2, "")
+        assert "Traceback" not in p.stderr and "unrecognized arguments" in p.stderr
 
 
 class TestExitCodeContract:
@@ -284,6 +392,14 @@ class TestExitCodeContract:
         assert "Traceback" not in p.stderr
         payload = json.loads(p.stdout, parse_constant=_reject_constant)
         assert payload == {"theta": 0.0, "a": [1e200, 0.0, 0.0, 1e-200]}
+
+    def test_huge_class_member_converts_without_overflow(self):
+        p = run_process(
+            "-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", "1e200,1e200i,0,1e-200"
+        )
+        assert (p.returncode, p.stderr) == (0, "")
+        payload = json.loads(p.stdout, parse_constant=_reject_constant)
+        assert payload == {"theta": 0.0, "a": [1e200, 1e200, 0.0, 1e-200]}
 
     def test_huge_out_of_class_alpha_exits_2(self):
         # |a|^2 overflows; the class check must still see Re(a1 a2*) != 0
@@ -390,13 +506,15 @@ class TestScatter:
         assert code == 2
 
     def test_flagged_rows_in_csv(self):
-        from diracjunction.cli import _rows_to_csv
-        from diracjunction.scattering import RESONANCE_FLAG, ScatteringResult
+        from diracjunction.cli import _csv_text, _sweep_fields
+        from diracjunction.scattering import sweep_columns
 
-        text = _rows_to_csv([ScatteringResult.flagged(1.5, RESONANCE_FLAG)])
-        line = text.strip().split("\n")[1]
-        assert line.endswith(",RESONANCE")
-        assert line.startswith("1.5,nan,")
+        # every energy is a resonance of this matching system at m = 0
+        cols = sweep_columns(Transmitting(AlphaBC(1, 0, 1, 0)), 1.5, 2.0, 2, 0.0)
+        lines = _csv_text(zip(*_sweep_fields(cols))).strip().split("\n")
+        assert len(lines) == 3
+        assert all(line.endswith(",RESONANCE") for line in lines[1:])
+        assert lines[1].startswith("1.5,nan,")
 
     def test_json_text_matches_json_dumps(self):
         from diracjunction.cli import _json_text, _sweep_fields
