@@ -169,7 +169,9 @@ def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
     return ClassReport(valid=valid, residuals=residuals, scale=scale)
 
 
-def require_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> None:
+def require_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
+    """The passing :func:`validate_class` report; raises
+    :class:`NotInClassError` naming the worst constraint otherwise."""
     report = validate_class(a, tol)
     if not report.valid:
         name, value = report.worst()
@@ -177,6 +179,7 @@ def require_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> None:
             f"boundary parameters fail class constraint {name}: "
             f"residual {value:.3e} > {tol:.1e} * scale {report.scale:.3e}"
         )
+    return report
 
 
 def alpha_to_bd(a: AlphaBC, tol: float = DEFAULT_TOL) -> BDForm:

@@ -11,11 +11,12 @@ only through the unimodular constant ``mu = (1 + i m)/sqrt(1 + m^2)``.
 Ground truth in both directions is the boundary-value construction: build
 the two domain basis elements ``psi_j^+ + U psi_j^-`` from the explicit
 deficiency eigenfunctions, evaluate their boundary spinors, and solve the
-2x2 matching system.  The closed-form parameter map in the other direction
-(:func:`closed_form_u2_candidate`) is retained only as a cross-check: its
-phase convention fails to reproduce the defining domain condition for most
-inputs (see :func:`compare_closed_form`), so it is never used as the
-implementation.
+2x2 matching system.  Those solves are kept as test oracles
+(:func:`solve_u2_matrix`, :func:`oracle_alpha_from_u2`).  The inverse map
+:func:`alpha_to_u2` is the closed form with g3 taken from the second
+defining identity; the formula as printed (:func:`closed_form_u2_candidate`)
+gets g3 wrong for most inputs (see :func:`compare_closed_form`) and is kept
+as the record of the paper's formula.
 
 All functions here are pure; parameter sweeps can be partitioned across
 workers freely.
@@ -41,9 +42,9 @@ from .matrix2 import (
     DEFAULT_TOL,
     QuaternionForm,
     as_c2matrix,
-    decompose_u2,
     is_diagonal,
     is_unitary,
+    split_unitary,
 )
 
 
@@ -296,11 +297,59 @@ def solve_u2_matrix(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> np.ndarra
 def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionForm:
     """Quaternion-form parameters of the extension for a transmitting condition.
 
-    Solved from the boundary-value systems (:func:`solve_u2_matrix`), then
-    decomposed; round-trips with :func:`u2_to_alpha`.  The closed-form map
-    is deliberately not used here; see :func:`compare_closed_form`.
+    The closed form, with w = -mu* a1 + a2 - a3 + mu a4, s = sqrt(1+m^2) and
+    e^{i theta} the phase of the condition:
+
+        g1 = G0 i e^{-i theta} w
+        g2 = G0 i e^{-i theta} 2/s
+        g3 = ((a1 + mu* a2) g2 - g1*)*
+
+    with G0 = (4/s^2 + |w|^2)^{-1/2}, then the joint sign flip that puts
+    arg(g3) in [0, pi).  g1 and g2 are those of
+    :func:`closed_form_u2_candidate`; g3 comes from the second defining
+    identity (:func:`inverse_identity_residuals`), and on the class |g3| = 1.
+    Plain complex arithmetic; round-trips with :func:`u2_to_alpha` and agrees
+    with the boundary-value solve (:func:`solve_u2_matrix`).  Raises
+    :class:`~.errors.NotInClassError` outside the class,
+    :class:`ValidationError` when w overflows, and
+    :class:`InternalInconsistencyError` when |g3| misses 1 by more than the
+    class check allows (``tol`` times :func:`~.boundary.class_scale`), which
+    happens only where the map amplifies the condition's class residual.
     """
-    return decompose_u2(solve_u2_matrix(a, m, tol), tol)
+    mu = mu_constant(m)
+    muc = mu.conjugate()
+    scale = require_class(a, tol).scale
+    a1, a2, a3, a4 = a.as_tuple()
+    # e^{i theta} up to sign, from the larger of a1 = e^{i theta} b1 and
+    # a3 = i e^{i theta} b3 (one is nonzero on the class); the sign is
+    # removed by the flip below
+    p = a1 / abs(a1) if abs(a1) >= abs(a3) else -1j * a3 / abs(a3)
+    w = -muc * a1 + a2 - a3 + mu * a4
+    g2_scale = 2.0 / math.hypot(1.0, m)
+    norm = math.hypot(g2_scale, w.real, w.imag)  # 1/G0; abs(w) raises on overflow
+    if not math.isfinite(norm):
+        raise ValidationError(
+            f"boundary parameters overflow the inverse map: |w| = {norm!r}"
+        )
+    c = 1j * p.conjugate() / norm
+    g1 = c * w
+    g2 = c * g2_scale
+    g3 = ((a1 + muc * a2) * g2 - g1.conjugate()).conjugate()
+    if not (g3.imag > 0.0 or (g3.imag == 0.0 and g3.real > 0.0)):  # is_canonical
+        g1, g2, g3 = -g1, -g2, -g3
+    # + 0j turns -0.0 into 0.0, so no parameter prints as a negative zero
+    q = QuaternionForm(g1 + 0j, g2 + 0j, g3 + 0j)
+    # g1, g2 are normalized by construction; |g3| inherits the class residual,
+    # which the class check allows up to tol * class_scale
+    r1, r2 = q.norm_residuals()
+    limit = tol * scale
+    if not (r1 <= tol and r2 <= limit):
+        raise InternalInconsistencyError(
+            f"closed-form extension parameters fail the norm constraints: "
+            f"residuals ({r1:.3e}, {r2:.3e}) exceed ({tol:.1e}, {limit:.3e}); "
+            f"the condition is too ill-conditioned at this mass"
+        )
+    return q
 
 
 def inverse_identity_residuals(
@@ -429,4 +478,4 @@ def classify(matrix, m: float, tol: float = DEFAULT_TOL) -> ExtensionClass:
         raise NotUnitaryError(f"matrix is not unitary within tol={tol}")
     if is_diagonal(u, tol):
         return Separating(diagonal_u2_to_rho(u[0, 0], u[1, 1], m, tol))
-    return Transmitting(u2_to_alpha(decompose_u2(u, tol), m, tol))
+    return Transmitting(u2_to_alpha(split_unitary(u, tol), m, tol))

@@ -20,8 +20,6 @@ from .errors import InvalidFormError, NotUnitaryError
 #: machine epsilon ~1e-16, only a handful of operations per predicate).
 DEFAULT_TOL = 1e-10
 
-_IDENTITY = np.eye(2, dtype=complex)
-
 
 def as_c2matrix(obj) -> np.ndarray:
     """Coerce to a (2, 2) complex ndarray."""
@@ -40,9 +38,13 @@ def as_c2vector(obj) -> np.ndarray:
 
 
 def arg_2pi(z: complex) -> float:
-    """Argument of ``z`` mapped into [0, 2*pi)."""
-    a = float(np.angle(z))
-    return a + 2.0 * math.pi if a < 0.0 else a
+    """Argument of ``z`` mapped into [0, 2*pi); never ``-0.0``."""
+    a = math.atan2(z.imag, z.real) + 0.0  # + 0.0 turns -0.0 into 0.0
+    if a < 0.0:
+        a += 2.0 * math.pi
+        if a == 2.0 * math.pi:  # a tiny negative angle rounds up to 2*pi
+            a = 0.0
+    return a
 
 
 @dataclass(frozen=True)
@@ -80,14 +82,24 @@ class QuaternionForm:
 
 
 def unitarity_residual(matrix) -> float:
-    """Max-norm deviation of M^dag M and M M^dag from the identity."""
-    m = as_c2matrix(matrix)
-    if not np.all(np.isfinite(m.view(float))):
-        return math.inf
-    mh = m.conj().T
-    return float(
-        max(np.abs(mh @ m - _IDENTITY).max(), np.abs(m @ mh - _IDENTITY).max())
+    """Max-norm deviation of M^dag M and M M^dag from the identity; inf when
+    an entry, or a product of entries, is not finite.
+
+    Both products are Hermitian, so their six distinct entries are formed
+    directly from the four matrix entries, in plain complex arithmetic.
+    """
+    (a, b), (c, d) = as_c2matrix(matrix).tolist()
+    na, nb, nc, nd = (z.real * z.real + z.imag * z.imag for z in (a, b, c, d))
+    entries = (
+        abs(na + nc - 1.0),  # M^dag M
+        abs(nb + nd - 1.0),
+        abs(a.conjugate() * b + c.conjugate() * d),
+        abs(na + nb - 1.0),  # M M^dag
+        abs(nc + nd - 1.0),
+        abs(a * c.conjugate() + b * d.conjugate()),
     )
+    # max() may skip a NaN; the sum of the entries cannot
+    return max(entries) if math.isfinite(sum(entries)) else math.inf
 
 
 def is_unitary(matrix, tol: float = DEFAULT_TOL) -> bool:
@@ -139,8 +151,13 @@ def decompose_u2(matrix, tol: float = DEFAULT_TOL) -> QuaternionForm:
         raise NotUnitaryError(
             f"matrix is not unitary: residual {residual:.3e} > tol {tol:.1e}"
         )
-    u11, u12 = complex(m[0, 0]), complex(m[0, 1])
-    u21, u22 = complex(m[1, 0]), complex(m[1, 1])
+    return split_unitary(m, tol)
+
+
+def split_unitary(matrix, tol: float = DEFAULT_TOL) -> QuaternionForm:
+    """The splitting of :func:`decompose_u2`, for a matrix the caller has
+    already found unitary; nothing is checked here."""
+    (u11, u12), (u21, u22) = as_c2matrix(matrix).tolist()
     if abs(u21) <= tol:
         # det U = e^{i(arg u11 + arg u22)}; removing half of it lands in SU(2)
         half = (arg_2pi(u11) + arg_2pi(u22)) / 2.0

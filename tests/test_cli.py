@@ -279,19 +279,26 @@ class TestVerify:
         assert [line.split(" residual=")[0] for line in got] == lines
 
     def test_fuzz_solves_each_instance_once(self, capsys, monkeypatch):
+        # each instance is mapped once, by the closed form; the linear-solve
+        # oracle stays out of the CLI path
         from diracjunction import correspondence
 
-        solve = correspondence.solve_u2_matrix
-        calls = []
+        calls = {"alpha_to_u2": 0, "solve_u2_matrix": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+        def counting(name):
+            original = getattr(correspondence, name)
 
-        monkeypatch.setattr(correspondence, "solve_u2_matrix", counting)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(correspondence, name, counted)
+
+        counting("alpha_to_u2")
+        counting("solve_u2_matrix")
         code, out, _ = run(capsys, "verify", "--fuzz", "30", "--mass", "1")
         assert code == 0 and "mismatch=30" in out
-        assert len(calls) == 30
+        assert calls == {"alpha_to_u2": 30, "solve_u2_matrix": 0}
 
     def test_fuzz_instance_outside_tight_tolerance_fails(self, capsys):
         code, out, err = run(capsys, "verify", "--fuzz", "3", "--tol", "1e-20")
@@ -400,6 +407,19 @@ class TestExitCodeContract:
         assert (p.returncode, p.stderr) == (0, "")
         payload = json.loads(p.stdout, parse_constant=_reject_constant)
         assert payload == {"theta": 0.0, "a": [1e200, 1e200, 0.0, 1e-200]}
+
+    def test_theta_zero_prints_positive_zero(self):
+        p = run_process("-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", "0,i,i,0")
+        assert (p.returncode, p.stderr) == (0, "")
+        assert p.stdout == '{"theta": 0.0, "a": [0.0, 1.0, 1.0, 0.0]}\n'
+
+    def test_overflowing_inverse_map_exits_2(self):
+        p = run_process(
+            "-m", "diracjunction.cli", "convert", "bc-to-u2", "--alpha", "1e308,1e308i,0,1e-308",
+            "--mass", "1",
+        )
+        assert (p.returncode, p.stdout) == (2, "")
+        assert "Traceback" not in p.stderr and "overflow" in p.stderr
 
     def test_huge_out_of_class_alpha_exits_2(self):
         # |a|^2 overflows; the class check must still see Re(a1 a2*) != 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracjunction.boundary import AlphaBC, RhoBC, random_alpha, validate_class
+from diracjunction.boundary import AlphaBC, BDForm, RhoBC, bd_to_alpha, random_alpha, validate_class
 from diracjunction.correspondence import (
     Separating,
     Transmitting,
@@ -22,6 +22,7 @@ from diracjunction.correspondence import (
 )
 from diracjunction.errors import (
     DiagonalInputError,
+    InternalInconsistencyError,
     NotUnimodularError,
     NotUnitaryError,
     SingularSystemError,
@@ -46,6 +47,20 @@ TRIPLES = [
     (AlphaBC(0, 1, 1, 0), QuaternionForm(0, 1, 1)),
     (AlphaBC(-1j, 0, 0, -1j), QuaternionForm(0, 1, 1j)),
 ]
+
+
+def _mp_u2(mpmath, a: AlphaBC, m: float) -> list:
+    """(g1, g2, g3) from the boundary-value system of :func:`solve_u2_matrix`,
+    solved in the working precision of ``mpmath``, with g3 = sqrt(det U)."""
+    mu = mpmath.mpc(1, m) / mpmath.sqrt(1 + mpmath.mpf(m) ** 2)
+    muc = mpmath.conj(mu)
+    a1, a2, a3, a4 = (mpmath.mpc(x.real, x.imag) for x in a.as_tuple())
+    coeff = mpmath.matrix([[a1 + a2 * muc, -1], [a3 + a4 * muc, muc]])
+    rhs = mpmath.matrix([[-a1 + a2 * mu, 1], [-a3 + a4 * mu, mu]])
+    sol = mpmath.inverse(coeff) * rhs
+    u11, u12, u21, u22 = sol[0, 0], sol[1, 0], sol[0, 1], sol[1, 1]
+    g3 = mpmath.sqrt(u11 * u22 - u12 * u21)
+    return [u11 / g3, u21 / g3, g3]
 
 
 def alpha_diff(a: AlphaBC, b: AlphaBC) -> float:
@@ -256,6 +271,74 @@ class TestInverseMap:
             scale = max(1.0, max(abs(x) for x in a.as_tuple()))
             assert max(inverse_identity_residuals(q, a, m)) <= 1e-12 * scale
 
+    def test_closed_form_matches_solved_oracle(self):
+        rng = np.random.default_rng(45)
+        for i in range(4000):
+            a = random_alpha(rng)
+            m = MASSES[i % 4]
+            q = alpha_to_u2(a, m)
+            oracle = decompose_u2(solve_u2_matrix(a, m))
+            assert np.abs(q.as_array() - oracle.as_array()).max() <= 1e-10
+            assert q.is_canonical()
+            scale = max(1.0, max(abs(x) for x in a.as_tuple()))
+            assert max(inverse_identity_residuals(q, a, m)) <= 1e-10 * scale
+            assert max(q.norm_residuals()) <= 1e-12
+
+    @pytest.mark.parametrize("m", MASSES)
+    def test_tiny_a1_with_zero_a3(self, m):
+        # |a1| <= tol and a3 = 0: the phase comes from a1, the larger pivot
+        a = AlphaBC(1e-11, 0, 0, 1e11)
+        q = alpha_to_u2(a, m)
+        oracle = decompose_u2(solve_u2_matrix(a, m))
+        assert np.abs(q.as_array() - oracle.as_array()).max() <= 1e-10
+
+    def test_no_negative_zero_parameters(self):
+        for a, _ in TRIPLES:
+            q = alpha_to_u2(a, 1.0)
+            parts = [x for g in (q.g1, q.g2, q.g3) for x in (g.real, g.imag)]
+            assert all(math.copysign(1.0, x) == 1.0 for x in parts if x == 0.0)
+
+    def test_overflowing_condition_is_a_validation_error(self):
+        # a class member whose w = -mu* a1 + a2 - a3 + mu a4 overflows
+        with pytest.raises(ValidationError, match="overflow"):
+            alpha_to_u2(AlphaBC(1e308, 1e308j, 0, 1e-308), 1.0)
+
+    def test_ill_conditioned_condition_raises(self):
+        # b = (-2, 3, -1, -2): w -> 0 as m grows, so the class residual
+        # 1e-10 of the perturbed a4 is amplified in |g3|
+        exact = AlphaBC(-2, 3j, -1j, -2)
+        q = alpha_to_u2(exact, 100.0)
+        assert max(q.norm_residuals()) <= 1e-12
+        assert max(inverse_identity_residuals(q, exact, 100.0)) <= 1e-12
+        perturbed = AlphaBC(-2, 3j, -1j, -2 + 1e-10j)
+        assert validate_class(perturbed).valid
+        with pytest.raises(InternalInconsistencyError):
+            alpha_to_u2(perturbed, 100.0)
+
+    def test_accuracy_against_high_precision_solve(self):
+        # conditions with entries spread over 1e-4 .. 1e5, far outside the
+        # generator's caps, against a 40-digit solve of the same system
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(46)
+        with mpmath.workdps(40):
+            for i in range(300):
+                lo, hi = 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(0, 5)
+                b1, b2, b3 = (
+                    math.exp(rng.uniform(math.log(lo), math.log(hi))) * rng.choice([-1, 1])
+                    for _ in range(3)
+                )
+                a = bd_to_alpha(
+                    BDForm(rng.uniform(0, 2 * math.pi), b1, b2, b3, (1 - b2 * b3) / b1)
+                )
+                m = MASSES[i % 4]
+                want = _mp_u2(mpmath, a, m)
+                got = [mpmath.mpc(g.real, g.imag) for g in alpha_to_u2(a, m).as_array().tolist()]
+                err = min(
+                    max(abs(x - y) for x, y in zip(got, want)),
+                    max(abs(x + y) for x, y in zip(got, want)),
+                )
+                assert err <= 1e-12
+
 
 class TestClosedFormCrossCheck:
     def test_identity_condition_mismatch(self):
@@ -316,3 +399,17 @@ class TestClassify:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             classify(np.array([[1, 1], [0, 1]], dtype=complex), 0.0)
+
+    def test_measures_unitarity_once(self, monkeypatch):
+        from diracjunction import matrix2
+
+        residual = matrix2.unitarity_residual
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return residual(m)
+
+        monkeypatch.setattr(matrix2, "unitarity_residual", counting)
+        assert isinstance(classify(SWAP, 0.5), Transmitting)
+        assert len(calls) == 1

@@ -30,6 +30,20 @@ def test_arg_2pi_range():
     assert 0.0 <= arg_2pi(complex(0.3, -0.7)) < 2 * math.pi
 
 
+@pytest.mark.parametrize("z", [complex(1.0, -0.0), complex(1.0, 0.0), complex(0.0, -0.0), complex(1.0, -1e-300)])
+def test_arg_2pi_zero_is_positive_zero(z):
+    # a negative zero or a tiny negative angle lands on +0.0, not -0.0 or 2*pi
+    a = arg_2pi(z)
+    assert a == 0.0 and math.copysign(1.0, a) == 1.0
+
+
+def test_arg_2pi_matches_numpy_angle():
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        z = complex(*rng.standard_normal(2))
+        assert arg_2pi(z) == pytest.approx(float(np.angle(z)) % (2 * math.pi), abs=1e-15)
+
+
 class TestPredicates:
     def test_is_unitary_identity(self):
         assert is_unitary(I2)
@@ -166,3 +180,37 @@ class TestSignPair:
 def test_unitarity_residual_values():
     assert unitarity_residual(I2) == 0.0
     assert unitarity_residual(2 * I2) == pytest.approx(3.0)
+
+
+def _numpy_unitarity_residual(m: np.ndarray) -> float:
+    mh = m.conj().T
+    return float(max(np.abs(mh @ m - I2).max(), np.abs(m @ mh - I2).max()))
+
+
+def test_unitarity_residual_matches_numpy_formula():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        unitary = compose(random_quaternion_form(rng))
+        near = unitary + 1e-9 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        general = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        for m in (unitary, near, general, ROT, HADAMARD):
+            assert unitarity_residual(m) == pytest.approx(
+                _numpy_unitarity_residual(m), rel=1e-12, abs=4e-16
+            )
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[np.nan, 0], [0, 1]], dtype=complex),
+        np.array([[1, 0], [0, complex(0, np.inf)]], dtype=complex),
+        np.array([[1, 0], [np.inf, 1]], dtype=complex),
+        # finite entries whose products overflow
+        1e200 * HADAMARD,
+    ],
+)
+def test_unitarity_residual_non_finite_is_inf(m):
+    assert unitarity_residual(m) == math.inf
+    assert not is_unitary(m)
+    with pytest.raises(NotUnitaryError):
+        decompose_u2(m)
