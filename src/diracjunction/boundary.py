@@ -126,9 +126,12 @@ def _norm_sq_parts(a: AlphaBC) -> tuple[float, float]:
 
     Scaling by the largest magnitude first (Higham, *Accuracy and Stability
     of Numerical Algorithms*, 2nd ed., sec. 2) keeps every term at most 1,
-    so nothing overflows before the final product.
+    so nothing overflows before the final product.  Raises
+    :class:`ValidationError` when a modulus is not finite.
     """
-    mags = [abs(x) for x in a.as_tuple()]
+    mags = [math.hypot(x.real, x.imag) for x in a.as_tuple()]
+    if not all(map(math.isfinite, mags)):
+        raise ValidationError("a boundary parameter's modulus is not finite")
     big = max(mags)
     if big == 0.0:
         return 0.0, 0.0
@@ -157,8 +160,8 @@ def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
         "re_a1_a3": abs(a1.real * a3.real + a1.imag * a3.imag),
         "re_a2_a4": abs(a2.real * a4.real + a2.imag * a4.imag),
         "re_a3_a4": abs(a3.real * a4.real + a3.imag * a4.imag),
-        "unit_det_plus": abs(a1 * np.conj(a4) + a2 * np.conj(a3) - 1.0),
-        "unit_det_conj": abs(a1 * np.conj(a4) + np.conj(a2) * a3 - 1.0),
+        "unit_det_plus": abs(a1 * a4.conjugate() + a2 * a3.conjugate() - 1.0),
+        "unit_det_conj": abs(a1 * a4.conjugate() + a2.conjugate() * a3 - 1.0),
     }
     scale = class_scale(a)
     if math.isinf(scale):
@@ -185,15 +188,16 @@ def require_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
 def alpha_to_bd(a: AlphaBC, tol: float = DEFAULT_TOL) -> BDForm:
     """Extract (theta, b1..b4) with B = e^{i theta} [[b1, i b2], [i b3, b4]].
 
-    Branches on |a1| > tol; for class input at least one of a1, a3 is
-    nonzero.  The pivot is divided by its modulus before any product is
-    formed, so entries near the float range do not overflow.  The b's are
+    Pivots on a1 when |a1| > tol * max(|a1|, |a3|), else on a3; for class
+    input at least one of a1, a3 is nonzero.  The pivot is divided by its
+    modulus before any product is formed, so entries near the float range
+    do not overflow.  The b's are
     real for class input up to rounding; residual imaginary parts beyond
     tolerance raise :class:`NotInClassError`.
     """
     require_class(a, tol)
     a1, a2, a3, a4 = a.as_tuple()
-    if abs(a1) > tol:
+    if abs(a1) > tol * max(abs(a1), abs(a3)):
         theta = arg_2pi(a1)
         r = abs(a1)
         u = np.conj(a1 / r)

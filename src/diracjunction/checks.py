@@ -85,7 +85,9 @@ def _alpha_round_trip(a: AlphaBC, q: matrix2.QuaternionForm, m: float, tol: floa
 
 def _current_change(a: AlphaBC, v: np.ndarray) -> float:
     """|j(B v) - j(v)| relative to max(1, max|v|^2 alpha_scale^2)."""
-    scale = max(1.0, float(np.abs(v).max()) ** 2 * alpha_scale(a) ** 2)
+    v_scale, a_scale = float(np.abs(v).max()), alpha_scale(a)
+    # products, not ** 2: a float power raises OverflowError instead of giving inf
+    scale = max(1.0, (v_scale * v_scale) * (a_scale * a_scale))
     return abs(boundary.current(a.matrix() @ v) - boundary.current(v)) / scale
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import boundary, checks, correspondence, matrix2, scattering
 from .boundary import AlphaBC, BDForm, Island, RhoBC
 from .correspondence import Separating, Transmitting
-from .errors import InternalInconsistencyError, JunctionError, ValidationError
+from .errors import InternalInconsistencyError, ValidationError
 from .matrix2 import DEFAULT_TOL
 
 DEFAULT_SEED = 20177
@@ -105,7 +105,7 @@ def parse_rho(text: str) -> RhoBC:
 
 
 def parse_angle(text: str) -> float:
-    """Parse an angle: plain float or a pi expression like 'pi/2', '-3pi/4'."""
+    """Parse a finite angle: plain float or a pi expression like 'pi/2', '-3pi/4'."""
     s = text.strip().lower().replace(" ", "").replace("*", "")
     m = re.fullmatch(r"([+-]?\d*\.?\d*)pi(?:/([+-]?\d*\.?\d+))?", s)
     if m:
@@ -117,11 +117,17 @@ def parse_angle(text: str) -> float:
         else:
             coef = float(coef_text)
         den = float(m.group(2)) if m.group(2) else 1.0
-        return coef * math.pi / den
-    try:
-        return float(s)
-    except ValueError as exc:
-        raise ValidationError(f"bad angle {text!r}") from exc
+        if den == 0.0:
+            raise ValidationError(f"bad angle {text!r}: zero denominator")
+        angle = coef * math.pi / den
+    else:
+        try:
+            angle = float(s)
+        except ValueError as exc:
+            raise ValidationError(f"bad angle {text!r}") from exc
+    if not math.isfinite(angle):
+        raise ValidationError(f"angle must be finite, got {text!r}")
+    return angle
 
 
 def parse_bd(text: str) -> BDForm:
@@ -134,6 +140,8 @@ def parse_bd(text: str) -> BDForm:
         bs = [float(p) for p in parts[1:]]
     except ValueError as exc:
         raise ValidationError(f"bad --bd values: {exc}") from exc
+    if not all(map(math.isfinite, bs)):
+        raise ValidationError(f"--bd values must be finite, got {text!r}")
     return BDForm(theta % (2.0 * math.pi), *bs)
 
 
@@ -290,11 +298,11 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_fields(cols: scattering.ScatteringColumns) -> list[list]:
-    """A sweep's output fields in :data:`CSV_HEADER` order, one list per field."""
-    flags = [scattering.RESONANCE_FLAG if f else "" for f in cols.resonance.tolist()]
+    """A sweep's output fields in :data:`CSV_HEADER` order, one list per field;
+    ``flag`` is always empty."""
     values = (cols.E, cols.k, cols.lam, cols.r.real, cols.r.imag,
               cols.t.real, cols.t.imag, cols.R, cols.T, cols.phase_t)
-    return [v.tolist() for v in values] + [flags]
+    return [v.tolist() for v in values] + [[""] * cols.E.size]
 
 
 def _csv_text(records) -> str:
@@ -312,12 +320,12 @@ def _json_text(fields: list[list]) -> str:
 
 def cmd_scatter(args) -> int:
     bc = _payload(args, _CONDITION)
-    if isinstance(bc, Transmitting):
-        boundary.require_class(bc.alpha, args.tol)
-    elif isinstance(bc, np.ndarray):
+    if isinstance(bc, np.ndarray):
         bc = correspondence.classify(bc, args.mass, args.tol)
     try:
-        cols = scattering.sweep_columns(bc, args.emin, args.emax, args.steps, args.mass, face=Island(args.face))
+        cols = scattering.sweep_columns(
+            bc, args.emin, args.emax, args.steps, args.mass, Island(args.face), args.tol
+        )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     fields = _sweep_fields(cols)
@@ -392,7 +400,7 @@ def cmd_demo_switch(args) -> int:
 
 _COMMON = {
     "mass": {"type": float, "default": 0.0, "help": "particle mass m >= 0"},
-    "tol": {"type": float, "default": DEFAULT_TOL, "help": "membership tolerance"},
+    "tol": {"type": float, "default": DEFAULT_TOL, "help": "membership tolerance, finite and > 0"},
     "out": {"default": None, "help": "write output to this path instead of stdout"},
 }
 
@@ -425,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run constraint, round-trip and symmetry checks")
     _add_flags(p, *_CONDITION)
     p.add_argument("--fuzz", type=int, default=None, metavar="N", help="check N >= 1 random instances")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed >= 0")
     _add_flags(p, "mass", "tol", "out")
     p.set_defaults(func=cmd_verify)
 
@@ -472,6 +480,10 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "mass"):
             args.mass = correspondence.check_mass(args.mass)
+        if hasattr(args, "tol") and not 0.0 < args.tol < math.inf:
+            raise ValidationError(f"--tol must be finite and > 0, got {args.tol!r}")
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -479,9 +491,6 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except JunctionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -61,7 +61,3 @@ class QuadratureFailureError(ValidationError):
 
 class BelowGapError(ValidationError):
     """Energy is at or below the mass gap; no propagating mode exists."""
-
-
-class ResonanceSingularError(JunctionError, ArithmeticError):
-    """Plane-wave matching system is singular at this energy."""

@@ -63,10 +63,12 @@ class QuaternionForm:
         return np.array([self.g1, self.g2, self.g3], dtype=complex)
 
     def norm_residuals(self) -> tuple[float, float]:
-        """Residuals of |g1|^2 + |g2|^2 = 1 and |g3| = 1."""
+        """Residuals of |g1|^2 + |g2|^2 = 1 and |g3| = 1; inf, not an
+        ``OverflowError``, when a modulus exceeds the float range."""
+        g1, g2, g3 = complex(self.g1), complex(self.g2), complex(self.g3)
         return (
-            abs(abs(self.g1) ** 2 + abs(self.g2) ** 2 - 1.0),
-            abs(abs(self.g3) - 1.0),
+            abs(g1.real * g1.real + g1.imag * g1.imag + g2.real * g2.real + g2.imag * g2.imag - 1.0),
+            abs(math.hypot(g3.real, g3.imag) - 1.0),
         )
 
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:

@@ -33,12 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip
+from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, require_class
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
-from .errors import BelowGapError, ResonanceSingularError
-
-#: Flag carried by sweep rows whose matching system was singular.
-RESONANCE_FLAG = "RESONANCE"
+from .errors import BelowGapError
+from .matrix2 import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -68,11 +66,18 @@ def _wavenumbers(E, m: float):
 
     Neither squares E, so both stay finite for huge masses and keep full
     relative accuracy next to the gap; at m = 0 they give lambda = 1 and
-    k = E exactly.
+    k = E exactly.  For m > 1 both are halved first, so E + m cannot
+    overflow; halving is exact there (E > m > 1) and changes no bit of
+    either result.  For m <= 1, E + m cannot overflow, and halving could
+    round a tiny E to 0.
     """
+    halve = m > 1.0
+    if halve:
+        E, m = 0.5 * E, 0.5 * m
     above = E + m
     lam = np.sqrt((E - m) / above)
-    return lam * above, lam
+    k = lam * above
+    return (2.0 * k if halve else k), lam
 
 
 def plane_spinors(E: float, m: float) -> PlaneWaveBasis:
@@ -103,14 +108,7 @@ class ScatteringResult:
     incoming_spin: np.ndarray
     transmitted_spin: np.ndarray
     transmission_phase: float
-    flag: str | None = None
-
-    @classmethod
-    def flagged(cls, E: float, flag: str) -> "ScatteringResult":
-        nan = float("nan")
-        zero = np.zeros(2, dtype=complex)
-        return cls(E, nan, nan, complex(nan, nan), complex(nan, nan), nan, nan,
-                   zero, zero, nan, flag=flag)
+    flag: str | None = None  # always None: a class member's matching system is never singular
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -122,9 +120,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
 class ScatteringColumns:
     """Scattering results over an energy grid, one array per quantity.
 
-    ``resonance`` marks the rows whose matching system was singular; they
-    carry NaN in every column but ``E``.  ``face`` is the face the incident
-    wave arrives at (always LEFT for a transmitting condition).
+    ``face`` is the face the incident wave arrives at (always LEFT for a
+    transmitting condition).
     """
 
     face: Island
@@ -136,19 +133,15 @@ class ScatteringColumns:
     R: np.ndarray
     T: np.ndarray
     phase_t: np.ndarray
-    resonance: np.ndarray
 
     def row(self, i: int) -> ScatteringResult:
         """Row ``i`` as a :class:`ScatteringResult`, spins included."""
-        E = float(self.E[i])
-        if self.resonance[i]:
-            return ScatteringResult.flagged(E, RESONANCE_FLAG)
         lam, t = float(self.lam[i]), complex(self.t[i])
         norm = math.hypot(1.0, lam)
         right = np.array([1.0, lam], dtype=complex) / norm
         incoming = right if self.face is Island.LEFT else np.array([1.0, -lam], dtype=complex) / norm
         return ScatteringResult(
-            E=E,
+            E=float(self.E[i]),
             k=float(self.k[i]),
             lam=lam,
             r=complex(self.r[i]),
@@ -166,43 +159,43 @@ class ScatteringColumns:
 
 
 def _transmitting_amplitudes(a: AlphaBC, lam: np.ndarray):
-    """(r, t, singular) of t u_+ = B (u_+ + r u_-) by Cramer's rule.
+    """(r, t) of t u_+ = B (u_+ + r u_-) by Cramer's rule, for a class member.
 
     The system's columns multiply (r, t): r B u_- - t u_+ = -B u_+, i.e.
-    [[s0, -1], [s1, -lam]] with (s0, s1) = B u_-.  A row is singular when
-    |det| <= 1e-14 max(1, max|system|)^2.
+    [[s0, -1], [s1, -lam]] with (s0, s1) = B u_-.  With
+    B = e^{i theta} [[b1, i b2], [i b3, b4]] the negated determinant is
+    e^{i theta} D, D = lam (b1 + b4) - i (b2 lam^2 + b3), and
+    |D|^2 = lam^2 (b1^2 + b4^2) + b2^2 lam^4 + b3^2 + 2 lam^2 >= 4 lam^2
+    because b1 b4 + b2 b3 = 1: the system is never singular above the gap.
     """
     a1, a2, a3, a4 = a.as_tuple()
     lam = lam.astype(complex)
     a2_lam, a4_lam = a2 * lam, a4 * lam
-    s0, s1 = a1 - a2_lam, a3 - a4_lam
-    neg_det = lam * s0 - s1
-    singular = np.abs(neg_det) <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(s0), np.abs(s1))) ** 2
-    if np.count_nonzero(singular):
-        neg_det = np.where(singular, 1.0, neg_det)
+    neg_det = lam * (a1 - a2_lam) - (a3 - a4_lam)
     # numerators and determinant negated together, so that exact zeros come
     # out as +0; t's numerator reduces to -2 lam det(B)
     r = ((a3 + a4_lam) - lam * (a1 + a2_lam)) / neg_det
     t = (2.0 * (a1 * a4 - a2 * a3)) * lam / neg_det
-    return r, t, singular
+    return r, t
 
 
 def scatter_batch(
-    bc: ExtensionClass, E, m: float, face: Island = Island.LEFT
+    bc: ExtensionClass, E, m: float, face: Island = Island.LEFT, tol: float = DEFAULT_TOL
 ) -> ScatteringColumns:
     """Scatter the incident mode off ``bc`` at every energy of ``E`` at once.
 
-    Transmitting conditions solve the 2x2 matching system per energy (rows
-    where it is singular are marked, not dropped); separating conditions
-    reflect totally at ``face``.  Raises :class:`BelowGapError` if any
-    E <= m.
+    Transmitting conditions solve the 2x2 matching system per energy and
+    must be in the class at ``tol`` (:class:`NotInClassError` otherwise);
+    separating conditions reflect totally at ``face``.  Raises
+    :class:`BelowGapError` if any E <= m.
     """
     m = check_mass(m)
     E = _above_gap(E, m).ravel()
     k, lam = _wavenumbers(E, m)
     if isinstance(bc, Transmitting):
+        require_class(bc.alpha, tol)
         face = Island.LEFT
-        r, t, singular = _transmitting_amplitudes(bc.alpha, lam)
+        r, t = _transmitting_amplitudes(bc.alpha, lam)
         T = np.abs(t) ** 2
         phase = np.angle(t)
     else:
@@ -217,26 +210,16 @@ def scatter_batch(
         t = np.zeros(E.shape, dtype=complex)
         T = np.zeros(E.shape)
         phase = np.zeros(E.shape)
-        singular = np.zeros(E.shape, dtype=bool)
-    R = np.abs(r) ** 2
-    if np.count_nonzero(singular):
-        nan = complex(math.nan, math.nan)
-        r, t = np.where(singular, nan, r), np.where(singular, nan, t)
-        k, lam, R, T, phase = (np.where(singular, math.nan, x) for x in (k, lam, R, T, phase))
-    return ScatteringColumns(face, E, k, lam, r, t, R, T, phase, singular)
+    return ScatteringColumns(face, E, k, lam, r, t, np.abs(r) ** 2, T, phase)
 
 
 def scatter_alpha(a: AlphaBC, E: float, m: float) -> ScatteringResult:
     """Scatter the right-moving mode off a transmitting condition.
 
     Solves the 2x2 complex system for (r, t); raises
-    :class:`ResonanceSingularError` when the system is singular at this
-    energy (no regularization is applied).
+    :class:`NotInClassError` when ``a`` is not in the class.
     """
-    cols = scatter_batch(Transmitting(a), E, m)
-    if cols.resonance[0]:
-        raise ResonanceSingularError(f"matching system singular at E = {E}")
-    return cols.row(0)
+    return scatter_batch(Transmitting(a), E, m).row(0)
 
 
 def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> ScatteringResult:
@@ -263,17 +246,15 @@ def sweep_columns(
     steps: int,
     m: float,
     face: Island = Island.LEFT,
+    tol: float = DEFAULT_TOL,
 ) -> ScatteringColumns:
-    """Uniform energy grid of scattering results, ordered by E, as columns.
-
-    Singular rows are marked in ``resonance``, never dropped.
-    """
+    """Uniform energy grid of scattering results, ordered by E, as columns."""
     m = check_mass(m)
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not (m < e_min < e_max < math.inf):
         raise ValueError("need m < e_min < e_max, all finite")
-    return scatter_batch(bc, np.linspace(e_min, e_max, steps), m, face)
+    return scatter_batch(bc, np.linspace(e_min, e_max, steps), m, face, tol)
 
 
 def sweep(
@@ -284,10 +265,7 @@ def sweep(
     m: float,
     face: Island = Island.LEFT,
 ) -> list[ScatteringResult]:
-    """Uniform energy grid of scattering results, ordered by E.
-
-    Singular rows are flagged (:data:`RESONANCE_FLAG`), never dropped.
-    """
+    """Uniform energy grid of scattering results, ordered by E."""
     return sweep_columns(bc, e_min, e_max, steps, m, face).rows()
 
 

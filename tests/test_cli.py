@@ -430,6 +430,44 @@ class TestExitCodeContract:
         assert p.stdout == ""
         assert "Traceback" not in p.stderr and "class constraint" in p.stderr
 
+    def test_tiny_a1_class_member_converts(self):
+        # b = (1e-11, 0, 0, 1e11): a1 is below tol but a3 = 0, so pivot on a1
+        p = run_process("-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", "1e-11,0,0,1e11")
+        assert (p.returncode, p.stderr) == (0, "")
+        assert p.stdout == '{"theta": 0.0, "a": [1e-11, 0.0, 0.0, 100000000000.0]}\n'
+        p = run_process("-m", "diracjunction.cli", "convert", "bc-to-u2", "--alpha", "1e-11,0,0,1e11")
+        assert (p.returncode, p.stderr) == (0, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convert", "alpha-to-bd", "--alpha", "1.5e308+1.5e308i,0,0,0"],
+            ["verify", "--alpha", "1.5e308+1.5e308i,0,0,1e-308"],
+            ["convert", "u2-to-bc", "--gamma", "1e308,-1,[1,0]"],
+            ["verify", "--gamma", "1,1e200,0", "--mass", "1"],
+            ["verify", "--alpha", "1e200,0,-1,i"],
+        ],
+    )
+    def test_out_of_range_moduli_exit_2(self, argv):
+        p = run_process("-m", "diracjunction.cli", *argv)
+        assert (p.returncode, p.stdout) == (2, "")
+        assert "Traceback" not in p.stderr and p.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--matrix", "[[[2,0],[0,0]],[[0,0],[2,0]]]", "--tol", "inf"],
+            ["verify", "--rho", "inf,1e-300", "--mass", "1", "--tol", "nan"],
+            ["scatter", "--rho", "0,0", "--emin", "1", "--emax", "2", "--steps", "2", "--tol", "0"],
+            ["convert", "bd-to-alpha", "--bd", "0,2,10,0,nan"],
+            ["demo-switch", "--phase", "nan"],
+        ],
+    )
+    def test_non_finite_numbers_exit_2(self, argv):
+        p = run_process("-m", "diracjunction.cli", *argv)
+        assert (p.returncode, p.stdout) == (2, "")
+        assert "Traceback" not in p.stderr and "must be finite" in p.stderr
+
     def test_cli_import_leaves_scipy_out(self):
         p = run_process(
             "-c", "import sys, diracjunction.cli; print('scipy' in sys.modules)"
@@ -525,16 +563,29 @@ class TestScatter:
         )
         assert code == 2
 
-    def test_flagged_rows_in_csv(self):
-        from diracjunction.cli import _csv_text, _sweep_fields
-        from diracjunction.scattering import sweep_columns
-
-        # every energy is a resonance of this matching system at m = 0
-        cols = sweep_columns(Transmitting(AlphaBC(1, 0, 1, 0)), 1.5, 2.0, 2, 0.0)
-        lines = _csv_text(zip(*_sweep_fields(cols))).strip().split("\n")
-        assert len(lines) == 3
-        assert all(line.endswith(",RESONANCE") for line in lines[1:])
-        assert lines[1].startswith("1.5,nan,")
+    def test_large_and_near_gap_conditions_give_finite_rows(self):
+        # class members whose rows an absolute determinant threshold used to
+        # blank out as resonances
+        for alpha, mass, emin, emax, steps in (
+            ("1e15,0,0,1e-15", "0", "1.5", "2", 3),
+            ("1e200,0,0,1e-200", "1", "1.5", "2", 3),
+            ("1e7,0,0,1e-7", "1", "1.0000000000000002", "1.000000000000001", 4),
+        ):
+            p = run_process(
+                "-m", "diracjunction.cli", "scatter", "--alpha", alpha, "--mass", mass,
+                "--emin", emin, "--emax", emax, "--steps", str(steps),
+            )
+            assert (p.returncode, p.stderr) == (0, "")
+            lines = p.stdout.splitlines()
+            assert lines[0] == ",".join(CSV_HEADER_FIELDS) and len(lines) == steps + 1
+            for line in lines[1:]:
+                *values, flag = line.split(",")
+                values = [float(x) for x in values]
+                assert flag == "" and all(map(math.isfinite, values))
+                R, T = values[7], values[8]
+                assert abs(R + T - 1.0) <= 1e-12
+                if alpha == "1e7,0,0,1e-7":  # next to the gap
+                    assert T == pytest.approx(4.0e-14, rel=1e-3)
 
     def test_json_text_matches_json_dumps(self):
         from diracjunction.cli import _json_text, _sweep_fields
@@ -542,13 +593,12 @@ class TestScatter:
 
         keys = CSV_HEADER_FIELDS
         for bc, m in (
-            (Transmitting(AlphaBC(1, 0, 1, 0)), 1e-14),  # mixed resonance rows
+            (Transmitting(AlphaBC(0, 1, 1, 0)), 1e-14),
             (Separating(RhoBC(math.inf, 0.5)), 1.0),
         ):
             fields = _sweep_fields(sweep_columns(bc, m + 0.4, 2.0, 7, m))
             records = [dict(zip(keys, values)) for values in zip(*fields)]
             assert _json_text(fields) == json.dumps(records) + "\n"
-            assert "NaN" in _json_text(fields) or isinstance(bc, Separating)
         # json's spellings of the non-finite floats
         fields = [[math.inf, -math.inf, math.nan, -0.0]] * 10 + [["", "RESONANCE", "", ""]]
         records = [dict(zip(keys, values)) for values in zip(*fields)]

@@ -15,9 +15,8 @@ from diracjunction.boundary import (
 )
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.deficiency import Island
-from diracjunction.errors import BelowGapError, ResonanceSingularError
+from diracjunction.errors import BelowGapError, NotInClassError
 from diracjunction.scattering import (
-    RESONANCE_FLAG,
     ScatteringResult,
     plane_spinors,
     scatter_alpha,
@@ -184,19 +183,14 @@ class TestSweep:
         assert ts[0] < 1e-5
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
-    def test_singular_matching_system_is_flagged_not_dropped(self):
-        from diracjunction.errors import ResonanceSingularError
-        from diracjunction.scattering import RESONANCE_FLAG
-
-        # (1, 0, 1, 0) is not admissible, but exercises the singular path:
-        # at m = 0 the matching determinant vanishes for every energy
+    def test_off_class_condition_is_rejected(self):
+        # (1, 0, 1, 0) is not admissible: at m = 0 its matching determinant
+        # vanishes at every energy, which no class member's can
         bad = AlphaBC(1, 0, 1, 0)
-        with pytest.raises(ResonanceSingularError):
+        with pytest.raises(NotInClassError):
             scatter_alpha(bad, 1.0, 0.0)
-        rows = sweep(Transmitting(bad), 0.5, 2.0, 4, m=0.0)
-        assert len(rows) == 4
-        assert all(row.flag == RESONANCE_FLAG for row in rows)
-        assert all(math.isnan(row.T) for row in rows)
+        with pytest.raises(NotInClassError):
+            sweep_columns(Transmitting(bad), 0.5, 2.0, 4, 0.0)
 
     def test_massless_spin_flip_transparency_family(self):
         for theta in np.linspace(0, 2 * math.pi, 7, endpoint=False):
@@ -206,18 +200,14 @@ class TestSweep:
                     assert scatter_alpha(a, E, 0.0).T == pytest.approx(1.0)
 
 
-def solve_oracle(a: AlphaBC, lam: float) -> tuple[complex, complex, bool]:
-    """Per-energy reference: np.linalg.solve on the matching system, with the
-    singularity test |det| <= 1e-14 max(1, max|system|)^2."""
+def solve_oracle(a: AlphaBC, lam: float) -> tuple[complex, complex]:
+    """Per-energy reference: np.linalg.solve on the matching system."""
     b = a.matrix()
     u_plus = np.array([1.0, lam], dtype=complex)
     u_minus = np.array([1.0, -lam], dtype=complex)
     system = np.column_stack([b @ u_minus, -u_plus])
-    det = system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0]
-    if abs(det) <= 1e-14 * max(1.0, float(np.abs(system).max()) ** 2):
-        return complex("nan+nanj"), complex("nan+nanj"), True
     r, t = np.linalg.solve(system, -(b @ u_plus))
-    return complex(r), complex(t), False
+    return complex(r), complex(t)
 
 
 def assert_same_result(x: ScatteringResult, y: ScatteringResult) -> None:
@@ -243,9 +233,8 @@ class TestScatterBatch:
             m = [0.0, 0.5, 1.0, 10.0][i % 4]
             a = random_alpha(rng)
             cols = scatter_batch(Transmitting(a), random_grid(rng, m, 25), m)
-            assert not cols.resonance.any()
             for lam, r, t in zip(cols.lam, cols.r, cols.t):
-                r0, t0, _ = solve_oracle(a, float(lam))
+                r0, t0 = solve_oracle(a, float(lam))
                 worst = max(worst, abs(r - r0), abs(t - t0))
         assert worst <= 1e-13
 
@@ -260,21 +249,20 @@ class TestScatterBatch:
                 for row in sweep(Separating(rho), m + 0.01, m + 5.0, 9, m, face=face):
                     assert_same_result(row, scatter_rho(rho, row.E, m, face=face))
 
-    def test_resonance_mask_matches_threshold(self):
+    def test_kernel_checks_the_class_at_the_given_tol(self):
         bad = AlphaBC(1, 0, 1, 0)  # det = 1 - lambda: singular as lambda -> 1
-        for m, emin, emax in ((0.0, 0.5, 2.0), (1e-14, 0.5, 2.0), (1e-14, 0.2, 0.9)):
-            cols = sweep_columns(Transmitting(bad), emin, emax, 6, m)
-            expected = [solve_oracle(bad, plane_spinors(E, m).lam)[2] for E in cols.E]
-            assert cols.resonance.tolist() == expected
-        # m = 1e-14 over [0.5, 2]: rows below E = 1 solve, rows above are flagged
-        mixed = sweep_columns(Transmitting(bad), 0.5, 2.0, 6, 1e-14)
-        assert mixed.resonance.tolist() == [False, False, True, True, True, True]
-        rows = mixed.rows()
-        assert rows[0].flag is None and rows[-1].flag == RESONANCE_FLAG
-        assert all(math.isnan(x) for x in (mixed.k[2], mixed.lam[2], mixed.R[2], mixed.phase_t[2]))
-        assert mixed.E[2] == np.linspace(0.5, 2.0, 6)[2]
-        with pytest.raises(ResonanceSingularError):
-            scatter_alpha(bad, float(mixed.E[-1]), 1e-14)
+        for m in (0.0, 1e-14):
+            with pytest.raises(NotInClassError):
+                sweep_columns(Transmitting(bad), 0.5, 2.0, 6, m)
+            with pytest.raises(NotInClassError):
+                scatter_batch(Transmitting(bad), [0.5, 2.0], m)
+        # a class member perturbed by 1e-6: rejected at the default tol,
+        # scattered at a looser one
+        near = AlphaBC(1.0 + 1e-6, 0, 0, 1.0)
+        with pytest.raises(NotInClassError):
+            sweep_columns(Transmitting(near), 0.5, 2.0, 3, 0.0)
+        cols = sweep_columns(Transmitting(near), 0.5, 2.0, 3, 0.0, tol=1e-5)
+        assert np.isfinite(cols.T).all() and (cols.rows()[0].flag is None)
 
     def test_conservation_on_sweeps(self):
         rng = np.random.default_rng(66)
@@ -310,10 +298,25 @@ class TestScatterBatch:
         # lambda = sqrt((E - m)/(E + m)) is exact at E = 2m, 3m up to rounding
         np.testing.assert_allclose(cols.lam[[0, -1]], [3 ** -0.5, 2 ** -0.5], rtol=1e-15)
 
+    def test_wavenumbers_when_e_plus_m_overflows(self):
+        mpmath = pytest.importorskip("mpmath")
+        m = 1e308
+        cols = sweep_columns(Separating(RhoBC(0.0, 0.0)), 1.5e308, 1.7e308, 5, m)
+        with mpmath.workdps(40):
+            for E, k, lam in zip(cols.E.tolist(), cols.k.tolist(), cols.lam.tolist()):
+                E_, m_ = mpmath.mpf(E), mpmath.mpf(m)
+                assert math.isfinite(k) and math.isfinite(lam)
+                assert abs(k - mpmath.sqrt(E_ * E_ - m_ * m_)) <= 1e-15 * k
+                assert abs(lam - mpmath.sqrt((E_ - m_) / (E_ + m_))) <= 1e-15 * lam
+
     def test_massless_wavenumber_is_exact(self):
         grid = np.random.default_rng(68).uniform(0.01, 50.0, 1000)
         cols = scatter_batch(Transmitting(SPIN_FLIP), grid, 0.0)
         assert (cols.k == grid).all() and (cols.lam == 1.0).all()
+        # subnormal energies, which halving would round away
+        tiny = np.array([5e-324, 1.5e-323, 3e-310])
+        cols = scatter_batch(Transmitting(SPIN_FLIP), tiny, 0.0)
+        assert (cols.k == tiny).all() and (cols.lam == 1.0).all()
 
     def test_rejects_energies_below_gap(self):
         with pytest.raises(BelowGapError):

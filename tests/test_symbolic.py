@@ -1,4 +1,5 @@
-"""Symbolic proof that the corrected closed-form inverse map is exact on the class.
+"""Symbolic proofs: the corrected closed-form inverse map is exact on the
+class, and the scattering kernel's matching system is never singular on it.
 
 Every transmitting condition is ``a = e^{i theta} (b1, i b2, i b3, b4)`` with
 real b's and ``b1 b4 + b2 b3 = 1``.  Since b1 and b3 are never both zero,
@@ -68,3 +69,21 @@ def test_g3_has_the_modulus_that_g0_normalizes(corrected_triple):
     w, m = corrected_triple["w"], corrected_triple["m"]
     expr = g3 * sp.conjugate(g3) - (4 / (1 + m**2) + w * sp.conjugate(w))
     assert _simplified(expr) == 0
+
+
+def test_matching_determinant_is_bounded_away_from_zero_on_the_class():
+    """The kernel's negated determinant lam (a1 - a2 lam) - (a3 - a4 lam) is
+    e^{i theta} D with D = lam (b1 + b4) - i (b2 lam^2 + b3), and
+    |D|^2 - (S + 2 lam^2) = 2 lam^2 (b1 b4 + b2 b3 - 1) with
+    S = lam^2 (b1^2 + b4^2) + b2^2 lam^4 + b3^2.  On the class the right side
+    vanishes, so |D|^2 = S + 2 lam^2 >= 4 lam^2 > 0 above the gap."""
+    theta, b1, b2, b3, b4, lam = sp.symbols("theta b1 b2 b3 b4 lambda", real=True)
+    phase = sp.exp(sp.I * theta)
+    a1, a2, a3, a4 = phase * b1, phase * sp.I * b2, phase * sp.I * b3, phase * b4
+    D = lam * (b1 + b4) - sp.I * (b2 * lam**2 + b3)
+    assert _simplified(lam * (a1 - a2 * lam) - (a3 - a4 * lam) - phase * D) == 0
+    S = lam**2 * (b1**2 + b4**2) + b2**2 * lam**4 + b3**2
+    assert _simplified(D * sp.conjugate(D) - (S + 2 * lam**2) - 2 * lam**2 * (b1 * b4 + b2 * b3 - 1)) == 0
+    # S + 2 lam^2 - 4 lam^2 = lam^2 (b1 - b4)^2 + (b2 lam^2 - b3)^2 when b1 b4 + b2 b3 = 1
+    gap = S + 2 * lam**2 - 4 * lam**2 - (lam**2 * (b1 - b4) ** 2 + (b2 * lam**2 - b3) ** 2)
+    assert _simplified(gap - 2 * lam**2 * (b1 * b4 + b2 * b3 - 1)) == 0
