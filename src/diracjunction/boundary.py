@@ -37,16 +37,6 @@ from .matrix2 import DEFAULT_TOL, arg_2pi, as_c2vector
 
 TWO_PI = 2.0 * math.pi
 
-#: Order in which class residuals are reported.
-CLASS_RESIDUAL_NAMES = (
-    "re_a1_a2",
-    "re_a1_a3",
-    "re_a2_a4",
-    "re_a3_a4",
-    "unit_det_plus",
-    "unit_det_conj",
-)
-
 
 class Island(Enum):
     """One of the two half-lines: LEFT is (-inf, -L), RIGHT is (L, inf)."""
@@ -303,8 +293,8 @@ def make_phase_shift(theta: float, b1: float) -> AlphaBC:
 # ---------------------------------------------------------------------------
 
 
-def _log_uniform(rng: np.random.Generator, lo: float = 0.25, hi: float = 4.0) -> float:
-    mag = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+def _log_uniform(rng: np.random.Generator) -> float:
+    mag = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
     return mag if rng.uniform() < 0.5 else -mag
 
 
@@ -329,9 +319,9 @@ def random_alpha(rng: np.random.Generator) -> AlphaBC:
     return bd_to_alpha(random_bdform(rng))
 
 
-def random_rho(rng: np.random.Generator, p_infinite: float = 0.15) -> RhoBC:
+def random_rho(rng: np.random.Generator) -> RhoBC:
     """Random separating condition; each component +inf with probability
-    p_infinite, else Cauchy-distributed (covers the whole tangent range).
+    0.15, else Cauchy-distributed (covers the whole tangent range).
 
     Finite draws are capped at |rho| = 1e3.  Far beyond the cap, from about
     |rho| = 2e10/sqrt(1+m^2), the diagonal unitary's phase comes within
@@ -340,7 +330,7 @@ def random_rho(rng: np.random.Generator, p_infinite: float = 0.15) -> RhoBC:
     """
 
     def component() -> float:
-        if rng.uniform() < p_infinite:
+        if rng.uniform() < 0.15:
             return math.inf
         while True:
             x = float(rng.standard_cauchy())

@@ -42,23 +42,25 @@ _JSON_ROW = "{" + ", ".join(f'"{name}": %s' for name in CSV_HEADER.split(",")[:-
 # ---------------------------------------------------------------------------
 
 
-def parse_complex(token: str) -> complex:
-    """Parse 'a+bi' shorthand or a JSON [re, im] pair."""
-    s = token.strip()
-    if s.startswith("["):
-        try:
-            pair = json.loads(s)
-            return complex(float(pair[0]), float(pair[1]))
-        except (ValueError, TypeError, IndexError) as exc:
-            raise ValidationError(f"bad complex literal {token!r}") from exc
-    t = s.replace(" ", "").replace("i", "j")
-    try:
-        z = complex(t)
-    except ValueError as exc:
-        raise ValidationError(f"bad complex literal {token!r}") from exc
+def _finite(z: complex, token) -> complex:
+    """``z``, or :class:`ValidationError` naming ``token`` if a part is NaN or infinite."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError(f"complex value must be finite, got {token!r}")
     return z
+
+
+def parse_complex(token: str) -> complex:
+    """Parse 'a+bi' shorthand or a JSON [re, im] pair, both parts finite."""
+    s = token.strip()
+    try:
+        if s.startswith("["):
+            pair = json.loads(s)
+            z = complex(float(pair[0]), float(pair[1]))
+        else:
+            z = complex(s.replace(" ", "").replace("i", "j"))
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ValidationError(f"bad complex literal {token!r}") from exc
+    return _finite(z, token)
 
 
 def parse_complex_list(text: str, count: int, what: str) -> list[complex]:
@@ -70,11 +72,11 @@ def parse_complex_list(text: str, count: int, what: str) -> list[complex]:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse a JSON 2x2 matrix of [re, im] pairs."""
+    """Parse a JSON 2x2 matrix of [re, im] pairs, every part finite."""
     try:
         rows = json.loads(text)
         m = np.array(
-            [[complex(float(e[0]), float(e[1])) for e in row] for row in rows],
+            [[_finite(complex(float(e[0]), float(e[1])), e) for e in row] for row in rows],
             dtype=complex,
         )
     except (ValueError, TypeError, IndexError) as exc:
@@ -143,11 +145,6 @@ def parse_bd(text: str) -> BDForm:
     if not all(map(math.isfinite, bs)):
         raise ValidationError(f"--bd values must be finite, got {text!r}")
     return BDForm(theta % (2.0 * math.pi), *bs)
-
-
-def fmt17(x: float) -> str:
-    """17-significant-digit decimal; round-trips float64 exactly."""
-    return FMT17 % float(x)
 
 
 def cjson(z: complex) -> list[float]:
@@ -369,16 +366,14 @@ def cmd_demo_switch(args) -> int:
             for v in report.phase_variants
         ],
     }
-    print(
+    lines = [
         f"Unit0 (spin-preserving): T={report.unit0.T:.12g}, "
         f"up->up |{abs(report.unit0.up_maps_to[0]):.3f}|, "
-        f"spin preserved: {report.unit0.preserves_spin}"
-    )
-    print(
+        f"spin preserved: {report.unit0.preserves_spin}",
         f"Unit1 (spin-interchanging): T={report.unit1.T:.12g}, "
         f"up->down |{abs(report.unit1.up_maps_to[1]):.3f}|, "
-        f"spin swapped: {report.unit1.swaps_spin}"
-    )
+        f"spin swapped: {report.unit1.swaps_spin}",
+    ]
     if theta is not None:
         v = scattering.phase_variant(theta)
         ok = ok and v.verified
@@ -388,9 +383,9 @@ def cmd_demo_switch(args) -> int:
             "T": v.T,
             "verified": v.verified,
         }
-        print(f"Phase variant theta={theta:.12g}: transmitted phase {v.transmission_phase:.12g}, T={v.T:.12g}")
+        lines.append(f"Phase variant theta={theta:.12g}: transmitted phase {v.transmission_phase:.12g}, T={v.T:.12g}")
     payload["ok"] = ok
-    emit(payload, args.out)
+    write("\n".join([*lines, json.dumps(payload)]) + "\n", args.out)
     return 0 if ok else 1
 
 

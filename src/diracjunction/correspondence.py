@@ -440,18 +440,19 @@ class ClosedFormComparison:
 
 
 def compare_closed_form(
-    a: AlphaBC, m: float, tol: float = 1e-8, primary: QuaternionForm | None = None
+    a: AlphaBC, m: float, primary: QuaternionForm | None = None
 ) -> ClosedFormComparison:
     """Classify the closed-form candidate against the solved extension
-    ``primary`` (:func:`alpha_to_u2` of ``a``, solved here when not given)."""
+    ``primary`` (:func:`alpha_to_u2` of ``a``, solved here when not given);
+    the two agree when their largest entry difference is at most 1e-8."""
     if primary is None:
         primary = alpha_to_u2(a, m)
     candidate = closed_form_u2_candidate(a, m)
     diff = float(np.abs(candidate.as_array() - primary.as_array()).max())
     diff_flipped = float(np.abs(candidate.as_array() + primary.as_array()).max())
-    if diff <= tol:
+    if diff <= 1e-8:
         kind = "exact"
-    elif diff_flipped <= tol:
+    elif diff_flipped <= 1e-8:
         kind = "sign_pair"
     else:
         kind = "mismatch"

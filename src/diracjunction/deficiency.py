@@ -394,7 +394,6 @@ class SelfAdjointReport:
     witness_magnitudes: dict[str, float]
     tol: float
     passed: bool
-    witness_floor: float = 0.01
 
     def __str__(self) -> str:  # pragma: no cover - formatting only
         status = "PASS" if self.passed else "FAIL"
@@ -478,13 +477,11 @@ def verify_selfadjoint_domain(
         ))
         for face, bad in _violating_pairs(bc).items()
     }
-    floor = 0.01
-    passed = worst <= tol and all(w > floor for w in witnesses.values())
+    passed = worst <= tol and all(w > 0.01 for w in witnesses.values())
     return SelfAdjointReport(
         samples=samples,
         max_symmetry_residual=worst,
         witness_magnitudes=witnesses,
         tol=tol,
         passed=passed,
-        witness_floor=floor,
     )

@@ -5,7 +5,7 @@ faces), so matching plane waves captures the stationary physics exactly; no
 time stepper is involved.  Amplitudes are referenced to the junction faces
 (incident wave ``e^{ik(x+L)}``, transmitted ``e^{ik(x-L)}``), which makes
 every result independent of the junction length, like the boundary
-conditions themselves.  Only the particle branch E > m is exposed.
+conditions themselves.
 
 For a transmitting condition B the solve is
 
@@ -17,13 +17,13 @@ R + T = 1.  A separating condition reflects at its face with |r| = 1 and
 transmits nothing.
 
 Only the particle branch E > m is exposed; the hole branch E < -m would
-need nothing beyond sign bookkeeping in :func:`plane_spinors` but is left
+need nothing beyond sign bookkeeping in :func:`_wavenumbers` but is left
 out as untested scope.
 
 One batch kernel, :func:`scatter_batch`, computes every quantity for a
 whole energy array at once and returns it as columns
-(:class:`ScatteringColumns`); :func:`scatter_alpha`, :func:`scatter_rho`
-and :func:`sweep` are thin wrappers over it.
+(:class:`ScatteringColumns`); :func:`scatter_alpha` and
+:func:`scatter_rho` return one row of it.
 """
 
 from __future__ import annotations
@@ -37,17 +37,6 @@ from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, 
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
 from .errors import BelowGapError
 from .matrix2 import DEFAULT_TOL
-
-
-@dataclass(frozen=True)
-class PlaneWaveBasis:
-    """Free right/left-moving spinor modes at energy E > m."""
-
-    E: float
-    k: float
-    lam: float  # spin ratio k/(E+m)
-    u_plus: np.ndarray
-    u_minus: np.ndarray
 
 
 def _above_gap(E, m: float) -> np.ndarray:
@@ -80,23 +69,9 @@ def _wavenumbers(E, m: float):
     return (2.0 * k if halve else k), lam
 
 
-def plane_spinors(E: float, m: float) -> PlaneWaveBasis:
-    """Propagating modes: k = sqrt(E^2 - m^2), u_+- = (1, +-k/(E+m))."""
-    m = check_mass(m)
-    E = float(_above_gap(E, m))
-    k, lam = (float(x) for x in _wavenumbers(E, m))
-    return PlaneWaveBasis(
-        E=E,
-        k=k,
-        lam=lam,
-        u_plus=np.array([1.0, lam], dtype=complex),
-        u_minus=np.array([1.0, -lam], dtype=complex),
-    )
-
-
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Energy-resolved reflection/transmission amplitudes and spin content."""
+    """Reflection/transmission amplitudes at one energy."""
 
     E: float
     k: float
@@ -105,26 +80,14 @@ class ScatteringResult:
     t: complex
     R: float
     T: float
-    incoming_spin: np.ndarray
-    transmitted_spin: np.ndarray
     transmission_phase: float
     flag: str | None = None  # always None: a class member's matching system is never singular
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    return v / n if n > 0.0 else np.zeros_like(v)
-
-
 @dataclass(frozen=True)
 class ScatteringColumns:
-    """Scattering results over an energy grid, one array per quantity.
+    """Scattering results over an energy grid, one array per quantity."""
 
-    ``face`` is the face the incident wave arrives at (always LEFT for a
-    transmitting condition).
-    """
-
-    face: Island
     E: np.ndarray
     k: np.ndarray
     lam: np.ndarray
@@ -135,22 +98,15 @@ class ScatteringColumns:
     phase_t: np.ndarray
 
     def row(self, i: int) -> ScatteringResult:
-        """Row ``i`` as a :class:`ScatteringResult`, spins included."""
-        lam, t = float(self.lam[i]), complex(self.t[i])
-        norm = math.hypot(1.0, lam)
-        right = np.array([1.0, lam], dtype=complex) / norm
-        incoming = right if self.face is Island.LEFT else np.array([1.0, -lam], dtype=complex) / norm
+        """Row ``i`` as a :class:`ScatteringResult`."""
         return ScatteringResult(
             E=float(self.E[i]),
             k=float(self.k[i]),
-            lam=lam,
+            lam=float(self.lam[i]),
             r=complex(self.r[i]),
-            t=t,
+            t=complex(self.t[i]),
             R=float(self.R[i]),
             T=float(self.T[i]),
-            incoming_spin=incoming,
-            # t u_+ normalised: the right-moving spinor times the phase of t
-            transmitted_spin=(t / abs(t)) * right if t else np.zeros(2, dtype=complex),
             transmission_phase=float(self.phase_t[i]),
         )
 
@@ -186,7 +142,8 @@ def scatter_batch(
 
     Transmitting conditions solve the 2x2 matching system per energy and
     must be in the class at ``tol`` (:class:`NotInClassError` otherwise);
-    separating conditions reflect totally at ``face``.  Raises
+    the wave always arrives from the left, whatever ``face`` says.
+    Separating conditions reflect totally at ``face``.  Raises
     :class:`BelowGapError` if any E <= m.
     """
     m = check_mass(m)
@@ -194,7 +151,6 @@ def scatter_batch(
     k, lam = _wavenumbers(E, m)
     if isinstance(bc, Transmitting):
         require_class(bc.alpha, tol)
-        face = Island.LEFT
         r, t = _transmitting_amplitudes(bc.alpha, lam)
         T = np.abs(t) ** 2
         phase = np.angle(t)
@@ -210,7 +166,7 @@ def scatter_batch(
         t = np.zeros(E.shape, dtype=complex)
         T = np.zeros(E.shape)
         phase = np.zeros(E.shape)
-    return ScatteringColumns(face, E, k, lam, r, t, np.abs(r) ** 2, T, phase)
+    return ScatteringColumns(E, k, lam, r, t, np.abs(r) ** 2, T, phase)
 
 
 def scatter_alpha(a: AlphaBC, E: float, m: float) -> ScatteringResult:
@@ -232,13 +188,6 @@ def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> S
     return scatter_batch(Separating(rho), E, m, face).row(0)
 
 
-def scattering_state_faces(res: ScatteringResult) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary values of the assembled scattering state at the two faces."""
-    u_plus = np.array([1.0, res.lam], dtype=complex)
-    u_minus = np.array([1.0, -res.lam], dtype=complex)
-    return u_plus + res.r * u_minus, res.t * u_plus
-
-
 def sweep_columns(
     bc: ExtensionClass,
     e_min: float,
@@ -257,21 +206,12 @@ def sweep_columns(
     return scatter_batch(bc, np.linspace(e_min, e_max, steps), m, face, tol)
 
 
-def sweep(
-    bc: ExtensionClass,
-    e_min: float,
-    e_max: float,
-    steps: int,
-    m: float,
-    face: Island = Island.LEFT,
-) -> list[ScatteringResult]:
-    """Uniform energy grid of scattering results, ordered by E."""
-    return sweep_columns(bc, e_min, e_max, steps, m, face).rows()
-
-
 # ---------------------------------------------------------------------------
 # Two-unit switching demonstration
 # ---------------------------------------------------------------------------
+
+#: The demonstration's operating point: energy E = 1 at mass m = 0.
+DEMO_E, DEMO_M = 1.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -314,8 +254,13 @@ class SwitchDemoReport:
     ok: bool
 
 
-def _unit_report(name: str, a: AlphaBC, E: float, m: float) -> UnitReport:
-    res = scatter_alpha(a, E, m)
+def _unit(v: np.ndarray) -> np.ndarray:
+    n = float(np.linalg.norm(v))
+    return v / n if n > 0.0 else np.zeros_like(v)
+
+
+def _unit_report(name: str, a: AlphaBC) -> UnitReport:
+    res = scatter_alpha(a, DEMO_E, DEMO_M)
     b = a.matrix()
     up_out = _unit(b @ np.array([1.0, 0.0], dtype=complex))
     down_out = _unit(b @ np.array([0.0, 1.0], dtype=complex))
@@ -335,14 +280,15 @@ def _unit_report(name: str, a: AlphaBC, E: float, m: float) -> UnitReport:
     )
 
 
-def phase_variant(theta: float, E: float = 1.0, m: float = 0.0) -> PhaseVariant:
-    """Transmission through the spin-preserving condition of phase theta, b1 = 1."""
-    res = scatter_alpha(make_phase_shift(theta, 1.0), E, m)
+def phase_variant(theta: float) -> PhaseVariant:
+    """Transmission through the spin-preserving condition of phase theta, b1 = 1,
+    at the operating point."""
+    res = scatter_alpha(make_phase_shift(theta, 1.0), DEMO_E, DEMO_M)
     return PhaseVariant(theta=theta, t=res.t, T=res.T, transmission_phase=res.transmission_phase)
 
 
-def switch_demo(E: float = 1.0, m: float = 0.0) -> SwitchDemoReport:
-    """Two-unit qubit-channel switch at the default operating point.
+def switch_demo() -> SwitchDemoReport:
+    """Two-unit qubit-channel switch at the operating point (DEMO_E, DEMO_M).
 
     Unit 0 is the spin-preserving condition with theta = 0, b1 = 1 (the
     free line); Unit 1 the spin-interchanging condition with theta = -pi/2,
@@ -350,9 +296,9 @@ def switch_demo(E: float = 1.0, m: float = 0.0) -> SwitchDemoReport:
     while Unit 1 swaps them.  Phase variants theta in {pi/4, pi/2} show the
     transmitted phase tracking the condition's phase parameter.
     """
-    unit0 = _unit_report("unit0", make_phase_shift(0.0, 1.0), E, m)
-    unit1 = _unit_report("unit1", make_spin_flip(-math.pi / 2.0, 1.0), E, m)
-    variants = [phase_variant(theta, E, m) for theta in (math.pi / 4.0, math.pi / 2.0)]
+    unit0 = _unit_report("unit0", make_phase_shift(0.0, 1.0))
+    unit1 = _unit_report("unit1", make_spin_flip(-math.pi / 2.0, 1.0))
+    variants = [phase_variant(theta) for theta in (math.pi / 4.0, math.pi / 2.0)]
     ok = (
         unit0.preserves_spin
         and not unit0.swaps_spin

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diracjunction.cli import (
-    fmt17,
+    FMT17,
     main,
     parse_angle,
     parse_complex,
@@ -101,7 +101,7 @@ class TestParsers:
             4.715,
         ]
         for v in values:
-            assert float(fmt17(v)) == v
+            assert float(FMT17 % v) == v
 
 
 class TestDecompose:
@@ -461,6 +461,10 @@ class TestExitCodeContract:
             ["scatter", "--rho", "0,0", "--emin", "1", "--emax", "2", "--steps", "2", "--tol", "0"],
             ["convert", "bd-to-alpha", "--bd", "0,2,10,0,nan"],
             ["demo-switch", "--phase", "nan"],
+            # JSON [re, im] pairs, which json.loads reads as NaN/inf
+            ["verify", "--alpha", "[NaN,0],0,0,1"],
+            ["verify", "--gamma", "[Infinity,0],0,1"],
+            ["decompose", "--matrix", "[[[1,0],[0,0]],[[0,0],[NaN,0]]]"],
         ],
     )
     def test_non_finite_numbers_exit_2(self, argv):
@@ -646,6 +650,13 @@ class TestDemoSwitch:
             math.pi / 2
         )
         assert payload["phase_request"]["verified"] is True
+
+    @pytest.mark.parametrize("extra", [[], ["--phase", "pi/3"]])
+    def test_out_writes_everything_to_the_file(self, capsys, tmp_path, extra):
+        code, expected, _ = run(capsys, "demo-switch", *extra)
+        path = tmp_path / "demo.txt"
+        assert run(capsys, "demo-switch", *extra, "--out", str(path)) == (code, "", "")
+        assert path.read_text() == expected
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):
