@@ -1,118 +1,92 @@
 """Self-adjoint boundary conditions for the 1-D Dirac operator on two
 half-lines joined by a junction: parameter maps in both directions,
 proof-construction verification oracles, and a plane-wave scattering
-solver for the junction's spin-flip / phase-shift behavior."""
+solver for the junction's spin-flip / phase-shift behavior.
 
-from .boundary import (
-    AlphaBC,
-    BDForm,
-    ClassReport,
-    Island,
-    RhoBC,
-    alpha_to_bd,
-    apply_alpha,
-    bd_to_alpha,
-    current,
-    invert_alpha,
-    make_phase_shift,
-    make_spin_flip,
-    satisfies_rho,
-    validate_class,
-)
-from .correspondence import (
-    ExtensionClass,
-    Separating,
-    Transmitting,
-    alpha_to_u2,
-    classify,
-    closed_form_u2_candidate,
-    compare_closed_form,
-    diagonal_u2_to_rho,
-    mu_constant,
-    oracle_alpha_from_u2,
-    oracle_rho_from_diagonal,
-    rho_to_diagonal_u2,
-    u2_to_alpha,
-)
-from .deficiency import (
-    BoundaryPair,
-    DeficiencyFunction,
-    Sign,
-    boundary_form,
-    boundary_form_quadrature,
-    gram_matrix,
-    ode_residual,
-    verify_selfadjoint_domain,
-)
-from .matrix2 import (
-    DEFAULT_TOL,
-    QuaternionForm,
-    compose,
-    decompose_u2,
-    is_diagonal,
-    is_su2,
-    is_unitary,
-)
-from .scattering import (
-    ScatteringColumns,
-    ScatteringResult,
-    scatter_alpha,
-    scatter_batch,
-    scatter_rho,
-    sweep_columns,
-    switch_demo,
-)
+The public names are imported from their submodules on first use
+(PEP 562), so ``import diracjunction`` loads no submodule, and the 2x2
+parameter maps run without loading ``numpy``.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaBC",
-    "BDForm",
-    "BoundaryPair",
-    "ClassReport",
-    "DEFAULT_TOL",
-    "DeficiencyFunction",
-    "ExtensionClass",
-    "Island",
-    "QuaternionForm",
-    "RhoBC",
-    "ScatteringColumns",
-    "ScatteringResult",
-    "Separating",
-    "Sign",
-    "Transmitting",
-    "alpha_to_bd",
-    "alpha_to_u2",
-    "apply_alpha",
-    "bd_to_alpha",
-    "boundary_form",
-    "boundary_form_quadrature",
-    "classify",
-    "closed_form_u2_candidate",
-    "compare_closed_form",
-    "compose",
-    "current",
-    "decompose_u2",
-    "diagonal_u2_to_rho",
-    "gram_matrix",
-    "invert_alpha",
-    "is_diagonal",
-    "is_su2",
-    "is_unitary",
-    "make_phase_shift",
-    "make_spin_flip",
-    "mu_constant",
-    "ode_residual",
-    "oracle_alpha_from_u2",
-    "oracle_rho_from_diagonal",
-    "rho_to_diagonal_u2",
-    "satisfies_rho",
-    "scatter_alpha",
-    "scatter_batch",
-    "scatter_rho",
-    "sweep_columns",
-    "switch_demo",
-    "u2_to_alpha",
-    "validate_class",
-    "verify_selfadjoint_domain",
-]
+#: The public names, by the submodule that defines them.
+_EXPORTS = {
+    "boundary": (
+        "AlphaBC",
+        "BDForm",
+        "ClassReport",
+        "Island",
+        "RhoBC",
+        "alpha_to_bd",
+        "apply_alpha",
+        "bd_to_alpha",
+        "current",
+        "invert_alpha",
+        "make_phase_shift",
+        "make_spin_flip",
+        "satisfies_rho",
+        "validate_class",
+    ),
+    "correspondence": (
+        "ExtensionClass",
+        "Separating",
+        "Transmitting",
+        "alpha_to_u2",
+        "classify",
+        "closed_form_u2_candidate",
+        "compare_closed_form",
+        "diagonal_u2_to_rho",
+        "mu_constant",
+        "oracle_alpha_from_u2",
+        "oracle_rho_from_diagonal",
+        "rho_to_diagonal_u2",
+        "u2_to_alpha",
+    ),
+    "deficiency": (
+        "BoundaryPair",
+        "DeficiencyFunction",
+        "Sign",
+        "boundary_form",
+        "boundary_form_quadrature",
+        "gram_matrix",
+        "ode_residual",
+        "verify_selfadjoint_domain",
+    ),
+    "matrix2": (
+        "DEFAULT_TOL",
+        "QuaternionForm",
+        "compose",
+        "decompose_u2",
+        "is_diagonal",
+        "is_su2",
+        "is_unitary",
+    ),
+    "scattering": (
+        "ScatteringColumns",
+        "ScatteringResult",
+        "scatter_alpha",
+        "scatter_batch",
+        "scatter_rho",
+        "sweep_columns",
+        "switch_demo",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups are plain dict hits
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

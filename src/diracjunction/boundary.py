@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     InvalidBDError,
@@ -34,6 +33,9 @@ from .errors import (
     ZeroParameterError,
 )
 from .matrix2 import DEFAULT_TOL, arg_2pi, as_c2vector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +80,8 @@ class AlphaBC:
 
     def matrix(self) -> np.ndarray:
         """The boundary matrix [[a1, a2], [a3, a4]]."""
+        import numpy as np
+
         return np.array([[self.a1, self.a2], [self.a3, self.a4]], dtype=complex)
 
 
@@ -100,66 +104,75 @@ class BDForm:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Outcome of :func:`validate_class`: per-constraint residuals and scale."""
+    """Outcome of :func:`validate_class`: per-constraint residuals and the
+    scales their limits are taken in."""
 
-    valid: bool
     residuals: dict[str, float]
-    scale: float
+    scale: float  # of the four orthogonality constraints
+    det_scale: float  # of the two determinant constraints
+    failed: tuple[str, ...]  # the constraints over their limits
+
+    @property
+    def valid(self) -> bool:
+        return not self.failed
 
     def worst(self) -> tuple[str, float]:
-        name = max(self.residuals, key=self.residuals.get)
+        """The constraint with the largest residual, among the failing ones
+        when there are any."""
+        name = max(self.failed or self.residuals, key=self.residuals.get)
         return name, self.residuals[name]
 
-
-def _norm_sq_parts(a: AlphaBC) -> tuple[float, float]:
-    """(big, sigma) with sum |a_i|^2 = big^2 * sigma and big = max |a_i|.
-
-    Scaling by the largest magnitude first (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, 2nd ed., sec. 2) keeps every term at most 1,
-    so nothing overflows before the final product.  Raises
-    :class:`ValidationError` when a modulus is not finite.
-    """
-    mags = [math.hypot(x.real, x.imag) for x in a.as_tuple()]
-    if not all(map(math.isfinite, mags)):
-        raise ValidationError("a boundary parameter's modulus is not finite")
-    big = max(mags)
-    if big == 0.0:
-        return 0.0, 0.0
-    return big, sum((x / big) ** 2 for x in mags)
+    def scale_of(self, name: str) -> float:
+        """The scale of constraint ``name``'s limit, ``tol`` times this."""
+        return self.det_scale if name.startswith("unit_det") else self.scale
 
 
 def class_scale(a: AlphaBC) -> float:
-    """Scale for residual comparison: max(1, sum |a_i|^2); inf when the sum
-    exceeds the float range."""
-    big, sigma = _norm_sq_parts(a)
-    return max(1.0, big * big * sigma)
+    """Scale for the orthogonality residuals: max(1, sum |a_i|^2); inf when
+    the sum exceeds the float range."""
+    return validate_class(a).scale
 
 
 def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
     """Check the six admissibility constraints, reporting each residual.
 
-    A residual r passes when r <= tol * max(1, sum |a_i|^2), making the
-    verdict invariant under rescaling the overall magnitude of the data.
-    When sum |a_i|^2 overflows, the comparison is made in units of
-    max |a_i|^2, so it stays exact; a residual that itself overflowed fails.
+    An orthogonality residual |Re(a_i a_j*)| passes when it is at most
+    tol * max(1, sum |a_i|^2); a determinant residual |a1 a4* + a2 a3* - 1|
+    (or with a2* a3) when it is at most tol * max(1, |a1||a4| + |a2||a3|),
+    the size of the products it subtracts 1 from.  Both verdicts are
+    invariant under rescaling the overall magnitude of the data.  When a
+    scale overflows, its comparison is made in units of max |a_i|^2, so it
+    stays exact; a residual that itself overflowed fails.
     """
     a1, a2, a3, a4 = a.as_tuple()
-    residuals = {
+    orthogonality = {
         # Re(x y*) formed alone: the imaginary part of x y* may overflow
         "re_a1_a2": abs(a1.real * a2.real + a1.imag * a2.imag),
         "re_a1_a3": abs(a1.real * a3.real + a1.imag * a3.imag),
         "re_a2_a4": abs(a2.real * a4.real + a2.imag * a4.imag),
         "re_a3_a4": abs(a3.real * a4.real + a3.imag * a4.imag),
+    }
+    determinant = {
         "unit_det_plus": abs(a1 * a4.conjugate() + a2 * a3.conjugate() - 1.0),
         "unit_det_conj": abs(a1 * a4.conjugate() + a2.conjugate() * a3 - 1.0),
     }
-    scale = class_scale(a)
-    if math.isinf(scale):
-        big, sigma = _norm_sq_parts(a)
-        valid = all(r / big <= tol * big * sigma for r in residuals.values())
-    else:
-        valid = all(r <= tol * scale for r in residuals.values())
-    return ClassReport(valid=valid, residuals=residuals, scale=scale)
+    m1, m2, m3, m4 = mags = [math.hypot(z.real, z.imag) for z in (a1, a2, a3, a4)]
+    if not all(map(math.isfinite, mags)):
+        raise ValidationError("a boundary parameter's modulus is not finite")
+    big = max(mags)
+    # the moduli in units of big (Higham, *Accuracy and Stability of
+    # Numerical Algorithms*, 2nd ed., sec. 2): every sum of their products
+    # stays finite
+    s1, s2, s3, s4 = (m1 / big, m2 / big, m3 / big, m4 / big) if big else (m1, m2, m3, m4)
+    sigma = s1 ** 2 + s2 ** 2 + s3 ** 2 + s4 ** 2
+    scale = max(1.0, big * big * sigma)
+    det_scale = max(1.0, m1 * m4 + m2 * m3)
+    # (unit, limit): r passes when r / unit <= limit
+    orth = (big, tol * big * sigma) if math.isinf(scale) else (1.0, tol * scale)
+    det = (big, tol * big * (s1 * s4 + s2 * s3)) if math.isinf(det_scale) else (1.0, tol * det_scale)
+    failed = [name for name, r in orthogonality.items() if not r / orth[0] <= orth[1]]
+    failed += [name for name, r in determinant.items() if not r / det[0] <= det[1]]
+    return ClassReport({**orthogonality, **determinant}, scale, det_scale, tuple(failed))
 
 
 def require_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
@@ -170,7 +183,7 @@ def require_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
         name, value = report.worst()
         raise NotInClassError(
             f"boundary parameters fail class constraint {name}: "
-            f"residual {value:.3e} > {tol:.1e} * scale {report.scale:.3e}"
+            f"residual {value:.3e} > {tol:.1e} * scale {report.scale_of(name):.3e}"
         )
     return report
 
@@ -190,14 +203,14 @@ def alpha_to_bd(a: AlphaBC, tol: float = DEFAULT_TOL) -> BDForm:
     if abs(a1) > tol * max(abs(a1), abs(a3)):
         theta = arg_2pi(a1)
         r = abs(a1)
-        u = np.conj(a1 / r)
+        u = (a1 / r).conjugate()
         bs = (complex(r), -1j * u * a2, -1j * u * a3, u * a4)
     else:
         if a3 == 0:
             raise NotInClassError("a1 ~ 0 and a3 = 0: no admissible matrix has both")
         theta = arg_2pi(-1j * a3 / abs(a3))
         r = abs(a3)
-        u = np.conj(a3 / r)
+        u = (a3 / r).conjugate()
         bs = (1j * u * a1, u * a2, complex(r), 1j * u * a4)
     scale = max(1.0, max(abs(b) for b in bs))
     worst_imag = max(abs(complex(b).imag) for b in bs)
@@ -238,7 +251,7 @@ def invert_alpha(a: AlphaBC, tol: float = DEFAULT_TOL) -> AlphaBC:
     """Parameters of the inverse boundary matrix: B^{-1} = [[a4*, a2*], [a3*, a1*]]."""
     require_class(a, tol)
     a1, a2, a3, a4 = a.as_tuple()
-    return AlphaBC(np.conj(a4), np.conj(a2), np.conj(a3), np.conj(a1))
+    return AlphaBC(a4.conjugate(), a2.conjugate(), a3.conjugate(), a1.conjugate())
 
 
 def apply_alpha(a: AlphaBC, v_minus) -> np.ndarray:
@@ -269,7 +282,7 @@ def satisfies_rho(r: RhoBC, v_minus, v_plus, tol: float = DEFAULT_TOL) -> bool:
 def current(v) -> float:
     """Probability current j = 2 Re(v_up* v_down) of a boundary spinor."""
     w = as_c2vector(v)
-    return float(2.0 * (np.conj(w[0]) * w[1]).real)
+    return float(2.0 * (w[0].conjugate() * w[1]).real)
 
 
 def make_spin_flip(theta: float, b2: float) -> AlphaBC:

@@ -102,7 +102,9 @@ def _ratio_oracle(r: RhoBC, m: float, tol: float) -> float:
 
 
 DECOMPOSITION = Check(
-    "decomposition-round-trip", lambda u, q: float(np.abs(matrix2.compose(q) - u).max()), 1e-12
+    "decomposition-round-trip",
+    lambda u, q: float(np.abs(matrix2.compose(q) - np.array(u)).max()),
+    1e-12,
 )
 ROUND_TRIP = Check("extension-round-trip", _alpha_round_trip, 1e-10)
 #: limit in units of :func:`alpha_scale`
@@ -130,16 +132,17 @@ def _symmetry(bc: ExtensionClass, seed: int) -> CheckRecord:
 
 
 def verify_condition(
-    condition: ExtensionClass | np.ndarray, m: float, tol: float, seed: int
+    condition: ExtensionClass | matrix2.Entries, m: float, tol: float, seed: int
 ) -> Verification:
-    """Check one extension, given as its boundary condition or its unitary.
+    """Check one extension, given as its boundary condition or its unitary
+    (an ndarray or a pair of pairs of entries).
 
     A unitary is decomposed and recomposed (``decomposition-round-trip``),
     then classified and checked as its boundary condition.  A transmitting
     condition outside the class at ``tol`` fails ``class-constraints``,
     under the name of its worst constraint, and runs no further check.
     """
-    if isinstance(condition, np.ndarray):
+    if not isinstance(condition, ExtensionClass):  # a unitary
         first = DECOMPOSITION(condition, matrix2.decompose_u2(condition, tol))
         rest = verify_condition(correspondence.classify(condition, m, tol), m, tol, seed)
         return Verification((first, *rest.records), rest.closed_form)
@@ -150,7 +153,8 @@ def verify_condition(
     report = boundary.validate_class(a, tol)
     name, worst = report.worst()
     if not report.valid:
-        return Verification((CheckRecord(f"class-constraints {name}", worst, tol * report.scale, False),), {})
+        limit = tol * report.scale_of(name)
+        return Verification((CheckRecord(f"class-constraints {name}", worst, limit, False),), {})
     q = correspondence.alpha_to_u2(a, m, tol)
     rng = np.random.default_rng(seed)
     current = max(0.0, *(CURRENT.residual(a, boundary.random_spinor(rng)) for _ in range(100)))

@@ -10,6 +10,10 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 produce byte-identical output; fuzzing uses a fixed default seed.
 Complex flag values accept ``a+bi`` shorthand or JSON ``[re, im]``;
 the infinite separating parameter is spelled ``inf``.
+
+A unitary payload is carried as a pair of pairs of Python complex.
+``decompose``, ``convert`` and ``demo-switch`` never import ``numpy``;
+``verify`` and ``scatter`` import the modules that need it when they run.
 """
 
 from __future__ import annotations
@@ -19,14 +23,16 @@ import json
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import boundary, checks, correspondence, matrix2, scattering
+from . import boundary, correspondence, matrix2
 from .boundary import AlphaBC, BDForm, Island, RhoBC
 from .correspondence import Separating, Transmitting
 from .errors import InternalInconsistencyError, ValidationError
 from .matrix2 import DEFAULT_TOL
+
+if TYPE_CHECKING:
+    from .scattering import ScatteringColumns
 
 DEFAULT_SEED = 20177
 
@@ -71,19 +77,18 @@ def parse_complex_list(text: str, count: int, what: str) -> list[complex]:
     return [parse_complex(p) for p in parts]
 
 
-def parse_matrix(text: str) -> np.ndarray:
+def parse_matrix(text: str) -> matrix2.Entries:
     """Parse a JSON 2x2 matrix of [re, im] pairs, every part finite."""
     try:
         rows = json.loads(text)
-        m = np.array(
-            [[_finite(complex(float(e[0]), float(e[1])), e) for e in row] for row in rows],
-            dtype=complex,
-        )
+        m = [[_finite(complex(float(e[0]), float(e[1])), e) for e in row] for row in rows]
     except (ValueError, TypeError, IndexError) as exc:
         raise ValidationError(f"bad matrix literal: {exc}") from exc
-    if m.shape != (2, 2):
-        raise ValidationError(f"matrix must be 2x2, got shape {m.shape}")
-    return m
+    sizes = [len(row) for row in m]
+    if sizes != [2, 2]:
+        raise ValidationError(f"matrix must be 2x2, got rows of {sizes} entries")
+    (a, b), (c, d) = m
+    return (a, b), (c, d)
 
 
 def parse_rho_component(token: str) -> float:
@@ -177,7 +182,8 @@ def emit(obj, out=None) -> None:
 # ---------------------------------------------------------------------------
 
 #: flag name -> (help, parser of the flag's text and --tol).  --alpha and
-#: --rho give a boundary condition, --gamma/--matrix/--diag a unitary.
+#: --rho give a boundary condition, --gamma/--matrix/--diag a unitary as a
+#: pair of pairs of complex.
 _PAYLOADS = {
     "alpha": (
         "a1,a2,a3,a4 complex shorthand",
@@ -186,15 +192,21 @@ _PAYLOADS = {
     "rho": ("rho_plus,rho_minus ('inf' allowed)", lambda text, tol: Separating(parse_rho(text))),
     "gamma": (
         "g1,g2,g3 complex shorthand",
-        lambda text, tol: matrix2.compose(
+        lambda text, tol: matrix2.compose_entries(
             matrix2.QuaternionForm(*parse_complex_list(text, 3, "--gamma")), tol
         ),
     ),
     "matrix": ("JSON 2x2 matrix of [re,im] pairs", lambda text, tol: parse_matrix(text)),
-    "diag": ("gL,gR complex shorthand", lambda text, tol: np.diag(parse_complex_list(text, 2, "--diag"))),
+    "diag": ("gL,gR complex shorthand", lambda text, tol: _diagonal(*parse_complex_list(text, 2, "--diag"))),
     "bd": ("theta,b1,b2,b3,b4 (theta accepts pi expressions)", lambda text, tol: parse_bd(text)),
 }
 _CONDITION = ("alpha", "rho", "gamma", "matrix")
+
+
+def _diagonal(gl: complex, gr: complex) -> matrix2.Entries:
+    return (gl, 0j), (0j, gr)
+
+
 _CONVERT = {
     "u2-to-bc": ("gamma", "matrix", "diag"),
     "bc-to-u2": ("alpha",),
@@ -274,6 +286,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     x = _payload(args, (*_CONDITION, "fuzz"))
     verify = checks.verify_condition if args.fuzz is None else checks.verify_fuzz
     result = verify(x, args.mass, args.tol, args.seed)
@@ -294,7 +308,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_fields(cols: scattering.ScatteringColumns) -> list[list]:
+def _sweep_fields(cols: ScatteringColumns) -> list[list]:
     """A sweep's output fields in :data:`CSV_HEADER` order, one list per field;
     ``flag`` is always empty."""
     values = (cols.E, cols.k, cols.lam, cols.r.real, cols.r.imag,
@@ -316,8 +330,10 @@ def _json_text(fields: list[list]) -> str:
 
 
 def cmd_scatter(args) -> int:
+    from . import scattering
+
     bc = _payload(args, _CONDITION)
-    if isinstance(bc, np.ndarray):
+    if isinstance(bc, tuple):  # a unitary
         bc = correspondence.classify(bc, args.mass, args.tol)
     try:
         cols = scattering.sweep_columns(
@@ -336,6 +352,8 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_demo_switch(args) -> int:
+    from . import scattering
+
     theta = None if args.phase is None else parse_angle(args.phase)
     report = scattering.switch_demo()
     ok = report.ok

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .boundary import AlphaBC, RhoBC, alpha_to_bd, require_class
 from .errors import (
@@ -46,6 +45,9 @@ from .matrix2 import (
     is_unitary,
     split_unitary,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def check_mass(m: float) -> float:
@@ -166,9 +168,9 @@ def oracle_rho_from_diagonal(
         return float(ratio.imag)
 
     # left face of psi_L^+ + gl psi_L^-: spinor (1 + gl, -mu + gl mu*)
-    rho_minus = face(gl, scale * (1.0 + gl), scale * (-mu + gl * np.conj(mu)))
+    rho_minus = face(gl, scale * (1.0 + gl), scale * (-mu + gl * mu.conjugate()))
     # right face of psi_R^+ + gr psi_R^-: spinor (1 + gr, mu - gr mu*)
-    rho_plus = face(gr, scale * (1.0 + gr), scale * (mu - gr * np.conj(mu)))
+    rho_plus = face(gr, scale * (1.0 + gr), scale * (mu - gr * mu.conjugate()))
     return RhoBC(rho_plus=rho_plus, rho_minus=rho_minus)
 
 
@@ -199,10 +201,10 @@ def u2_to_alpha(q: QuaternionForm, m: float, tol: float = DEFAULT_TOL) -> AlphaB
     g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
     inv = s / g2
     return AlphaBC(
-        1j * inv * ((np.conj(g1) * mu).imag + (np.conj(g3) * mu).imag),
+        1j * inv * ((g1.conjugate() * mu).imag + (g3.conjugate() * mu).imag),
         inv * (g1.real + g3.real),
-        inv * (-g1.real + (np.conj(g3) * mu * mu).real),
-        1j * inv * ((g1 * mu).imag + (np.conj(g3) * mu).imag),
+        inv * (-g1.real + (g3.conjugate() * mu * mu).real),
+        1j * inv * ((g1 * mu).imag + (g3.conjugate() * mu).imag),
     )
 
 
@@ -210,6 +212,8 @@ def _boundary_basis(m: float, lam: float) -> dict[str, np.ndarray]:
     """One-sided boundary spinors of the four deficiency eigenfunctions,
     unit internal normalization (the common factor cancels in every ratio
     used here, avoiding underflow at large lam)."""
+    import numpy as np
+
     mu = mu_constant(m)
     e = math.exp(-math.hypot(1.0, m) * lam)
     return {
@@ -232,8 +236,10 @@ def oracle_alpha_from_u2(
     class-valid; the matching matrix is singular exactly when U is diagonal
     (its determinant is proportional to u21).
     """
+    import numpy as np
+
     m = check_mass(m)
-    u = as_c2matrix(matrix)
+    u = np.array(as_c2matrix(matrix))
     if not is_unitary(u, tol):
         raise NotUnitaryError(f"matrix is not unitary within tol={tol}")
     b = _boundary_basis(m, float(lam))
@@ -265,6 +271,8 @@ def solve_u2_matrix(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> np.ndarra
     ``[[a1 + a2 mu*, -1], [a3 + a4 mu*, mu*]]`` (never singular for class
     input).  Asserts unitarity of the assembled matrix.
     """
+    import numpy as np
+
     m = check_mass(m)
     require_class(a, tol)
     mu = mu_constant(m)
@@ -366,9 +374,9 @@ def inverse_identity_residuals(
     are invariant under the joint sign flip of the form.
     """
     mu = mu_constant(m)
-    muc = np.conj(mu)
+    muc = mu.conjugate()
     g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
-    g1c, g2c, g3c = np.conj(g1), np.conj(g2), np.conj(g3)
+    g1c, g2c, g3c = g1.conjugate(), g2.conjugate(), g3.conjugate()
     a1, a2, a3, a4 = a.as_tuple()
     return (
         abs((a1 + muc * a2) * g1 + g2c - g3c * (-a1 + mu * a2)),
@@ -401,7 +409,7 @@ def closed_form_u2_candidate(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> 
     mu = mu_constant(m)
     theta = alpha_to_bd(a, tol).theta
     a1, a2, a3, a4 = a.as_tuple()
-    w = -np.conj(mu) * a1 + a2 - a3 + mu * a4
+    w = -mu.conjugate() * a1 + a2 - a3 + mu * a4
     g2_scale = 2.0 / math.hypot(1.0, m)  # 2/sqrt(1+m^2)
     gamma0 = 1.0 / math.hypot(g2_scale, abs(w))
     half = theta - math.pi / 2.0
@@ -409,7 +417,7 @@ def closed_form_u2_candidate(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> 
     return QuaternionForm(
         gamma0 * phase * w,
         gamma0 * phase * g2_scale,
-        gamma0 * phase * mu * np.conj(a1 + np.conj(mu) * a2 + mu * a3 + a4),
+        gamma0 * phase * mu * (a1 + mu.conjugate() * a2 + mu * a3 + a4).conjugate(),
     )
 
 
@@ -448,8 +456,9 @@ def compare_closed_form(
     if primary is None:
         primary = alpha_to_u2(a, m)
     candidate = closed_form_u2_candidate(a, m)
-    diff = float(np.abs(candidate.as_array() - primary.as_array()).max())
-    diff_flipped = float(np.abs(candidate.as_array() + primary.as_array()).max())
+    pairs = [(complex(getattr(candidate, g)), complex(getattr(primary, g))) for g in ("g1", "g2", "g3")]
+    diff = max(abs(c - p) for c, p in pairs)
+    diff_flipped = max(abs(c + p) for c, p in pairs)
     if diff <= 1e-8:
         kind = "exact"
     elif diff_flipped <= 1e-8:
@@ -478,5 +487,6 @@ def classify(matrix, m: float, tol: float = DEFAULT_TOL) -> ExtensionClass:
     if not is_unitary(u, tol):
         raise NotUnitaryError(f"matrix is not unitary within tol={tol}")
     if is_diagonal(u, tol):
-        return Separating(diagonal_u2_to_rho(u[0, 0], u[1, 1], m, tol))
+        (gl, _), (_, gr) = u
+        return Separating(diagonal_u2_to_rho(gl, gr, m, tol))
     return Transmitting(u2_to_alpha(split_unitary(u, tol), m, tol))

@@ -1,36 +1,50 @@
 """Dense complex 2x2 linear algebra and the U(1)*SU(2) splitting of U(2).
 
-Matrices and spinors are plain ``numpy`` arrays of ``complex128``; the
-three-parameter representation ``U = g3 * [[g1, -g2*], [g2, g1*]]`` with
-``|g1|^2 + |g2|^2 = |g3| = 1`` is carried by :class:`QuaternionForm`.
-All operations are pure functions on immutable values and are safe to
-call concurrently.
+Every function accepts a matrix as a ``(2, 2)`` ``numpy`` array or as a
+pair of pairs of numbers, and works on its four entries as Python
+``complex``, so none of the 2x2 closed forms needs ``numpy``; only the
+helpers that return arrays (:func:`compose`, :meth:`QuaternionForm.as_array`,
+:func:`as_c2vector`) import it.  The three-parameter representation
+``U = g3 * [[g1, -g2*], [g2, g1*]]`` with ``|g1|^2 + |g2|^2 = |g3| = 1`` is
+carried by :class:`QuaternionForm`.  All operations are pure functions on
+immutable values and are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidFormError, NotUnitaryError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: A 2x2 matrix as its rows of Python complex entries.
+Entries = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 #: Default tolerance for all membership predicates (double precision,
 #: machine epsilon ~1e-16, only a handful of operations per predicate).
 DEFAULT_TOL = 1e-10
 
 
-def as_c2matrix(obj) -> np.ndarray:
-    """Coerce to a (2, 2) complex ndarray."""
-    m = np.asarray(obj, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    return m
+def as_c2matrix(obj) -> Entries:
+    """The four entries of a 2x2 matrix, given as an ndarray or as nested
+    sequences, as rows of Python complex."""
+    rows = obj.tolist() if hasattr(obj, "tolist") else obj
+    try:
+        (a, b), (c, d) = rows
+    except (TypeError, ValueError) as exc:
+        shape = getattr(obj, "shape", None)
+        raise ValueError(f"expected a 2x2 matrix, got {shape or rows!r}") from exc
+    return (complex(a), complex(b)), (complex(c), complex(d))
 
 
 def as_c2vector(obj) -> np.ndarray:
     """Coerce to a length-2 complex ndarray."""
+    import numpy as np
+
     v = np.asarray(obj, dtype=complex)
     if v.shape != (2,):
         raise ValueError(f"expected a 2-spinor, got shape {v.shape}")
@@ -60,6 +74,8 @@ class QuaternionForm:
     g3: complex
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.g1, self.g2, self.g3], dtype=complex)
 
     def norm_residuals(self) -> tuple[float, float]:
@@ -90,7 +106,7 @@ def unitarity_residual(matrix) -> float:
     Both products are Hermitian, so their six distinct entries are formed
     directly from the four matrix entries, in plain complex arithmetic.
     """
-    (a, b), (c, d) = as_c2matrix(matrix).tolist()
+    (a, b), (c, d) = as_c2matrix(matrix)
     na, nb, nc, nd = (z.real * z.real + z.imag * z.imag for z in (a, b, c, d))
     entries = (
         abs(na + nc - 1.0),  # M^dag M
@@ -111,8 +127,8 @@ def is_unitary(matrix, tol: float = DEFAULT_TOL) -> bool:
 
 def det2(matrix) -> complex:
     """Determinant of a 2x2 matrix, computed directly."""
-    m = as_c2matrix(matrix)
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    (a, b), (c, d) = as_c2matrix(matrix)
+    return a * d - b * c
 
 
 def is_su2(matrix, tol: float = DEFAULT_TOL) -> bool:
@@ -123,20 +139,26 @@ def is_su2(matrix, tol: float = DEFAULT_TOL) -> bool:
 
 def is_diagonal(matrix, tol: float = DEFAULT_TOL) -> bool:
     """True iff both off-diagonal entries have magnitude <= tol."""
-    m = as_c2matrix(matrix)
-    return abs(m[0, 1]) <= tol and abs(m[1, 0]) <= tol
+    (_, b), (c, _) = as_c2matrix(matrix)
+    return abs(b) <= tol and abs(c) <= tol
 
 
-def compose(q: QuaternionForm, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Assemble the unitary g3 * [[g1, -g2*], [g2, g1*]] from its parameters."""
+def compose_entries(q: QuaternionForm, tol: float = DEFAULT_TOL) -> Entries:
+    """The entries of the unitary g3 * [[g1, -g2*], [g2, g1*]], as Python complex."""
     if not q.is_valid(tol):
         raise InvalidFormError(
             f"quaternion-form norm residuals {q.norm_residuals()} exceed tol={tol}"
         )
-    g1, g2, g3 = q.g1, q.g2, q.g3
-    return g3 * np.array(
-        [[g1, -np.conj(g2)], [g2, np.conj(g1)]], dtype=complex
-    )
+    g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
+    return (g3 * g1, g3 * -g2.conjugate()), (g3 * g2, g3 * g1.conjugate())
+
+
+def compose(q: QuaternionForm, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Assemble the unitary g3 * [[g1, -g2*], [g2, g1*]] from its parameters,
+    as a (2, 2) complex ndarray of :func:`compose_entries`."""
+    import numpy as np
+
+    return np.array(compose_entries(q, tol), dtype=complex)
 
 
 def decompose_u2(matrix, tol: float = DEFAULT_TOL) -> QuaternionForm:
@@ -159,7 +181,7 @@ def decompose_u2(matrix, tol: float = DEFAULT_TOL) -> QuaternionForm:
 def split_unitary(matrix, tol: float = DEFAULT_TOL) -> QuaternionForm:
     """The splitting of :func:`decompose_u2`, for a matrix the caller has
     already found unitary; nothing is checked here."""
-    (u11, u12), (u21, u22) = as_c2matrix(matrix).tolist()
+    (u11, u12), (u21, u22) = as_c2matrix(matrix)
     if abs(u21) <= tol:
         # det U = e^{i(arg u11 + arg u22)}; removing half of it lands in SU(2)
         half = (arg_2pi(u11) + arg_2pi(u22)) / 2.0
@@ -176,8 +198,8 @@ def split_unitary(matrix, tol: float = DEFAULT_TOL) -> QuaternionForm:
 
 def decompose_branch(matrix, tol: float = DEFAULT_TOL) -> str:
     """Which phase-extraction branch :func:`decompose_u2` takes for this input."""
-    m = as_c2matrix(matrix)
-    return "u21_zero" if abs(m[1, 0]) <= tol else "u21_nonzero"
+    (_, _), (u21, _) = as_c2matrix(matrix)
+    return "u21_zero" if abs(u21) <= tol else "u21_nonzero"
 
 
 def random_quaternion_form(

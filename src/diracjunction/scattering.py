@@ -20,27 +20,72 @@ Only the particle branch E > m is exposed; the hole branch E < -m would
 need nothing beyond sign bookkeeping in :func:`_wavenumbers` but is left
 out as untested scope.
 
-One batch kernel, :func:`scatter_batch`, computes every quantity for a
-whole energy array at once and returns it as columns
-(:class:`ScatteringColumns`); :func:`scatter_alpha` and
-:func:`scatter_rho` return one row of it.
+One kernel, :func:`_columns`, computes every quantity as plain arithmetic
+that runs unchanged on Python floats and on numpy arrays: the caller hands
+it the few operations that differ (:data:`_SCALAR_OPS`, :func:`_array_ops`).
+:func:`scatter_batch` evaluates it once on a whole energy array and
+returns columns (:class:`ScatteringColumns`); :func:`scatter_alpha` and
+:func:`scatter_rho` evaluate it on one energy, without ``numpy``, and give
+bit for bit the batch's row.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, require_class
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
 from .errors import BelowGapError
 from .matrix2 import DEFAULT_TOL
 
+if TYPE_CHECKING:
+    import numpy as np
+
+#: The kernel's operations on Python floats.  ``sqrt`` is correctly rounded
+#: here and in numpy, and ``exp`` of an imaginary argument agrees with
+#: ``numpy.exp``; ``atan2`` is ``math.atan2`` on both sides, because
+#: ``numpy.arctan2`` rounds differently.
+_SCALAR_OPS = SimpleNamespace(
+    sqrt=math.sqrt,
+    atan2=math.atan2,
+    exp=cmath.exp,
+    where=lambda cond, x, y: x if cond else y,
+    complex=complex,
+    full=lambda like, value: value,
+)
+
+
+def _array_ops() -> SimpleNamespace:
+    """The kernel's operations on float arrays (see :data:`_SCALAR_OPS`)."""
+    import numpy as np
+
+    def atan2(y, x):
+        y, x = np.broadcast_arrays(y, x)
+        return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, count=x.size)
+
+    def make_complex(re, im):
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im
+        return z
+
+    return SimpleNamespace(
+        sqrt=np.sqrt,
+        atan2=atan2,
+        exp=np.exp,
+        where=np.where,
+        complex=make_complex,
+        full=lambda like, value: np.full(like.shape, value),
+    )
+
 
 def _above_gap(E, m: float) -> np.ndarray:
     """Energies as a float array; :class:`BelowGapError` if any E <= m."""
+    import numpy as np
+
     E = np.asarray(E, dtype=float)
     below = E <= m
     if np.count_nonzero(below):
@@ -50,7 +95,7 @@ def _above_gap(E, m: float) -> np.ndarray:
     return E
 
 
-def _wavenumbers(E, m: float):
+def _wavenumbers(E, m: float, sqrt):
     """k and lambda = k/(E + m), as lambda = sqrt((E - m)/(E + m)), k = lambda (E + m).
 
     Neither squares E, so both stay finite for huge masses and keep full
@@ -64,7 +109,7 @@ def _wavenumbers(E, m: float):
     if halve:
         E, m = 0.5 * E, 0.5 * m
     above = E + m
-    lam = np.sqrt((E - m) / above)
+    lam = sqrt((E - m) / above)
     k = lam * above
     return (2.0 * k if halve else k), lam
 
@@ -114,7 +159,21 @@ class ScatteringColumns:
         return [self.row(i) for i in range(self.E.size)]
 
 
-def _transmitting_amplitudes(a: AlphaBC, lam: np.ndarray):
+def _quotient(nr, ni, dr, di, ops):
+    """(nr + i ni) / (dr + i di) in real arithmetic, rounded as numpy divides
+    complex numbers: Smith's method on the larger part of the divisor, with
+    the reciprocal of the scaled divisor as a factor.  Nothing overflows
+    before the result does."""
+    re_larger = abs(dr) >= abs(di)
+    p, q = ops.where(re_larger, dr, di), ops.where(re_larger, di, dr)
+    rat = q / p
+    scl = 1.0 / (p + q * rat)
+    re = ops.where(re_larger, nr + ni * rat, nr * rat + ni) * scl
+    im = ops.where(re_larger, ni - nr * rat, ni * rat - nr) * scl
+    return ops.complex(re, im)
+
+
+def _transmitting_amplitudes(a: AlphaBC, lam, ops):
     """(r, t) of t u_+ = B (u_+ + r u_-) by Cramer's rule, for a class member.
 
     The system's columns multiply (r, t): r B u_- - t u_+ = -B u_+, i.e.
@@ -125,14 +184,40 @@ def _transmitting_amplitudes(a: AlphaBC, lam: np.ndarray):
     because b1 b4 + b2 b3 = 1: the system is never singular above the gap.
     """
     a1, a2, a3, a4 = a.as_tuple()
-    lam = lam.astype(complex)
-    a2_lam, a4_lam = a2 * lam, a4 * lam
-    neg_det = lam * (a1 - a2_lam) - (a3 - a4_lam)
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = ((z.real, z.imag) for z in (a1, a2, a3, a4))
     # numerators and determinant negated together, so that exact zeros come
     # out as +0; t's numerator reduces to -2 lam det(B)
-    r = ((a3 + a4_lam) - lam * (a1 + a2_lam)) / neg_det
-    t = (2.0 * (a1 * a4 - a2 * a3)) * lam / neg_det
-    return r, t
+    dr = lam * (x1 - x2 * lam) - (x3 - x4 * lam)
+    di = lam * (y1 - y2 * lam) - (y3 - y4 * lam)
+    r_re = (x3 + x4 * lam) - lam * (x1 + x2 * lam)
+    r_im = (y3 + y4 * lam) - lam * (y1 + y2 * lam)
+    c = 2.0 * (a1 * a4 - a2 * a3)
+    return _quotient(r_re, r_im, dr, di, ops), _quotient(c.real * lam, c.imag * lam, dr, di, ops)
+
+
+def _columns(bc: ExtensionClass, E, m: float, face: Island, tol: float, ops) -> tuple:
+    """(k, lam, r, t, R, T, phase_t) at energies ``E`` above the gap: one
+    Python float with :data:`_SCALAR_OPS`, or a float array with
+    :func:`_array_ops`.  See :func:`scatter_batch`."""
+    k, lam = _wavenumbers(E, m, ops.sqrt)
+    if isinstance(bc, Transmitting):
+        require_class(bc.alpha, tol)
+        r, t = _transmitting_amplitudes(bc.alpha, lam, ops)
+        phase = ops.atan2(t.imag, t.real)
+    else:
+        value = bc.rho.rho_minus if face is Island.LEFT else bc.rho.rho_plus
+        if math.isinf(value):
+            r = ops.full(lam, -1.0 + 0.0j)
+        else:
+            # left face r = (lam - i rho)/(lam + i rho) = e^{-2i phi}, phi = atan2(rho, lam);
+            # the right face mirrors the sign.  |r| = 1 to within an ulp.
+            sign = -2.0 if face is Island.LEFT else 2.0
+            r = ops.exp(1j * sign * ops.atan2(value, lam))
+        t = ops.full(lam, 0j)
+        phase = ops.full(lam, 0.0)
+    R = r.real * r.real + r.imag * r.imag
+    T = t.real * t.real + t.imag * t.imag
+    return k, lam, r, t, R, T, phase
 
 
 def scatter_batch(
@@ -148,25 +233,17 @@ def scatter_batch(
     """
     m = check_mass(m)
     E = _above_gap(E, m).ravel()
-    k, lam = _wavenumbers(E, m)
-    if isinstance(bc, Transmitting):
-        require_class(bc.alpha, tol)
-        r, t = _transmitting_amplitudes(bc.alpha, lam)
-        T = np.abs(t) ** 2
-        phase = np.angle(t)
-    else:
-        value = bc.rho.rho_minus if face is Island.LEFT else bc.rho.rho_plus
-        if math.isinf(value):
-            r = np.full(E.shape, -1.0 + 0.0j)
-        else:
-            # left face r = (lam - i rho)/(lam + i rho) = e^{-2i phi}, phi = atan2(rho, lam);
-            # the right face mirrors the sign.  |r| = 1 to within an ulp.
-            sign = -2.0 if face is Island.LEFT else 2.0
-            r = np.exp(1j * sign * np.arctan2(value, lam))
-        t = np.zeros(E.shape, dtype=complex)
-        T = np.zeros(E.shape)
-        phase = np.zeros(E.shape)
-    return ScatteringColumns(E, k, lam, r, t, np.abs(r) ** 2, T, phase)
+    return ScatteringColumns(E, *_columns(bc, E, m, face, tol, _array_ops()))
+
+
+def _scatter_one(bc: ExtensionClass, E: float, m: float, face: Island) -> ScatteringResult:
+    """The kernel at one energy, on Python floats; the row of
+    :func:`scatter_batch` at that energy, bit for bit."""
+    m = check_mass(m)
+    E = float(E)
+    if E <= m:
+        raise BelowGapError(f"E = {E} is not above the mass gap m = {m}")
+    return ScatteringResult(E, *_columns(bc, E, m, face, DEFAULT_TOL, _SCALAR_OPS))
 
 
 def scatter_alpha(a: AlphaBC, E: float, m: float) -> ScatteringResult:
@@ -175,7 +252,7 @@ def scatter_alpha(a: AlphaBC, E: float, m: float) -> ScatteringResult:
     Solves the 2x2 complex system for (r, t); raises
     :class:`NotInClassError` when ``a`` is not in the class.
     """
-    return scatter_batch(Transmitting(a), E, m).row(0)
+    return _scatter_one(Transmitting(a), E, m, Island.LEFT)
 
 
 def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> ScatteringResult:
@@ -185,7 +262,7 @@ def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> S
     right face mirrors to r = (lambda + i rho)/(lambda - i rho); rho = +inf gives r = -1.
     Always |r| = 1 and T = 0.
     """
-    return scatter_batch(Separating(rho), E, m, face).row(0)
+    return _scatter_one(Separating(rho), E, m, face)
 
 
 def sweep_columns(
@@ -203,6 +280,8 @@ def sweep_columns(
         raise ValueError("steps must be >= 2")
     if not (m < e_min < e_max < math.inf):
         raise ValueError("need m < e_min < e_max, all finite")
+    import numpy as np
+
     return scatter_batch(bc, np.linspace(e_min, e_max, steps), m, face, tol)
 
 
@@ -224,8 +303,8 @@ class UnitReport:
     t: complex
     T: float
     transmission_phase: float
-    up_maps_to: np.ndarray
-    down_maps_to: np.ndarray
+    up_maps_to: tuple[complex, complex]  # B (1, 0), normalized
+    down_maps_to: tuple[complex, complex]  # B (0, 1), normalized
     preserves_spin: bool
     swaps_spin: bool
 
@@ -242,7 +321,7 @@ class PhaseVariant:
         """Full transmission with phase theta (mod 2 pi), both within 1e-12."""
         return bool(
             abs(self.T - 1.0) <= 1e-12
-            and abs(np.exp(1j * (self.transmission_phase - self.theta)) - 1.0) <= 1e-12
+            and abs(cmath.exp(1j * (self.transmission_phase - self.theta)) - 1.0) <= 1e-12
         )
 
 
@@ -254,16 +333,18 @@ class SwitchDemoReport:
     ok: bool
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    return v / n if n > 0.0 else np.zeros_like(v)
+def _unit(x: complex, y: complex) -> tuple[complex, complex]:
+    """(x, y) normalized; + 0j turns -0.0 into 0.0, so no part prints as a
+    negative zero."""
+    n = math.hypot(x.real, x.imag, y.real, y.imag)
+    return (x / n + 0j, y / n + 0j) if n > 0.0 else (0j, 0j)
 
 
 def _unit_report(name: str, a: AlphaBC) -> UnitReport:
     res = scatter_alpha(a, DEMO_E, DEMO_M)
-    b = a.matrix()
-    up_out = _unit(b @ np.array([1.0, 0.0], dtype=complex))
-    down_out = _unit(b @ np.array([0.0, 1.0], dtype=complex))
+    a1, a2, a3, a4 = a.as_tuple()
+    up_out = _unit(a1, a3)  # the columns of B = [[a1, a2], [a3, a4]]
+    down_out = _unit(a2, a4)
     preserves = bool(abs(up_out[0]) > 1.0 - 1e-12 and abs(down_out[1]) > 1.0 - 1e-12)
     swaps = bool(abs(up_out[1]) > 1.0 - 1e-12 and abs(down_out[0]) > 1.0 - 1e-12)
     return UnitReport(

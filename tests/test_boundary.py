@@ -67,6 +67,52 @@ class TestValidateClass:
         assert len(report.residuals) == 6
 
 
+class TestDeterminantScale:
+    """The two determinant constraints are measured against
+    max(1, |a1||a4| + |a2||a3|), the four orthogonality ones against
+    max(1, sum |a_i|^2)."""
+
+    @pytest.mark.parametrize("big", [1e5, 1e6, 1e100, 1e200])
+    def test_a_lone_large_entry_breaks_the_determinant(self, big):
+        # b1 b4 + b2 b3 = 0, which sum |a_i|^2 >= 1/tol used to hide
+        report = validate_class(AlphaBC(big, 0, 0, 0))
+        assert report.failed == ("unit_det_plus", "unit_det_conj")
+        assert report.worst() == ("unit_det_plus", 1.0)
+        assert (report.scale, report.det_scale) == (max(1.0, big * big), 1.0)
+        assert report.scale_of("unit_det_conj") == 1.0 and report.scale_of("re_a1_a2") == report.scale
+        message = "unit_det_plus: residual 1.000e.00 > 1.0e-10 . scale 1.000e.00"
+        with pytest.raises(NotInClassError, match=message):
+            alpha_to_bd(AlphaBC(big, 0, 0, 0))
+
+    def test_the_worst_failing_constraint_is_named(self):
+        # Re(a1 a3*) = -1e200 passes against tol * sum |a_i|^2 = inf; the
+        # determinant residual 1e200 fails against tol * 1e200
+        report = validate_class(AlphaBC(1e200, 0, -1, 1j))
+        assert report.failed == ("unit_det_plus", "unit_det_conj")
+        assert report.worst() == ("unit_det_plus", 1e200)
+
+    def test_huge_entries_keep_an_exact_determinant_verdict(self):
+        # sum |a_i|^2 overflows, |a1||a4| = 1 does not
+        assert validate_class(AlphaBC(1e300, 0, 0, 1e-300)).valid
+        assert validate_class(AlphaBC(1e300, 0, 0, 1e-300 * (1 + 1e-12))).valid
+        assert not validate_class(AlphaBC(1e300, 0, 0, 1e-300 * (1 + 1e-9))).valid
+        # |a1||a4| overflows too, and so does the residual: it fails
+        report = validate_class(AlphaBC(1e300, 0, 0, 1e10))
+        assert math.isinf(report.det_scale) and report.failed == ("unit_det_plus", "unit_det_conj")
+
+    def test_exact_class_members_pass_over_a_wide_range(self):
+        rng = np.random.default_rng(72)
+        worst = 0.0
+        for _ in range(3000):
+            b1, b2, b3 = (math.exp(rng.uniform(-6, 6) * math.log(10)) * rng.choice([-1.0, 1.0])
+                          for _ in range(3))
+            a = bd_to_alpha(BDForm(rng.uniform(0.0, 2.0 * math.pi), b1, b2, b3, (1.0 - b2 * b3) / b1))
+            report = validate_class(a)
+            assert report.valid, a
+            worst = max(worst, max(report.residuals[n] / report.scale_of(n) for n in report.residuals))
+        assert worst <= 1e-14
+
+
 class TestClassScaleOverflow:
     def test_scale_of_huge_parameters_is_inf_not_an_error(self):
         assert math.isinf(class_scale(AlphaBC(1e200, 0, 0, 1e-200)))

@@ -445,7 +445,6 @@ class TestExitCodeContract:
             ["verify", "--alpha", "1.5e308+1.5e308i,0,0,1e-308"],
             ["convert", "u2-to-bc", "--gamma", "1e308,-1,[1,0]"],
             ["verify", "--gamma", "1,1e200,0", "--mass", "1"],
-            ["verify", "--alpha", "1e200,0,-1,i"],
         ],
     )
     def test_out_of_range_moduli_exit_2(self, argv):
@@ -472,12 +471,93 @@ class TestExitCodeContract:
         assert (p.returncode, p.stdout) == (2, "")
         assert "Traceback" not in p.stderr and "must be finite" in p.stderr
 
+    @pytest.mark.parametrize(
+        "argv, code, stdout",
+        [
+            # b1 b4 + b2 b3 = 0: no class member, whatever the scale of a1
+            (["convert", "alpha-to-bd", "--alpha", "1e5,0,0,0"], 2, ""),
+            (["verify", "--alpha", "1e6,0,0,0"], 1,
+             "FAIL class-constraints unit_det_plus residual=1.000000e+00\nFAIL\n"),
+            # the determinant residual is as large as the products it is
+            # formed from, though sum |a_i|^2 overflows
+            (["verify", "--alpha", "1e200,0,-1,i"], 1,
+             "FAIL class-constraints unit_det_plus residual=1.000000e+200\nFAIL\n"),
+            (["scatter", "--alpha", "1,1e308,1,1", "--emin", "1", "--emax", "2", "--steps", "2"], 2, ""),
+        ],
+        ids=["alpha-to-bd-1e5", "verify-1e6", "verify-1e200", "scatter-1e308"],
+    )
+    def test_determinant_constraints_take_the_scale_of_their_products(self, argv, code, stdout):
+        p = run_process("-W", "error", "-m", "diracjunction.cli", *argv)
+        assert (p.returncode, p.stdout) == (code, stdout)
+        assert "Traceback" not in p.stderr and "Warning" not in p.stderr
+
     def test_cli_import_leaves_scipy_out(self):
+        # neither scipy nor numpy: the commands that need numpy import it
         p = run_process(
-            "-c", "import sys, diracjunction.cli; print('scipy' in sys.modules)"
+            "-c", "import sys, diracjunction.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
         )
         assert p.returncode == 0, p.stderr
-        assert p.stdout.strip() == "False"
+        assert p.stdout.strip() == "[]"
+
+
+#: Runs the CLI as ``python -m diracjunction.cli ARGS`` does, then prints its
+#: exit code and which of numpy and scipy it loaded as the last stderr line.
+_MODULES_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("diracjunction.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, sorted({"numpy", "scipy"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
+class TestNumpyFreeStart:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["decompose", "--matrix", ROT_JSON], 0),
+            (["decompose", "--matrix", SHEAR_JSON], 2),
+            (["convert", "u2-to-bc", "--gamma", "0,-i,i", "--mass", "1"], 0),
+            (["convert", "u2-to-bc", "--matrix", ROT_JSON, "--mass", "10"], 0),
+            (["convert", "u2-to-bc", "--diag", "-1,i", "--mass", "0.5"], 0),
+            (["convert", "u2-to-bc", "--gamma", "1,1,1"], 2),
+            (["convert", "bc-to-u2", "--alpha", "0,1,1,0", "--mass", "0.5"], 0),
+            (["convert", "alpha-to-bd", "--alpha", "0,1,1,0"], 0),
+            (["convert", "alpha-to-bd", "--alpha", "1,0,1,0"], 2),
+            (["convert", "bd-to-alpha", "--bd", "3pi/2,0,1,1,0"], 0),
+            (["convert", "rho-to-u2", "--rho", "inf,0.5", "--mass", "1"], 0),
+            (["demo-switch"], 0),
+            (["demo-switch", "--phase", "pi/2"], 0),
+            (["demo-switch", "--phase", "nan"], 2),
+        ],
+    )
+    def test_scalar_commands_leave_numpy_out(self, argv, code):
+        p = run_process("-c", _MODULES_PROBE, *argv)
+        assert p.stderr.splitlines()[-1] == f"{code} []", p.stderr
+
+    def test_package_import_loads_no_submodule(self):
+        p = run_process(
+            "-c",
+            "import sys, diracjunction; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('diracjunction.')))",
+        )
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.strip() == "[]"
+
+    def test_lazy_names_are_the_submodules_objects(self):
+        import diracjunction
+        from diracjunction import boundary, correspondence, deficiency, matrix2, scattering
+
+        modules = (boundary, correspondence, deficiency, matrix2, scattering)
+        assert set(diracjunction.__all__) <= set(dir(diracjunction))
+        for name in diracjunction.__all__:
+            value = getattr(diracjunction, name)
+            owners = [module for module in modules if name in vars(module)]
+            assert owners and all(vars(module)[name] is value for module in owners), name
+            assert vars(diracjunction)[name] is value, name  # resolved once, then a dict hit
+        with pytest.raises(AttributeError):
+            getattr(diracjunction, "no_such_name")
 
 
 class TestScatter:
