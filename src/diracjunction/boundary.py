@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import (
     InvalidBDError,
@@ -78,6 +79,10 @@ class AlphaBC:
     def as_tuple(self) -> tuple[complex, complex, complex, complex]:
         return (complex(self.a1), complex(self.a2), complex(self.a3), complex(self.a4))
 
+    def __getstate__(self):
+        # the reports validate_class keeps in __dict__ are not state
+        return {name: self.__dict__[name] for name in ("a1", "a2", "a3", "a4")}
+
     def matrix(self) -> np.ndarray:
         """The boundary matrix [[a1, a2], [a3, a4]]."""
         import numpy as np
@@ -102,12 +107,12 @@ class BDForm:
         return (self.b1, self.b2, self.b3, self.b4)
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    """Outcome of :func:`validate_class`: per-constraint residuals and the
+class ClassReport(NamedTuple):
+    """Outcome of :func:`validate_class`: per-constraint residuals (a
+    read-only mapping, since one report is shared by every caller) and the
     scales their limits are taken in."""
 
-    residuals: dict[str, float]
+    residuals: Mapping[str, float]
     scale: float  # of the four orthogonality constraints
     det_scale: float  # of the two determinant constraints
     failed: tuple[str, ...]  # the constraints over their limits
@@ -143,36 +148,69 @@ def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
     invariant under rescaling the overall magnitude of the data.  When a
     scale overflows, its comparison is made in units of max |a_i|^2, so it
     stays exact; a residual that itself overflowed fails.
+
+    The report is computed once per condition object and ``tol``, kept on
+    the object, and returned again by later calls, so the maps, the
+    scattering kernel and ``verify`` share one measurement.  Two threads
+    racing on a fresh object at most compute the same report twice.
     """
-    a1, a2, a3, a4 = a.as_tuple()
-    orthogonality = {
-        # Re(x y*) formed alone: the imaginary part of x y* may overflow
-        "re_a1_a2": abs(a1.real * a2.real + a1.imag * a2.imag),
-        "re_a1_a3": abs(a1.real * a3.real + a1.imag * a3.imag),
-        "re_a2_a4": abs(a2.real * a4.real + a2.imag * a4.imag),
-        "re_a3_a4": abs(a3.real * a4.real + a3.imag * a4.imag),
-    }
-    determinant = {
-        "unit_det_plus": abs(a1 * a4.conjugate() + a2 * a3.conjugate() - 1.0),
-        "unit_det_conj": abs(a1 * a4.conjugate() + a2.conjugate() * a3 - 1.0),
-    }
-    m1, m2, m3, m4 = mags = [math.hypot(z.real, z.imag) for z in (a1, a2, a3, a4)]
-    if not all(map(math.isfinite, mags)):
+    reports = a.__dict__.setdefault("_class_reports", {})
+    report = reports.get(tol)
+    if report is None:
+        report = reports[tol] = _measure_class(a, tol)
+    return report
+
+
+def _measure_class(a: AlphaBC, tol: float) -> ClassReport:
+    """The :func:`validate_class` report, computed afresh."""
+    a1, a2, a3, a4 = complex(a.a1), complex(a.a2), complex(a.a3), complex(a.a4)
+    x1, y1, x2, y2 = a1.real, a1.imag, a2.real, a2.imag
+    x3, y3, x4, y4 = a3.real, a3.imag, a4.real, a4.imag
+    m1, m2, m3, m4 = math.hypot(x1, y1), math.hypot(x2, y2), math.hypot(x3, y3), math.hypot(x4, y4)
+    inf = math.inf
+    # each modulus on its own (a sum of finite moduli may overflow); NaN fails too
+    if not (m1 < inf and m2 < inf and m3 < inf and m4 < inf):
         raise ValidationError("a boundary parameter's modulus is not finite")
-    big = max(mags)
+    # Re(x y*) formed alone: the imaginary part of x y* may overflow
+    r12, r13 = abs(x1 * x2 + y1 * y2), abs(x1 * x3 + y1 * y3)
+    r24, r34 = abs(x2 * x4 + y2 * y4), abs(x3 * x4 + y3 * y4)
+    p = a1 * a4.conjugate()
+    d_plus, d_conj = p + a2 * a3.conjugate() - 1.0, p + a2.conjugate() * a3 - 1.0
+    try:
+        det_plus, det_conj = abs(d_plus), abs(d_conj)
+    except OverflowError:  # finite parts, a modulus beyond the float range: hypot gives inf
+        det_plus, det_conj = math.hypot(d_plus.real, d_plus.imag), math.hypot(d_conj.real, d_conj.imag)
+    # maxima by comparison: a max() call costs more than the rest of its line
+    big = m1 if m1 > m2 else m2
+    big = big if big > m3 else m3
+    big = big if big > m4 else m4
     # the moduli in units of big (Higham, *Accuracy and Stability of
     # Numerical Algorithms*, 2nd ed., sec. 2): every sum of their products
     # stays finite
     s1, s2, s3, s4 = (m1 / big, m2 / big, m3 / big, m4 / big) if big else (m1, m2, m3, m4)
     sigma = s1 ** 2 + s2 ** 2 + s3 ** 2 + s4 ** 2
-    scale = max(1.0, big * big * sigma)
-    det_scale = max(1.0, m1 * m4 + m2 * m3)
-    # (unit, limit): r passes when r / unit <= limit
-    orth = (big, tol * big * sigma) if math.isinf(scale) else (1.0, tol * scale)
-    det = (big, tol * big * (s1 * s4 + s2 * s3)) if math.isinf(det_scale) else (1.0, tol * det_scale)
-    failed = [name for name, r in orthogonality.items() if not r / orth[0] <= orth[1]]
-    failed += [name for name, r in determinant.items() if not r / det[0] <= det[1]]
-    return ClassReport({**orthogonality, **determinant}, scale, det_scale, tuple(failed))
+    scale, det_scale = big * big * sigma, m1 * m4 + m2 * m3
+    scale, det_scale = (scale if scale > 1.0 else 1.0), (det_scale if det_scale > 1.0 else 1.0)
+    residuals = MappingProxyType({
+        "re_a1_a2": r12, "re_a1_a3": r13, "re_a2_a4": r24, "re_a3_a4": r34,
+        "unit_det_plus": det_plus, "unit_det_conj": det_conj,
+    })
+    # all pass at finite scales: r <= tol * scale
+    orth_limit, det_limit = tol * scale, tol * det_scale
+    if (
+        r12 <= orth_limit and r13 <= orth_limit and r24 <= orth_limit and r34 <= orth_limit
+        and det_plus <= det_limit and det_conj <= det_limit and det_limit < inf and orth_limit < inf
+    ):
+        return ClassReport(residuals, scale, det_scale, ())
+    # otherwise each by name, a scale that overflowed taken in units of big:
+    # r passes when r / unit <= limit
+    orth_unit, orth_limit = (big, tol * big * sigma) if scale == inf else (1.0, orth_limit)
+    det_unit, det_limit = (big, tol * big * (s1 * s4 + s2 * s3)) if det_scale == inf else (1.0, det_limit)
+    failed = tuple(
+        name for name, r in residuals.items()
+        if not (r / det_unit <= det_limit if name.startswith("unit_det") else r / orth_unit <= orth_limit)
+    )
+    return ClassReport(residuals, scale, det_scale, failed)
 
 
 def require_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:

@@ -282,7 +282,11 @@ def sweep_columns(
         raise ValueError("need m < e_min < e_max, all finite")
     import numpy as np
 
-    return scatter_batch(bc, np.linspace(e_min, e_max, steps), m, face, tol)
+    try:
+        grid = np.linspace(e_min, e_max, steps)
+    except MemoryError as exc:  # numpy's message names the size it asked for
+        raise ValueError(f"no energy grid of {steps} steps: {exc}") from exc
+    return scatter_batch(bc, grid, m, face, tol)
 
 
 # ---------------------------------------------------------------------------

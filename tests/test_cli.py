@@ -445,6 +445,10 @@ class TestExitCodeContract:
             ["verify", "--alpha", "1.5e308+1.5e308i,0,0,1e-308"],
             ["convert", "u2-to-bc", "--gamma", "1e308,-1,[1,0]"],
             ["verify", "--gamma", "1,1e200,0", "--mass", "1"],
+            # a1 a4* would overflow abs() before the moduli were looked at
+            ["verify", "--alpha", "1.5e308+1.5e308i,0,0,1"],
+            # finite moduli, a determinant residual beyond the float range
+            ["convert", "alpha-to-bd", "--alpha", "1.5e200,0,0,1e108-1e108i"],
         ],
     )
     def test_out_of_range_moduli_exit_2(self, argv):
@@ -695,6 +699,15 @@ class TestScatter:
             "--emin", "0.5", "--emax", "inf", "--steps", "3",
         )
         assert code == 2 and out == ""
+
+    def test_unallocatable_grid_exits_2(self):
+        # 1e15 energies ask numpy for 7 PiB, which it refuses at once
+        p = run_process(
+            "-m", "diracjunction.cli", "scatter", "--alpha", "1,0,0,1",
+            "--emin", "1", "--emax", "2", "--steps", "1000000000000000",
+        )
+        assert (p.returncode, p.stdout) == (2, "")
+        assert "Traceback" not in p.stderr and "no energy grid of 1000000000000000 steps" in p.stderr
 
     def test_write_to_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -137,6 +137,8 @@ def _run(argv):
 @example(argv=["convert", "bc-to-u2", "--alpha", "1e-11,0,0,1e11"])
 @example(argv=["convert", "alpha-to-bd", "--alpha", "1.5e308+1.5e308i,0,0,0"])
 @example(argv=["verify", "--alpha", "1.5e308+1.5e308i,0,0,1e-308"])
+@example(argv=["verify", "--alpha", "1.5e308+1.5e308i,0,0,1"])
+@example(argv=["verify", "--alpha", "1.5e200,0,0,1e108-1e108i"])
 @example(argv=["convert", "u2-to-bc", "--gamma", "1e308,-1,[1,0]"])
 @example(argv=["verify", "--gamma", "1,1e200,0", "--mass", "1"])
 @example(argv=["verify", "--alpha", "1e200,0,-1,i"])
@@ -146,6 +148,7 @@ def _run(argv):
 @example(argv=["scatter", "--rho", "0,0", "--mass", "1e308",
                "--emin", "1.5e308", "--emax", "1.7e308", "--steps", "2"])
 @example(argv=["scatter", "--alpha", "1,1e308,1,1", "--emin", "1", "--emax", "2", "--steps", "2"])
+@example(argv=["scatter", "--alpha", "1,0,0,1", "--emin", "1", "--emax", "2", "--steps", "1000000000000000"])
 @example(argv=["verify", "--alpha", "0,1,1,0", "--seed", "-1"])
 @example(argv=["demo-switch", "--phase", "nan"])
 @example(argv=["demo-switch", "--phase", "pi/0"])
