@@ -179,7 +179,7 @@ def oracle_rho_from_diagonal(
 # ---------------------------------------------------------------------------
 
 
-def u2_to_alpha(q: QuaternionForm, m: float, tol: float = DEFAULT_TOL) -> AlphaBC:
+def u2_to_alpha(q: QuaternionForm, m: float) -> AlphaBC:
     """Transmitting parameters of a non-diagonal extension.
 
     a1 = i g2^{-1} sqrt(1+m^2) (Im(g1* mu) + Im(g3* mu))
@@ -188,18 +188,21 @@ def u2_to_alpha(q: QuaternionForm, m: float, tol: float = DEFAULT_TOL) -> AlphaB
     a4 = i g2^{-1} sqrt(1+m^2) (Im(g1 mu) + Im(g3* mu))
 
     The map is invariant under the joint sign flip of (g1, g2, g3).
-    Raises :class:`DiagonalInputError` when |g2| <= tol.
+    Raises :class:`DiagonalInputError` when g2 = 0 or sqrt(1+m^2)/g2 is not
+    finite.  A small but nonzero g2 is a valid transmitting extension:
+    :func:`classify` sends near-diagonal unitaries to the separating side
+    with its own tolerance test before calling this.
     """
     m = check_mass(m)
-    if abs(q.g2) <= tol:
-        raise DiagonalInputError(
-            "extension is diagonal (g2 ~ 0); it has separating parameters, "
-            "not transmitting ones"
-        )
-    mu = mu_constant(m)
     s = math.hypot(1.0, m)
     g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
-    inv = s / g2
+    inv = s / g2 if g2 else math.inf  # s / 0 raises ZeroDivisionError
+    if not (math.isfinite(inv.real) and math.isfinite(inv.imag)):
+        raise DiagonalInputError(
+            f"extension is diagonal (g2 = {g2!r}, sqrt(1+m^2)/g2 not finite); "
+            "it has separating parameters, not transmitting ones"
+        )
+    mu = mu_constant(m)
     return AlphaBC(
         1j * inv * ((g1.conjugate() * mu).imag + (g3.conjugate() * mu).imag),
         inv * (g1.real + g3.real),
@@ -489,4 +492,4 @@ def classify(matrix, m: float, tol: float = DEFAULT_TOL) -> ExtensionClass:
     if is_diagonal(u, tol):
         (gl, _), (_, gr) = u
         return Separating(diagonal_u2_to_rho(gl, gr, m, tol))
-    return Transmitting(u2_to_alpha(split_unitary(u, tol), m, tol))
+    return Transmitting(u2_to_alpha(split_unitary(u, tol), m))

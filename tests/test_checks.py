@@ -1,0 +1,102 @@
+"""The exact boundary-form residuals of ``verify`` against the sampled checks
+they replace: each exact residual is at least what sampling reports, and
+the verdicts agree."""
+
+import math
+
+import numpy as np
+import pytest
+
+from diracjunction import checks, deficiency, matrix2
+from diracjunction.boundary import AlphaBC, BDForm, bd_to_alpha, current, random_rho, random_spinor
+from diracjunction.correspondence import Separating, Transmitting
+from diracjunction.matrix2 import DEFAULT_TOL
+
+MASSES = (0.0, 1.0, 10.0)
+
+
+def _records(condition, m: float) -> dict:
+    return {r.name: r for r in checks.verify_condition(condition, m, DEFAULT_TOL).records}
+
+
+def _class_member(rng: np.random.Generator, top: float) -> AlphaBC:
+    """A class member with |b1|, |b2|, |b3| log-uniform in [0.25, top]."""
+
+    def b() -> float:
+        mag = math.exp(rng.uniform(math.log(0.25), math.log(top)))
+        return mag if rng.uniform() < 0.5 else -mag
+
+    b2, b3, b1 = b(), b(), b()
+    return bd_to_alpha(BDForm(rng.uniform(0.0, 2.0 * math.pi), b1, b2, b3, (1.0 - b2 * b3) / b1))
+
+
+def _sampled_current(a: AlphaBC, v: np.ndarray) -> float:
+    """The residual current-conservation sampled before it was exact:
+    |j(B v) - j(v)| / max(1, max|v_i|^2 max(1, max|a_i|)^2)."""
+    v_scale, a_scale = float(np.abs(v).max()), checks.alpha_scale(a)
+    scale = max(1.0, (v_scale * v_scale) * (a_scale * a_scale))
+    return abs(current(a.matrix() @ v) - current(v)) / scale
+
+
+class TestExactResiduals:
+    @pytest.mark.parametrize("top", [4.0, 1e2, 1e3])
+    def test_transmitting_residuals_bound_the_sampled_ones(self, top):
+        rng = np.random.default_rng(int(top))
+        for i in range(30):
+            a = _class_member(rng, top)
+            sampled = deficiency.verify_selfadjoint_domain(Transmitting(a), samples=50, seed=i)
+            # the 100 spinors the old check drew, and B's two right singular vectors
+            _, _, vh = np.linalg.svd(a.matrix())
+            spinors = [random_spinor(rng) for _ in range(100)] + [vh[0].conj(), vh[1].conj()]
+            worst_current = max(_sampled_current(a, v) for v in spinors)
+            for m in MASSES:
+                records = _records(Transmitting(a), m)
+                symmetry = records["boundary-form-symmetry"]
+                assert symmetry.residual >= sampled.max_symmetry_residual
+                assert symmetry.passed == sampled.passed
+                assert records["current-conservation"].residual >= worst_current
+
+    def test_separating_residual_bounds_the_sampled_one(self):
+        rng = np.random.default_rng(3)
+        for i in range(40):
+            bc = Separating(random_rho(rng))
+            sampled = deficiency.verify_selfadjoint_domain(bc, samples=50, seed=i)
+            for m in MASSES:
+                symmetry = _records(bc, m)["boundary-form-symmetry"]
+                assert symmetry.residual >= sampled.max_symmetry_residual
+                assert symmetry.passed == sampled.passed
+
+    def test_off_class_residuals_bound_the_sampled_ones(self):
+        # H is far from zero here, so the bounds are not just the rounding allowance
+        rng = np.random.default_rng(5)
+        for i in range(30):
+            a = AlphaBC(*(complex(*rng.standard_normal(2)) for _ in range(4)))
+            sampled = deficiency.verify_selfadjoint_domain(Transmitting(a), samples=50, seed=i)
+            assert sampled.max_symmetry_residual > 1e-3
+            assert checks.SYMMETRY.residual(Transmitting(a)) >= sampled.max_symmetry_residual
+            spinors = [random_spinor(rng) for _ in range(100)]
+            assert checks.CURRENT.residual(a) >= max(_sampled_current(a, v) for v in spinors)
+
+    def test_exact_condition_leaves_only_the_rounding_allowance(self):
+        records = _records(Transmitting(AlphaBC(0, 1, 1, 0)), 1.0)
+        assert records["current-conservation"].residual == checks.ROUNDING
+        assert records["boundary-form-symmetry"].residual == checks.ROUNDING
+
+    def test_small_witness_still_fails(self):
+        # |a3|, |a4| <= 0.001: the pair that breaks the condition at +L has
+        # form at most 0.001 against the domain, under the 0.01 floor
+        bc = Transmitting(AlphaBC(1000, 0, 0, 0.001))
+        assert not deficiency.verify_selfadjoint_domain(bc, samples=50, seed=0).passed
+        symmetry = _records(bc, 0.0)["boundary-form-symmetry"]
+        assert symmetry.residual <= symmetry.limit and not symmetry.passed
+
+    def test_decomposition_residual_is_the_array_maximum(self):
+        # abs() is libm's hypot; numpy's vectorized complex absolute forms
+        # max * sqrt(1 + (min/max)^2) and can differ from it in the last bit
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            u = matrix2.compose(matrix2.random_quaternion_form(rng))
+            q = matrix2.decompose_u2(u)
+            expected = float(np.abs(matrix2.compose(q) - np.array(u)).max())
+            for given in (u, matrix2.as_c2matrix(u)):
+                assert abs(checks.DECOMPOSITION.residual(given, q) - expected) <= math.ulp(expected)

@@ -216,7 +216,7 @@ class TestOneMeasurementPerCondition:
 
     def test_verify_measures_its_condition_once(self, measured):
         a = random_alpha(np.random.default_rng(12))
-        result = checks.verify_condition(correspondence.Transmitting(a), 1.0, DEFAULT_TOL, 0)
+        result = checks.verify_condition(correspondence.Transmitting(a), 1.0, DEFAULT_TOL)
         assert all(record.passed for record in result.records)
         assert measured == [a]
 

@@ -441,6 +441,21 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv",
         [
+            # b = (1e-11, 0, 0, 1e11): g2 = 2e-11 is small, not zero
+            ["verify", "--alpha", "1e-11,0,0,1e11"],
+            # |g2| of each instance is of order 1/m
+            ["verify", "--fuzz", "5", "--mass", "1e150"],
+        ],
+    )
+    def test_small_g2_is_a_transmitting_extension(self, argv):
+        p = run_process("-m", "diracjunction.cli", *argv)
+        assert p.returncode in (0, 1) and p.stderr == ""
+        assert p.stdout.splitlines()[-1] in ("PASS", "FAIL")
+        assert "INFO closed-form-inverse" in p.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["convert", "alpha-to-bd", "--alpha", "1.5e308+1.5e308i,0,0,0"],
             ["verify", "--alpha", "1.5e308+1.5e308i,0,0,1e-308"],
             ["convert", "u2-to-bc", "--gamma", "1e308,-1,[1,0]"],
@@ -534,6 +549,12 @@ class TestNumpyFreeStart:
             (["demo-switch"], 0),
             (["demo-switch", "--phase", "pi/2"], 0),
             (["demo-switch", "--phase", "nan"], 2),
+            (["verify", "--alpha", "0,1,1,0", "--mass", "1"], 0),
+            (["verify", "--rho", "inf,0.5", "--mass", "1"], 0),
+            (["verify", "--gamma", "0,-i,i", "--mass", "10"], 0),
+            (["verify", "--matrix", ROT_JSON], 0),
+            (["verify", "--matrix", SHEAR_JSON], 2),
+            (["verify", "--alpha", "1,1,0,1"], 1),
         ],
     )
     def test_scalar_commands_leave_numpy_out(self, argv, code):

@@ -29,6 +29,7 @@ from diracjunction.errors import (
     ValidationError,
 )
 from diracjunction.matrix2 import (
+    DEFAULT_TOL,
     QuaternionForm,
     compose,
     decompose_u2,
@@ -174,6 +175,18 @@ class TestForwardMap:
     def test_diagonal_input_rejected(self):
         with pytest.raises(DiagonalInputError):
             u2_to_alpha(QuaternionForm(1, 0, 1), 0.0)
+
+    def test_small_g2_is_not_diagonal(self):
+        # b = (1e-11, 0, 0, 1e11): |g2| = 2e-11 is below tol, but
+        # sqrt(1+m^2)/g2 is finite, so the unitary maps back to the condition
+        a = AlphaBC(1e-11, 0, 0, 1e11)
+        q = alpha_to_u2(a, 0.0)
+        assert 0.0 < abs(q.g2) < DEFAULT_TOL
+        assert alpha_diff(u2_to_alpha(q, 0.0), a) <= 1e-10 * 1e11
+
+    def test_g2_whose_inverse_overflows_is_rejected(self):
+        with pytest.raises(DiagonalInputError):
+            u2_to_alpha(QuaternionForm(1, 1e-320, 1), 1e10)
 
     def test_sign_pair_invariance_exact(self):
         rng = np.random.default_rng(31)

@@ -87,3 +87,28 @@ def test_matching_determinant_is_bounded_away_from_zero_on_the_class():
     # S + 2 lam^2 - 4 lam^2 = lam^2 (b1 - b4)^2 + (b2 lam^2 - b3)^2 when b1 b4 + b2 b3 = 1
     gap = S + 2 * lam**2 - 4 * lam**2 - (lam**2 * (b1 - b4) ** 2 + (b2 * lam**2 - b3) ** 2)
     assert _simplified(gap - 2 * lam**2 * (b1 * b4 + b2 * b3 - 1)) == 0
+
+
+def test_boundary_form_matrix_entries_are_the_class_residuals():
+    """H = B^H sigma_x B - sigma_x, the matrix of the boundary form on domain
+    pairs (v, B v) and of the change of the current across the junction,
+    has entries 2 Re(a1* a3), 2 Re(a2* a4) and a1* a4 + a3* a2 - 1; on the
+    class it is (b1 b4 + b2 b3 - 1) sigma_x, which vanishes."""
+    xs = sp.symbols("x1:5", real=True)
+    ys = sp.symbols("y1:5", real=True)
+    a1, a2, a3, a4 = (x + sp.I * y for x, y in zip(xs, ys))
+    sigma_x = sp.Matrix([[0, 1], [1, 0]])
+
+    def form_matrix(b):
+        return b.H * sigma_x * b - sigma_x
+
+    c = sp.conjugate
+    h12 = c(a1) * a4 + c(a3) * a2 - 1
+    expected = sp.Matrix([[2 * sp.re(c(a1) * a3), h12], [c(h12), 2 * sp.re(c(a2) * a4)]])
+    residual = form_matrix(sp.Matrix([[a1, a2], [a3, a4]])) - expected
+    assert residual.applyfunc(_simplified) == sp.zeros(2, 2)
+
+    theta, b1, b2, b3, b4 = sp.symbols("theta b1 b2 b3 b4", real=True)
+    on_class = sp.exp(sp.I * theta) * sp.Matrix([[b1, sp.I * b2], [sp.I * b3, b4]])
+    residual = form_matrix(on_class) - (b1 * b4 + b2 * b3 - 1) * sigma_x
+    assert residual.applyfunc(_simplified) == sp.zeros(2, 2)
