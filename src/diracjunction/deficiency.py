@@ -38,8 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary import Island, random_spinor
-from .correspondence import ExtensionClass, Transmitting, mu_constant
+from .boundary import Island
+from .correspondence import ExtensionClass, Transmitting, check_mass, mu_constant
 from .errors import OutsideIslandError, QuadratureFailureError, ValidationError
 from .matrix2 import as_c2vector
 
@@ -80,14 +80,23 @@ class BoundaryPair:
         object.__setattr__(self, "at_minus", as_c2vector(self.at_minus))
         object.__setattr__(self, "at_plus", as_c2vector(self.at_plus))
 
-    def magnitude(self) -> float:
-        return float(
-            max(np.abs(self.at_minus).max(), np.abs(self.at_plus).max())
-        )
+
+class _SpinorProfile:
+    """A basis term: a constant ``spinor`` times the real ``profile`` f."""
+
+    def evaluate(self, x) -> np.ndarray:
+        """Spinor value; zero outside the support. Shape (2,) + x.shape."""
+        return np.multiply.outer(np.asarray(self.spinor, dtype=complex), self.profile(x)[0])
+
+    __call__ = evaluate
+
+    def derivative(self, x) -> np.ndarray:
+        """Analytic derivative (zero outside the support)."""
+        return np.multiply.outer(np.asarray(self.spinor, dtype=complex), self.profile(x)[1])
 
 
 @dataclass(frozen=True)
-class DeficiencyFunction:
+class DeficiencyFunction(_SpinorProfile):
     """One deficiency eigenfunction, supported on a single half-line."""
 
     island: Island
@@ -97,10 +106,11 @@ class DeficiencyFunction:
     normalization: float = 1.0
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValidationError("lam must be >= 0")
-        if not self.normalization > 0.0:
-            raise ValidationError("normalization must be > 0")
+        check_mass(self.m)
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValidationError(f"lam must be finite and >= 0, got {self.lam!r}")
+        if not 0.0 < self.normalization < math.inf:
+            raise ValidationError("normalization must be finite and > 0")
 
     @property
     def rate(self) -> float:
@@ -110,28 +120,24 @@ class DeficiencyFunction:
     def spinor(self) -> np.ndarray:
         return eigen_spinor(self.island, self.sign, self.m)
 
-    def _support_mask(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def support(self) -> tuple[float, float]:
+        """The closed half-line the function lives on."""
         if self.island is Island.LEFT:
-            return x <= -self.lam
-        return x >= self.lam
+            return -math.inf, -self.lam
+        return self.lam, math.inf
 
-    def evaluate(self, x) -> np.ndarray:
-        """Spinor value; zero outside the closed half-line. Shape (2,) + x.shape."""
+    def profile(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Real radial factor f and its derivative f'."""
         xs = np.asarray(x, dtype=float)
-        sgn = 1.0 if self.island is Island.LEFT else -1.0
+        left = self.island is Island.LEFT
+        sgn = 1.0 if left else -1.0
         radial = np.where(
-            self._support_mask(xs),
+            xs <= -self.lam if left else xs >= self.lam,
             self.normalization * np.exp(sgn * self.rate * xs),
             0.0,
         )
-        return np.multiply.outer(self.spinor, radial)
-
-    __call__ = evaluate
-
-    def derivative(self, x) -> np.ndarray:
-        """Analytic derivative inside the half-line (zero outside)."""
-        sgn = 1.0 if self.island is Island.LEFT else -1.0
-        return sgn * self.rate * self.evaluate(x)
+        return radial, sgn * self.rate * radial
 
     def boundary_pair(self) -> BoundaryPair:
         """One-sided traces at the faces; the off-island face is zero."""
@@ -152,10 +158,8 @@ def ode_residual(f: DeficiencyFunction, x: float, h: float) -> float:
     if h <= 0.0:
         raise ValidationError("h must be > 0")
     x = float(x)
-    inside = (
-        x + h < -f.lam if f.island is Island.LEFT else x - h > f.lam
-    )
-    if not inside:
+    lo, hi = f.support
+    if not (lo < x - h and x + h < hi):
         raise OutsideIslandError(
             f"stencil [{x - h}, {x + h}] is not strictly inside the {f.island.value} half-line"
         )
@@ -174,15 +178,18 @@ def _simpson_points(n: int) -> int:
     return n
 
 
-def _simpson(y: np.ndarray, xs: np.ndarray):
-    """Composite Simpson rule for samples ``y`` on the equally spaced grid ``xs``.
+def _simpson(xs: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights w on the equally spaced grid ``xs``: the
+    integral of samples ``y`` is ``w @ y``.
 
     Only odd-length grids are accepted, where the rule is exact for cubics;
     there is no even-length correction.
     """
     n = _simpson_points(xs.size)
-    h = (xs[-1] - xs[0]) / (n - 1)
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * ((xs[-1] - xs[0]) / (3.0 * (n - 1)))
 
 
 def _island_grid(island: Island, lam: float, reach: float, n: int) -> np.ndarray:
@@ -202,16 +209,18 @@ def gram_matrix(
 ) -> np.ndarray:
     """Quadrature Gram matrix of the two eigenfunctions of one branch.
 
-    Off-diagonal entries are exactly zero (disjoint supports); the
-    diagonals are computed by composite Simpson on each half-line,
-    truncated where the integrand is below double precision.
-    ``num_points`` must be odd and at least 3 (:class:`ValidationError`
-    otherwise).  With
+    Off-diagonal entries are exactly zero (disjoint supports); each
+    diagonal is |u|^2 times the composite-Simpson integral of f^2 for the
+    eigenfunction u f on its half-line, truncated where the integrand is
+    below double precision.  ``num_points`` must be odd and at least 3, and
+    ``extent`` finite and > 0 (:class:`ValidationError` otherwise).  With
     ``normalization=None`` the reference prefactor is used, making the
     diagonal e^{-4 sqrt(1+m^2) lam}.  Rank 2 certifies deficiency
     indices (2, 2).
     """
     rate = decay_rate(m)
+    if extent is not None and not (math.isfinite(extent) and extent > 0.0):
+        raise ValidationError(f"extent must be finite and > 0, got {extent!r}")
     reach = extent if extent is not None else 40.0 / rate
     norm = reference_normalization(m, lam) if normalization is None else float(normalization)
     # truncated tail of the norm integral, bounded analytically
@@ -220,8 +229,8 @@ def gram_matrix(
     for island in (Island.LEFT, Island.RIGHT):
         f = DeficiencyFunction(island, sign, m, lam, norm)
         xs = _island_grid(island, lam, reach, num_points)
-        vals = f.evaluate(xs)
-        diag.append(float(_simpson(np.abs(vals[0]) ** 2 + np.abs(vals[1]) ** 2, xs)))
+        spin = float(np.sum(np.abs(f.spinor) ** 2))
+        diag.append(spin * float(_simpson(xs) @ f.profile(xs)[0] ** 2))
     if tail > 1e-13 * max(1.0, *diag):
         raise QuadratureFailureError(
             f"truncation tail {tail:.3e} exceeds tolerance for extent {reach}"
@@ -249,7 +258,7 @@ def boundary_form(psi: BoundaryPair, phi: BoundaryPair) -> complex:
 
 
 @dataclass(frozen=True)
-class SmoothBump:
+class SmoothBump(_SpinorProfile):
     """C-infinity bump spinor supported strictly inside one half-line.
 
     value(x) = spinor * exp(1 - 1/(1 - t^2)) with t = (x - center)/width;
@@ -264,9 +273,9 @@ class SmoothBump:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise ValidationError("width must be > 0")
-        lo, hi = self.center - self.width, self.center + self.width
+        if not (self.width > 0.0 and math.isfinite(self.center)):
+            raise ValidationError("bump width must be > 0 and its center finite")
+        lo, hi = self.support
         inside = hi < -self.lam if self.island is Island.LEFT else lo > self.lam
         if not inside:
             raise ValidationError(
@@ -274,13 +283,12 @@ class SmoothBump:
             )
 
     @property
-    def reach(self) -> float:
-        """Distance from the face to the far edge of the support."""
-        if self.island is Island.LEFT:
-            return -self.lam - (self.center - self.width)
-        return (self.center + self.width) - self.lam
+    def support(self) -> tuple[float, float]:
+        """The open interval the bump lives on."""
+        return self.center - self.width, self.center + self.width
 
-    def _profile(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def profile(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Real profile f and its derivative f'."""
         t = (np.asarray(x, dtype=float) - self.center) / self.width
         mask = np.abs(t) < 1.0 - 1e-12
         tm = np.where(mask, t, 0.0)
@@ -290,14 +298,6 @@ class SmoothBump:
             mask, core * (-2.0 * tm / (1.0 - tm**2) ** 2) / self.width, 0.0
         )
         return core, dcore
-
-    def evaluate(self, x) -> np.ndarray:
-        core, _ = self._profile(x)
-        return np.multiply.outer(np.asarray(self.spinor, dtype=complex), core)
-
-    def derivative(self, x) -> np.ndarray:
-        _, dcore = self._profile(x)
-        return np.multiply.outer(np.asarray(self.spinor, dtype=complex), dcore)
 
     def boundary_pair(self) -> BoundaryPair:
         zero = np.zeros(2, dtype=complex)
@@ -326,29 +326,24 @@ def _check_terms(terms: Sequence[CombinationTerm], m: float, lam: float) -> floa
             raise ValidationError("all terms must share the junction half-length")
         if isinstance(term, DeficiencyFunction) and term.m != m:
             raise ValidationError("deficiency terms must share the operator mass")
-        if isinstance(term, SmoothBump):
-            reach = max(reach, term.reach + 1.0)
+        if isinstance(term, SmoothBump):  # cover the far edge of its support
+            lo, hi = term.support
+            reach = max(reach, (-lam - lo if term.island is Island.LEFT else hi - lam) + 1.0)
     return reach
 
 
-def _combination_on_grid(
-    terms: Sequence[CombinationTerm], island: Island, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    vals = np.zeros((2, xs.size), dtype=complex)
-    ders = np.zeros((2, xs.size), dtype=complex)
-    for coef, term in terms:
-        if term.island is island:
-            vals += coef * term.evaluate(xs)
-            ders += coef * term.derivative(xs)
-    return vals, ders
-
-
-def _apply_operator(vals: np.ndarray, ders: np.ndarray, m: float) -> np.ndarray:
-    """sigma_x (-i d/dx) + m sigma_z, applied with analytic derivatives."""
-    out = np.empty_like(vals)
-    out[0] = -1j * ders[1] + m * vals[0]
-    out[1] = -1j * ders[0] - m * vals[1]
-    return out
+def _profiles(terms: Sequence[CombinationTerm], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spinors c u of the terms (K, 2) and their real profiles on ``xs``
+    (2K, n): rows f_1..f_K, then f'_1..f'_K.  A row is filled only on the
+    indices covering its term's support, plus one point of margin, and the
+    term's own mask still applies there, so it equals the full-grid row."""
+    rows = np.zeros((2, len(terms), xs.size))
+    for k, (_, term) in enumerate(terms):
+        i, j = np.searchsorted(xs, term.support)
+        window = slice(max(i - 1, 0), j + 1)
+        rows[:, k, window] = term.profile(xs[window])
+    spinors = [coef * np.asarray(term.spinor, dtype=complex) for coef, term in terms]
+    return np.array(spinors), rows.reshape(2 * len(terms), xs.size)
 
 
 def boundary_form_quadrature(
@@ -360,23 +355,29 @@ def boundary_form_quadrature(
 ) -> complex:
     """<H psi | phi> - <psi | H phi> by composite Simpson on both half-lines.
 
-    ``num_points`` must be odd and at least 3 (:class:`ValidationError`
-    otherwise).
-
-    The maximal operator is applied analytically on the basis functions, so
-    the only error source is the quadrature itself; the result matches
+    Each term is a constant spinor u times a real profile f, and the mass
+    part of H = sigma_x (-i d/dx) + m sigma_z cancels, so a psi term
+    (c, u, f) against a phi term (d, v, g) adds i c* d (u^H sigma_x v)
+    times the integral of (f g)', taken from one Simpson-weighted product
+    of the stacked profiles per half-line.  ``num_points`` must be odd and
+    at least 3 (:class:`ValidationError` otherwise).  The result matches
     :func:`boundary_form` of the combinations' boundary values.
     """
+    check_mass(m)
     reach = max(_check_terms(psi_terms, m, lam), _check_terms(phi_terms, m, lam))
+    _simpson_points(num_points)
     total = 0.0 + 0.0j
     for island in (Island.LEFT, Island.RIGHT):
+        psi = [(c, t) for c, t in psi_terms if t.island is island]
+        phi = [(c, t) for c, t in phi_terms if t.island is island]
+        if not (psi and phi):
+            continue  # the integrand vanishes identically
         xs = _island_grid(island, lam, reach, num_points)
-        pv, pd = _combination_on_grid(psi_terms, island, xs)
-        qv, qd = _combination_on_grid(phi_terms, island, xs)
-        hp = _apply_operator(pv, pd, m)
-        hq = _apply_operator(qv, qd, m)
-        integrand = (np.conj(hp) * qv - np.conj(pv) * hq).sum(axis=0)
-        total += complex(_simpson(integrand, xs))
+        (a, p), (b, q) = _profiles(psi, xs), _profiles(phi, xs)
+        integrals = (p * _simpson(xs)) @ q.T  # [f; f'] against [g; g']
+        slopes = integrals[len(psi):, :len(phi)] + integrals[:len(psi), len(phi):]
+        spin = np.conj(a[:, :1]) * b[:, 1] + np.conj(a[:, 1:]) * b[:, 0]  # c* d u^H sigma_x v
+        total += 1j * complex((spin * slopes).sum())
     return total
 
 
@@ -403,19 +404,13 @@ class SelfAdjointReport:
         )
 
 
-def _domain_pair(bc: ExtensionClass, rng: np.random.Generator) -> BoundaryPair:
-    if isinstance(bc, Transmitting):
-        v = random_spinor(rng)
-        return BoundaryPair(at_minus=v, at_plus=bc.alpha.matrix() @ v)
-    rho = bc.rho
-
-    def face(r: float) -> np.ndarray:
-        s = complex(*rng.standard_normal(2))
-        if math.isinf(r):
-            return np.array([0.0, s])
-        return np.array([s, 1j * r * s])
-
-    return BoundaryPair(at_minus=face(rho.rho_minus), at_plus=face(rho.rho_plus))
+def _face(r: float, s) -> np.ndarray:
+    """Spinors s (1, i r) satisfying rho = r at a face, or s (0, 1) for
+    r = inf, with (up, down) on a new last axis."""
+    s = np.asarray(s, dtype=complex)
+    if math.isinf(r):
+        return np.stack([np.zeros_like(s), s], axis=-1)
+    return np.stack([s, 1j * r * s], axis=-1)
 
 
 def _violating_pairs(bc: ExtensionClass) -> dict[str, BoundaryPair]:
@@ -433,15 +428,9 @@ def _violating_pairs(bc: ExtensionClass) -> dict[str, BoundaryPair]:
             return e1.copy()  # psi_up must vanish but does not
         return np.array([1.0, 1j * r + 1.0])
 
-    valid_plus = (
-        np.array([0.0, 1.0]) if math.isinf(rho.rho_plus) else np.array([1.0, 1j * rho.rho_plus])
-    )
-    valid_minus = (
-        np.array([0.0, 1.0]) if math.isinf(rho.rho_minus) else np.array([1.0, 1j * rho.rho_minus])
-    )
     return {
-        "plus_face": BoundaryPair(at_minus=valid_minus, at_plus=violate(rho.rho_plus)),
-        "minus_face": BoundaryPair(at_minus=violate(rho.rho_minus), at_plus=valid_plus),
+        "plus_face": BoundaryPair(at_minus=_face(rho.rho_minus, 1.0), at_plus=violate(rho.rho_plus)),
+        "minus_face": BoundaryPair(at_minus=violate(rho.rho_minus), at_plus=_face(rho.rho_plus, 1.0)),
     }
 
 
@@ -457,15 +446,25 @@ def verify_selfadjoint_domain(
     boundary form vanishes on all ordered pairs (symmetry of the restricted
     operator); then exhibits, for each face, a condition-violating pair
     whose form against some in-domain pair is bounded away from zero
-    (adding it would break symmetry, so the domain is maximal).  The form
-    over all ordered pairs is evaluated as one (samples, samples) array.
+    (adding it would break symmetry, so the domain is maximal).  All
+    samples come from one (samples, 2, 2) draw, and the form over all
+    ordered pairs is evaluated as one (samples, samples) array.
     """
-    rng = np.random.default_rng(seed)
-    pairs = [_domain_pair(bc, rng) for _ in range(samples)]
-    # all ordered pairs at once: row i is psi = pairs[i], column j is phi = pairs[j]
-    pm = np.array([p.at_minus for p in pairs], dtype=complex).reshape(-1, 2)
-    pp = np.array([p.at_plus for p in pairs], dtype=complex).reshape(-1, 2)
-    mags = np.array([p.magnitude() for p in pairs])
+    if samples < 0:
+        raise ValidationError(f"samples must be >= 0, got {samples!r}")
+    # one draw in the order per-sample draws would take it: a transmitting
+    # sample is v = re + i im at -L and B v at +L; a separating one scales
+    # its -L and +L faces by one complex normal each
+    draws = np.random.default_rng(seed).standard_normal((samples, 2, 2))
+    if isinstance(bc, Transmitting):
+        pm = draws[:, 0] + 1j * draws[:, 1]
+        # a stack of matrix-vector products rounds as one B @ v per sample
+        pp = (bc.alpha.matrix() @ pm[..., None])[..., 0]
+    else:
+        s = draws[..., 0] + 1j * draws[..., 1]
+        pm, pp = _face(bc.rho.rho_minus, s[:, 0]), _face(bc.rho.rho_plus, s[:, 1])
+    # row i is psi = sample i, column j is phi = sample j
+    mags = np.maximum(np.abs(pm).max(axis=1), np.abs(pp).max(axis=1))
     scale = np.maximum(1.0, mags[:, None] * mags[None, :])
     forms = _boundary_forms(pm[:, None], pp[:, None], pm[None], pp[None])
     worst = float(np.max(np.abs(forms) / scale, initial=0.0))

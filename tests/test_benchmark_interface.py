@@ -5,9 +5,11 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 
 import diracjunction
+from diracjunction.deficiency import boundary_form_quadrature, gram_matrix
 from diracjunction.scattering import ScatteringResult
 
 CHILD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "child.py")
@@ -47,3 +49,9 @@ def test_every_name_the_benchmark_calls_resolves():
 def test_scattering_result_keeps_the_fields_the_benchmark_reads():
     fields = {f.name for f in dataclasses.fields(ScatteringResult)}
     assert {"E", "k", "lam", "r", "t", "R", "T", "flag"} <= fields
+
+
+def test_quadratures_keep_the_num_points_argument():
+    # perfbench/tracing.py binds ``num_points`` by name to count quadrature points
+    for func, default in ((gram_matrix, 2**16 + 1), (boundary_form_quadrature, 2**15 + 1)):
+        assert inspect.signature(func).parameters["num_points"].default == default
