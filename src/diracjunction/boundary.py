@@ -22,7 +22,6 @@ fuzzing entry point can reuse them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
@@ -33,7 +32,7 @@ from .errors import (
     ValidationError,
     ZeroParameterError,
 )
-from .matrix2 import DEFAULT_TOL, arg_2pi, as_c2vector
+from .matrix2 import DEFAULT_TOL, arg_2pi, as_c2vector, record_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,33 +54,48 @@ def _check_extended_real(value: float, name: str) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class RhoBC:
-    """Separating condition; each component is finite or +inf."""
-
+@record_type
+class _RhoFields(NamedTuple):
     rho_plus: float
     rho_minus: float
 
-    def __post_init__(self):
-        _check_extended_real(self.rho_plus, "rho_plus")
-        _check_extended_real(self.rho_minus, "rho_minus")
+
+class RhoBC(_RhoFields):
+    """Separating condition; each component is finite or +inf."""
+
+    __slots__ = ()
+
+    def __new__(cls, rho_plus: float, rho_minus: float):
+        _check_extended_real(rho_plus, "rho_plus")
+        _check_extended_real(rho_minus, "rho_minus")
+        return super().__new__(cls, rho_plus, rho_minus)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class AlphaBC:
-    """Transmitting condition parameters (a1, a2, a3, a4)."""
-
+@record_type
+class _AlphaFields(NamedTuple):
     a1: complex
     a2: complex
     a3: complex
     a4: complex
 
-    def as_tuple(self) -> tuple[complex, complex, complex, complex]:
-        return (complex(self.a1), complex(self.a2), complex(self.a3), complex(self.a4))
+
+class AlphaBC(_AlphaFields):
+    """Transmitting condition parameters (a1, a2, a3, a4).  The reports of
+    :func:`validate_class` are kept in ``__dict__``, which equality,
+    hashing, ``repr``, pickling and copying ignore."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __getstate__(self):
-        # the reports validate_class keeps in __dict__ are not state
-        return {name: self.__dict__[name] for name in ("a1", "a2", "a3", "a4")}
+        return None  # the stored reports are not state
+
+    def as_tuple(self) -> tuple[complex, complex, complex, complex]:
+        return (complex(self.a1), complex(self.a2), complex(self.a3), complex(self.a4))
 
     def matrix(self) -> np.ndarray:
         """The boundary matrix [[a1, a2], [a3, a4]]."""
@@ -90,8 +104,8 @@ class AlphaBC:
         return np.array([[self.a1, self.a2], [self.a3, self.a4]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class BDForm:
+@record_type
+class BDForm(NamedTuple):
     """Real four-parameter form: theta in [0, 2*pi), b1*b4 + b2*b3 = 1."""
 
     theta: float

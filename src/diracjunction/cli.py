@@ -12,8 +12,9 @@ Complex flag values accept ``a+bi`` shorthand or JSON ``[re, im]``;
 the infinite separating parameter is spelled ``inf``.
 
 A unitary payload is carried as a pair of pairs of Python complex.
-Only ``scatter`` and ``verify --fuzz`` import ``numpy``, when they run;
-every other command, ``verify`` of one condition included, runs without it.
+Only a ``scatter`` sweep of more than
+:data:`~.scattering.SCALAR_SWEEP_MAX` energies imports ``numpy``; every
+other command runs without it.
 """
 
 from __future__ import annotations
@@ -312,10 +313,15 @@ def cmd_verify(args) -> int:
 
 def _sweep_fields(cols: ScatteringColumns) -> list[list]:
     """A sweep's output fields in :data:`CSV_HEADER` order, one list per field;
-    ``flag`` is always empty."""
-    values = (cols.E, cols.k, cols.lam, cols.r.real, cols.r.imag,
-              cols.t.real, cols.t.imag, cols.R, cols.T, cols.phase_t)
-    return [v.tolist() for v in values] + [[""] * cols.E.size]
+    ``flag`` is always empty.  The columns are lists or numpy arrays."""
+    if isinstance(cols.E, list):
+        r, t = cols.r, cols.t
+        values = [cols.E, cols.k, cols.lam, [z.real for z in r], [z.imag for z in r],
+                  [z.real for z in t], [z.imag for z in t], cols.R, cols.T, cols.phase_t]
+    else:
+        values = [v.tolist() for v in (cols.E, cols.k, cols.lam, cols.r.real, cols.r.imag,
+                                       cols.t.real, cols.t.imag, cols.R, cols.T, cols.phase_t)]
+    return values + [[""] * len(cols.E)]
 
 
 def _csv_text(records) -> str:
@@ -335,7 +341,7 @@ def cmd_scatter(args) -> int:
     from . import scattering
 
     bc = _payload(args, _CONDITION)
-    if isinstance(bc, tuple):  # a unitary
+    if not isinstance(bc, correspondence.ExtensionClass):  # a unitary
         bc = correspondence.classify(bc, args.mass, args.tol)
     try:
         cols = scattering.sweep_columns(

@@ -25,8 +25,7 @@ workers freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .boundary import AlphaBC, RhoBC, alpha_to_bd, require_class
 from .errors import (
@@ -43,6 +42,7 @@ from .matrix2 import (
     as_c2matrix,
     is_diagonal,
     is_unitary,
+    record_type,
     split_unitary,
 )
 
@@ -64,15 +64,15 @@ def mu_constant(m: float) -> complex:
     return complex(1.0 / s, m / s)
 
 
-@dataclass(frozen=True)
-class Separating:
+@record_type
+class Separating(NamedTuple):
     """Extension acting independently on the two half-lines."""
 
     rho: RhoBC
 
 
-@dataclass(frozen=True)
-class Transmitting:
+@record_type
+class Transmitting(NamedTuple):
     """Extension coupling the half-lines through the junction."""
 
     alpha: AlphaBC
@@ -424,8 +424,8 @@ def closed_form_u2_candidate(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> 
     )
 
 
-@dataclass(frozen=True)
-class ClosedFormComparison:
+@record_type
+class ClosedFormComparison(NamedTuple):
     """Three-way classification of the closed-form candidate against the
     solved extension: componentwise equal, equal to the flipped sign-pair
     member, or neither."""

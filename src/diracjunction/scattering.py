@@ -26,21 +26,21 @@ it the few operations that differ (:data:`_SCALAR_OPS`, :func:`_array_ops`).
 :func:`scatter_batch` evaluates it once on a whole energy array and
 returns columns (:class:`ScatteringColumns`); :func:`scatter_alpha` and
 :func:`scatter_rho` evaluate it on one energy, without ``numpy``, and give
-bit for bit the batch's row.
+bit for bit the batch's row.  :func:`sweep_columns` takes either path by
+the size of its grid.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, require_class
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
 from .errors import BelowGapError
-from .matrix2 import DEFAULT_TOL
+from .matrix2 import DEFAULT_TOL, record_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -114,8 +114,8 @@ def _wavenumbers(E, m: float, sqrt):
     return (2.0 * k if halve else k), lam
 
 
-@dataclass(frozen=True)
-class ScatteringResult:
+@record_type
+class ScatteringResult(NamedTuple):
     """Reflection/transmission amplitudes at one energy."""
 
     E: float
@@ -129,9 +129,9 @@ class ScatteringResult:
     flag: str | None = None  # always None: a class member's matching system is never singular
 
 
-@dataclass(frozen=True)
-class ScatteringColumns:
-    """Scattering results over an energy grid, one array per quantity."""
+@record_type
+class ScatteringColumns(NamedTuple):
+    """Scattering results over an energy grid, one array or list per quantity."""
 
     E: np.ndarray
     k: np.ndarray
@@ -156,7 +156,7 @@ class ScatteringColumns:
         )
 
     def rows(self) -> list[ScatteringResult]:
-        return [self.row(i) for i in range(self.E.size)]
+        return [self.row(i) for i in range(len(self.E))]
 
 
 def _quotient(nr, ni, dr, di, ops):
@@ -265,6 +265,14 @@ def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> S
     return _scatter_one(Separating(rho), E, m, face)
 
 
+#: Sweeps of at most this many energies run on Python floats, without
+#: ``numpy``: below it, importing numpy (about 130 ms of a process) costs
+#: more than the scalar kernel's extra time per energy, about 7 us for a
+#: transmitting condition (where whole processes break even) and 2 us for
+#: a separating one.
+SCALAR_SWEEP_MAX = 16_000
+
+
 def sweep_columns(
     bc: ExtensionClass,
     e_min: float,
@@ -274,19 +282,37 @@ def sweep_columns(
     face: Island = Island.LEFT,
     tol: float = DEFAULT_TOL,
 ) -> ScatteringColumns:
-    """Uniform energy grid of scattering results, ordered by E, as columns."""
+    """Uniform energy grid of scattering results, ordered by E, as columns.
+
+    The columns are lists of Python numbers for at most
+    :data:`SCALAR_SWEEP_MAX` energies, and numpy arrays
+    (:func:`scatter_batch`) above it.  Both are the grid of
+    ``numpy.linspace`` and its rows, bit for bit.
+    """
     m = check_mass(m)
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not (m < e_min < e_max < math.inf):
         raise ValueError("need m < e_min < e_max, all finite")
-    import numpy as np
+    if steps > SCALAR_SWEEP_MAX:
+        import numpy as np
 
-    try:
-        grid = np.linspace(e_min, e_max, steps)
-    except MemoryError as exc:  # numpy's message names the size it asked for
-        raise ValueError(f"no energy grid of {steps} steps: {exc}") from exc
-    return scatter_batch(bc, grid, m, face, tol)
+        try:
+            grid = np.linspace(e_min, e_max, steps)
+        except MemoryError as exc:  # numpy's message names the size it asked for
+            raise ValueError(f"no energy grid of {steps} steps: {exc}") from exc
+        return scatter_batch(bc, grid, m, face, tol)
+    # numpy.linspace's arithmetic, with the last point set to e_max
+    start, div = float(e_min), steps - 1
+    delta = float(e_max) - start
+    step = delta / div
+    if step:
+        grid = [i * step + start for i in range(div)]
+    else:  # the step underflowed to 0
+        grid = [i / div * delta + start for i in range(div)]
+    grid.append(float(e_max))
+    rows = [_columns(bc, E, m, face, tol, _SCALAR_OPS) for E in grid]
+    return ScatteringColumns(grid, *map(list, zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +323,8 @@ def sweep_columns(
 DEMO_E, DEMO_M = 1.0, 0.0
 
 
-@dataclass(frozen=True)
-class UnitReport:
+@record_type
+class UnitReport(NamedTuple):
     """One junction unit: its condition, transparency, and spin action."""
 
     name: str
@@ -313,8 +339,8 @@ class UnitReport:
     swaps_spin: bool
 
 
-@dataclass(frozen=True)
-class PhaseVariant:
+@record_type
+class PhaseVariant(NamedTuple):
     theta: float
     t: complex
     T: float
@@ -329,8 +355,8 @@ class PhaseVariant:
         )
 
 
-@dataclass(frozen=True)
-class SwitchDemoReport:
+@record_type
+class SwitchDemoReport(NamedTuple):
     unit0: UnitReport
     unit1: UnitReport
     phase_variants: tuple[PhaseVariant, ...]

@@ -520,15 +520,17 @@ class TestExitCodeContract:
 
 
 #: Runs the CLI as ``python -m diracjunction.cli ARGS`` does, then prints its
-#: exit code and which of numpy and scipy it loaded as the last stderr line.
+#: exit code and which of numpy, scipy, dataclasses and inspect it loaded as
+#: the last stderr line.
 _MODULES_PROBE = """
 import runpy, sys
 try:
     runpy.run_module("diracjunction.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(code, sorted({"numpy", "scipy"} & set(sys.modules)), file=sys.stderr)
+print(code, sorted({"numpy", "scipy", "dataclasses", "inspect"} & set(sys.modules)), file=sys.stderr)
 """
+_SWEEP = ["--emin", "1.2", "--emax", "3", "--steps", "16"]
 
 
 class TestNumpyFreeStart:
@@ -555,6 +557,13 @@ class TestNumpyFreeStart:
             (["verify", "--matrix", ROT_JSON], 0),
             (["verify", "--matrix", SHEAR_JSON], 2),
             (["verify", "--alpha", "1,1,0,1"], 1),
+            (["verify", "--fuzz", "50"], 0),
+            (["scatter", "--alpha", "0,1,1,0", "--mass", "1", *_SWEEP], 0),
+            (["scatter", "--rho", "inf,0.5", "--mass", "1", "--face", "right", *_SWEEP, "--format", "json"], 0),
+            (["scatter", "--gamma", "0,-i,i", "--mass", "0.5", *_SWEEP], 0),
+            (["scatter", "--alpha", "0,1,1,0", "--mass", "0", *_SWEEP, "--format", "json"], 0),
+            (["scatter", "--alpha", "1,1,0,1", *_SWEEP], 2),
+            (["scatter", "--rho", "0,0", "--mass", "2", *_SWEEP], 2),
         ],
     )
     def test_scalar_commands_leave_numpy_out(self, argv, code):

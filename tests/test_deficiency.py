@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,6 +223,15 @@ class TestGram:
     def test_extent_must_be_finite_and_positive(self, extent):
         with pytest.raises(ValidationError, match="extent"):
             gram_matrix(Sign.PLUS, m=0.0, lam=0.0, extent=extent)
+
+    @pytest.mark.parametrize("lam", [200.0, 800.0])
+    def test_underflowing_reference_diagonal_names_lam(self, lam):
+        # e^{-4 lam} underflows: at 200 the Gram was all zero (rank 0), at
+        # 800 the prefactor itself underflowed and blamed the normalization
+        with pytest.raises(ValidationError, match=r"lam = .* 0 <= lam <= 177\.099"):
+            gram_matrix(Sign.PLUS, m=0.0, lam=lam)
+        top = -math.log(sys.float_info.min) / 4.0
+        assert np.linalg.matrix_rank(gram_matrix(Sign.PLUS, m=0.0, lam=top), tol=0.0) == 2
 
     @pytest.mark.parametrize("sign", list(Sign))
     @pytest.mark.parametrize("m, lam", [(0.0, 0.0), (0.5, 0.7), (10.0, 0.25)])

@@ -15,10 +15,13 @@ from diracjunction.boundary import (
     random_alpha,
     random_rho,
 )
+from diracjunction import scattering
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.deficiency import Island
 from diracjunction.errors import BelowGapError, NotInClassError
 from diracjunction.scattering import (
+    SCALAR_SWEEP_MAX,
+    ScatteringColumns,
     ScatteringResult,
     scatter_alpha,
     scatter_batch,
@@ -187,6 +190,26 @@ class TestSweep:
         assert ts[0] < 1e-5
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
+    @pytest.mark.parametrize("steps", [2, 9, SCALAR_SWEEP_MAX, SCALAR_SWEEP_MAX + 1])
+    def test_scalar_and_batch_paths_agree_to_the_bit(self, monkeypatch, steps):
+        # each grid size on both paths, whichever side of the constant it is on
+        rng = np.random.default_rng(steps)
+        cases = [
+            (Transmitting(random_alpha(rng)), 0.7, 0.9, 5.3, Island.LEFT),
+            (Separating(random_rho(rng)), 10.0, 10.2, 13.0, Island.RIGHT),
+            (Separating(RhoBC(0.3, math.inf)), 0.0, 5e-324, 1e-323, Island.LEFT),  # the step underflows
+            (Transmitting(SPIN_FLIP), 1e308, 1.5e308, 1.7e308, Island.LEFT),
+        ]
+        for bc, m, e_min, e_max, face in cases:
+            monkeypatch.setattr(scattering, "SCALAR_SWEEP_MAX", steps)
+            scalar = sweep_columns(bc, e_min, e_max, steps, m, face)
+            monkeypatch.setattr(scattering, "SCALAR_SWEEP_MAX", steps - 1)
+            batch = sweep_columns(bc, e_min, e_max, steps, m, face)
+            assert isinstance(scalar.E, list) and isinstance(batch.E, np.ndarray)
+            assert list(map(repr, scalar.E)) == list(map(repr, np.linspace(e_min, e_max, steps).tolist()))
+            for name in ScatteringColumns._fields:
+                assert list(map(repr, getattr(scalar, name))) == list(map(repr, getattr(batch, name).tolist())), name
+
     def test_off_class_condition_is_rejected(self):
         # (1, 0, 1, 0) is not admissible: at m = 0 its matching determinant
         # vanishes at every energy, which no class member's can
@@ -216,7 +239,7 @@ def solve_oracle(a: AlphaBC, lam: float) -> tuple[complex, complex]:
 
 def assert_same_result(x: ScatteringResult, y: ScatteringResult) -> None:
     """Bit for bit: repr tells -0.0 from 0.0 and prints every NaN alike."""
-    for name in ScatteringResult.__dataclass_fields__:
+    for name in ScatteringResult._fields:
         u, v = getattr(x, name), getattr(y, name)
         assert type(u) is type(v) and repr(u) == repr(v), name
 
@@ -361,14 +384,14 @@ class TestScatterBatch:
             for x in (cols.k, cols.lam, cols.r, cols.t, cols.R, cols.T, cols.phase_t):
                 assert np.isfinite(x).all()
         # lambda = sqrt((E - m)/(E + m)) is exact at E = 2m, 3m up to rounding
-        np.testing.assert_allclose(cols.lam[[0, -1]], [3 ** -0.5, 2 ** -0.5], rtol=1e-15)
+        np.testing.assert_allclose([cols.lam[0], cols.lam[-1]], [3 ** -0.5, 2 ** -0.5], rtol=1e-15)
 
     def test_wavenumbers_when_e_plus_m_overflows(self):
         mpmath = pytest.importorskip("mpmath")
         m = 1e308
         cols = sweep_columns(Separating(RhoBC(0.0, 0.0)), 1.5e308, 1.7e308, 5, m)
         with mpmath.workdps(40):
-            for E, k, lam in zip(cols.E.tolist(), cols.k.tolist(), cols.lam.tolist()):
+            for E, k, lam in zip(cols.E, cols.k, cols.lam):
                 E_, m_ = mpmath.mpf(E), mpmath.mpf(m)
                 assert math.isfinite(k) and math.isfinite(lam)
                 assert abs(k - mpmath.sqrt(E_ * E_ - m_ * m_)) <= 1e-15 * k

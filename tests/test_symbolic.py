@@ -112,3 +112,35 @@ def test_boundary_form_matrix_entries_are_the_class_residuals():
     on_class = sp.exp(sp.I * theta) * sp.Matrix([[b1, sp.I * b2], [sp.I * b3, b4]])
     residual = form_matrix(on_class) - (b1 * b4 + b2 * b3 - 1) * sigma_x
     assert residual.applyfunc(_simplified) == sp.zeros(2, 2)
+
+
+def test_domain_is_its_own_form_orthogonal_complement():
+    """For any B with B^H sigma_x B = sigma_x, the graph {(v, B v)} equals
+    its complement under the boundary form
+    -i (p(+L)^H sigma_x q(+L) - p(-L)^H sigma_x q(-L)), so the domain is
+    maximal and no sampled witness is needed.
+
+    Each step is a polynomial identity in the entries of B, with
+    H = B^H sigma_x B - sigma_x, which vanishes by hypothesis:
+    - the form of two graph elements is -i v^H H w, so the graph lies in
+      its complement;
+    - q = (w-, w+) is in the complement iff -sigma_x w- + B^H sigma_x w+ = 0,
+      that is w- = K w+ with K = sigma_x B^H sigma_x;
+    - (1 - B K) B = -B sigma_x H = 0, and B is invertible since
+      det(B^H sigma_x B) = -|det B|^2 = det sigma_x; so B K = 1 and
+      w+ = B w-: the complement lies in the graph.
+    """
+    xs = sp.symbols("x1:5", real=True)
+    ys = sp.symbols("y1:5", real=True)
+    a1, a2, a3, a4 = (x + sp.I * y for x, y in zip(xs, ys))
+    b = sp.Matrix([[a1, a2], [a3, a4]])
+    one, zero = sp.eye(2), sp.zeros(2, 2)
+    sigma_x = sp.Matrix([[0, 1], [1, 0]])
+    h = b.H * sigma_x * b - sigma_x
+    form = -sp.I * sp.diag(-sigma_x, sigma_x)  # on (p(-L), p(+L)) stacked
+    graph = sp.Matrix.vstack(one, b)
+    assert (graph.H * form * graph + sp.I * h).applyfunc(sp.expand) == zero
+    assert (graph.H * form + sp.I * sp.Matrix.hstack(-sigma_x, b.H * sigma_x)).applyfunc(sp.expand) == sp.zeros(2, 4)
+    k = sigma_x * b.H * sigma_x
+    assert ((one - b * k) * b + b * sigma_x * h).applyfunc(sp.expand) == zero
+    assert sp.expand((b.H * sigma_x * b).det() + b.det() * sp.conjugate(b.det())) == 0
