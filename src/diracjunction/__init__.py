@@ -21,13 +21,10 @@ _EXPORTS = {
         "Island",
         "RhoBC",
         "alpha_to_bd",
-        "apply_alpha",
         "bd_to_alpha",
-        "current",
         "invert_alpha",
         "make_phase_shift",
         "make_spin_flip",
-        "satisfies_rho",
         "validate_class",
     ),
     "correspondence": (
@@ -61,7 +58,6 @@ _EXPORTS = {
         "compose",
         "decompose_u2",
         "is_diagonal",
-        "is_su2",
         "is_unitary",
     ),
     "scattering": (

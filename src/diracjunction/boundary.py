@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     ZeroParameterError,
 )
-from .matrix2 import DEFAULT_TOL, arg_2pi, as_c2vector, record_type
+from .matrix2 import DEFAULT_TOL, arg_2pi, record_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,8 +85,9 @@ class _AlphaFields(NamedTuple):
 
 class AlphaBC(_AlphaFields):
     """Transmitting condition parameters (a1, a2, a3, a4).  The reports of
-    :func:`validate_class` are kept in ``__dict__``, which equality,
-    hashing, ``repr``, pickling and copying ignore."""
+    :func:`validate_class` and the forms of :func:`phase_form` are kept in
+    ``__dict__``, which equality, hashing, ``repr``, pickling and copying
+    ignore."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -248,29 +249,52 @@ def alpha_to_bd(a: AlphaBC, tol: float = DEFAULT_TOL) -> BDForm:
     modulus before any product is formed, so entries near the float range
     do not overflow.  The b's are
     real for class input up to rounding; residual imaginary parts beyond
-    tolerance raise :class:`NotInClassError`.
+    tolerance raise :class:`NotInClassError`.  Like the class report, the
+    form is computed once per condition object and ``tol``
+    (:func:`phase_form`).
     """
-    require_class(a, tol)
+    return phase_form(a, tol)[0]
+
+
+def phase_form(a: AlphaBC, tol: float = DEFAULT_TOL) -> tuple[BDForm, complex]:
+    """The :func:`alpha_to_bd` form and e^{i theta} as the unit complex the
+    b's were taken against (its argument is theta), kept on the condition
+    next to its class reports."""
+    forms = a.__dict__.setdefault("_bd_forms", {})
+    form = forms.get(tol)
+    if form is None:
+        require_class(a, tol)
+        form = forms[tol] = _extract_form(a, tol)
+    return form
+
+
+def _extract_form(a: AlphaBC, tol: float) -> tuple[BDForm, complex]:
+    """The :func:`phase_form` of a class member, computed afresh."""
     a1, a2, a3, a4 = a.as_tuple()
-    if abs(a1) > tol * max(abs(a1), abs(a3)):
+    r1, r3 = abs(a1), abs(a3)
+    if r1 > tol * (r1 if r1 > r3 else r3):
         theta = arg_2pi(a1)
-        r = abs(a1)
-        u = (a1 / r).conjugate()
-        bs = (complex(r), -1j * u * a2, -1j * u * a3, u * a4)
+        phase = a1 / r1
+        u = phase.conjugate()
+        w = -1j * u
+        b1, b2, b3, b4 = complex(r1), w * a2, w * a3, u * a4
     else:
         if a3 == 0:
             raise NotInClassError("a1 ~ 0 and a3 = 0: no admissible matrix has both")
-        theta = arg_2pi(-1j * a3 / abs(a3))
-        r = abs(a3)
-        u = (a3 / r).conjugate()
-        bs = (1j * u * a1, u * a2, complex(r), 1j * u * a4)
-    scale = max(1.0, max(abs(b) for b in bs))
-    worst_imag = max(abs(complex(b).imag) for b in bs)
-    if worst_imag > tol * scale:
-        raise NotInClassError(
-            f"extracted parameters are not real: max imaginary part {worst_imag:.3e}"
-        )
-    return BDForm(theta, *(float(complex(b).real) for b in bs))
+        phase = -1j * a3 / r3
+        theta = arg_2pi(phase)
+        u = (a3 / r3).conjugate()
+        w = 1j * u
+        b1, b2, b3, b4 = w * a1, u * a2, complex(r3), w * a4
+    # the limit is tol * max(1, |b_i|), so only an imaginary part over tol
+    # needs the moduli
+    if abs(b1.imag) > tol or abs(b2.imag) > tol or abs(b3.imag) > tol or abs(b4.imag) > tol:
+        worst_imag = max(abs(b1.imag), abs(b2.imag), abs(b3.imag), abs(b4.imag))
+        if worst_imag > tol * max(1.0, abs(b1), abs(b2), abs(b3), abs(b4)):
+            raise NotInClassError(
+                f"extracted parameters are not real: max imaginary part {worst_imag:.3e}"
+            )
+    return BDForm(theta, b1.real, b2.real, b3.real, b4.real), phase
 
 
 def bd_to_alpha(f: BDForm, tol: float = DEFAULT_TOL) -> AlphaBC:
@@ -284,57 +308,11 @@ def bd_to_alpha(f: BDForm, tol: float = DEFAULT_TOL) -> AlphaBC:
     return AlphaBC(phase * f.b1, 1j * phase * f.b2, 1j * phase * f.b3, phase * f.b4)
 
 
-def bd_equivalent(f: BDForm, g: BDForm, tol: float = 1e-9) -> bool:
-    """Equality of forms up to the joint flip (theta + pi, -b), which leaves
-    the assembled matrix unchanged."""
-
-    def close(x: BDForm, y: BDForm) -> bool:
-        dt = abs((x.theta - y.theta + math.pi) % TWO_PI - math.pi)
-        return dt <= tol and all(
-            abs(p - q) <= tol * max(1.0, abs(p), abs(q))
-            for p, q in zip(x.bs(), y.bs())
-        )
-
-    flipped = BDForm((g.theta + math.pi) % TWO_PI, *(-b for b in g.bs()))
-    return close(f, g) or close(f, flipped)
-
-
 def invert_alpha(a: AlphaBC, tol: float = DEFAULT_TOL) -> AlphaBC:
     """Parameters of the inverse boundary matrix: B^{-1} = [[a4*, a2*], [a3*, a1*]]."""
     require_class(a, tol)
     a1, a2, a3, a4 = a.as_tuple()
     return AlphaBC(a4.conjugate(), a2.conjugate(), a3.conjugate(), a1.conjugate())
-
-
-def apply_alpha(a: AlphaBC, v_minus) -> np.ndarray:
-    """Boundary value at the right face: B times the left-face spinor."""
-    return a.matrix() @ as_c2vector(v_minus)
-
-
-def satisfies_rho(r: RhoBC, v_minus, v_plus, tol: float = DEFAULT_TOL) -> bool:
-    """Whether boundary spinors satisfy the separating condition at both faces.
-
-    Finite rho: |i*rho*v_up - v_down| <= tol * scale; infinite rho:
-    |v_up| <= tol * scale, with scale = max(1, |v_up|, |v_down|) so tiny
-    vectors cannot pass vacuously.
-    """
-
-    def face_ok(rho: float, v: np.ndarray) -> bool:
-        up, down = complex(v[0]), complex(v[1])
-        scale = max(1.0, abs(up), abs(down))
-        if math.isinf(rho):
-            return abs(up) <= tol * scale
-        return abs(1j * rho * up - down) <= tol * scale
-
-    return face_ok(r.rho_minus, as_c2vector(v_minus)) and face_ok(
-        r.rho_plus, as_c2vector(v_plus)
-    )
-
-
-def current(v) -> float:
-    """Probability current j = 2 Re(v_up* v_down) of a boundary spinor."""
-    w = as_c2vector(v)
-    return float(2.0 * (w[0].conjugate() * w[1]).real)
 
 
 def make_spin_flip(theta: float, b2: float) -> AlphaBC:
@@ -404,7 +382,3 @@ def random_rho(rng: np.random.Generator) -> RhoBC:
 
     return RhoBC(component(), component())
 
-
-def random_spinor(rng: np.random.Generator) -> np.ndarray:
-    """Complex-normal 2-spinor."""
-    return rng.standard_normal(2) + 1j * rng.standard_normal(2)

@@ -12,9 +12,9 @@ Complex flag values accept ``a+bi`` shorthand or JSON ``[re, im]``;
 the infinite separating parameter is spelled ``inf``.
 
 A unitary payload is carried as a pair of pairs of Python complex.
-Only a ``scatter`` sweep of more than
-:data:`~.scattering.SCALAR_SWEEP_MAX` energies imports ``numpy``; every
-other command runs without it.
+No command imports ``numpy``: ``scatter`` runs the scattering kernel on
+lists of Python floats whatever the grid's size, and ``verify --fuzz``
+draws from :mod:`random`.
 """
 
 from __future__ import annotations
@@ -313,15 +313,8 @@ def cmd_verify(args) -> int:
 
 def _sweep_fields(cols: ScatteringColumns) -> list[list]:
     """A sweep's output fields in :data:`CSV_HEADER` order, one list per field;
-    ``flag`` is always empty.  The columns are lists or numpy arrays."""
-    if isinstance(cols.E, list):
-        r, t = cols.r, cols.t
-        values = [cols.E, cols.k, cols.lam, [z.real for z in r], [z.imag for z in r],
-                  [z.real for z in t], [z.imag for z in t], cols.R, cols.T, cols.phase_t]
-    else:
-        values = [v.tolist() for v in (cols.E, cols.k, cols.lam, cols.r.real, cols.r.imag,
-                                       cols.t.real, cols.t.imag, cols.R, cols.T, cols.phase_t)]
-    return values + [[""] * len(cols.E)]
+    ``flag`` is always empty."""
+    return [*cols, [""] * len(cols.E)]
 
 
 def _csv_text(records) -> str:

@@ -216,21 +216,34 @@ def gram_matrix(
     below double precision.  ``num_points`` must be odd and at least 3, and
     ``extent`` finite and > 0 (:class:`ValidationError` otherwise).  With
     ``normalization=None`` the reference prefactor is used, making the
-    diagonal e^{-4 sqrt(1+m^2) lam}; ``lam`` must then keep that a normal
-    double (:class:`ValidationError` otherwise).  Rank 2 certifies
-    deficiency indices (2, 2).
+    diagonal e^{-4 sqrt(1+m^2) lam}; with a finite nonzero normalization N
+    it is N^2 e^{-2 sqrt(1+m^2) lam}/sqrt(1+m^2).  ``lam`` must keep the
+    diagonal a normal double (:class:`ValidationError` otherwise).  Rank 2
+    certifies deficiency indices (2, 2).
     """
     rate = decay_rate(check_mass(m))
     if extent is not None and not (math.isfinite(extent) and extent > 0.0):
         raise ValidationError(f"extent must be finite and > 0, got {extent!r}")
-    top = -math.log(sys.float_info.min) / (4.0 * rate)
-    if normalization is None and not 0.0 <= lam <= top:
-        raise ValidationError(
-            f"lam = {lam!r} is out of range: the reference Gram diagonal "
-            f"e^(-4 sqrt(1+m^2) lam) is a normal double only for 0 <= lam <= {top:.6g} at m = {m!r}"
-        )
+    log_min = math.log(sys.float_info.min)
+    if normalization is None:
+        top = -log_min / (4.0 * rate)
+        if not 0.0 <= lam <= top:
+            raise ValidationError(
+                f"lam = {lam!r} is out of range: the reference Gram diagonal "
+                f"e^(-4 sqrt(1+m^2) lam) is a normal double only for 0 <= lam <= {top:.6g} at m = {m!r}"
+            )
+        norm = reference_normalization(m, lam)
+    else:
+        norm = float(normalization)
+        if not (math.isfinite(norm) and norm):
+            raise ValidationError(f"normalization must be finite and nonzero, got {normalization!r}")
+        top = (2.0 * math.log(abs(norm)) - math.log(rate) - log_min) / (2.0 * rate)
+        if not lam <= top:
+            raise ValidationError(
+                f"lam = {lam!r} is out of range: the Gram diagonal N^2 e^(-2 sqrt(1+m^2) lam)/sqrt(1+m^2) "
+                f"is a normal double only for lam <= {top:.6g} at N = {norm!r}, m = {m!r}"
+            )
     reach = extent if extent is not None else 40.0 / rate
-    norm = reference_normalization(m, lam) if normalization is None else float(normalization)
     # truncated tail of the norm integral, bounded analytically
     tail = 2.0 * norm**2 * math.exp(-2.0 * rate * (lam + reach)) / (2.0 * rate)
     diag = []

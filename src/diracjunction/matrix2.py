@@ -142,18 +142,6 @@ def is_unitary(matrix, tol: float = DEFAULT_TOL) -> bool:
     return unitarity_residual(matrix) <= tol
 
 
-def det2(matrix) -> complex:
-    """Determinant of a 2x2 matrix, computed directly."""
-    (a, b), (c, d) = as_c2matrix(matrix)
-    return a * d - b * c
-
-
-def is_su2(matrix, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the matrix is unitary with determinant 1 within tolerance."""
-    m = as_c2matrix(matrix)
-    return is_unitary(m, tol) and abs(det2(m) - 1.0) <= tol
-
-
 def is_diagonal(matrix, tol: float = DEFAULT_TOL) -> bool:
     """True iff both off-diagonal entries have magnitude <= tol."""
     (_, b), (c, _) = as_c2matrix(matrix)
@@ -218,21 +206,3 @@ def decompose_branch(matrix, tol: float = DEFAULT_TOL) -> str:
     (_, _), (u21, _) = as_c2matrix(matrix)
     return "u21_zero" if abs(u21) <= tol else "u21_nonzero"
 
-
-def random_quaternion_form(
-    rng: np.random.Generator, min_offdiag: float = 0.0
-) -> QuaternionForm:
-    """Draw a valid random form; |g2| >= min_offdiag via rejection."""
-    while True:
-        v = rng.standard_normal(4)
-        g1 = complex(v[0], v[1])
-        g2 = complex(v[2], v[3])
-        norm = math.hypot(abs(g1), abs(g2))
-        if norm < 1e-12:
-            continue
-        g1 /= norm
-        g2 /= norm
-        if abs(g2) < min_offdiag:
-            continue
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        return QuaternionForm(g1, g2, complex(math.cos(phi), math.sin(phi)))

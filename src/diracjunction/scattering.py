@@ -13,105 +13,42 @@ For a transmitting condition B the solve is
 
 with right/left-moving spinors u_{+-} = (1, +-lambda), lambda = k/(E+m);
 current conservation (B preserves j = 2 Re psi_up* psi_down) forces
-R + T = 1.  A separating condition reflects at its face with |r| = 1 and
-transmits nothing.
+R + T = 1.  In the real four-parameter form
+B = e^{i theta} [[b1, i b2], [i b3, b4]] (:func:`~.boundary.alpha_to_bd`)
+the solution is
+
+    D = lam (b1 + b4) - i (b2 lam^2 + b3),   N = lam (b4 - b1) + i (b3 - b2 lam^2),
+    r = N / D,   t = 2 lam e^{i theta} / D,   R = |N|^2 / |D|^2,   T = 4 lam^2 / |D|^2,
+
+and |D|^2 = |N|^2 + 4 lam^2 >= 4 lam^2 on the class, so the system is never
+singular above the gap.  A separating condition reflects at its face with
+|r| = 1 and transmits nothing.
 
 Only the particle branch E > m is exposed; the hole branch E < -m would
-need nothing beyond sign bookkeeping in :func:`_wavenumbers` but is left
+need nothing beyond sign bookkeeping in the wavenumbers but is left
 out as untested scope.
 
-One kernel, :func:`_columns`, computes every quantity as plain arithmetic
-that runs unchanged on Python floats and on numpy arrays: the caller hands
-it the few operations that differ (:data:`_SCALAR_OPS`, :func:`_array_ops`).
-:func:`scatter_batch` evaluates it once on a whole energy array and
-returns columns (:class:`ScatteringColumns`); :func:`scatter_alpha` and
-:func:`scatter_rho` evaluate it on one energy, without ``numpy``, and give
-bit for bit the batch's row.  :func:`sweep_columns` takes either path by
-the size of its grid.
+One kernel, :func:`_columns`, computes every quantity on a list of
+energies, in plain float arithmetic, and returns the output columns (real
+and imaginary parts apart).  :func:`sweep_columns` runs it on a uniform
+grid, :func:`scatter_alpha` and :func:`scatter_rho` on one energy, and
+:func:`scatter_batch` on an array, whose columns it returns as numpy
+arrays; only that adapter imports ``numpy``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
-from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, require_class
+from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, phase_form
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
-from .errors import BelowGapError
+from .errors import BelowGapError, NotInClassError
 from .matrix2 import DEFAULT_TOL, record_type
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: The kernel's operations on Python floats.  ``sqrt`` is correctly rounded
-#: here and in numpy, and ``exp`` of an imaginary argument agrees with
-#: ``numpy.exp``; ``atan2`` is ``math.atan2`` on both sides, because
-#: ``numpy.arctan2`` rounds differently.
-_SCALAR_OPS = SimpleNamespace(
-    sqrt=math.sqrt,
-    atan2=math.atan2,
-    exp=cmath.exp,
-    where=lambda cond, x, y: x if cond else y,
-    complex=complex,
-    full=lambda like, value: value,
-)
-
-
-def _array_ops() -> SimpleNamespace:
-    """The kernel's operations on float arrays (see :data:`_SCALAR_OPS`)."""
-    import numpy as np
-
-    def atan2(y, x):
-        y, x = np.broadcast_arrays(y, x)
-        return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, count=x.size)
-
-    def make_complex(re, im):
-        z = np.empty(re.shape, dtype=complex)
-        z.real, z.imag = re, im
-        return z
-
-    return SimpleNamespace(
-        sqrt=np.sqrt,
-        atan2=atan2,
-        exp=np.exp,
-        where=np.where,
-        complex=make_complex,
-        full=lambda like, value: np.full(like.shape, value),
-    )
-
-
-def _above_gap(E, m: float) -> np.ndarray:
-    """Energies as a float array; :class:`BelowGapError` if any E <= m."""
-    import numpy as np
-
-    E = np.asarray(E, dtype=float)
-    below = E <= m
-    if np.count_nonzero(below):
-        raise BelowGapError(
-            f"E = {float(E[below].flat[0])} is not above the mass gap m = {m}"
-        )
-    return E
-
-
-def _wavenumbers(E, m: float, sqrt):
-    """k and lambda = k/(E + m), as lambda = sqrt((E - m)/(E + m)), k = lambda (E + m).
-
-    Neither squares E, so both stay finite for huge masses and keep full
-    relative accuracy next to the gap; at m = 0 they give lambda = 1 and
-    k = E exactly.  For m > 1 both are halved first, so E + m cannot
-    overflow; halving is exact there (E > m > 1) and changes no bit of
-    either result.  For m <= 1, E + m cannot overflow, and halving could
-    round a tiny E to 0.
-    """
-    halve = m > 1.0
-    if halve:
-        E, m = 0.5 * E, 0.5 * m
-    above = E + m
-    lam = sqrt((E - m) / above)
-    k = lam * above
-    return (2.0 * k if halve else k), lam
 
 
 @record_type
@@ -129,101 +66,158 @@ class ScatteringResult(NamedTuple):
     flag: str | None = None  # always None: a class member's matching system is never singular
 
 
+def _complex_column(re, im):
+    """Complex column of real and imaginary parts, lists or arrays alike."""
+    if isinstance(re, list):
+        return list(map(complex, re, im))
+    import numpy as np
+
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
 @record_type
 class ScatteringColumns(NamedTuple):
-    """Scattering results over an energy grid, one array or list per quantity."""
+    """Scattering results over an energy grid, one list (or, from
+    :func:`scatter_batch`, one array) per output column; ``r`` and ``t``
+    are assembled from their parts on request."""
 
-    E: np.ndarray
-    k: np.ndarray
-    lam: np.ndarray
-    r: np.ndarray
-    t: np.ndarray
-    R: np.ndarray
-    T: np.ndarray
-    phase_t: np.ndarray
+    E: list[float]
+    k: list[float]
+    lam: list[float]
+    re_r: list[float]
+    im_r: list[float]
+    re_t: list[float]
+    im_t: list[float]
+    R: list[float]
+    T: list[float]
+    phase_t: list[float]
+
+    @property
+    def r(self):
+        return _complex_column(self.re_r, self.im_r)
+
+    @property
+    def t(self):
+        return _complex_column(self.re_t, self.im_t)
 
     def row(self, i: int) -> ScatteringResult:
         """Row ``i`` as a :class:`ScatteringResult`."""
         return ScatteringResult(
-            E=float(self.E[i]),
-            k=float(self.k[i]),
-            lam=float(self.lam[i]),
-            r=complex(self.r[i]),
-            t=complex(self.t[i]),
-            R=float(self.R[i]),
-            T=float(self.T[i]),
-            transmission_phase=float(self.phase_t[i]),
+            float(self.E[i]),
+            float(self.k[i]),
+            float(self.lam[i]),
+            complex(self.re_r[i], self.im_r[i]),
+            complex(self.re_t[i], self.im_t[i]),
+            float(self.R[i]),
+            float(self.T[i]),
+            float(self.phase_t[i]),
         )
 
     def rows(self) -> list[ScatteringResult]:
         return [self.row(i) for i in range(len(self.E))]
 
 
-def _quotient(nr, ni, dr, di, ops):
-    """(nr + i ni) / (dr + i di) in real arithmetic, rounded as numpy divides
-    complex numbers: Smith's method on the larger part of the divisor, with
-    the reciprocal of the scaled divisor as a factor.  Nothing overflows
-    before the result does."""
-    re_larger = abs(dr) >= abs(di)
-    p, q = ops.where(re_larger, dr, di), ops.where(re_larger, di, dr)
-    rat = q / p
-    scl = 1.0 / (p + q * rat)
-    re = ops.where(re_larger, nr + ni * rat, nr * rat + ni) * scl
-    im = ops.where(re_larger, ni - nr * rat, ni * rat - nr) * scl
-    return ops.complex(re, im)
+# Both kernels form the wavenumbers as lambda = sqrt((E - m)/(E + m)) and
+# k = f lambda (E + m).  Neither squares E, so both stay finite for huge
+# masses and keep full relative accuracy next to the gap; at m = 0 they give
+# lambda = 1 and k = E exactly.  For m > 1, E and m are halved first (f = 2),
+# so E + m cannot overflow; halving is exact there (E > m > 1) and changes
+# no bit of either result.  For m <= 1, E + m cannot overflow, and halving
+# could round a tiny E to 0.
 
 
-def _transmitting_amplitudes(a: AlphaBC, lam, ops):
-    """(r, t) of t u_+ = B (u_+ + r u_-) by Cramer's rule, for a class member.
+def _transmitting(a: AlphaBC, E: list[float], m: float, tol: float) -> tuple[list[float], ...]:
+    """The :func:`_columns` of a class member at ``tol``, from the b-form
+    (module docstring)."""
+    form, phase = phase_form(a, tol)
+    _, b1, b2, b3, b4 = form
+    # beyond 1e150 the b's are scaled by a power of two, which changes no
+    # bit of any result but keeps |D|^2 finite; ``two`` carries the scale
+    # into t and T
+    big = abs(b1) + abs(b2) + abs(b3) + abs(b4)
+    c = 1.0 if big < 1e150 else math.ldexp(1.0, -math.frexp(big)[1])
+    b2, b3, s, d = c * b2, c * b3, c * (b1 + b4), c * (b4 - b1)
+    two, pr, pi = 2.0 * c, phase.real, phase.imag
+    four = two * two
+    f, E, m = (2.0, [0.5 * e for e in E], 0.5 * m) if m > 1.0 else (1.0, E, m)
+    cols = k, lam, re_r, im_r, re_t, im_t, R, T, phase_t = [], [], [], [], [], [], [], [], []
+    sqrt, atan2 = math.sqrt, math.atan2
+    try:
+        for e in E:
+            above = e + m
+            x = sqrt((e - m) / above)
+            k.append(f * (x * above))
+            lam.append(x)
+            y = x * x
+            by = b2 * y
+            # D = dr - i di and N = nr + i ni, and |D|^2 = |N|^2 + 4 lam^2,
+            # so that R + T = 1 up to the rounding of the two quotients
+            dr, di = s * x, by + b3
+            nr, ni = d * x, b3 - by
+            nn, w = nr * nr + ni * ni, four * y
+            dd = nn + w
+            q = two * x / dd
+            u, v = q * (pr * dr - pi * di), q * (pi * dr + pr * di)
+            re_r.append((nr * dr - ni * di) / dd)
+            im_r.append((ni * dr + nr * di) / dd)
+            re_t.append(u)
+            im_t.append(v)
+            R.append(nn / dd)
+            T.append(w / dd)
+            phase_t.append(atan2(v, u))
+    except ZeroDivisionError:  # only off the class, at a huge tol
+        raise NotInClassError(f"the matching system is singular at lambda = {x!r}") from None
+    return cols
 
-    The system's columns multiply (r, t): r B u_- - t u_+ = -B u_+, i.e.
-    [[s0, -1], [s1, -lam]] with (s0, s1) = B u_-.  With
-    B = e^{i theta} [[b1, i b2], [i b3, b4]] the negated determinant is
-    e^{i theta} D, D = lam (b1 + b4) - i (b2 lam^2 + b3), and
-    |D|^2 = lam^2 (b1^2 + b4^2) + b2^2 lam^4 + b3^2 + 2 lam^2 >= 4 lam^2
-    because b1 b4 + b2 b3 = 1: the system is never singular above the gap.
+
+def _separating(rho: RhoBC, face: Island, E: list[float], m: float) -> tuple[list[float], ...]:
+    """The :func:`_columns` of total reflection off ``face``.
+
+    Left face r = (lam - i rho)/(lam + i rho) = e^{-2i phi}, phi = atan2(rho, lam);
+    the right face mirrors the sign; rho = +inf gives r = -1.  |r| = 1 to
+    within an ulp.
     """
-    a1, a2, a3, a4 = a.as_tuple()
-    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = ((z.real, z.imag) for z in (a1, a2, a3, a4))
-    # numerators and determinant negated together, so that exact zeros come
-    # out as +0; t's numerator reduces to -2 lam det(B)
-    dr = lam * (x1 - x2 * lam) - (x3 - x4 * lam)
-    di = lam * (y1 - y2 * lam) - (y3 - y4 * lam)
-    r_re = (x3 + x4 * lam) - lam * (x1 + x2 * lam)
-    r_im = (y3 + y4 * lam) - lam * (y1 + y2 * lam)
-    c = 2.0 * (a1 * a4 - a2 * a3)
-    return _quotient(r_re, r_im, dr, di, ops), _quotient(c.real * lam, c.imag * lam, dr, di, ops)
+    value = rho.rho_minus if face is Island.LEFT else rho.rho_plus
+    finite = not math.isinf(value)
+    # r = e^{i angle} with angle = sign phi; adding ``zero`` signs a zero
+    # angle as the complex product (i sign) phi does, which fixes the sign
+    # of a zero imaginary part of r
+    sign, zero = (-2.0, -0.0) if face is Island.LEFT else (2.0, 0.0)
+    f, E, m = (2.0, [0.5 * e for e in E], 0.5 * m) if m > 1.0 else (1.0, E, m)
+    k, lam, re_r, im_r, R = [], [], [], [], []
+    sqrt, atan2, cos, sin = math.sqrt, math.atan2, math.cos, math.sin
+    for e in E:
+        above = e + m
+        x = sqrt((e - m) / above)
+        k.append(f * (x * above))
+        lam.append(x)
+        if finite:
+            angle = sign * atan2(value, x) + zero
+            u, v = cos(angle), sin(angle)
+            re_r.append(u)
+            im_r.append(v)
+            R.append(u * u + v * v)
+    n = len(lam)
+    if not finite:
+        re_r, im_r, R = [-1.0] * n, [0.0] * n, [1.0] * n
+    return k, lam, re_r, im_r, [0.0] * n, [0.0] * n, R, [0.0] * n, [0.0] * n
 
 
-def _columns(bc: ExtensionClass, E, m: float, face: Island, tol: float, ops) -> tuple:
-    """(k, lam, r, t, R, T, phase_t) at energies ``E`` above the gap: one
-    Python float with :data:`_SCALAR_OPS`, or a float array with
-    :func:`_array_ops`.  See :func:`scatter_batch`."""
-    k, lam = _wavenumbers(E, m, ops.sqrt)
+def _columns(bc: ExtensionClass, E: list[float], m: float, face: Island, tol: float) -> tuple[list[float], ...]:
+    """The output columns after E, (k, lam, re_r, im_r, re_t, im_t, R, T,
+    phase_t), at energies ``E`` above the gap.  See :func:`scatter_batch`."""
     if isinstance(bc, Transmitting):
-        require_class(bc.alpha, tol)
-        r, t = _transmitting_amplitudes(bc.alpha, lam, ops)
-        phase = ops.atan2(t.imag, t.real)
-    else:
-        value = bc.rho.rho_minus if face is Island.LEFT else bc.rho.rho_plus
-        if math.isinf(value):
-            r = ops.full(lam, -1.0 + 0.0j)
-        else:
-            # left face r = (lam - i rho)/(lam + i rho) = e^{-2i phi}, phi = atan2(rho, lam);
-            # the right face mirrors the sign.  |r| = 1 to within an ulp.
-            sign = -2.0 if face is Island.LEFT else 2.0
-            r = ops.exp(1j * sign * ops.atan2(value, lam))
-        t = ops.full(lam, 0j)
-        phase = ops.full(lam, 0.0)
-    R = r.real * r.real + r.imag * r.imag
-    T = t.real * t.real + t.imag * t.imag
-    return k, lam, r, t, R, T, phase
+        return _transmitting(bc.alpha, E, m, tol)
+    return _separating(bc.rho, face, E, m)
 
 
 def scatter_batch(
     bc: ExtensionClass, E, m: float, face: Island = Island.LEFT, tol: float = DEFAULT_TOL
 ) -> ScatteringColumns:
-    """Scatter the incident mode off ``bc`` at every energy of ``E`` at once.
+    """Scatter the incident mode off ``bc`` at every energy of ``E`` at once,
+    as columns of numpy arrays.
 
     Transmitting conditions solve the 2x2 matching system per energy and
     must be in the class at ``tol`` (:class:`NotInClassError` otherwise);
@@ -231,19 +225,33 @@ def scatter_batch(
     Separating conditions reflect totally at ``face``.  Raises
     :class:`BelowGapError` if any E <= m.
     """
+    import numpy as np
+
     m = check_mass(m)
-    E = _above_gap(E, m).ravel()
-    return ScatteringColumns(E, *_columns(bc, E, m, face, tol, _array_ops()))
+    E = np.asarray(E, dtype=float).ravel()
+    below = E <= m
+    if np.count_nonzero(below):
+        raise BelowGapError(f"E = {float(E[below][0])} is not above the mass gap m = {m}")
+    return ScatteringColumns(E, *map(np.array, _columns(bc, E.tolist(), m, face, tol)))
 
 
-def _scatter_one(bc: ExtensionClass, E: float, m: float, face: Island) -> ScatteringResult:
-    """The kernel at one energy, on Python floats; the row of
-    :func:`scatter_batch` at that energy, bit for bit."""
+def _energy(E: float, m: float) -> tuple[list[float], float]:
+    """The one energy of a scalar call as a grid, and the mass; raises
+    :class:`BelowGapError` if E <= m."""
     m = check_mass(m)
     E = float(E)
     if E <= m:
         raise BelowGapError(f"E = {E} is not above the mass gap m = {m}")
-    return ScatteringResult(E, *_columns(bc, E, m, face, DEFAULT_TOL, _SCALAR_OPS))
+    return [E], m
+
+
+def _row(E: list[float], cols: tuple[list[float], ...]) -> ScatteringResult:
+    """The one row of the kernel's columns at the one energy ``E``; the row
+    of :func:`sweep_columns` and :func:`scatter_batch` there, bit for bit."""
+    k, lam, re_r, im_r, re_t, im_t, R, T, phase_t = cols
+    return ScatteringResult(
+        E[0], k[0], lam[0], complex(re_r[0], im_r[0]), complex(re_t[0], im_t[0]), R[0], T[0], phase_t[0]
+    )
 
 
 def scatter_alpha(a: AlphaBC, E: float, m: float) -> ScatteringResult:
@@ -252,7 +260,8 @@ def scatter_alpha(a: AlphaBC, E: float, m: float) -> ScatteringResult:
     Solves the 2x2 complex system for (r, t); raises
     :class:`NotInClassError` when ``a`` is not in the class.
     """
-    return _scatter_one(Transmitting(a), E, m, Island.LEFT)
+    E, m = _energy(E, m)
+    return _row(E, _transmitting(a, E, m, DEFAULT_TOL))
 
 
 def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> ScatteringResult:
@@ -262,15 +271,8 @@ def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> S
     right face mirrors to r = (lambda + i rho)/(lambda - i rho); rho = +inf gives r = -1.
     Always |r| = 1 and T = 0.
     """
-    return _scatter_one(Separating(rho), E, m, face)
-
-
-#: Sweeps of at most this many energies run on Python floats, without
-#: ``numpy``: below it, importing numpy (about 130 ms of a process) costs
-#: more than the scalar kernel's extra time per energy, about 7 us for a
-#: transmitting condition (where whole processes break even) and 2 us for
-#: a separating one.
-SCALAR_SWEEP_MAX = 16_000
+    E, m = _energy(E, m)
+    return _row(E, _separating(rho, face, E, m))
 
 
 def sweep_columns(
@@ -282,26 +284,18 @@ def sweep_columns(
     face: Island = Island.LEFT,
     tol: float = DEFAULT_TOL,
 ) -> ScatteringColumns:
-    """Uniform energy grid of scattering results, ordered by E, as columns.
-
-    The columns are lists of Python numbers for at most
-    :data:`SCALAR_SWEEP_MAX` energies, and numpy arrays
-    (:func:`scatter_batch`) above it.  Both are the grid of
-    ``numpy.linspace`` and its rows, bit for bit.
-    """
+    """Uniform energy grid of scattering results, ordered by E, as columns
+    of Python floats: the grid of ``numpy.linspace`` and its rows, bit for
+    bit."""
     m = check_mass(m)
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not (m < e_min < e_max < math.inf):
         raise ValueError("need m < e_min < e_max, all finite")
-    if steps > SCALAR_SWEEP_MAX:
-        import numpy as np
-
-        try:
-            grid = np.linspace(e_min, e_max, steps)
-        except MemoryError as exc:  # numpy's message names the size it asked for
-            raise ValueError(f"no energy grid of {steps} steps: {exc}") from exc
-        return scatter_batch(bc, grid, m, face, tol)
+    try:  # one allocation refuses a grid that cannot fit, before any is built
+        [0.0] * steps
+    except (MemoryError, OverflowError):
+        raise ValueError(f"no energy grid of {steps} steps fits in memory") from None
     # numpy.linspace's arithmetic, with the last point set to e_max
     start, div = float(e_min), steps - 1
     delta = float(e_max) - start
@@ -311,8 +305,7 @@ def sweep_columns(
     else:  # the step underflowed to 0
         grid = [i / div * delta + start for i in range(div)]
     grid.append(float(e_max))
-    rows = [_columns(bc, E, m, face, tol, _SCALAR_OPS) for E in grid]
-    return ScatteringColumns(grid, *map(list, zip(*rows)))
+    return ScatteringColumns(grid, *_columns(bc, grid, m, face, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,91 @@
+"""Helpers only the tests use: boundary spinors, the probability current,
+form equivalence and random draws that the package itself never needs."""
+
+import math
+
+import numpy as np
+
+from diracjunction.boundary import TWO_PI, AlphaBC, BDForm, RhoBC
+from diracjunction.matrix2 import DEFAULT_TOL, QuaternionForm, as_c2matrix, as_c2vector, is_unitary
+
+
+def apply_alpha(a: AlphaBC, v_minus) -> np.ndarray:
+    """Boundary value at the right face: B times the left-face spinor."""
+    return a.matrix() @ as_c2vector(v_minus)
+
+
+def satisfies_rho(r: RhoBC, v_minus, v_plus, tol: float = DEFAULT_TOL) -> bool:
+    """Whether boundary spinors satisfy the separating condition at both faces.
+
+    Finite rho: |i*rho*v_up - v_down| <= tol * scale; infinite rho:
+    |v_up| <= tol * scale, with scale = max(1, |v_up|, |v_down|) so tiny
+    vectors cannot pass vacuously.
+    """
+
+    def face_ok(rho: float, v: np.ndarray) -> bool:
+        up, down = complex(v[0]), complex(v[1])
+        scale = max(1.0, abs(up), abs(down))
+        if math.isinf(rho):
+            return abs(up) <= tol * scale
+        return abs(1j * rho * up - down) <= tol * scale
+
+    return face_ok(r.rho_minus, as_c2vector(v_minus)) and face_ok(
+        r.rho_plus, as_c2vector(v_plus)
+    )
+
+
+def current(v) -> float:
+    """Probability current j = 2 Re(v_up* v_down) of a boundary spinor."""
+    w = as_c2vector(v)
+    return float(2.0 * (w[0].conjugate() * w[1]).real)
+
+
+def bd_equivalent(f: BDForm, g: BDForm, tol: float = 1e-9) -> bool:
+    """Equality of forms up to the joint flip (theta + pi, -b), which leaves
+    the assembled matrix unchanged."""
+
+    def close(x: BDForm, y: BDForm) -> bool:
+        dt = abs((x.theta - y.theta + math.pi) % TWO_PI - math.pi)
+        return dt <= tol and all(
+            abs(p - q) <= tol * max(1.0, abs(p), abs(q))
+            for p, q in zip(x.bs(), y.bs())
+        )
+
+    flipped = BDForm((g.theta + math.pi) % TWO_PI, *(-b for b in g.bs()))
+    return close(f, g) or close(f, flipped)
+
+
+def det2(matrix) -> complex:
+    """Determinant of a 2x2 matrix, computed directly."""
+    (a, b), (c, d) = as_c2matrix(matrix)
+    return a * d - b * c
+
+
+def is_su2(matrix, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the matrix is unitary with determinant 1 within tolerance."""
+    m = as_c2matrix(matrix)
+    return is_unitary(m, tol) and abs(det2(m) - 1.0) <= tol
+
+
+def random_spinor(rng: np.random.Generator) -> np.ndarray:
+    """Complex-normal 2-spinor."""
+    return rng.standard_normal(2) + 1j * rng.standard_normal(2)
+
+
+def random_quaternion_form(
+    rng: np.random.Generator, min_offdiag: float = 0.0
+) -> QuaternionForm:
+    """Draw a valid random form; |g2| >= min_offdiag via rejection."""
+    while True:
+        v = rng.standard_normal(4)
+        g1 = complex(v[0], v[1])
+        g2 = complex(v[2], v[3])
+        norm = math.hypot(abs(g1), abs(g2))
+        if norm < 1e-12:
+            continue
+        g1 /= norm
+        g2 /= norm
+        if abs(g2) < min_offdiag:
+            continue
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        return QuaternionForm(g1, g2, complex(math.cos(phi), math.sin(phi)))

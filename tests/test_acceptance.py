@@ -15,7 +15,6 @@ import pytest
 from diracjunction.boundary import (
     AlphaBC,
     RhoBC,
-    apply_alpha,
     random_alpha,
     random_rho,
     validate_class,
@@ -47,9 +46,9 @@ from diracjunction.matrix2 import (
     QuaternionForm,
     compose,
     decompose_u2,
-    random_quaternion_form,
 )
 from diracjunction.scattering import scatter_alpha, scatter_rho
+from helpers import apply_alpha, random_quaternion_form
 
 MASSES = [0.0, 0.5, 1.0, 10.0]
 ARTIFACT_DIR = Path(__file__).resolve().parents[1] / "artifacts"

@@ -10,19 +10,14 @@ from diracjunction.boundary import (
     BDForm,
     RhoBC,
     alpha_to_bd,
-    apply_alpha,
-    bd_equivalent,
     bd_to_alpha,
     class_scale,
-    current,
     invert_alpha,
     make_phase_shift,
     make_spin_flip,
     random_alpha,
     random_bdform,
     random_rho,
-    random_spinor,
-    satisfies_rho,
     validate_class,
 )
 from diracjunction.errors import (
@@ -31,6 +26,7 @@ from diracjunction.errors import (
     ValidationError,
     ZeroParameterError,
 )
+from helpers import apply_alpha, bd_equivalent, current, random_spinor, satisfies_rho
 
 IDENTITY = AlphaBC(1, 0, 0, 1)
 SPIN_FLIP = AlphaBC(0, 1, 1, 0)

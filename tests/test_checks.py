@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from diracjunction import checks, deficiency, matrix2
-from diracjunction.boundary import AlphaBC, BDForm, bd_to_alpha, current, random_rho, random_spinor
+from diracjunction.boundary import AlphaBC, BDForm, bd_to_alpha, random_rho
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.matrix2 import DEFAULT_TOL
+from helpers import current, random_quaternion_form, random_spinor
 
 MASSES = (0.0, 1.0, 10.0)
 
@@ -98,7 +99,7 @@ class TestExactResiduals:
         # max * sqrt(1 + (min/max)^2) and can differ from it in the last bit
         rng = np.random.default_rng(4)
         for _ in range(200):
-            u = matrix2.compose(matrix2.random_quaternion_form(rng))
+            u = matrix2.compose(random_quaternion_form(rng))
             q = matrix2.decompose_u2(u)
             expected = float(np.abs(matrix2.compose(q) - np.array(u)).max())
             for given in (u, matrix2.as_c2matrix(u)):

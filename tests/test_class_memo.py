@@ -173,9 +173,11 @@ class TestMemo:
     def test_pickle_copy_and_replace_round_trip(self):
         a = random_alpha(np.random.default_rng(5))
         report = validate_class(a)
+        alpha_to_bd(a)
         for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a), a._replace()):
             assert b == a and b.as_tuple() == a.as_tuple()
-            assert "_class_reports" not in b.__dict__  # measured afresh, not carried along
+            # measured afresh, not carried along
+            assert "_class_reports" not in b.__dict__ and "_bd_forms" not in b.__dict__
             assert validate_class(b) == report and validate_class(b) is not report
         c = a._replace(a1=a.a1 + 1.0)
         assert not validate_class(c).valid and validate_class(a).valid

@@ -533,6 +533,10 @@ print(code, sorted({"numpy", "scipy", "dataclasses", "inspect"} & set(sys.module
 _SWEEP = ["--emin", "1.2", "--emax", "3", "--steps", "16"]
 
 
+def _big_sweep(steps: int) -> list[str]:
+    return ["--emin", "1.2", "--emax", "3", "--steps", str(steps), "--out", os.devnull]
+
+
 class TestNumpyFreeStart:
     @pytest.mark.parametrize(
         "argv, code",
@@ -564,6 +568,14 @@ class TestNumpyFreeStart:
             (["scatter", "--alpha", "0,1,1,0", "--mass", "0", *_SWEEP, "--format", "json"], 0),
             (["scatter", "--alpha", "1,1,0,1", *_SWEEP], 2),
             (["scatter", "--rho", "0,0", "--mass", "2", *_SWEEP], 2),
+            # sweeps of any size run on lists
+            (["scatter", "--alpha", "0,1,1,0", "--mass", "1", *_big_sweep(16_001)], 0),
+            (["scatter", "--alpha", "0,1,1,0", "--mass", "1", *_big_sweep(40_000), "--format", "json"], 0),
+            (["scatter", "--rho", "inf,0.5", "--mass", "1", *_big_sweep(16_001), "--format", "json"], 0),
+            (["scatter", "--rho", "inf,0.5", "--mass", "1", "--face", "right", *_big_sweep(40_000)], 0),
+            (["scatter", "--gamma", "0,-i,i", "--mass", "0.5", *_big_sweep(16_001)], 0),
+            (["scatter", "--gamma", "0,-i,i", "--mass", "0.5", *_big_sweep(40_000), "--format", "json"], 0),
+            (["scatter", "--alpha", "1,0,0,1", *_big_sweep(1_000_000_000_000_000)], 2),
         ],
     )
     def test_scalar_commands_leave_numpy_out(self, argv, code):
@@ -731,13 +743,20 @@ class TestScatter:
         assert code == 2 and out == ""
 
     def test_unallocatable_grid_exits_2(self):
-        # 1e15 energies ask numpy for 7 PiB, which it refuses at once
+        # 1e15 energies ask for a list of 7 PiB, which is refused at once
         p = run_process(
             "-m", "diracjunction.cli", "scatter", "--alpha", "1,0,0,1",
             "--emin", "1", "--emax", "2", "--steps", "1000000000000000",
         )
         assert (p.returncode, p.stdout) == (2, "")
         assert "Traceback" not in p.stderr and "no energy grid of 1000000000000000 steps" in p.stderr
+
+    @pytest.mark.parametrize("steps", [str(2**63 - 1), "1" + "0" * 30])
+    def test_grid_beyond_the_index_range_exits_2(self, capsys, steps):
+        # refused by the size check before anything is allocated; 2^63 - 1
+        # ended in numpy's IndexError traceback
+        code, out, err = run(capsys, "scatter", "--alpha", "1,0,0,1", "--emin", "1", "--emax", "2", "--steps", steps)
+        assert (code, out) == (2, "") and f"no energy grid of {steps} steps" in err
 
     def test_write_to_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -34,8 +34,8 @@ from diracjunction.matrix2 import (
     compose,
     decompose_u2,
     is_unitary,
-    random_quaternion_form,
 )
+from helpers import random_quaternion_form
 
 MASSES = [0.0, 0.5, 1.0, 10.0]
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from diracjunction.boundary import AlphaBC, RhoBC, random_alpha, random_rho, random_spinor
+from diracjunction.boundary import AlphaBC, RhoBC, random_alpha, random_rho
 from diracjunction.correspondence import Separating, Transmitting, mu_constant
 from diracjunction.deficiency import (
     BoundaryPair,
@@ -23,6 +23,7 @@ from diracjunction.deficiency import (
 )
 from diracjunction.deficiency import _check_terms, _island_grid, _simpson, _violating_pairs
 from diracjunction.errors import OutsideIslandError, ValidationError
+from helpers import random_spinor
 
 
 def _grouped_simpson(y, xs):
@@ -232,6 +233,20 @@ class TestGram:
             gram_matrix(Sign.PLUS, m=0.0, lam=lam)
         top = -math.log(sys.float_info.min) / 4.0
         assert np.linalg.matrix_rank(gram_matrix(Sign.PLUS, m=0.0, lam=top), tol=0.0) == 2
+
+    @pytest.mark.parametrize("m", [0.0, 10.0])
+    def test_underflowing_diagonal_at_a_given_normalization_names_lam(self, m):
+        # at N = 1 the diagonal e^(-2 sqrt(1+m^2) lam)/sqrt(1+m^2) underflowed
+        # to an all-zero, rank-0 matrix
+        rate = math.hypot(1.0, m)
+        top = (-math.log(rate) - math.log(sys.float_info.min)) / (2.0 * rate)
+        with pytest.raises(ValidationError, match=r"lam = 400\.0 .* lam <= %.6g " % top):
+            gram_matrix(Sign.PLUS, m=m, lam=400.0, normalization=1.0)
+        g = gram_matrix(Sign.PLUS, m=m, lam=top, normalization=1.0)
+        assert np.linalg.matrix_rank(g, tol=0.0) == 2
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="normalization"):
+                gram_matrix(Sign.PLUS, m=m, lam=1.0, normalization=bad)
 
     @pytest.mark.parametrize("sign", list(Sign))
     @pytest.mark.parametrize("m, lam", [(0.0, 0.0), (0.5, 0.7), (10.0, 0.25)])

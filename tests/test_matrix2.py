@@ -11,11 +11,10 @@ from diracjunction.matrix2 import (
     decompose_branch,
     decompose_u2,
     is_diagonal,
-    is_su2,
     is_unitary,
-    random_quaternion_form,
     unitarity_residual,
 )
+from helpers import is_su2, random_quaternion_form
 
 I2 = np.eye(2, dtype=complex)
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)

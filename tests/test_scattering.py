@@ -7,20 +7,20 @@ from diracjunction.boundary import (
     AlphaBC,
     BDForm,
     RhoBC,
-    apply_alpha,
+    alpha_to_bd,
     bd_to_alpha,
-    current,
     make_phase_shift,
     make_spin_flip,
+    phase_form,
     random_alpha,
     random_rho,
 )
 from diracjunction import scattering
-from diracjunction.correspondence import Separating, Transmitting
+from diracjunction.correspondence import Separating, Transmitting, alpha_to_u2
 from diracjunction.deficiency import Island
 from diracjunction.errors import BelowGapError, NotInClassError
+from diracjunction.matrix2 import arg_2pi
 from diracjunction.scattering import (
-    SCALAR_SWEEP_MAX,
     ScatteringColumns,
     ScatteringResult,
     scatter_alpha,
@@ -29,6 +29,7 @@ from diracjunction.scattering import (
     sweep_columns,
     switch_demo,
 )
+from helpers import apply_alpha, current
 
 SPIN_FLIP = AlphaBC(0, 1, 1, 0)
 
@@ -190,9 +191,10 @@ class TestSweep:
         assert ts[0] < 1e-5
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
-    @pytest.mark.parametrize("steps", [2, 9, SCALAR_SWEEP_MAX, SCALAR_SWEEP_MAX + 1])
-    def test_scalar_and_batch_paths_agree_to_the_bit(self, monkeypatch, steps):
-        # each grid size on both paths, whichever side of the constant it is on
+    @pytest.mark.parametrize("steps", [2, 9, 16_000, 16_001])
+    def test_scalar_and_batch_paths_agree_to_the_bit(self, steps):
+        # the sweep's lists against the numpy adapter on numpy.linspace's
+        # grid, at the sizes on both sides of the former scalar/array fork
         rng = np.random.default_rng(steps)
         cases = [
             (Transmitting(random_alpha(rng)), 0.7, 0.9, 5.3, Island.LEFT),
@@ -201,14 +203,14 @@ class TestSweep:
             (Transmitting(SPIN_FLIP), 1e308, 1.5e308, 1.7e308, Island.LEFT),
         ]
         for bc, m, e_min, e_max, face in cases:
-            monkeypatch.setattr(scattering, "SCALAR_SWEEP_MAX", steps)
-            scalar = sweep_columns(bc, e_min, e_max, steps, m, face)
-            monkeypatch.setattr(scattering, "SCALAR_SWEEP_MAX", steps - 1)
-            batch = sweep_columns(bc, e_min, e_max, steps, m, face)
-            assert isinstance(scalar.E, list) and isinstance(batch.E, np.ndarray)
-            assert list(map(repr, scalar.E)) == list(map(repr, np.linspace(e_min, e_max, steps).tolist()))
+            sweep = sweep_columns(bc, e_min, e_max, steps, m, face)
+            grid = np.linspace(e_min, e_max, steps)
+            batch = scatter_batch(bc, grid, m, face)
+            assert all(isinstance(column, list) for column in sweep)
+            assert all(isinstance(column, np.ndarray) for column in batch)
+            assert list(map(repr, sweep.E)) == list(map(repr, grid.tolist()))
             for name in ScatteringColumns._fields:
-                assert list(map(repr, getattr(scalar, name))) == list(map(repr, getattr(batch, name).tolist())), name
+                assert list(map(repr, getattr(sweep, name))) == list(map(repr, getattr(batch, name).tolist())), name
 
     def test_off_class_condition_is_rejected(self):
         # (1, 0, 1, 0) is not admissible: at m = 0 its matching determinant
@@ -235,6 +237,17 @@ def solve_oracle(a: AlphaBC, lam: float) -> tuple[complex, complex]:
     system = np.column_stack([b @ u_minus, -u_plus])
     r, t = np.linalg.solve(system, -(b @ u_plus))
     return complex(r), complex(t)
+
+
+def exact_amplitudes(mpmath, a: AlphaBC, lam: float):
+    """(r, t) of t u_+ = B (u_+ + r u_-) by Cramer's rule in mpmath's
+    working precision, for the entries of ``a`` and ``lam`` as given."""
+    a1, a2, a3, a4 = (mpmath.mpc(z.real, z.imag) for z in a.as_tuple())
+    lam = mpmath.mpf(lam)
+    det = (a3 - a4 * lam) - lam * (a1 - a2 * lam)
+    r = (lam * (a1 + a2 * lam) - (a3 + a4 * lam)) / det
+    t = ((a3 - a4 * lam) * (a1 + a2 * lam) - (a1 - a2 * lam) * (a3 + a4 * lam)) / det
+    return r, t
 
 
 def assert_same_result(x: ScatteringResult, y: ScatteringResult) -> None:
@@ -302,31 +315,31 @@ class TestScatterBatch:
                             assert_same_result(row, scatter_rho(rho, row.E, m, face=face))
 
     def test_R_T_phase_no_less_accurate_than_numpy_forms(self):
-        # R, T are re^2 + im^2 of r, t and phase_t is math.atan2 of t; the
-        # earlier forms np.abs(z) ** 2 and np.angle(z) serve as the
-        # baseline.  Against 40-digit values of the same r and t, the
-        # kernel's worst and mean relative errors are no larger.
+        # R and T are ratios of sums of squares of the b-form and phase_t is
+        # math.atan2 of t; the earlier forms np.abs(z) ** 2 of the computed
+        # r, t and np.angle(t) serve as the baseline.  Against 40-digit
+        # values of the exact R, T at the kernel's lambda and the exact
+        # argument of the computed t, the kernel's worst and mean relative
+        # errors are no larger.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
         rng = np.random.default_rng(68)
         errors = {name: ([], []) for name in ("R", "T", "phase_t", "R_separating")}
 
-        def record(name, z, new, old, exact):
-            for zi, ni, oi in zip(z.tolist(), new.tolist(), old.tolist()):
-                ref = exact(mpmath.mpc(zi.real, zi.imag))
+        def record(name, new, old, refs):
+            for ni, oi, ref in zip(new.tolist(), old.tolist(), refs):
                 scale = max(abs(float(ref)), 1e-300)
                 errors[name][0].append(float(abs(ni - ref)) / scale)
                 errors[name][1].append(float(abs(oi - ref)) / scale)
 
-        def modulus_sq(z):
-            return abs(z) ** 2
-
         for m in (0.0, 0.5, 1.0, 10.0, 1e3):
             for a in (random_alpha(rng), random_alpha(rng), wide_alpha(rng), wide_alpha(rng)):
                 cols = scatter_batch(Transmitting(a), relative_grid(rng, m, 25), m)
-                record("R", cols.r, cols.R, np.abs(cols.r) ** 2, modulus_sq)
-                record("T", cols.t, cols.T, np.abs(cols.t) ** 2, modulus_sq)
-                record("phase_t", cols.t, cols.phase_t, np.angle(cols.t), mpmath.arg)
+                exact = [exact_amplitudes(mpmath, a, lam) for lam in cols.lam.tolist()]
+                record("R", cols.R, np.abs(cols.r) ** 2, [abs(r) ** 2 for r, _ in exact])
+                record("T", cols.T, np.abs(cols.t) ** 2, [abs(t) ** 2 for _, t in exact])
+                record("phase_t", cols.phase_t, np.angle(cols.t),
+                       [mpmath.arg(mpmath.mpc(z.real, z.imag)) for z in cols.t.tolist()])
             rho = float(rng.standard_cauchy())
             for face, sign in ((Island.LEFT, -2.0), (Island.RIGHT, 2.0)):
                 cols = scatter_batch(Separating(RhoBC(rho, rho)), relative_grid(rng, m, 25), m, face)
@@ -413,6 +426,72 @@ class TestScatterBatch:
     def test_grid_must_be_finite(self):
         with pytest.raises(ValueError):
             sweep_columns(Transmitting(SPIN_FLIP), 1.0, math.inf, 3, 0.0)
+
+
+class TestBForm:
+    """The kernel's real four-parameter form against references."""
+
+    def test_R_T_against_mpmath_on_wide_conditions(self):
+        # 600 class members with |b1|, |b2|, |b3| log-uniform over 1e-4 to
+        # 1e4, at m in {0, 1, 10, 1e4}: R and T against the 50-digit solve of
+        # the rounded entries, so the rounding of alpha_to_bd counts.  The
+        # limits are the worst errors of the Cramer kernel this one replaced
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(600)
+        worst_R = worst_T = 0.0
+        with mpmath.workdps(50):
+            for i in range(600):
+                b1, b2, b3 = (math.exp(rng.uniform(math.log(1e-4), math.log(1e4))) * rng.choice([-1.0, 1.0])
+                              for _ in range(3))
+                a = bd_to_alpha(BDForm(rng.uniform(0.0, 2.0 * math.pi), b1, b2, b3, (1.0 - b2 * b3) / b1))
+                m = (0.0, 1.0, 10.0, 1e4)[i % 4]
+                E = m + max(m, 1.0) * math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+                res = scatter_alpha(a, E, m)
+                r, t = exact_amplitudes(mpmath, a, res.lam)
+                worst_R = max(worst_R, float(abs(res.R - abs(r) ** 2)))
+                worst_T = max(worst_T, float(abs(res.T - abs(t) ** 2)))
+        assert worst_R <= 1.0e-15 and worst_T <= 5.5e-16, (worst_R, worst_T)
+
+    def test_R_and_T_are_the_moduli_of_g1_and_g2(self):
+        # the paper's reading: T = |g2|^2 and R = |g1|^2 of the extension of
+        # (a1, lam a2, a3/lam, a4) at m = 0, at every mass and energy
+        rng = np.random.default_rng(69)
+        worst = 0.0
+        for i in range(400):
+            a = random_alpha(rng)
+            m = (0.0, 0.5, 1.0, 10.0, 100.0)[i % 5]
+            res = scatter_alpha(a, m + math.exp(rng.uniform(math.log(0.05), math.log(3.0))), m)
+            a1, a2, a3, a4 = a.as_tuple()
+            q = alpha_to_u2(AlphaBC(a1, res.lam * a2, a3 / res.lam, a4), 0.0)
+            worst = max(worst, abs(res.T - abs(q.g2) ** 2), abs(res.R - abs(q.g1) ** 2))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("big", [1e160, 1e200, 1e300])
+    def test_huge_entries_neither_overflow_nor_lose_R(self, big):
+        # |D|^2 of unscaled b's would overflow: R = inf/inf
+        a = AlphaBC(big, 0, 0, 1 / big)
+        for m in (0.0, 1.0):
+            res = scatter_alpha(a, m + 0.5, m)
+            assert (res.r, res.R) == (-1.0, 1.0) and 0.0 <= res.T <= 4.0 / big / big * (1 + 1e-15) + 5e-324
+            assert res.t.real == pytest.approx(2.0 / big, rel=1e-15) and res.t.imag == 0.0
+        cols = sweep_columns(Transmitting(AlphaBC(big * 1j, big, 0, 1j / big)), 0.5, 2.0, 5, 0.0)
+        assert all(map(math.isfinite, [*cols.re_r, *cols.im_r, *cols.R, *cols.T, *cols.phase_t]))
+        assert all(R + T == pytest.approx(1.0, abs=1e-15) for R, T in zip(cols.R, cols.T))
+
+    def test_exact_zeros_are_positive(self):
+        # the free line with theta = pi: r = 0 and t = -1 with +0 parts, so
+        # phase_t is +pi
+        for a in (AlphaBC(1, 0, 0, 1), AlphaBC(-1, 0, 0, -1), AlphaBC(0, 1, 1, 0)):
+            res = scatter_alpha(a, 1.0, 0.0)
+            assert repr(res.r) == "0j" and math.copysign(1.0, res.t.imag) == 1.0
+        assert scatter_alpha(AlphaBC(-1, 0, 0, -1), 1.0, 0.0).transmission_phase == math.pi
+
+    def test_the_form_is_measured_once_per_condition_and_tol(self):
+        a = random_alpha(np.random.default_rng(70))
+        assert phase_form(a) is phase_form(a) and phase_form(a, 1e-12) is not phase_form(a)
+        form, phase = phase_form(a)
+        assert alpha_to_bd(a) is form and abs(phase) == pytest.approx(1.0, abs=1e-15)
+        assert arg_2pi(phase) == form.theta
 
 
 class TestSwitchDemo:

@@ -144,3 +144,49 @@ def test_domain_is_its_own_form_orthogonal_complement():
     k = sigma_x * b.H * sigma_x
     assert ((one - b * k) * b + b * sigma_x * h).applyfunc(sp.expand) == zero
     assert sp.expand((b.H * sigma_x * b).det() + b.det() * sp.conjugate(b.det())) == 0
+
+
+def _b_form_condition():
+    """A general b-form condition and the kernel's D and N at lambda."""
+    theta, b1, b2, b3, b4, lam = sp.symbols("theta b1 b2 b3 b4 lambda", real=True)
+    phase = sp.exp(sp.I * theta)
+    b = phase * sp.Matrix([[b1, sp.I * b2], [sp.I * b3, b4]])
+    D = lam * (b1 + b4) - sp.I * (b2 * lam**2 + b3)
+    N = lam * (b4 - b1) + sp.I * (b3 - b2 * lam**2)
+    return b, phase, (b1, b2, b3, b4), lam, D, N
+
+
+def test_b_form_amplitudes_solve_the_matching_system_on_the_class():
+    """With r = N/D and t = 2 lam e^{i theta}/D, D times the matching
+    residual t u+ - B (u+ + r u-) is 2 lam e^{i theta} (1 - b1 b4 - b2 b3)
+    (1, lam): it vanishes on the whole class, where D != 0 (the bound
+    above).  And |D|^2 = |N|^2 + 4 lam^2 (b1 b4 + b2 b3), which the kernel
+    uses as |N|^2 + 4 lam^2, so R + T = 1."""
+    b, phase, (b1, b2, b3, b4), lam, D, N = _b_form_condition()
+    u_plus, u_minus = sp.Matrix([1, lam]), sp.Matrix([1, -lam])
+    det = b1 * b4 + b2 * b3
+    residual = 2 * lam * phase * u_plus - b * (D * u_plus + N * u_minus)
+    assert (residual - 2 * lam * phase * (1 - det) * u_plus).applyfunc(_simplified) == sp.zeros(2, 1)
+    assert _simplified(D * sp.conjugate(D) - N * sp.conjugate(N) - 4 * lam**2 * det) == 0
+
+
+def test_reflection_and_penetration_are_the_quaternion_moduli():
+    """The paper's reading of (g1, g2, g3) as reflection, penetration and
+    phase: at m = 0 (lambda = 1), T = |g2|^2 and R = |g1|^2 with g from
+    :func:`~diracjunction.correspondence.alpha_to_u2`.  There w = -a1 + a2
+    - a3 + a4 and |g2|^2 = 4/(4 + |w|^2), |g1|^2 = |w|^2/(4 + |w|^2); and
+    |D|^2 = 4 + |w|^2, |N|^2 = |w|^2 on the class.  For m > 0 the same holds
+    for (a1, lam a2, a3/lam, a4) at m = 0, whose D and N are those at
+    lambda divided by lambda."""
+    b, phase, (b1, b2, b3, b4), lam, D, N = _b_form_condition()
+    (a1, a2), (a3, a4) = b.tolist()
+    w = -a1 + a2 - a3 + a4
+    det = b1 * b4 + b2 * b3
+    D1, N1 = D.subs(lam, 1), N.subs(lam, 1)
+    w2 = w * sp.conjugate(w)
+    assert _simplified(D1 * sp.conjugate(D1) - (4 + w2) - 4 * (det - 1)) == 0
+    assert _simplified(N1 * sp.conjugate(N1) - w2) == 0
+    # the similarity diag(1, lam): b2 -> lam b2, b3 -> b3/lam
+    for at_one, at_lam in ((D1, D), (N1, N)):
+        scaled = at_one.subs({b2: lam * b2, b3: b3 / lam}, simultaneous=True)
+        assert _simplified(lam * scaled - at_lam) == 0
