@@ -414,7 +414,7 @@ def cmd_demo_switch(args) -> int:
 
 _COMMON = {
     "mass": {"type": float, "default": 0.0, "help": "particle mass m >= 0"},
-    "tol": {"type": float, "default": DEFAULT_TOL, "help": "membership tolerance, finite and > 0"},
+    "tol": {"type": float, "default": DEFAULT_TOL, "help": "membership tolerance, > 0 and < 1"},
     "out": {"default": None, "help": "write output to this path instead of stdout"},
 }
 
@@ -497,8 +497,9 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "mass"):
             args.mass = correspondence.check_mass(args.mass)
-        if hasattr(args, "tol") and not 0.0 < args.tol < math.inf:
-            raise ValidationError(f"--tol must be finite and > 0, got {args.tol!r}")
+        # a relative tolerance of 1 or more admits every condition
+        if hasattr(args, "tol") and not 0.0 < args.tol < 1.0:
+            raise ValidationError(f"--tol must be finite, > 0 and < 1, got {args.tol!r}")
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)

@@ -18,7 +18,9 @@ boundary form
        - psi_up(-L)* phi_down(-L) - psi_down(-L)* phi_up(-L) }
 
 whose vanishing on a boundary-condition's solution set certifies symmetry
-of the restricted operator.
+of the restricted operator.  Both quadratures walk their grids in blocks
+(:func:`_simpson_blocks`): grid-length temporaries would exceed glibc's mmap
+threshold and take fresh pages from the kernel on every call.
 
 Note on normalization: with the reference prefactor
 ``N = (1+m^2)^{1/4} e^{-sqrt(1+m^2) L}`` the squared norms evaluate to
@@ -170,8 +172,14 @@ def ode_residual(f: DeficiencyFunction, x: float, h: float) -> float:
     return float(np.abs(diff - coupling @ f.evaluate(x)).max())
 
 
+#: Points per quadrature block (the last also takes the final point): even,
+#: so blocks start on even indices, and 64 KB a row of doubles, below glibc's
+#: default 128 KiB mmap threshold, so block temporaries reuse heap memory.
+_BLOCK = 8192
+
+
 def _simpson_points(n: int) -> int:
-    """Grid size accepted by :func:`_simpson`: odd and at least 3."""
+    """Grid size accepted by :func:`_simpson_blocks`: odd and at least 3."""
     if n < 3 or n % 2 == 0:
         raise ValidationError(
             f"composite Simpson quadrature needs an odd number of points >= 3, got {n}"
@@ -179,25 +187,30 @@ def _simpson_points(n: int) -> int:
     return n
 
 
-def _simpson(xs: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights w on the equally spaced grid ``xs``: the
-    integral of samples ``y`` is ``w @ y``.
-
-    Only odd-length grids are accepted, where the rule is exact for cubics;
-    there is no even-length correction.
-    """
-    n = _simpson_points(xs.size)
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * ((xs[-1] - xs[0]) / (3.0 * (n - 1)))
-
-
-def _island_grid(island: Island, lam: float, reach: float, n: int) -> np.ndarray:
+def _simpson_blocks(island: Island, lam: float, reach: float, n: int):
+    """Composite Simpson on the n-point ``np.linspace`` grid over the first
+    ``reach`` of the island from its face, in consecutive blocks of
+    :data:`_BLOCK` points: yields grid points ``xs`` and weights ``w``, bit
+    for bit the full-grid ones, so an integral is the sum of ``w @ y`` over
+    the blocks.  Only odd n is accepted, where the rule is exact for cubics;
+    there is no even-length correction."""
     n = _simpson_points(n)
-    if island is Island.LEFT:
-        return np.linspace(-lam - reach, -lam, n)
-    return np.linspace(lam, lam + reach, n)
+    start, stop = (-lam - reach, -lam) if island is Island.LEFT else (lam, lam + reach)
+    step = (stop - start) / (n - 1)
+    scale = (stop - start) / (3.0 * (n - 1))
+    pattern = np.full(_BLOCK + 1, 2.0 * scale)
+    pattern[1::2] = 4.0 * scale
+    for lo in range(0, n - 1, _BLOCK):
+        hi = lo + _BLOCK if lo + _BLOCK < n - 1 else n
+        xs = np.arange(lo, hi, dtype=float) * step + start
+        w = pattern[: hi - lo]
+        if lo == 0 or hi == n:  # the end points weigh 1
+            w = w.copy()
+            if lo == 0:
+                w[0] = scale
+            if hi == n:
+                xs[-1], w[-1] = stop, scale
+        yield xs, w
 
 
 def gram_matrix(
@@ -249,9 +262,9 @@ def gram_matrix(
     diag = []
     for island in (Island.LEFT, Island.RIGHT):
         f = DeficiencyFunction(island, sign, m, lam, norm)
-        xs = _island_grid(island, lam, reach, num_points)
         spin = float(np.sum(np.abs(f.spinor) ** 2))
-        diag.append(spin * float(_simpson(xs) @ f.profile(xs)[0] ** 2))
+        blocks = _simpson_blocks(island, lam, reach, num_points)
+        diag.append(spin * float(sum(w @ f.profile(xs)[0] ** 2 for xs, w in blocks)))
     if tail > 1e-13 * max(1.0, *diag):
         raise QuadratureFailureError(
             f"truncation tail {tail:.3e} exceeds tolerance for extent {reach}"
@@ -353,18 +366,23 @@ def _check_terms(terms: Sequence[CombinationTerm], m: float, lam: float) -> floa
     return reach
 
 
-def _profiles(terms: Sequence[CombinationTerm], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spinors c u of the terms (K, 2) and their real profiles on ``xs``
-    (2K, n): rows f_1..f_K, then f'_1..f'_K.  A row is filled only on the
-    indices covering its term's support, plus one point of margin, and the
-    term's own mask still applies there, so it equals the full-grid row."""
-    rows = np.zeros((2, len(terms), xs.size))
+def _profiles(terms: Sequence[CombinationTerm], xs: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Real profiles of the terms on ``xs`` (2K, n), a contiguous view of the
+    flat ``buf``: rows f_1..f_K, then f'_1..f'_K.  A row is filled only on the
+    indices covering its term's support, plus one point of margin, and zeroed
+    elsewhere (wholly if ``xs`` misses the closed support); the term's own
+    mask still applies there, so it equals the full-grid row."""
+    rows = buf[: 2 * len(terms) * xs.size].reshape(2, len(terms), xs.size)
     for k, (_, term) in enumerate(terms):
-        i, j = np.searchsorted(xs, term.support)
-        window = slice(max(i - 1, 0), j + 1)
-        rows[:, k, window] = term.profile(xs[window])
-    spinors = [coef * np.asarray(term.spinor, dtype=complex) for coef, term in terms]
-    return np.array(spinors), rows.reshape(2 * len(terms), xs.size)
+        start, stop = term.support
+        if stop < xs[0] or start > xs[-1]:
+            rows[:, k] = 0.0
+            continue
+        i, j = np.searchsorted(xs, (start, stop))
+        lo, hi = max(i - 1, 0), j + 1
+        rows[:, k, :lo] = rows[:, k, hi:] = 0.0
+        rows[0, k, lo:hi], rows[1, k, lo:hi] = term.profile(xs[lo:hi])
+    return rows.reshape(2 * len(terms), xs.size)
 
 
 def boundary_form_quadrature(
@@ -379,10 +397,11 @@ def boundary_form_quadrature(
     Each term is a constant spinor u times a real profile f, and the mass
     part of H = sigma_x (-i d/dx) + m sigma_z cancels, so a psi term
     (c, u, f) against a phi term (d, v, g) adds i c* d (u^H sigma_x v)
-    times the integral of (f g)', taken from one Simpson-weighted product
-    of the stacked profiles per half-line.  ``num_points`` must be odd and
-    at least 3 (:class:`ValidationError` otherwise).  The result matches
-    :func:`boundary_form` of the combinations' boundary values.
+    times the integral of (f g)', summed over the grid blocks of each
+    half-line from Simpson-weighted products of the stacked profiles.
+    ``num_points`` must be odd and at least 3 (:class:`ValidationError`
+    otherwise).  The result matches :func:`boundary_form` of the
+    combinations' boundary values.
     """
     check_mass(m)
     reach = max(_check_terms(psi_terms, m, lam), _check_terms(phi_terms, m, lam))
@@ -393,9 +412,13 @@ def boundary_form_quadrature(
         phi = [(c, t) for c, t in phi_terms if t.island is island]
         if not (psi and phi):
             continue  # the integrand vanishes identically
-        xs = _island_grid(island, lam, reach, num_points)
-        (a, p), (b, q) = _profiles(psi, xs), _profiles(phi, xs)
-        integrals = (p * _simpson(xs)) @ q.T  # [f; f'] against [g; g']
+        p_buf, q_buf = np.empty(2 * len(psi) * (_BLOCK + 1)), np.empty(2 * len(phi) * (_BLOCK + 1))
+        integrals = 0.0  # [f; f'] against [g; g']
+        for xs, w in _simpson_blocks(island, lam, reach, num_points):
+            p = _profiles(psi, xs, p_buf)
+            p *= w
+            integrals += p @ _profiles(phi, xs, q_buf).T
+        a, b = (np.array([c * np.asarray(t.spinor, dtype=complex) for c, t in terms]) for terms in (psi, phi))
         slopes = integrals[len(psi):, :len(phi)] + integrals[:len(psi), len(phi):]
         spin = np.conj(a[:, :1]) * b[:, 1] + np.conj(a[:, 1:]) * b[:, 0]  # c* d u^H sigma_x v
         total += 1j * complex((spin * slopes).sum())

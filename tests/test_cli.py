@@ -483,6 +483,9 @@ class TestExitCodeContract:
             ["verify", "--alpha", "[NaN,0],0,0,1"],
             ["verify", "--gamma", "[Infinity,0],0,1"],
             ["decompose", "--matrix", "[[[1,0],[0,0]],[[0,0],[NaN,0]]]"],
+            # a1 a4 - a2 a3 = 0: a tolerance of 1 or more would admit the non-member
+            ["scatter", "--alpha", "1,0,1,0", "--tol", "1e300", "--emin", "1.2", "--emax", "3", "--steps", "3"],
+            ["convert", "alpha-to-bd", "--alpha", "1,0,1,0", "--tol", "2"],
         ],
     )
     def test_non_finite_numbers_exit_2(self, argv):

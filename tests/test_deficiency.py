@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,30 @@ from diracjunction.deficiency import (
     reference_normalization,
     verify_selfadjoint_domain,
 )
-from diracjunction.deficiency import _check_terms, _island_grid, _simpson, _violating_pairs
+from diracjunction.deficiency import _BLOCK, _check_terms, _simpson_blocks, _violating_pairs
 from diracjunction.errors import OutsideIslandError, ValidationError
 from helpers import random_spinor
+
+
+#: Grid sizes at the block edges: the shortest grid, one point short of a
+#: full block, and one point past one and two full blocks.
+BLOCK_EDGE_POINTS = (3, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1)
+
+
+def _island_linspace(island, lam, reach, n):
+    """The full n-point grid of one half-line's quadrature."""
+    if island is Island.LEFT:
+        return np.linspace(-lam - reach, -lam, n)
+    return np.linspace(lam, lam + reach, n)
+
+
+def _simpson_weights(xs):
+    """Composite Simpson weights on the whole grid ``xs``, as one vector."""
+    n = xs.size
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * ((xs[-1] - xs[0]) / (3.0 * (n - 1)))
 
 
 def _grouped_simpson(y, xs):
@@ -39,7 +61,7 @@ def _reference_quadrature(psi_terms, phi_terms, m, lam, num_points=2**15 + 1):
     reach = max(_check_terms(psi_terms, m, lam), _check_terms(phi_terms, m, lam))
     total = 0.0 + 0.0j
     for island in (Island.LEFT, Island.RIGHT):
-        xs = _island_grid(island, lam, reach, num_points)
+        xs = _island_linspace(island, lam, reach, num_points)
 
         def on_grid(terms):
             vals = np.zeros((2, xs.size), dtype=complex)
@@ -252,12 +274,13 @@ class TestGram:
     @pytest.mark.parametrize("m, lam", [(0.0, 0.0), (0.5, 0.7), (10.0, 0.25)])
     def test_diagonal_matches_complex_spinor_reference(self, sign, m, lam):
         norm = reference_normalization(m, lam)
-        g = gram_matrix(sign, m=m, lam=lam)
-        for i, island in enumerate((Island.LEFT, Island.RIGHT)):
-            xs = _island_grid(island, lam, 40.0 / math.hypot(1.0, m), 2**16 + 1)
-            vals = DeficiencyFunction(island, sign, m, lam, norm).evaluate(xs)
-            ref = _grouped_simpson(np.abs(vals[0]) ** 2 + np.abs(vals[1]) ** 2, xs)
-            assert g[i, i] == pytest.approx(ref, rel=1e-13, abs=0.0)
+        for n in (2**16 + 1, *BLOCK_EDGE_POINTS):
+            g = gram_matrix(sign, m=m, lam=lam, num_points=n)
+            for i, island in enumerate((Island.LEFT, Island.RIGHT)):
+                xs = _island_linspace(island, lam, 40.0 / math.hypot(1.0, m), n)
+                vals = DeficiencyFunction(island, sign, m, lam, norm).evaluate(xs)
+                ref = _grouped_simpson(np.abs(vals[0]) ** 2 + np.abs(vals[1]) ** 2, xs)
+                assert g[i, i] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 10.0])
     @pytest.mark.parametrize("lam", [0.0, 0.25, 1.0])
@@ -277,16 +300,30 @@ class TestGram:
 
 class TestSimpson:
     def test_exact_on_cubic(self):
-        xs = np.linspace(-0.5, 2.0, 9)
-        y = 3.0 * xs**3 - 2.0 * xs**2 + xs - 7.0
-        exact = 0.75 * xs**4 - 2.0 / 3.0 * xs**3 + 0.5 * xs**2 - 7.0 * xs
-        value = _simpson(xs) @ y
-        assert value == pytest.approx(exact[-1] - exact[0], rel=1e-12)
+        def antiderivative(x):
+            return 0.75 * x**4 - 2.0 / 3.0 * x**3 + 0.5 * x**2 - 7.0 * x
+
+        for n in (9, *BLOCK_EDGE_POINTS):
+            value = sum(
+                w @ (3.0 * xs**3 - 2.0 * xs**2 + xs - 7.0)
+                for xs, w in _simpson_blocks(Island.LEFT, 0.5, 2.5, n)  # over [-3, -0.5]
+            )
+            exact = antiderivative(-0.5) - antiderivative(-3.0)
+            assert value == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [9, *BLOCK_EDGE_POINTS, 2**15 + 1, 2**16 + 1])
+    @pytest.mark.parametrize("island, lam, reach", [(Island.LEFT, 0.7, 3.3), (Island.RIGHT, 0.0, 40.0)])
+    def test_blocks_tile_the_full_grid_rule(self, island, lam, reach, n):
+        blocks = list(_simpson_blocks(island, lam, reach, n))
+        assert all(xs.size == w.size <= _BLOCK + 1 for xs, w in blocks)
+        xs = np.concatenate([xs for xs, _ in blocks])
+        full = _island_linspace(island, lam, reach, n)
+        assert np.array_equal(xs, full)
+        assert np.array_equal(np.concatenate([w for _, w in blocks]), _simpson_weights(full))
 
     def test_even_grid_rejected(self):
-        xs = np.linspace(0.0, 1.0, 4)
         with pytest.raises(ValidationError):
-            _simpson(xs)
+            next(_simpson_blocks(Island.RIGHT, 0.0, 1.0, 4))
 
 
 class TestBoundaryForm:
@@ -369,9 +406,10 @@ class TestQuadratureGreenIdentity:
 
         for _ in range(3):
             psi, phi = random_terms(basis), random_terms(basis)
-            ref = _reference_quadrature(psi, phi, m, lam)
-            value = boundary_form_quadrature(psi, phi, m=m, lam=lam)
-            assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+            for n in (2**15 + 1, *BLOCK_EDGE_POINTS):
+                ref = _reference_quadrature(psi, phi, m, lam, n)
+                value = boundary_form_quadrature(psi, phi, m=m, lam=lam, num_points=n)
+                assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
         left = [t for t in basis if t.island is Island.LEFT]
         right = [t for t in basis if t.island is Island.RIGHT]
         # terms on different half-lines, or none: the integrand is identically zero
@@ -401,6 +439,42 @@ class TestQuadratureGreenIdentity:
     def test_bump_needs_a_finite_support(self, island, center, width):
         with pytest.raises(ValidationError):
             SmoothBump(island, center=center, width=width, spinor=(1, 0))
+
+
+class TestQuadratureMemory:
+    """The quadratures walk their grids in blocks, so at the default
+    ``num_points`` no array as long as a grid is built."""
+
+    @staticmethod
+    def _traced_peak(run):
+        run()  # warm numpy's lazy state outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("quadrature", ["gram", "green"])
+    def test_traced_peak_stays_under_1_5_mb(self, quadrature):
+        # one deficiency function and one bump per side, with coefficients
+        m, lam = 0.5, 0.3
+        left, right = Island.LEFT, Island.RIGHT
+        psi = [
+            (1.0 + 0.5j, DeficiencyFunction(left, Sign.PLUS, m, lam)),
+            (-0.3j, DeficiencyFunction(right, Sign.MINUS, m, lam)),
+            (0.8, SmoothBump(left, -lam - 2.0, 0.8, (1.0, -1j), lam=lam)),
+        ]
+        phi = [
+            (0.2 - 1j, DeficiencyFunction(right, Sign.PLUS, m, lam)),
+            (1.5, DeficiencyFunction(left, Sign.MINUS, m, lam)),
+            (0.4j, SmoothBump(right, lam + 2.0, 0.8, (1j, 1.0), lam=lam)),
+        ]
+        if quadrature == "gram":
+            peak = self._traced_peak(lambda: gram_matrix(Sign.PLUS, m, lam))
+        else:
+            peak = self._traced_peak(lambda: boundary_form_quadrature(psi, phi, m, lam))
+        assert peak < 1.5e6
 
 
 class TestSelfAdjointVerifier:
