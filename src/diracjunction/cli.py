@@ -11,10 +11,10 @@ produce byte-identical output; fuzzing uses a fixed default seed.
 Complex flag values accept ``a+bi`` shorthand or JSON ``[re, im]``;
 the infinite separating parameter is spelled ``inf``.
 
-A unitary payload is carried as a pair of pairs of Python complex.
-No command imports ``numpy``: ``scatter`` runs the scattering kernel on
-lists of Python floats whatever the grid's size, and ``verify --fuzz``
-draws from :mod:`random`.
+A unitary payload is a pair of pairs of Python complex.  No command
+imports ``numpy``; ``verify --fuzz`` draws from :mod:`random`.  ``scatter``
+cuts a sweep of 2 x ``_PART_ROWS`` rows or more into one grid part per
+usable CPU, rendered by forked workers and written once, byte for byte.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -42,6 +43,8 @@ CSV_HEADER = "E,k,lambda,re_r,im_r,re_t,im_t,R,T,phase_t,flag"
 FMT17 = "%.17g"
 _CSV_ROW = ",".join([FMT17] * 10 + ["%s"])
 _JSON_ROW = "{" + ", ".join(f'"{name}": %s' for name in CSV_HEADER.split(",")[:-1]) + ', "flag": "%s"}'
+#: format -> (row template, row separator, text before the rows, text after)
+_LAYOUT = {"csv": (_CSV_ROW, "\n", CSV_HEADER + "\n", "\n"), "json": (_JSON_ROW, ", ", "[", "]\n")}
 
 
 # ---------------------------------------------------------------------------
@@ -311,23 +314,62 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_fields(cols: ScatteringColumns) -> list[list]:
-    """A sweep's output fields in :data:`CSV_HEADER` order, one list per field;
-    ``flag`` is always empty."""
-    return [*cols, [""] * len(cols.E)]
+#: Rows per part: two parts of this size format faster than one of twice it (README).
+_PART_ROWS = 4096
 
 
-def _csv_text(records) -> str:
-    """CSV of output records (tuples in :data:`CSV_HEADER` order)."""
-    return "\n".join([CSV_HEADER, *map(_CSV_ROW.__mod__, records)]) + "\n"
+def _part_count(steps: int) -> int:
+    """One grid part per CPU this process may use, each of at least :data:`_PART_ROWS` rows."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, steps // _PART_ROWS)) if hasattr(os, "fork") else 1
 
 
-def _json_text(fields: list[list]) -> str:
-    """The JSON array of row records, byte for byte what ``json.dumps`` gives
-    for the list of dicts.  ``str`` of a float is the ``repr`` that ``json``
-    writes; only the non-finite values are spelled differently."""
-    text = "[" + ", ".join(map(_JSON_ROW.__mod__, zip(*fields))) + "]\n"
-    return text.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(": -inf", ": -Infinity")
+def _rows_text(cols: ScatteringColumns, fmt: str) -> str:
+    """A grid part's rows, joined; a JSON record is what ``json.dumps`` gives for its dict
+    (``str`` of a float is the ``repr`` that ``json`` writes, bar the non-finite values)."""
+    row, sep, _, _ = _LAYOUT[fmt]
+    text = sep.join(map(row.__mod__, zip(*cols, [""] * len(cols.E))))
+    if fmt == "json":
+        text = text.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(": -inf", ": -Infinity")
+    return text
+
+
+def _sweep_text(bc, args, parts: int) -> str:
+    """A checked sweep's output from ``parts`` (<= steps) contiguous grid parts, the first rendered
+    here and each other one by a forked worker; :class:`InternalInconsistencyError` if one fails."""
+    from .scattering import sweep_part
+
+    sweep = bc, args.emin, args.emax, args.steps, args.mass, Island(args.face), args.tol
+    bounds = [args.steps * i // parts for i in range(parts + 1)]
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None in a process started without them
+        stream.flush()
+    workers = []
+    try:
+        for i in range(1, parts):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker writes its piece to its pipe and exits; it never returns
+                try:
+                    os.close(r)
+                    if sys.stdout:
+                        sys.stdout.close()
+                    with open(w, "wb") as pipe:
+                        pipe.write(_rows_text(sweep_part(*sweep, *bounds[i : i + 2]), args.format).encode())
+                except BaseException:  # nothing written, no traceback: the parent reports it
+                    os._exit(1)
+                os._exit(0)
+            os.close(w)
+            workers.append((pid, open(r, "rb")))
+        pieces = [_rows_text(sweep_part(*sweep, 0, bounds[1]), args.format)]
+        pieces += [pipe.read().decode() for _, pipe in workers]
+    finally:
+        for _, pipe in workers:  # a worker still writing then sees a broken pipe and exits
+            pipe.close()
+        failed = [pid for pid, _ in workers if os.waitpid(pid, 0)[1]]
+    if failed:
+        raise InternalInconsistencyError("a worker rendering part of the sweep failed")
+    _, sep, head, tail = _LAYOUT[args.format]
+    return "".join([head, sep.join(pieces), tail])
 
 
 def cmd_scatter(args) -> int:
@@ -336,14 +378,8 @@ def cmd_scatter(args) -> int:
     bc = _payload(args, _CONDITION)
     if not isinstance(bc, correspondence.ExtensionClass):  # a unitary
         bc = correspondence.classify(bc, args.mass, args.tol)
-    try:
-        cols = scattering.sweep_columns(
-            bc, args.emin, args.emax, args.steps, args.mass, Island(args.face), args.tol
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    fields = _sweep_fields(cols)
-    write(_csv_text(zip(*fields)) if args.format == "csv" else _json_text(fields), args.out)
+    scattering.check_sweep(bc, args.emin, args.emax, args.steps, args.mass, args.tol)
+    write(_sweep_text(bc, args, _part_count(args.steps)), args.out)
     return 0
 
 

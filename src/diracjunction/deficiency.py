@@ -492,7 +492,7 @@ def verify_selfadjoint_domain(
     whose form against some in-domain pair is bounded away from zero
     (adding it would break symmetry, so the domain is maximal).  All
     samples come from one (samples, 2, 2) draw, and the form over all
-    ordered pairs is evaluated as one (samples, samples) array.
+    ordered pairs is evaluated in row blocks of the (samples, samples) array.
     """
     if samples < 0:
         raise ValidationError(f"samples must be >= 0, got {samples!r}")
@@ -507,11 +507,14 @@ def verify_selfadjoint_domain(
     else:
         s = draws[..., 0] + 1j * draws[..., 1]
         pm, pp = _face(bc.rho.rho_minus, s[:, 0]), _face(bc.rho.rho_plus, s[:, 1])
-    # row i is psi = sample i, column j is phi = sample j
+    # row i is psi = sample i, column j is phi = sample j; blocks stay below glibc's mmap threshold
     mags = np.maximum(np.abs(pm).max(axis=1), np.abs(pp).max(axis=1))
-    scale = np.maximum(1.0, mags[:, None] * mags[None, :])
-    forms = _boundary_forms(pm[:, None], pp[:, None], pm[None], pp[None])
-    worst = float(np.max(np.abs(forms) / scale, initial=0.0))
+    rows = max(1, 4096 // max(samples, 1))
+    worst = float(np.max([
+        np.max(np.abs(_boundary_forms(pm[i : i + rows, None], pp[i : i + rows, None], pm[None], pp[None]))
+               / np.maximum(1.0, mags[i : i + rows, None] * mags[None, :]), initial=0.0)
+        for i in range(0, samples, rows)
+    ], initial=0.0))
     probes = slice(0, 16)
     witnesses = {
         face: float(np.max(

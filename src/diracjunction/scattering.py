@@ -30,8 +30,8 @@ out as untested scope.
 
 One kernel, :func:`_columns`, computes every quantity on a list of
 energies, in plain float arithmetic, and returns the output columns (real
-and imaginary parts apart).  :func:`sweep_columns` runs it on a uniform
-grid, :func:`scatter_alpha` and :func:`scatter_rho` on one energy, and
+and imaginary parts apart).  :func:`sweep_part` runs it on rows of a
+uniform grid, :func:`scatter_alpha` and :func:`scatter_rho` on one energy, and
 :func:`scatter_batch` on an array, whose columns it returns as numpy
 arrays; only that adapter imports ``numpy``.
 """
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, phase_form
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
-from .errors import BelowGapError, NotInClassError
+from .errors import BelowGapError, NotInClassError, ValidationError
 from .matrix2 import DEFAULT_TOL, record_type
 
 if TYPE_CHECKING:
@@ -275,37 +275,43 @@ def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> S
     return _row(E, _separating(rho, face, E, m))
 
 
-def sweep_columns(
-    bc: ExtensionClass,
-    e_min: float,
-    e_max: float,
-    steps: int,
-    m: float,
-    face: Island = Island.LEFT,
-    tol: float = DEFAULT_TOL,
-) -> ScatteringColumns:
-    """Uniform energy grid of scattering results, ordered by E, as columns
-    of Python floats: the grid of ``numpy.linspace`` and its rows, bit for
-    bit."""
+def check_sweep(bc: ExtensionClass, e_min: float, e_max: float, steps: int, m: float,
+                tol: float = DEFAULT_TOL) -> float:
+    """Refuse a sweep before any row is computed (grid, size, class); returns the mass."""
     m = check_mass(m)
     if steps < 2:
-        raise ValueError("steps must be >= 2")
+        raise ValidationError("steps must be >= 2")
     if not (m < e_min < e_max < math.inf):
-        raise ValueError("need m < e_min < e_max, all finite")
+        raise ValidationError("need m < e_min < e_max, all finite")
     try:  # one allocation refuses a grid that cannot fit, before any is built
         [0.0] * steps
     except (MemoryError, OverflowError):
-        raise ValueError(f"no energy grid of {steps} steps fits in memory") from None
-    # numpy.linspace's arithmetic, with the last point set to e_max
+        raise ValidationError(f"no energy grid of {steps} steps fits in memory") from None
+    if isinstance(bc, Transmitting):
+        phase_form(bc.alpha, tol)
+    return m
+
+
+def sweep_part(bc: ExtensionClass, e_min: float, e_max: float, steps: int, m: float, face: Island, tol: float,
+               lo: int, hi: int) -> ScatteringColumns:
+    """Rows ``lo..hi-1`` of a sweep :func:`check_sweep` accepted: those points of the
+    ``numpy.linspace`` grid, by its arithmetic, bit for bit, the last set to ``e_max``."""
     start, div = float(e_min), steps - 1
     delta = float(e_max) - start
     step = delta / div
-    if step:
-        grid = [i * step + start for i in range(div)]
-    else:  # the step underflowed to 0
-        grid = [i / div * delta + start for i in range(div)]
-    grid.append(float(e_max))
+    points = range(lo, min(hi, div))
+    # where the step underflows to 0, numpy takes i / div * delta
+    grid = [i * step + start for i in points] if step else [i / div * delta + start for i in points]
+    grid += [float(e_max)] * (hi == steps)
     return ScatteringColumns(grid, *_columns(bc, grid, m, face, tol))
+
+
+def sweep_columns(bc: ExtensionClass, e_min: float, e_max: float, steps: int, m: float,
+                  face: Island = Island.LEFT, tol: float = DEFAULT_TOL) -> ScatteringColumns:
+    """Uniform energy grid of scattering results, ordered by E, as columns
+    of Python floats: the grid of ``numpy.linspace`` and its rows, bit for
+    bit."""
+    return sweep_part(bc, e_min, e_max, steps, check_sweep(bc, e_min, e_max, steps, m, tol), face, tol, 0, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from diracjunction.cli import (
+    _PART_ROWS,
     FMT17,
+    build_parser,
     main,
     parse_angle,
     parse_complex,
     parse_rho,
 )
-from diracjunction.boundary import AlphaBC, RhoBC
+from diracjunction.boundary import AlphaBC, Island, RhoBC
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.errors import ValidationError
 
@@ -721,21 +723,21 @@ class TestScatter:
                     assert T == pytest.approx(4.0e-14, rel=1e-3)
 
     def test_json_text_matches_json_dumps(self):
-        from diracjunction.cli import _json_text, _sweep_fields
-        from diracjunction.scattering import sweep_columns
+        from diracjunction.cli import _rows_text
+        from diracjunction.scattering import ScatteringColumns, sweep_columns
 
-        keys = CSV_HEADER_FIELDS
+        def dumps(cols):
+            return json.dumps([dict(zip(CSV_HEADER_FIELDS, (*row, ""))) for row in zip(*cols)])
+
         for bc, m in (
             (Transmitting(AlphaBC(0, 1, 1, 0)), 1e-14),
             (Separating(RhoBC(math.inf, 0.5)), 1.0),
         ):
-            fields = _sweep_fields(sweep_columns(bc, m + 0.4, 2.0, 7, m))
-            records = [dict(zip(keys, values)) for values in zip(*fields)]
-            assert _json_text(fields) == json.dumps(records) + "\n"
+            cols = sweep_columns(bc, m + 0.4, 2.0, 7, m)
+            assert "[" + _rows_text(cols, "json") + "]" == dumps(cols)
         # json's spellings of the non-finite floats
-        fields = [[math.inf, -math.inf, math.nan, -0.0]] * 10 + [["", "RESONANCE", "", ""]]
-        records = [dict(zip(keys, values)) for values in zip(*fields)]
-        assert _json_text(fields) == json.dumps(records) + "\n"
+        cols = ScatteringColumns(*[[math.inf, -math.inf, math.nan, -0.0]] * 10)
+        assert "[" + _rows_text(cols, "json") + "]" == dumps(cols)
 
     def test_infinite_grid_exits_2(self, capsys):
         code, out, err = run(
@@ -774,6 +776,149 @@ class TestScatter:
         text = path.read_text()
         assert text.startswith("E,k,lambda")
         assert text.endswith("\n")
+
+
+def _sweep_args(*argv):
+    return build_parser().parse_args(["scatter", *argv])
+
+
+def _parsed_rows(text: str, fmt: str) -> list[list[str]]:
+    """The ten numeric fields of each output row, as ``repr`` of the float."""
+    if fmt == "csv":
+        header, *lines = text.splitlines()
+        assert header == ",".join(CSV_HEADER_FIELDS)
+        rows = [line.split(",") for line in lines]
+        assert all(row[-1] == "" for row in rows)
+        return [[repr(float(x)) for x in row[:-1]] for row in rows]
+    records = json.loads(text)
+    assert all(list(record) == CSV_HEADER_FIELDS and record["flag"] == "" for record in records)
+    return [[repr(float(record[key])) for key in CSV_HEADER_FIELDS[:-1]] for record in records]
+
+
+#: A condition per kind: transmitting (theta, b = 0.7, 2, 0.5, 1, 0.25),
+#: separating, rho = inf at the left face, and the right face of a
+#: separating condition.
+_PART_CONDITIONS = [
+    ("--alpha", "1.529684374568977+1.288435374475382i,-0.3221088436188455+0.38242109364224425i,"
+     "-0.644217687237691+0.7648421872844885i,0.19121054682112212+0.16105442180942275i"),
+    ("--rho", "0.3,-2"),
+    ("--rho", "0.5,inf"),
+    ("--rho", "0.7,-1.5", "--face", "right"),
+]
+
+
+class TestSweepParts:
+    """A sweep cut into grid parts, the later ones rendered in forked
+    workers, prints what one part prints, byte for byte."""
+
+    def _check_parts(self, args, part_counts=(1, 2, 3, 4)):
+        from diracjunction.cli import _CONDITION, _payload, _sweep_text
+        from diracjunction.scattering import check_sweep, sweep_columns
+
+        bc = _payload(args, _CONDITION)
+        check_sweep(bc, args.emin, args.emax, args.steps, args.mass, args.tol)
+        texts = [_sweep_text(bc, args, parts) for parts in part_counts]
+        assert all(text == texts[0] for text in texts)
+        cols = sweep_columns(bc, args.emin, args.emax, args.steps, args.mass, Island(args.face), args.tol)
+        assert _parsed_rows(texts[0], args.format) == [list(map(repr, row)) for row in zip(*cols)]
+        return cols
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("m", [0.0, 0.5, 10.0, 1e200])
+    @pytest.mark.parametrize("condition", _PART_CONDITIONS)
+    def test_parts_join_to_the_one_part_text(self, condition, m, fmt):
+        grid = ["--emin", repr(1.2 * m + 0.1), "--emax", repr(3.0 * m + 2.0)]
+        self._check_parts(_sweep_args(*condition, "--mass", repr(m), *grid, "--steps", "11", "--format", fmt))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_parts_at_the_part_size(self, n, offset):
+        fmt = ("csv", "json")[(n + offset) % 4 // 2]
+        condition = _PART_CONDITIONS[n - 1]
+        steps = _PART_ROWS * n + offset
+        args = _sweep_args(
+            *condition, "--mass", "10", "--emin", "10.5", "--emax", "13", "--steps", str(steps), "--format", fmt
+        )
+        assert len(self._check_parts(args).E) == steps
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_parts_of_a_grid_whose_step_underflows(self, fmt):
+        # adjacent floats: the step (e_max - e_min) / 8 rounds to 0
+        args = _sweep_args("--alpha", "0,1,1,0", "--emin", "5e-324", "--emax", "1e-323", "--steps", "9", "--format", fmt)
+        cols = self._check_parts(args)
+        assert cols.E == np.linspace(5e-324, 1e-323, 9).tolist()
+
+    def test_part_count(self, monkeypatch):
+        from diracjunction.cli import _part_count
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        for n in range(1, 9):
+            assert _part_count(_PART_ROWS * n - 1) == max(1, n - 1)
+            assert _part_count(_PART_ROWS * n + 1) == n
+        assert _part_count(10**9) == 8
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _part_count(10**9) == 3
+        monkeypatch.delattr(os, "fork")
+        assert _part_count(10**9) == 1
+
+
+class TestSweepWorkers:
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers forked, with as many CPUs as parts wanted."""
+        pids, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        return pids
+
+    def _big(self, *extra):
+        return ("scatter", "--rho", "inf,0.3", "--mass", "1", "--emin", "1.2", "--emax", "3",
+                "--steps", str(3 * _PART_ROWS + 5), *extra)
+
+    def test_main_leaves_no_worker_behind(self, capsys, forks):
+        code, out, err = run(capsys, *self._big("--format", "json"))
+        assert (code, err) == (0, "") and len(json.loads(out)) == 3 * _PART_ROWS + 5
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_failed_worker_exits_3_and_writes_nothing(self, capsys, monkeypatch, tmp_path, forks, to_file):
+        import diracjunction.scattering as scattering
+
+        parent, columns = os.getpid(), scattering._columns
+
+        def failing_in_workers(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return columns(*args)
+
+        monkeypatch.setattr(scattering, "_columns", failing_in_workers)
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, *self._big(*(["--out", str(path)] if to_file else [])))
+        assert (code, out) == (3, "") and "internal inconsistency" in err
+        assert not path.exists() and len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_cpu_forks_nothing(self, capsys, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        code, out, _ = run(capsys, *self._big())
+        assert code == 0 and len(out.splitlines()) == 3 * _PART_ROWS + 6
+        assert forks == []
+
+    def test_unallocatable_grid_forks_nothing(self, capsys, forks):
+        code, out, err = run(capsys, "scatter", "--alpha", "1,0,0,1", "--emin", "1", "--emax", "2",
+                             "--steps", "1000000000000000")
+        assert (code, out) == (2, "") and "no energy grid" in err
+        assert forks == []
 
 
 class TestDemoSwitch:

@@ -504,22 +504,34 @@ class TestSelfAdjointVerifier:
         good = BoundaryPair([0, 1], [0, 1])  # satisfies the identity condition
         assert abs(boundary_form(bad, good)) == pytest.approx(1.0)
 
-    def test_matches_pairwise_loop(self):
+    @staticmethod
+    def _check_pairwise(bc, samples, seed):
         # reference: per-sample draws, and the form evaluated pair by pair
         # with boundary_form; magnitudes are taken with numpy's abs, as the
         # verifier takes them (Python's abs of a complex may differ in the last bit)
+        report = verify_selfadjoint_domain(bc, samples=samples, seed=seed)
+        draws = np.random.default_rng(seed)
+        pairs = [_domain_pair(bc, draws) for _ in range(samples)]
+        forms = np.array([[boundary_form(p, q) for q in pairs] for p in pairs])
+        scales = np.array([[max(1.0, _magnitude(p) * _magnitude(q)) for q in pairs] for p in pairs])
+        assert report.max_symmetry_residual == np.max(np.abs(forms) / scales)
+        for face, bad in _violating_pairs(bc).items():
+            expected = np.max(np.abs([boundary_form(bad, q) for q in pairs[:16]]))
+            assert report.witness_magnitudes[face] == expected
+
+    def test_matches_pairwise_loop(self):
         rng = np.random.default_rng(10)
         for i in range(12):
             bc = Transmitting(random_alpha(rng)) if i % 2 else Separating(random_rho(rng))
-            report = verify_selfadjoint_domain(bc, samples=30, seed=i)
-            draws = np.random.default_rng(i)
-            pairs = [_domain_pair(bc, draws) for _ in range(30)]
-            forms = np.array([[boundary_form(p, q) for q in pairs] for p in pairs])
-            scales = np.array([[max(1.0, _magnitude(p) * _magnitude(q)) for q in pairs] for p in pairs])
-            assert report.max_symmetry_residual == np.max(np.abs(forms) / scales)
-            for face, bad in _violating_pairs(bc).items():
-                expected = np.max(np.abs([boundary_form(bad, q) for q in pairs[:16]]))
-                assert report.witness_magnitudes[face] == expected
+            self._check_pairwise(bc, 30, i)
+
+    @pytest.mark.parametrize("samples", [65, 150])
+    def test_matches_pairwise_loop_across_row_blocks(self, samples):
+        # 65 samples take a block of 63 rows and one of 2; 150 take five
+        # blocks of 27 and one of 15
+        rng = np.random.default_rng(samples)
+        self._check_pairwise(Transmitting(random_alpha(rng)), samples, 1)
+        self._check_pairwise(Separating(random_rho(rng)), samples, 2)
 
     def test_zero_samples_never_pass(self):
         report = verify_selfadjoint_domain(Transmitting(AlphaBC(0, 1, 1, 0)), samples=0)
