@@ -335,24 +335,27 @@ def _rows_text(cols: ScatteringColumns, fmt: str) -> str:
 
 
 def _sweep_text(bc, args, parts: int) -> str:
-    """A checked sweep's output from ``parts`` (<= steps) contiguous grid parts, the first rendered
-    here and each other one by a forked worker; :class:`InternalInconsistencyError` if one fails."""
+    """A checked sweep's output from ``parts`` (<= steps) contiguous grid parts: a forked worker renders
+    each but the last, which this process renders, with every part whose pipe or fork failed.  A worker
+    that fails, whatever its error, makes this raise :class:`InternalInconsistencyError`."""
     from .scattering import sweep_part
 
     sweep = bc, args.emin, args.emax, args.steps, args.mass, Island(args.face), args.tol
     bounds = [args.steps * i // parts for i in range(parts + 1)]
-    for stream in filter(None, (sys.stdout, sys.stderr)):  # None in a process started without them
-        stream.flush()
     workers = []
     try:
-        for i in range(1, parts):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the worker writes its piece to its pipe and exits; it never returns
+        for i in range(parts - 1):
+            fds = ()
+            try:
+                r, w = fds = os.pipe()
+                pid = os.fork()
+            except OSError:  # out of processes or descriptors
+                for fd in fds:
+                    os.close(fd)
+                break
+            if pid == 0:  # the worker writes its piece to its pipe; os._exit flushes no inherited buffer
                 try:
                     os.close(r)
-                    if sys.stdout:
-                        sys.stdout.close()
                     with open(w, "wb") as pipe:
                         pipe.write(_rows_text(sweep_part(*sweep, *bounds[i : i + 2]), args.format).encode())
                 except BaseException:  # nothing written, no traceback: the parent reports it
@@ -360,8 +363,8 @@ def _sweep_text(bc, args, parts: int) -> str:
                 os._exit(0)
             os.close(w)
             workers.append((pid, open(r, "rb")))
-        pieces = [_rows_text(sweep_part(*sweep, 0, bounds[1]), args.format)]
-        pieces += [pipe.read().decode() for _, pipe in workers]
+        mine = _rows_text(sweep_part(*sweep, bounds[len(workers)], args.steps), args.format)
+        pieces = [pipe.read().decode() for _, pipe in workers] + [mine]
     finally:
         for _, pipe in workers:  # a worker still writing then sees a broken pipe and exits
             pipe.close()

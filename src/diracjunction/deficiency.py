@@ -509,12 +509,10 @@ def verify_selfadjoint_domain(
         pm, pp = _face(bc.rho.rho_minus, s[:, 0]), _face(bc.rho.rho_plus, s[:, 1])
     # row i is psi = sample i, column j is phi = sample j; blocks stay below glibc's mmap threshold
     mags = np.maximum(np.abs(pm).max(axis=1), np.abs(pp).max(axis=1))
-    rows = max(1, 4096 // max(samples, 1))
-    worst = float(np.max([
-        np.max(np.abs(_boundary_forms(pm[i : i + rows, None], pp[i : i + rows, None], pm[None], pp[None]))
-               / np.maximum(1.0, mags[i : i + rows, None] * mags[None, :]), initial=0.0)
-        for i in range(0, samples, rows)
-    ], initial=0.0))
+    rows, worst = max(1, _BLOCK // 2 // max(samples, 1)), 0.0  # a complex entry is two doubles
+    for psi in (slice(i, i + rows) for i in range(0, samples, rows)):
+        forms = np.abs(_boundary_forms(pm[psi, None], pp[psi, None], pm[None], pp[None]))
+        worst = float(np.maximum(worst, np.max(forms / np.maximum(1.0, mags[psi, None] * mags[None, :]))))
     probes = slice(0, 16)
     witnesses = {
         face: float(np.max(

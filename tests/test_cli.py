@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -723,7 +724,7 @@ class TestScatter:
                     assert T == pytest.approx(4.0e-14, rel=1e-3)
 
     def test_json_text_matches_json_dumps(self):
-        from diracjunction.cli import _rows_text
+        from diracjunction.cli import _rows_text, _sweep_text
         from diracjunction.scattering import ScatteringColumns, sweep_columns
 
         def dumps(cols):
@@ -734,7 +735,10 @@ class TestScatter:
             (Separating(RhoBC(math.inf, 0.5)), 1.0),
         ):
             cols = sweep_columns(bc, m + 0.4, 2.0, 7, m)
-            assert "[" + _rows_text(cols, "json") + "]" == dumps(cols)
+            args = _sweep_args("--mass", repr(m), "--emin", repr(m + 0.4), "--emax", "2.0", "--steps", "7",
+                               "--format", "json")
+            for parts in (1, 2):
+                assert _sweep_text(bc, args, parts) == dumps(cols) + "\n"
         # json's spellings of the non-finite floats
         cols = ScatteringColumns(*[[math.inf, -math.inf, math.nan, -0.0]] * 10)
         assert "[" + _rows_text(cols, "json") + "]" == dumps(cols)
@@ -905,6 +909,33 @@ class TestSweepWorkers:
         code, out, err = run(capsys, *self._big(*(["--out", str(path)] if to_file else [])))
         assert (code, out) == (3, "") and "internal inconsistency" in err
         assert not path.exists() and len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_failed_pipe_or_fork_renders_the_parts_left_here(self, capsys, monkeypatch, forks, failing):
+        # the second pipe or fork fails, as at a descriptor or process limit
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_part = run(capsys, *self._big("--format", "json"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pipes, calls, pipe = [], {"pipe": 0, "fork": 0}, os.pipe
+
+        def second_fails(name, call):
+            def wrapped():
+                calls[name] += 1
+                if name == failing and calls[name] == 2:
+                    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                return call()
+
+            return wrapped
+
+        monkeypatch.setattr(os, "fork", second_fails("fork", os.fork))
+        monkeypatch.setattr(os, "pipe", second_fails("pipe", lambda: pipes.append(pipe()) or pipes[-1]))
+        assert run(capsys, *self._big("--format", "json")) == one_part
+        assert one_part[0] == 0 and calls[failing] == 2 and len(forks) == 1
+        for fd in (fd for fds in pipes for fd in fds):  # every descriptor made is closed
+            with pytest.raises(OSError):
+                os.fstat(fd)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
