@@ -30,6 +30,7 @@ _EXPORTS = {
     "correspondence": (
         "ExtensionClass",
         "Separating",
+        "Sign",
         "Transmitting",
         "alpha_to_u2",
         "classify",
@@ -37,7 +38,6 @@ _EXPORTS = {
         "compare_closed_form",
         "diagonal_u2_to_rho",
         "mu_constant",
-        "oracle_alpha_from_u2",
         "oracle_rho_from_diagonal",
         "rho_to_diagonal_u2",
         "u2_to_alpha",
@@ -45,11 +45,11 @@ _EXPORTS = {
     "deficiency": (
         "BoundaryPair",
         "DeficiencyFunction",
-        "Sign",
         "boundary_form",
         "boundary_form_quadrature",
         "gram_matrix",
         "ode_residual",
+        "oracle_alpha_from_u2",
         "verify_selfadjoint_domain",
     ),
     "matrix2": (
@@ -64,7 +64,6 @@ _EXPORTS = {
         "ScatteringColumns",
         "ScatteringResult",
         "scatter_alpha",
-        "scatter_batch",
         "scatter_rho",
         "sweep_columns",
         "switch_demo",

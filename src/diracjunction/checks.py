@@ -189,7 +189,8 @@ RHO_ROUND_TRIP = Check("extension-round-trip", _rho_round_trip, 1e-12)
 RATIO_ORACLE = Check("boundary-ratio-oracle", _ratio_oracle, 1e-12)
 
 FUZZ_CHECKS = (
-    Check("fuzz-class", lambda report: report.worst()[1] / report.scale, 1e-12),
+    # the worst class residual, in units of its own constraint's scale
+    Check("fuzz-class", lambda report: (w := report.worst())[1] / report.scale_of(w[0]), 1e-12),
     ROUND_TRIP._replace(name="fuzz-round-trip"),
     CURRENT._replace(name="fuzz-current"),
     Check("fuzz-scatter-unitarity", lambda res: abs(res.R + res.T - 1.0), 1e-12),

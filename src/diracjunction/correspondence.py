@@ -9,10 +9,11 @@ transmitting condition (:class:`~.boundary.AlphaBC`).  The mass enters
 only through the unimodular constant ``mu = (1 + i m)/sqrt(1 + m^2)``.
 
 Ground truth in both directions is the boundary-value construction: build
-the two domain basis elements ``psi_j^+ + U psi_j^-`` from the explicit
-deficiency eigenfunctions, evaluate their boundary spinors, and solve the
-2x2 matching system.  Those solves are kept as test oracles
-(:func:`solve_u2_matrix`, :func:`oracle_alpha_from_u2`).  The inverse map
+the two domain basis elements ``psi_j^+ + U psi_j^-`` from the deficiency
+eigenfunctions, whose spinors :func:`eigen_spinor` defines, evaluate their
+boundary spinors, and solve the 2x2 matching system.  Those constructions
+are test oracles, in :mod:`~.deficiency` but for the numpy-free
+:func:`oracle_rho_from_diagonal`, which ``verify`` runs.  The inverse map
 :func:`alpha_to_u2` is the closed form with g3 taken from the second
 defining identity; the formula as printed (:func:`closed_form_u2_candidate`)
 gets g3 wrong for most inputs (see :func:`compare_closed_form`) and is kept
@@ -25,15 +26,16 @@ workers freely.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+import sys
+from enum import Enum
+from typing import NamedTuple
 
-from .boundary import AlphaBC, RhoBC, alpha_to_bd, require_class
+from .boundary import AlphaBC, Island, RhoBC, alpha_to_bd, require_class
 from .errors import (
     DiagonalInputError,
     InternalInconsistencyError,
     NotUnimodularError,
     NotUnitaryError,
-    SingularSystemError,
     ValidationError,
 )
 from .matrix2 import (
@@ -45,9 +47,6 @@ from .matrix2 import (
     record_type,
     split_unitary,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def check_mass(m: float) -> float:
@@ -62,6 +61,33 @@ def mu_constant(m: float) -> complex:
     m = check_mass(m)
     s = math.hypot(1.0, m)
     return complex(1.0 / s, m / s)
+
+
+class Sign(Enum):
+    """The deficiency subspace: eigenvalue +i (PLUS) or -i (MINUS)."""
+
+    PLUS = "plus"
+    MINUS = "minus"
+
+
+def eigen_spinor(island: Island, sign: Sign, m: float) -> tuple[complex, complex]:
+    """Constant spinor of a deficiency eigenfunction: (1, -mu) and (1, mu)
+    for PLUS on the left and right, (1, mu*) and (1, -mu*) for MINUS."""
+    mu = mu_constant(m)
+    down = -mu if sign is Sign.PLUS else mu.conjugate()
+    return 1.0, (down if island is Island.LEFT else -down)
+
+
+def face_factor(m: float, lam: float, power: int = 1) -> float:
+    """e^{-sqrt(1+m^2) lam}, the eigenfunctions' common trace factor at the
+    faces; raises :class:`ValidationError` unless 0 <= lam keeps its
+    ``power``-th power, which the calling oracle divides by, a normal double."""
+    rate = math.hypot(1.0, m)
+    top = -math.log(sys.float_info.min) / (power * rate)
+    if not 0.0 <= lam <= top:
+        raise ValidationError(f"lam = {lam!r} is out of range: e^(-{power} sqrt(1+m^2) lam) is a normal double "
+                              f"only for 0 <= lam <= {top:.6g} at m = {m!r}")
+    return math.exp(-rate * lam)
 
 
 @record_type
@@ -81,8 +107,14 @@ class Transmitting(NamedTuple):
 ExtensionClass = Separating | Transmitting
 
 
+#: Floor of the tolerance a modulus is held to: rounding alone leaves up to
+#: 3.5 units of roundoff in the norms of :func:`alpha_to_u2`'s parameters on
+#: class members, and one in the moduli of :func:`rho_to_diagonal_u2`'s phases.
+NORM_FLOOR = 8.0 * sys.float_info.epsilon
+
+
 def _require_unimodular(z: complex, name: str, tol: float) -> complex:
-    z = complex(z)
+    z, tol = complex(z), max(tol, NORM_FLOOR)
     if abs(abs(z) - 1.0) > tol:
         raise NotUnimodularError(f"|{name}| = {abs(z):.12g} is not 1 within tol={tol}")
     return z
@@ -148,30 +180,27 @@ def oracle_rho_from_diagonal(
 
     Forms the domain element psi_L^+ + gl * psi_L^- and takes the ratio of
     its spin components at the left face (mirror construction at the
-    right); independent of the half junction length ``lam``.  Serves as
-    the independent check of :func:`diagonal_u2_to_rho`.
+    right); independent of the half junction length ``lam``, which must
+    keep :func:`face_factor` a normal double.  Serves as the independent
+    check of :func:`diagonal_u2_to_rho`.
     """
     m = check_mass(m)
     gl = _require_unimodular(gl, "gamma_left", tol)
     gr = _require_unimodular(gr, "gamma_right", tol)
-    mu = mu_constant(m)
-    scale = math.exp(-math.hypot(1.0, m) * lam)
+    scale = face_factor(m, lam)
 
-    def face(g: complex, up: complex, down: complex) -> float:
+    def face(g: complex, island: Island) -> float:
         if abs(1.0 + g) <= tol:
             return math.inf
-        ratio = down / up
-        if abs(ratio.real) > 100.0 * tol * max(1.0, abs(ratio)):
-            raise InternalInconsistencyError(
-                f"boundary spinor ratio {ratio!r} is not purely imaginary"
-            )
+        (p_up, p_down), (m_up, m_down) = (eigen_spinor(island, sign, m) for sign in Sign)
+        ratio = (scale * (p_down + g * m_down)) / (scale * (p_up + g * m_up))
+        # a rounding of g moves the ratio by about eps / |1 + g| of itself
+        if abs(ratio.real) > 100.0 * max(tol, NORM_FLOOR / abs(1.0 + g)) * max(1.0, abs(ratio)):
+            raise InternalInconsistencyError(f"boundary spinor ratio {ratio!r} is not purely imaginary")
         return float(ratio.imag)
 
-    # left face of psi_L^+ + gl psi_L^-: spinor (1 + gl, -mu + gl mu*)
-    rho_minus = face(gl, scale * (1.0 + gl), scale * (-mu + gl * mu.conjugate()))
-    # right face of psi_R^+ + gr psi_R^-: spinor (1 + gr, mu - gr mu*)
-    rho_plus = face(gr, scale * (1.0 + gr), scale * (mu - gr * mu.conjugate()))
-    return RhoBC(rho_plus=rho_plus, rho_minus=rho_minus)
+    rho_minus = face(gl, Island.LEFT)
+    return RhoBC(rho_plus=face(gr, Island.RIGHT), rho_minus=rho_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -211,100 +240,6 @@ def u2_to_alpha(q: QuaternionForm, m: float) -> AlphaBC:
     )
 
 
-def _boundary_basis(m: float, lam: float) -> dict[str, np.ndarray]:
-    """One-sided boundary spinors of the four deficiency eigenfunctions,
-    unit internal normalization (the common factor cancels in every ratio
-    used here, avoiding underflow at large lam)."""
-    import numpy as np
-
-    mu = mu_constant(m)
-    e = math.exp(-math.hypot(1.0, m) * lam)
-    return {
-        "Lp_minus": e * np.array([1.0, -mu]),
-        "Lm_minus": e * np.array([1.0, np.conj(mu)]),
-        "Rp_plus": e * np.array([1.0, mu]),
-        "Rm_plus": e * np.array([1.0, -np.conj(mu)]),
-    }
-
-
-def oracle_alpha_from_u2(
-    matrix, m: float, lam: float = 0.0, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Boundary matrix of a non-diagonal extension, from first principles.
-
-    Builds the domain basis elements phi_L = psi_L^+ + u11 psi_L^- + u12 psi_R^-
-    and phi_R = psi_R^+ + u21 psi_L^- + u22 psi_R^-, evaluates their boundary
-    spinors at the two faces and solves V [phi_L(-L) phi_R(-L)] =
-    [phi_L(+L) phi_R(+L)] for V.  The result is independent of ``lam`` and
-    class-valid; the matching matrix is singular exactly when U is diagonal
-    (its determinant is proportional to u21).
-    """
-    import numpy as np
-
-    m = check_mass(m)
-    u = np.array(as_c2matrix(matrix))
-    if not is_unitary(u, tol):
-        raise NotUnitaryError(f"matrix is not unitary within tol={tol}")
-    b = _boundary_basis(m, float(lam))
-    minus = np.column_stack(
-        [b["Lp_minus"] + u[0, 0] * b["Lm_minus"], u[1, 0] * b["Lm_minus"]]
-    )
-    plus = np.column_stack(
-        [u[0, 1] * b["Rm_plus"], b["Rp_plus"] + u[1, 1] * b["Rm_plus"]]
-    )
-    det = minus[0, 0] * minus[1, 1] - minus[0, 1] * minus[1, 0]
-    if abs(det) <= tol * float(np.abs(minus).max() ** 2 + 1e-300):
-        raise SingularSystemError(
-            "boundary-value matrix at the left face is singular; "
-            "the extension is diagonal"
-        )
-    return plus @ np.linalg.inv(minus)
-
-
-# ---------------------------------------------------------------------------
-# Transmitting condition  ->  non-diagonal U
-# ---------------------------------------------------------------------------
-
-
-def solve_u2_matrix(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Unitary of a transmitting condition via the boundary-value systems.
-
-    Imposes psi(+L) = B psi(-L) on both domain basis elements; each gives a
-    2x2 linear system with the same coefficient matrix
-    ``[[a1 + a2 mu*, -1], [a3 + a4 mu*, mu*]]`` (never singular for class
-    input).  Asserts unitarity of the assembled matrix.
-    """
-    import numpy as np
-
-    m = check_mass(m)
-    require_class(a, tol)
-    mu = mu_constant(m)
-    a1, a2, a3, a4 = a.as_tuple()
-    coeff = np.array(
-        [
-            [a1 + a2 * np.conj(mu), -1.0],
-            [a3 + a4 * np.conj(mu), np.conj(mu)],
-        ],
-        dtype=complex,
-    )
-    rhs = np.column_stack(
-        [np.array([-a1 + a2 * mu, -a3 + a4 * mu]), np.array([1.0, mu])]
-    )
-    try:
-        sol = np.linalg.solve(coeff, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InternalInconsistencyError(
-            f"boundary-value system unexpectedly singular: {exc}"
-        ) from exc
-    u = np.array([[sol[0, 0], sol[1, 0]], [sol[0, 1], sol[1, 1]]])
-    unit_tol = max(tol, 1e3 * DEFAULT_TOL * np.linalg.cond(coeff))
-    if not is_unitary(u, unit_tol):
-        raise InternalInconsistencyError(
-            "solved extension matrix is not unitary; input may be far from class"
-        )
-    return u
-
-
 def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionForm:
     """Quaternion-form parameters of the extension for a transmitting condition.
 
@@ -320,10 +255,11 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     :func:`closed_form_u2_candidate`; g3 comes from the second defining
     identity (:func:`inverse_identity_residuals`), and on the class |g3| = 1.
     Plain complex arithmetic; round-trips with :func:`u2_to_alpha` and agrees
-    with the boundary-value solve (:func:`solve_u2_matrix`).  Raises
-    :class:`~.errors.NotInClassError` outside the class,
+    with the boundary-value solve (:func:`~.deficiency.solve_u2_matrix`).
+    Raises :class:`~.errors.NotInClassError` outside the class,
     :class:`ValidationError` when w overflows, and
-    :class:`InternalInconsistencyError` when |g3| misses 1 by more than the
+    :class:`InternalInconsistencyError` when |g1|^2 + |g2|^2 misses 1 by more
+    than ``tol``, at least :data:`NORM_FLOOR` here, or |g3| by more than the
     class check allows (``tol`` times :func:`~.boundary.class_scale`), which
     happens only where the map amplifies the condition's class residual.
     """
@@ -353,12 +289,13 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     # g1, g2 are normalized by construction; |g3| inherits the class residual,
     # which the class check allows up to tol * class_scale
     r1, r2 = q.norm_residuals()
+    tol = max(tol, NORM_FLOOR)
     limit = tol * scale
     if not (r1 <= tol and r2 <= limit):
         raise InternalInconsistencyError(
             f"closed-form extension parameters fail the norm constraints: "
             f"residuals ({r1:.3e}, {r2:.3e}) exceed ({tol:.1e}, {limit:.3e}); "
-            f"the condition is too ill-conditioned at this mass"
+            f"the map amplifies the condition's class residual beyond them"
         )
     return q
 

@@ -9,8 +9,9 @@ spanned by one exponentially decaying spinor per half-line,
     left,  -:  N (1,  mu*) e^{ sqrt(1+m^2) x},   x <= -L
     right, -:  N (1, -mu*) e^{-sqrt(1+m^2) x},   x >= +L
 
-with mu = (1 + i m)/sqrt(1+m^2).  This module evaluates them, checks the
-first-order eigenfunction system by finite differences, computes Gram
+with mu = (1 + i m)/sqrt(1+m^2), the spinors of
+:func:`~.correspondence.eigen_spinor`.  This module evaluates them, checks
+the first-order eigenfunction system by finite differences, computes Gram
 matrices by quadrature (rank 2 certifies the indices), and evaluates the
 boundary form
 
@@ -18,9 +19,12 @@ boundary form
        - psi_up(-L)* phi_down(-L) - psi_down(-L)* phi_up(-L) }
 
 whose vanishing on a boundary-condition's solution set certifies symmetry
-of the restricted operator.  Both quadratures walk their grids in blocks
-(:func:`_simpson_blocks`): grid-length temporaries would exceed glibc's mmap
-threshold and take fresh pages from the kernel on every call.
+of the restricted operator.  The boundary-value oracles of the parameter
+maps, :func:`oracle_alpha_from_u2` and :func:`solve_u2_matrix`, are built
+on the same eigenfunctions; only tests and the benchmark call them.  Both
+quadratures walk their grids in blocks (:func:`_simpson_blocks`):
+grid-length temporaries would exceed glibc's mmap threshold and take fresh
+pages from the kernel on every call.
 
 Note on normalization: with the reference prefactor
 ``N = (1+m^2)^{1/4} e^{-sqrt(1+m^2) L}`` the squared norms evaluate to
@@ -36,20 +40,23 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .boundary import Island
-from .correspondence import ExtensionClass, Transmitting, check_mass, mu_constant
-from .errors import OutsideIslandError, QuadratureFailureError, ValidationError
-from .matrix2 import as_c2vector
+from .boundary import AlphaBC, Island, require_class
+from .correspondence import ExtensionClass, Sign, Transmitting, check_mass, eigen_spinor, face_factor
+from .errors import (InternalInconsistencyError, NotUnitaryError, OutsideIslandError, QuadratureFailureError,
+                     SingularSystemError, ValidationError)
+from .matrix2 import DEFAULT_TOL, as_c2matrix, is_unitary
 
 
-class Sign(Enum):
-    PLUS = "plus"
-    MINUS = "minus"
+def as_c2vector(obj) -> np.ndarray:
+    """Coerce to a length-2 complex ndarray."""
+    v = np.asarray(obj, dtype=complex)
+    if v.shape != (2,):
+        raise ValueError(f"expected a 2-spinor, got shape {v.shape}")
+    return v
 
 
 def decay_rate(m: float) -> float:
@@ -60,16 +67,6 @@ def reference_normalization(m: float, lam: float) -> float:
     """Reference prefactor (1+m^2)^{1/4} e^{-sqrt(1+m^2) lam}."""
     rate = decay_rate(m)
     return math.sqrt(rate) * math.exp(-rate * lam)
-
-
-def eigen_spinor(island: Island, sign: Sign, m: float) -> np.ndarray:
-    """Constant spinor prefactor of the deficiency eigenfunction."""
-    mu = mu_constant(m)
-    if sign is Sign.PLUS:
-        down = -mu if island is Island.LEFT else mu
-    else:
-        down = np.conj(mu) if island is Island.LEFT else -np.conj(mu)
-    return np.array([1.0, down], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,7 @@ class DeficiencyFunction(_SpinorProfile):
 
     @property
     def spinor(self) -> np.ndarray:
-        return eigen_spinor(self.island, self.sign, self.m)
+        return np.array(eigen_spinor(self.island, self.sign, self.m), dtype=complex)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -423,6 +420,63 @@ def boundary_form_quadrature(
         spin = np.conj(a[:, :1]) * b[:, 1] + np.conj(a[:, 1:]) * b[:, 0]  # c* d u^H sigma_x v
         total += 1j * complex((spin * slopes).sum())
     return total
+
+
+# ---------------------------------------------------------------------------
+# Boundary-value oracles of the parameter maps
+# ---------------------------------------------------------------------------
+
+
+def oracle_alpha_from_u2(matrix, m: float, lam: float = 0.0, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Boundary matrix of a non-diagonal extension, from first principles.
+
+    Builds the domain basis elements phi_L = psi_L^+ + u11 psi_L^- + u12 psi_R^-
+    and phi_R = psi_R^+ + u21 psi_L^- + u22 psi_R^-, evaluates their boundary
+    spinors at the two faces and solves V [phi_L(-L) phi_R(-L)] =
+    [phi_L(+L) phi_R(+L)] for V.  The result is independent of ``lam``, which
+    must keep the square of :func:`~.correspondence.face_factor` a normal
+    double, and class-valid; the matching matrix is singular exactly when U
+    is diagonal (its determinant is proportional to u21).
+    """
+    m = check_mass(m)
+    u = as_c2matrix(matrix)
+    if not is_unitary(u, tol):
+        raise NotUnitaryError(f"matrix is not unitary within tol={tol}")
+    face_factor(m, lam, 2)
+    (lp, lm), (rp, rm) = ([DeficiencyFunction(island, sign, m, lam) for sign in Sign] for island in Island)
+    (u11, u12), (u21, u22) = u
+    phi_l = combination_boundary([(1.0, lp), (u11, lm), (u12, rm)])
+    phi_r = combination_boundary([(1.0, rp), (u21, lm), (u22, rm)])
+    at_minus = np.column_stack([phi_l.at_minus, phi_r.at_minus])
+    at_plus = np.column_stack([phi_l.at_plus, phi_r.at_plus])
+    det = at_minus[0, 0] * at_minus[1, 1] - at_minus[0, 1] * at_minus[1, 0]
+    if abs(det) <= tol * float(np.abs(at_minus).max() ** 2):
+        raise SingularSystemError("boundary-value matrix at the left face is singular; the extension is diagonal")
+    return at_plus @ np.linalg.inv(at_minus)
+
+
+def solve_u2_matrix(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Unitary of a transmitting condition via the boundary-value systems.
+
+    Imposes psi(+L) = B psi(-L) on both domain basis elements; each gives a
+    2x2 linear system with the coefficient columns B s_L^- and -s_R^-, and
+    the right-hand sides -B s_L^+ and s_R^+, for the eigenfunctions' spinors
+    s (never singular for class input).  Asserts unitarity of the assembled
+    matrix.
+    """
+    m = check_mass(m)
+    require_class(a, tol)
+    a1, a2, a3, a4 = a.as_tuple()
+    (lp, lm), (rp, rm) = ([eigen_spinor(island, sign, m) for sign in Sign] for island in Island)
+    coeff = np.array([[a1 * lm[0] + a2 * lm[1], -rm[0]], [a3 * lm[0] + a4 * lm[1], -rm[1]]], dtype=complex)
+    rhs = np.array([[-(a1 * lp[0] + a2 * lp[1]), rp[0]], [-(a3 * lp[0] + a4 * lp[1]), rp[1]]], dtype=complex)
+    try:
+        u = np.linalg.solve(coeff, rhs).T
+    except np.linalg.LinAlgError as exc:
+        raise InternalInconsistencyError(f"boundary-value system unexpectedly singular: {exc}") from exc
+    if not is_unitary(u, max(tol, 1e3 * DEFAULT_TOL * np.linalg.cond(coeff))):
+        raise InternalInconsistencyError("solved extension matrix is not unitary; input may be far from class")
+    return u
 
 
 # ---------------------------------------------------------------------------

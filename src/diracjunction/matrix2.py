@@ -2,12 +2,12 @@
 
 Every function accepts a matrix as a ``(2, 2)`` ``numpy`` array or as a
 pair of pairs of numbers, and works on its four entries as Python
-``complex``, so none of the 2x2 closed forms needs ``numpy``; only the
-helpers that return arrays (:func:`compose`, :meth:`QuaternionForm.as_array`,
-:func:`as_c2vector`) import it.  The three-parameter representation
-``U = g3 * [[g1, -g2*], [g2, g1*]]`` with ``|g1|^2 + |g2|^2 = |g3| = 1`` is
-carried by :class:`QuaternionForm`.  All operations are pure functions on
-immutable values and are safe to call concurrently.
+``complex``, so none of the 2x2 closed forms needs ``numpy``; only
+:func:`compose`, which returns an array, imports it.  The three-parameter
+representation ``U = g3 * [[g1, -g2*], [g2, g1*]]`` with
+``|g1|^2 + |g2|^2 = |g3| = 1`` is carried by :class:`QuaternionForm`.  All
+operations are pure functions on immutable values and are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -38,16 +38,6 @@ def as_c2matrix(obj) -> Entries:
         shape = getattr(obj, "shape", None)
         raise ValueError(f"expected a 2x2 matrix, got {shape or rows!r}") from exc
     return (complex(a), complex(b)), (complex(c), complex(d))
-
-
-def as_c2vector(obj) -> np.ndarray:
-    """Coerce to a length-2 complex ndarray."""
-    import numpy as np
-
-    v = np.asarray(obj, dtype=complex)
-    if v.shape != (2,):
-        raise ValueError(f"expected a 2-spinor, got shape {v.shape}")
-    return v
 
 
 def _same_type_eq(self, other) -> bool:
@@ -89,11 +79,6 @@ class QuaternionForm(NamedTuple):
     g1: complex
     g2: complex
     g3: complex
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.g1, self.g2, self.g3], dtype=complex)
 
     def norm_residuals(self) -> tuple[float, float]:
         """Residuals of |g1|^2 + |g2|^2 = 1 and |g3| = 1; inf, not an

@@ -31,24 +31,20 @@ out as untested scope.
 One kernel, :func:`_columns`, computes every quantity on a list of
 energies, in plain float arithmetic, and returns the output columns (real
 and imaginary parts apart).  :func:`sweep_part` runs it on rows of a
-uniform grid, :func:`scatter_alpha` and :func:`scatter_rho` on one energy, and
-:func:`scatter_batch` on an array, whose columns it returns as numpy
-arrays; only that adapter imports ``numpy``.
+uniform grid, and :func:`scatter_alpha` and :func:`scatter_rho` on one
+energy.  Nothing here imports ``numpy``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, phase_form
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
 from .errors import BelowGapError, NotInClassError, ValidationError
 from .matrix2 import DEFAULT_TOL, record_type
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @record_type
@@ -66,22 +62,10 @@ class ScatteringResult(NamedTuple):
     flag: str | None = None  # always None: a class member's matching system is never singular
 
 
-def _complex_column(re, im):
-    """Complex column of real and imaginary parts, lists or arrays alike."""
-    if isinstance(re, list):
-        return list(map(complex, re, im))
-    import numpy as np
-
-    z = np.empty(len(re), dtype=complex)
-    z.real, z.imag = re, im
-    return z
-
-
 @record_type
 class ScatteringColumns(NamedTuple):
-    """Scattering results over an energy grid, one list (or, from
-    :func:`scatter_batch`, one array) per output column; ``r`` and ``t``
-    are assembled from their parts on request."""
+    """Scattering results over an energy grid, one list per output column;
+    ``r`` and ``t`` are assembled from their parts on request."""
 
     E: list[float]
     k: list[float]
@@ -95,12 +79,12 @@ class ScatteringColumns(NamedTuple):
     phase_t: list[float]
 
     @property
-    def r(self):
-        return _complex_column(self.re_r, self.im_r)
+    def r(self) -> list[complex]:
+        return list(map(complex, self.re_r, self.im_r))
 
     @property
-    def t(self):
-        return _complex_column(self.re_t, self.im_t)
+    def t(self) -> list[complex]:
+        return list(map(complex, self.re_t, self.im_t))
 
     def row(self, i: int) -> ScatteringResult:
         """Row ``i`` as a :class:`ScatteringResult`."""
@@ -207,32 +191,12 @@ def _separating(rho: RhoBC, face: Island, E: list[float], m: float) -> tuple[lis
 
 def _columns(bc: ExtensionClass, E: list[float], m: float, face: Island, tol: float) -> tuple[list[float], ...]:
     """The output columns after E, (k, lam, re_r, im_r, re_t, im_t, R, T,
-    phase_t), at energies ``E`` above the gap.  See :func:`scatter_batch`."""
+    phase_t), at energies ``E`` above the gap: a transmitting condition must
+    be in the class at ``tol`` and takes the wave from the left whatever
+    ``face`` says; a separating one reflects totally at ``face``."""
     if isinstance(bc, Transmitting):
         return _transmitting(bc.alpha, E, m, tol)
     return _separating(bc.rho, face, E, m)
-
-
-def scatter_batch(
-    bc: ExtensionClass, E, m: float, face: Island = Island.LEFT, tol: float = DEFAULT_TOL
-) -> ScatteringColumns:
-    """Scatter the incident mode off ``bc`` at every energy of ``E`` at once,
-    as columns of numpy arrays.
-
-    Transmitting conditions solve the 2x2 matching system per energy and
-    must be in the class at ``tol`` (:class:`NotInClassError` otherwise);
-    the wave always arrives from the left, whatever ``face`` says.
-    Separating conditions reflect totally at ``face``.  Raises
-    :class:`BelowGapError` if any E <= m.
-    """
-    import numpy as np
-
-    m = check_mass(m)
-    E = np.asarray(E, dtype=float).ravel()
-    below = E <= m
-    if np.count_nonzero(below):
-        raise BelowGapError(f"E = {float(E[below][0])} is not above the mass gap m = {m}")
-    return ScatteringColumns(E, *map(np.array, _columns(bc, E.tolist(), m, face, tol)))
 
 
 def _energy(E: float, m: float) -> tuple[list[float], float]:
@@ -247,7 +211,7 @@ def _energy(E: float, m: float) -> tuple[list[float], float]:
 
 def _row(E: list[float], cols: tuple[list[float], ...]) -> ScatteringResult:
     """The one row of the kernel's columns at the one energy ``E``; the row
-    of :func:`sweep_columns` and :func:`scatter_batch` there, bit for bit."""
+    of :func:`sweep_columns` there, bit for bit."""
     k, lam, re_r, im_r, re_t, im_t, R, T, phase_t = cols
     return ScatteringResult(
         E[0], k[0], lam[0], complex(re_r[0], im_r[0]), complex(re_t[0], im_t[0]), R[0], T[0], phase_t[0]

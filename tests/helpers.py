@@ -1,12 +1,16 @@
 """Helpers only the tests use: boundary spinors, the probability current,
-form equivalence and random draws that the package itself never needs."""
+form equivalence, scattering columns as numpy arrays and random draws that
+the package itself never needs."""
 
 import math
 
 import numpy as np
 
-from diracjunction.boundary import TWO_PI, AlphaBC, BDForm, RhoBC
-from diracjunction.matrix2 import DEFAULT_TOL, QuaternionForm, as_c2matrix, as_c2vector, is_unitary
+from diracjunction import scattering
+from diracjunction.boundary import TWO_PI, AlphaBC, BDForm, Island, RhoBC
+from diracjunction.correspondence import ExtensionClass, check_mass
+from diracjunction.deficiency import as_c2vector
+from diracjunction.matrix2 import DEFAULT_TOL, QuaternionForm, as_c2matrix, is_unitary
 
 
 def apply_alpha(a: AlphaBC, v_minus) -> np.ndarray:
@@ -38,6 +42,33 @@ def current(v) -> float:
     """Probability current j = 2 Re(v_up* v_down) of a boundary spinor."""
     w = as_c2vector(v)
     return float(2.0 * (w[0].conjugate() * w[1]).real)
+
+
+class ArrayColumns(scattering.ScatteringColumns):
+    """Scattering columns as numpy arrays, ``r`` and ``t`` as complex arrays."""
+
+    @staticmethod
+    def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        z = np.empty(len(re), dtype=complex)
+        z.real, z.imag = re, im
+        return z
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._complex(self.re_r, self.im_r)
+
+    @property
+    def t(self) -> np.ndarray:
+        return self._complex(self.re_t, self.im_t)
+
+
+def scatter_batch(
+    bc: ExtensionClass, E, m: float, face: Island = Island.LEFT, tol: float = DEFAULT_TOL
+) -> ArrayColumns:
+    """The package's scattering kernel at every energy of ``E``, all above
+    the gap (unchecked), with its columns as numpy arrays."""
+    E = np.asarray(E, dtype=float).ravel()
+    return ArrayColumns(E, *map(np.array, scattering._columns(bc, E.tolist(), check_mass(m), face, tol)))
 
 
 def bd_equivalent(f: BDForm, g: BDForm, tol: float = 1e-9) -> bool:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from diracjunction import checks, deficiency, matrix2
-from diracjunction.boundary import AlphaBC, BDForm, bd_to_alpha, random_rho
+from diracjunction.boundary import AlphaBC, BDForm, bd_to_alpha, random_alpha, random_rho
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.matrix2 import DEFAULT_TOL
 from helpers import current, random_quaternion_form, random_spinor
@@ -104,3 +104,35 @@ class TestExactResiduals:
             expected = float(np.abs(matrix2.compose(q) - np.array(u)).max())
             for given in (u, matrix2.as_c2matrix(u)):
                 assert abs(checks.DECOMPOSITION.residual(given, q) - expected) <= math.ulp(expected)
+
+
+class TestRecordVerdicts:
+    """Every record's verdict is its residual against its limit, so the
+    printed residual explains the PASS or FAIL next to it."""
+
+    @staticmethod
+    def _consistent(verification: checks.Verification) -> None:
+        for r in verification.records:
+            assert r.passed == (r.residual <= r.limit), r
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-13, 1e-15, 1e-16, 1e-17])
+    def test_fuzz_records(self, tol):
+        for seed, m in ((1, 0.0), (2, 1.0), (3, 1.0), (4, 10.0)):
+            self._consistent(checks.verify_fuzz(3600 if seed == 3 else 400, m, tol, seed))
+
+    def test_fuzz_class_residual_is_on_its_constraints_scale(self):
+        # instance 0 of seed 3 fails a determinant constraint, whose scale
+        # is not the orthogonality scale the residual was once divided by
+        (record,) = checks.verify_fuzz(3600, 1.0, 1e-16, 3).records
+        assert record.name == "fuzz-class" and record.residual > record.limit == 1e-16
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-16, 1e-17])
+    def test_condition_records(self, tol):
+        rng = np.random.default_rng(91)
+        for i in range(300):
+            m = MASSES[i % 3]
+            for condition in (Transmitting(random_alpha(rng)), Separating(random_rho(rng))):
+                self._consistent(checks.verify_condition(condition, m, tol))
+            # a composed unitary misses unitarity by a few units of roundoff,
+            # which a smaller tol rejects as input
+            self._consistent(checks.verify_condition(matrix2.compose(random_quaternion_form(rng)), m, max(tol, 1e-15)))

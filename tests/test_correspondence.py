@@ -14,12 +14,11 @@ from diracjunction.correspondence import (
     diagonal_u2_to_rho,
     inverse_identity_residuals,
     mu_constant,
-    oracle_alpha_from_u2,
     oracle_rho_from_diagonal,
     rho_to_diagonal_u2,
-    solve_u2_matrix,
     u2_to_alpha,
 )
+from diracjunction.deficiency import oracle_alpha_from_u2, solve_u2_matrix
 from diracjunction.errors import (
     DiagonalInputError,
     InternalInconsistencyError,
@@ -231,6 +230,25 @@ class TestBoundaryValueOracle:
         with pytest.raises(NotUnitaryError):
             oracle_alpha_from_u2(np.array([[1, 1], [0, 1]], dtype=complex), 0.0)
 
+    def test_lam_whose_face_factor_underflows_is_a_validation_error(self):
+        # e^(-2 sqrt(1+m^2) lam) leaves the normal doubles beyond lam = 354.2 at
+        # m = 0, and e^(-sqrt(1+m^2) lam) beyond lam = 0.7084 at m = 1e3; there
+        # the oracles once reported a diagonal extension and divided by zero
+        u = np.array([[0, -1], [1, 0]], dtype=complex)
+        with pytest.raises(ValidationError, match=r"0 <= lam <= 354\.198 at m = 0"):
+            oracle_alpha_from_u2(u, 0.0, lam=360.0)
+        with pytest.raises(ValidationError, match=r"0 <= lam <= 0\.708396 at m = 1000"):
+            oracle_rho_from_diagonal(1j, 1, 1e3, lam=0.75)
+        for lam in (-1.0, math.nan):
+            with pytest.raises(ValidationError):
+                oracle_alpha_from_u2(u, 0.0, lam=lam)
+            with pytest.raises(ValidationError):
+                oracle_rho_from_diagonal(1j, 1, 0.0, lam=lam)
+        # just inside the bounds, the results do not depend on lam
+        np.testing.assert_allclose(oracle_alpha_from_u2(u, 0.0, lam=354.0), SWAP, atol=1e-14)
+        near = oracle_rho_from_diagonal(1j, 1, 1e3, lam=0.7)
+        assert tuple(near) == pytest.approx(tuple(oracle_rho_from_diagonal(1j, 1, 1e3)), rel=1e-14)
+
     def test_formula_matches_oracle_and_lambda_independent(self):
         rng = np.random.default_rng(33)
         for i in range(200):
@@ -250,7 +268,7 @@ class TestInverseMap:
     def test_fixed_triples(self):
         for a, q in TRIPLES:
             got = alpha_to_u2(a, 0.0)
-            assert np.abs(got.as_array() - q.as_array()).max() <= 1e-14
+            assert np.abs(np.array(got) - np.array(q)).max() <= 1e-14
 
     def test_solved_matrix_is_unitary(self):
         rng = np.random.default_rng(41)
@@ -291,7 +309,7 @@ class TestInverseMap:
             m = MASSES[i % 4]
             q = alpha_to_u2(a, m)
             oracle = decompose_u2(solve_u2_matrix(a, m))
-            assert np.abs(q.as_array() - oracle.as_array()).max() <= 1e-10
+            assert np.abs(np.array(q) - np.array(oracle)).max() <= 1e-10
             assert q.is_canonical()
             scale = max(1.0, max(abs(x) for x in a.as_tuple()))
             assert max(inverse_identity_residuals(q, a, m)) <= 1e-10 * scale
@@ -303,7 +321,7 @@ class TestInverseMap:
         a = AlphaBC(1e-11, 0, 0, 1e11)
         q = alpha_to_u2(a, m)
         oracle = decompose_u2(solve_u2_matrix(a, m))
-        assert np.abs(q.as_array() - oracle.as_array()).max() <= 1e-10
+        assert np.abs(np.array(q) - np.array(oracle)).max() <= 1e-10
 
     def test_no_negative_zero_parameters(self):
         for a, _ in TRIPLES:
@@ -345,7 +363,7 @@ class TestInverseMap:
                 )
                 m = MASSES[i % 4]
                 want = _mp_u2(mpmath, a, m)
-                got = [mpmath.mpc(g.real, g.imag) for g in alpha_to_u2(a, m).as_array().tolist()]
+                got = [mpmath.mpc(g.real, g.imag) for g in alpha_to_u2(a, m)]
                 err = min(
                     max(abs(x - y) for x, y in zip(got, want)),
                     max(abs(x + y) for x, y in zip(got, want)),
@@ -360,7 +378,7 @@ class TestClosedFormCrossCheck:
         comparison = compare_closed_form(AlphaBC(1, 0, 0, 1), 0.0)
         assert comparison.disagrees
         cand = closed_form_u2_candidate(AlphaBC(1, 0, 0, 1), 0.0)
-        assert np.abs(cand.as_array() - np.array([0, 1j, 1j])).max() <= 1e-14
+        assert np.abs(np.array(cand) - np.array([0, 1j, 1j])).max() <= 1e-14
         assert comparison.identity_residual > 0.5
 
     def test_spin_flip_sign_pair(self):

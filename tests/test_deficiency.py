@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from diracjunction.boundary import AlphaBC, RhoBC, random_alpha, random_rho
-from diracjunction.correspondence import Separating, Transmitting, mu_constant
+from diracjunction.correspondence import Separating, Sign, Transmitting, mu_constant
 from diracjunction.deficiency import (
     BoundaryPair,
     DeficiencyFunction,
     Island,
-    Sign,
     SmoothBump,
     boundary_form,
     boundary_form_quadrature,

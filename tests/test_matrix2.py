@@ -107,18 +107,18 @@ class TestCompose:
 class TestDecompose:
     def test_identity(self):
         q = decompose_u2(I2)
-        np.testing.assert_allclose(q.as_array(), [1, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(np.array(q), [1, 0, 1], atol=1e-15)
         assert decompose_branch(I2) == "u21_zero"
 
     def test_rotation(self):
         q = decompose_u2(ROT)
-        np.testing.assert_allclose(q.as_array(), [0, 1, 1], atol=1e-15)
+        np.testing.assert_allclose(np.array(q), [0, 1, 1], atol=1e-15)
         assert decompose_branch(ROT) == "u21_nonzero"
 
     def test_diagonal_phase(self):
         q = decompose_u2(np.diag([1j, 1]))
         root = np.exp(1j * math.pi / 4)
-        np.testing.assert_allclose(q.as_array(), [root, 0, root], atol=1e-15)
+        np.testing.assert_allclose(np.array(q), [root, 0, root], atol=1e-15)
 
     def test_not_unitary(self):
         with pytest.raises(NotUnitaryError):
@@ -151,7 +151,7 @@ class TestDecompose:
             )
             given = canonical if rng.uniform() < 0.5 else canonical.negated()
             got = decompose_u2(compose(given))
-            assert np.abs(got.as_array() - canonical.as_array()).max() <= 1e-12
+            assert np.abs(np.array(got) - np.array(canonical)).max() <= 1e-12
 
     def test_exact_boundary_canonicalization(self):
         # g3 = -1 flips to the arg-0 member

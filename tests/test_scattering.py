@@ -18,18 +18,17 @@ from diracjunction.boundary import (
 from diracjunction import scattering
 from diracjunction.correspondence import Separating, Transmitting, alpha_to_u2
 from diracjunction.deficiency import Island
-from diracjunction.errors import BelowGapError, NotInClassError
+from diracjunction.errors import BelowGapError, NotInClassError, ValidationError
 from diracjunction.matrix2 import arg_2pi
 from diracjunction.scattering import (
     ScatteringColumns,
     ScatteringResult,
     scatter_alpha,
-    scatter_batch,
     scatter_rho,
     sweep_columns,
     switch_demo,
 )
-from helpers import apply_alpha, current
+from helpers import apply_alpha, current, scatter_batch
 
 SPIN_FLIP = AlphaBC(0, 1, 1, 0)
 
@@ -68,11 +67,11 @@ class TestPlaneSpinors:
             assert float(np.abs(h @ u - E * u).max()) <= 1e-12
 
     def test_below_gap(self):
-        for bc in (Transmitting(SPIN_FLIP), Separating(RhoBC(0.0, 0.0))):
+        for E in (0.5, 1.0):
             with pytest.raises(BelowGapError):
-                scatter_batch(bc, [0.5], 1.0)
+                scatter_alpha(SPIN_FLIP, E, 1.0)
             with pytest.raises(BelowGapError):
-                scatter_batch(bc, [1.0], 1.0)
+                scatter_rho(RhoBC(0.0, 0.0), E, 1.0)
 
 
 class TestScatterAlpha:
@@ -420,8 +419,9 @@ class TestScatterBatch:
         assert (cols.k == tiny).all() and (cols.lam == 1.0).all()
 
     def test_rejects_energies_below_gap(self):
-        with pytest.raises(BelowGapError):
-            scatter_batch(Transmitting(SPIN_FLIP), [2.0, 1.0, 3.0], 1.0)
+        for e_min in (0.5, 1.0):
+            with pytest.raises(ValidationError, match="need m < e_min"):
+                sweep_columns(Transmitting(SPIN_FLIP), e_min, 3.0, 3, 1.0)
 
     def test_grid_must_be_finite(self):
         with pytest.raises(ValueError):
