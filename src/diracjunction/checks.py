@@ -16,21 +16,23 @@ The domain of every class member is its own form-orthogonal complement
 (proved symbolically in the tests), so no check samples a maximality
 witness.  Checking one condition is deterministic and draws nothing;
 :func:`verify_fuzz` draws from Python's ``random``, so no check imports
-``numpy``.  :func:`~.deficiency.verify_selfadjoint_domain` stays the
-sampled counterpart, and the tests hold the exact residuals to be upper
-bounds of it.
+``numpy``; it is :func:`draw_fuzz`, :func:`check_fuzz` and :func:`merge_fuzz`
+over one part, and the CLI runs them over several.
+:func:`~.deficiency.verify_selfadjoint_domain` stays the sampled
+counterpart, and the tests hold the exact residuals to be upper bounds of it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, NamedTuple
+from collections import Counter
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import boundary, correspondence, matrix2, scattering
 from .boundary import AlphaBC, RhoBC
 from .correspondence import ExtensionClass, Separating
-from .errors import ValidationError
+from .errors import JunctionError, ValidationError
 from .matrix2 import record_type
 
 #: Allowance, in units of the scale a residual is divided by, for evaluating
@@ -245,29 +247,31 @@ class _Draws(random.Random):
         return math.tan(math.pi * (self.random() - 0.5))
 
 
-def verify_fuzz(count: int, m: float, tol: float, seed: int) -> Verification:
-    """Worst residual of each fuzz check over ``count`` random transmitting
-    and separating conditions, one energy each, and the closed-form tally.
-
-    A generated instance outside the class at ``tol`` fails ``fuzz-class``
-    (against the smaller of ``tol`` and its usual limit) and ends the run.
-    """
+def draw_fuzz(count: int, m: float, seed: int) -> Iterator[tuple[AlphaBC, float, RhoBC]]:
+    """The ``count`` instances of a fuzz run, drawn on demand from one stream: a
+    transmitting condition, an energy above the gap and a separating condition each."""
     if count < 1:
         raise ValidationError(f"--fuzz needs N >= 1 instances, got {count}")
     rng = _Draws(seed)
+
+    def energy() -> float:  # at a mass this large the kinetic energy may round away; E stays above the gap
+        return max(m + math.exp(rng.uniform(math.log(0.05), math.log(3.0))), math.nextafter(m, math.inf))
+
+    return ((boundary.random_alpha(rng), energy(), boundary.random_rho(rng)) for _ in range(count))
+
+
+def check_fuzz(instances: Iterable[tuple[AlphaBC, float, RhoBC]], m: float, tol: float) -> tuple:
+    """The worst residual of each of :data:`FUZZ_CHECKS` over ``instances``, then the
+    closed-form tally; or, at the first instance outside the class at ``tol``, only its
+    ``fuzz-class`` residual."""
     in_class, round_trip, current, unitarity, rho_round_trip, reflection = FUZZ_CHECKS
     worst = [0.0] * len(FUZZ_CHECKS)
     counts = {"exact": 0, "sign_pair": 0, "mismatch": 0}
-    for _ in range(count):
-        a = boundary.random_alpha(rng)
+    for a, E, r in instances:
         report = boundary.validate_class(a, tol)
         if not report.valid:
-            limit = min(tol, in_class.limit)
-            return Verification((CheckRecord(in_class.name, in_class.residual(report), limit, False),), {})
+            return (in_class.residual(report),)
         q = correspondence.alpha_to_u2(a, m, tol)
-        # at a mass this large the kinetic energy may round away; E stays above the gap
-        E = max(m + math.exp(rng.uniform(math.log(0.05), math.log(3.0))), math.nextafter(m, math.inf))
-        r = boundary.random_rho(rng)
         residuals = (
             in_class.residual(report),
             round_trip.residual(a, q, m),
@@ -278,4 +282,28 @@ def verify_fuzz(count: int, m: float, tol: float, seed: int) -> Verification:
         )
         worst = list(map(max, worst, residuals))
         counts[correspondence.compare_closed_form(a, m, primary=q).classification] += 1
-    return Verification(tuple(check.record(w) for check, w in zip(FUZZ_CHECKS, worst)), counts)
+    return (*worst, counts)
+
+
+def merge_fuzz(parts: Iterable[tuple | JunctionError], tol: float) -> Verification:
+    """A fuzz run's verdict from the :func:`check_fuzz` results (or raised errors)
+    of its consecutive parts, in order: the first part that stopped decides, as in
+    one run over them all; else each check's worst residual, and the summed tally."""
+    in_class = FUZZ_CHECKS[0]
+    worst, tally = [0.0] * len(FUZZ_CHECKS), Counter()
+    for part in parts:
+        if isinstance(part, JunctionError):
+            raise part
+        if len(part) == 1:
+            return Verification((CheckRecord(in_class.name, part[0], min(tol, in_class.limit), False),), {})
+        worst = list(map(max, worst, part[:-1]))
+        tally.update(part[-1])
+    return Verification(tuple(check.record(w) for check, w in zip(FUZZ_CHECKS, worst)), dict(tally))
+
+
+def verify_fuzz(count: int, m: float, tol: float, seed: int) -> Verification:
+    """Worst residual of each fuzz check over ``count`` random transmitting
+    and separating conditions, one energy each, and the closed-form tally; an
+    instance outside the class at ``tol`` fails ``fuzz-class`` (against the
+    smaller of ``tol`` and its usual limit) and ends the run."""
+    return merge_fuzz([check_fuzz(draw_fuzz(count, m, seed), m, tol)], tol)

@@ -12,25 +12,30 @@ Complex flag values accept ``a+bi`` shorthand or JSON ``[re, im]``;
 the infinite separating parameter is spelled ``inf``.
 
 A unitary payload is a pair of pairs of Python complex.  No command
-imports ``numpy``; ``verify --fuzz`` draws from :mod:`random`.  ``scatter``
-cuts a sweep of 2 x ``_PART_ROWS`` rows or more into one grid part per
-usable CPU, rendered by forked workers and written once, byte for byte.
+imports ``numpy``; ``verify --fuzz`` draws from :mod:`random`.  Both bulk
+commands run in contiguous parts, one per usable CPU, through one fork
+runner (:func:`_in_parts`): ``scatter`` from 2 x ``_PART_ROWS`` rows, whose
+parts' bytes are joined and written once, and ``verify --fuzz`` from
+2 x ``_PART_INSTANCES`` instances, whose parts' results are merged as the
+one run would report them.  The output is the one-part output, byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
+from itertools import islice
+from typing import TYPE_CHECKING, Callable
 
 from . import boundary, correspondence, matrix2
 from .boundary import AlphaBC, BDForm, Island, RhoBC
 from .correspondence import Separating, Transmitting
-from .errors import InternalInconsistencyError, ValidationError
+from .errors import InternalInconsistencyError, JunctionError, ValidationError
 from .matrix2 import DEFAULT_TOL
 
 if TYPE_CHECKING:
@@ -169,12 +174,17 @@ def rho_json_value(v: float):
     return "inf" if math.isinf(v) else float(v)
 
 
-def write(text: str, out=None) -> None:
+def write(text: str | bytes, out=None) -> None:
+    """Write ``text`` as UTF-8 to the file ``out``, or to stdout's binary layer if it has one."""
+    data = text.encode() if isinstance(text, str) else text
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        with open(out, "wb") as fh:
+            fh.write(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # after anything already in the text layer
+        sys.stdout.buffer.write(data)
+    else:  # an io.StringIO, say
+        sys.stdout.write(data.decode())
 
 
 def emit(obj, out=None) -> None:
@@ -293,10 +303,7 @@ def cmd_verify(args) -> int:
     from . import checks
 
     x = _payload(args, (*_CONDITION, "fuzz"))
-    if args.fuzz is None:
-        result = checks.verify_condition(x, args.mass, args.tol)
-    else:
-        result = checks.verify_fuzz(x, args.mass, args.tol, args.seed)
+    result = checks.verify_condition(x, args.mass, args.tol) if args.fuzz is None else _fuzz(args)
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} {r.name} residual={r.residual:.6e}"
         for r in result.records
@@ -310,38 +317,34 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scatter
+# Bulk commands in forked parts: verify --fuzz and scatter
 # ---------------------------------------------------------------------------
 
 
 #: Rows per part: two parts of this size format faster than one of twice it (README).
 _PART_ROWS = 4096
+#: Fuzz instances per part, measured as :data:`_PART_ROWS` was (README).
+_PART_INSTANCES = 256
+#: Fuzz instances drawn and held at once, which bounds a long run's memory.
+_FUZZ_ROUND = 1 << 14
+#: cgroup v2's CPU quota of this process's group: "max", or a quota and a period.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 
-def _part_count(steps: int) -> int:
-    """One grid part per CPU this process may use, each of at least :data:`_PART_ROWS` rows."""
+def _part_count(n: int, per_part: int) -> int:
+    """One part per CPU this process may use (and its cgroup allows), each of ``per_part`` or more of ``n``."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, steps // _PART_ROWS)) if hasattr(os, "fork") else 1
+    with contextlib.suppress(OSError, ValueError), open(_CPU_MAX) as fh:  # no file, or no quota ("max")
+        quota, period = map(int, fh.read().split())
+        cpus = min(cpus, -(-quota // period))
+    return max(1, min(cpus, n // per_part)) if hasattr(os, "fork") else 1
 
 
-def _rows_text(cols: ScatteringColumns, fmt: str) -> str:
-    """A grid part's rows, joined; a JSON record is what ``json.dumps`` gives for its dict
-    (``str`` of a float is the ``repr`` that ``json`` writes, bar the non-finite values)."""
-    row, sep, _, _ = _LAYOUT[fmt]
-    text = sep.join(map(row.__mod__, zip(*cols, [""] * len(cols.E))))
-    if fmt == "json":
-        text = text.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(": -inf", ": -Infinity")
-    return text
-
-
-def _sweep_text(bc, args, parts: int) -> str:
-    """A checked sweep's output from ``parts`` (<= steps) contiguous grid parts: a forked worker renders
-    each but the last, which this process renders, with every part whose pipe or fork failed.  A worker
-    that fails, whatever its error, makes this raise :class:`InternalInconsistencyError`."""
-    from .scattering import sweep_part
-
-    sweep = bc, args.emin, args.emax, args.steps, args.mass, Island(args.face), args.tol
-    bounds = [args.steps * i // parts for i in range(parts + 1)]
+def _in_parts(n: int, parts: int, render: Callable[[int, int], bytes]) -> list[bytes]:
+    """``render(lo, hi)`` over ``parts`` contiguous pieces of ``range(n)``, in order: a forked worker
+    renders each but the last, which this process renders, with every part whose pipe or fork failed.
+    A worker that fails, whatever its error, makes this raise :class:`InternalInconsistencyError`."""
+    bounds = [n * i // parts for i in range(parts + 1)]
     workers = []
     try:
         for i in range(parts - 1):
@@ -357,22 +360,66 @@ def _sweep_text(bc, args, parts: int) -> str:
                 try:
                     os.close(r)
                     with open(w, "wb") as pipe:
-                        pipe.write(_rows_text(sweep_part(*sweep, *bounds[i : i + 2]), args.format).encode())
+                        pipe.write(render(*bounds[i : i + 2]))
                 except BaseException:  # nothing written, no traceback: the parent reports it
                     os._exit(1)
                 os._exit(0)
             os.close(w)
             workers.append((pid, open(r, "rb")))
-        mine = _rows_text(sweep_part(*sweep, bounds[len(workers)], args.steps), args.format)
-        pieces = [pipe.read().decode() for _, pipe in workers] + [mine]
+        mine = render(bounds[len(workers)], n)
+        pieces = [pipe.read() for _, pipe in workers] + [mine]
     finally:
         for _, pipe in workers:  # a worker still writing then sees a broken pipe and exits
             pipe.close()
         failed = [pid for pid, _ in workers if os.waitpid(pid, 0)[1]]
     if failed:
-        raise InternalInconsistencyError("a worker rendering part of the sweep failed")
-    _, sep, head, tail = _LAYOUT[args.format]
-    return "".join([head, sep.join(pieces), tail])
+        raise InternalInconsistencyError("a worker computing part of the output failed")
+    return pieces
+
+
+def _rows_text(cols: ScatteringColumns, fmt: str) -> str:
+    """A grid part's rows, joined; a JSON record is what ``json.dumps`` gives for its dict
+    (``str`` of a float is the ``repr`` that ``json`` writes, bar the non-finite values)."""
+    row, sep, _, _ = _LAYOUT[fmt]
+    text = sep.join(map(row.__mod__, zip(*cols, [""] * len(cols.E))))
+    if fmt == "json":
+        text = text.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(": -inf", ": -Infinity")
+    return text
+
+
+def _sweep_bytes(bc, args, parts: int) -> bytes:
+    """A checked sweep's output, as UTF-8, from ``parts`` (<= steps) grid parts (:func:`_in_parts`)."""
+    from .scattering import sweep_part
+
+    sweep = bc, args.emin, args.emax, args.steps, args.mass, Island(args.face), args.tol
+    pieces = _in_parts(args.steps, parts, lambda lo, hi: _rows_text(sweep_part(*sweep, lo, hi), args.format).encode())
+    _, sep, head, tail = (text.encode() for text in _LAYOUT[args.format])
+    chunks = [head, *(chunk for piece in pieces for chunk in (piece, sep))]
+    chunks[-1] = tail  # in place of the separator after the last part
+    return b"".join(chunks)
+
+
+def _fuzz(args, parts: int | None = None):
+    """``verify --fuzz``'s verdict, over rounds of at most :data:`_FUZZ_ROUND` instances drawn here, each
+    checked in ``parts`` parts (:func:`_part_count`'s by default) that send back, as JSON, their
+    :func:`~.checks.check_fuzz` result or their typed error's exit code and message."""
+    from . import checks
+
+    def render(lo: int, hi: int) -> bytes:
+        try:
+            part = checks.check_fuzz(batch[lo:hi], args.mass, args.tol)
+        except JunctionError as exc:
+            part = {"exit": 3 if isinstance(exc, InternalInconsistencyError) else 2, "error": str(exc)}
+        return json.dumps(part).encode()
+
+    draws, results = checks.draw_fuzz(args.fuzz, args.mass, args.seed), []
+    while batch := list(islice(draws, _FUZZ_ROUND)):
+        for part in map(json.loads, _in_parts(len(batch), parts or _part_count(len(batch), _PART_INSTANCES), render)):
+            results.append((ValidationError, InternalInconsistencyError)[part["exit"] - 2](part["error"])
+                           if isinstance(part, dict) else part)
+        if not (result := checks.merge_fuzz(results, args.tol)).closed_form:  # the run stopped
+            break
+    return result
 
 
 def cmd_scatter(args) -> int:
@@ -382,7 +429,7 @@ def cmd_scatter(args) -> int:
     if not isinstance(bc, correspondence.ExtensionClass):  # a unitary
         bc = correspondence.classify(bc, args.mass, args.tol)
     scattering.check_sweep(bc, args.emin, args.emax, args.steps, args.mass, args.tol)
-    write(_sweep_text(bc, args, _part_count(args.steps)), args.out)
+    write(_sweep_bytes(bc, args, _part_count(args.steps, _PART_ROWS)), args.out)
     return 0
 
 

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .matrix2 import (
     DEFAULT_TOL,
+    NORM_FLOOR,
     QuaternionForm,
     as_c2matrix,
     is_diagonal,
@@ -105,12 +106,6 @@ class Transmitting(NamedTuple):
 
 
 ExtensionClass = Separating | Transmitting
-
-
-#: Floor of the tolerance a modulus is held to: rounding alone leaves up to
-#: 3.5 units of roundoff in the norms of :func:`alpha_to_u2`'s parameters on
-#: class members, and one in the moduli of :func:`rho_to_diagonal_u2`'s phases.
-NORM_FLOOR = 8.0 * sys.float_info.epsilon
 
 
 def _require_unimodular(z: complex, name: str, tol: float) -> complex:
@@ -422,10 +417,11 @@ def compare_closed_form(
 
 def classify(matrix, m: float, tol: float = DEFAULT_TOL) -> ExtensionClass:
     """Boundary condition of an arbitrary extension: separating when the
-    unitary is diagonal, transmitting otherwise."""
-    u = as_c2matrix(matrix)
-    if not is_unitary(u, tol):
-        raise NotUnitaryError(f"matrix is not unitary within tol={tol}")
+    unitary is diagonal, transmitting otherwise; its unitarity is held to
+    ``tol`` or :data:`~.matrix2.NORM_FLOOR`, whichever is larger."""
+    u, limit = as_c2matrix(matrix), max(tol, NORM_FLOOR)
+    if not is_unitary(u, limit):
+        raise NotUnitaryError(f"matrix is not unitary within tol={limit}")
     if is_diagonal(u, tol):
         (gl, _), (_, gr) = u
         return Separating(diagonal_u2_to_rho(gl, gr, m, tol))

@@ -442,13 +442,12 @@ def oracle_alpha_from_u2(matrix, m: float, lam: float = 0.0, tol: float = DEFAUL
     u = as_c2matrix(matrix)
     if not is_unitary(u, tol):
         raise NotUnitaryError(f"matrix is not unitary within tol={tol}")
-    face_factor(m, lam, 2)
-    (lp, lm), (rp, rm) = ([DeficiencyFunction(island, sign, m, lam) for sign in Sign] for island in Island)
+    e = face_factor(m, lam, 2)
+    lp, lm, rp, rm = e * np.array([eigen_spinor(island, sign, m) for island in Island for sign in Sign])
     (u11, u12), (u21, u22) = u
-    phi_l = combination_boundary([(1.0, lp), (u11, lm), (u12, rm)])
-    phi_r = combination_boundary([(1.0, rp), (u21, lm), (u22, rm)])
-    at_minus = np.column_stack([phi_l.at_minus, phi_r.at_minus])
-    at_plus = np.column_stack([phi_l.at_plus, phi_r.at_plus])
+    # phi_L and phi_R at the faces, their nonzero terms summed from 0 as combination_boundary sums
+    at_minus = np.array([0j + lp + u11 * lm, 0j + u21 * lm]).T
+    at_plus = np.array([0j + u12 * rm, 0j + rp + u22 * rm]).T
     det = at_minus[0, 0] * at_minus[1, 1] - at_minus[0, 1] * at_minus[1, 0]
     if abs(det) <= tol * float(np.abs(at_minus).max() ** 2):
         raise SingularSystemError("boundary-value matrix at the left face is singular; the extension is diagonal")

@@ -27,6 +27,12 @@ Entries = tuple[tuple[complex, complex], tuple[complex, complex]]
 #: machine epsilon ~1e-16, only a handful of operations per predicate).
 DEFAULT_TOL = 1e-10
 
+#: Floor of the tolerance a modulus or a unitarity residual is held to: rounding
+#: alone leaves up to 3.5 units of roundoff in the norms of ``alpha_to_u2``'s
+#: parameters on class members, one in the moduli of ``rho_to_diagonal_u2``'s
+#: phases, and 3 in the unitarity residual of :func:`compose_entries` of a form.
+NORM_FLOOR = 8.0 * math.ulp(1.0)
+
 
 def as_c2matrix(obj) -> Entries:
     """The four entries of a 2x2 matrix, given as an ndarray or as nested
@@ -157,14 +163,13 @@ def decompose_u2(matrix, tol: float = DEFAULT_TOL) -> QuaternionForm:
     The phase is extracted from the off-diagonal arguments when the lower
     off-diagonal entry is nonzero (|u21| > tol), and from the diagonal
     arguments otherwise; both branches reconstruct the input exactly up to
-    rounding.  Raises :class:`NotUnitaryError` on non-unitary input.
+    rounding.  Raises :class:`NotUnitaryError` on input whose unitarity
+    residual exceeds ``tol``, or :data:`NORM_FLOOR` if that is larger.
     """
-    m = as_c2matrix(matrix)
+    m, limit = as_c2matrix(matrix), max(tol, NORM_FLOOR)
     residual = unitarity_residual(m)
-    if residual > tol:
-        raise NotUnitaryError(
-            f"matrix is not unitary: residual {residual:.3e} > tol {tol:.1e}"
-        )
+    if residual > limit:
+        raise NotUnitaryError(f"matrix is not unitary: residual {residual:.3e} > tol {limit:.1e}")
     return split_unitary(m, tol)
 
 

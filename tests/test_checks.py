@@ -136,3 +136,34 @@ class TestRecordVerdicts:
             # a composed unitary misses unitarity by a few units of roundoff,
             # which a smaller tol rejects as input
             self._consistent(checks.verify_condition(matrix2.compose(random_quaternion_form(rng)), m, max(tol, 1e-15)))
+
+
+class TestFuzzParts:
+    """A fuzz run split into consecutive parts merges to the one run."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-16])
+    def test_slices_merge_to_the_one_run(self, tol):
+        for seed, m in ((1, 0.0), (2, 0.5), (3, 1.0), (4, 10.0)):
+            draws = list(checks.draw_fuzz(300, m, seed))
+            expected = checks.verify_fuzz(300, m, tol, seed)
+            for bounds in ([0, 300], [0, 1, 300], [0, 150, 299, 300], [0, 7, 100, 200, 300]):
+                parts = [checks.check_fuzz(draws[lo:hi], m, tol) for lo, hi in zip(bounds, bounds[1:])]
+                assert checks.merge_fuzz(parts, tol) == expected
+
+    def test_the_first_part_that_stopped_decides(self):
+        from diracjunction.errors import InternalInconsistencyError
+
+        done = checks.check_fuzz(checks.draw_fuzz(5, 1.0, 7), 1.0, DEFAULT_TOL)
+        error = InternalInconsistencyError("a later instance")
+        verdict = checks.merge_fuzz([done, (2e-16,), error], DEFAULT_TOL)
+        assert verdict.records == (checks.CheckRecord("fuzz-class", 2e-16, 1e-12, False),)
+        with pytest.raises(InternalInconsistencyError, match="a later instance"):
+            checks.merge_fuzz([done, error, (2e-16,)], DEFAULT_TOL)
+
+    def test_draws_are_one_stream(self):
+        # each instance draws its condition, energy and separating condition in turn
+        rng = checks._Draws(5)
+        for a, E, r in checks.draw_fuzz(50, 2.0, 5):
+            assert a == random_alpha(rng)
+            assert E == max(2.0 + math.exp(rng.uniform(math.log(0.05), math.log(3.0))), math.nextafter(2.0, math.inf))
+            assert r == random_rho(rng)

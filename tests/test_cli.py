@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from diracjunction.cli import (
+    _PART_INSTANCES,
     _PART_ROWS,
     FMT17,
     build_parser,
@@ -371,10 +372,18 @@ class TestExitCodeContract:
         "1.0907096408775294+1.6997175294714997i,4.476319061761026-2.8724563179769653i"
     )
 
+    #: a composed unitary whose unitarity residual (one rounding, 1.1e-16) a
+    #: tol of 1e-16 once refused as input, with exit 2
+    TIGHT_MATRIX = (
+        "[[[0.5437037349174141, -0.46177395410113176], [-0.6489561939564392, 0.2645882126555009]], "
+        "[[0.5206159760958524, 0.46915889566800595], [0.35468038611754155, 0.6189109465446959]]]"
+    )
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["--alpha", TIGHT_ALPHA],
+            ["--matrix", TIGHT_MATRIX, "--mass", "1"],
             ["--fuzz", "3600", "--seed", "1"],
             ["--fuzz", "3600", "--seed", "2"],
         ],
@@ -741,7 +750,7 @@ class TestScatter:
                     assert T == pytest.approx(4.0e-14, rel=1e-3)
 
     def test_json_text_matches_json_dumps(self):
-        from diracjunction.cli import _rows_text, _sweep_text
+        from diracjunction.cli import _rows_text, _sweep_bytes
         from diracjunction.scattering import ScatteringColumns, sweep_columns
 
         def dumps(cols):
@@ -755,7 +764,7 @@ class TestScatter:
             args = _sweep_args("--mass", repr(m), "--emin", repr(m + 0.4), "--emax", "2.0", "--steps", "7",
                                "--format", "json")
             for parts in (1, 2):
-                assert _sweep_text(bc, args, parts) == dumps(cols) + "\n"
+                assert _sweep_bytes(bc, args, parts) == (dumps(cols) + "\n").encode()
         # json's spellings of the non-finite floats
         cols = ScatteringColumns(*[[math.inf, -math.inf, math.nan, -0.0]] * 10)
         assert "[" + _rows_text(cols, "json") + "]" == dumps(cols)
@@ -833,12 +842,12 @@ class TestSweepParts:
     workers, prints what one part prints, byte for byte."""
 
     def _check_parts(self, args, part_counts=(1, 2, 3, 4)):
-        from diracjunction.cli import _CONDITION, _payload, _sweep_text
+        from diracjunction.cli import _CONDITION, _payload, _sweep_bytes
         from diracjunction.scattering import check_sweep, sweep_columns
 
         bc = _payload(args, _CONDITION)
         check_sweep(bc, args.emin, args.emax, args.steps, args.mass, args.tol)
-        texts = [_sweep_text(bc, args, parts) for parts in part_counts]
+        texts = [_sweep_bytes(bc, args, parts).decode() for parts in part_counts]
         assert all(text == texts[0] for text in texts)
         cols = sweep_columns(bc, args.emin, args.emax, args.steps, args.mass, Island(args.face), args.tol)
         assert _parsed_rows(texts[0], args.format) == [list(map(repr, row)) for row in zip(*cols)]
@@ -869,36 +878,79 @@ class TestSweepParts:
         cols = self._check_parts(args)
         assert cols.E == np.linspace(5e-324, 1e-323, 9).tolist()
 
-    def test_part_count(self, monkeypatch):
-        from diracjunction.cli import _part_count
+    def test_part_count(self, monkeypatch, tmp_path):
+        from diracjunction import cli
 
+        monkeypatch.setattr(cli, "_CPU_MAX", str(tmp_path / "missing"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        for n in range(1, 9):
-            assert _part_count(_PART_ROWS * n - 1) == max(1, n - 1)
-            assert _part_count(_PART_ROWS * n + 1) == n
-        assert _part_count(10**9) == 8
+        for size in (_PART_ROWS, _PART_INSTANCES):  # sweep rows, fuzz instances
+            for n in range(1, 9):
+                assert cli._part_count(size * n - 1, size) == max(1, n - 1)
+                assert cli._part_count(size * n + 1, size) == n
+            assert cli._part_count(10**9, size) == 8
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _part_count(10**9) == 3
+        assert cli._part_count(10**9, _PART_INSTANCES) == 3
         monkeypatch.delattr(os, "fork")
-        assert _part_count(10**9) == 1
+        assert cli._part_count(10**9, _PART_ROWS) == 1
+
+    @pytest.mark.parametrize(
+        "cpu_max, parts",
+        [("max 100000\n", 8), ("150000 100000\n", 2), ("50000 100000\n", 1), ("", 8), ("garbage", 8), (None, 8)],
+    )
+    def test_part_count_keeps_to_the_cgroup_cpu_quota(self, monkeypatch, tmp_path, cpu_max, parts):
+        from diracjunction import cli
+
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:  # else the file is missing
+            path.write_text(cpu_max)
+        monkeypatch.setattr(cli, "_CPU_MAX", str(path))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert cli._part_count(10**9, _PART_ROWS) == parts
+        monkeypatch.setattr(cli, "_CPU_MAX", str(tmp_path))  # a directory: unreadable as a file
+        assert cli._part_count(10**9, _PART_ROWS) == 8
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked, with as many CPUs as parts wanted."""
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    return pids
+
+
+def _second_fails(monkeypatch, failing):
+    """Make the second ``os.pipe`` or ``os.fork`` fail, as at a descriptor or process limit;
+    returns the calls counted and the pipes made."""
+    pipes, calls, pipe = [], {"pipe": 0, "fork": 0}, os.pipe
+
+    def second_fails(name, call):
+        def wrapped():
+            calls[name] += 1
+            if name == failing and calls[name] == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return call()
+
+        return wrapped
+
+    monkeypatch.setattr(os, "fork", second_fails("fork", os.fork))
+    monkeypatch.setattr(os, "pipe", second_fails("pipe", lambda: pipes.append(pipe()) or pipes[-1]))
+    return calls, pipes
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSweepWorkers:
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids of the workers forked, with as many CPUs as parts wanted."""
-        pids, fork = [], os.fork
-
-        def counted_fork():
-            pid = fork()
-            pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        return pids
-
     def _big(self, *extra):
         return ("scatter", "--rho", "inf,0.3", "--mass", "1", "--emin", "1.2", "--emax", "3",
                 "--steps", str(3 * _PART_ROWS + 5), *extra)
@@ -907,8 +959,7 @@ class TestSweepWorkers:
         code, out, err = run(capsys, *self._big("--format", "json"))
         assert (code, err) == (0, "") and len(json.loads(out)) == 3 * _PART_ROWS + 5
         assert len(forks) == 2
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        _no_child_left()
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_failed_worker_exits_3_and_writes_nothing(self, capsys, monkeypatch, tmp_path, forks, to_file):
@@ -926,8 +977,7 @@ class TestSweepWorkers:
         code, out, err = run(capsys, *self._big(*(["--out", str(path)] if to_file else [])))
         assert (code, out) == (3, "") and "internal inconsistency" in err
         assert not path.exists() and len(forks) == 2
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        _no_child_left()
 
     @pytest.mark.parametrize("failing", ["pipe", "fork"])
     def test_failed_pipe_or_fork_renders_the_parts_left_here(self, capsys, monkeypatch, forks, failing):
@@ -935,26 +985,13 @@ class TestSweepWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         one_part = run(capsys, *self._big("--format", "json"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        pipes, calls, pipe = [], {"pipe": 0, "fork": 0}, os.pipe
-
-        def second_fails(name, call):
-            def wrapped():
-                calls[name] += 1
-                if name == failing and calls[name] == 2:
-                    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-                return call()
-
-            return wrapped
-
-        monkeypatch.setattr(os, "fork", second_fails("fork", os.fork))
-        monkeypatch.setattr(os, "pipe", second_fails("pipe", lambda: pipes.append(pipe()) or pipes[-1]))
+        calls, pipes = _second_fails(monkeypatch, failing)
         assert run(capsys, *self._big("--format", "json")) == one_part
         assert one_part[0] == 0 and calls[failing] == 2 and len(forks) == 1
         for fd in (fd for fds in pipes for fd in fds):  # every descriptor made is closed
             with pytest.raises(OSError):
                 os.fstat(fd)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        _no_child_left()
 
     def test_one_cpu_forks_nothing(self, capsys, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -967,6 +1004,128 @@ class TestSweepWorkers:
                              "--steps", "1000000000000000")
         assert (code, out) == (2, "") and "no energy grid" in err
         assert forks == []
+
+
+class TestFuzzWorkers:
+    """``verify --fuzz`` checked in parts, the earlier ones in forked workers,
+    prints what the one run over every instance prints."""
+
+    @staticmethod
+    def _fuzz(count, m, tol, seed, parts):
+        from diracjunction.cli import _fuzz
+
+        args = build_parser().parse_args(["verify", "--fuzz", str(count), "--mass", repr(m),
+                                          "--tol", repr(tol), "--seed", str(seed)])
+        return _fuzz(args, parts)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-16])
+    @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 10.0])
+    def test_parts_merge_to_the_one_run(self, m, tol):
+        from diracjunction.checks import verify_fuzz
+
+        for seed in range(1, 6):
+            expected = verify_fuzz(400, m, tol, seed)
+            for parts in (1, 2, 3, 4):
+                assert self._fuzz(400, m, tol, seed, parts) == expected, (seed, parts)
+        _no_child_left()
+
+    @pytest.mark.parametrize("count", [12, 24])
+    def test_first_instance_outside_the_class_decides(self, count):
+        # seed 13 first leaves the class at 1e-16 in instance 10, then in 12:
+        # in the process's half of 12 instances, in the worker's half of 24
+        from diracjunction.checks import check_fuzz, draw_fuzz, verify_fuzz
+
+        draws = list(draw_fuzz(24, 1.0, 13))
+        assert check_fuzz(draws[:10], 1.0, 1e-16)[-1] == {"exact": 0, "sign_pair": 0, "mismatch": 10}
+        assert [len(check_fuzz(draws[i : i + 1], 1.0, 1e-16)) for i in (10, 11, 12)] == [1, 7, 1]
+        (record,) = self._fuzz(count, 1.0, 1e-16, 13, 2).records
+        assert record == verify_fuzz(count, 1.0, 1e-16, 13).records[0]
+        assert record.name == "fuzz-class" and not record.passed
+        assert (record.residual,) == check_fuzz(draws[10:11], 1.0, 1e-16)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-16])
+    def test_rounds_merge_to_the_one_run(self, monkeypatch, tol):
+        # seed 13 first leaves the class at 1e-16 in instance 10, in the second round of 7
+        from diracjunction import checks, cli
+
+        expected = checks.verify_fuzz(40, 1.0, tol, 13)
+        monkeypatch.setattr(cli, "_FUZZ_ROUND", 7)
+        calls, check_fuzz = [], checks.check_fuzz
+        monkeypatch.setattr(checks, "check_fuzz", lambda *args: calls.append(1) or check_fuzz(*args))
+        assert self._fuzz(40, 1.0, tol, 13, 2) == expected
+        assert len(calls) == (2 if tol == 1e-16 else 6)  # this process's part of each round run
+        _no_child_left()
+
+    @pytest.mark.parametrize("argv", [
+        ["--fuzz", "3600", "--tol", "1e-16", "--seed", "3"],  # instance 0 leaves the class
+        ["--fuzz", "800", "--mass", "1e200"],  # every instance raises a ValidationError
+        ["--fuzz", "1000", "--mass", "1", "--seed", "7"],
+    ])
+    def test_main_prints_the_one_part_output(self, capsys, monkeypatch, forks, argv):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_part = run(capsys, "verify", *argv)
+        assert forks == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert run(capsys, "verify", *argv) == one_part and len(forks) == 2
+        _no_child_left()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_failed_worker_exits_3_and_writes_nothing(self, capsys, monkeypatch, tmp_path, forks, to_file):
+        from diracjunction import checks
+
+        parent, check_fuzz = os.getpid(), checks.check_fuzz
+
+        def failing_in_workers(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return check_fuzz(*args)
+
+        monkeypatch.setattr(checks, "check_fuzz", failing_in_workers)
+        path = tmp_path / "report.txt"
+        code, out, err = run(capsys, "verify", "--fuzz", "1000", *(["--out", str(path)] if to_file else []))
+        assert (code, out) == (3, "") and "internal inconsistency" in err
+        assert not path.exists() and len(forks) == 2
+        _no_child_left()
+
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_failed_pipe_or_fork_checks_the_parts_left_here(self, capsys, monkeypatch, forks, failing):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_part = run(capsys, "verify", "--fuzz", "1000", "--mass", "0.5")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        calls, pipes = _second_fails(monkeypatch, failing)
+        assert run(capsys, "verify", "--fuzz", "1000", "--mass", "0.5") == one_part
+        assert one_part[0] == 0 and calls[failing] == 2 and len(forks) == 1
+        for fd in (fd for fds in pipes for fd in fds):  # every descriptor made is closed
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        _no_child_left()
+
+
+class TestOutputBytes:
+    """Output goes to stdout's binary layer, to a stdout without one as text,
+    and to ``--out``, the same bytes each way."""
+
+    ARGVS = [
+        ["scatter", "--rho", "inf,0.3", "--mass", "1", "--emin", "1.2", "--emax", "3",
+         "--steps", str(2 * _PART_ROWS + 3), "--format", "json"],
+        ["scatter", "--alpha", "0,1,1,0", "--emin", "0.5", "--emax", "2", "--steps", "5"],
+        ["verify", "--fuzz", "600", "--mass", "1"],
+        ["demo-switch"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_binary_text_and_file_output_agree(self, tmp_path, argv):
+        import contextlib
+        import io
+
+        p = run_process("-m", "diracjunction.cli", *argv)
+        assert p.returncode == 0 and p.stderr == ""
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main(argv) == 0
+        path = tmp_path / "out"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert text.getvalue() == p.stdout and path.read_bytes() == p.stdout.encode()
 
 
 class TestDemoSwitch:

@@ -68,7 +68,7 @@ CONVERT = {
     "rho-to-u2": ["rho"],
 }
 MASS = _mostly(st.sampled_from(["0", "0.5", "1", "10"]), st.sampled_from(["1e200", "1e308", "-1", "nan", "inf"]))
-TOL = _mostly(st.just("1e-10"), st.sampled_from(["1e-3", "1e-300", "0", "-1", "inf", "nan"]))
+TOL = _mostly(st.sampled_from(["1e-10", "1e-16", "1e-17"]), st.sampled_from(["1e-3", "1e-300", "0", "-1", "inf", "nan"]))
 OPTIONS = {
     "decompose": {"tol": TOL},
     "convert": {"mass": MASS, "tol": TOL},
