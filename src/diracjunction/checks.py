@@ -17,7 +17,8 @@ The domain of every class member is its own form-orthogonal complement
 witness.  Checking one condition is deterministic and draws nothing;
 :func:`verify_fuzz` draws from Python's ``random``, so no check imports
 ``numpy``; it is :func:`draw_fuzz`, :func:`check_fuzz` and :func:`merge_fuzz`
-over one part, and the CLI runs them over several.
+over one part.  The CLI runs them over several, each part drawing the one
+stream of :func:`draw_fuzz` up to its own end and checking its own slice.
 :func:`~.deficiency.verify_selfadjoint_domain` stays the sampled
 counterpart, and the tests hold the exact residuals to be upper bounds of it.
 """
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import boundary, correspondence, matrix2, scattering
 from .boundary import AlphaBC, RhoBC
 from .correspondence import ExtensionClass, Separating
-from .errors import JunctionError, ValidationError
+from .errors import DiagonalInputError, JunctionError, ValidationError
 from .matrix2 import record_type
 
 #: Allowance, in units of the scale a residual is divided by, for evaluating
@@ -107,7 +108,13 @@ def _recomposition(u, q: matrix2.QuaternionForm) -> float:
 
 
 def _alpha_round_trip(a: AlphaBC, q: matrix2.QuaternionForm, m: float) -> float:
-    back = correspondence.u2_to_alpha(q, m)
+    """Largest difference of ``a`` and the map back from ``q``, in units of
+    :func:`alpha_scale`; inf when the map back overflows (at a mass near the
+    float range, g2 of order 1/m) or loses g2 to underflow."""
+    try:
+        back = correspondence.u2_to_alpha(q, m)
+    except DiagonalInputError:
+        return math.inf
     return max(abs(x - y) for x, y in zip(a.as_tuple(), back.as_tuple())) / alpha_scale(a)
 
 
@@ -232,7 +239,7 @@ def verify_condition(condition: ExtensionClass | matrix2.Entries, m: float, tol:
         CURRENT(a),
         SYMMETRY(condition),
     )
-    comparison = correspondence.compare_closed_form(a, m, primary=q)
+    comparison = correspondence.compare_closed_form(a, m, q, tol)
     return Verification(records, {"classification": comparison.classification})
 
 
@@ -281,7 +288,7 @@ def check_fuzz(instances: Iterable[tuple[AlphaBC, float, RhoBC]], m: float, tol:
             reflection.residual(scattering.scatter_rho(r, E, m)),
         )
         worst = list(map(max, worst, residuals))
-        counts[correspondence.compare_closed_form(a, m, primary=q).classification] += 1
+        counts[correspondence.compare_closed_form(a, m, q, tol).classification] += 1
     return (*worst, counts)
 
 

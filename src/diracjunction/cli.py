@@ -8,16 +8,18 @@ CSV or JSON), ``demo-switch`` (the two-unit spin/phase switch).
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 input validation error, 3 internal inconsistency.  Identical inputs
 produce byte-identical output; fuzzing uses a fixed default seed.
-Complex flag values accept ``a+bi`` shorthand or JSON ``[re, im]``;
-the infinite separating parameter is spelled ``inf``.
+Complex flag values accept ``a+bi`` shorthand or JSON ``[re, im]``, and
+JSON output writes every complex number as its ``[re, im]`` pair; the
+infinite separating parameter is spelled ``inf``.
 
 A unitary payload is a pair of pairs of Python complex.  No command
 imports ``numpy``; ``verify --fuzz`` draws from :mod:`random`.  Both bulk
 commands run in contiguous parts, one per usable CPU, through one fork
 runner (:func:`_in_parts`): ``scatter`` from 2 x ``_PART_ROWS`` rows, whose
 parts' bytes are joined and written once, and ``verify --fuzz`` from
-2 x ``_PART_INSTANCES`` instances, whose parts' results are merged as the
-one run would report them.  The output is the one-part output, byte for byte.
+2 x ``_PART_INSTANCES`` instances, each part drawing the run's one stream
+up to its own end, whose results are merged as the one run would report
+them.  The output is the one-part output, byte for byte.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def parse_rho(text: str) -> RhoBC:
 def parse_angle(text: str) -> float:
     """Parse a finite angle: plain float or a pi expression like 'pi/2', '-3pi/4'."""
     s = text.strip().lower().replace(" ", "").replace("*", "")
-    m = re.fullmatch(r"([+-]?\d*\.?\d*)pi(?:/([+-]?\d*\.?\d+))?", s)
+    m = re.fullmatch(r"([+-]?(?:\d+\.?\d*|\.\d+)?)pi(?:/([+-]?\d*\.?\d+))?", s)
     if m:
         coef_text = m.group(1)
         if coef_text in ("", "+"):
@@ -161,15 +163,6 @@ def parse_bd(text: str) -> BDForm:
     return BDForm(theta % (2.0 * math.pi), *bs)
 
 
-def cjson(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def alpha_json(a: AlphaBC) -> list[list[float]]:
-    return [cjson(c) for c in a.as_tuple()]
-
-
 def rho_json_value(v: float):
     return "inf" if math.isinf(v) else float(v)
 
@@ -178,8 +171,11 @@ def write(text: str | bytes, out=None) -> None:
     """Write ``text`` as UTF-8 to the file ``out``, or to stdout's binary layer if it has one."""
     data = text.encode() if isinstance(text, str) else text
     if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:  # a directory, a missing parent, no permission
+            raise ValidationError(f"cannot write --out {out!r}: {exc.strerror}") from exc
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # after anything already in the text layer
         sys.stdout.buffer.write(data)
@@ -187,8 +183,9 @@ def write(text: str | bytes, out=None) -> None:
         sys.stdout.write(data.decode())
 
 
-def emit(obj, out=None) -> None:
-    write(json.dumps(obj) + "\n", out)
+def emit(obj, out=None, *lines: str) -> None:
+    """Write ``lines``, then ``obj`` as one line of JSON with each complex number as its [re, im] pair."""
+    write("".join(f"{line}\n" for line in (*lines, json.dumps(obj, default=lambda z: [z.real, z.imag]))), out)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +249,14 @@ def _payload(args, accepted: tuple[str, ...]):
 # ---------------------------------------------------------------------------
 
 
-def _gammas_json(q: matrix2.QuaternionForm) -> dict:
-    return {"gamma1": cjson(q.g1), "gamma2": cjson(q.g2), "gamma3": cjson(q.g3)}
+def _gammas(q: matrix2.QuaternionForm) -> dict:
+    return dict(zip(("gamma1", "gamma2", "gamma3"), q))
 
 
 def cmd_decompose(args) -> int:
     m = _payload(args, ("matrix",))
     q = matrix2.decompose_u2(m, args.tol)
-    emit({**_gammas_json(q), "branch": matrix2.decompose_branch(m, args.tol)}, args.out)
+    emit({**_gammas(q), "branch": matrix2.decompose_branch(m, args.tol)}, args.out)
     return 0
 
 
@@ -275,11 +272,11 @@ def cmd_convert(args) -> int:
                 "rho_minus": rho_json_value(bc.rho.rho_minus),
             }
         else:
-            payload = {"type": "transmitting", "alpha": alpha_json(bc.alpha)}
+            payload = {"type": "transmitting", "alpha": bc.alpha}
     elif args.direction == "bc-to-u2":
-        comparison = correspondence.compare_closed_form(x.alpha, m)
+        comparison = correspondence.compare_closed_form(x.alpha, m, tol=args.tol)
         payload = {
-            **_gammas_json(comparison.primary),
+            **_gammas(comparison.primary),
             "closed_form_comparison": {
                 "agrees_exactly": comparison.agrees_exactly,
                 "agrees_up_to_sign_pair": comparison.agrees_up_to_sign_pair,
@@ -289,12 +286,11 @@ def cmd_convert(args) -> int:
         }
     elif args.direction == "alpha-to-bd":
         f = boundary.alpha_to_bd(x.alpha, args.tol)
-        payload = {"theta": f.theta, "a": [f.b1, f.b2, f.b3, f.b4]}
+        payload = {"theta": f.theta, "a": f.bs()}
     elif args.direction == "bd-to-alpha":
-        payload = {"alpha": alpha_json(boundary.bd_to_alpha(x, args.tol))}
+        payload = {"alpha": boundary.bd_to_alpha(x, args.tol)}
     else:  # rho-to-u2
-        gl, gr = correspondence.rho_to_diagonal_u2(x.rho, m)
-        payload = {"gamma_left": cjson(gl), "gamma_right": cjson(gr)}
+        payload = dict(zip(("gamma_left", "gamma_right"), correspondence.rho_to_diagonal_u2(x.rho, m)))
     emit(payload, args.out)
     return 0
 
@@ -325,8 +321,6 @@ def cmd_verify(args) -> int:
 _PART_ROWS = 4096
 #: Fuzz instances per part, measured as :data:`_PART_ROWS` was (README).
 _PART_INSTANCES = 256
-#: Fuzz instances drawn and held at once, which bounds a long run's memory.
-_FUZZ_ROUND = 1 << 14
 #: cgroup v2's CPU quota of this process's group: "max", or a quota and a period.
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
@@ -400,26 +394,25 @@ def _sweep_bytes(bc, args, parts: int) -> bytes:
 
 
 def _fuzz(args, parts: int | None = None):
-    """``verify --fuzz``'s verdict, over rounds of at most :data:`_FUZZ_ROUND` instances drawn here, each
-    checked in ``parts`` parts (:func:`_part_count`'s by default) that send back, as JSON, their
-    :func:`~.checks.check_fuzz` result or their typed error's exit code and message."""
+    """``verify --fuzz``'s verdict from ``parts`` parts (:func:`_part_count`'s by default), each of which
+    draws the run's one stream up to its own end and sends back, as JSON, its
+    :func:`~.checks.check_fuzz` result or its typed error's exit code and message."""
     from . import checks
+
+    n = args.fuzz
+    checks.draw_fuzz(n, args.mass, args.seed)  # refuses n < 1 before any fork; draws nothing
 
     def render(lo: int, hi: int) -> bytes:
         try:
-            part = checks.check_fuzz(batch[lo:hi], args.mass, args.tol)
+            part = checks.check_fuzz(islice(checks.draw_fuzz(n, args.mass, args.seed), lo, hi), args.mass, args.tol)
         except JunctionError as exc:
             part = {"exit": 3 if isinstance(exc, InternalInconsistencyError) else 2, "error": str(exc)}
         return json.dumps(part).encode()
 
-    draws, results = checks.draw_fuzz(args.fuzz, args.mass, args.seed), []
-    while batch := list(islice(draws, _FUZZ_ROUND)):
-        for part in map(json.loads, _in_parts(len(batch), parts or _part_count(len(batch), _PART_INSTANCES), render)):
-            results.append((ValidationError, InternalInconsistencyError)[part["exit"] - 2](part["error"])
-                           if isinstance(part, dict) else part)
-        if not (result := checks.merge_fuzz(results, args.tol)).closed_form:  # the run stopped
-            break
-    return result
+    pieces = _in_parts(n, parts or _part_count(n, _PART_INSTANCES), render)
+    typed = (ValidationError, InternalInconsistencyError)  # by exit code - 2
+    return checks.merge_fuzz([typed[p["exit"] - 2](p["error"]) if isinstance(p, dict) else p
+                              for p in map(json.loads, pieces)], args.tol)
 
 
 def cmd_scatter(args) -> int:
@@ -444,33 +437,8 @@ def cmd_demo_switch(args) -> int:
     theta = None if args.phase is None else parse_angle(args.phase)
     report = scattering.switch_demo()
     ok = report.ok
-
-    def unit_payload(u):
-        return {
-            "alpha": alpha_json(u.alpha),
-            "r": cjson(u.r),
-            "t": cjson(u.t),
-            "T": u.T,
-            "transmission_phase": u.transmission_phase,
-            "up_maps_to": [cjson(c) for c in u.up_maps_to],
-            "down_maps_to": [cjson(c) for c in u.down_maps_to],
-            "preserves_spin": u.preserves_spin,
-            "swaps_spin": u.swaps_spin,
-        }
-
-    payload = {
-        "unit0": unit_payload(report.unit0),
-        "unit1": unit_payload(report.unit1),
-        "phase_variants": [
-            {
-                "theta": v.theta,
-                "t": cjson(v.t),
-                "T": v.T,
-                "transmission_phase": v.transmission_phase,
-            }
-            for v in report.phase_variants
-        ],
-    }
+    payload = {u.name: {k: v for k, v in u._asdict().items() if k != "name"} for u in (report.unit0, report.unit1)}
+    payload["phase_variants"] = [v._asdict() for v in report.phase_variants]
     lines = [
         f"Unit0 (spin-preserving): T={report.unit0.T:.12g}, "
         f"up->up |{abs(report.unit0.up_maps_to[0]):.3f}|, "
@@ -490,7 +458,7 @@ def cmd_demo_switch(args) -> int:
         }
         lines.append(f"Phase variant theta={theta:.12g}: transmitted phase {v.transmission_phase:.12g}, T={v.T:.12g}")
     payload["ok"] = ok
-    write("\n".join([*lines, json.dumps(payload)]) + "\n", args.out)
+    emit(payload, args.out, *lines)
     return 0 if ok else 1
 
 

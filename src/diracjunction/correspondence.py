@@ -212,8 +212,8 @@ def u2_to_alpha(q: QuaternionForm, m: float) -> AlphaBC:
     a4 = i g2^{-1} sqrt(1+m^2) (Im(g1 mu) + Im(g3* mu))
 
     The map is invariant under the joint sign flip of (g1, g2, g3).
-    Raises :class:`DiagonalInputError` when g2 = 0 or sqrt(1+m^2)/g2 is not
-    finite.  A small but nonzero g2 is a valid transmitting extension:
+    Raises :class:`DiagonalInputError` when g2 = 0 or sqrt(1+m^2)/g2
+    overflows.  A small but nonzero g2 is a valid transmitting extension:
     :func:`classify` sends near-diagonal unitaries to the separating side
     with its own tolerance test before calling this.
     """
@@ -223,8 +223,9 @@ def u2_to_alpha(q: QuaternionForm, m: float) -> AlphaBC:
     inv = s / g2 if g2 else math.inf  # s / 0 raises ZeroDivisionError
     if not (math.isfinite(inv.real) and math.isfinite(inv.imag)):
         raise DiagonalInputError(
-            f"extension is diagonal (g2 = {g2!r}, sqrt(1+m^2)/g2 not finite); "
-            "it has separating parameters, not transmitting ones"
+            f"sqrt(1+m^2)/g2 overflows at g2 = {g2!r}, m = {m!r}; the transmitting parameters are out of range"
+            if g2
+            else "extension is diagonal (g2 = 0); it has separating parameters, not transmitting ones"
         )
     mu = mu_constant(m)
     return AlphaBC(
@@ -383,14 +384,17 @@ class ClosedFormComparison(NamedTuple):
 
 
 def compare_closed_form(
-    a: AlphaBC, m: float, primary: QuaternionForm | None = None
+    a: AlphaBC, m: float, primary: QuaternionForm | None = None, tol: float = DEFAULT_TOL
 ) -> ClosedFormComparison:
     """Classify the closed-form candidate against the solved extension
-    ``primary`` (:func:`alpha_to_u2` of ``a``, solved here when not given);
-    the two agree when their largest entry difference is at most 1e-8."""
+    ``primary`` (:func:`alpha_to_u2` of ``a`` at ``tol``, solved here when not
+    given); the two agree when their largest entry difference is at most
+    1e-8.  The candidate reads theta off ``a`` at ``tol`` or
+    :data:`~.matrix2.NORM_FLOOR`, whichever is larger, as the rounding of
+    that extraction alone can exceed a smaller ``tol``."""
     if primary is None:
-        primary = alpha_to_u2(a, m)
-    candidate = closed_form_u2_candidate(a, m)
+        primary = alpha_to_u2(a, m, tol)
+    candidate = closed_form_u2_candidate(a, m, max(tol, NORM_FLOOR))
     pairs = [(complex(getattr(candidate, g)), complex(getattr(primary, g))) for g in ("g1", "g2", "g3")]
     diff = max(abs(c - p) for c, p in pairs)
     diff_flipped = max(abs(c + p) for c, p in pairs)

@@ -21,7 +21,7 @@ from diracjunction.cli import (
 )
 from diracjunction.boundary import AlphaBC, Island, RhoBC
 from diracjunction.correspondence import Separating, Transmitting
-from diracjunction.errors import ValidationError
+from diracjunction.errors import InternalInconsistencyError, ValidationError
 
 CSV_HEADER_FIELDS = "E,k,lambda,re_r,im_r,re_t,im_t,R,T,phase_t,flag".split(",")
 
@@ -77,6 +77,10 @@ class TestParsers:
         assert parse_angle("-pi/4") == pytest.approx(-math.pi / 4)
         assert parse_angle("3pi/2") == pytest.approx(3 * math.pi / 2)
         assert parse_angle("0.75") == 0.75
+        assert [parse_angle(t) for t in ("2.5pi", ".5pi", "2.pi")] == [2.5 * math.pi, 0.5 * math.pi, 2.0 * math.pi]
+        for text in (".pi", "-.pi/2", "+.pi/2"):  # a coefficient needs a digit
+            with pytest.raises(ValidationError, match="bad angle"):
+                parse_angle(text)
 
     def test_bracketed_entries_in_comma_lists(self, capsys):
         for flag, bracketed, plain in (
@@ -393,6 +397,26 @@ class TestExitCodeContract:
         assert p.returncode in (0, 1), p.stderr
         assert p.stderr == "" and p.stdout.splitlines()[-1] in ("PASS", "FAIL")
 
+    @pytest.mark.parametrize("argv, code, last", [
+        (["verify", "--alpha", "1.00001,0,0,1"], 1, "FAIL"),
+        (["convert", "bc-to-u2", "--alpha", "1.00001,0,0,1"], 0, '"max_abs_difference": 1.999999999975}}'),
+    ])
+    def test_closed_form_comparison_takes_the_tol(self, argv, code, last):
+        # a class residual of 1e-5, inside a tol of 1e-3
+        p = run_process("-m", "diracjunction.cli", *argv, "--tol", "1e-3")
+        assert (p.returncode, p.stderr) == (code, "")
+        assert p.stdout.splitlines()[-1].endswith(last)
+        if code == 1:
+            assert "FAIL defining-identities residual=1.000000e-05" in p.stdout
+
+    @pytest.mark.parametrize("where, reason", [("", "Is a directory"), ("missing/out.txt", "No such file")])
+    def test_unwritable_out_exits_2(self, tmp_path, where, reason):
+        path = tmp_path / where
+        p = run_process("-m", "diracjunction.cli", "demo-switch", "--out", str(path))
+        assert (p.returncode, p.stdout) == (2, "")
+        assert "Traceback" not in p.stderr and f"cannot write --out {str(path)!r}: {reason}" in p.stderr
+        assert not (tmp_path / "missing").exists()
+
     def test_negative_fuzz_count_exits_2(self):
         p = run_process("-m", "diracjunction.cli", "verify", "--fuzz", "-3")
         assert p.returncode == 2
@@ -474,6 +498,8 @@ class TestExitCodeContract:
             ["verify", "--alpha", "1e-11,0,0,1e11"],
             # |g2| of each instance is of order 1/m
             ["verify", "--fuzz", "5", "--mass", "1e150"],
+            # ... and sqrt(1+m^2)/g2 overflows: the round trip fails
+            ["verify", "--fuzz", "5", "--mass", "1e200"],
         ],
     )
     def test_small_g2_is_a_transmitting_extension(self, argv):
@@ -1043,22 +1069,9 @@ class TestFuzzWorkers:
         assert record.name == "fuzz-class" and not record.passed
         assert (record.residual,) == check_fuzz(draws[10:11], 1.0, 1e-16)
 
-    @pytest.mark.parametrize("tol", [1e-10, 1e-16])
-    def test_rounds_merge_to_the_one_run(self, monkeypatch, tol):
-        # seed 13 first leaves the class at 1e-16 in instance 10, in the second round of 7
-        from diracjunction import checks, cli
-
-        expected = checks.verify_fuzz(40, 1.0, tol, 13)
-        monkeypatch.setattr(cli, "_FUZZ_ROUND", 7)
-        calls, check_fuzz = [], checks.check_fuzz
-        monkeypatch.setattr(checks, "check_fuzz", lambda *args: calls.append(1) or check_fuzz(*args))
-        assert self._fuzz(40, 1.0, tol, 13, 2) == expected
-        assert len(calls) == (2 if tol == 1e-16 else 6)  # this process's part of each round run
-        _no_child_left()
-
     @pytest.mark.parametrize("argv", [
         ["--fuzz", "3600", "--tol", "1e-16", "--seed", "3"],  # instance 0 leaves the class
-        ["--fuzz", "800", "--mass", "1e200"],  # every instance raises a ValidationError
+        ["--fuzz", "800", "--mass", "1e200"],  # every instance's round trip is inf
         ["--fuzz", "1000", "--mass", "1", "--seed", "7"],
     ])
     def test_main_prints_the_one_part_output(self, capsys, monkeypatch, forks, argv):
@@ -1085,6 +1098,23 @@ class TestFuzzWorkers:
         code, out, err = run(capsys, "verify", "--fuzz", "1000", *(["--out", str(path)] if to_file else []))
         assert (code, out) == (3, "") and "internal inconsistency" in err
         assert not path.exists() and len(forks) == 2
+        _no_child_left()
+
+    @pytest.mark.parametrize("error, code", [(ValidationError, 2), (InternalInconsistencyError, 3)])
+    def test_typed_error_in_a_worker_exits_as_in_one_part(self, capsys, monkeypatch, forks, error, code):
+        from diracjunction import checks
+
+        parent, check_fuzz = os.getpid(), checks.check_fuzz
+
+        def failing_in_workers(*args):
+            if os.getpid() != parent:
+                raise error("no verdict on this part")
+            return check_fuzz(*args)
+
+        monkeypatch.setattr(checks, "check_fuzz", failing_in_workers)
+        exit_code, out, err = run(capsys, "verify", "--fuzz", "1000")
+        assert (exit_code, out) == (code, "") and err.endswith(": no verdict on this part\n")
+        assert len(forks) == 2
         _no_child_left()
 
     @pytest.mark.parametrize("failing", ["pipe", "fork"])

@@ -79,7 +79,7 @@ OPTIONS = {
         "face": _mostly(st.sampled_from(["left", "right"]), st.just("up")),
         "format": st.sampled_from(["csv", "json"]),
     },
-    "demo-switch": {"phase": st.sampled_from(["pi/2", "-3pi/4", "0.3", "nan", "inf", "pi/0", "nope"])},
+    "demo-switch": {"phase": st.sampled_from(["pi/2", "-3pi/4", "0.3", "nan", "inf", "pi/0", "nope", ".pi", "-.pi/2"])},
 }
 GRID = {
     "emin": _mostly(st.sampled_from(["10.5", "12", "100"]), st.sampled_from(NUMBERS)),
@@ -145,6 +145,7 @@ def _run(argv):
 @example(argv=["decompose", "--matrix", "[[[2,0],[0,0]],[[0,0],[2,0]]]", "--tol", "inf"])
 @example(argv=["verify", "--rho", "inf,1e-300", "--mass", "1", "--tol", "nan"])
 @example(argv=["convert", "bd-to-alpha", "--bd", "0,2,10,0,nan"])
+@example(argv=["convert", "bd-to-alpha", "--bd", "+.pi/2,1,0,0,1"])
 @example(argv=["scatter", "--rho", "0,0", "--mass", "1e308",
                "--emin", "1.5e308", "--emax", "1.7e308", "--steps", "2"])
 @example(argv=["scatter", "--alpha", "1,1e308,1,1", "--emin", "1", "--emax", "2", "--steps", "2"])

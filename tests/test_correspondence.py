@@ -184,7 +184,7 @@ class TestForwardMap:
         assert alpha_diff(u2_to_alpha(q, 0.0), a) <= 1e-10 * 1e11
 
     def test_g2_whose_inverse_overflows_is_rejected(self):
-        with pytest.raises(DiagonalInputError):
+        with pytest.raises(DiagonalInputError, match="overflows"):
             u2_to_alpha(QuaternionForm(1, 1e-320, 1), 1e10)
 
     def test_sign_pair_invariance_exact(self):
