@@ -1192,7 +1192,7 @@ class TestJsonBytes:
     and ``demo-switch`` with and without ``--phase``."""
 
     CASES = [
-        (['demo-switch'],
+        (["demo-switch"],
          'Unit0 (spin-preserving): T=1, up->up |1.000|, spin preserved: True\n'
          'Unit1 (spin-interchanging): T=1, up->down |1.000|, spin swapped: True\n'
          '{"unit0": {"alpha": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "r": [0.0, 0.0], '
@@ -1208,7 +1208,7 @@ class TestJsonBytes:
          '{"theta": 1.5707963267948966, "t": [6.123233995736766e-17, 1.0], "T": 1.0, '
          '"transmission_phase": 1.5707963267948966}], "ok": true}\n'
         ),
-        (['demo-switch', '--phase', 'pi/3'],
+        (["demo-switch", "--phase", "pi/3"],
          'Unit0 (spin-preserving): T=1, up->up |1.000|, spin preserved: True\n'
          'Unit1 (spin-interchanging): T=1, up->down |1.000|, spin swapped: True\n'
          'Phase variant theta=1.0471975512: transmitted phase 1.0471975512, T=1\n'
@@ -1226,32 +1226,32 @@ class TestJsonBytes:
          '"transmission_phase": 1.5707963267948966}], "phase_request": {"theta": 1.0471975511965976, '
          '"transmission_phase": 1.0471975511965976, "T": 1.0, "verified": true}, "ok": true}\n'
         ),
-        (['decompose', '--matrix', '[[[0.6,0],[0,0.8]],[[0,0.8],[0.6,0]]]'],
+        (["decompose", "--matrix", "[[[0.6,0],[0,0.8]],[[0,0.8],[0.6,0]]]"],
          '{"gamma1": [0.6, 0.0], "gamma2": [0.0, 0.8], "gamma3": [1.0, 0.0], '
          '"branch": "u21_nonzero"}\n'
         ),
-        (['convert', 'u2-to-bc', '--diag', '-1,1', '--mass', '0.5'],
+        (["convert", "u2-to-bc", "--diag", "-1,1", "--mass", "0.5"],
          '{"type": "separating", "rho_plus": 0.4472135954999579, "rho_minus": "inf"}\n'
         ),
-        (['convert', 'u2-to-bc', '--gamma', '0.6,0.8i,i', '--mass', '0.5'],
+        (["convert", "u2-to-bc", "--gamma", "0.6,0.8i,i", "--mass", "0.5"],
          '{"type": "transmitting", "alpha": [[-0.8750000000000002, 5.3578297462696714e-17], '
          '[-5.1344877962269005e-17, -0.8385254915624213], [-1.7114959320756337e-17, '
          '-0.27950849718747384], [-0.8749999999999999, 5.3578297462696695e-17]]}\n'
         ),
-        (['convert', 'bc-to-u2', '--alpha', '0,1,1,0', '--mass', '1'],
+        (["convert", "bc-to-u2", "--alpha", "0,1,1,0", "--mass", "1"],
          '{"gamma1": [0.0, 0.0], "gamma2": [1.0, 0.0], "gamma3": [0.7071067811865475, '
          '0.7071067811865475], "closed_form_comparison": {"agrees_exactly": false, '
          '"agrees_up_to_sign_pair": true, "disagrees": false, '
          '"max_abs_difference": 1.5700924586837752e-16}}\n'
         ),
-        (['convert', 'alpha-to-bd', '--alpha', '1,0,0,1'],
+        (["convert", "alpha-to-bd", "--alpha", "1,0,0,1"],
          '{"theta": 0.0, "a": [1.0, 0.0, 0.0, 1.0]}\n'
         ),
-        (['convert', 'bd-to-alpha', '--bd', 'pi/2,0,1,1,0'],
+        (["convert", "bd-to-alpha", "--bd", "pi/2,0,1,1,0"],
          '{"alpha": [[0.0, 0.0], [-1.0, 6.123233995736766e-17], [-1.0, 6.123233995736766e-17], [0.0, '
          '0.0]]}\n'
         ),
-        (['convert', 'rho-to-u2', '--rho', 'inf,0.5', '--mass', '1'],
+        (["convert", "rho-to-u2", "--rho", "inf,0.5", "--mass", "1"],
          '{"gamma_left": [-0.4890416764108682, 0.872260419102717], "gamma_right": [-1.0, 0.0]}\n'
         ),
     ]
