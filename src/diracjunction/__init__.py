@@ -43,7 +43,6 @@ _EXPORTS = {
         "u2_to_alpha",
     ),
     "deficiency": (
-        "BoundaryPair",
         "DeficiencyFunction",
         "boundary_form",
         "boundary_form_quadrature",

@@ -26,13 +26,16 @@ quadratures walk their grids in blocks (:func:`_simpson_blocks`):
 grid-length temporaries would exceed glibc's mmap threshold and take fresh
 pages from the kernel on every call.
 
+Face values are complex arrays of shape (..., 2, 2): axis -2 is the face
+(-L, then +L) and axis -1 is (up, down).
+
 Note on normalization: with the reference prefactor
 ``N = (1+m^2)^{1/4} e^{-sqrt(1+m^2) L}`` the squared norms evaluate to
 ``e^{-4 sqrt(1+m^2) L}``, i.e. the functions are normalized only at
 L = 0 (a positive exponent would normalize for every L).  Nothing in the
 parameter correspondence depends on N, which cancels from every ratio;
-the default prefactor is therefore 1, with :func:`reference_normalization`
-available for Gram diagnostics.
+a :class:`DeficiencyFunction`'s default prefactor is therefore 1, and
+:func:`gram_matrix` uses :func:`reference_normalization`.
 """
 
 from __future__ import annotations
@@ -46,17 +49,9 @@ import numpy as np
 
 from .boundary import AlphaBC, Island, require_class
 from .correspondence import ExtensionClass, Sign, Transmitting, check_mass, eigen_spinor, face_factor
-from .errors import (InternalInconsistencyError, NotUnitaryError, OutsideIslandError, QuadratureFailureError,
-                     SingularSystemError, ValidationError)
+from .errors import (InternalInconsistencyError, NotUnitaryError, OutsideIslandError, SingularSystemError,
+                     ValidationError)
 from .matrix2 import DEFAULT_TOL, as_c2matrix, is_unitary
-
-
-def as_c2vector(obj) -> np.ndarray:
-    """Coerce to a length-2 complex ndarray."""
-    v = np.asarray(obj, dtype=complex)
-    if v.shape != (2,):
-        raise ValueError(f"expected a 2-spinor, got shape {v.shape}")
-    return v
 
 
 def decay_rate(m: float) -> float:
@@ -67,18 +62,6 @@ def reference_normalization(m: float, lam: float) -> float:
     """Reference prefactor (1+m^2)^{1/4} e^{-sqrt(1+m^2) lam}."""
     rate = decay_rate(m)
     return math.sqrt(rate) * math.exp(-rate * lam)
-
-
-@dataclass(frozen=True)
-class BoundaryPair:
-    """One-sided boundary spinors at the two faces -L and +L."""
-
-    at_minus: np.ndarray
-    at_plus: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "at_minus", as_c2vector(self.at_minus))
-        object.__setattr__(self, "at_plus", as_c2vector(self.at_plus))
 
 
 class _SpinorProfile:
@@ -138,14 +121,6 @@ class DeficiencyFunction(_SpinorProfile):
             0.0,
         )
         return radial, sgn * self.rate * radial
-
-    def boundary_pair(self) -> BoundaryPair:
-        """One-sided traces at the faces; the off-island face is zero."""
-        trace = self.normalization * math.exp(-self.rate * self.lam) * self.spinor
-        zero = np.zeros(2, dtype=complex)
-        if self.island is Island.LEFT:
-            return BoundaryPair(at_minus=trace, at_plus=zero)
-        return BoundaryPair(at_minus=zero, at_plus=trace)
 
 
 def ode_residual(f: DeficiencyFunction, x: float, h: float) -> float:
@@ -210,82 +185,46 @@ def _simpson_blocks(island: Island, lam: float, reach: float, n: int):
         yield xs, w
 
 
-def gram_matrix(
-    sign: Sign,
-    m: float,
-    lam: float,
-    normalization: float | None = None,
-    num_points: int = 2**16 + 1,
-    extent: float | None = None,
-) -> np.ndarray:
-    """Quadrature Gram matrix of the two eigenfunctions of one branch.
+def gram_matrix(sign: Sign, m: float, lam: float, num_points: int = 2**16 + 1) -> np.ndarray:
+    """Quadrature Gram matrix of the two eigenfunctions of one branch, at
+    the reference prefactor.
 
     Off-diagonal entries are exactly zero (disjoint supports); each
     diagonal is |u|^2 times the composite-Simpson integral of f^2 for the
-    eigenfunction u f on its half-line, truncated where the integrand is
-    below double precision.  ``num_points`` must be odd and at least 3, and
-    ``extent`` finite and > 0 (:class:`ValidationError` otherwise).  With
-    ``normalization=None`` the reference prefactor is used, making the
-    diagonal e^{-4 sqrt(1+m^2) lam}; with a finite nonzero normalization N
-    it is N^2 e^{-2 sqrt(1+m^2) lam}/sqrt(1+m^2).  ``lam`` must keep the
-    diagonal a normal double (:class:`ValidationError` otherwise).  Rank 2
-    certifies deficiency indices (2, 2).
+    eigenfunction u f over the first 40/sqrt(1+m^2) of its half-line, where
+    the integrand has fallen by e^-80, and evaluates to
+    e^{-4 sqrt(1+m^2) lam}.  ``num_points`` must be odd and at least 3, and
+    ``lam`` must keep the diagonal a normal double (:class:`ValidationError`
+    otherwise).  Rank 2 certifies deficiency indices (2, 2).
     """
     rate = decay_rate(check_mass(m))
-    if extent is not None and not (math.isfinite(extent) and extent > 0.0):
-        raise ValidationError(f"extent must be finite and > 0, got {extent!r}")
-    log_min = math.log(sys.float_info.min)
-    if normalization is None:
-        top = -log_min / (4.0 * rate)
-        if not 0.0 <= lam <= top:
-            raise ValidationError(
-                f"lam = {lam!r} is out of range: the reference Gram diagonal "
-                f"e^(-4 sqrt(1+m^2) lam) is a normal double only for 0 <= lam <= {top:.6g} at m = {m!r}"
-            )
-        norm = reference_normalization(m, lam)
-    else:
-        norm = float(normalization)
-        if not (math.isfinite(norm) and norm):
-            raise ValidationError(f"normalization must be finite and nonzero, got {normalization!r}")
-        top = (2.0 * math.log(abs(norm)) - math.log(rate) - log_min) / (2.0 * rate)
-        if not lam <= top:
-            raise ValidationError(
-                f"lam = {lam!r} is out of range: the Gram diagonal N^2 e^(-2 sqrt(1+m^2) lam)/sqrt(1+m^2) "
-                f"is a normal double only for lam <= {top:.6g} at N = {norm!r}, m = {m!r}"
-            )
-    reach = extent if extent is not None else 40.0 / rate
-    # truncated tail of the norm integral, bounded analytically
-    tail = 2.0 * norm**2 * math.exp(-2.0 * rate * (lam + reach)) / (2.0 * rate)
+    top = -math.log(sys.float_info.min) / (4.0 * rate)
+    if not 0.0 <= lam <= top:
+        raise ValidationError(
+            f"lam = {lam!r} is out of range: the reference Gram diagonal "
+            f"e^(-4 sqrt(1+m^2) lam) is a normal double only for 0 <= lam <= {top:.6g} at m = {m!r}"
+        )
+    norm = reference_normalization(m, lam)
     diag = []
     for island in (Island.LEFT, Island.RIGHT):
         f = DeficiencyFunction(island, sign, m, lam, norm)
         spin = float(np.sum(np.abs(f.spinor) ** 2))
-        blocks = _simpson_blocks(island, lam, reach, num_points)
+        blocks = _simpson_blocks(island, lam, 40.0 / rate, num_points)
         diag.append(spin * float(sum(w @ f.profile(xs)[0] ** 2 for xs, w in blocks)))
-    if tail > 1e-13 * max(1.0, *diag):
-        raise QuadratureFailureError(
-            f"truncation tail {tail:.3e} exceeds tolerance for extent {reach}"
-        )
     return np.array([[diag[0], 0.0], [0.0, diag[1]]])
 
 
-def _boundary_forms(pm, pp, qm, qp) -> np.ndarray:
-    """The boundary form over broadcast stacks of face spinors.
-
-    ``pm``/``pp`` are psi's spinors at -L/+L and ``qm``/``qp`` phi's, each
-    with (up, down) on the last axis; the other axes broadcast.
+def boundary_form(p, q) -> np.ndarray:
+    """The boundary form of integration by parts over face values ``p`` of
+    psi and ``q`` of phi, each of shape (..., 2, 2); the other axes
+    broadcast.
     """
     return -1j * (
-        np.conj(pp[..., 0]) * qp[..., 1]
-        + np.conj(pp[..., 1]) * qp[..., 0]
-        - np.conj(pm[..., 0]) * qm[..., 1]
-        - np.conj(pm[..., 1]) * qm[..., 0]
+        np.conj(p[..., 1, 0]) * q[..., 1, 1]
+        + np.conj(p[..., 1, 1]) * q[..., 1, 0]
+        - np.conj(p[..., 0, 0]) * q[..., 0, 1]
+        - np.conj(p[..., 0, 1]) * q[..., 0, 0]
     )
-
-
-def boundary_form(psi: BoundaryPair, phi: BoundaryPair) -> complex:
-    """Sesquilinear boundary expression produced by integration by parts."""
-    return complex(_boundary_forms(psi.at_minus, psi.at_plus, phi.at_minus, phi.at_plus))
 
 
 @dataclass(frozen=True)
@@ -330,23 +269,21 @@ class SmoothBump(_SpinorProfile):
         )
         return core, dcore
 
-    def boundary_pair(self) -> BoundaryPair:
-        zero = np.zeros(2, dtype=complex)
-        return BoundaryPair(at_minus=zero, at_plus=zero)
-
 
 #: One addend of a spinor combination: (coefficient, basis function).
 CombinationTerm = tuple[complex, DeficiencyFunction | SmoothBump]
 
 
-def combination_boundary(terms: Sequence[CombinationTerm]) -> BoundaryPair:
-    minus = np.zeros(2, dtype=complex)
-    plus = np.zeros(2, dtype=complex)
+def traces(terms: Sequence[CombinationTerm]) -> np.ndarray:
+    """Face values of a combination, shape (2, 2): each deficiency function
+    adds its spinor times N e^{-sqrt(1+m^2) lam} at its own face, and a bump
+    nothing."""
+    faces = np.zeros((2, 2), dtype=complex)
     for coef, term in terms:
-        bp = term.boundary_pair()
-        minus = minus + coef * bp.at_minus
-        plus = plus + coef * bp.at_plus
-    return BoundaryPair(at_minus=minus, at_plus=plus)
+        if isinstance(term, DeficiencyFunction):
+            face = 0 if term.island is Island.LEFT else 1
+            faces[face] += coef * (term.normalization * math.exp(-term.rate * term.lam) * term.spinor)
+    return faces
 
 
 def _check_terms(terms: Sequence[CombinationTerm], m: float, lam: float) -> float:
@@ -398,7 +335,7 @@ def boundary_form_quadrature(
     half-line from Simpson-weighted products of the stacked profiles.
     ``num_points`` must be odd and at least 3 (:class:`ValidationError`
     otherwise).  The result matches :func:`boundary_form` of the
-    combinations' boundary values.
+    combinations' :func:`traces`.
     """
     check_mass(m)
     reach = max(_check_terms(psi_terms, m, lam), _check_terms(phi_terms, m, lam))
@@ -445,7 +382,7 @@ def oracle_alpha_from_u2(matrix, m: float, lam: float = 0.0, tol: float = DEFAUL
     e = face_factor(m, lam, 2)
     lp, lm, rp, rm = e * np.array([eigen_spinor(island, sign, m) for island in Island for sign in Sign])
     (u11, u12), (u21, u22) = u
-    # phi_L and phi_R at the faces, their nonzero terms summed from 0 as combination_boundary sums
+    # phi_L and phi_R at the faces, their nonzero terms summed from 0 as traces sums
     at_minus = np.array([0j + lp + u11 * lm, 0j + u21 * lm]).T
     at_plus = np.array([0j + u12 * rm, 0j + rp + u22 * rm]).T
     det = at_minus[0, 0] * at_minus[1, 1] - at_minus[0, 1] * at_minus[1, 0]
@@ -510,24 +447,23 @@ def _face(r: float, s) -> np.ndarray:
     return np.stack([s, 1j * r * s], axis=-1)
 
 
-def _violating_pairs(bc: ExtensionClass) -> dict[str, BoundaryPair]:
-    zero = np.zeros(2, dtype=complex)
-    e1 = np.array([1.0, 0.0], dtype=complex)
+def _violating_pairs(bc: ExtensionClass) -> dict[str, np.ndarray]:
+    """Face values that break the condition at the named face only."""
     if isinstance(bc, Transmitting):
         return {
-            "plus_face": BoundaryPair(at_minus=zero, at_plus=e1),
-            "minus_face": BoundaryPair(at_minus=e1, at_plus=zero),
+            "plus_face": np.array([[0, 0], [1, 0]], dtype=complex),
+            "minus_face": np.array([[1, 0], [0, 0]], dtype=complex),
         }
     rho = bc.rho
 
     def violate(r: float) -> np.ndarray:
         if math.isinf(r):
-            return e1.copy()  # psi_up must vanish but does not
+            return np.array([1.0, 0.0], dtype=complex)  # psi_up must vanish but does not
         return np.array([1.0, 1j * r + 1.0])
 
     return {
-        "plus_face": BoundaryPair(at_minus=_face(rho.rho_minus, 1.0), at_plus=violate(rho.rho_plus)),
-        "minus_face": BoundaryPair(at_minus=violate(rho.rho_minus), at_plus=_face(rho.rho_plus, 1.0)),
+        "plus_face": np.array([_face(rho.rho_minus, 1.0), violate(rho.rho_plus)]),
+        "minus_face": np.array([violate(rho.rho_minus), _face(rho.rho_plus, 1.0)]),
     }
 
 
@@ -554,24 +490,21 @@ def verify_selfadjoint_domain(
     # its -L and +L faces by one complex normal each
     draws = np.random.default_rng(seed).standard_normal((samples, 2, 2))
     if isinstance(bc, Transmitting):
-        pm = draws[:, 0] + 1j * draws[:, 1]
+        at_minus = draws[:, 0] + 1j * draws[:, 1]
         # a stack of matrix-vector products rounds as one B @ v per sample
-        pp = (bc.alpha.matrix() @ pm[..., None])[..., 0]
+        faces = np.stack([at_minus, (bc.alpha.matrix() @ at_minus[..., None])[..., 0]], axis=1)
     else:
         s = draws[..., 0] + 1j * draws[..., 1]
-        pm, pp = _face(bc.rho.rho_minus, s[:, 0]), _face(bc.rho.rho_plus, s[:, 1])
+        faces = np.stack([_face(bc.rho.rho_minus, s[:, 0]), _face(bc.rho.rho_plus, s[:, 1])], axis=1)
     # row i is psi = sample i, column j is phi = sample j; blocks stay below glibc's mmap threshold
-    mags = np.maximum(np.abs(pm).max(axis=1), np.abs(pp).max(axis=1))
+    mags = np.abs(faces).max(axis=(1, 2))
     rows, worst = max(1, _BLOCK // 2 // max(samples, 1)), 0.0  # a complex entry is two doubles
     for psi in (slice(i, i + rows) for i in range(0, samples, rows)):
-        forms = np.abs(_boundary_forms(pm[psi, None], pp[psi, None], pm[None], pp[None]))
+        forms = np.abs(boundary_form(faces[psi, None], faces[None]))
         worst = float(np.maximum(worst, np.max(forms / np.maximum(1.0, mags[psi, None] * mags[None, :]))))
-    probes = slice(0, 16)
+    probes = faces[:16]
     witnesses = {
-        face: float(np.max(
-            np.abs(_boundary_forms(bad.at_minus, bad.at_plus, pm[probes], pp[probes])),
-            initial=0.0,
-        ))
+        face: float(np.max(np.abs(boundary_form(bad, probes)), initial=0.0))
         for face, bad in _violating_pairs(bc).items()
     }
     passed = worst <= tol and all(w > 0.01 for w in witnesses.values())

@@ -55,9 +55,5 @@ class OutsideIslandError(ValidationError):
     """Evaluation point (with stencil) is not strictly inside one half-line."""
 
 
-class QuadratureFailureError(ValidationError):
-    """Quadrature grid cannot meet the requested truncation tolerance."""
-
-
 class BelowGapError(ValidationError):
     """Energy is at or below the mass gap; no propagating mode exists."""

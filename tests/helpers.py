@@ -9,13 +9,12 @@ import numpy as np
 from diracjunction import scattering
 from diracjunction.boundary import TWO_PI, AlphaBC, BDForm, Island, RhoBC
 from diracjunction.correspondence import ExtensionClass, check_mass
-from diracjunction.deficiency import as_c2vector
 from diracjunction.matrix2 import DEFAULT_TOL, QuaternionForm, as_c2matrix, is_unitary
 
 
 def apply_alpha(a: AlphaBC, v_minus) -> np.ndarray:
     """Boundary value at the right face: B times the left-face spinor."""
-    return a.matrix() @ as_c2vector(v_minus)
+    return a.matrix() @ np.asarray(v_minus, dtype=complex)
 
 
 def satisfies_rho(r: RhoBC, v_minus, v_plus, tol: float = DEFAULT_TOL) -> bool:
@@ -33,14 +32,14 @@ def satisfies_rho(r: RhoBC, v_minus, v_plus, tol: float = DEFAULT_TOL) -> bool:
             return abs(up) <= tol * scale
         return abs(1j * rho * up - down) <= tol * scale
 
-    return face_ok(r.rho_minus, as_c2vector(v_minus)) and face_ok(
-        r.rho_plus, as_c2vector(v_plus)
+    return face_ok(r.rho_minus, np.asarray(v_minus, dtype=complex)) and face_ok(
+        r.rho_plus, np.asarray(v_plus, dtype=complex)
     )
 
 
 def current(v) -> float:
     """Probability current j = 2 Re(v_up* v_down) of a boundary spinor."""
-    w = as_c2vector(v)
+    w = np.asarray(v, dtype=complex)
     return float(2.0 * (w[0].conjugate() * w[1]).real)
 
 

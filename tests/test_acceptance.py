@@ -36,10 +36,10 @@ from diracjunction.deficiency import (
     SmoothBump,
     boundary_form,
     boundary_form_quadrature,
-    combination_boundary,
     gram_matrix,
     ode_residual,
     oracle_alpha_from_u2,
+    traces,
     verify_selfadjoint_domain,
 )
 from diracjunction.matrix2 import (
@@ -171,9 +171,7 @@ def test_criterion_06_selfadjoint_boundary_form():
             for _ in range(3):
                 psi, phi = terms(), terms()
                 lhs = boundary_form_quadrature(psi, phi, m=m, lam=lam)
-                rhs = boundary_form(
-                    combination_boundary(psi), combination_boundary(phi)
-                )
+                rhs = boundary_form(traces(psi), traces(phi))
                 assert abs(lhs - rhs) <= 1e-8
         for i in range(4):
             bc = (

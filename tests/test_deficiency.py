@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 
 from diracjunction.boundary import AlphaBC, RhoBC, random_alpha, random_rho
-from diracjunction.correspondence import Separating, Sign, Transmitting, mu_constant
+from diracjunction.correspondence import Separating, Sign, Transmitting, face_factor, mu_constant
 from diracjunction.deficiency import (
-    BoundaryPair,
     DeficiencyFunction,
     Island,
     SmoothBump,
     boundary_form,
     boundary_form_quadrature,
-    combination_boundary,
     gram_matrix,
     ode_residual,
     reference_normalization,
+    traces,
     verify_selfadjoint_domain,
 )
 from diracjunction.deficiency import _BLOCK, _check_terms, _simpson_blocks, _violating_pairs
@@ -78,11 +77,11 @@ def _reference_quadrature(psi_terms, phi_terms, m, lam, num_points=2**15 + 1):
 
 
 def _domain_pair(bc, rng):
-    """One in-domain boundary pair from its own draws: the per-sample
+    """Face values of one in-domain pair from its own draws: the per-sample
     reference for the verifier's single batched draw."""
     if isinstance(bc, Transmitting):
         v = random_spinor(rng)
-        return BoundaryPair(at_minus=v, at_plus=bc.alpha.matrix() @ v)
+        return np.array([v, bc.alpha.matrix() @ v])
     rho = bc.rho
 
     def face(r):
@@ -91,11 +90,11 @@ def _domain_pair(bc, rng):
             return np.array([0.0, s])
         return np.array([s, 1j * r * s])
 
-    return BoundaryPair(at_minus=face(rho.rho_minus), at_plus=face(rho.rho_plus))
+    return np.array([face(rho.rho_minus), face(rho.rho_plus)], dtype=complex)
 
 
 def _magnitude(pair):
-    return float(max(np.abs(pair.at_minus).max(), np.abs(pair.at_plus).max()))
+    return float(np.abs(pair).max())
 
 
 class TestEvaluation:
@@ -161,11 +160,19 @@ class TestEvaluation:
             np.testing.assert_array_equal(term.derivative(xs), np.multiply.outer(u, slope))
             assert np.all(value[(xs < term.support[0]) | (xs > term.support[1])] == 0.0)
 
-    def test_boundary_pair_is_one_sided(self):
-        f = DeficiencyFunction(Island.LEFT, Sign.PLUS, m=0.0, lam=0.0)
-        bp = f.boundary_pair()
-        np.testing.assert_allclose(bp.at_minus, [1.0, -1.0])
-        np.testing.assert_array_equal(bp.at_plus, [0.0, 0.0])
+    def test_traces_are_one_sided(self):
+        # each function's spinor times N e^(-sqrt(1+m^2) lam) at its own
+        # face, zero at the other; bumps add nothing
+        m, lam = 0.5, 0.3
+        for own, island in enumerate((Island.LEFT, Island.RIGHT)):
+            f = DeficiencyFunction(island, Sign.MINUS, m=m, lam=lam, normalization=2.0)
+            bump = SmoothBump(island, center=(2 * own - 1) * 1.5, width=0.5, spinor=(1j, 2.0), lam=lam)
+            faces = traces([(1.0 - 0.5j, f)])
+            np.testing.assert_allclose(faces[own], (1.0 - 0.5j) * 2.0 * face_factor(m, lam) * f.spinor, rtol=1e-15)
+            np.testing.assert_array_equal(faces[1 - own], [0.0, 0.0])
+            np.testing.assert_array_equal(traces([(3.0, bump)]), np.zeros((2, 2)))
+            np.testing.assert_array_equal(traces([(1.0 - 0.5j, f), (3.0, bump)]), faces)
+        np.testing.assert_array_equal(traces([]), np.zeros((2, 2)))
 
 
 @dataclass(frozen=True)
@@ -223,28 +230,12 @@ class TestGram:
         g = gram_matrix(Sign.PLUS, m=0.0, lam=1.0)
         np.testing.assert_allclose(np.diag(g), math.exp(-4.0), rtol=1e-10)
 
-    def test_unit_prefactor(self):
-        g = gram_matrix(Sign.PLUS, m=0.0, lam=1.0, normalization=1.0)
-        # integral of 2 e^{2x} up to -1: e^{-2}
-        np.testing.assert_allclose(np.diag(g), math.exp(-2.0), rtol=1e-10)
-
     @pytest.mark.parametrize("sign", list(Sign))
     def test_rank_two(self, sign):
         for m, lam in ((0.0, 0.0), (1.0, 0.5), (10.0, 1.0)):
             g = gram_matrix(sign, m=m, lam=lam)
             assert np.linalg.matrix_rank(g, tol=1e-30) == 2
             assert g[0, 0] > 0 and g[1, 1] > 0
-
-    def test_insufficient_extent_rejected(self):
-        from diracjunction.errors import QuadratureFailureError
-
-        with pytest.raises(QuadratureFailureError):
-            gram_matrix(Sign.PLUS, m=0.0, lam=0.0, extent=1.0)
-
-    @pytest.mark.parametrize("extent", [math.nan, math.inf, -math.inf, -1.0, 0.0])
-    def test_extent_must_be_finite_and_positive(self, extent):
-        with pytest.raises(ValidationError, match="extent"):
-            gram_matrix(Sign.PLUS, m=0.0, lam=0.0, extent=extent)
 
     @pytest.mark.parametrize("lam", [200.0, 800.0])
     def test_underflowing_reference_diagonal_names_lam(self, lam):
@@ -254,20 +245,6 @@ class TestGram:
             gram_matrix(Sign.PLUS, m=0.0, lam=lam)
         top = -math.log(sys.float_info.min) / 4.0
         assert np.linalg.matrix_rank(gram_matrix(Sign.PLUS, m=0.0, lam=top), tol=0.0) == 2
-
-    @pytest.mark.parametrize("m", [0.0, 10.0])
-    def test_underflowing_diagonal_at_a_given_normalization_names_lam(self, m):
-        # at N = 1 the diagonal e^(-2 sqrt(1+m^2) lam)/sqrt(1+m^2) underflowed
-        # to an all-zero, rank-0 matrix
-        rate = math.hypot(1.0, m)
-        top = (-math.log(rate) - math.log(sys.float_info.min)) / (2.0 * rate)
-        with pytest.raises(ValidationError, match=r"lam = 400\.0 .* lam <= %.6g " % top):
-            gram_matrix(Sign.PLUS, m=m, lam=400.0, normalization=1.0)
-        g = gram_matrix(Sign.PLUS, m=m, lam=top, normalization=1.0)
-        assert np.linalg.matrix_rank(g, tol=0.0) == 2
-        for bad in (0.0, math.inf, math.nan):
-            with pytest.raises(ValidationError, match="normalization"):
-                gram_matrix(Sign.PLUS, m=m, lam=1.0, normalization=bad)
 
     @pytest.mark.parametrize("sign", list(Sign))
     @pytest.mark.parametrize("m, lam", [(0.0, 0.0), (0.5, 0.7), (10.0, 0.25)])
@@ -327,32 +304,33 @@ class TestSimpson:
 
 class TestBoundaryForm:
     def test_zero_values(self):
-        z = BoundaryPair([0, 0], [0, 0])
+        z = np.zeros((2, 2), dtype=complex)
         assert boundary_form(z, z) == 0
 
     def test_single_surviving_term(self):
-        psi = BoundaryPair([0, 0], [1, 0])
-        phi = BoundaryPair([0, 0], [0, 1])
+        psi = np.array([[0, 0], [1, 0]], dtype=complex)
+        phi = np.array([[0, 0], [0, 1]], dtype=complex)
         assert boundary_form(psi, phi) == pytest.approx(-1j)
 
     def test_identity_condition_cancellation(self):
-        psi = BoundaryPair([1, 0], [1, 0])
-        phi = BoundaryPair([0, 1], [0, 1])
+        psi = np.array([[1, 0], [1, 0]], dtype=complex)
+        phi = np.array([[0, 1], [0, 1]], dtype=complex)
         assert boundary_form(psi, phi) == pytest.approx(0.0)
 
 
 class TestQuadratureGreenIdentity:
     def test_eigenfunction_shortcut(self):
         # psi = phi = left/plus eigenfunction: the difference equals
-        # -2i ||psi||^2, and matches the boundary expression
+        # -2i ||psi||^2, ||psi||^2 = e^(-2 sqrt(1+m^2) lam)/sqrt(1+m^2) at
+        # N = 1, and matches the boundary expression
         for m, lam in ((0.0, 0.0), (1.0, 1.0)):
             f = DeficiencyFunction(Island.LEFT, Sign.PLUS, m=m, lam=lam)
             terms = [(1.0 + 0j, f)]
             value = boundary_form_quadrature(terms, terms, m=m, lam=lam)
-            norm2 = gram_matrix(Sign.PLUS, m=m, lam=lam, normalization=1.0)[0, 0]
+            rate = math.hypot(1.0, m)
+            norm2 = math.exp(-2.0 * rate * lam) / rate
             assert value == pytest.approx(-2j * norm2, abs=1e-10)
-            bp = f.boundary_pair()
-            assert value == pytest.approx(boundary_form(bp, bp), abs=1e-10)
+            assert value == pytest.approx(boundary_form(traces(terms), traces(terms)), abs=1e-10)
 
     def test_disjoint_compact_supports_give_zero(self):
         left = SmoothBump(Island.LEFT, center=-3.0, width=1.0, spinor=(1, 2j))
@@ -382,7 +360,7 @@ class TestQuadratureGreenIdentity:
             psi = random_terms()
             phi = random_terms()
             lhs = boundary_form_quadrature(psi, phi, m=m, lam=lam)
-            rhs = boundary_form(combination_boundary(psi), combination_boundary(phi))
+            rhs = boundary_form(traces(psi), traces(phi))
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 10.0])
@@ -499,8 +477,8 @@ class TestSelfAdjointVerifier:
 
     def test_violating_pair_breaks_symmetry(self):
         # condition-violating pair against an in-domain pair: nonzero form
-        bad = BoundaryPair([0, 0], [1, 0])
-        good = BoundaryPair([0, 1], [0, 1])  # satisfies the identity condition
+        bad = np.array([[0, 0], [1, 0]], dtype=complex)
+        good = np.array([[0, 1], [0, 1]], dtype=complex)  # satisfies the identity condition
         assert abs(boundary_form(bad, good)) == pytest.approx(1.0)
 
     @staticmethod
