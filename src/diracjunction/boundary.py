@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     ZeroParameterError,
 )
-from .matrix2 import DEFAULT_TOL, arg_2pi, record_type
+from .matrix2 import DEFAULT_TOL, NORM_FLOOR, arg_2pi, record_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -137,9 +137,13 @@ class ClassReport(NamedTuple):
         return not self.failed
 
     def worst(self) -> tuple[str, float]:
-        """The constraint with the largest residual, among the failing ones
-        when there are any."""
-        name = max(self.failed or self.residuals, key=self.residuals.get)
+        """The failing constraint with the largest residual when there are
+        any, else the constraint with the largest residual in units of the
+        scale of its limit."""
+        if self.failed:
+            name = max(self.failed, key=self.residuals.get)
+        else:
+            name = max(self.residuals, key=lambda n: self.residuals[n] / self.scale_of(n))
         return name, self.residuals[name]
 
     def scale_of(self, name: str) -> float:
@@ -286,11 +290,13 @@ def _extract_form(a: AlphaBC, tol: float) -> tuple[BDForm, complex]:
         u = (a3 / r3).conjugate()
         w = 1j * u
         b1, b2, b3, b4 = w * a1, u * a2, complex(r3), w * a4
-    # the limit is tol * max(1, |b_i|), so only an imaginary part over tol
+    # the limit is max(tol, NORM_FLOOR) * max(1, |b_i|), as the b's carry
+    # about one ulp of rounding, so only an imaginary part over the floor
     # needs the moduli
-    if abs(b1.imag) > tol or abs(b2.imag) > tol or abs(b3.imag) > tol or abs(b4.imag) > tol:
+    floor = tol if tol > NORM_FLOOR else NORM_FLOOR
+    if abs(b1.imag) > floor or abs(b2.imag) > floor or abs(b3.imag) > floor or abs(b4.imag) > floor:
         worst_imag = max(abs(b1.imag), abs(b2.imag), abs(b3.imag), abs(b4.imag))
-        if worst_imag > tol * max(1.0, abs(b1), abs(b2), abs(b3), abs(b4)):
+        if worst_imag > floor * max(1.0, abs(b1), abs(b2), abs(b3), abs(b4)):
             raise NotInClassError(
                 f"extracted parameters are not real: max imaginary part {worst_imag:.3e}"
             )

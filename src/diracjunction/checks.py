@@ -228,12 +228,12 @@ def verify_condition(condition: ExtensionClass | matrix2.Entries, m: float, tol:
     a = condition.alpha
     report = boundary.validate_class(a, tol)
     name, worst = report.worst()
+    limit = tol * report.scale_of(name)
     if not report.valid:
-        limit = tol * report.scale_of(name)
         return Verification((CheckRecord(f"class-constraints {name}", worst, limit, False),), {})
     q = correspondence.alpha_to_u2(a, m, tol)
     records = (
-        CheckRecord("class-constraints", worst, tol * report.scale, True),
+        CheckRecord("class-constraints", worst, limit, True),
         ROUND_TRIP(a, q, m),
         IDENTITIES(q, a, m, scale=alpha_scale(a)),
         CURRENT(a),

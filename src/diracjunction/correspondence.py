@@ -389,12 +389,10 @@ def compare_closed_form(
     """Classify the closed-form candidate against the solved extension
     ``primary`` (:func:`alpha_to_u2` of ``a`` at ``tol``, solved here when not
     given); the two agree when their largest entry difference is at most
-    1e-8.  The candidate reads theta off ``a`` at ``tol`` or
-    :data:`~.matrix2.NORM_FLOOR`, whichever is larger, as the rounding of
-    that extraction alone can exceed a smaller ``tol``."""
+    1e-8."""
     if primary is None:
         primary = alpha_to_u2(a, m, tol)
-    candidate = closed_form_u2_candidate(a, m, max(tol, NORM_FLOOR))
+    candidate = closed_form_u2_candidate(a, m, tol)
     pairs = [(complex(getattr(candidate, g)), complex(getattr(primary, g))) for g in ("g1", "g2", "g3")]
     diff = max(abs(c - p) for c, p in pairs)
     diff_flipped = max(abs(c + p) for c, p in pairs)

@@ -87,6 +87,13 @@ class TestDeterminantScale:
         assert report.failed == ("unit_det_plus", "unit_det_conj")
         assert report.worst() == ("unit_det_plus", 1e200)
 
+    def test_a_passing_report_ranks_by_residual_over_scale(self):
+        # Re(a1 a2*) = 2^-37 is the largest residual, but 2^-37/64 of its
+        # scale; the determinant residual 2^-42 is a larger share of ~1
+        report = validate_class(AlphaBC(8, 2**-40, 0, 0.125 + 2**-45))
+        assert report.valid and max(report.residuals, key=report.residuals.get) == "re_a1_a2"
+        assert report.worst() == ("unit_det_plus", 2**-42)
+
     def test_huge_entries_keep_an_exact_determinant_verdict(self):
         # sum |a_i|^2 overflows, |a1||a4| = 1 does not
         assert validate_class(AlphaBC(1e300, 0, 0, 1e-300)).valid

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from diracjunction import checks, deficiency, matrix2
-from diracjunction.boundary import AlphaBC, BDForm, bd_to_alpha, random_alpha, random_rho
+from diracjunction.boundary import AlphaBC, BDForm, bd_to_alpha, random_alpha, random_rho, validate_class
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.matrix2 import DEFAULT_TOL
 from helpers import current, random_quaternion_form, random_spinor
@@ -125,6 +125,15 @@ class TestRecordVerdicts:
         # is not the orthogonality scale the residual was once divided by
         (record,) = checks.verify_fuzz(3600, 1.0, 1e-16, 3).records
         assert record.name == "fuzz-class" and record.residual > record.limit == 1e-16
+
+    def test_passing_class_record_takes_its_constraints_scale(self):
+        # the worst share of its scale is a determinant residual, whose
+        # limit is tol times the determinant scale, not the orthogonality one
+        a = AlphaBC(8, 2**-40, 0, 0.125 + 2**-45)
+        report = validate_class(a, DEFAULT_TOL)
+        record = checks.verify_condition(Transmitting(a), 1.0, DEFAULT_TOL).records[0]
+        assert record == checks.CheckRecord("class-constraints", 2**-42, DEFAULT_TOL * report.det_scale, True)
+        assert report.det_scale != report.scale
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-16, 1e-17])
     def test_condition_records(self, tol):

@@ -409,6 +409,17 @@ class TestExitCodeContract:
         if code == 1:
             assert "FAIL defining-identities residual=1.000000e-05" in p.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["convert", "alpha-to-bd"], ["scatter", "--emin", "1.5", "--emax", "3", "--steps", "3"],
+    ])
+    def test_b_form_rounding_passes_below_the_floor(self, argv):
+        # draw 69 of checks._Draws(1): its b's carry 8.9e-16 of imaginary
+        # rounding, over a tol of 1e-16 but inside matrix2.NORM_FLOOR
+        alpha = ("-0.20796515407260754+0.26569379593430464i,-1.6604210814562612-1.2996529513088i,"
+                 "0.5697121778539922+0.44592791648677299i,-4.613548701955518+5.8942146958061103i")
+        p = run_process("-m", "diracjunction.cli", *argv, "--alpha", alpha, "--tol", "1e-16")
+        assert (p.returncode, p.stderr) == (0, "")
+
     @pytest.mark.parametrize("where, reason", [("", "Is a directory"), ("missing/out.txt", "No such file")])
     def test_unwritable_out_exits_2(self, tmp_path, where, reason):
         path = tmp_path / where
