@@ -165,8 +165,10 @@ def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
     (or with a2* a3) when it is at most tol * max(1, |a1||a4| + |a2||a3|),
     the size of the products it subtracts 1 from.  Both verdicts are
     invariant under rescaling the overall magnitude of the data.  When a
-    scale overflows, its comparison is made in units of max |a_i|^2, so it
-    stays exact; a residual that itself overflowed fails.
+    scale overflows, its constraints are measured on the entries times a
+    power of two c near 1/max |a_i|, where no product overflows, and
+    compared in units of 1/c^2; their residuals are reported as r / c / c,
+    inf beyond the float range.
 
     The report is computed once per condition object and ``tol``, kept on
     the object, and returned again by later calls, so the maps, the
@@ -221,15 +223,27 @@ def _measure_class(a: AlphaBC, tol: float) -> ClassReport:
         and det_plus <= det_limit and det_conj <= det_limit and det_limit < inf and orth_limit < inf
     ):
         return ClassReport(residuals, scale, det_scale, ())
-    # otherwise each by name, a scale that overflowed taken in units of big:
-    # r passes when r / unit <= limit
-    orth_unit, orth_limit = (big, tol * big * sigma) if scale == inf else (1.0, orth_limit)
-    det_unit, det_limit = (big, tol * big * (s1 * s4 + s2 * s3)) if det_scale == inf else (1.0, det_limit)
-    failed = tuple(
-        name for name, r in residuals.items()
-        if not (r / det_unit <= det_limit if name.startswith("unit_det") else r / orth_unit <= orth_limit)
-    )
-    return ClassReport(residuals, scale, det_scale, failed)
+    # otherwise each by name.  The products of a group whose scale overflowed
+    # may overflow too (inf - inf would make a residual NaN), so that group is
+    # measured again on the entries times c, a power of two near 1/big, where
+    # every product is below 1, and compared with tol times its scale in the
+    # same units of 1/c^2; its residuals are reported as r / c / c, on the
+    # scale of its limit
+    names, residuals = list(residuals), list(residuals.values())
+    units = [(1.0, orth_limit)] * 4 + [(1.0, det_limit)] * 2
+    if scale == inf or det_scale == inf:
+        c = math.ldexp(1.0, -math.frexp(big)[1])  # c * big in [1/2, 1)
+        b1, b2, b3, b4 = c * a1, c * a2, c * a3, c * a4
+        p, n1, n2, n3, n4 = b1 * b4.conjugate(), c * m1, c * m2, c * m3, c * m4
+        if scale == inf:
+            residuals[:4] = [abs((x * y.conjugate()).real) for x, y in ((b1, b2), (b1, b3), (b2, b4), (b3, b4))]
+            units[:4] = [(c, tol * (n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4))] * 4
+        if det_scale == inf:
+            residuals[4:] = abs(p + b2 * b3.conjugate() - c * c), abs(p + b2.conjugate() * b3 - c * c)
+            units[4:] = [(c, tol * (n1 * n4 + n2 * n3))] * 2
+    failed = tuple(name for name, r, (_, limit) in zip(names, residuals, units) if not r <= limit)
+    shown = {name: r / u / u for name, r, (u, _) in zip(names, residuals, units)}
+    return ClassReport(MappingProxyType(shown), scale, det_scale, failed)
 
 
 def require_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:

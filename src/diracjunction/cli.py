@@ -30,6 +30,7 @@ import json
 import math
 import os
 import re
+import struct
 import sys
 from itertools import islice
 from typing import TYPE_CHECKING, Callable
@@ -48,10 +49,10 @@ DEFAULT_SEED = 20177
 CSV_HEADER = "E,k,lambda,re_r,im_r,re_t,im_t,R,T,phase_t,flag"
 #: 17-significant-digit decimal; round-trips float64 exactly.
 FMT17 = "%.17g"
-_CSV_ROW = ",".join([FMT17] * 10 + ["%s"])
-_JSON_ROW = "{" + ", ".join(f'"{name}": %s' for name in CSV_HEADER.split(",")[:-1]) + ', "flag": "%s"}'
-#: format -> (row template, row separator, text before the rows, text after)
-_LAYOUT = {"csv": (_CSV_ROW, "\n", CSV_HEADER + "\n", "\n"), "json": (_JSON_ROW, ", ", "[", "]\n")}
+_JSON_ROW = "{" + "".join(f'"{name}": %s, ' for name in CSV_HEADER.split(",")[:-1]) + '"flag": ""}'
+#: format -> (a value's format, a row with a %s per value, row separator, text before the rows, text after)
+_LAYOUT = {"csv": (FMT17, "%s," * 10, "\n", CSV_HEADER + "\n", "\n"), "json": ("%s", _JSON_ROW, ", ", "[", "]\n")}
+_float_bits = struct.Struct("d").pack
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +372,26 @@ def _in_parts(n: int, parts: int, render: Callable[[int, int], bytes]) -> list[b
     return pieces
 
 
+def _constant(col: list[float]) -> bool:
+    """Whether every value of ``col`` has the bits of the first.  The last is compared first, which
+    turns a varying column away at once.  ``count`` compares with ``==``, which takes -0.0 for 0.0, so a
+    zero column is compared as bytes, and never takes a NaN for another object, so a NaN column passes
+    only when it repeats one object."""
+    first = col[0]
+    bits = _float_bits(first)
+    return (_float_bits(col[-1]) == bits and col.count(first) == len(col)
+            and (first != 0.0 or struct.pack(f"{len(col)}d", *col) == bits * len(col)))
+
+
 def _rows_text(cols: ScatteringColumns, fmt: str) -> str:
-    """A grid part's rows, joined; a JSON record is what ``json.dumps`` gives for its dict
-    (``str`` of a float is the ``repr`` that ``json`` writes, bar the non-finite values)."""
-    row, sep, _, _ = _LAYOUT[fmt]
-    text = sep.join(map(row.__mod__, zip(*cols, [""] * len(cols.E))))
+    """A grid part's rows, joined, each constant column formatted once; a JSON record is what
+    ``json.dumps`` gives for its dict (``str`` of a float is the ``repr`` that ``json`` writes, bar the
+    non-finite values)."""
+    spec, row, sep, _, _ = _LAYOUT[fmt]
+    constant = [_constant(col) for col in cols]
+    template = row % tuple(spec % col[0] if c else spec for col, c in zip(cols, constant))
+    varying = [col for col, c in zip(cols, constant) if not c]
+    text = sep.join(map(template.__mod__, zip(*varying)) if varying else [template] * len(cols.E))
     if fmt == "json":
         text = text.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(": -inf", ": -Infinity")
     return text
@@ -387,7 +403,7 @@ def _sweep_bytes(bc, args, parts: int) -> bytes:
 
     sweep = bc, args.emin, args.emax, args.steps, args.mass, Island(args.face), args.tol
     pieces = _in_parts(args.steps, parts, lambda lo, hi: _rows_text(sweep_part(*sweep, lo, hi), args.format).encode())
-    _, sep, head, tail = (text.encode() for text in _LAYOUT[args.format])
+    _, _, sep, head, tail = (text.encode() for text in _LAYOUT[args.format])
     chunks = [head, *(chunk for piece in pieces for chunk in (piece, sep))]
     chunks[-1] = tail  # in place of the separator after the last part
     return b"".join(chunks)

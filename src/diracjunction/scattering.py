@@ -193,7 +193,15 @@ def _columns(bc: ExtensionClass, E: list[float], m: float, face: Island, tol: fl
     """The output columns after E, (k, lam, re_r, im_r, re_t, im_t, R, T,
     phase_t), at energies ``E`` above the gap: a transmitting condition must
     be in the class at ``tol`` and takes the wave from the left whatever
-    ``face`` says; a separating one reflects totally at ``face``."""
+    ``face`` says; a separating one reflects totally at ``face``.
+
+    At m = 0 the kernels give lambda = 1 and k = E exactly, and every other
+    column depends on the energy only through lambda, so one row is computed
+    and its columns after k repeated, bit for bit the rows of every energy.
+    """
+    if m == 0.0 and len(E) > 1:
+        n = len(E)
+        return (list(E), *(col * n for col in _columns(bc, E[:1], m, face, tol)[1:]))
     if isinstance(bc, Transmitting):
         return _transmitting(bc.alpha, E, m, tol)
     return _separating(bc.rho, face, E, m)

@@ -1,6 +1,7 @@
 """Helpers only the tests use: boundary spinors, the probability current,
-form equivalence, scattering columns as numpy arrays and random draws that
-the package itself never needs."""
+form equivalence, scattering columns as numpy arrays, the sweep rows
+formatted one row at a time and random draws that the package itself never
+needs."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from diracjunction import scattering
 from diracjunction.boundary import TWO_PI, AlphaBC, BDForm, Island, RhoBC
+from diracjunction.cli import CSV_HEADER, FMT17
 from diracjunction.correspondence import ExtensionClass, check_mass
 from diracjunction.matrix2 import DEFAULT_TOL, QuaternionForm, as_c2matrix, is_unitary
 
@@ -68,6 +70,20 @@ def scatter_batch(
     the gap (unchecked), with its columns as numpy arrays."""
     E = np.asarray(E, dtype=float).ravel()
     return ArrayColumns(E, *map(np.array, scattering._columns(bc, E.tolist(), check_mass(m), face, tol)))
+
+
+_CSV_ROW = ",".join([FMT17] * 10 + ["%s"])
+_JSON_ROW = "{" + ", ".join(f'"{name}": %s' for name in CSV_HEADER.split(",")[:-1]) + ', "flag": "%s"}'
+
+
+def rows_text(cols: scattering.ScatteringColumns, fmt: str) -> str:
+    """A grid part's rows, joined, with every value formatted in its own row:
+    the reference for the CLI's formatter, which formats a constant column once."""
+    row, sep = (_CSV_ROW, "\n") if fmt == "csv" else (_JSON_ROW, ", ")
+    text = sep.join(map(row.__mod__, zip(*cols, [""] * len(cols.E))))
+    if fmt == "json":
+        text = text.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(": -inf", ": -Infinity")
+    return text
 
 
 def bd_equivalent(f: BDForm, g: BDForm, tol: float = 1e-9) -> bool:

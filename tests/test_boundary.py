@@ -133,6 +133,19 @@ class TestClassScaleOverflow:
         # an overflowing residual fails rather than passing vacuously
         assert not validate_class(AlphaBC(1e200, 1e200, 0, 0)).valid
 
+    @pytest.mark.parametrize("alpha", [
+        # Re(a1 a2*) and Re(a3 a4*) are -inf + inf in the entries as given
+        AlphaBC(7.5e299 - 4.5e283j, -4.5e283 - 7.5e299j, 4.5e283 + 7.5e299j, 7.5e299 - 4.5e283j),
+        # a1 a4* + a2 a3* is inf - inf; its true value 0 misses 1 by far less
+        # than tol times |a1||a4| + |a2||a3| = 2e400
+        AlphaBC(1e200, 1e200j, -1e200j, 1e200),
+    ])
+    def test_overflowing_products_leave_no_nan_residual(self, alpha):
+        report = validate_class(alpha)
+        assert report.valid and not any(map(math.isnan, report.residuals.values()))
+        assert math.isinf(report.scale) and math.isinf(report.det_scale)
+        assert report.residuals["re_a1_a2"] == 0.0 and not math.isnan(report.worst()[1])
+
 
 class TestBDForm:
     def test_alpha_to_bd_identity(self):

@@ -1,8 +1,10 @@
 """The class check measures each condition once per ``tol``, and measures it
 exactly as the dict-based check it replaced did.
 
-``_oracle_validate_class`` is that earlier ``validate_class``, kept verbatim
-(its docstring aside) as the reference for the leaner measurement.
+``_oracle_validate_class`` is that earlier ``validate_class`` (its docstring
+aside), the reference for the leaner measurement, with one change: a group of
+constraints whose scale overflows is measured on the entries times a power of
+two near 1/max|a_i|, where no product overflows into a NaN residual.
 """
 
 import copy
@@ -29,17 +31,6 @@ from diracjunction.matrix2 import DEFAULT_TOL
 
 def _oracle_validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
     a1, a2, a3, a4 = a.as_tuple()
-    orthogonality = {
-        # Re(x y*) formed alone: the imaginary part of x y* may overflow
-        "re_a1_a2": abs(a1.real * a2.real + a1.imag * a2.imag),
-        "re_a1_a3": abs(a1.real * a3.real + a1.imag * a3.imag),
-        "re_a2_a4": abs(a2.real * a4.real + a2.imag * a4.imag),
-        "re_a3_a4": abs(a3.real * a4.real + a3.imag * a4.imag),
-    }
-    determinant = {
-        "unit_det_plus": abs(a1 * a4.conjugate() + a2 * a3.conjugate() - 1.0),
-        "unit_det_conj": abs(a1 * a4.conjugate() + a2.conjugate() * a3 - 1.0),
-    }
     m1, m2, m3, m4 = mags = [math.hypot(z.real, z.imag) for z in (a1, a2, a3, a4)]
     if not all(map(math.isfinite, mags)):
         raise ValidationError("a boundary parameter's modulus is not finite")
@@ -51,12 +42,32 @@ def _oracle_validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
     sigma = s1 ** 2 + s2 ** 2 + s3 ** 2 + s4 ** 2
     scale = max(1.0, big * big * sigma)
     det_scale = max(1.0, m1 * m4 + m2 * m3)
-    # (unit, limit): r passes when r / unit <= limit
-    orth = (big, tol * big * sigma) if math.isinf(scale) else (1.0, tol * scale)
-    det = (big, tol * big * (s1 * s4 + s2 * s3)) if math.isinf(det_scale) else (1.0, tol * det_scale)
-    failed = [name for name, r in orthogonality.items() if not r / orth[0] <= orth[1]]
-    failed += [name for name, r in determinant.items() if not r / det[0] <= det[1]]
-    return ClassReport({**orthogonality, **determinant}, scale, det_scale, tuple(failed))
+    # a group whose scale overflowed is measured on the entries times c, a
+    # power of two near 1/big, against tol times its scale in units of
+    # 1/c^2, and reported as r / c / c
+    c = math.ldexp(1.0, -math.frexp(big)[1])
+    n1, n2, n3, n4 = c * m1, c * m2, c * m3, c * m4
+    orth_c, orth_limit = (c, tol * (n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4)) if math.isinf(scale) else (1.0, tol * scale)
+    det_c, det_limit = (c, tol * (n1 * n4 + n2 * n3)) if math.isinf(det_scale) else (1.0, tol * det_scale)
+    b1, b2, b3, b4 = (c * z for z in (a1, a2, a3, a4)) if orth_c != 1.0 else (a1, a2, a3, a4)
+    orthogonality = {
+        # Re(x y*) formed alone: the imaginary part of x y* may overflow
+        "re_a1_a2": abs(b1.real * b2.real + b1.imag * b2.imag),
+        "re_a1_a3": abs(b1.real * b3.real + b1.imag * b3.imag),
+        "re_a2_a4": abs(b2.real * b4.real + b2.imag * b4.imag),
+        "re_a3_a4": abs(b3.real * b4.real + b3.imag * b4.imag),
+    }
+    d1, d2, d3, d4 = (c * z for z in (a1, a2, a3, a4)) if det_c != 1.0 else (a1, a2, a3, a4)
+    one = det_c * det_c
+    determinant = {
+        "unit_det_plus": abs(d1 * d4.conjugate() + d2 * d3.conjugate() - one),
+        "unit_det_conj": abs(d1 * d4.conjugate() + d2.conjugate() * d3 - one),
+    }
+    failed = [name for name, r in orthogonality.items() if not r <= orth_limit]
+    failed += [name for name, r in determinant.items() if not r <= det_limit]
+    residuals = {name: r / orth_c / orth_c for name, r in orthogonality.items()}
+    residuals.update((name, r / det_c / det_c) for name, r in determinant.items())
+    return ClassReport(residuals, scale, det_scale, tuple(failed))
 
 
 def _bits(x: float) -> str:

@@ -3,25 +3,31 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracjunction.cli import (
     _PART_INSTANCES,
     _PART_ROWS,
     FMT17,
+    _rows_text,
     build_parser,
     main,
     parse_angle,
     parse_complex,
     parse_rho,
 )
-from diracjunction.boundary import AlphaBC, Island, RhoBC
+from diracjunction.boundary import AlphaBC, BDForm, Island, RhoBC, bd_to_alpha
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.errors import InternalInconsistencyError, ValidationError
+from diracjunction.scattering import ScatteringColumns
+from helpers import rows_text
 
 CSV_HEADER_FIELDS = "E,k,lambda,re_r,im_r,re_t,im_t,R,T,phase_t,flag".split(",")
 
@@ -408,6 +414,20 @@ class TestExitCodeContract:
         assert p.stdout.splitlines()[-1].endswith(last)
         if code == 1:
             assert "FAIL defining-identities residual=1.000000e-05" in p.stdout
+
+    @pytest.mark.parametrize("argv, codes", [
+        (["verify"], (0, 1)),
+        (["scatter", "--emin", "2e300", "--emax", "3e300", "--steps", "3"], (0,)),
+        (["convert", "u2-to-bc"], (0,)),
+    ])
+    def test_a_class_member_at_a_huge_mass_has_no_nan_residual(self, argv, codes):
+        # its parameters are near 7.5e299, where Re(a1 a2*) once came out as
+        # -inf + inf: verify printed residual=nan and scatter refused it
+        p = run_process("-m", "diracjunction.cli", *argv, "--gamma", "0.6,0.8i,i", "--mass", "1e300")
+        assert p.returncode in codes and p.stderr == ""
+        assert "nan" not in p.stdout.lower()
+        if argv == ["verify"]:
+            assert "PASS class-constraints residual=0.000000e+00" in p.stdout.splitlines()
 
     @pytest.mark.parametrize("argv", [
         ["convert", "alpha-to-bd"], ["scatter", "--emin", "1.5", "--emax", "3", "--steps", "3"],
@@ -946,6 +966,70 @@ class TestSweepParts:
         assert cli._part_count(10**9, _PART_ROWS) == parts
         monkeypatch.setattr(cli, "_CPU_MAX", str(tmp_path))  # a directory: unreadable as a file
         assert cli._part_count(10**9, _PART_ROWS) == 8
+
+
+#: values whose text is special: signed zeros, the non-finite values, and
+#: floats near the ends of the range
+SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, 5e-324, -1.7976931348623157e308, 0.1]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _columns(draw):
+    """Ten columns of one length: constant (one object repeated, or equal
+    bits in distinct objects), zeros of mixed sign, or anything."""
+    n = draw(st.integers(1, 6))
+    every_constant = draw(st.booleans())
+    cols = []
+    for _ in range(10):
+        kind = "constant" if every_constant else draw(st.sampled_from(["constant", "copies", "zeros", "any"]))
+        if kind == "constant":
+            col = [draw(VALUES)] * n
+        elif kind == "copies":  # distinct float objects with the same bits
+            bits = struct.pack("d", draw(VALUES))
+            col = [struct.unpack("d", bits)[0] for _ in range(n)]
+        elif kind == "zeros":
+            col = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+        else:
+            col = draw(st.lists(VALUES, min_size=n, max_size=n))
+        cols.append(col)
+    return ScatteringColumns(*cols)
+
+
+class TestConstantColumns:
+    """The formatter writes a column whose values have one bit pattern once;
+    its text is the text of formatting every row."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(cols=_columns())
+    @example(cols=ScatteringColumns(*[[0.0, -0.0]] * 10))
+    @example(cols=ScatteringColumns(*[[-0.0, 0.0, -0.0]] * 10))
+    @example(cols=ScatteringColumns(*[[math.nan] * 3] * 10))
+    @example(cols=ScatteringColumns(*[[math.nan, math.inf]] * 10))
+    @example(cols=ScatteringColumns(*[[-math.inf]] * 10))
+    def test_same_text_as_formatting_every_row(self, cols):
+        for fmt in ("csv", "json"):
+            assert _rows_text(cols, fmt) == rows_text(cols, fmt)
+
+    @pytest.mark.parametrize("bc, mass, face", [
+        (Transmitting(AlphaBC(0, 1, 1, 0)), "0", "left"),
+        (Transmitting(bd_to_alpha(BDForm(0.7, 1.3, -0.4, 2.1, (1.0 + 0.4 * 2.1) / 1.3))), "0", "left"),
+        (Transmitting(AlphaBC(1, 0, 0, 1)), "0.5", "left"),
+        (Separating(RhoBC(math.inf, math.inf)), "0", "left"),
+        (Separating(RhoBC(-0.0, 0.3)), "2", "right"),
+        (Separating(RhoBC(0.3, -0.0)), "0", "left"),
+    ])
+    def test_sweeps_are_the_rows_formatted_one_by_one(self, bc, mass, face):
+        from diracjunction.cli import _LAYOUT, _sweep_bytes
+        from diracjunction.scattering import sweep_columns
+
+        cols = sweep_columns(bc, 2.5, 4.0, 50, float(mass), Island(face))
+        for fmt in ("csv", "json"):
+            args = _sweep_args("--mass", mass, "--emin", "2.5", "--emax", "4", "--steps", "50", "--face", face,
+                               "--format", fmt)
+            _, _, _, head, tail = _LAYOUT[fmt]
+            expected = (head + rows_text(cols, fmt) + tail).encode()
+            assert _sweep_bytes(bc, args, 1) == _sweep_bytes(bc, args, 2) == expected
 
 
 @pytest.fixture

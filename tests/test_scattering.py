@@ -19,7 +19,7 @@ from diracjunction import scattering
 from diracjunction.correspondence import Separating, Transmitting, alpha_to_u2
 from diracjunction.deficiency import Island
 from diracjunction.errors import BelowGapError, NotInClassError, ValidationError
-from diracjunction.matrix2 import arg_2pi
+from diracjunction.matrix2 import DEFAULT_TOL, arg_2pi
 from diracjunction.scattering import (
     ScatteringColumns,
     ScatteringResult,
@@ -226,6 +226,45 @@ class TestSweep:
                 a = make_spin_flip(float(theta), b2)
                 for E in (0.2, 1.0, 5.0):
                     assert scatter_alpha(a, E, 0.0).T == pytest.approx(1.0)
+
+
+class TestMassZero:
+    """At m = 0, where lambda = 1 at every energy, the kernel computes one
+    row and repeats its columns after k; each value has the bits of the row
+    computed alone, as a one-energy call computes it."""
+
+    CONDITIONS = [
+        (Transmitting(SPIN_FLIP), Island.LEFT),
+        (Transmitting(bd_to_alpha(BDForm(0.7, 1.3, -0.4, 2.1, (1.0 + 0.4 * 2.1) / 1.3))), Island.RIGHT),
+        *((Separating(RhoBC(rho, rho)), face) for rho in (0.0, -0.0, math.inf) for face in Island),
+    ]
+
+    @pytest.mark.parametrize("bc, face", CONDITIONS)
+    def test_sweep_rows_are_the_rows_computed_alone(self, bc, face):
+        for lo, hi in ((0, 300), (17, 18), (298, 300)):
+            part = scattering.sweep_part(bc, 0.5, 3.0, 300, 0.0, face, DEFAULT_TOL, lo, hi)
+            for i, e in enumerate(part.E):
+                alone = scattering._columns(bc, [e], 0.0, face, DEFAULT_TOL)
+                assert [col[i].hex() for col in part[1:]] == [col[0].hex() for col in alone]
+            # computed once: one float object per column after k
+            assert all(len(set(map(id, col))) == 1 for col in part[2:])
+            assert part.k == part.E and part.k is not part.E
+
+    @pytest.mark.parametrize("bc, face", CONDITIONS)
+    def test_one_energy_calls_are_the_sweep_rows(self, bc, face):
+        cols = sweep_columns(bc, 0.5, 3.0, 7, 0.0, face)
+        for i, e in enumerate(cols.E):
+            if isinstance(bc, Transmitting):
+                alone = scatter_alpha(bc.alpha, e, 0.0)
+            else:
+                alone = scatter_rho(bc.rho, e, 0.0, face)
+            expected = cols.row(i)
+            assert [x.hex() for x in _parts(alone)] == [x.hex() for x in _parts(expected)]
+
+
+def _parts(res: ScatteringResult) -> list[float]:
+    return [res.E, res.k, res.lam, res.r.real, res.r.imag, res.t.real, res.t.imag, res.R, res.T,
+            res.transmission_phase]
 
 
 def solve_oracle(a: AlphaBC, lam: float) -> tuple[complex, complex]:
