@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol
 
 from .errors import (
     InvalidBDError,
@@ -356,12 +356,21 @@ def make_phase_shift(theta: float, b1: float) -> AlphaBC:
 # ---------------------------------------------------------------------------
 
 
-def _log_uniform(rng: np.random.Generator) -> float:
+class Draws(Protocol):
+    """The source the generators below draw from: a ``numpy.random.Generator``,
+    or a :class:`random.Random` given the same two methods (``checks._Draws``)."""
+
+    def uniform(self, low: float = ..., high: float = ...) -> float: ...
+
+    def standard_cauchy(self) -> float: ...
+
+
+def _log_uniform(rng: Draws) -> float:
     mag = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
     return mag if rng.uniform() < 0.5 else -mag
 
 
-def random_bdform(rng: np.random.Generator) -> BDForm:
+def random_bdform(rng: Draws) -> BDForm:
     """theta uniform; b2, b3 bounded log-uniform with random sign; b1 likewise;
     b4 = (1 - b2*b3)/b1 closes the constraint exactly.
 
@@ -377,19 +386,18 @@ def random_bdform(rng: np.random.Generator) -> BDForm:
     return BDForm(theta, b1, b2, b3, b4)
 
 
-def random_alpha(rng: np.random.Generator) -> AlphaBC:
+def random_alpha(rng: Draws) -> AlphaBC:
     """Random class-valid transmitting condition."""
     return bd_to_alpha(random_bdform(rng))
 
 
-def random_rho(rng: np.random.Generator) -> RhoBC:
+def random_rho(rng: Draws) -> RhoBC:
     """Random separating condition; each component +inf with probability
     0.15, else Cauchy-distributed (covers the whole tangent range).
 
-    Finite draws are capped at |rho| = 1e3.  Far beyond the cap, from about
-    |rho| = 2e10/sqrt(1+m^2), the diagonal unitary's phase comes within
-    ``DEFAULT_TOL`` of -1 and maps back to +inf by design, so a round trip
-    there is not an identity.
+    Finite draws are capped at |rho| = 1e3.  Far beyond the cap a finite
+    rho still maps back to itself, until m + sqrt(1+m^2) rho overflows and
+    the diagonal unitary's phase rounds to exactly -1, which is +inf.
     """
 
     def component() -> float:

@@ -244,8 +244,9 @@ def verify_condition(condition: ExtensionClass | matrix2.Entries, m: float, tol:
 
 
 class _Draws(random.Random):
-    """Python's generator behind the two draws that the instance generators
-    of :mod:`~.boundary` make of a numpy ``Generator``."""
+    """Python's generator as the :class:`~.boundary.Draws` that the instance
+    generators of :mod:`~.boundary` draw from: numpy's ``uniform`` and
+    ``standard_cauchy``, made from :class:`random.Random` draws."""
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return super().uniform(low, high)

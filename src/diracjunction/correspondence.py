@@ -120,6 +120,11 @@ def _require_unimodular(z: complex, name: str, tol: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _at_pole(g: complex) -> bool:
+    """Whether the unimodular g is -1, the pole of rho = +inf, exactly."""
+    return g.imag == 0.0 and g.real < 0.0
+
+
 def diagonal_u2_to_rho(
     gl: complex, gr: complex, m: float, tol: float = DEFAULT_TOL
 ) -> RhoBC:
@@ -127,7 +132,8 @@ def diagonal_u2_to_rho(
 
     rho_minus = (tan(arg(gl)/2) - m)/sqrt(1+m^2) for gl != -1, else +inf;
     rho_plus mirrors with an overall sign.  The pole of the tangent at
-    arg = pi is exactly the +inf case, detected by |1 + g| <= tol.
+    arg = pi is exactly the +inf case, taken only at the pole itself (a
+    real negative g): a g within tol of -1 is a large finite rho.
     """
     m = check_mass(m)
     gl = _require_unimodular(gl, "gamma_left", tol)
@@ -143,8 +149,8 @@ def diagonal_u2_to_rho(
             t = (1.0 - g.real) / g.imag
         return sign * (t - m) / s
 
-    rho_minus = math.inf if abs(1.0 + gl) <= tol else finite(gl, +1.0)
-    rho_plus = math.inf if abs(1.0 + gr) <= tol else finite(gr, -1.0)
+    rho_minus = math.inf if _at_pole(gl) else finite(gl, +1.0)
+    rho_plus = math.inf if _at_pole(gr) else finite(gr, -1.0)
     return RhoBC(rho_plus=rho_plus, rho_minus=rho_minus)
 
 
@@ -185,7 +191,7 @@ def oracle_rho_from_diagonal(
     scale = face_factor(m, lam)
 
     def face(g: complex, island: Island) -> float:
-        if abs(1.0 + g) <= tol:
+        if _at_pole(g):
             return math.inf
         (p_up, p_down), (m_up, m_down) = (eigen_spinor(island, sign, m) for sign in Sign)
         ratio = (scale * (p_down + g * m_down)) / (scale * (p_up + g * m_up))
@@ -212,10 +218,10 @@ def u2_to_alpha(q: QuaternionForm, m: float) -> AlphaBC:
     a4 = i g2^{-1} sqrt(1+m^2) (Im(g1 mu) + Im(g3* mu))
 
     The map is invariant under the joint sign flip of (g1, g2, g3).
-    Raises :class:`DiagonalInputError` when g2 = 0 or sqrt(1+m^2)/g2
-    overflows.  A small but nonzero g2 is a valid transmitting extension:
-    :func:`classify` sends near-diagonal unitaries to the separating side
-    with its own tolerance test before calling this.
+    Raises :class:`DiagonalInputError` when g2 = 0, or when sqrt(1+m^2)/g2
+    or a parameter overflows.  A small but nonzero g2 is a valid
+    transmitting extension: :func:`classify` sends near-diagonal unitaries
+    to the separating side with its own tolerance test before calling this.
     """
     m = check_mass(m)
     s = math.hypot(1.0, m)
@@ -228,12 +234,15 @@ def u2_to_alpha(q: QuaternionForm, m: float) -> AlphaBC:
             else "extension is diagonal (g2 = 0); it has separating parameters, not transmitting ones"
         )
     mu = mu_constant(m)
-    return AlphaBC(
-        1j * inv * ((g1.conjugate() * mu).imag + (g3.conjugate() * mu).imag),
-        inv * (g1.real + g3.real),
-        inv * (-g1.real + (g3.conjugate() * mu * mu).real),
-        1j * inv * ((g1 * mu).imag + (g3.conjugate() * mu).imag),
-    )
+    a1 = 1j * inv * ((g1.conjugate() * mu).imag + (g3.conjugate() * mu).imag)
+    a2 = inv * (g1.real + g3.real)
+    a3 = inv * (-g1.real + (g3.conjugate() * mu * mu).real)
+    a4 = 1j * inv * ((g1 * mu).imag + (g3.conjugate() * mu).imag)
+    if (a1 - a1) + (a2 - a2) + (a3 - a3) + (a4 - a4) != 0:  # x - x is NaN unless x is finite
+        raise DiagonalInputError(
+            f"the transmitting parameters overflow at g2 = {g2!r}, m = {m!r}; they are out of range"
+        )
+    return AlphaBC(a1, a2, a3, a4)
 
 
 def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionForm:

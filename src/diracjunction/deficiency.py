@@ -24,7 +24,10 @@ maps, :func:`oracle_alpha_from_u2` and :func:`solve_u2_matrix`, are built
 on the same eigenfunctions; only tests and the benchmark call them.  Both
 quadratures walk their grids in blocks (:func:`_simpson_blocks`):
 grid-length temporaries would exceed glibc's mmap threshold and take fresh
-pages from the kernel on every call.
+pages from the kernel on every call.  In each block the Green identity
+evaluates each distinct radial profile once, however many terms share it,
+and only on the indices that cover its support, and it sums only the
+products f' g that the result uses, each over the overlap of two supports.
 
 Face values are complex arrays of shape (..., 2, 2): axis -2 is the face
 (-L, then +L) and axis -1 is (up, down).
@@ -115,11 +118,9 @@ class DeficiencyFunction(_SpinorProfile):
         xs = np.asarray(x, dtype=float)
         left = self.island is Island.LEFT
         sgn = 1.0 if left else -1.0
-        radial = np.where(
-            xs <= -self.lam if left else xs >= self.lam,
-            self.normalization * np.exp(sgn * self.rate * xs),
-            0.0,
-        )
+        radial = self.normalization * np.exp(sgn * self.rate * xs)
+        if not (xs.max(initial=-math.inf) <= -self.lam if left else xs.min(initial=math.inf) >= self.lam):
+            radial = np.where(xs <= -self.lam if left else xs >= self.lam, radial, 0.0)  # NaN is outside
         return radial, sgn * self.rate * radial
 
 
@@ -148,14 +149,13 @@ def ode_residual(f: DeficiencyFunction, x: float, h: float) -> float:
 #: so blocks start on even indices, and 64 KB a row of doubles, below glibc's
 #: default 128 KiB mmap threshold, so block temporaries reuse heap memory.
 _BLOCK = 8192
+_INDICES = np.arange(_BLOCK + 1, dtype=float)
 
 
 def _simpson_points(n: int) -> int:
     """Grid size accepted by :func:`_simpson_blocks`: odd and at least 3."""
     if n < 3 or n % 2 == 0:
-        raise ValidationError(
-            f"composite Simpson quadrature needs an odd number of points >= 3, got {n}"
-        )
+        raise ValidationError(f"composite Simpson quadrature needs an odd number of points >= 3, got {n}")
     return n
 
 
@@ -174,7 +174,8 @@ def _simpson_blocks(island: Island, lam: float, reach: float, n: int):
     pattern[1::2] = 4.0 * scale
     for lo in range(0, n - 1, _BLOCK):
         hi = lo + _BLOCK if lo + _BLOCK < n - 1 else n
-        xs = np.arange(lo, hi, dtype=float) * step + start
+        xs = np.add(_INDICES[: hi - lo], lo)  # the indices lo..hi-1, exact in floats
+        np.add(np.multiply(xs, step, out=xs), start, out=xs)
         w = pattern[: hi - lo]
         if lo == 0 or hi == n:  # the end points weigh 1
             w = w.copy()
@@ -210,7 +211,7 @@ def gram_matrix(sign: Sign, m: float, lam: float, num_points: int = 2**16 + 1) -
         f = DeficiencyFunction(island, sign, m, lam, norm)
         spin = float(np.sum(np.abs(f.spinor) ** 2))
         blocks = _simpson_blocks(island, lam, 40.0 / rate, num_points)
-        diag.append(spin * float(sum(w @ f.profile(xs)[0] ** 2 for xs, w in blocks)))
+        diag.append(spin * float(sum(w @ np.square(y := f.profile(xs)[0], out=y) for xs, w in blocks)))
     return np.array([[diag[0], 0.0], [0.0, diag[1]]])
 
 
@@ -246,11 +247,8 @@ class SmoothBump(_SpinorProfile):
         if not (self.width > 0.0 and math.isfinite(self.center)):
             raise ValidationError("bump width must be > 0 and its center finite")
         lo, hi = self.support
-        inside = hi < -self.lam if self.island is Island.LEFT else lo > self.lam
-        if not inside:
-            raise ValidationError(
-                "bump support must lie strictly inside its half-line"
-            )
+        if not (hi < -self.lam if self.island is Island.LEFT else lo > self.lam):
+            raise ValidationError("bump support must lie strictly inside its half-line")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -264,9 +262,7 @@ class SmoothBump(_SpinorProfile):
         tm = np.where(mask, t, 0.0)
         with np.errstate(divide="ignore", over="ignore"):
             core = np.where(mask, np.exp(1.0 - 1.0 / (1.0 - tm**2)), 0.0)
-        dcore = np.where(
-            mask, core * (-2.0 * tm / (1.0 - tm**2) ** 2) / self.width, 0.0
-        )
+        dcore = np.where(mask, core * (-2.0 * tm / (1.0 - tm**2) ** 2) / self.width, 0.0)
         return core, dcore
 
 
@@ -300,23 +296,11 @@ def _check_terms(terms: Sequence[CombinationTerm], m: float, lam: float) -> floa
     return reach
 
 
-def _profiles(terms: Sequence[CombinationTerm], xs: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Real profiles of the terms on ``xs`` (2K, n), a contiguous view of the
-    flat ``buf``: rows f_1..f_K, then f'_1..f'_K.  A row is filled only on the
-    indices covering its term's support, plus one point of margin, and zeroed
-    elsewhere (wholly if ``xs`` misses the closed support); the term's own
-    mask still applies there, so it equals the full-grid row."""
-    rows = buf[: 2 * len(terms) * xs.size].reshape(2, len(terms), xs.size)
-    for k, (_, term) in enumerate(terms):
-        start, stop = term.support
-        if stop < xs[0] or start > xs[-1]:
-            rows[:, k] = 0.0
-            continue
-        i, j = np.searchsorted(xs, (start, stop))
-        lo, hi = max(i - 1, 0), j + 1
-        rows[:, k, :lo] = rows[:, k, hi:] = 0.0
-        rows[0, k, lo:hi], rows[1, k, lo:hi] = term.profile(xs[lo:hi])
-    return rows.reshape(2 * len(terms), xs.size)
+def _profile_key(term: DeficiencyFunction | SmoothBump) -> tuple:
+    """The fields ``term.profile`` reads: terms with equal keys share a profile."""
+    if isinstance(term, DeficiencyFunction):
+        return term.island, term.m, term.lam, term.normalization
+    return term.center, term.width
 
 
 def boundary_form_quadrature(
@@ -331,8 +315,9 @@ def boundary_form_quadrature(
     Each term is a constant spinor u times a real profile f, and the mass
     part of H = sigma_x (-i d/dx) + m sigma_z cancels, so a psi term
     (c, u, f) against a phi term (d, v, g) adds i c* d (u^H sigma_x v)
-    times the integral of (f g)', summed over the grid blocks of each
-    half-line from Simpson-weighted products of the stacked profiles.
+    times the integral of (f g)' = f' g + g' f.  Per half-line the sums
+    A[a, b] of w f_a' f_b over the grid blocks are formed once per pair of
+    distinct profiles that the terms need, on the overlap of their supports.
     ``num_points`` must be odd and at least 3 (:class:`ValidationError`
     otherwise).  The result matches :func:`boundary_form` of the
     combinations' :func:`traces`.
@@ -346,14 +331,29 @@ def boundary_form_quadrature(
         phi = [(c, t) for c, t in phi_terms if t.island is island]
         if not (psi and phi):
             continue  # the integrand vanishes identically
-        p_buf, q_buf = np.empty(2 * len(psi) * (_BLOCK + 1)), np.empty(2 * len(phi) * (_BLOCK + 1))
-        integrals = 0.0  # [f; f'] against [g; g']
+        keys = {}  # profile key -> (index, a term with that profile)
+        index = [keys.setdefault(_profile_key(t), (len(keys), t))[0] for _, t in psi + phi]
+        ia, ib = index[: len(psi)], index[len(psi):]
+        pairs = {pair for a in ia for b in ib for pair in ((a, b), (b, a))}
+        sums = np.zeros((len(keys), len(keys)))  # A[a, b], the sum of w f_a' f_b
         for xs, w in _simpson_blocks(island, lam, reach, num_points):
-            p = _profiles(psi, xs, p_buf)
-            p *= w
-            integrals += p @ _profiles(phi, xs, q_buf).T
+            spans = {}  # profile index -> (first index, f, w f') on the indices covering its support
+            for k, term in keys.values():
+                start, stop = term.support
+                if start <= xs[-1] and stop >= xs[0]:
+                    i, j = np.searchsorted(xs, (start, stop))
+                    lo = max(i - 1, 0)  # one point of margin on each side
+                    f, df = term.profile(xs[lo : j + 1])
+                    df *= w[lo : j + 1]
+                    spans[k] = lo, f, df
+            for a, b in pairs:
+                if a in spans and b in spans:
+                    (la, _, dfa), (lb, fb, _) = spans[a], spans[b]
+                    lo, hi = max(la, lb), min(la + dfa.size, lb + fb.size)
+                    if lo < hi:
+                        sums[a, b] += dfa[lo - la : hi - la] @ fb[lo - lb : hi - lb]
+        slopes = (sums + sums.T)[np.ix_(ia, ib)]
         a, b = (np.array([c * np.asarray(t.spinor, dtype=complex) for c, t in terms]) for terms in (psi, phi))
-        slopes = integrals[len(psi):, :len(phi)] + integrals[:len(psi), len(phi):]
         spin = np.conj(a[:, :1]) * b[:, 1] + np.conj(a[:, 1:]) * b[:, 0]  # c* d u^H sigma_x v
         total += 1j * complex((spin * slopes).sum())
     return total

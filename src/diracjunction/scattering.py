@@ -41,7 +41,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .boundary import AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, phase_form
+from .boundary import TWO_PI, AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, phase_form
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
 from .errors import BelowGapError, NotInClassError, ValidationError
 from .matrix2 import DEFAULT_TOL, record_type
@@ -364,7 +364,10 @@ def _unit_report(name: str, a: AlphaBC) -> UnitReport:
 
 def phase_variant(theta: float) -> PhaseVariant:
     """Transmission through the spin-preserving condition of phase theta, b1 = 1,
-    at the operating point."""
+    at the operating point.  The variant's ``theta`` is theta mod 2 pi, the
+    angle the condition is built from: for a large theta, theta mod the
+    double nearest 2 pi is not theta mod 2 pi within 1e-12."""
+    theta = theta % TWO_PI
     res = scatter_alpha(make_phase_shift(theta, 1.0), DEMO_E, DEMO_M)
     return PhaseVariant(theta=theta, t=res.t, T=res.T, transmission_phase=res.transmission_phase)
 

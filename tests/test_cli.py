@@ -248,6 +248,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify")
         assert code == 2
 
+    @pytest.mark.parametrize("rho", ["1e10", "2e10", "1e12", "1e16", "1e100", "1e300", "-1e300"])
+    @pytest.mark.parametrize("mass", ["0", "1", "1e3"])
+    def test_large_finite_rho_round_trips(self, capsys, rho, mass):
+        # the unitary's phase is within tol of -1, not -1: it maps back to rho, not to inf
+        code, out, _ = run(capsys, "verify", "--rho", f"{rho},0.5", "--mass", mass)
+        assert code == 0
+        assert [line.split(" residual")[0] for line in out.splitlines()] == self.RHO_CHECKS + ["PASS"]
+
     ALPHA_CHECKS = [
         "PASS class-constraints",
         "PASS extension-round-trip",
@@ -474,6 +482,17 @@ class TestExitCodeContract:
         rows = [line.split(",") for line in p.stdout.splitlines()[1:]]
         assert len(rows) == 2
         assert all(math.isfinite(float(x)) for row in rows for x in row[:-1])
+
+    @pytest.mark.parametrize("mass, code", [("1e300", 0), ("1e307", 0), ("1e308", 2), ("1.7e308", 2)])
+    def test_overflowing_parameters_exit_2(self, capsys, mass, code):
+        # at 1e308 sqrt(1+m^2)/g2 is finite but the parameters are not: they printed as Infinity
+        got, out, err = run(capsys, "convert", "u2-to-bc", "--gamma", "0.6,0.8,1", "--mass", mass)
+        assert got == code
+        if code == 0:
+            alpha = json.loads(out, parse_constant=_reject_constant)["alpha"]
+            assert all(math.isfinite(x) for pair in alpha for x in pair)
+        else:
+            assert out == "" and "overflow" in err
 
     def test_huge_alpha_converts_without_overflow(self):
         p = run_process(
@@ -1263,6 +1282,14 @@ class TestDemoSwitch:
         assert payload["ok"] is True
         assert payload["unit0"]["preserves_spin"] is True
         assert payload["unit1"]["swaps_spin"] is True
+
+    @pytest.mark.parametrize("phase", ["1e5", "1e10"])
+    def test_large_phase_is_verified(self, capsys, phase):
+        # theta mod the double 2 pi is not theta mod 2 pi within 1e-12 here
+        code, out, _ = run(capsys, "demo-switch", "--phase", phase)
+        assert code == 0
+        request = json.loads(out.strip().split("\n")[-1], parse_constant=_reject_constant)["phase_request"]
+        assert request["theta"] == float(phase) and request["verified"] is True
 
     def test_phase_variant(self, capsys):
         code, out, _ = run(capsys, "demo-switch", "--phase", "pi/2")

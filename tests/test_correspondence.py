@@ -159,6 +159,20 @@ class TestDiagonalCorrespondence:
                 else:
                     assert abs(x - y) <= 1e-12 * max(1.0, abs(x))
 
+    @pytest.mark.parametrize("m", MASSES)
+    def test_unitary_near_minus_one_is_a_large_finite_rho(self, m):
+        # from |rho| ~ 2e10 the phase is within DEFAULT_TOL of -1, which used
+        # to map back to +inf; only the pole itself, a real negative g, is +inf
+        for rho in (2e10, 1e16, 1e300, -1e300):
+            gl, gr = rho_to_diagonal_u2(RhoBC(-rho, rho), m)
+            assert abs(1.0 + gl) <= DEFAULT_TOL and abs(1.0 + gr) <= DEFAULT_TOL
+            for back in (diagonal_u2_to_rho(gl, gr, m), oracle_rho_from_diagonal(gl, gr, m)):
+                assert back.rho_minus == pytest.approx(rho, rel=1e-12)
+                assert back.rho_plus == pytest.approx(-rho, rel=1e-12)
+        for pole in (-1, complex(-1.0, -0.0)):
+            assert math.isinf(diagonal_u2_to_rho(pole, pole, m).rho_minus)
+            assert math.isinf(oracle_rho_from_diagonal(pole, pole, m).rho_plus)
+
     def test_oracle_examples(self):
         assert math.isinf(oracle_rho_from_diagonal(-1, 1, 0.0).rho_minus)
         assert oracle_rho_from_diagonal(1, 1, 0.0).rho_minus == pytest.approx(0.0)
@@ -182,6 +196,11 @@ class TestForwardMap:
         q = alpha_to_u2(a, 0.0)
         assert 0.0 < abs(q.g2) < DEFAULT_TOL
         assert alpha_diff(u2_to_alpha(q, 0.0), a) <= 1e-10 * 1e11
+
+    def test_overflowing_parameters_are_rejected(self):
+        # sqrt(1+m^2)/g2 = 1.25e308 is finite, but a1 = 2e308 i is not
+        with pytest.raises(ValidationError, match="transmitting parameters overflow"):
+            u2_to_alpha(QuaternionForm(0.6, 0.8, 1), 1e308)
 
     def test_g2_whose_inverse_overflows_is_rejected(self):
         with pytest.raises(DiagonalInputError, match="overflows"):

@@ -258,6 +258,34 @@ class TestGram:
                 ref = _grouped_simpson(np.abs(vals[0]) ** 2 + np.abs(vals[1]) ** 2, xs)
                 assert g[i, i] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
+    #: The diagonals (left, right) as ``float.hex`` for the grids 2**16 + 1
+    #: and BLOCK_EDGE_POINTS, in that order; both signs give these.
+    PINNED = {
+        (0.0, 0.0): [
+            ("0x1.0000000000037p+0", "0x1.0000000000036p+0"), ("0x1.aaaaaaaaaaaabp+3", "0x1.aaaaaaaaaaaabp+3"),
+            ("0x1.00000000379c6p+0", "0x1.00000000379bep+0"), ("0x1.00000000378e1p+0", "0x1.00000000378e0p+0"),
+            ("0x1.000000000378fp+0", "0x1.000000000378dp+0"),
+        ],
+        (0.5, 0.7): [
+            ("0x1.65f57a8d12ddep-5", "0x1.65f57a8d12e06p-5"), ("0x1.2a4c90cae50c5p-1", "0x1.2a4c90cae50c5p-1"),
+            ("0x1.65f57a8d60995p-5", "0x1.65f57a8d609d5p-5"), ("0x1.65f57a8d60877p-5", "0x1.65f57a8d6089ep-5"),
+            ("0x1.65f57a8d17b3ep-5", "0x1.65f57a8d17b66p-5"),
+        ],
+        (10.0, 0.25): [
+            ("0x1.6a5039c3290f1p-15", "0x1.6a5039c3290f1p-15"), ("0x1.2ded8577f7887p-11", "0x1.2ded8577f7886p-11"),
+            ("0x1.6a5039c377be3p-15", "0x1.6a5039c377be0p-15"), ("0x1.6a5039c377aa8p-15", "0x1.6a5039c377aa6p-15"),
+            ("0x1.6a5039c32df43p-15", "0x1.6a5039c32df41p-15"),
+        ],
+    }
+
+    @pytest.mark.parametrize("sign", list(Sign))
+    @pytest.mark.parametrize("m, lam", list(PINNED))
+    def test_diagonal_is_pinned_bit_for_bit(self, sign, m, lam):
+        for n, pinned in zip((2**16 + 1, *BLOCK_EDGE_POINTS), self.PINNED[m, lam], strict=True):
+            g = gram_matrix(sign, m=m, lam=lam, num_points=n)
+            assert (float(g[0, 0]).hex(), float(g[1, 1]).hex()) == pinned
+            assert g[0, 1] == g[1, 0] == 0.0
+
     @pytest.mark.parametrize("m", [0.5, 1.0, 10.0])
     @pytest.mark.parametrize("lam", [0.0, 0.25, 1.0])
     def test_reference_diagonal_is_analytic(self, m, lam):
@@ -452,6 +480,43 @@ class TestQuadratureMemory:
         else:
             peak = self._traced_peak(lambda: boundary_form_quadrature(psi, phi, m, lam))
         assert peak < 1.5e6
+
+
+class TestQuadratureWork:
+    """A block of the Green identity evaluates each distinct profile once,
+    on the indices that cover its support."""
+
+    @staticmethod
+    def _counted(monkeypatch, cls):
+        sizes = []
+        profile = cls.profile
+
+        def counted(self, x):
+            sizes.append(np.size(x))
+            return profile(self, x)
+
+        monkeypatch.setattr(cls, "profile", counted)
+        return sizes
+
+    def test_shared_profile_is_evaluated_once_per_block(self, monkeypatch):
+        m, lam, n = 0.5, 0.3, 2 * _BLOCK + 1  # two blocks per half-line
+        # the signs differ, but a deficiency function's profile does not read its sign
+        psi = [(1.0 + 0.5j, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, lam))]
+        phi = [(0.2 - 1j, DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam))]
+        expected = _reference_quadrature(psi, phi, m, lam, n)
+        sizes = self._counted(monkeypatch, DeficiencyFunction)
+        value = boundary_form_quadrature(psi, phi, m, lam, num_points=n)
+        assert sizes == [_BLOCK, _BLOCK + 1]
+        assert abs(value - expected) <= 1e-13 * max(1.0, abs(expected))
+
+    def test_bump_is_evaluated_only_on_its_support(self, monkeypatch):
+        m, lam, n = 0.5, 0.3, 2**15 + 1
+        bump = SmoothBump(Island.RIGHT, lam + 2.0, 0.8, (1j, 1.0), lam=lam)
+        f = DeficiencyFunction(Island.RIGHT, Sign.PLUS, m, lam)
+        sizes = self._counted(monkeypatch, SmoothBump)
+        boundary_form_quadrature([(1.0, bump)], [(1.0, f)], m, lam, num_points=n)
+        step = _check_terms([(1.0, f)], m, lam) / (n - 1)
+        assert sizes and sum(sizes) <= 2 * bump.width / step + 3  # one point of margin on each side
 
 
 class TestSelfAdjointVerifier:

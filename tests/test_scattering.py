@@ -25,6 +25,7 @@ from diracjunction.scattering import (
     ScatteringResult,
     scatter_alpha,
     scatter_rho,
+    phase_variant,
     sweep_columns,
     switch_demo,
 )
@@ -550,6 +551,12 @@ class TestSwitchDemo:
         np.testing.assert_allclose(report.unit1.up_maps_to, [0, 1], atol=1e-14)
         np.testing.assert_allclose(report.unit1.down_maps_to, [1, 0], atol=1e-14)
         assert report.unit1.T == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("theta", [1e5, 1e10])
+    def test_large_phase_is_verified_against_the_reduced_angle(self, theta):
+        v = phase_variant(theta)
+        assert v.theta == theta % (2.0 * math.pi)
+        assert v.verified
 
     def test_phase_variants(self):
         report = switch_demo()
