@@ -22,12 +22,13 @@ whose vanishing on a boundary-condition's solution set certifies symmetry
 of the restricted operator.  The boundary-value oracles of the parameter
 maps, :func:`oracle_alpha_from_u2` and :func:`solve_u2_matrix`, are built
 on the same eigenfunctions; only tests and the benchmark call them.  Both
-quadratures walk their grids in blocks (:func:`_simpson_blocks`):
-grid-length temporaries would exceed glibc's mmap threshold and take fresh
-pages from the kernel on every call.  In each block the Green identity
-evaluates each distinct radial profile once, however many terms share it,
-and only on the indices that cover its support, and it sums only the
-products f' g that the result uses, each over the overlap of two supports.
+quadratures walk their grids in blocks (:func:`_simpson_blocks`), and the
+verifier its pairs in row blocks, below glibc's mmap threshold, in place
+where the bits allow: the Gram matrix squares N e^{+-s x} on each block's
+points, the verifier sums the boundary form's four products into one buffer,
+and the Green identity evaluates each distinct profile once per block, on
+the indices that cover its support, sums only the products w f' g it uses
+into Python floats and does the spinor algebra in Python complex scalars.
 
 Face values are complex arrays of shape (..., 2, 2): axis -2 is the face
 (-L, then +L) and axis -1 is (up, down).
@@ -153,10 +154,10 @@ _INDICES = np.arange(_BLOCK + 1, dtype=float)
 
 
 def _simpson_points(n: int) -> int:
-    """Grid size accepted by :func:`_simpson_blocks`: odd and at least 3."""
-    if n < 3 or n % 2 == 0:
+    """Grid size accepted by :func:`_simpson_blocks`: an odd integer, at least 3."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 3 or n % 2 == 0:
         raise ValidationError(f"composite Simpson quadrature needs an odd number of points >= 3, got {n}")
-    return n
+    return int(n)
 
 
 def _simpson_blocks(island: Island, lam: float, reach: float, n: int):
@@ -207,11 +208,12 @@ def gram_matrix(sign: Sign, m: float, lam: float, num_points: int = 2**16 + 1) -
         )
     norm = reference_normalization(m, lam)
     diag = []
-    for island in (Island.LEFT, Island.RIGHT):
-        f = DeficiencyFunction(island, sign, m, lam, norm)
-        spin = float(np.sum(np.abs(f.spinor) ** 2))
-        blocks = _simpson_blocks(island, lam, 40.0 / rate, num_points)
-        diag.append(spin * float(sum(w @ np.square(y := f.profile(xs)[0], out=y) for xs, w in blocks)))
+    for island, slope in ((Island.LEFT, rate), (Island.RIGHT, -rate)):
+        spin = float(np.sum(np.abs(np.array(eigen_spinor(island, sign, m), dtype=complex)) ** 2))
+        total = 0.0  # each block's grid lies in the support: N e^{slope x} in place, squared
+        for xs, w in _simpson_blocks(island, lam, 40.0 / rate, num_points):
+            total += w @ np.square(np.multiply(np.exp(np.multiply(xs, slope, out=xs), out=xs), norm, out=xs), out=xs)
+        diag.append(spin * float(total))
     return np.array([[diag[0], 0.0], [0.0, diag[1]]])
 
 
@@ -335,13 +337,13 @@ def boundary_form_quadrature(
         index = [keys.setdefault(_profile_key(t), (len(keys), t))[0] for _, t in psi + phi]
         ia, ib = index[: len(psi)], index[len(psi):]
         pairs = {pair for a in ia for b in ib for pair in ((a, b), (b, a))}
-        sums = np.zeros((len(keys), len(keys)))  # A[a, b], the sum of w f_a' f_b
+        sums = [[0.0] * len(keys) for _ in keys]  # A[a][b], the sum of w f_a' f_b
         for xs, w in _simpson_blocks(island, lam, reach, num_points):
             spans = {}  # profile index -> (first index, f, w f') on the indices covering its support
             for k, term in keys.values():
                 start, stop = term.support
-                if start <= xs[-1] and stop >= xs[0]:
-                    i, j = np.searchsorted(xs, (start, stop))
+                if start <= xs[-1] and stop >= xs[0]:  # no search when the support covers the block
+                    i, j = np.searchsorted(xs, (start, stop)) if start > xs[0] or stop < xs[-1] else (0, xs.size)
                     lo = max(i - 1, 0)  # one point of margin on each side
                     f, df = term.profile(xs[lo : j + 1])
                     df *= w[lo : j + 1]
@@ -351,11 +353,11 @@ def boundary_form_quadrature(
                     (la, _, dfa), (lb, fb, _) = spans[a], spans[b]
                     lo, hi = max(la, lb), min(la + dfa.size, lb + fb.size)
                     if lo < hi:
-                        sums[a, b] += dfa[lo - la : hi - la] @ fb[lo - lb : hi - lb]
-        slopes = (sums + sums.T)[np.ix_(ia, ib)]
-        a, b = (np.array([c * np.asarray(t.spinor, dtype=complex) for c, t in terms]) for terms in (psi, phi))
-        spin = np.conj(a[:, :1]) * b[:, 1] + np.conj(a[:, 1:]) * b[:, 0]  # c* d u^H sigma_x v
-        total += 1j * complex((spin * slopes).sum())
+                        sums[a][b] += float(dfa[lo - la : hi - la] @ fb[lo - lb : hi - lb])
+        u = [[complex(c * z).conjugate() for z in t.spinor] for c, t in psi]  # (c u)*
+        v = [[complex(d * z) for z in t.spinor] for d, t in phi]  # d v
+        total += 1j * sum((p0 * q1 + p1 * q0) * (sums[a][b] + sums[b][a])  # c* d u^H sigma_x v times a slope
+                          for (p0, p1), a in zip(u, ia) for (q0, q1), b in zip(v, ib))
     return total
 
 
@@ -483,12 +485,16 @@ def verify_selfadjoint_domain(
     samples come from one (samples, 2, 2) draw, and the form over all
     ordered pairs is evaluated in row blocks of the (samples, samples) array.
     """
-    if samples < 0:
-        raise ValidationError(f"samples must be >= 0, got {samples!r}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 0:
+        raise ValidationError(f"samples must be an integer >= 0, got {samples!r}")
     # one draw in the order per-sample draws would take it: a transmitting
     # sample is v = re + i im at -L and B v at +L; a separating one scales
     # its -L and +L faces by one complex normal each
-    draws = np.random.default_rng(seed).standard_normal((samples, 2, 2))
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}") from exc
+    draws = rng.standard_normal((samples, 2, 2))
     if isinstance(bc, Transmitting):
         at_minus = draws[:, 0] + 1j * draws[:, 1]
         # a stack of matrix-vector products rounds as one B @ v per sample
@@ -496,12 +502,21 @@ def verify_selfadjoint_domain(
     else:
         s = draws[..., 0] + 1j * draws[..., 1]
         faces = np.stack([_face(bc.rho.rho_minus, s[:, 0]), _face(bc.rho.rho_plus, s[:, 1])], axis=1)
-    # row i is psi = sample i, column j is phi = sample j; blocks stay below glibc's mmap threshold
-    mags = np.abs(faces).max(axis=(1, 2))
+    # row i is psi = sample i, column j is phi = sample j, in row blocks below glibc's mmap threshold. A
+    # block sums boundary_form's products into one buffer in its order and operand shapes (numpy rounds
+    # a complex product by its layout) and drops its factor -i, which leaves every modulus unchanged
+    mags, p, q = np.abs(faces).max(axis=(1, 2)), faces.conj()[..., None], faces[None]
     rows, worst = max(1, _BLOCK // 2 // max(samples, 1)), 0.0  # a complex entry is two doubles
-    for psi in (slice(i, i + rows) for i in range(0, samples, rows)):
-        forms = np.abs(boundary_form(faces[psi, None], faces[None]))
-        worst = float(np.maximum(worst, np.max(forms / np.maximum(1.0, mags[psi, None] * mags[None, :]))))
+    form, term = np.empty((2, min(rows, samples), samples), dtype=complex)
+    forms, scales = np.empty((2, min(rows, samples), samples))
+    for i in range(0, samples, rows):
+        n, psi = min(rows, samples - i), p[i : i + rows]
+        acc = np.multiply(psi[:, 1, 0], q[..., 1, 1], out=form[:n])
+        acc += np.multiply(psi[:, 1, 1], q[..., 1, 0], out=term[:n])
+        acc -= np.multiply(psi[:, 0, 0], q[..., 0, 1], out=term[:n])
+        acc -= np.multiply(psi[:, 0, 1], q[..., 0, 0], out=term[:n])
+        scale = np.maximum(np.multiply(mags[i : i + n, None], mags, out=scales[:n]), 1.0, out=scales[:n])
+        worst = float(np.maximum(worst, np.max(np.divide(np.abs(acc, out=forms[:n]), scale, out=forms[:n]))))
     probes = faces[:16]
     witnesses = {
         face: float(np.max(np.abs(boundary_form(bad, probes)), initial=0.0))

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from diracjunction.deficiency import (
     verify_selfadjoint_domain,
 )
 from diracjunction.deficiency import _BLOCK, _check_terms, _simpson_blocks, _violating_pairs
-from diracjunction.errors import OutsideIslandError, ValidationError
+from diracjunction.errors import JunctionError, OutsideIslandError, ValidationError
 from helpers import random_spinor
 
 
@@ -293,6 +294,15 @@ class TestGram:
         expected = math.exp(-4.0 * math.sqrt(1.0 + m * m) * lam)
         np.testing.assert_allclose(np.diag(g), expected, rtol=1e-10)
 
+    def test_huge_mass_gives_the_identity_without_overflow(self):
+        # at m = 1e300 the reference prefactor is 1e150: its square is finite,
+        # but a derivative rate * N e^{rate x} would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = gram_matrix(Sign.PLUS, m=1e300, lam=0.0)
+        np.testing.assert_allclose(g, np.eye(2), atol=1e-10)
+        assert g[0, 1] == g[1, 0] == 0.0
+
     @pytest.mark.parametrize("n", [-3, 0, 1, 2, 4, 2**16])
     def test_grid_must_be_odd_and_at_least_three(self, n):
         f = DeficiencyFunction(Island.LEFT, Sign.PLUS, m=0.0)
@@ -421,6 +431,29 @@ class TestQuadratureGreenIdentity:
         for psi, phi in ((random_terms(left), random_terms(right)), ([], random_terms(basis)), ([], [])):
             value = boundary_form_quadrature(psi, phi, m=m, lam=lam)
             assert value == 0j and _reference_quadrature(psi, phi, m, lam) == 0j
+
+    @pytest.mark.parametrize("n", [3, _BLOCK + 3, 3 * _BLOCK + 1])
+    def test_bumps_covering_and_straddling_blocks_on_small_grids(self, n):
+        # 3 points are one block, _BLOCK + 3 a full block and a 3-point one; on
+        # 3 * _BLOCK + 1 points the wide bump covers the middle block whole and
+        # the narrow one straddles the edge between the last two blocks
+        m, lam = 0.0, 0.25
+        cover = SmoothBump(Island.RIGHT, center=14.0, width=13.5, spinor=(1.0, -0.5j), lam=lam)
+        straddle = SmoothBump(Island.RIGHT, center=27.0, width=2.0, spinor=(0.5j, 1.0), lam=lam)
+        psi = [(1.0 + 0.5j, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, lam)),
+               (-0.3j, DeficiencyFunction(Island.RIGHT, Sign.MINUS, m, lam)), (0.8, cover)]
+        phi = [(0.2 - 1j, DeficiencyFunction(Island.RIGHT, Sign.PLUS, m, lam)),
+               (1.5, DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam)), (0.4j, straddle)]
+        reach = max(_check_terms(psi, m, lam), _check_terms(phi, m, lam))
+        blocks = [(xs[0], xs[-1]) for xs, _ in _simpson_blocks(Island.RIGHT, lam, reach, n)]
+        if n == 3 * _BLOCK + 1:
+            assert cover.support[0] <= blocks[1][0] and blocks[1][1] <= cover.support[1]
+            assert straddle.support[0] < blocks[1][1] < blocks[2][0] < straddle.support[1]
+        value = boundary_form_quadrature(psi, phi, m, lam, num_points=n)
+        ref = _reference_quadrature(psi, phi, m, lam, n)
+        assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+        if n > 3:  # the Green identity gate, where the grid resolves the bumps
+            assert value == pytest.approx(boundary_form(traces(psi), traces(phi)), abs=1e-8)
 
     @pytest.mark.parametrize("m", [math.nan, math.inf, -1.0])
     def test_bad_mass_rejected(self, m):
@@ -575,6 +608,14 @@ class TestSelfAdjointVerifier:
         self._check_pairwise(Transmitting(random_alpha(rng)), samples, 1)
         self._check_pairwise(Separating(random_rho(rng)), samples, 2)
 
+    @pytest.mark.parametrize("samples", [1, 100])
+    def test_matches_pairwise_loop_at_one_and_a_hundred_samples(self, samples):
+        # one sample is a single one-row block; 100 is the benchmark's size,
+        # blocks of 40, 40 and 20 rows
+        rng = np.random.default_rng(samples + 7)
+        self._check_pairwise(Transmitting(random_alpha(rng)), samples, 3)
+        self._check_pairwise(Separating(random_rho(rng)), samples, 4)
+
     def test_zero_samples_never_pass(self):
         report = verify_selfadjoint_domain(Transmitting(AlphaBC(0, 1, 1, 0)), samples=0)
         assert report.max_symmetry_residual == 0.0
@@ -594,3 +635,30 @@ class TestSelfAdjointVerifier:
                 else Separating(random_rho(rng))
             )
             assert verify_selfadjoint_domain(bc, samples=40, seed=i).passed
+
+
+class TestTypedErrors:
+    """Malformed counts and seeds raise ValidationError, a typed JunctionError."""
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed") as info:
+            verify_selfadjoint_domain(Transmitting(AlphaBC(0, 1, 1, 0)), 10, seed=-1)
+        assert isinstance(info.value, JunctionError)
+
+    @pytest.mark.parametrize("samples", [2.5, True])
+    def test_non_integer_samples_rejected(self, samples):
+        with pytest.raises(ValidationError, match="samples"):
+            verify_selfadjoint_domain(Transmitting(AlphaBC(0, 1, 1, 0)), samples=samples)
+
+    def test_integer_like_samples_accepted(self):
+        bc = Transmitting(AlphaBC(0, 1, 1, 0))
+        assert verify_selfadjoint_domain(bc, samples=np.int64(30), seed=1) == verify_selfadjoint_domain(bc, 30, 1)
+
+    def test_float_grid_rejected_by_gram(self):
+        with pytest.raises(ValidationError, match="odd number of points"):
+            gram_matrix(Sign.PLUS, m=0.0, lam=0.0, num_points=65537.0)
+
+    def test_float_grid_rejected_by_green_identity(self):
+        f = DeficiencyFunction(Island.LEFT, Sign.PLUS, m=0.0)
+        with pytest.raises(ValidationError, match="odd number of points"):
+            boundary_form_quadrature([(1.0, f)], [(1.0, f)], m=0.0, num_points=65537.0)
