@@ -3,36 +3,33 @@
 Subcommands: ``decompose`` (unitary -> three-parameter form), ``convert``
 (all parameter maps), ``verify`` (constraint/round-trip/self-adjointness
 checks, optionally fuzzing random instances), ``scatter`` (energy sweeps to
-CSV or JSON), ``demo-switch`` (the two-unit spin/phase switch).
+CSV or JSON), ``demo-switch`` (the two-unit spin/phase switch), read by
+:func:`parse_args` against one flag table, which also renders ``--help``.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 input validation error, 3 internal inconsistency.  Identical inputs
-produce byte-identical output; fuzzing uses a fixed default seed.
-Complex flag values accept ``a+bi`` shorthand or JSON ``[re, im]``, and
-JSON output writes every complex number as its ``[re, im]`` pair; the
-infinite separating parameter is spelled ``inf``.
+2 input validation error (usage errors included), 3 internal inconsistency.
+Identical inputs produce byte-identical output; fuzzing uses a fixed
+default seed.  Complex flag values accept ``a+bi`` shorthand or JSON
+``[re, im]``, and JSON output writes every complex number as its
+``[re, im]`` pair; the infinite separating parameter is spelled ``inf``.
 
-A unitary payload is a pair of pairs of Python complex.  No command
-imports ``numpy``; ``verify --fuzz`` draws from :mod:`random`.  Both bulk
-commands run in contiguous parts, one per usable CPU, through one fork
-runner (:func:`_in_parts`): ``scatter`` from 2 x ``_PART_ROWS`` rows, whose
-parts' bytes are joined and written once, and ``verify --fuzz`` from
-2 x ``_PART_INSTANCES`` instances, each part drawing the run's one stream
-up to its own end, whose results are merged as the one run would report
-them.  The output is the one-part output, byte for byte.
+A unitary payload is a pair of pairs of Python complex.  No command imports
+``numpy`` or ``argparse``; only code that reads or writes JSON imports ``json``.
+Both bulk commands run in parts, one per usable CPU, through one fork runner
+(:func:`_in_parts`), and print the one-part output byte for byte.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import json
+import marshal
 import math
 import os
 import re
 import struct
 import sys
 from itertools import islice
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 from . import boundary, correspondence, matrix2
@@ -72,6 +69,7 @@ def parse_complex(token: str) -> complex:
     s = token.strip()
     try:
         if s.startswith("["):
+            import json
             pair = json.loads(s)
             z = complex(float(pair[0]), float(pair[1]))
         else:
@@ -91,6 +89,7 @@ def parse_complex_list(text: str, count: int, what: str) -> list[complex]:
 
 def parse_matrix(text: str) -> matrix2.Entries:
     """Parse a JSON 2x2 matrix of [re, im] pairs, every part finite."""
+    import json
     try:
         rows = json.loads(text)
         m = [[_finite(complex(float(e[0]), float(e[1])), e) for e in row] for row in rows]
@@ -186,6 +185,7 @@ def write(text: str | bytes, out=None) -> None:
 
 def emit(obj, out=None, *lines: str) -> None:
     """Write ``lines``, then ``obj`` as one line of JSON with each complex number as its [re, im] pair."""
+    import json
     write("".join(f"{line}\n" for line in (*lines, json.dumps(obj, default=lambda z: [z.real, z.imag]))), out)
 
 
@@ -197,17 +197,11 @@ def emit(obj, out=None, *lines: str) -> None:
 #: --rho give a boundary condition, --gamma/--matrix/--diag a unitary as a
 #: pair of pairs of complex.
 _PAYLOADS = {
-    "alpha": (
-        "a1,a2,a3,a4 complex shorthand",
-        lambda text, tol: Transmitting(AlphaBC(*parse_complex_list(text, 4, "--alpha"))),
-    ),
+    "alpha": ("a1,a2,a3,a4 complex shorthand",
+              lambda text, tol: Transmitting(AlphaBC(*parse_complex_list(text, 4, "--alpha")))),
     "rho": ("rho_plus,rho_minus ('inf' allowed)", lambda text, tol: Separating(parse_rho(text))),
-    "gamma": (
-        "g1,g2,g3 complex shorthand",
-        lambda text, tol: matrix2.compose_entries(
-            matrix2.QuaternionForm(*parse_complex_list(text, 3, "--gamma")), tol
-        ),
-    ),
+    "gamma": ("g1,g2,g3 complex shorthand", lambda text, tol: matrix2.compose_entries(
+        matrix2.QuaternionForm(*parse_complex_list(text, 3, "--gamma")), tol)),
     "matrix": ("JSON 2x2 matrix of [re,im] pairs", lambda text, tol: parse_matrix(text)),
     "diag": ("gL,gR complex shorthand", lambda text, tol: _diagonal(*parse_complex_list(text, 2, "--diag"))),
     "bd": ("theta,b1,b2,b3,b4 (theta accepts pi expressions)", lambda text, tol: parse_bd(text)),
@@ -219,13 +213,9 @@ def _diagonal(gl: complex, gr: complex) -> matrix2.Entries:
     return (gl, 0j), (0j, gr)
 
 
-_CONVERT = {
-    "u2-to-bc": ("gamma", "matrix", "diag"),
-    "bc-to-u2": ("alpha",),
-    "alpha-to-bd": ("alpha",),
-    "bd-to-alpha": ("bd",),
-    "rho-to-u2": ("rho",),
-}
+#: convert's directions -> the payload flags each reads
+_CONVERT = {"u2-to-bc": ("gamma", "matrix", "diag"), "bc-to-u2": ("alpha",), "alpha-to-bd": ("alpha",),
+            "bd-to-alpha": ("bd",), "rho-to-u2": ("rho",)}
 
 
 def _payload(args, accepted: tuple[str, ...]):
@@ -411,8 +401,8 @@ def _sweep_bytes(bc, args, parts: int) -> bytes:
 
 def _fuzz(args, parts: int | None = None):
     """``verify --fuzz``'s verdict from ``parts`` parts (:func:`_part_count`'s by default), each of which
-    draws the run's one stream up to its own end and sends back, as JSON, its
-    :func:`~.checks.check_fuzz` result or its typed error's exit code and message."""
+    draws the run's one stream up to its own end and sends back, in :mod:`marshal`'s format (built in, so
+    nothing is imported), its :func:`~.checks.check_fuzz` result or its typed error's exit code and message."""
     from . import checks
 
     n = args.fuzz
@@ -423,12 +413,12 @@ def _fuzz(args, parts: int | None = None):
             part = checks.check_fuzz(islice(checks.draw_fuzz(n, args.mass, args.seed), lo, hi), args.mass, args.tol)
         except JunctionError as exc:
             part = {"exit": 3 if isinstance(exc, InternalInconsistencyError) else 2, "error": str(exc)}
-        return json.dumps(part).encode()
+        return marshal.dumps(part)
 
     pieces = _in_parts(n, parts or _part_count(n, _PART_INSTANCES), render)
     typed = (ValidationError, InternalInconsistencyError)  # by exit code - 2
     return checks.merge_fuzz([typed[p["exit"] - 2](p["error"]) if isinstance(p, dict) else p
-                              for p in map(json.loads, pieces)], args.tol)
+                              for p in map(marshal.loads, pieces)], args.tol)
 
 
 def cmd_scatter(args) -> int:
@@ -479,92 +469,100 @@ def cmd_demo_switch(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command line: one flag table, read word by word
 # ---------------------------------------------------------------------------
 
-_COMMON = {
+#: name -> spec: type (str by default), default (None by default), choices, required, help
+_FLAGS = {
+    **{name: {"help": text} for name, (text, _) in _PAYLOADS.items()},
+    "direction": {"choices": tuple(_CONVERT), "required": True, "help": "the map to apply"},
+    "fuzz": {"type": int, "help": "check this many (>= 1) random instances"},
+    "seed": {"type": int, "default": DEFAULT_SEED, "help": "random seed >= 0 for --fuzz; one condition draws nothing"},
+    "emin": {"type": float, "required": True, "help": "lowest energy, above the mass"},
+    "emax": {"type": float, "required": True, "help": "highest energy, finite"},
+    "steps": {"type": int, "required": True, "help": "number of energies, >= 2"},
+    "face": {"choices": ("left", "right"), "default": "left", "help": "face the wave comes in through"},
+    "format": {"choices": ("csv", "json"), "default": "csv", "help": "output format"},
+    "phase": {"help": "extra phase-shift variant, e.g. pi/2"},
     "mass": {"type": float, "default": 0.0, "help": "particle mass m >= 0"},
     "tol": {"type": float, "default": DEFAULT_TOL, "help": "membership tolerance, > 0 and < 1"},
-    "out": {"default": None, "help": "write output to this path instead of stdout"},
+    "out": {"help": "write output to this path instead of stdout"},
+}
+#: command -> (help, handler, its positional words (each required), its flags)
+_COMMANDS = {
+    "decompose": ("split a unitary into phase * SU(2) parameters", cmd_decompose, (), ("matrix", "tol", "out")),
+    "convert": ("convert between parameterizations", cmd_convert, ("direction",), (*_PAYLOADS, "mass", "tol", "out")),
+    "verify": ("run constraint, round-trip and symmetry checks", cmd_verify, (),
+               (*_CONDITION, "fuzz", "seed", "mass", "tol", "out")),
+    "scatter": ("energy sweep of reflection/transmission", cmd_scatter, (),
+                (*_CONDITION, "emin", "emax", "steps", "face", "format", "mass", "tol", "out")),
+    "demo-switch": ("two-unit spin/phase switching demonstration", cmd_demo_switch, (), ("phase", "out")),
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    """Declare payload flags (:data:`_PAYLOADS`) and common flags by name."""
-    for name in names:
-        p.add_argument(f"--{name}", **({"help": _PAYLOADS[name][0]} if name in _PAYLOADS else _COMMON[name]))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diracjunction",
-        description=(
-            "Boundary-condition calculus for the 1-D Dirac operator on two "
-            "half-lines joined by a junction"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="split a unitary into phase * SU(2) parameters")
-    _add_flags(p, "matrix", "tol", "out")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("convert", help="convert between parameterizations")
-    p.add_argument("direction", choices=list(_CONVERT))
-    _add_flags(p, *_PAYLOADS, "mass", "tol", "out")
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("verify", help="run constraint, round-trip and symmetry checks")
-    _add_flags(p, *_CONDITION)
-    p.add_argument("--fuzz", type=int, default=None, metavar="N", help="check N >= 1 random instances")
-    p.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="random seed >= 0 for --fuzz; checking one condition draws nothing and is deterministic",
-    )
-    _add_flags(p, "mass", "tol", "out")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("scatter", help="energy sweep of reflection/transmission")
-    _add_flags(p, *_CONDITION)
-    p.add_argument("--emin", type=float, required=True)
-    p.add_argument("--emax", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--face", choices=["left", "right"], default="left")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_flags(p, "mass", "tol", "out")
-    p.set_defaults(func=cmd_scatter)
-
-    p = sub.add_parser("demo-switch", help="two-unit spin/phase switching demonstration")
-    p.add_argument("--phase", default=None, help="extra phase-shift variant, e.g. pi/2")
-    _add_flags(p, "out")
-    p.set_defaults(func=cmd_demo_switch)
-
-    return parser
-
-
-#: Flags whose values may begin with '-' (e.g. --diag -1,-1); they are merged
-#: into --flag=value before argparse sees them.
-_MERGED_FLAGS = {f"--{name}" for name in _PAYLOADS} | {"--phase"}
-
-
-def _merge_payload_flags(argv: list[str]) -> list[str]:
-    merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _MERGED_FLAGS and i + 1 < len(argv):
-            merged.append(f"{tok}={argv[i + 1]}")
-            i += 2
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The words after the program name as a namespace: ``command``, its handler ``func`` and each of its
+    positional words and flags, given or by default.  A flag's value is the next word, whatever it begins with,
+    or follows ``=``; the last repeat wins; a flag is spelt in full.  ``-h``/``--help`` gives a ``func`` that
+    prints the help.  A usage error raises :class:`ValidationError`."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return SimpleNamespace(command=None, func=_help)
+    if command not in _COMMANDS:
+        raise ValidationError(f"expected a command, one of {', '.join(_COMMANDS)}; got {' '.join(argv[:1]) or 'none'}")
+    _, func, slots, names = _COMMANDS[command]
+    args = SimpleNamespace(command=command, func=func, **{name: _FLAGS[name].get("default") for name in slots + names})
+    words, pending = iter(argv[1:]), list(slots)
+    for word in words:
+        if word in ("-h", "--help"):
+            return SimpleNamespace(command=command, func=_help)
+        name, given, value = word[2:].partition("=")
+        if word.startswith("--") and name in names:
+            what = f"--{name}"
+            if not given and (value := next(words, None)) is None:
+                raise ValidationError(f"argument {what}: expected one argument")
+        elif pending and not word.startswith("-"):
+            name = what = pending.pop(0)
+            value = word
         else:
-            merged.append(tok)
-            i += 1
-    return merged
+            raise ValidationError(f"unrecognized arguments: {word}")
+        spec = _FLAGS[name]
+        kind = spec.get("type", str)
+        try:
+            setattr(args, name, kind(value))
+        except ValueError:
+            raise ValidationError(f"argument {what}: invalid {kind.__name__} value: {value!r}") from None
+        if "choices" in spec and value not in spec["choices"]:
+            raise ValidationError(f"argument {what}: invalid choice: {value!r} (one of {', '.join(spec['choices'])})")
+    missing = pending + [f"--{name}" for name in names if _FLAGS[name].get("required") and getattr(args, name) is None]
+    if missing:
+        raise ValidationError(f"the following arguments are required: {', '.join(missing)}")
+    return args
+
+
+def _help(args) -> int:
+    """Print the help of ``args.command`` (the program's if None), rendered from the flag tables.  It
+    imports nothing, so ``-m diracjunction.cli --help`` loads this module's own imports and no more: a
+    bytecode-cache warm-up (perfbench's ``build``) spawns it to compile those."""
+    if args.command is None:
+        usage, text = "COMMAND", "The 1-D Dirac junction calculus; 'COMMAND --help' lists a command's flags."
+        rows = [(name, {"help": what}) for name, (what, *_) in _COMMANDS.items()]
+    else:
+        text, _, slots, names = _COMMANDS[args.command]
+        usage = " ".join((args.command, *map(str.upper, slots)))
+        rows = [(name.upper(), _FLAGS[name]) for name in slots] + [(f"--{n} {n.upper()}", _FLAGS[n]) for n in names]
+    lines = [f"usage: diracjunction {usage} [--flag VALUE | --flag=VALUE ...]", "", text, ""]
+    for label, spec in rows:
+        notes = [f"one of {', '.join(spec['choices'])}"] if "choices" in spec else []
+        notes += ["required"] if spec.get("required") else [f"default {spec['default']}"] if "default" in spec else []
+        lines.append(f"  {label:<18}{'; '.join([spec['help'], *notes])}")
+    write("\n".join(lines) + "\n")
+    return 0
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(_merge_payload_flags(argv))
     try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         if hasattr(args, "mass"):
             args.mass = correspondence.check_mass(args.mass)
         # a relative tolerance of 1 or more admits every condition

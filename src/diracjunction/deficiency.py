@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -298,11 +298,13 @@ def _check_terms(terms: Sequence[CombinationTerm], m: float, lam: float) -> floa
     return reach
 
 
-def _profile_key(term: DeficiencyFunction | SmoothBump) -> tuple:
-    """The fields ``term.profile`` reads: terms with equal keys share a profile."""
+def _unit_profile(term: DeficiencyFunction | SmoothBump) -> tuple[tuple, DeficiencyFunction | SmoothBump]:
+    """A key of what ``term.profile`` reads at prefactor N = 1 (terms with one key share that profile), and
+    ``term`` at N = 1.  N rides in the term's coefficient instead: an eigenfunction's f' = sqrt(1+m^2) N e^{...}
+    overflows at large m and N where N^2 times a spinor product of order 1/m^2 does not."""
     if isinstance(term, DeficiencyFunction):
-        return term.island, term.m, term.lam, term.normalization
-    return term.center, term.width
+        return (term.island, term.m, term.lam), (term if term.normalization == 1 else replace(term, normalization=1.0))
+    return (term.center, term.width), term
 
 
 def boundary_form_quadrature(
@@ -333,8 +335,8 @@ def boundary_form_quadrature(
         phi = [(c, t) for c, t in phi_terms if t.island is island]
         if not (psi and phi):
             continue  # the integrand vanishes identically
-        keys = {}  # profile key -> (index, a term with that profile)
-        index = [keys.setdefault(_profile_key(t), (len(keys), t))[0] for _, t in psi + phi]
+        keys = {}  # profile key -> (index, a term with that profile, at prefactor 1)
+        index = [keys.setdefault(key, (len(keys), unit))[0] for key, unit in (_unit_profile(t) for _, t in psi + phi)]
         ia, ib = index[: len(psi)], index[len(psi):]
         pairs = {pair for a in ia for b in ib for pair in ((a, b), (b, a))}
         sums = [[0.0] * len(keys) for _ in keys]  # A[a][b], the sum of w f_a' f_b
@@ -354,8 +356,8 @@ def boundary_form_quadrature(
                     lo, hi = max(la, lb), min(la + dfa.size, lb + fb.size)
                     if lo < hi:
                         sums[a][b] += float(dfa[lo - la : hi - la] @ fb[lo - lb : hi - lb])
-        u = [[complex(c * z).conjugate() for z in t.spinor] for c, t in psi]  # (c u)*
-        v = [[complex(d * z) for z in t.spinor] for d, t in phi]  # d v
+        u = [[complex(c * getattr(t, "normalization", 1.0) * z).conjugate() for z in t.spinor] for c, t in psi]
+        v = [[complex(d * getattr(t, "normalization", 1.0) * z) for z in t.spinor] for d, t in phi]  # a bump's N is 1
         total += 1j * sum((p0 * q1 + p1 * q0) * (sums[a][b] + sums[b][a])  # c* d u^H sigma_x v times a slope
                           for (p0, p1), a in zip(u, ia) for (q0, q1), b in zip(v, ib))
     return total

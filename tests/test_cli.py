@@ -13,13 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracjunction.cli import (
+    _COMMANDS,
     _PART_INSTANCES,
     _PART_ROWS,
     FMT17,
     _rows_text,
-    build_parser,
     main,
     parse_angle,
+    parse_args,
     parse_complex,
     parse_rho,
 )
@@ -372,6 +373,80 @@ class TestPayloadFlags:
         p = run_process("-m", "diracjunction.cli", *argv)
         assert (p.returncode, p.stdout) == (2, "")
         assert "Traceback" not in p.stderr and "unrecognized arguments" in p.stderr
+
+
+_GRID = ["--emin", "1.5", "--emax", "2", "--steps", "3"]
+
+
+class TestFlagTable:
+    """The command line is read word by word against one flag table: the word
+    after a flag is its value, whatever it begins with."""
+
+    @pytest.mark.parametrize(
+        "argv, same_as, expected",
+        [
+            (["verify", "--alpha", "-1,0,0,-1"], ["verify", "--alpha=-1,0,0,-1"], "PASS\n"),
+            (["convert", "u2-to-bc", "--diag", "-1,-1"], ["convert", "u2-to-bc", "--diag=-1,-1"],
+             '{"type": "separating", "rho_plus": "inf", "rho_minus": "inf"}\n'),
+            (["demo-switch", "--phase", "-pi/2"], ["demo-switch", "--phase=-pi/2"], "theta=-1.57079632679"),
+            (["verify", "--alpha", "0,1,1,0", "--mass=0.5"],
+             ["verify", "--alpha", "0,1,1,0", "--mass", "0.5"], "PASS\n"),
+            (["verify", "--alpha", "0,1,1,0", "--mass", "3", "--mass", "0.5"],
+             ["verify", "--alpha", "0,1,1,0", "--mass", "0.5"], "PASS\n"),
+            (["scatter", "--rho=0,0", "--format", "csv", "--format", "json", *_GRID],
+             ["scatter", "--rho", "0,0", "--format", "json", *_GRID], '"flag": ""}]\n'),
+            (["convert", "--alpha", "0,1,1,0", "alpha-to-bd"], ["convert", "alpha-to-bd", "--alpha", "0,1,1,0"],
+             '"theta"'),
+        ],
+    )
+    def test_values_and_spellings(self, capsys, argv, same_as, expected):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and expected in out
+        assert (code, out, err) == run(capsys, *same_as)
+
+    def test_negative_mass_is_a_value_refused_by_check_mass(self, capsys):
+        code, out, err = run(capsys, "verify", "--alpha", "0,1,1,0", "--mass", "-1")
+        assert (code, out) == (2, "") and err == "error: mass must be finite and >= 0, got -1.0\n"
+
+    def test_last_repeat_wins(self):
+        args = parse_args(["scatter", "--rho", "0,0", "--mass", "3", *_GRID, "--mass=0.5", "--steps", "7"])
+        assert (args.mass, args.steps, args.face, args.format, args.tol) == (0.5, 7, "left", "csv", 1e-10)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["--help"], *([command, flag] for command in _COMMANDS for flag in ("-h", "--help")),
+         ["verify", "--alpha", "0,1,1,0", "--help"], ["convert", "alpha-to-bd", "-h", "--no-such-flag"]],
+    )
+    def test_help_exits_0_on_stdout(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: diracjunction ")
+        if argv[0] in _COMMANDS:  # every flag of the command
+            assert all(f"  --{name} " in out for name in _COMMANDS[argv[0]][3])
+        else:
+            assert all(f"  {name} " in out for name in _COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--alpha", "0,1,1,0", "--no-such-flag", "1"], "unrecognized arguments: --no-such-flag"),
+            (["scatter", "--alpha", "0,1,1,0", *_GRID, "--form", "json"], "unrecognized arguments: --form"),
+            (["scatter", "--alpha", "0,1,1,0", "--emax", "2", "--steps", "3"], "required: --emin"),
+            (["convert", "--alpha", "0,1,1,0"], "required: direction"),
+            (["convert", "alpha-to-bc", "--alpha", "0,1,1,0"], "invalid choice: 'alpha-to-bc'"),
+            (["scatter", "--alpha", "0,1,1,0", *_GRID, "--face", "up"], "invalid choice: 'up'"),
+            (["scatter", "--alpha", "0,1,1,0", "--emin", "1.5", "--emax", "2", "--steps", "2.5"],
+             "invalid int value: '2.5'"),
+            (["verify", "--alpha"], "argument --alpha: expected one argument"),
+            (["verify", "--alpha", "0,1,1,0", "extra"], "unrecognized arguments: extra"),
+            (["verify", "-m", "1", "--alpha", "0,1,1,0"], "unrecognized arguments: -m"),
+            ([], "expected a command, one of decompose, convert, verify, scatter, demo-switch; got none"),
+            (["--alpha", "0,1,1,0"], "expected a command"),
+        ],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 class TestExitCodeContract:
@@ -885,7 +960,7 @@ class TestScatter:
 
 
 def _sweep_args(*argv):
-    return build_parser().parse_args(["scatter", *argv])
+    return parse_args(["scatter", *argv])
 
 
 def _parsed_rows(text: str, fmt: str) -> list[list[str]]:
@@ -1154,8 +1229,7 @@ class TestFuzzWorkers:
     def _fuzz(count, m, tol, seed, parts):
         from diracjunction.cli import _fuzz
 
-        args = build_parser().parse_args(["verify", "--fuzz", str(count), "--mass", repr(m),
-                                          "--tol", repr(tol), "--seed", str(seed)])
+        args = parse_args(["verify", "--fuzz", str(count), "--mass", repr(m), "--tol", repr(tol), "--seed", str(seed)])
         return _fuzz(args, parts)
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-16])

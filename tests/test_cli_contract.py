@@ -118,10 +118,7 @@ def argvs(draw):
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
+        code = main(argv)  # a usage error returns 2 as well: the parser raises ValidationError
     return code, out.getvalue(), err.getvalue()
 
 

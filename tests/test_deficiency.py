@@ -455,6 +455,36 @@ class TestQuadratureGreenIdentity:
         if n > 3:  # the Green identity gate, where the grid resolves the bumps
             assert value == pytest.approx(boundary_form(traces(psi), traces(phi)), abs=1e-8)
 
+    def test_prefactors_ride_in_the_coefficients(self):
+        # terms that differ only in their prefactor share one unit profile
+        m, lam = 0.5, 0.7
+        n1, n2 = reference_normalization(m, lam), 3.25
+        psi = [(1.0 - 0.5j, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, lam, n1)),
+               (0.3j, DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam, n2)),
+               (2.0, DeficiencyFunction(Island.RIGHT, Sign.PLUS, m, lam, n2))]
+        phi = [(0.2 + 1j, DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam)),
+               (-1.5, DeficiencyFunction(Island.RIGHT, Sign.MINUS, m, lam, n1))]
+        for n in (2**15 + 1, *BLOCK_EDGE_POINTS):
+            ref = _reference_quadrature(psi, phi, m, lam, n)
+            value = boundary_form_quadrature(psi, phi, m, lam, num_points=n)
+            assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+        assert value == pytest.approx(boundary_form(traces(psi), traces(phi)), abs=1e-8)
+
+    def test_huge_mass_and_prefactor_do_not_overflow(self):
+        # f' = sqrt(1+m^2) N e^{...} would be 1e450 at the face; N^2 times the
+        # spinor product is of order 1, and so is the form of the traces
+        m, prefactor = 1e300, 1e150
+        terms = [(1.0, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, 0.0, prefactor))]
+        unit = [(1.0, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, 0.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = boundary_form_quadrature(terms, terms, m)
+            ref = prefactor**2 * _reference_quadrature(unit, unit, m, 0.0)
+            exact = boundary_form(traces(terms), traces(terms))
+        assert exact == -2j
+        assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+        assert value == pytest.approx(exact, abs=1e-8)
+
     @pytest.mark.parametrize("m", [math.nan, math.inf, -1.0])
     def test_bad_mass_rejected(self, m):
         bump = SmoothBump(Island.RIGHT, center=3.0, width=1.0, spinor=(1, 0))
@@ -541,6 +571,15 @@ class TestQuadratureWork:
         value = boundary_form_quadrature(psi, phi, m, lam, num_points=n)
         assert sizes == [_BLOCK, _BLOCK + 1]
         assert abs(value - expected) <= 1e-13 * max(1.0, abs(expected))
+
+    def test_terms_differing_in_prefactor_share_a_profile(self, monkeypatch):
+        m, lam, n = 0.5, 0.3, 2 * _BLOCK + 1
+        psi = [(1.0, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, lam, 2.0)),
+               (1j, DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam, reference_normalization(m, lam)))]
+        phi = [(0.2 - 1j, DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam))]
+        sizes = self._counted(monkeypatch, DeficiencyFunction)
+        boundary_form_quadrature(psi, phi, m, lam, num_points=n)
+        assert sizes == [_BLOCK, _BLOCK + 1]
 
     def test_bump_is_evaluated_only_on_its_support(self, monkeypatch):
         m, lam, n = 0.5, 0.3, 2**15 + 1

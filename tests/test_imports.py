@@ -1,8 +1,15 @@
 """Where the package imports numpy: ``deficiency`` at module level, and two
-array helpers on call; every other module runs on Python numbers."""
+array helpers on call; every other module runs on Python numbers.  And what a
+CLI process loads: no command imports ``argparse`` or numpy, ``json`` only
+where JSON is parsed or emitted, and every command runs with numpy blocked."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import diracjunction
 
@@ -66,3 +73,81 @@ def test_the_scan_sees_every_kind_of_numpy_import():
         "from .numpy import x\n"
     )
     assert numpy_imports(ast.parse(source)) == [("", False), ("", True), ("", False), ("A.f", False), ("g", False)]
+
+
+# ---------------------------------------------------------------------------
+# Modules a CLI process loads, and the CLI with numpy unimportable
+# ---------------------------------------------------------------------------
+
+SRC = PACKAGE.parent
+#: Makes numpy unimportable in the process if its first argument is "block".
+_BLOCKER = """
+import sys
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+if sys.argv.pop(1) == "block":
+    sys.meta_path.insert(0, NoNumpy())
+"""
+#: Then runs ``python -m diracjunction.cli ARGS`` in this process and prints
+#: the exit code and which of the watched modules were loaded.
+_PROBE = _BLOCKER + """
+import runpy
+try:
+    runpy.run_module("diracjunction.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("exit", code, sorted({"argparse", "gettext", "locale", "json", "numpy"} & set(sys.modules)), file=sys.stderr)
+"""
+_ROT = "[[[0,0],[-1,0]],[[1,0],[0,0]]]"
+_GRID = ["--emin", "1.2", "--emax", "3", "--steps", "16"]
+#: argv -> whether it loads json: only to parse a JSON flag value or to emit a JSON object
+COMMANDS = [
+    (["--help"], False),
+    (["verify", "-h"], False),
+    (["decompose", "--matrix", _ROT], True),
+    (["convert", "u2-to-bc", "--gamma", "0,-i,i", "--mass", "1"], True),
+    (["convert", "alpha-to-bd", "--alpha", "0,1,1,0"], True),
+    (["convert", "bd-to-alpha", "--bd", "3pi/2,0,1,1,0"], True),
+    (["convert", "rho-to-u2", "--rho", "inf,0.5", "--mass", "1"], True),
+    (["verify", "--alpha", "0,1,1,0", "--mass", "1"], False),
+    (["verify", "--rho", "inf,0.5", "--mass", "1"], False),
+    (["verify", "--alpha", "1,1,0,1"], False),
+    (["verify", "--fuzz", "200", "--seed", "7"], False),
+    (["verify", "--fuzz", "600", "--mass", "1", "--seed", "7"], False),  # in parts on 2 CPUs or more
+    (["scatter", "--alpha", "0,1,1,0", "--mass", "1", *_GRID], False),
+    (["scatter", "--rho", "0,0", "--mass", "0", *_GRID, "--format", "json"], False),  # rows from a template
+    (["demo-switch", "--phase", "pi/2"], True),
+    (["scatter", "--alpha", "0,1,1,0", "--emax", "3", "--steps", "16"], False),  # usage error
+    (["verify", "--alpha", "0,1,1,0", "--mass", "-1"], False),
+]
+
+
+def _run(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**env, "PYTHONPATH": str(SRC)}, timeout=120)
+
+
+def _probe(block: bool, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and the watched modules loaded of the CLI run on ``argv``."""
+    p = _run(_PROBE, "block" if block else "run", *argv)
+    _, code, loaded = p.stderr.splitlines()[-1].split(" ", 2)
+    return int(code), p.stdout, loaded
+
+
+def test_the_blocker_makes_numpy_unimportable():
+    assert "numpy is blocked" in _run(_BLOCKER + "import numpy", "block").stderr
+    assert _run(_BLOCKER + "import numpy", "run").returncode == 0
+
+
+@pytest.mark.parametrize("argv, loads_json", COMMANDS)
+def test_cli_loads_no_argparse_numpy_or_unneeded_json(argv, loads_json):
+    _, _, loaded = _probe(False, argv)
+    assert loaded == ("['json']" if loads_json else "[]")
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+def test_cli_runs_without_numpy(argv):
+    assert _probe(True, argv)[:2] == _probe(False, argv)[:2]
