@@ -318,14 +318,18 @@ def _extract_form(a: AlphaBC, tol: float) -> tuple[BDForm, complex]:
 
 
 def bd_to_alpha(f: BDForm, tol: float = DEFAULT_TOL) -> AlphaBC:
-    """Expand (theta, b1..b4) into the four complex boundary parameters."""
-    scale = max(1.0, max(abs(b) for b in f.bs()))
-    if f.residual() > tol * scale:
-        raise InvalidBDError(
-            f"b1*b4 + b2*b3 = 1 violated: residual {f.residual():.3e}"
-        )
-    phase = complex(math.cos(f.theta), math.sin(f.theta))
-    return AlphaBC(phase * f.b1, 1j * phase * f.b2, 1j * phase * f.b3, phase * f.b4)
+    """Expand (theta, b1..b4) into the four complex boundary parameters.
+    Raises :class:`InvalidBDError` unless theta and the b's are finite and
+    b1*b4 + b2*b3 = 1 holds within tol * max(1, |b_i|)."""
+    theta, b1, b2, b3, b4 = f
+    if (theta - theta) + (b1 - b1) + (b2 - b2) + (b3 - b3) + (b4 - b4) != 0:  # x - x is NaN unless x is finite
+        raise InvalidBDError(f"theta and b1..b4 must be finite, got {f!r}")
+    residual = abs(b1 * b4 + b2 * b3 - 1.0)
+    if not residual <= tol * max(1.0, abs(b1), abs(b2), abs(b3), abs(b4)):
+        raise InvalidBDError(f"b1*b4 + b2*b3 = 1 violated: residual {residual:.3e}")
+    phase = complex(math.cos(theta), math.sin(theta))
+    i_phase = 1j * phase
+    return AlphaBC(phase * b1, i_phase * b2, i_phase * b3, phase * b4)
 
 
 def invert_alpha(a: AlphaBC, tol: float = DEFAULT_TOL) -> AlphaBC:

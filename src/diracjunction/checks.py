@@ -85,8 +85,9 @@ class Verification(NamedTuple):
 
 
 def alpha_scale(a: AlphaBC) -> float:
-    """max(1, max |a_i|)."""
-    return max(1.0, max(abs(x) for x in a.as_tuple()))
+    """max(1, max |a_i|), of a class member (finite entries)."""
+    a1, a2, a3, a4 = a.as_tuple()
+    return max(1.0, abs(a1), abs(a2), abs(a3), abs(a4))
 
 
 def rho_distance(a: RhoBC, b: RhoBC) -> float:
@@ -103,8 +104,9 @@ def rho_distance(a: RhoBC, b: RhoBC) -> float:
 
 def _recomposition(u, q: matrix2.QuaternionForm) -> float:
     """Largest entry modulus of compose(q) - u."""
-    pairs = zip(matrix2.compose_entries(q), matrix2.as_c2matrix(u))
-    return max(abs(x - y) for composed, given in pairs for x, y in zip(composed, given))
+    (x1, x2), (x3, x4) = matrix2.compose_entries(q)
+    (y1, y2), (y3, y4) = matrix2.as_c2matrix(u)
+    return max(abs(x1 - y1), abs(x2 - y2), abs(x3 - y3), abs(x4 - y4))
 
 
 def _alpha_round_trip(a: AlphaBC, q: matrix2.QuaternionForm, m: float) -> float:
@@ -115,7 +117,8 @@ def _alpha_round_trip(a: AlphaBC, q: matrix2.QuaternionForm, m: float) -> float:
         back = correspondence.u2_to_alpha(q, m)
     except DiagonalInputError:
         return math.inf
-    return max(abs(x - y) for x, y in zip(a.as_tuple(), back.as_tuple())) / alpha_scale(a)
+    (x1, x2, x3, x4), (y1, y2, y3, y4) = a.as_tuple(), back.as_tuple()
+    return max(abs(x1 - y1), abs(x2 - y2), abs(x3 - y3), abs(x4 - y4)) / alpha_scale(a)
 
 
 def _current_change(a: AlphaBC) -> float:
@@ -132,7 +135,8 @@ def _current_change(a: AlphaBC) -> float:
     """
     scale = alpha_scale(a)
     c = math.ldexp(1.0, -math.frexp(scale)[1])  # c * scale in [1/2, 1)
-    a1, a2, a3, a4 = (c * z for z in a.as_tuple())
+    a1, a2, a3, a4 = a.as_tuple()
+    a1, a2, a3, a4 = c * a1, c * a2, c * a3, c * a4
     h11, h22 = 2.0 * (a1.conjugate() * a3).real, 2.0 * (a2.conjugate() * a4).real
     h12 = a1.conjugate() * a4 + a3.conjugate() * a2 - c * c
     norm = abs(h11 + h22) / 2.0 + math.hypot((h11 - h22) / 2.0, h12.real, h12.imag)

@@ -42,11 +42,11 @@ from .matrix2 import (
     DEFAULT_TOL,
     NORM_FLOOR,
     QuaternionForm,
+    _norm_residuals,
+    _split_unitary,
+    _unitarity_residual,
     as_c2matrix,
-    is_diagonal,
-    is_unitary,
     record_type,
-    split_unitary,
 )
 
 
@@ -59,9 +59,14 @@ def check_mass(m: float) -> float:
 
 def mu_constant(m: float) -> complex:
     """Unimodular constant mu = (1 + i m)/sqrt(1 + m^2)."""
+    return _mass_constants(m)[2]
+
+
+def _mass_constants(m: float) -> tuple[float, float, complex]:
+    """The checked mass, s = sqrt(1 + m^2) and mu, derived once per map call."""
     m = check_mass(m)
     s = math.hypot(1.0, m)
-    return complex(1.0 / s, m / s)
+    return m, s, complex(1.0 / s, m / s)
 
 
 class Sign(Enum):
@@ -223,8 +228,7 @@ def u2_to_alpha(q: QuaternionForm, m: float) -> AlphaBC:
     transmitting extension: :func:`classify` sends near-diagonal unitaries
     to the separating side with its own tolerance test before calling this.
     """
-    m = check_mass(m)
-    s = math.hypot(1.0, m)
+    m, s, mu = _mass_constants(m)
     g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
     inv = s / g2 if g2 else math.inf  # s / 0 raises ZeroDivisionError
     if not (math.isfinite(inv.real) and math.isfinite(inv.imag)):
@@ -233,11 +237,11 @@ def u2_to_alpha(q: QuaternionForm, m: float) -> AlphaBC:
             if g2
             else "extension is diagonal (g2 = 0); it has separating parameters, not transmitting ones"
         )
-    mu = mu_constant(m)
-    a1 = 1j * inv * ((g1.conjugate() * mu).imag + (g3.conjugate() * mu).imag)
+    g3c_mu = g3.conjugate() * mu
+    a1 = 1j * inv * ((g1.conjugate() * mu).imag + g3c_mu.imag)
     a2 = inv * (g1.real + g3.real)
-    a3 = inv * (-g1.real + (g3.conjugate() * mu * mu).real)
-    a4 = 1j * inv * ((g1 * mu).imag + (g3.conjugate() * mu).imag)
+    a3 = inv * (-g1.real + (g3c_mu * mu).real)
+    a4 = 1j * inv * ((g1 * mu).imag + g3c_mu.imag)
     if (a1 - a1) + (a2 - a2) + (a3 - a3) + (a4 - a4) != 0:  # x - x is NaN unless x is finite
         raise DiagonalInputError(
             f"the transmitting parameters overflow at g2 = {g2!r}, m = {m!r}; they are out of range"
@@ -268,16 +272,17 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     class check allows (``tol`` times :func:`~.boundary.class_scale`), which
     happens only where the map amplifies the condition's class residual.
     """
-    mu = mu_constant(m)
+    _, s, mu = _mass_constants(m)
     muc = mu.conjugate()
     scale = require_class(a, tol).scale
     a1, a2, a3, a4 = a.as_tuple()
     # e^{i theta} up to sign, from the larger of a1 = e^{i theta} b1 and
     # a3 = i e^{i theta} b3 (one is nonzero on the class); the sign is
     # removed by the flip below
-    p = a1 / abs(a1) if abs(a1) >= abs(a3) else -1j * a3 / abs(a3)
+    n1, n3 = abs(a1), abs(a3)
+    p = a1 / n1 if n1 >= n3 else -1j * a3 / n3
     w = -muc * a1 + a2 - a3 + mu * a4
-    g2_scale = 2.0 / math.hypot(1.0, m)
+    g2_scale = 2.0 / s
     norm = math.hypot(g2_scale, w.real, w.imag)  # 1/G0; abs(w) raises on overflow
     if not math.isfinite(norm):
         raise ValidationError(
@@ -293,7 +298,7 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     q = QuaternionForm(g1 + 0j, g2 + 0j, g3 + 0j)
     # g1, g2 are normalized by construction; |g3| inherits the class residual,
     # which the class check allows up to tol * class_scale
-    r1, r2 = q.norm_residuals()
+    r1, r2 = _norm_residuals(*q)
     tol = max(tol, NORM_FLOOR)
     limit = tol * scale
     if not (r1 <= tol and r2 <= limit):
@@ -318,7 +323,10 @@ def inverse_identity_residuals(
     All four vanish for the solved extension of the given condition; they
     are invariant under the joint sign flip of the form.
     """
-    mu = mu_constant(m)
+    return _identity_residuals(q, a, mu_constant(m))
+
+
+def _identity_residuals(q: QuaternionForm, a: AlphaBC, mu: complex) -> tuple[float, float, float, float]:
     muc = mu.conjugate()
     g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
     g1c, g2c, g3c = g1.conjugate(), g2.conjugate(), g3.conjugate()
@@ -350,20 +358,20 @@ def closed_form_u2_candidate(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> 
     :func:`compare_closed_form` to classify the disagreement.  Returned
     uncanonicalized, exactly as evaluated.
     """
-    m = check_mass(m)
-    mu = mu_constant(m)
+    _, s, mu = _mass_constants(m)
+    return _candidate(a, s, mu, tol)
+
+
+def _candidate(a: AlphaBC, s: float, mu: complex, tol: float) -> QuaternionForm:
     theta = alpha_to_bd(a, tol).theta
     a1, a2, a3, a4 = a.as_tuple()
-    w = -mu.conjugate() * a1 + a2 - a3 + mu * a4
-    g2_scale = 2.0 / math.hypot(1.0, m)  # 2/sqrt(1+m^2)
+    muc = mu.conjugate()
+    w = -muc * a1 + a2 - a3 + mu * a4
+    g2_scale = 2.0 / s  # 2/sqrt(1+m^2)
     gamma0 = 1.0 / math.hypot(g2_scale, abs(w))
     half = theta - math.pi / 2.0
-    phase = complex(math.cos(half), -math.sin(half))  # e^{-i(theta - pi/2)}
-    return QuaternionForm(
-        gamma0 * phase * w,
-        gamma0 * phase * g2_scale,
-        gamma0 * phase * mu * (a1 + mu.conjugate() * a2 + mu * a3 + a4).conjugate(),
-    )
+    c = gamma0 * complex(math.cos(half), -math.sin(half))  # G0 e^{-i(theta - pi/2)}
+    return QuaternionForm(c * w, c * g2_scale, c * mu * (a1 + muc * a2 + mu * a3 + a4).conjugate())
 
 
 @record_type
@@ -399,12 +407,14 @@ def compare_closed_form(
     ``primary`` (:func:`alpha_to_u2` of ``a`` at ``tol``, solved here when not
     given); the two agree when their largest entry difference is at most
     1e-8."""
+    _, s, mu = _mass_constants(m)
     if primary is None:
         primary = alpha_to_u2(a, m, tol)
-    candidate = closed_form_u2_candidate(a, m, tol)
-    pairs = [(complex(getattr(candidate, g)), complex(getattr(primary, g))) for g in ("g1", "g2", "g3")]
-    diff = max(abs(c - p) for c, p in pairs)
-    diff_flipped = max(abs(c + p) for c, p in pairs)
+    candidate = _candidate(a, s, mu, tol)
+    c1, c2, c3 = candidate
+    p1, p2, p3 = complex(primary.g1), complex(primary.g2), complex(primary.g3)
+    diff = max(abs(c1 - p1), abs(c2 - p2), abs(c3 - p3))
+    diff_flipped = max(abs(c1 + p1), abs(c2 + p2), abs(c3 + p3))
     if diff <= 1e-8:
         kind = "exact"
     elif diff_flipped <= 1e-8:
@@ -417,7 +427,7 @@ def compare_closed_form(
         candidate=candidate,
         difference=diff,
         difference_flipped=diff_flipped,
-        identity_residual=max(inverse_identity_residuals(candidate, a, m)),
+        identity_residual=max(_identity_residuals(candidate, a, mu)),
     )
 
 
@@ -431,9 +441,9 @@ def classify(matrix, m: float, tol: float = DEFAULT_TOL) -> ExtensionClass:
     unitary is diagonal, transmitting otherwise; its unitarity is held to
     ``tol`` or :data:`~.matrix2.NORM_FLOOR`, whichever is larger."""
     u, limit = as_c2matrix(matrix), max(tol, NORM_FLOOR)
-    if not is_unitary(u, limit):
+    if not _unitarity_residual(u) <= limit:
         raise NotUnitaryError(f"matrix is not unitary within tol={limit}")
-    if is_diagonal(u, tol):
-        (gl, _), (_, gr) = u
+    (gl, u12), (u21, gr) = u
+    if abs(u12) <= tol and abs(u21) <= tol:  # is_diagonal
         return Separating(diagonal_u2_to_rho(gl, gr, m, tol))
-    return Transmitting(u2_to_alpha(split_unitary(u, tol), m))
+    return Transmitting(u2_to_alpha(_split_unitary(u, tol), m))

@@ -55,7 +55,7 @@ from .boundary import AlphaBC, Island, require_class
 from .correspondence import ExtensionClass, Sign, Transmitting, check_mass, eigen_spinor, face_factor
 from .errors import (InternalInconsistencyError, NotUnitaryError, OutsideIslandError, SingularSystemError,
                      ValidationError)
-from .matrix2 import DEFAULT_TOL, as_c2matrix, is_unitary
+from .matrix2 import DEFAULT_TOL, _unitarity_residual, as_c2matrix, is_unitary
 
 
 def decay_rate(m: float) -> float:
@@ -381,7 +381,7 @@ def oracle_alpha_from_u2(matrix, m: float, lam: float = 0.0, tol: float = DEFAUL
     """
     m = check_mass(m)
     u = as_c2matrix(matrix)
-    if not is_unitary(u, tol):
+    if not _unitarity_residual(u) <= tol:
         raise NotUnitaryError(f"matrix is not unitary within tol={tol}")
     e = face_factor(m, lam, 2)
     lp, lm, rp, rm = e * np.array([eigen_spinor(island, sign, m) for island in Island for sign in Sign])

@@ -1,13 +1,16 @@
 """Dense complex 2x2 linear algebra and the U(1)*SU(2) splitting of U(2).
 
-Every function accepts a matrix as a ``(2, 2)`` ``numpy`` array or as a
-pair of pairs of numbers, and works on its four entries as Python
-``complex``, so none of the 2x2 closed forms needs ``numpy``; only
-:func:`compose`, which returns an array, imports it.  The three-parameter
-representation ``U = g3 * [[g1, -g2*], [g2, g1*]]`` with
-``|g1|^2 + |g2|^2 = |g3| = 1`` is carried by :class:`QuaternionForm`.  All
-operations are pure functions on immutable values and are safe to call
-concurrently.
+Every public function accepts a matrix as a ``(2, 2)`` ``numpy`` array or
+as a pair of pairs of numbers and converts it once, with
+:func:`as_c2matrix`, to its four entries as Python ``complex``.  The
+private helpers behind it (``_unitarity_residual``, ``_split_unitary``)
+take those :data:`Entries`, so :func:`decompose_u2` and
+:func:`~.correspondence.classify` never convert a matrix twice.  None of
+the 2x2 closed forms needs ``numpy``; only :func:`compose`, which returns
+an array, imports it.  The three-parameter representation
+``U = g3 * [[g1, -g2*], [g2, g1*]]`` with ``|g1|^2 + |g2|^2 = |g3| = 1`` is
+carried by :class:`QuaternionForm`.  All operations are pure functions on
+immutable values and are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -89,15 +92,7 @@ class QuaternionForm(NamedTuple):
     def norm_residuals(self) -> tuple[float, float]:
         """Residuals of |g1|^2 + |g2|^2 = 1 and |g3| = 1; inf, not an
         ``OverflowError``, when a modulus exceeds the float range."""
-        g1, g2, g3 = complex(self.g1), complex(self.g2), complex(self.g3)
-        return (
-            abs(g1.real * g1.real + g1.imag * g1.imag + g2.real * g2.real + g2.imag * g2.imag - 1.0),
-            abs(math.hypot(g3.real, g3.imag) - 1.0),
-        )
-
-    def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
-        r1, r2 = self.norm_residuals()
-        return r1 <= tol and r2 <= tol
+        return _norm_residuals(complex(self.g1), complex(self.g2), complex(self.g3))
 
     def is_canonical(self) -> bool:
         g3 = complex(self.g3)
@@ -107,25 +102,31 @@ class QuaternionForm(NamedTuple):
         return QuaternionForm(-self.g1, -self.g2, -self.g3)
 
 
+def _norm_residuals(g1: complex, g2: complex, g3: complex) -> tuple[float, float]:
+    """:meth:`QuaternionForm.norm_residuals` of parameters already complex."""
+    return (
+        abs(g1.real * g1.real + g1.imag * g1.imag + g2.real * g2.real + g2.imag * g2.imag - 1.0),
+        abs(math.hypot(g3.real, g3.imag) - 1.0),
+    )
+
+
 def unitarity_residual(matrix) -> float:
     """Max-norm deviation of M^dag M and M M^dag from the identity; inf when
-    an entry, or a product of entries, is not finite.
+    an entry, or a product of entries, is not finite."""
+    return _unitarity_residual(as_c2matrix(matrix))
 
-    Both products are Hermitian, so their six distinct entries are formed
-    directly from the four matrix entries, in plain complex arithmetic.
-    """
-    (a, b), (c, d) = as_c2matrix(matrix)
-    na, nb, nc, nd = (z.real * z.real + z.imag * z.imag for z in (a, b, c, d))
-    entries = (
-        abs(na + nc - 1.0),  # M^dag M
-        abs(nb + nd - 1.0),
-        abs(a.conjugate() * b + c.conjugate() * d),
-        abs(na + nb - 1.0),  # M M^dag
-        abs(nc + nd - 1.0),
-        abs(a * c.conjugate() + b * d.conjugate()),
-    )
+
+def _unitarity_residual(m: Entries) -> float:
+    """:func:`unitarity_residual` of entries.  Both products are Hermitian,
+    so their six distinct entries are formed directly from the four matrix
+    entries, in plain complex arithmetic."""
+    (a, b), (c, d) = m
+    na, nb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
+    nc, nd = c.real * c.real + c.imag * c.imag, d.real * d.real + d.imag * d.imag
+    e1, e2, e3 = abs(na + nc - 1.0), abs(nb + nd - 1.0), abs(a.conjugate() * b + c.conjugate() * d)  # M^dag M
+    e4, e5, e6 = abs(na + nb - 1.0), abs(nc + nd - 1.0), abs(a * c.conjugate() + b * d.conjugate())  # M M^dag
     # max() may skip a NaN; the sum of the entries cannot
-    return max(entries) if math.isfinite(sum(entries)) else math.inf
+    return max(e1, e2, e3, e4, e5, e6) if math.isfinite(e1 + e2 + e3 + e4 + e5 + e6) else math.inf
 
 
 def is_unitary(matrix, tol: float = DEFAULT_TOL) -> bool:
@@ -141,11 +142,10 @@ def is_diagonal(matrix, tol: float = DEFAULT_TOL) -> bool:
 
 def compose_entries(q: QuaternionForm, tol: float = DEFAULT_TOL) -> Entries:
     """The entries of the unitary g3 * [[g1, -g2*], [g2, g1*]], as Python complex."""
-    if not q.is_valid(tol):
-        raise InvalidFormError(
-            f"quaternion-form norm residuals {q.norm_residuals()} exceed tol={tol}"
-        )
     g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
+    r1, r2 = _norm_residuals(g1, g2, g3)
+    if not (r1 <= tol and r2 <= tol):
+        raise InvalidFormError(f"quaternion-form norm residuals {(r1, r2)} exceed tol={tol}")
     return (g3 * g1, g3 * -g2.conjugate()), (g3 * g2, g3 * g1.conjugate())
 
 
@@ -167,16 +167,16 @@ def decompose_u2(matrix, tol: float = DEFAULT_TOL) -> QuaternionForm:
     residual exceeds ``tol``, or :data:`NORM_FLOOR` if that is larger.
     """
     m, limit = as_c2matrix(matrix), max(tol, NORM_FLOOR)
-    residual = unitarity_residual(m)
+    residual = _unitarity_residual(m)
     if residual > limit:
         raise NotUnitaryError(f"matrix is not unitary: residual {residual:.3e} > tol {limit:.1e}")
-    return split_unitary(m, tol)
+    return _split_unitary(m, tol)
 
 
-def split_unitary(matrix, tol: float = DEFAULT_TOL) -> QuaternionForm:
-    """The splitting of :func:`decompose_u2`, for a matrix the caller has
-    already found unitary; nothing is checked here."""
-    (u11, u12), (u21, u22) = as_c2matrix(matrix)
+def _split_unitary(m: Entries, tol: float) -> QuaternionForm:
+    """The splitting of :func:`decompose_u2`, of the entries of a matrix the
+    caller has already found unitary; nothing is checked here."""
+    (u11, u12), (u21, u22) = m
     if abs(u21) <= tol:
         # det U = e^{i(arg u11 + arg u22)}; removing half of it lands in SU(2)
         half = (arg_2pi(u11) + arg_2pi(u22)) / 2.0

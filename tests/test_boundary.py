@@ -183,6 +183,20 @@ class TestBDForm:
         with pytest.raises(InvalidBDError):
             bd_to_alpha(BDForm(0, 1, 1, 1, 1))
 
+    @pytest.mark.parametrize("build", [
+        lambda: bd_to_alpha(BDForm(0.0, math.nan, 0.0, 0.0, 1.0)),  # was a1 = nan+nanj
+        lambda: bd_to_alpha(BDForm(0.0, math.inf, 0.0, 0.0, 1.0)),  # was a1 = inf+nanj
+        lambda: bd_to_alpha(BDForm(0.0, 1.0, 0.0, -math.inf, 1.0)),
+        lambda: bd_to_alpha(BDForm(math.nan, 1.0, 0.0, 0.0, 1.0)),  # was four NaN parameters
+        lambda: bd_to_alpha(BDForm(math.inf, 1.0, 0.0, 0.0, 1.0)),  # was ValueError: math domain error
+        lambda: make_phase_shift(math.nan, 1.0),
+        lambda: make_phase_shift(math.inf, 1.0),
+        lambda: make_spin_flip(0.0, math.inf),
+    ])
+    def test_bd_to_alpha_refuses_a_non_finite_angle_or_parameter(self, build):
+        with pytest.raises(InvalidBDError, match="must be finite"):
+            build()
+
     def test_alpha_to_bd_rejects_out_of_class(self):
         with pytest.raises(NotInClassError):
             alpha_to_bd(AlphaBC(1, 1, 0, 1))

@@ -451,15 +451,16 @@ class TestClassify:
             classify(np.array([[1, 1], [0, 1]], dtype=complex), 0.0)
 
     def test_measures_unitarity_once(self, monkeypatch):
-        from diracjunction import matrix2
+        from diracjunction import correspondence, matrix2
 
-        residual = matrix2.unitarity_residual
+        residual = matrix2._unitarity_residual
         calls = []
 
         def counting(m):
             calls.append(m)
             return residual(m)
 
-        monkeypatch.setattr(matrix2, "unitarity_residual", counting)
+        # classify converts the matrix once and measures its entries with the private helper
+        monkeypatch.setattr(correspondence, "_unitarity_residual", counting)
         assert isinstance(classify(SWAP, 0.5), Transmitting)
-        assert len(calls) == 1
+        assert calls == [((0j, 1 + 0j), (1 + 0j, 0j))]

@@ -151,3 +151,23 @@ def test_cli_loads_no_argparse_numpy_or_unneeded_json(argv, loads_json):
 @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
 def test_cli_runs_without_numpy(argv):
     assert _probe(True, argv)[:2] == _probe(False, argv)[:2]
+
+
+# ---------------------------------------------------------------------------
+# The public map API with numpy unimportable
+# ---------------------------------------------------------------------------
+
+#: Then runs the scalar map pipeline script in this process.
+_PIPELINE = _BLOCKER + f"""
+import runpy
+runpy.run_path({str(Path(__file__).with_name("map_pipeline.py"))!r}, run_name="__main__")
+"""
+
+
+def test_the_map_pipeline_runs_without_numpy():
+    blocked, free = _run(_PIPELINE, "block"), _run(_PIPELINE, "run")
+    assert blocked.returncode == 0 and free.returncode == 0, blocked.stderr + free.stderr
+    assert blocked.stdout == free.stdout
+    # importable or not, the maps, the kernel and the fuzz checks never load numpy
+    assert free.stdout.endswith("numpy loaded: False\n")
+    assert len(free.stdout.splitlines()) == 15
