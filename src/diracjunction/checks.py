@@ -30,7 +30,7 @@ import random
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import boundary, correspondence, matrix2, scattering
+from . import boundary, correspondence, matrix2
 from .boundary import AlphaBC, RhoBC
 from .correspondence import ExtensionClass, Separating
 from .errors import DiagonalInputError, JunctionError, ValidationError
@@ -276,6 +276,7 @@ def check_fuzz(instances: Iterable[tuple[AlphaBC, float, RhoBC]], m: float, tol:
     """The worst residual of each of :data:`FUZZ_CHECKS` over ``instances``, then the
     closed-form tally; or, at the first instance outside the class at ``tol``, only its
     ``fuzz-class`` residual."""
+    from . import scattering  # only the fuzz checks scatter; checking one condition does not load it
     in_class, round_trip, current, unitarity, rho_round_trip, reflection = FUZZ_CHECKS
     worst = [0.0] * len(FUZZ_CHECKS)
     counts = {"exact": 0, "sign_pair": 0, "mismatch": 0}

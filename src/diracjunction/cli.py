@@ -16,12 +16,13 @@ default seed.  Complex flag values accept ``a+bi`` shorthand or JSON
 A unitary payload is a pair of pairs of Python complex.  No command imports
 ``numpy`` or ``argparse``; only code that reads or writes JSON imports ``json``.
 Both bulk commands run in parts, one per usable CPU, through one fork runner
-(:func:`_in_parts`), and print the one-part output byte for byte.
+(:func:`_in_parts`), byte for byte as in one part.  Entry point: :func:`run`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import marshal
 import math
 import os
@@ -579,5 +580,12 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The process entry: :func:`main`, then ``gc.freeze()`` so that shutdown skips the heap, then exit."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -49,7 +49,10 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError as exc:
+    raise ImportError("diracjunction.deficiency needs numpy: pip install 'diracjunction[oracles]'") from exc
 
 from .boundary import AlphaBC, Island, require_class
 from .correspondence import ExtensionClass, Sign, Transmitting, check_mass, eigen_spinor, face_factor

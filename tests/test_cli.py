@@ -789,6 +789,57 @@ class TestNumpyFreeStart:
             getattr(diracjunction, "no_such_name")
 
 
+#: Runs the CLI on ARGS by ROUTE: a plain ``sys.exit(main())``, ``python -m
+#: diracjunction.cli`` (``-m``) or a console script's ``module:function``, called
+#: as the script that installers generate calls it.  At exit, an ``atexit`` hook
+#: prints as the last stderr line whether any object was frozen.
+_ENTRY_PROBE = """
+import atexit, gc, importlib, runpy, sys
+route = sys.argv.pop(1)
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+if route == "main":
+    from diracjunction.cli import main
+    sys.exit(main())
+elif route == "-m":
+    runpy.run_module("diracjunction.cli", run_name="__main__", alter_sys=True)
+else:
+    module, _, function = route.partition(":")
+    sys.exit(getattr(importlib.import_module(module), function)())
+"""
+
+
+def _script_target() -> str:
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as f:
+        return tomllib.load(f)["project"]["scripts"]["diracjunction"]
+
+
+class TestProcessEntry:
+    """Both process entries exit with main's code and output, after freezing the
+    heap so that shutdown does not collect it; main called in process freezes nothing."""
+
+    def test_the_console_script_is_the_module_entry(self):
+        assert _script_target() == "diracjunction.cli:run"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "--alpha", "0,1,1,0"], 0),
+            (["verify", "--alpha", "1,1,0,1"], 1),
+            (["verify", "--alpha", "0,1,1,0", "--fuzz", "5"], 2),
+        ],
+    )
+    @pytest.mark.parametrize("route", ["-m", "script"])
+    def test_entry_exits_as_main_does_after_a_freeze(self, route, argv, code):
+        plain = run_process("-c", _ENTRY_PROBE, "main", *argv)
+        entry = run_process("-c", _ENTRY_PROBE, _script_target() if route == "script" else "-m", *argv)
+        *plain_err, plain_frozen = plain.stderr.splitlines()
+        *entry_err, entry_frozen = entry.stderr.splitlines()
+        assert (plain.returncode, plain_frozen) == (code, "frozen False")
+        assert (entry.returncode, entry_frozen) == (code, "frozen True")
+        assert entry.stdout == plain.stdout and entry_err == plain_err
+
+
 class TestScatter:
     def test_csv_massless_spin_flip(self, capsys):
         code, out, _ = run(

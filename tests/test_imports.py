@@ -1,7 +1,8 @@
 """Where the package imports numpy: ``deficiency`` at module level, and two
 array helpers on call; every other module runs on Python numbers.  And what a
-CLI process loads: no command imports ``argparse`` or numpy, ``json`` only
-where JSON is parsed or emitted, and every command runs with numpy blocked."""
+CLI process loads: no command imports ``argparse``, numpy or ``cmath``,
+``json`` only where JSON is parsed or emitted, the scattering module only to
+scatter, and every command runs with numpy blocked."""
 
 import ast
 import os
@@ -98,7 +99,8 @@ try:
     runpy.run_module("diracjunction.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print("exit", code, sorted({"argparse", "gettext", "locale", "json", "numpy"} & set(sys.modules)), file=sys.stderr)
+watched = {"argparse", "gettext", "locale", "json", "numpy", "cmath", "diracjunction.scattering"}
+print("exit", code, sorted(watched & set(sys.modules)), file=sys.stderr)
 """
 _ROT = "[[[0,0],[-1,0]],[[1,0],[0,0]]]"
 _GRID = ["--emin", "1.2", "--emax", "3", "--steps", "16"]
@@ -130,11 +132,11 @@ def _run(code: str, *args: str) -> subprocess.CompletedProcess:
                           env={**env, "PYTHONPATH": str(SRC)}, timeout=120)
 
 
-def _probe(block: bool, argv: list[str]) -> tuple[int, str, str]:
+def _probe(block: bool, argv: list[str]) -> tuple[int, str, set[str]]:
     """Exit code, stdout and the watched modules loaded of the CLI run on ``argv``."""
     p = _run(_PROBE, "block" if block else "run", *argv)
     _, code, loaded = p.stderr.splitlines()[-1].split(" ", 2)
-    return int(code), p.stdout, loaded
+    return int(code), p.stdout, set(ast.literal_eval(loaded))
 
 
 def test_the_blocker_makes_numpy_unimportable():
@@ -145,12 +147,44 @@ def test_the_blocker_makes_numpy_unimportable():
 @pytest.mark.parametrize("argv, loads_json", COMMANDS)
 def test_cli_loads_no_argparse_numpy_or_unneeded_json(argv, loads_json):
     _, _, loaded = _probe(False, argv)
-    assert loaded == ("['json']" if loads_json else "[]")
+    assert loaded & {"argparse", "gettext", "locale", "json", "numpy"} == ({"json"} if loads_json else set())
+
+
+#: argv -> whether it loads the scattering module: only to scatter or to fuzz,
+#: never to check one condition
+SCATTERS = [
+    (["verify", "--alpha", "0,1,1,0", "--mass", "1"], False),
+    (["verify", "--alpha", "1,1,0,1"], False),
+    (["verify", "--rho", "inf,0.5", "--mass", "1"], False),
+    (["verify", "--gamma", "0,-i,i", "--mass", "1"], False),
+    (["verify", "--matrix", _ROT, "--mass", "0.5"], False),
+    (["verify", "--fuzz", "200", "--seed", "7"], True),
+    (["verify", "--fuzz", "600", "--mass", "1", "--seed", "7"], True),
+    (["scatter", "--alpha", "0,1,1,0", "--mass", "1", *_GRID], True),
+    (["scatter", "--rho", "0,0", "--mass", "0", *_GRID, "--format", "json"], True),
+    (["demo-switch"], True),
+    (["demo-switch", "--phase", "pi/2"], True),
+]
+
+
+@pytest.mark.parametrize("argv, scatters", SCATTERS)
+def test_cli_loads_scattering_only_to_scatter_and_never_cmath(argv, scatters):
+    _, _, loaded = _probe(False, argv)
+    assert "cmath" not in loaded
+    assert ("diracjunction.scattering" in loaded) == scatters
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
 def test_cli_runs_without_numpy(argv):
     assert _probe(True, argv)[:2] == _probe(False, argv)[:2]
+
+
+@pytest.mark.parametrize("statement", ["import diracjunction.deficiency", "from diracjunction import gram_matrix"])
+def test_the_oracles_without_numpy_name_the_extra_that_installs_it(statement):
+    p = _run(_BLOCKER + statement, "block")
+    assert p.returncode == 1
+    assert p.stderr.splitlines()[-1] == (
+        "ImportError: diracjunction.deficiency needs numpy: pip install 'diracjunction[oracles]'")
 
 
 # ---------------------------------------------------------------------------

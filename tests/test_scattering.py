@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from diracjunction.deficiency import Island
 from diracjunction.errors import BelowGapError, NotInClassError, ValidationError
 from diracjunction.matrix2 import DEFAULT_TOL, arg_2pi
 from diracjunction.scattering import (
+    PhaseVariant,
     ScatteringColumns,
     ScatteringResult,
     scatter_alpha,
@@ -557,6 +559,18 @@ class TestSwitchDemo:
         v = phase_variant(theta)
         assert v.theta == theta % (2.0 * math.pi)
         assert v.verified
+
+    def test_phase_verdict_is_the_complex_exponentials(self):
+        # cos d + i sin d in place of cmath.exp(1j * d): the same verdict, at the
+        # threshold, at signed zeros and at non-finite phases too
+        rng = np.random.default_rng(11)
+        tiny = np.ldexp(1e-12, np.arange(-3, 4))
+        ds = [0.0, -0.0, math.nan, math.inf, -math.inf, math.pi, -2 * math.pi, *tiny, *-tiny,
+              *(np.exp(rng.uniform(-46, 9, 2000)) * rng.choice([-1.0, 1.0], 2000))]
+        for d in map(float, ds):
+            for T in (1.0, 1.0 + 2e-12):
+                expected = abs(T - 1.0) <= 1e-12 and abs(cmath.exp(1j * d) - 1.0) <= 1e-12
+                assert PhaseVariant(0.0, 1j, T, d).verified is expected, d
 
     def test_phase_variants(self):
         report = switch_demo()
