@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     ZeroParameterError,
 )
-from .matrix2 import DEFAULT_TOL, NORM_FLOOR, arg_2pi, record_type
+from .matrix2 import DEFAULT_TOL, MAX_MAGNITUDE, NORM_FLOOR, arg_2pi, record_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,8 +49,8 @@ class Island(Enum):
 
 def _check_extended_real(value: float, name: str) -> float:
     v = float(value)
-    if math.isnan(v) or v == -math.inf:
-        raise ValidationError(f"{name} must be finite or +inf, got {value!r}")
+    if not (abs(v) <= MAX_MAGNITUDE or v == math.inf):
+        raise ValidationError(f"{name} must be +inf or of modulus <= B = 2^255 = {MAX_MAGNITUDE!r}, got {value!r}")
     return v
 
 
@@ -61,7 +61,7 @@ class _RhoFields(NamedTuple):
 
 
 class RhoBC(_RhoFields):
-    """Separating condition; each component is finite or +inf."""
+    """Separating condition; each component is +inf or of modulus <= MAX_MAGNITUDE."""
 
     __slots__ = ()
 
@@ -152,8 +152,7 @@ class ClassReport(NamedTuple):
 
 
 def class_scale(a: AlphaBC) -> float:
-    """Scale for the orthogonality residuals: max(1, sum |a_i|^2); inf when
-    the sum exceeds the float range."""
+    """Scale for the orthogonality residuals: max(1, sum |a_i|^2)."""
     return validate_class(a).scale
 
 
@@ -164,11 +163,10 @@ def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
     tol * max(1, sum |a_i|^2); a determinant residual |a1 a4* + a2 a3* - 1|
     (or with a2* a3) when it is at most tol * max(1, |a1||a4| + |a2||a3|),
     the size of the products it subtracts 1 from.  Both verdicts are
-    invariant under rescaling the overall magnitude of the data.  When a
-    scale overflows, its constraints are measured on the entries times a
-    power of two c near 1/max |a_i|, where no product overflows, and
-    compared in units of 1/c^2; their residuals are reported as r / c / c,
-    inf beyond the float range.
+    invariant under rescaling the overall magnitude of the data.  Raises
+    :class:`ValidationError` when a modulus |a_i| exceeds
+    B = :data:`~.matrix2.MAX_MAGNITUDE` or is NaN; below B every product and
+    every residual is finite.
 
     The report is computed once per condition object and ``tol``, kept on
     the object, and returned again by later calls, so the maps, the
@@ -188,26 +186,18 @@ def _measure_class(a: AlphaBC, tol: float) -> ClassReport:
     x1, y1, x2, y2 = a1.real, a1.imag, a2.real, a2.imag
     x3, y3, x4, y4 = a3.real, a3.imag, a4.real, a4.imag
     m1, m2, m3, m4 = math.hypot(x1, y1), math.hypot(x2, y2), math.hypot(x3, y3), math.hypot(x4, y4)
-    inf = math.inf
-    # each modulus on its own (a sum of finite moduli may overflow); NaN fails too
-    if not (m1 < inf and m2 < inf and m3 < inf and m4 < inf):
-        raise ValidationError("a boundary parameter's modulus is not finite")
-    # Re(x y*) formed alone: the imaginary part of x y* may overflow
+    if not (m1 <= MAX_MAGNITUDE and m2 <= MAX_MAGNITUDE and m3 <= MAX_MAGNITUDE and m4 <= MAX_MAGNITUDE):  # or NaN
+        raise ValidationError(f"a boundary parameter's modulus is NaN or above B = 2^255 = {MAX_MAGNITUDE!r}")
     r12, r13 = abs(x1 * x2 + y1 * y2), abs(x1 * x3 + y1 * y3)
     r24, r34 = abs(x2 * x4 + y2 * y4), abs(x3 * x4 + y3 * y4)
     p = a1 * a4.conjugate()
-    d_plus, d_conj = p + a2 * a3.conjugate() - 1.0, p + a2.conjugate() * a3 - 1.0
-    try:
-        det_plus, det_conj = abs(d_plus), abs(d_conj)
-    except OverflowError:  # finite parts, a modulus beyond the float range: hypot gives inf
-        det_plus, det_conj = math.hypot(d_plus.real, d_plus.imag), math.hypot(d_conj.real, d_conj.imag)
+    det_plus, det_conj = abs(p + a2 * a3.conjugate() - 1.0), abs(p + a2.conjugate() * a3 - 1.0)
     # maxima by comparison: a max() call costs more than the rest of its line
     big = m1 if m1 > m2 else m2
     big = big if big > m3 else m3
     big = big if big > m4 else m4
     # the moduli in units of big (Higham, *Accuracy and Stability of
-    # Numerical Algorithms*, 2nd ed., sec. 2): every sum of their products
-    # stays finite
+    # Numerical Algorithms*, 2nd ed., sec. 2)
     s1, s2, s3, s4 = (m1 / big, m2 / big, m3 / big, m4 / big) if big else (m1, m2, m3, m4)
     sigma = s1 ** 2 + s2 ** 2 + s3 ** 2 + s4 ** 2
     scale, det_scale = big * big * sigma, m1 * m4 + m2 * m3
@@ -216,34 +206,15 @@ def _measure_class(a: AlphaBC, tol: float) -> ClassReport:
         "re_a1_a2": r12, "re_a1_a3": r13, "re_a2_a4": r24, "re_a3_a4": r34,
         "unit_det_plus": det_plus, "unit_det_conj": det_conj,
     })
-    # all pass at finite scales: r <= tol * scale
+    # all pass: r <= tol * scale
     orth_limit, det_limit = tol * scale, tol * det_scale
     if (
         r12 <= orth_limit and r13 <= orth_limit and r24 <= orth_limit and r34 <= orth_limit
-        and det_plus <= det_limit and det_conj <= det_limit and det_limit < inf and orth_limit < inf
+        and det_plus <= det_limit and det_conj <= det_limit
     ):
         return ClassReport(residuals, scale, det_scale, ())
-    # otherwise each by name.  The products of a group whose scale overflowed
-    # may overflow too (inf - inf would make a residual NaN), so that group is
-    # measured again on the entries times c, a power of two near 1/big, where
-    # every product is below 1, and compared with tol times its scale in the
-    # same units of 1/c^2; its residuals are reported as r / c / c, on the
-    # scale of its limit
-    names, residuals = list(residuals), list(residuals.values())
-    units = [(1.0, orth_limit)] * 4 + [(1.0, det_limit)] * 2
-    if scale == inf or det_scale == inf:
-        c = math.ldexp(1.0, -math.frexp(big)[1])  # c * big in [1/2, 1)
-        b1, b2, b3, b4 = c * a1, c * a2, c * a3, c * a4
-        p, n1, n2, n3, n4 = b1 * b4.conjugate(), c * m1, c * m2, c * m3, c * m4
-        if scale == inf:
-            residuals[:4] = [abs((x * y.conjugate()).real) for x, y in ((b1, b2), (b1, b3), (b2, b4), (b3, b4))]
-            units[:4] = [(c, tol * (n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4))] * 4
-        if det_scale == inf:
-            residuals[4:] = abs(p + b2 * b3.conjugate() - c * c), abs(p + b2.conjugate() * b3 - c * c)
-            units[4:] = [(c, tol * (n1 * n4 + n2 * n3))] * 2
-    failed = tuple(name for name, r, (_, limit) in zip(names, residuals, units) if not r <= limit)
-    shown = {name: r / u / u for name, r, (u, _) in zip(names, residuals, units)}
-    return ClassReport(MappingProxyType(shown), scale, det_scale, failed)
+    failed = tuple(n for n, r in residuals.items() if not r <= (det_limit if n.startswith("unit") else orth_limit))
+    return ClassReport(residuals, scale, det_scale, failed)
 
 
 def require_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
@@ -264,12 +235,10 @@ def alpha_to_bd(a: AlphaBC, tol: float = DEFAULT_TOL) -> BDForm:
 
     Pivots on a1 when |a1| > tol * max(|a1|, |a3|), else on a3; for class
     input at least one of a1, a3 is nonzero.  The pivot is divided by its
-    modulus before any product is formed, so entries near the float range
-    do not overflow.  The b's are
-    real for class input up to rounding; residual imaginary parts beyond
-    tolerance raise :class:`NotInClassError`.  Like the class report, the
-    form is computed once per condition object and ``tol``
-    (:func:`phase_form`).
+    modulus before any product is formed.  The b's are real for class input
+    up to rounding; residual imaginary parts beyond tolerance raise
+    :class:`NotInClassError`.  Like the class report, the form is computed
+    once per condition object and ``tol`` (:func:`phase_form`).
     """
     return phase_form(a, tol)[0]
 
@@ -319,11 +288,13 @@ def _extract_form(a: AlphaBC, tol: float) -> tuple[BDForm, complex]:
 
 def bd_to_alpha(f: BDForm, tol: float = DEFAULT_TOL) -> AlphaBC:
     """Expand (theta, b1..b4) into the four complex boundary parameters.
-    Raises :class:`InvalidBDError` unless theta and the b's are finite and
-    b1*b4 + b2*b3 = 1 holds within tol * max(1, |b_i|)."""
+    Raises :class:`InvalidBDError` unless theta is finite, each |b_i| is at
+    most B = :data:`~.matrix2.MAX_MAGNITUDE` and b1*b4 + b2*b3 = 1 holds
+    within tol * max(1, |b_i|)."""
     theta, b1, b2, b3, b4 = f
-    if (theta - theta) + (b1 - b1) + (b2 - b2) + (b3 - b3) + (b4 - b4) != 0:  # x - x is NaN unless x is finite
-        raise InvalidBDError(f"theta and b1..b4 must be finite, got {f!r}")
+    bound = MAX_MAGNITUDE  # x - x is NaN unless x is finite; NaN fails every comparison
+    if not (theta - theta == 0 and abs(b1) <= bound and abs(b2) <= bound and abs(b3) <= bound and abs(b4) <= bound):
+        raise InvalidBDError(f"theta must be finite and each |b_i| <= B = 2^255 = {bound!r}, got {f!r}")
     residual = abs(b1 * b4 + b2 * b3 - 1.0)
     if not residual <= tol * max(1.0, abs(b1), abs(b2), abs(b3), abs(b4)):
         raise InvalidBDError(f"b1*b4 + b2*b3 = 1 violated: residual {residual:.3e}")
@@ -399,9 +370,9 @@ def random_rho(rng: Draws) -> RhoBC:
     """Random separating condition; each component +inf with probability
     0.15, else Cauchy-distributed (covers the whole tangent range).
 
-    Finite draws are capped at |rho| = 1e3.  Far beyond the cap a finite
-    rho still maps back to itself, until m + sqrt(1+m^2) rho overflows and
-    the diagonal unitary's phase rounds to exactly -1, which is +inf.
+    Finite draws are capped at |rho| = 1e3, far inside the bound
+    B = :data:`~.matrix2.MAX_MAGNITUDE` that :class:`RhoBC` holds every
+    finite rho to.
     """
 
     def component() -> float:

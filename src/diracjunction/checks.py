@@ -111,8 +111,8 @@ def _recomposition(u, q: matrix2.QuaternionForm) -> float:
 
 def _alpha_round_trip(a: AlphaBC, q: matrix2.QuaternionForm, m: float) -> float:
     """Largest difference of ``a`` and the map back from ``q``, in units of
-    :func:`alpha_scale`; inf when the map back overflows (at a mass near the
-    float range, g2 of order 1/m) or loses g2 to underflow."""
+    :func:`alpha_scale`; inf when the map back leaves the bound B (at a large
+    mass, g2 of order 1/m) or loses g2 to underflow."""
     try:
         back = correspondence.u2_to_alpha(q, m)
     except DiagonalInputError:
@@ -130,17 +130,14 @@ def _current_change(a: AlphaBC) -> float:
     |v^H H v| <= ||H||_2 |v|_2^2 <= 2 ||H||_2 max|v_i|^2, so the bound is
     2 ||H||_2 / max(1, max|a_i|)^2.  ||H||_2 = |h11 + h22|/2 +
     hypot((h11 - h22)/2, |h12|) is the larger modulus of its eigenvalues.
-    The entries are formed from the a_i times a power of two near
-    1/max(1, max|a_i|), an exact scaling, so no product overflows.
+    The class check holds every |a_i| to MAX_MAGNITUDE: no product overflows.
     """
     scale = alpha_scale(a)
-    c = math.ldexp(1.0, -math.frexp(scale)[1])  # c * scale in [1/2, 1)
     a1, a2, a3, a4 = a.as_tuple()
-    a1, a2, a3, a4 = c * a1, c * a2, c * a3, c * a4
     h11, h22 = 2.0 * (a1.conjugate() * a3).real, 2.0 * (a2.conjugate() * a4).real
-    h12 = a1.conjugate() * a4 + a3.conjugate() * a2 - c * c
+    h12 = a1.conjugate() * a4 + a3.conjugate() * a2 - 1.0
     norm = abs(h11 + h22) / 2.0 + math.hypot((h11 - h22) / 2.0, h12.real, h12.imag)
-    return 2.0 * norm / ((c * scale) * (c * scale)) + ROUNDING
+    return 2.0 * norm / (scale * scale) + ROUNDING
 
 
 def _form_bound(bc: ExtensionClass) -> float:

@@ -159,8 +159,6 @@ def parse_bd(text: str) -> BDForm:
         bs = [float(p) for p in parts[1:]]
     except ValueError as exc:
         raise ValidationError(f"bad --bd values: {exc}") from exc
-    if not all(map(math.isfinite, bs)):
-        raise ValidationError(f"--bd values must be finite, got {text!r}")
     return BDForm(theta % (2.0 * math.pi), *bs)
 
 

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .matrix2 import (
     DEFAULT_TOL,
+    MAX_MAGNITUDE,
     NORM_FLOOR,
     QuaternionForm,
     _norm_residuals,
@@ -51,9 +52,12 @@ from .matrix2 import (
 
 
 def check_mass(m: float) -> float:
+    """``m`` as a float; raises :class:`ValidationError` unless 0 <= m <= B
+    (:data:`~.matrix2.MAX_MAGNITUDE`)."""
     m = float(m)
-    if not math.isfinite(m) or m < 0.0:
-        raise ValidationError(f"mass must be finite and >= 0, got {m!r}")
+    if not 0.0 <= m <= MAX_MAGNITUDE:
+        raise ValidationError(f"mass must be finite and >= 0, got {m!r}" if not m >= 0.0 else
+                              f"mass must be at most B = 2^255 = {MAX_MAGNITUDE!r}, got {m!r}")
     return m
 
 
@@ -138,7 +142,9 @@ def diagonal_u2_to_rho(
     rho_minus = (tan(arg(gl)/2) - m)/sqrt(1+m^2) for gl != -1, else +inf;
     rho_plus mirrors with an overall sign.  The pole of the tangent at
     arg = pi is exactly the +inf case, taken only at the pole itself (a
-    real negative g): a g within tol of -1 is a large finite rho.
+    real negative g): a g within tol of -1 is a large finite rho, and one
+    so close that |rho| exceeds B = :data:`~.matrix2.MAX_MAGNITUDE` raises
+    :class:`ValidationError`.
     """
     m = check_mass(m)
     gl = _require_unimodular(gl, "gamma_left", tol)
@@ -165,8 +171,9 @@ def rho_to_diagonal_u2(r: RhoBC, m: float) -> tuple[complex, complex]:
     s = math.hypot(1.0, m)
 
     def phase(t: float) -> complex:
-        # e^{2i atan t} = (1 + i t)^2 / (1 + t^2), in 1/t when |t| > 1 so
-        # that t^2 cannot overflow.
+        # e^{2i atan t} = (1 + i t)^2 / (1 + t^2), in 1/t when |t| > 1.  t^2
+        # cannot overflow within MAX_MAGNITUDE, but the 1/t form rounds
+        # differently for most |t| > 1, and the maps' bits are pinned.
         if abs(t) <= 1.0:
             d = 1.0 + t * t
             return complex((1.0 - t * t) / d, 2.0 * t / d)
@@ -223,28 +230,27 @@ def u2_to_alpha(q: QuaternionForm, m: float) -> AlphaBC:
     a4 = i g2^{-1} sqrt(1+m^2) (Im(g1 mu) + Im(g3* mu))
 
     The map is invariant under the joint sign flip of (g1, g2, g3).
-    Raises :class:`DiagonalInputError` when g2 = 0, or when sqrt(1+m^2)/g2
-    or a parameter overflows.  A small but nonzero g2 is a valid
-    transmitting extension: :func:`classify` sends near-diagonal unitaries
-    to the separating side with its own tolerance test before calling this.
+    Raises :class:`DiagonalInputError` when g2 = 0, or when a parameter's
+    modulus exceeds B = :data:`~.matrix2.MAX_MAGNITUDE`.  A small but
+    nonzero g2 is a valid transmitting extension: :func:`classify` sends
+    near-diagonal unitaries to the separating side with its own tolerance
+    test before calling this.
     """
     m, s, mu = _mass_constants(m)
     g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
     inv = s / g2 if g2 else math.inf  # s / 0 raises ZeroDivisionError
-    if not (math.isfinite(inv.real) and math.isfinite(inv.imag)):
-        raise DiagonalInputError(
-            f"sqrt(1+m^2)/g2 overflows at g2 = {g2!r}, m = {m!r}; the transmitting parameters are out of range"
-            if g2
-            else "extension is diagonal (g2 = 0); it has separating parameters, not transmitting ones"
-        )
     g3c_mu = g3.conjugate() * mu
     a1 = 1j * inv * ((g1.conjugate() * mu).imag + g3c_mu.imag)
     a2 = inv * (g1.real + g3.real)
     a3 = inv * (-g1.real + (g3c_mu * mu).real)
     a4 = 1j * inv * ((g1 * mu).imag + g3c_mu.imag)
-    if (a1 - a1) + (a2 - a2) + (a3 - a3) + (a4 - a4) != 0:  # x - x is NaN unless x is finite
+    hypot, bound = math.hypot, MAX_MAGNITUDE  # NaN fails every comparison
+    if not (hypot(a1.real, a1.imag) <= bound and hypot(a2.real, a2.imag) <= bound
+            and hypot(a3.real, a3.imag) <= bound and hypot(a4.real, a4.imag) <= bound):
         raise DiagonalInputError(
-            f"the transmitting parameters overflow at g2 = {g2!r}, m = {m!r}; they are out of range"
+            f"a transmitting parameter exceeds B = 2^255 = {bound!r} at g2 = {g2!r}, m = {m!r}; it is out of range"
+            if g2
+            else "extension is diagonal (g2 = 0); it has separating parameters, not transmitting ones"
         )
     return AlphaBC(a1, a2, a3, a4)
 
@@ -265,8 +271,7 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     identity (:func:`inverse_identity_residuals`), and on the class |g3| = 1.
     Plain complex arithmetic; round-trips with :func:`u2_to_alpha` and agrees
     with the boundary-value solve (:func:`~.deficiency.solve_u2_matrix`).
-    Raises :class:`~.errors.NotInClassError` outside the class,
-    :class:`ValidationError` when w overflows, and
+    Raises :class:`~.errors.NotInClassError` outside the class and
     :class:`InternalInconsistencyError` when |g1|^2 + |g2|^2 misses 1 by more
     than ``tol``, at least :data:`NORM_FLOOR` here, or |g3| by more than the
     class check allows (``tol`` times :func:`~.boundary.class_scale`), which
@@ -283,11 +288,7 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     p = a1 / n1 if n1 >= n3 else -1j * a3 / n3
     w = -muc * a1 + a2 - a3 + mu * a4
     g2_scale = 2.0 / s
-    norm = math.hypot(g2_scale, w.real, w.imag)  # 1/G0; abs(w) raises on overflow
-    if not math.isfinite(norm):
-        raise ValidationError(
-            f"boundary parameters overflow the inverse map: |w| = {norm!r}"
-        )
+    norm = math.hypot(g2_scale, w.real, w.imag)  # 1/G0
     c = 1j * p.conjugate() / norm
     g1 = c * w
     g2 = c * g2_scale

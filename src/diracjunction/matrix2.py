@@ -30,6 +30,12 @@ Entries = tuple[tuple[complex, complex], tuple[complex, complex]]
 #: machine epsilon ~1e-16, only a handful of operations per predicate).
 DEFAULT_TOL = 1e-10
 
+#: B = 2^255, the bound of every finite magnitude the maps accept or produce
+#: (|a_i|, the b's, |rho|, m and E): below it every product of two moduli, and
+#: every sum of four such products, is finite.  A larger one raises a
+#: ``ValidationError`` that names B.
+MAX_MAGNITUDE = 2.0 ** 255
+
 #: Floor of the tolerance a modulus or a unitarity residual is held to: rounding
 #: alone leaves up to 3.5 units of roundoff in the norms of ``alpha_to_u2``'s
 #: parameters on class members, one in the moduli of ``rho_to_diagonal_u2``'s

@@ -43,7 +43,7 @@ from typing import NamedTuple
 from .boundary import TWO_PI, AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, phase_form
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
 from .errors import BelowGapError, NotInClassError, ValidationError
-from .matrix2 import DEFAULT_TOL, record_type
+from .matrix2 import DEFAULT_TOL, MAX_MAGNITUDE, record_type
 
 
 @record_type
@@ -103,12 +103,9 @@ class ScatteringColumns(NamedTuple):
 
 
 # Both kernels form the wavenumbers as lambda = sqrt((E - m)/(E + m)) and
-# k = f lambda (E + m).  Neither squares E, so both stay finite for huge
-# masses and keep full relative accuracy next to the gap; at m = 0 they give
-# lambda = 1 and k = E exactly.  For m > 1, E and m are halved first (f = 2),
-# so E + m cannot overflow; halving is exact there (E > m > 1) and changes
-# no bit of either result.  For m <= 1, E + m cannot overflow, and halving
-# could round a tiny E to 0.
+# k = lambda (E + m), with E + m <= 2 MAX_MAGNITUDE.  Neither squares E, so both
+# keep full relative accuracy next to the gap; at m = 0 they give lambda = 1 and
+# k = E exactly.
 
 
 def _transmitting(a: AlphaBC, E: list[float], m: float, tol: float) -> tuple[list[float], ...]:
@@ -116,22 +113,14 @@ def _transmitting(a: AlphaBC, E: list[float], m: float, tol: float) -> tuple[lis
     (module docstring)."""
     form, phase = phase_form(a, tol)
     _, b1, b2, b3, b4 = form
-    # beyond 1e150 the b's are scaled by a power of two, which changes no
-    # bit of any result but keeps |D|^2 finite; ``two`` carries the scale
-    # into t and T
-    big = abs(b1) + abs(b2) + abs(b3) + abs(b4)
-    c = 1.0 if big < 1e150 else math.ldexp(1.0, -math.frexp(big)[1])
-    b2, b3, s, d = c * b2, c * b3, c * (b1 + b4), c * (b4 - b1)
-    two, pr, pi = 2.0 * c, phase.real, phase.imag
-    four = two * two
-    f, E, m = (2.0, [0.5 * e for e in E], 0.5 * m) if m > 1.0 else (1.0, E, m)
+    s, d, pr, pi = b1 + b4, b4 - b1, phase.real, phase.imag
     cols = k, lam, re_r, im_r, re_t, im_t, R, T, phase_t = [], [], [], [], [], [], [], [], []
     sqrt, atan2 = math.sqrt, math.atan2
     try:
         for e in E:
             above = e + m
             x = sqrt((e - m) / above)
-            k.append(f * (x * above))
+            k.append(x * above)
             lam.append(x)
             y = x * x
             by = b2 * y
@@ -139,9 +128,9 @@ def _transmitting(a: AlphaBC, E: list[float], m: float, tol: float) -> tuple[lis
             # so that R + T = 1 up to the rounding of the two quotients
             dr, di = s * x, by + b3
             nr, ni = d * x, b3 - by
-            nn, w = nr * nr + ni * ni, four * y
+            nn, w = nr * nr + ni * ni, 4.0 * y
             dd = nn + w
-            q = two * x / dd
+            q = 2.0 * x / dd
             u, v = q * (pr * dr - pi * di), q * (pi * dr + pr * di)
             re_r.append((nr * dr - ni * di) / dd)
             im_r.append((ni * dr + nr * di) / dd)
@@ -168,13 +157,12 @@ def _separating(rho: RhoBC, face: Island, E: list[float], m: float) -> tuple[lis
     # angle as the complex product (i sign) phi does, which fixes the sign
     # of a zero imaginary part of r
     sign, zero = (-2.0, -0.0) if face is Island.LEFT else (2.0, 0.0)
-    f, E, m = (2.0, [0.5 * e for e in E], 0.5 * m) if m > 1.0 else (1.0, E, m)
     k, lam, re_r, im_r, R = [], [], [], [], []
     sqrt, atan2, cos, sin = math.sqrt, math.atan2, math.cos, math.sin
     for e in E:
         above = e + m
         x = sqrt((e - m) / above)
-        k.append(f * (x * above))
+        k.append(x * above)
         lam.append(x)
         if finite:
             angle = sign * atan2(value, x) + zero
@@ -208,11 +196,14 @@ def _columns(bc: ExtensionClass, E: list[float], m: float, face: Island, tol: fl
 
 def _energy(E: float, m: float) -> tuple[list[float], float]:
     """The one energy of a scalar call as a grid, and the mass; raises
-    :class:`BelowGapError` if E <= m."""
+    :class:`BelowGapError` if E <= m, and :class:`ValidationError` unless
+    E <= B (:data:`~.matrix2.MAX_MAGNITUDE`)."""
     m = check_mass(m)
     E = float(E)
     if E <= m:
         raise BelowGapError(f"E = {E} is not above the mass gap m = {m}")
+    if not E <= MAX_MAGNITUDE:
+        raise ValidationError(f"E must be at most B = 2^255 = {MAX_MAGNITUDE!r}, got {E!r}")
     return [E], m
 
 
@@ -252,8 +243,8 @@ def check_sweep(bc: ExtensionClass, e_min: float, e_max: float, steps: int, m: f
     m = check_mass(m)
     if steps < 2:
         raise ValidationError("steps must be >= 2")
-    if not (m < e_min < e_max < math.inf):
-        raise ValidationError("need m < e_min < e_max, all finite")
+    if not (m < e_min < e_max <= MAX_MAGNITUDE):
+        raise ValidationError(f"need m < e_min < e_max <= B = 2^255 = {MAX_MAGNITUDE!r}")
     try:  # one allocation refuses a grid that cannot fit, before any is built
         [0.0] * steps
     except (MemoryError, OverflowError):

@@ -4,6 +4,7 @@ formatted one row at a time and random draws that the package itself never
 needs."""
 
 import math
+import re
 
 import numpy as np
 
@@ -11,7 +12,13 @@ from diracjunction import scattering
 from diracjunction.boundary import TWO_PI, AlphaBC, BDForm, Island, RhoBC
 from diracjunction.cli import CSV_HEADER, FMT17
 from diracjunction.correspondence import ExtensionClass, check_mass
-from diracjunction.matrix2 import DEFAULT_TOL, QuaternionForm, as_c2matrix, is_unitary
+from diracjunction.matrix2 import DEFAULT_TOL, MAX_MAGNITUDE, QuaternionForm, as_c2matrix, is_unitary
+
+#: B, the bound of every magnitude, and the words naming it in every refusal
+#: of a larger one, as text and as a ``pytest.raises`` pattern.
+B = MAX_MAGNITUDE
+BOUND_TEXT = f"B = 2^255 = {B!r}"
+BOUND_MATCH = re.escape(BOUND_TEXT)
 
 
 def apply_alpha(a: AlphaBC, v_minus) -> np.ndarray:

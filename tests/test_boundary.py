@@ -26,7 +26,7 @@ from diracjunction.errors import (
     ValidationError,
     ZeroParameterError,
 )
-from helpers import apply_alpha, bd_equivalent, current, random_spinor, satisfies_rho
+from helpers import B, BOUND_MATCH, apply_alpha, bd_equivalent, current, random_spinor, satisfies_rho
 
 IDENTITY = AlphaBC(1, 0, 0, 1)
 SPIN_FLIP = AlphaBC(0, 1, 1, 0)
@@ -68,9 +68,14 @@ class TestDeterminantScale:
     max(1, |a1||a4| + |a2||a3|), the four orthogonality ones against
     max(1, sum |a_i|^2)."""
 
-    @pytest.mark.parametrize("big", [1e5, 1e6, 1e100, 1e200])
+    @pytest.mark.parametrize("big", [1e5, 1e6, B, 1e100, 1e200])
     def test_a_lone_large_entry_breaks_the_determinant(self, big):
-        # b1 b4 + b2 b3 = 0, which sum |a_i|^2 >= 1/tol used to hide
+        # b1 b4 + b2 b3 = 0, which sum |a_i|^2 >= 1/tol used to hide; an
+        # entry beyond the bound B is refused before any constraint is measured
+        if big > B:
+            with pytest.raises(ValidationError, match=BOUND_MATCH):
+                validate_class(AlphaBC(big, 0, 0, 0))
+            return
         report = validate_class(AlphaBC(big, 0, 0, 0))
         assert report.failed == ("unit_det_plus", "unit_det_conj")
         assert report.worst() == ("unit_det_plus", 1.0)
@@ -81,11 +86,11 @@ class TestDeterminantScale:
             alpha_to_bd(AlphaBC(big, 0, 0, 0))
 
     def test_the_worst_failing_constraint_is_named(self):
-        # Re(a1 a3*) = -1e200 passes against tol * sum |a_i|^2 = inf; the
-        # determinant residual 1e200 fails against tol * 1e200
-        report = validate_class(AlphaBC(1e200, 0, -1, 1j))
+        # Re(a1 a3*) = -B passes against tol * sum |a_i|^2 = tol * B^2; the
+        # determinant residual B fails against tol * B
+        report = validate_class(AlphaBC(B, 0, -1, 1j))
         assert report.failed == ("unit_det_plus", "unit_det_conj")
-        assert report.worst() == ("unit_det_plus", 1e200)
+        assert report.worst() == ("unit_det_plus", B)
 
     def test_a_passing_report_ranks_by_residual_over_scale(self):
         # Re(a1 a2*) = 2^-37 is the largest residual, but 2^-37/64 of its
@@ -95,13 +100,16 @@ class TestDeterminantScale:
         assert report.worst() == ("unit_det_plus", 2**-42)
 
     def test_huge_entries_keep_an_exact_determinant_verdict(self):
-        # sum |a_i|^2 overflows, |a1||a4| = 1 does not
-        assert validate_class(AlphaBC(1e300, 0, 0, 1e-300)).valid
-        assert validate_class(AlphaBC(1e300, 0, 0, 1e-300 * (1 + 1e-12))).valid
-        assert not validate_class(AlphaBC(1e300, 0, 0, 1e-300 * (1 + 1e-9))).valid
-        # |a1||a4| overflows too, and so does the residual: it fails
-        report = validate_class(AlphaBC(1e300, 0, 0, 1e10))
-        assert math.isinf(report.det_scale) and report.failed == ("unit_det_plus", "unit_det_conj")
+        # sum |a_i|^2 = B^2, |a1||a4| = 1
+        assert validate_class(AlphaBC(B, 0, 0, 1 / B)).valid
+        assert validate_class(AlphaBC(B, 0, 0, 1 / B * (1 + 1e-12))).valid
+        assert not validate_class(AlphaBC(B, 0, 0, 1 / B * (1 + 1e-9))).valid
+        # |a1||a4| = B^2 and the residual B^2 - 1 are finite: it fails
+        report = validate_class(AlphaBC(B, 0, 0, B))
+        assert report.det_scale == B * B and report.failed == ("unit_det_plus", "unit_det_conj")
+        # an entry whose square overflows is refused
+        with pytest.raises(ValidationError, match=BOUND_MATCH):
+            validate_class(AlphaBC(1e300, 0, 0, 1e-300))
 
     def test_exact_class_members_pass_over_a_wide_range(self):
         rng = np.random.default_rng(72)
@@ -117,34 +125,40 @@ class TestDeterminantScale:
 
 
 class TestClassScaleOverflow:
-    def test_scale_of_huge_parameters_is_inf_not_an_error(self):
-        assert math.isinf(class_scale(AlphaBC(1e200, 0, 0, 1e-200)))
-        assert class_scale(AlphaBC(3, 4j, 0, 0)) == 25.0
+    """No scale overflows: every modulus is at most B, so every sum of the
+    products of two moduli is finite, and a larger modulus is refused."""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_verdict_stays_exact_when_the_scale_overflows(self):
-        # diag(1e200, 1e-200) and [[1e200, 1e200 i], [0, 1e-200]] are in the class
-        assert validate_class(AlphaBC(1e200, 0, 0, 1e-200)).valid
-        assert validate_class(AlphaBC(1e200, 1e200j, 0, 1e-200)).valid
-        f = alpha_to_bd(AlphaBC(1e200, 0, 0, 1e-200))
-        assert (f.theta, f.bs()) == (0.0, (1e200, 0.0, 0.0, 1e-200))
+    def test_scale_of_huge_parameters_is_finite_not_an_error(self):
+        assert class_scale(AlphaBC(B, 0, 0, 1 / B)) == B * B
+        assert class_scale(AlphaBC(3, 4j, 0, 0)) == 25.0
+        with pytest.raises(ValidationError, match=BOUND_MATCH):
+            class_scale(AlphaBC(1e200, 0, 0, 1e-200))
+
+    def test_verdict_stays_exact_at_the_bound(self):
+        # diag(B, 1/B) and [[B, B i], [0, 1/B]] are in the class, with finite residuals
+        for a in (AlphaBC(B, 0, 0, 1 / B), AlphaBC(B, B * 1j, 0, 1 / B)):
+            report = validate_class(a)
+            assert report.valid and all(map(math.isfinite, report.residuals.values()))
+        f = alpha_to_bd(AlphaBC(B, 0, 0, 1 / B))
+        assert (f.theta, f.bs()) == (0.0, (B, 0.0, 0.0, 1 / B))
         # Re(a1 a2*) / |a|^2 = 1e-5 is far outside the 1e-10 tolerance
-        assert not validate_class(AlphaBC(1e155, 1e150, 0, 1e-155)).valid
-        # an overflowing residual fails rather than passing vacuously
-        assert not validate_class(AlphaBC(1e200, 1e200, 0, 0)).valid
+        assert not validate_class(AlphaBC(B, B * 1e-5, 0, 1 / B)).valid
+        # the largest residual, B^2, fails rather than passing vacuously
+        report = validate_class(AlphaBC(B, B, 0, 0))
+        assert not report.valid and report.residuals["re_a1_a2"] == B * B
 
     @pytest.mark.parametrize("alpha", [
-        # Re(a1 a2*) and Re(a3 a4*) are -inf + inf in the entries as given
-        AlphaBC(7.5e299 - 4.5e283j, -4.5e283 - 7.5e299j, 4.5e283 + 7.5e299j, 7.5e299 - 4.5e283j),
-        # a1 a4* + a2 a3* is inf - inf; its true value 0 misses 1 by far less
-        # than tol times |a1||a4| + |a2||a3| = 2e400
-        AlphaBC(1e200, 1e200j, -1e200j, 1e200),
+        # the parameters of --gamma 0.6,0.8i,i at m = B: products of order B^2
+        AlphaBC(4.3422033463993573e76, -4.3422033463993573e76j, 4.3422033463993573e76j, 4.3422033463993573e76),
+        # a1 a4* + a2 a3* is B^2 - B^2; its true value 0 misses 1 by far less
+        # than tol times |a1||a4| + |a2||a3| = 2 B^2
+        AlphaBC(B, B * 1j, -B * 1j, B),
     ])
     def test_overflowing_products_leave_no_nan_residual(self, alpha):
         report = validate_class(alpha)
-        assert report.valid and not any(map(math.isnan, report.residuals.values()))
-        assert math.isinf(report.scale) and math.isinf(report.det_scale)
-        assert report.residuals["re_a1_a2"] == 0.0 and not math.isnan(report.worst()[1])
+        assert report.valid and all(map(math.isfinite, report.residuals.values()))
+        assert math.isfinite(report.scale) and math.isfinite(report.det_scale)
+        assert report.residuals["re_a1_a2"] == 0.0 and report.worst()[1] == 1.0
 
 
 class TestBDForm:

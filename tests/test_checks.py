@@ -10,8 +10,9 @@ import pytest
 from diracjunction import checks, deficiency, matrix2
 from diracjunction.boundary import AlphaBC, BDForm, bd_to_alpha, random_alpha, random_rho, validate_class
 from diracjunction.correspondence import Separating, Transmitting
+from diracjunction.errors import ValidationError
 from diracjunction.matrix2 import DEFAULT_TOL
-from helpers import current, random_quaternion_form, random_spinor
+from helpers import B, BOUND_MATCH, current, random_quaternion_form, random_spinor
 
 MASSES = (0.0, 1.0, 10.0)
 
@@ -83,13 +84,19 @@ class TestExactResiduals:
         assert records["current-conservation"].residual == checks.ROUNDING
         assert records["boundary-form-symmetry"].residual == checks.ROUNDING
 
-    @pytest.mark.parametrize("alpha", [(1000, 0, 0, 0.001), (1e200, 0, 0, 1e-200)], ids=["1e3", "1e200"])
+    @pytest.mark.parametrize(
+        "alpha", [(1000, 0, 0, 0.001), (B, 0, 0, 1 / B), (1e200, 0, 0, 1e-200)], ids=["1e3", "B", "1e200"]
+    )
     def test_small_witness_fails_only_the_sampled_oracle(self, alpha):
         # |a3|, |a4| small: the pair that breaks the condition at +L has a
         # small form against the domain, under the oracle's absolute 0.01
         # floor; the domain is still maximal (test_symbolic), and verify
-        # checks only the form's bound
+        # checks only the form's bound.  An entry beyond B is refused.
         bc = Transmitting(AlphaBC(*alpha))
+        if alpha[0] > B:
+            with pytest.raises(ValidationError, match=BOUND_MATCH):
+                _records(bc, 0.0)
+            return
         if alpha[0] == 1000:
             assert not deficiency.verify_selfadjoint_domain(bc, samples=50, seed=0).passed
         assert all(record.passed for record in _records(bc, 0.0).values())

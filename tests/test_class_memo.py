@@ -2,9 +2,9 @@
 exactly as the dict-based check it replaced did.
 
 ``_oracle_validate_class`` is that earlier ``validate_class`` (its docstring
-aside), the reference for the leaner measurement, with one change: a group of
-constraints whose scale overflows is measured on the entries times a power of
-two near 1/max|a_i|, where no product overflows into a NaN residual.
+aside), the reference for the leaner measurement, with one change: a modulus
+above the bound B is refused, so that no product overflows into a NaN or
+infinite residual.
 """
 
 import copy
@@ -27,47 +27,35 @@ from diracjunction.boundary import (
 )
 from diracjunction.errors import NotInClassError, ValidationError
 from diracjunction.matrix2 import DEFAULT_TOL
+from helpers import B, BOUND_MATCH
 
 
 def _oracle_validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
     a1, a2, a3, a4 = a.as_tuple()
     m1, m2, m3, m4 = mags = [math.hypot(z.real, z.imag) for z in (a1, a2, a3, a4)]
-    if not all(map(math.isfinite, mags)):
-        raise ValidationError("a boundary parameter's modulus is not finite")
+    if not all(m <= B for m in mags):
+        raise ValidationError("a boundary parameter's modulus exceeds B or is NaN")
     big = max(mags)
     # the moduli in units of big (Higham, *Accuracy and Stability of
-    # Numerical Algorithms*, 2nd ed., sec. 2): every sum of their products
-    # stays finite
+    # Numerical Algorithms*, 2nd ed., sec. 2)
     s1, s2, s3, s4 = (m1 / big, m2 / big, m3 / big, m4 / big) if big else (m1, m2, m3, m4)
     sigma = s1 ** 2 + s2 ** 2 + s3 ** 2 + s4 ** 2
     scale = max(1.0, big * big * sigma)
     det_scale = max(1.0, m1 * m4 + m2 * m3)
-    # a group whose scale overflowed is measured on the entries times c, a
-    # power of two near 1/big, against tol times its scale in units of
-    # 1/c^2, and reported as r / c / c
-    c = math.ldexp(1.0, -math.frexp(big)[1])
-    n1, n2, n3, n4 = c * m1, c * m2, c * m3, c * m4
-    orth_c, orth_limit = (c, tol * (n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4)) if math.isinf(scale) else (1.0, tol * scale)
-    det_c, det_limit = (c, tol * (n1 * n4 + n2 * n3)) if math.isinf(det_scale) else (1.0, tol * det_scale)
-    b1, b2, b3, b4 = (c * z for z in (a1, a2, a3, a4)) if orth_c != 1.0 else (a1, a2, a3, a4)
+    orth_limit, det_limit = tol * scale, tol * det_scale
     orthogonality = {
-        # Re(x y*) formed alone: the imaginary part of x y* may overflow
-        "re_a1_a2": abs(b1.real * b2.real + b1.imag * b2.imag),
-        "re_a1_a3": abs(b1.real * b3.real + b1.imag * b3.imag),
-        "re_a2_a4": abs(b2.real * b4.real + b2.imag * b4.imag),
-        "re_a3_a4": abs(b3.real * b4.real + b3.imag * b4.imag),
+        "re_a1_a2": abs((a1 * a2.conjugate()).real),
+        "re_a1_a3": abs((a1 * a3.conjugate()).real),
+        "re_a2_a4": abs((a2 * a4.conjugate()).real),
+        "re_a3_a4": abs((a3 * a4.conjugate()).real),
     }
-    d1, d2, d3, d4 = (c * z for z in (a1, a2, a3, a4)) if det_c != 1.0 else (a1, a2, a3, a4)
-    one = det_c * det_c
     determinant = {
-        "unit_det_plus": abs(d1 * d4.conjugate() + d2 * d3.conjugate() - one),
-        "unit_det_conj": abs(d1 * d4.conjugate() + d2.conjugate() * d3 - one),
+        "unit_det_plus": abs(a1 * a4.conjugate() + a2 * a3.conjugate() - 1.0),
+        "unit_det_conj": abs(a1 * a4.conjugate() + a2.conjugate() * a3 - 1.0),
     }
     failed = [name for name, r in orthogonality.items() if not r <= orth_limit]
     failed += [name for name, r in determinant.items() if not r <= det_limit]
-    residuals = {name: r / orth_c / orth_c for name, r in orthogonality.items()}
-    residuals.update((name, r / det_c / det_c) for name, r in determinant.items())
-    return ClassReport(residuals, scale, det_scale, tuple(failed))
+    return ClassReport({**orthogonality, **determinant}, scale, det_scale, tuple(failed))
 
 
 def _bits(x: float) -> str:
@@ -84,9 +72,9 @@ def _seeded_alpha(seed: int, delta: float) -> AlphaBC:
 
 
 EXTREMES = [
-    0.0, -0.0, 1.0, -1.0, 1j, 1e-11, 1e11, 1e-308, 5e-324, 1e154, -3e154, 1e154j,
-    1e200, 1e300, 1.5e308, -1.5e308, 1.5e308j, 1.5e308 + 1.5e308j, math.inf, -math.inf,
-    complex(math.inf, 0.0), complex(0.0, math.nan), math.nan,
+    0.0, -0.0, 1.0, -1.0, 1j, 1e-11, 1e11, 1e-308, 5e-324, 1 / B, B, -B, B * 1j, (B + B * 1j) / 2,
+    B * (0.6 + 0.8j), math.nextafter(B, math.inf), 1e200, 1.5e308, -1.5e308j, 1.5e308 + 1.5e308j,
+    math.inf, -math.inf, complex(math.inf, 0.0), complex(0.0, math.nan), math.nan,
 ]
 ENTRIES = st.one_of(
     st.sampled_from(EXTREMES),
@@ -105,28 +93,18 @@ class TestMeasurementMatchesTheDictCheck:
     @given(a=CONDITIONS, tol=TOLERANCES)
     @example(a=AlphaBC(0, 0, 0, 0), tol=DEFAULT_TOL)
     @example(a=AlphaBC(1e-11, 0, 0, 1e11), tol=DEFAULT_TOL)
-    @example(a=AlphaBC(1e154, 1e154j, 0, 1e-154), tol=DEFAULT_TOL)
+    @example(a=AlphaBC(B, B * 1j, 0, 1 / B), tol=DEFAULT_TOL)
     @example(a=AlphaBC(1.5e308, 0, 0, 1e-308), tol=DEFAULT_TOL)
-    @example(a=AlphaBC(1e200 + 1e200j, 1e200 - 1e200j, 0, 0), tol=DEFAULT_TOL)
+    @example(a=AlphaBC((B + B * 1j) / 2, (B - B * 1j) / 2, 0, 0), tol=DEFAULT_TOL)
     @example(a=AlphaBC(1.5e308 + 1.5e308j, 0, 0, 0), tol=DEFAULT_TOL)
-    @example(a=AlphaBC(1.5e308 + 1.5e308j, 0, 0, 1), tol=DEFAULT_TOL)
+    @example(a=AlphaBC(B, 0, 0, math.nextafter(B, math.inf)), tol=DEFAULT_TOL)
     @example(a=AlphaBC(1.5e200, 0, 0, 1e108 - 1e108j), tol=DEFAULT_TOL)
     def test_same_residuals_scales_and_verdict(self, a, tol):
         try:
             expected = _oracle_validate_class(a, tol)
         except ValidationError:
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=BOUND_MATCH):
                 validate_class(a, tol)
-            return
-        except OverflowError:
-            # the dict check let abs() of a complex raise here: either a
-            # modulus or a determinant residual exceeds the float range
-            try:
-                report = validate_class(a, tol)
-            except ValidationError:
-                return
-            assert math.inf in (report.residuals["unit_det_plus"], report.residuals["unit_det_conj"])
-            assert not report.valid
             return
         report = validate_class(a, tol)
         assert list(report.residuals) == list(expected.residuals)
@@ -150,10 +128,13 @@ class TestMeasurementMatchesTheDictCheck:
             ), a
 
     def test_overflowing_determinant_fails_instead_of_raising(self):
-        # finite moduli whose product a1 a4* has both parts near 1.5e308
-        report = validate_class(AlphaBC(1.5e200, 0, 0, 1e108 - 1e108j))
-        assert report.residuals["unit_det_plus"] == math.inf
+        # the largest determinant residual, of moduli at B, is finite and fails
+        report = validate_class(AlphaBC(B, 0, 0, B * (0.6 - 0.8j)))
+        assert report.residuals["unit_det_plus"] == pytest.approx(B * B, rel=1e-15)
         assert report.failed == ("unit_det_plus", "unit_det_conj")
+        # finite moduli whose product a1 a4* overflows are refused
+        with pytest.raises(ValidationError, match=BOUND_MATCH):
+            validate_class(AlphaBC(1.5e200, 0, 0, 1e108 - 1e108j))
 
 
 class TestMemo:

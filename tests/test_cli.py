@@ -28,7 +28,7 @@ from diracjunction.boundary import AlphaBC, BDForm, Island, RhoBC, bd_to_alpha
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.errors import InternalInconsistencyError, ValidationError
 from diracjunction.scattering import ScatteringColumns
-from helpers import rows_text
+from helpers import B, BOUND_MATCH, BOUND_TEXT, rows_text
 
 CSV_HEADER_FIELDS = "E,k,lambda,re_r,im_r,re_t,im_t,R,T,phase_t,flag".split(",")
 
@@ -249,11 +249,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify")
         assert code == 2
 
-    @pytest.mark.parametrize("rho", ["1e10", "2e10", "1e12", "1e16", "1e100", "1e300", "-1e300"])
+    @pytest.mark.parametrize("rho", ["1e10", "2e10", "1e12", "1e16", repr(B), repr(-B), "1e100", "1e300", "-1e300"])
     @pytest.mark.parametrize("mass", ["0", "1", "1e3"])
     def test_large_finite_rho_round_trips(self, capsys, rho, mass):
-        # the unitary's phase is within tol of -1, not -1: it maps back to rho, not to inf
-        code, out, _ = run(capsys, "verify", "--rho", f"{rho},0.5", "--mass", mass)
+        # the unitary's phase is within tol of -1, not -1: it maps back to rho,
+        # not to inf, up to |rho| = B; a larger rho is refused
+        code, out, err = run(capsys, "verify", "--rho", f"{rho},0.5", "--mass", mass)
+        if abs(float(rho)) > B:
+            assert (code, out) == (2, "") and BOUND_TEXT in err
+            return
         assert code == 0
         assert [line.split(" residual")[0] for line in out.splitlines()] == self.RHO_CHECKS + ["PASS"]
 
@@ -499,14 +503,14 @@ class TestExitCodeContract:
             assert "FAIL defining-identities residual=1.000000e-05" in p.stdout
 
     @pytest.mark.parametrize("argv, codes", [
-        (["verify"], (0, 1)),
-        (["scatter", "--emin", "2e300", "--emax", "3e300", "--steps", "3"], (0,)),
-        (["convert", "u2-to-bc"], (0,)),
+        (["verify", "--mass", repr(B)], (0, 1)),
+        (["scatter", "--mass", repr(B / 2), "--emin", repr(0.75 * B), "--emax", repr(B), "--steps", "3"], (0,)),
+        (["convert", "u2-to-bc", "--mass", repr(B)], (0,)),
     ])
     def test_a_class_member_at_a_huge_mass_has_no_nan_residual(self, argv, codes):
-        # its parameters are near 7.5e299, where Re(a1 a2*) once came out as
-        # -inf + inf: verify printed residual=nan and scatter refused it
-        p = run_process("-m", "diracjunction.cli", *argv, "--gamma", "0.6,0.8i,i", "--mass", "1e300")
+        # its parameters are near 0.75 B, where the products Re(a1 a2*) is
+        # formed from are near B^2: no residual may come out as -inf + inf
+        p = run_process("-m", "diracjunction.cli", *argv, "--gamma", "0.6,0.8i,i")
         assert p.returncode in codes and p.stderr == ""
         assert "nan" not in p.stdout.lower()
         if argv == ["verify"]:
@@ -539,7 +543,7 @@ class TestExitCodeContract:
 
     def test_huge_mass_gives_finite_json(self):
         p = run_process(
-            "-m", "diracjunction.cli", "convert", "bc-to-u2", "--alpha", "0,1,1,0", "--mass", "1e200"
+            "-m", "diracjunction.cli", "convert", "bc-to-u2", "--alpha", "0,1,1,0", "--mass", repr(B)
         )
         assert p.returncode == 0
         assert p.stderr == ""
@@ -549,8 +553,8 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("condition", [["--alpha", "0,1,1,0"], ["--rho", "0,0"]])
     def test_huge_mass_scatter_rows_are_finite(self, condition):
         p = run_process(
-            "-m", "diracjunction.cli", "scatter", *condition, "--mass", "1e200",
-            "--emin", "2e200", "--emax", "3e200", "--steps", "2",
+            "-m", "diracjunction.cli", "scatter", *condition, "--mass", repr(B / 3),
+            "--emin", repr(B * 2 / 3), "--emax", repr(B), "--steps", "2",
         )
         assert p.returncode == 0
         assert p.stderr == ""
@@ -558,33 +562,36 @@ class TestExitCodeContract:
         assert len(rows) == 2
         assert all(math.isfinite(float(x)) for row in rows for x in row[:-1])
 
-    @pytest.mark.parametrize("mass, code", [("1e300", 0), ("1e307", 0), ("1e308", 2), ("1.7e308", 2)])
+    @pytest.mark.parametrize(
+        "mass, code", [("2.3e76", 0), (repr(B), 2), ("1e300", 2), ("1e307", 2), ("1e308", 2), ("1.7e308", 2)]
+    )
     def test_overflowing_parameters_exit_2(self, capsys, mass, code):
-        # at 1e308 sqrt(1+m^2)/g2 is finite but the parameters are not: they printed as Infinity
+        # at m = B the mass is in range but the parameters, near 2 B, are not,
+        # and must not print as Infinity; above B the mass is refused
         got, out, err = run(capsys, "convert", "u2-to-bc", "--gamma", "0.6,0.8,1", "--mass", mass)
         assert got == code
         if code == 0:
             alpha = json.loads(out, parse_constant=_reject_constant)["alpha"]
-            assert all(math.isfinite(x) for pair in alpha for x in pair)
+            assert all(abs(x) <= B for pair in alpha for x in pair)
         else:
-            assert out == "" and "overflow" in err
+            assert out == "" and BOUND_TEXT in err
 
     def test_huge_alpha_converts_without_overflow(self):
         p = run_process(
-            "-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", "1e200,0,0,1e-200"
+            "-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", f"{B!r},0,0,{1 / B!r}"
         )
         assert p.returncode == 0
         assert "Traceback" not in p.stderr
         payload = json.loads(p.stdout, parse_constant=_reject_constant)
-        assert payload == {"theta": 0.0, "a": [1e200, 0.0, 0.0, 1e-200]}
+        assert payload == {"theta": 0.0, "a": [B, 0.0, 0.0, 1 / B]}
 
     def test_huge_class_member_converts_without_overflow(self):
         p = run_process(
-            "-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", "1e200,1e200i,0,1e-200"
+            "-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", f"{B!r},{B!r}i,0,{1 / B!r}"
         )
         assert (p.returncode, p.stderr) == (0, "")
         payload = json.loads(p.stdout, parse_constant=_reject_constant)
-        assert payload == {"theta": 0.0, "a": [1e200, 1e200, 0.0, 1e-200]}
+        assert payload == {"theta": 0.0, "a": [B, B, 0.0, 1 / B]}
 
     def test_theta_zero_prints_positive_zero(self):
         p = run_process("-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", "0,i,i,0")
@@ -592,17 +599,23 @@ class TestExitCodeContract:
         assert p.stdout == '{"theta": 0.0, "a": [0.0, 1.0, 1.0, 0.0]}\n'
 
     def test_overflowing_inverse_map_exits_2(self):
+        # entries whose w overflows the inverse map are refused; at B it runs
         p = run_process(
             "-m", "diracjunction.cli", "convert", "bc-to-u2", "--alpha", "1e308,1e308i,0,1e-308",
             "--mass", "1",
         )
         assert (p.returncode, p.stdout) == (2, "")
-        assert "Traceback" not in p.stderr and "overflow" in p.stderr
+        assert "Traceback" not in p.stderr and BOUND_TEXT in p.stderr
+        p = run_process(
+            "-m", "diracjunction.cli", "convert", "bc-to-u2", "--alpha", f"{B!r},{B!r}i,0,{1 / B!r}", "--mass", "1"
+        )
+        assert (p.returncode, p.stderr) == (0, "")
+        json.loads(p.stdout, parse_constant=_reject_constant)
 
     def test_huge_out_of_class_alpha_exits_2(self):
-        # |a|^2 overflows; the class check must still see Re(a1 a2*) != 0
+        # |a|^2 = B^2; the class check must still see Re(a1 a2*) != 0
         p = run_process(
-            "-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", "1e155,1e150,0,1e-155"
+            "-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", f"{B!r},{B * 1e-5!r},0,{1 / B!r}"
         )
         assert p.returncode == 2
         assert p.stdout == ""
@@ -622,9 +635,9 @@ class TestExitCodeContract:
             # b = (1e-11, 0, 0, 1e11): g2 = 2e-11 is small, not zero
             ["verify", "--alpha", "1e-11,0,0,1e11"],
             # |g2| of each instance is of order 1/m
-            ["verify", "--fuzz", "5", "--mass", "1e150"],
-            # ... and sqrt(1+m^2)/g2 overflows: the round trip fails
-            ["verify", "--fuzz", "5", "--mass", "1e200"],
+            ["verify", "--fuzz", "5", "--mass", "1e38"],
+            # ... and sqrt(1+m^2)/g2 is near B^2: the round trip fails
+            ["verify", "--fuzz", "5", "--mass", repr(B / 2)],
         ],
     )
     def test_small_g2_is_a_transmitting_extension(self, argv):
@@ -681,12 +694,14 @@ class TestExitCodeContract:
             (["verify", "--alpha", "1e6,0,0,0"], 1,
              "FAIL class-constraints unit_det_plus residual=1.000000e+00\nFAIL\n"),
             # the determinant residual is as large as the products it is
-            # formed from, though sum |a_i|^2 overflows
-            (["verify", "--alpha", "1e200,0,-1,i"], 1,
-             "FAIL class-constraints unit_det_plus residual=1.000000e+200\nFAIL\n"),
+            # formed from, and sum |a_i|^2 = B^2 is finite
+            (["verify", "--alpha", f"{B!r},0,-1,i"], 1,
+             "FAIL class-constraints unit_det_plus residual=5.789604e+76\nFAIL\n"),
+            # above B an entry is refused
+            (["verify", "--alpha", "1e200,0,-1,i"], 2, ""),
             (["scatter", "--alpha", "1,1e308,1,1", "--emin", "1", "--emax", "2", "--steps", "2"], 2, ""),
         ],
-        ids=["alpha-to-bd-1e5", "verify-1e6", "verify-1e200", "scatter-1e308"],
+        ids=["alpha-to-bd-1e5", "verify-1e6", "verify-B", "verify-1e200", "scatter-1e308"],
     )
     def test_determinant_constraints_take_the_scale_of_their_products(self, argv, code, stdout):
         p = run_process("-W", "error", "-m", "diracjunction.cli", *argv)
@@ -932,7 +947,7 @@ class TestScatter:
         # blank out as resonances
         for alpha, mass, emin, emax, steps in (
             ("1e15,0,0,1e-15", "0", "1.5", "2", 3),
-            ("1e200,0,0,1e-200", "1", "1.5", "2", 3),
+            (f"{B!r},0,0,{1 / B!r}", "1", "1.5", "2", 3),
             ("1e7,0,0,1e-7", "1", "1.0000000000000002", "1.000000000000001", 4),
         ):
             p = run_process(
@@ -1056,11 +1071,16 @@ class TestSweepParts:
         return cols
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("m", [0.0, 0.5, 10.0, 1e200])
+    @pytest.mark.parametrize("m", [0.0, 0.5, 10.0, B / 4, 1e200])
     @pytest.mark.parametrize("condition", _PART_CONDITIONS)
     def test_parts_join_to_the_one_part_text(self, condition, m, fmt):
         grid = ["--emin", repr(1.2 * m + 0.1), "--emax", repr(3.0 * m + 2.0)]
-        self._check_parts(_sweep_args(*condition, "--mass", repr(m), *grid, "--steps", "11", "--format", fmt))
+        args = _sweep_args(*condition, "--mass", repr(m), *grid, "--steps", "11", "--format", fmt)
+        if m > B:  # refused before any part runs
+            with pytest.raises(ValidationError, match=BOUND_MATCH):
+                self._check_parts(args)
+            return
+        self._check_parts(args)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("offset", [-1, 1])
@@ -1310,7 +1330,7 @@ class TestFuzzWorkers:
 
     @pytest.mark.parametrize("argv", [
         ["--fuzz", "3600", "--tol", "1e-16", "--seed", "3"],  # instance 0 leaves the class
-        ["--fuzz", "800", "--mass", "1e200"],  # every instance's round trip is inf
+        ["--fuzz", "800", "--mass", repr(B / 2)],  # every instance's round trip fails
         ["--fuzz", "1000", "--mass", "1", "--seed", "7"],
     ])
     def test_main_prints_the_one_part_output(self, capsys, monkeypatch, forks, argv):

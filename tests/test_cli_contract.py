@@ -19,6 +19,8 @@ from diracjunction.cli import main
 NUMBERS = [
     "0", "1", "-1", "0.5", "2", "10", "1e-11", "1e11", "1e-200", "1e200",
     "1e-308", "1e308", "1.5e308", "5e-324", "nan", "inf", "-inf", "foo", "",
+    # the bound B = 2^255 of every magnitude, and the next double above it
+    "5.78960446186581e+76", "5.789604461865811e+76",
 ]
 COMPLEX = NUMBERS + ["i", "-i", "1+i", "0.6+0.8i", "1.5e308+1.5e308i", "[1,0]", "[0.6, 0.8]", "[1]"]
 ALPHAS = ["0,1,1,0", "1,0,0,1", "-i,0,0,-i", "1,0,1,0", "1e15,0,0,1e-15", "1e-11,0,0,1e11"]
@@ -147,6 +149,10 @@ def _run(argv):
                "--emin", "1.5e308", "--emax", "1.7e308", "--steps", "2"])
 @example(argv=["scatter", "--alpha", "1,1e308,1,1", "--emin", "1", "--emax", "2", "--steps", "2"])
 @example(argv=["scatter", "--alpha", "1,0,0,1", "--emin", "1", "--emax", "2", "--steps", "1000000000000000"])
+@example(argv=["verify", "--rho", "5.78960446186581e+76,0.5", "--mass", "5.78960446186581e+76"])
+@example(argv=["verify", "--alpha", "5.78960446186581e+76,5.78960446186581e+76i,0,1.7272337110188889e-77"])
+@example(argv=["scatter", "--rho", "0,0", "--mass", "1", "--emin", "2", "--emax", "5.789604461865811e+76",
+               "--steps", "2"])
 @example(argv=["verify", "--alpha", "0,1,1,0", "--seed", "-1"])
 @example(argv=["demo-switch", "--phase", "nan"])
 @example(argv=["demo-switch", "--phase", "pi/0"])

@@ -34,7 +34,7 @@ from diracjunction.matrix2 import (
     decompose_u2,
     is_unitary,
 )
-from helpers import random_quaternion_form
+from helpers import B, BOUND_MATCH, random_quaternion_form
 
 MASSES = [0.0, 0.5, 1.0, 10.0]
 
@@ -68,15 +68,15 @@ def alpha_diff(a: AlphaBC, b: AlphaBC) -> float:
 
 
 def test_mass_is_validated():
-    for bad in (-1.0, math.nan, math.inf):
+    for bad in (-1.0, math.nan, math.inf, math.nextafter(B, math.inf), 1e200):
         with pytest.raises(ValidationError):
             mu_constant(bad)
 
 
 def test_huge_mass_stays_unimodular():
-    mu = mu_constant(1e200)
+    mu = mu_constant(B)
     assert abs(mu) == pytest.approx(1.0, abs=1e-15)
-    cmp = compare_closed_form(AlphaBC(0, 1, 1, 0), 1e200)
+    cmp = compare_closed_form(AlphaBC(0, 1, 1, 0), B)
     assert math.isfinite(cmp.difference) and math.isfinite(cmp.difference_flipped)
 
 
@@ -138,10 +138,13 @@ class TestDiagonalCorrespondence:
                     assert abs(x - y) <= 1e-12 * max(1.0, abs(x))
 
     def test_phase_at_overflowing_tangent(self):
-        # t = m + sqrt(1+m^2) rho overflows to -inf: the phase is its limit -1
-        gl, gr = rho_to_diagonal_u2(RhoBC(1e200, -1e300), 1e200)
+        # |t| = |m + sqrt(1+m^2) rho| is B^2 at most, finite: the phase is -1
+        # within 1/B^2; a rho whose t would overflow is refused
+        gl, gr = rho_to_diagonal_u2(RhoBC(B, -B), B)
         assert gl == pytest.approx(-1.0, abs=1e-15)
         assert gr == pytest.approx(-1.0, abs=1e-15)
+        with pytest.raises(ValidationError, match=BOUND_MATCH):
+            RhoBC(1e200, -1e300)
 
     def test_formula_agrees_with_boundary_ratio_oracle(self):
         rng = np.random.default_rng(22)
@@ -163,7 +166,7 @@ class TestDiagonalCorrespondence:
     def test_unitary_near_minus_one_is_a_large_finite_rho(self, m):
         # from |rho| ~ 2e10 the phase is within DEFAULT_TOL of -1, which used
         # to map back to +inf; only the pole itself, a real negative g, is +inf
-        for rho in (2e10, 1e16, 1e300, -1e300):
+        for rho in (2e10, 1e16, B, -B):
             gl, gr = rho_to_diagonal_u2(RhoBC(-rho, rho), m)
             assert abs(1.0 + gl) <= DEFAULT_TOL and abs(1.0 + gr) <= DEFAULT_TOL
             for back in (diagonal_u2_to_rho(gl, gr, m), oracle_rho_from_diagonal(gl, gr, m)):
@@ -198,13 +201,17 @@ class TestForwardMap:
         assert alpha_diff(u2_to_alpha(q, 0.0), a) <= 1e-10 * 1e11
 
     def test_overflowing_parameters_are_rejected(self):
-        # sqrt(1+m^2)/g2 = 1.25e308 is finite, but a1 = 2e308 i is not
-        with pytest.raises(ValidationError, match="transmitting parameters overflow"):
+        # sqrt(1+m^2)/g2 = 1.25 B is within range, but a1 = 2 B i is not
+        with pytest.raises(DiagonalInputError, match=BOUND_MATCH):
+            u2_to_alpha(QuaternionForm(0.6, 0.8, 1), B)
+        # a mass above B is refused before any parameter is formed
+        with pytest.raises(ValidationError, match=BOUND_MATCH):
             u2_to_alpha(QuaternionForm(0.6, 0.8, 1), 1e308)
 
     def test_g2_whose_inverse_overflows_is_rejected(self):
-        with pytest.raises(DiagonalInputError, match="overflows"):
-            u2_to_alpha(QuaternionForm(1, 1e-320, 1), 1e10)
+        for g2 in (1e-100, 1e-320):
+            with pytest.raises(DiagonalInputError, match=BOUND_MATCH):
+                u2_to_alpha(QuaternionForm(1, g2, 1), 1e10)
 
     def test_sign_pair_invariance_exact(self):
         rng = np.random.default_rng(31)
@@ -349,9 +356,12 @@ class TestInverseMap:
             assert all(math.copysign(1.0, x) == 1.0 for x in parts if x == 0.0)
 
     def test_overflowing_condition_is_a_validation_error(self):
-        # a class member whose w = -mu* a1 + a2 - a3 + mu a4 overflows
-        with pytest.raises(ValidationError, match="overflow"):
+        # a class member whose w = -mu* a1 + a2 - a3 + mu a4 overflows is
+        # refused; at B, w is finite and the map runs
+        with pytest.raises(ValidationError, match=BOUND_MATCH):
             alpha_to_u2(AlphaBC(1e308, 1e308j, 0, 1e-308), 1.0)
+        q = alpha_to_u2(AlphaBC(B, B * 1j, 0, 1 / B), 1.0)
+        assert all(math.isfinite(abs(g)) for g in q)
 
     def test_ill_conditioned_condition_raises(self):
         # b = (-2, 3, -1, -2): w -> 0 as m grows, so the class residual

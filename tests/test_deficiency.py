@@ -23,7 +23,7 @@ from diracjunction.deficiency import (
 )
 from diracjunction.deficiency import _BLOCK, _check_terms, _simpson_blocks, _violating_pairs
 from diracjunction.errors import JunctionError, OutsideIslandError, ValidationError
-from helpers import random_spinor
+from helpers import B, random_spinor
 
 
 #: Grid sizes at the block edges: the shortest grid, one point short of a
@@ -295,11 +295,11 @@ class TestGram:
         np.testing.assert_allclose(np.diag(g), expected, rtol=1e-10)
 
     def test_huge_mass_gives_the_identity_without_overflow(self):
-        # at m = 1e300 the reference prefactor is 1e150: its square is finite,
-        # but a derivative rate * N e^{rate x} would overflow
+        # at m = B, the largest mass, the reference prefactor is sqrt(B):
+        # nothing in the Gram quadrature overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = gram_matrix(Sign.PLUS, m=1e300, lam=0.0)
+            g = gram_matrix(Sign.PLUS, m=B, lam=0.0)
         np.testing.assert_allclose(g, np.eye(2), atol=1e-10)
         assert g[0, 1] == g[1, 0] == 0.0
 
@@ -471,9 +471,10 @@ class TestQuadratureGreenIdentity:
         assert value == pytest.approx(boundary_form(traces(psi), traces(phi)), abs=1e-8)
 
     def test_huge_mass_and_prefactor_do_not_overflow(self):
-        # f' = sqrt(1+m^2) N e^{...} would be 1e450 at the face; N^2 times the
-        # spinor product is of order 1, and so is the form of the traces
-        m, prefactor = 1e300, 1e150
+        # at the largest mass, m = B, f' = sqrt(1+m^2) N e^{...} is about
+        # B^1.5 at the face; N^2 = B/2 times the spinor product is of order 1,
+        # and so is the form of the traces
+        m, prefactor = B, 2.0 ** 127
         terms = [(1.0, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, 0.0, prefactor))]
         unit = [(1.0, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, 0.0))]
         with warnings.catch_warnings():
@@ -481,7 +482,7 @@ class TestQuadratureGreenIdentity:
             value = boundary_form_quadrature(terms, terms, m)
             ref = prefactor**2 * _reference_quadrature(unit, unit, m, 0.0)
             exact = boundary_form(traces(terms), traces(terms))
-        assert exact == -2j
+        assert exact == -1j
         assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
         assert value == pytest.approx(exact, abs=1e-8)
 

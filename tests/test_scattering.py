@@ -31,7 +31,7 @@ from diracjunction.scattering import (
     sweep_columns,
     switch_demo,
 )
-from helpers import apply_alpha, current, scatter_batch
+from helpers import B, BOUND_MATCH, apply_alpha, current, scatter_batch
 
 SPIN_FLIP = AlphaBC(0, 1, 1, 0)
 
@@ -202,7 +202,7 @@ class TestSweep:
             (Transmitting(random_alpha(rng)), 0.7, 0.9, 5.3, Island.LEFT),
             (Separating(random_rho(rng)), 10.0, 10.2, 13.0, Island.RIGHT),
             (Separating(RhoBC(0.3, math.inf)), 0.0, 5e-324, 1e-323, Island.LEFT),  # the step underflows
-            (Transmitting(SPIN_FLIP), 1e308, 1.5e308, 1.7e308, Island.LEFT),
+            (Transmitting(SPIN_FLIP), B / 2, 0.75 * B, B, Island.LEFT),
         ]
         for bc, m, e_min, e_max, face in cases:
             sweep = sweep_columns(bc, e_min, e_max, steps, m, face)
@@ -343,7 +343,7 @@ class TestScatterBatch:
             for face in (Island.LEFT, Island.RIGHT):
                 for row in sweep_columns(Separating(rho), m + 0.01, m + 5.0, 9, m, face=face).rows():
                     assert_same_result(row, scatter_rho(rho, row.E, m, face=face))
-        for m in (0.0, 0.5, 1.0, 10.0, 1e200):
+        for m in (0.0, 0.5, 1.0, 10.0, B / 64):  # relative_grid keeps E below 31 m
             for _ in range(3):
                 grid = relative_grid(rng, m, 40)
                 for a in (random_alpha(rng), wide_alpha(rng)):
@@ -432,18 +432,22 @@ class TestScatterBatch:
         assert new <= old
 
     def test_huge_mass_is_finite(self):
-        m = 1e200
+        m = B / 3
         for bc in (Transmitting(SPIN_FLIP), Separating(RhoBC(0.0, 0.0))):
-            cols = sweep_columns(bc, 2e200, 3e200, 5, m)
+            cols = sweep_columns(bc, 2 * m, 3 * m, 5, m)
             for x in (cols.k, cols.lam, cols.r, cols.t, cols.R, cols.T, cols.phase_t):
                 assert np.isfinite(x).all()
         # lambda = sqrt((E - m)/(E + m)) is exact at E = 2m, 3m up to rounding
         np.testing.assert_allclose([cols.lam[0], cols.lam[-1]], [3 ** -0.5, 2 ** -0.5], rtol=1e-15)
 
     def test_wavenumbers_when_e_plus_m_overflows(self):
+        # E + m is below 2 B at the largest masses, so it cannot overflow;
+        # an energy above B is refused
         mpmath = pytest.importorskip("mpmath")
-        m = 1e308
-        cols = sweep_columns(Separating(RhoBC(0.0, 0.0)), 1.5e308, 1.7e308, 5, m)
+        m = B / 2
+        with pytest.raises(ValidationError, match=BOUND_MATCH):
+            sweep_columns(Separating(RhoBC(0.0, 0.0)), 0.75 * B, 1e308, 5, m)
+        cols = sweep_columns(Separating(RhoBC(0.0, 0.0)), 0.75 * B, B, 5, m)
         with mpmath.workdps(40):
             for E, k, lam in zip(cols.E, cols.k, cols.lam):
                 E_, m_ = mpmath.mpf(E), mpmath.mpf(m)
@@ -508,10 +512,15 @@ class TestBForm:
             worst = max(worst, abs(res.T - abs(q.g2) ** 2), abs(res.R - abs(q.g1) ** 2))
         assert worst <= 1e-14
 
-    @pytest.mark.parametrize("big", [1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("big", [1e76, B, 1e160, 1e200, 1e300])
     def test_huge_entries_neither_overflow_nor_lose_R(self, big):
-        # |D|^2 of unscaled b's would overflow: R = inf/inf
+        # |D|^2 of the b's is at most 8 B^2, finite; an entry beyond B, where
+        # it could overflow to R = inf/inf, is refused
         a = AlphaBC(big, 0, 0, 1 / big)
+        if big > B:
+            with pytest.raises(ValidationError, match=BOUND_MATCH):
+                scatter_alpha(a, 0.5, 0.0)
+            return
         for m in (0.0, 1.0):
             res = scatter_alpha(a, m + 0.5, m)
             assert (res.r, res.R) == (-1.0, 1.0) and 0.0 <= res.T <= 4.0 / big / big * (1 + 1e-15) + 5e-324
