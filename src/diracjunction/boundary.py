@@ -16,7 +16,9 @@ equivalent to the real four-parameter family
 current ``j = 2 Re(psi_up* psi_down)`` across the junction.
 
 Random-instance generators live here (not in the tests) so the CLI
-fuzzing entry point can reuse them.
+fuzzing entry point can reuse them.  They draw only ``uniform(low, high)``
+and ``random()``, so a :class:`random.Random` or a numpy ``Generator``
+drives them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import (
     InvalidBDError,
@@ -35,6 +37,8 @@ from .errors import (
 from .matrix2 import DEFAULT_TOL, MAX_MAGNITUDE, NORM_FLOOR, arg_2pi, record_type
 
 if TYPE_CHECKING:
+    import random
+
     import numpy as np
 
 TWO_PI = 2.0 * math.pi
@@ -149,11 +153,6 @@ class ClassReport(NamedTuple):
     def scale_of(self, name: str) -> float:
         """The scale of constraint ``name``'s limit, ``tol`` times this."""
         return self.det_scale if name.startswith("unit_det") else self.scale
-
-
-def class_scale(a: AlphaBC) -> float:
-    """Scale for the orthogonality residuals: max(1, sum |a_i|^2)."""
-    return validate_class(a).scale
 
 
 def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
@@ -290,13 +289,13 @@ def bd_to_alpha(f: BDForm, tol: float = DEFAULT_TOL) -> AlphaBC:
     """Expand (theta, b1..b4) into the four complex boundary parameters.
     Raises :class:`InvalidBDError` unless theta is finite, each |b_i| is at
     most B = :data:`~.matrix2.MAX_MAGNITUDE` and b1*b4 + b2*b3 = 1 holds
-    within tol * max(1, |b_i|)."""
+    within tol * max(1, |b1 b4| + |b2 b3|), as in :func:`validate_class`."""
     theta, b1, b2, b3, b4 = f
     bound = MAX_MAGNITUDE  # x - x is NaN unless x is finite; NaN fails every comparison
     if not (theta - theta == 0 and abs(b1) <= bound and abs(b2) <= bound and abs(b3) <= bound and abs(b4) <= bound):
         raise InvalidBDError(f"theta must be finite and each |b_i| <= B = 2^255 = {bound!r}, got {f!r}")
-    residual = abs(b1 * b4 + b2 * b3 - 1.0)
-    if not residual <= tol * max(1.0, abs(b1), abs(b2), abs(b3), abs(b4)):
+    residual = f.residual()
+    if not residual <= tol * max(1.0, abs(b1 * b4) + abs(b2 * b3)):
         raise InvalidBDError(f"b1*b4 + b2*b3 = 1 violated: residual {residual:.3e}")
     phase = complex(math.cos(theta), math.sin(theta))
     i_phase = 1j * phase
@@ -331,21 +330,12 @@ def make_phase_shift(theta: float, b1: float) -> AlphaBC:
 # ---------------------------------------------------------------------------
 
 
-class Draws(Protocol):
-    """The source the generators below draw from: a ``numpy.random.Generator``,
-    or a :class:`random.Random` given the same two methods (``checks._Draws``)."""
-
-    def uniform(self, low: float = ..., high: float = ...) -> float: ...
-
-    def standard_cauchy(self) -> float: ...
-
-
-def _log_uniform(rng: Draws) -> float:
+def _log_uniform(rng: random.Random) -> float:
     mag = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
-    return mag if rng.uniform() < 0.5 else -mag
+    return mag if rng.random() < 0.5 else -mag
 
 
-def random_bdform(rng: Draws) -> BDForm:
+def random_bdform(rng: random.Random) -> BDForm:
     """theta uniform; b2, b3 bounded log-uniform with random sign; b1 likewise;
     b4 = (1 - b2*b3)/b1 closes the constraint exactly.
 
@@ -361,14 +351,14 @@ def random_bdform(rng: Draws) -> BDForm:
     return BDForm(theta, b1, b2, b3, b4)
 
 
-def random_alpha(rng: Draws) -> AlphaBC:
+def random_alpha(rng: random.Random) -> AlphaBC:
     """Random class-valid transmitting condition."""
     return bd_to_alpha(random_bdform(rng))
 
 
-def random_rho(rng: Draws) -> RhoBC:
+def random_rho(rng: random.Random) -> RhoBC:
     """Random separating condition; each component +inf with probability
-    0.15, else Cauchy-distributed (covers the whole tangent range).
+    0.15, else standard Cauchy (covers the whole tangent range).
 
     Finite draws are capped at |rho| = 1e3, far inside the bound
     B = :data:`~.matrix2.MAX_MAGNITUDE` that :class:`RhoBC` holds every
@@ -376,10 +366,10 @@ def random_rho(rng: Draws) -> RhoBC:
     """
 
     def component() -> float:
-        if rng.uniform() < 0.15:
+        if rng.random() < 0.15:
             return math.inf
         while True:
-            x = float(rng.standard_cauchy())
+            x = math.tan(math.pi * (rng.random() - 0.5))
             if abs(x) <= 1e3:
                 return x
 

@@ -15,10 +15,11 @@ junction by v^H H v.  A separating condition's form vanishes face by face.
 The domain of every class member is its own form-orthogonal complement
 (proved symbolically in the tests), so no check samples a maximality
 witness.  Checking one condition is deterministic and draws nothing;
-:func:`verify_fuzz` draws from Python's ``random``, so no check imports
-``numpy``; it is :func:`draw_fuzz`, :func:`check_fuzz` and :func:`merge_fuzz`
-over one part.  The CLI runs them over several, each part drawing the one
-stream of :func:`draw_fuzz` up to its own end and checking its own slice.
+:func:`verify_fuzz` draws from one :class:`random.Random` of the run's seed,
+so no check imports ``numpy``; it is :func:`draw_fuzz`, :func:`check_fuzz`
+and :func:`merge_fuzz` over one part.  The CLI runs them over several,
+each part drawing the one stream of :func:`draw_fuzz` up to its own end and
+checking its own slice.
 :func:`~.deficiency.verify_selfadjoint_domain` stays the sampled
 counterpart, and the tests hold the exact residuals to be upper bounds of it.
 """
@@ -244,24 +245,12 @@ def verify_condition(condition: ExtensionClass | matrix2.Entries, m: float, tol:
     return Verification(records, {"classification": comparison.classification})
 
 
-class _Draws(random.Random):
-    """Python's generator as the :class:`~.boundary.Draws` that the instance
-    generators of :mod:`~.boundary` draw from: numpy's ``uniform`` and
-    ``standard_cauchy``, made from :class:`random.Random` draws."""
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return super().uniform(low, high)
-
-    def standard_cauchy(self) -> float:
-        return math.tan(math.pi * (self.random() - 0.5))
-
-
 def draw_fuzz(count: int, m: float, seed: int) -> Iterator[tuple[AlphaBC, float, RhoBC]]:
     """The ``count`` instances of a fuzz run, drawn on demand from one stream: a
     transmitting condition, an energy above the gap and a separating condition each."""
     if count < 1:
         raise ValidationError(f"--fuzz needs N >= 1 instances, got {count}")
-    rng = _Draws(seed)
+    rng = random.Random(seed)
 
     def energy() -> float:  # at a mass this large the kinetic energy may round away; E stays above the gap
         return max(m + math.exp(rng.uniform(math.log(0.05), math.log(3.0))), math.nextafter(m, math.inf))

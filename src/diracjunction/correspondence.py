@@ -274,8 +274,9 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     Raises :class:`~.errors.NotInClassError` outside the class and
     :class:`InternalInconsistencyError` when |g1|^2 + |g2|^2 misses 1 by more
     than ``tol``, at least :data:`NORM_FLOOR` here, or |g3| by more than the
-    class check allows (``tol`` times :func:`~.boundary.class_scale`), which
-    happens only where the map amplifies the condition's class residual.
+    class check allows (``tol`` times the :func:`~.boundary.validate_class`
+    report's scale), which happens only where the map amplifies the
+    condition's class residual.
     """
     _, s, mu = _mass_constants(m)
     muc = mu.conjugate()
@@ -298,7 +299,7 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     # + 0j turns -0.0 into 0.0, so no parameter prints as a negative zero
     q = QuaternionForm(g1 + 0j, g2 + 0j, g3 + 0j)
     # g1, g2 are normalized by construction; |g3| inherits the class residual,
-    # which the class check allows up to tol * class_scale
+    # which the class check allows up to tol times the report's scale
     r1, r2 = _norm_residuals(*q)
     tol = max(tol, NORM_FLOOR)
     limit = tol * scale

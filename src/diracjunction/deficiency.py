@@ -4,10 +4,10 @@ The minimal Dirac operator on the two half-lines ``(-inf, -L)`` and
 ``(L, inf)`` has deficiency indices (2, 2); each deficiency subspace is
 spanned by one exponentially decaying spinor per half-line,
 
-    left,  +:  N (1, -mu ) e^{ sqrt(1+m^2) x},   x <= -L
-    right, +:  N (1,  mu ) e^{-sqrt(1+m^2) x},   x >= +L
-    left,  -:  N (1,  mu*) e^{ sqrt(1+m^2) x},   x <= -L
-    right, -:  N (1, -mu*) e^{-sqrt(1+m^2) x},   x >= +L
+    left,  +:  (1, -mu ) e^{ sqrt(1+m^2) x},   x <= -L
+    right, +:  (1,  mu ) e^{-sqrt(1+m^2) x},   x >= +L
+    left,  -:  (1,  mu*) e^{ sqrt(1+m^2) x},   x <= -L
+    right, -:  (1, -mu*) e^{-sqrt(1+m^2) x},   x >= +L
 
 with mu = (1 + i m)/sqrt(1+m^2), the spinors of
 :func:`~.correspondence.eigen_spinor`.  This module evaluates them, checks
@@ -33,20 +33,18 @@ into Python floats and does the spinor algebra in Python complex scalars.
 Face values are complex arrays of shape (..., 2, 2): axis -2 is the face
 (-L, then +L) and axis -1 is (up, down).
 
-Note on normalization: with the reference prefactor
-``N = (1+m^2)^{1/4} e^{-sqrt(1+m^2) L}`` the squared norms evaluate to
-``e^{-4 sqrt(1+m^2) L}``, i.e. the functions are normalized only at
-L = 0 (a positive exponent would normalize for every L).  Nothing in the
-parameter correspondence depends on N, which cancels from every ratio;
-a :class:`DeficiencyFunction`'s default prefactor is therefore 1, and
-:func:`gram_matrix` uses :func:`reference_normalization`.
+Note on normalization: a prefactor N cancels from every ratio of the
+parameter correspondence, so the functions carry none; a caller who wants
+one scales the term's coefficient.  :func:`gram_matrix` uses
+:func:`reference_normalization`, under which the squared norms are
+``e^{-4 sqrt(1+m^2) L}``: normalized only at L = 0.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 try:
@@ -93,14 +91,11 @@ class DeficiencyFunction(_SpinorProfile):
     sign: Sign
     m: float
     lam: float = 0.0
-    normalization: float = 1.0
 
     def __post_init__(self):
         check_mass(self.m)
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValidationError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if not 0.0 < self.normalization < math.inf:
-            raise ValidationError("normalization must be finite and > 0")
 
     @property
     def rate(self) -> float:
@@ -122,7 +117,7 @@ class DeficiencyFunction(_SpinorProfile):
         xs = np.asarray(x, dtype=float)
         left = self.island is Island.LEFT
         sgn = 1.0 if left else -1.0
-        radial = self.normalization * np.exp(sgn * self.rate * xs)
+        radial = np.exp(sgn * self.rate * xs)
         if not (xs.max(initial=-math.inf) <= -self.lam if left else xs.min(initial=math.inf) >= self.lam):
             radial = np.where(xs <= -self.lam if left else xs >= self.lam, radial, 0.0)  # NaN is outside
         return radial, sgn * self.rate * radial
@@ -277,13 +272,13 @@ CombinationTerm = tuple[complex, DeficiencyFunction | SmoothBump]
 
 def traces(terms: Sequence[CombinationTerm]) -> np.ndarray:
     """Face values of a combination, shape (2, 2): each deficiency function
-    adds its spinor times N e^{-sqrt(1+m^2) lam} at its own face, and a bump
-    nothing."""
+    adds its coefficient times its spinor times e^{-sqrt(1+m^2) lam} at its
+    own face, and a bump nothing."""
     faces = np.zeros((2, 2), dtype=complex)
     for coef, term in terms:
         if isinstance(term, DeficiencyFunction):
             face = 0 if term.island is Island.LEFT else 1
-            faces[face] += coef * (term.normalization * math.exp(-term.rate * term.lam) * term.spinor)
+            faces[face] += coef * (math.exp(-term.rate * term.lam) * term.spinor)
     return faces
 
 
@@ -301,13 +296,11 @@ def _check_terms(terms: Sequence[CombinationTerm], m: float, lam: float) -> floa
     return reach
 
 
-def _unit_profile(term: DeficiencyFunction | SmoothBump) -> tuple[tuple, DeficiencyFunction | SmoothBump]:
-    """A key of what ``term.profile`` reads at prefactor N = 1 (terms with one key share that profile), and
-    ``term`` at N = 1.  N rides in the term's coefficient instead: an eigenfunction's f' = sqrt(1+m^2) N e^{...}
-    overflows at large m and N where N^2 times a spinor product of order 1/m^2 does not."""
+def _profile_key(term: DeficiencyFunction | SmoothBump) -> tuple:
+    """A key of what ``term.profile`` reads: terms with one key share that profile."""
     if isinstance(term, DeficiencyFunction):
-        return (term.island, term.m, term.lam), (term if term.normalization == 1 else replace(term, normalization=1.0))
-    return (term.center, term.width), term
+        return term.island, term.m, term.lam
+    return term.center, term.width
 
 
 def boundary_form_quadrature(
@@ -338,8 +331,8 @@ def boundary_form_quadrature(
         phi = [(c, t) for c, t in phi_terms if t.island is island]
         if not (psi and phi):
             continue  # the integrand vanishes identically
-        keys = {}  # profile key -> (index, a term with that profile, at prefactor 1)
-        index = [keys.setdefault(key, (len(keys), unit))[0] for key, unit in (_unit_profile(t) for _, t in psi + phi)]
+        keys = {}  # profile key -> (index, a term with that profile)
+        index = [keys.setdefault(_profile_key(t), (len(keys), t))[0] for _, t in psi + phi]
         ia, ib = index[: len(psi)], index[len(psi):]
         pairs = {pair for a in ia for b in ib for pair in ((a, b), (b, a))}
         sums = [[0.0] * len(keys) for _ in keys]  # A[a][b], the sum of w f_a' f_b
@@ -359,8 +352,8 @@ def boundary_form_quadrature(
                     lo, hi = max(la, lb), min(la + dfa.size, lb + fb.size)
                     if lo < hi:
                         sums[a][b] += float(dfa[lo - la : hi - la] @ fb[lo - lb : hi - lb])
-        u = [[complex(c * getattr(t, "normalization", 1.0) * z).conjugate() for z in t.spinor] for c, t in psi]
-        v = [[complex(d * getattr(t, "normalization", 1.0) * z) for z in t.spinor] for d, t in phi]  # a bump's N is 1
+        u = [[complex(c * z).conjugate() for z in t.spinor] for c, t in psi]
+        v = [[complex(d * z) for z in t.spinor] for d, t in phi]
         total += 1j * sum((p0 * q1 + p1 * q0) * (sums[a][b] + sums[b][a])  # c* d u^H sigma_x v times a slope
                           for (p0, p1), a in zip(u, ia) for (q0, q1), b in zip(v, ib))
     return total

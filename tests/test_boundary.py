@@ -11,7 +11,6 @@ from diracjunction.boundary import (
     RhoBC,
     alpha_to_bd,
     bd_to_alpha,
-    class_scale,
     invert_alpha,
     make_phase_shift,
     make_spin_flip,
@@ -129,10 +128,10 @@ class TestClassScaleOverflow:
     products of two moduli is finite, and a larger modulus is refused."""
 
     def test_scale_of_huge_parameters_is_finite_not_an_error(self):
-        assert class_scale(AlphaBC(B, 0, 0, 1 / B)) == B * B
-        assert class_scale(AlphaBC(3, 4j, 0, 0)) == 25.0
+        assert validate_class(AlphaBC(B, 0, 0, 1 / B)).scale == B * B
+        assert validate_class(AlphaBC(3, 4j, 0, 0)).scale == 25.0
         with pytest.raises(ValidationError, match=BOUND_MATCH):
-            class_scale(AlphaBC(1e200, 0, 0, 1e-200))
+            validate_class(AlphaBC(1e200, 0, 0, 1e-200))
 
     def test_verdict_stays_exact_at_the_bound(self):
         # diag(B, 1/B) and [[B, B i], [0, 1/B]] are in the class, with finite residuals

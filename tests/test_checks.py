@@ -3,12 +3,13 @@ they replace: each exact residual is at least what sampling reports, and
 the verdicts agree."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from diracjunction import checks, deficiency, matrix2
-from diracjunction.boundary import AlphaBC, BDForm, bd_to_alpha, random_alpha, random_rho, validate_class
+from diracjunction.boundary import AlphaBC, BDForm, RhoBC, bd_to_alpha, random_alpha, random_rho, validate_class
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.errors import ValidationError
 from diracjunction.matrix2 import DEFAULT_TOL
@@ -178,8 +179,28 @@ class TestFuzzParts:
 
     def test_draws_are_one_stream(self):
         # each instance draws its condition, energy and separating condition in turn
-        rng = checks._Draws(5)
+        rng = random.Random(5)
         for a, E, r in checks.draw_fuzz(50, 2.0, 5):
             assert a == random_alpha(rng)
             assert E == max(2.0 + math.exp(rng.uniform(math.log(0.05), math.log(3.0))), math.nextafter(2.0, math.inf))
             assert r == random_rho(rng)
+
+    def test_a_numpy_generator_still_drives_the_generators(self):
+        # they draw only uniform(low, high) and random(), which numpy's Generator has as well
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+
+        def signed(top: float) -> float:
+            mag = math.exp(twin.uniform(math.log(0.25), math.log(top)))
+            return mag if twin.random() < 0.5 else -mag
+
+        def component() -> float:
+            if twin.random() < 0.15:
+                return math.inf
+            while abs(x := math.tan(math.pi * (twin.random() - 0.5))) > 1e3:
+                pass
+            return x
+
+        for _ in range(100):
+            theta, b2, b3, b1 = twin.uniform(0.0, 2.0 * math.pi), signed(4.0), signed(4.0), signed(4.0)
+            assert random_alpha(rng) == bd_to_alpha(BDForm(theta, b1, b2, b3, (1.0 - b2 * b3) / b1))
+            assert random_rho(rng) == RhoBC(component(), component())

@@ -138,11 +138,6 @@ class TestEvaluation:
         with pytest.raises(ValidationError, match="mass"):
             DeficiencyFunction(Island.LEFT, Sign.PLUS, m=m)
 
-    @pytest.mark.parametrize("norm", [math.nan, math.inf, 0.0])
-    def test_bad_normalization_rejected(self, norm):
-        with pytest.raises(ValidationError, match="normalization"):
-            DeficiencyFunction(Island.LEFT, Sign.PLUS, m=0.0, normalization=norm)
-
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
     def test_bad_half_length_rejected(self, lam):
         with pytest.raises(ValidationError, match="lam"):
@@ -162,17 +157,19 @@ class TestEvaluation:
             assert np.all(value[(xs < term.support[0]) | (xs > term.support[1])] == 0.0)
 
     def test_traces_are_one_sided(self):
-        # each function's spinor times N e^(-sqrt(1+m^2) lam) at its own
-        # face, zero at the other; bumps add nothing
+        # each function's coefficient (here with a prefactor N = 2 in it)
+        # times its spinor times e^(-sqrt(1+m^2) lam) at its own face, zero
+        # at the other; bumps add nothing
         m, lam = 0.5, 0.3
+        coef = (1.0 - 0.5j) * 2.0
         for own, island in enumerate((Island.LEFT, Island.RIGHT)):
-            f = DeficiencyFunction(island, Sign.MINUS, m=m, lam=lam, normalization=2.0)
+            f = DeficiencyFunction(island, Sign.MINUS, m=m, lam=lam)
             bump = SmoothBump(island, center=(2 * own - 1) * 1.5, width=0.5, spinor=(1j, 2.0), lam=lam)
-            faces = traces([(1.0 - 0.5j, f)])
+            faces = traces([(coef, f)])
             np.testing.assert_allclose(faces[own], (1.0 - 0.5j) * 2.0 * face_factor(m, lam) * f.spinor, rtol=1e-15)
             np.testing.assert_array_equal(faces[1 - own], [0.0, 0.0])
             np.testing.assert_array_equal(traces([(3.0, bump)]), np.zeros((2, 2)))
-            np.testing.assert_array_equal(traces([(1.0 - 0.5j, f), (3.0, bump)]), faces)
+            np.testing.assert_array_equal(traces([(coef, f), (3.0, bump)]), faces)
         np.testing.assert_array_equal(traces([]), np.zeros((2, 2)))
 
 
@@ -255,8 +252,8 @@ class TestGram:
             g = gram_matrix(sign, m=m, lam=lam, num_points=n)
             for i, island in enumerate((Island.LEFT, Island.RIGHT)):
                 xs = _island_linspace(island, lam, 40.0 / math.hypot(1.0, m), n)
-                vals = DeficiencyFunction(island, sign, m, lam, norm).evaluate(xs)
-                ref = _grouped_simpson(np.abs(vals[0]) ** 2 + np.abs(vals[1]) ** 2, xs)
+                vals = DeficiencyFunction(island, sign, m, lam).evaluate(xs)
+                ref = norm**2 * _grouped_simpson(np.abs(vals[0]) ** 2 + np.abs(vals[1]) ** 2, xs)
                 assert g[i, i] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     #: The diagonals (left, right) as ``float.hex`` for the grids 2**16 + 1
@@ -456,14 +453,15 @@ class TestQuadratureGreenIdentity:
             assert value == pytest.approx(boundary_form(traces(psi), traces(phi)), abs=1e-8)
 
     def test_prefactors_ride_in_the_coefficients(self):
-        # terms that differ only in their prefactor share one unit profile
+        # a term's prefactor is a factor of its coefficient; terms that
+        # differ only in it share one profile
         m, lam = 0.5, 0.7
         n1, n2 = reference_normalization(m, lam), 3.25
-        psi = [(1.0 - 0.5j, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, lam, n1)),
-               (0.3j, DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam, n2)),
-               (2.0, DeficiencyFunction(Island.RIGHT, Sign.PLUS, m, lam, n2))]
+        psi = [((1.0 - 0.5j) * n1, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, lam)),
+               (0.3j * n2, DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam)),
+               (2.0 * n2, DeficiencyFunction(Island.RIGHT, Sign.PLUS, m, lam))]
         phi = [(0.2 + 1j, DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam)),
-               (-1.5, DeficiencyFunction(Island.RIGHT, Sign.MINUS, m, lam, n1))]
+               (-1.5 * n1, DeficiencyFunction(Island.RIGHT, Sign.MINUS, m, lam))]
         for n in (2**15 + 1, *BLOCK_EDGE_POINTS):
             ref = _reference_quadrature(psi, phi, m, lam, n)
             value = boundary_form_quadrature(psi, phi, m, lam, num_points=n)
@@ -471,11 +469,11 @@ class TestQuadratureGreenIdentity:
         assert value == pytest.approx(boundary_form(traces(psi), traces(phi)), abs=1e-8)
 
     def test_huge_mass_and_prefactor_do_not_overflow(self):
-        # at the largest mass, m = B, f' = sqrt(1+m^2) N e^{...} is about
-        # B^1.5 at the face; N^2 = B/2 times the spinor product is of order 1,
-        # and so is the form of the traces
+        # at the largest mass, m = B, f' = sqrt(1+m^2) e^{...} is about B at
+        # the face and the coefficient N = 2^127; N^2 = B/2 times the spinor
+        # product is of order 1, and so is the form of the traces
         m, prefactor = B, 2.0 ** 127
-        terms = [(1.0, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, 0.0, prefactor))]
+        terms = [(prefactor, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, 0.0))]
         unit = [(1.0, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, 0.0))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -575,8 +573,8 @@ class TestQuadratureWork:
 
     def test_terms_differing_in_prefactor_share_a_profile(self, monkeypatch):
         m, lam, n = 0.5, 0.3, 2 * _BLOCK + 1
-        psi = [(1.0, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, lam, 2.0)),
-               (1j, DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam, reference_normalization(m, lam)))]
+        psi = [(2.0, DeficiencyFunction(Island.LEFT, Sign.PLUS, m, lam)),
+               (1j * reference_normalization(m, lam), DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam))]
         phi = [(0.2 - 1j, DeficiencyFunction(Island.LEFT, Sign.MINUS, m, lam))]
         sizes = self._counted(monkeypatch, DeficiencyFunction)
         boundary_form_quadrature(psi, phi, m, lam, num_points=n)

@@ -14,7 +14,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracjunction.boundary import AlphaBC, BDForm, RhoBC, bd_to_alpha, validate_class
@@ -108,7 +108,12 @@ def magnitudes(draw, low: float = TINY, high: float = B) -> float:
     return min(max(math.exp(x), low), high)
 
 
-signed = magnitudes().flatmap(lambda x: st.sampled_from([x, -x]))
+def _signed(low: float = TINY, high: float = B):
+    """A magnitude of :func:`magnitudes` with a random sign."""
+    return magnitudes(low, high).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+signed = _signed()
 masses = st.one_of(st.just(0.0), st.just(B), magnitudes())
 thetas = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
 
@@ -119,12 +124,25 @@ def b_forms(draw) -> BDForm:
     most 1 in modulus, and the other pair's second entry closes
     b1 b4 + b2 b3 = 1, so that the residual is a few units of roundoff."""
     small = draw(signed)
-    free = draw(magnitudes(TINY, min(B, 1.0 / abs(small))).flatmap(lambda x: st.sampled_from([x, -x])))
-    lead = draw(magnitudes(2.0 / B, B).flatmap(lambda x: st.sampled_from([x, -x])))
+    free = draw(_signed(TINY, min(B, 1.0 / abs(small))))
+    lead = draw(_signed(2.0 / B, B))
     close = (1.0 - small * free) / lead
     if draw(st.booleans()):  # b2 b3 drawn, b1 b4 closed
         return BDForm(draw(thetas), lead, small, free, close)
     return BDForm(draw(thetas), small, lead, close, free)
+
+
+@st.composite
+def cancelling_b_forms(draw) -> BDForm:
+    """A b-form whose two products are both large and cancel: |b2|, |b3| in
+    [1, B], so |b2 b3| is up to B^2, and b1 b4 closes b1 b4 + b2 b3 = 1 with
+    every |b| at most B."""
+    b2, b3 = draw(_signed(1.0, B)), draw(_signed(1.0, B))
+    rest = 1.0 - b2 * b3
+    b1 = draw(_signed(min(math.nextafter(abs(rest) / B, math.inf), B), B))
+    b4 = rest / b1
+    assume(abs(b4) <= B)
+    return BDForm(draw(thetas), b1, b2, b3, b4)
 
 
 def _in_domain(a: AlphaBC) -> bool:
@@ -203,3 +221,40 @@ class TestValidInputOverTheDomain:
             _json(out)
         else:
             assert all(math.isfinite(float(x)) for line in out.splitlines()[1:] for x in line.split(",")[:-1])
+
+
+class TestCancellingProducts:
+    """``bd-to-alpha`` holds b1 b4 + b2 b3 = 1 to tol * max(1, |b1 b4| +
+    |b2 b3|), the scale of the class check's determinant constraints, so the
+    b's and the alpha each direction of ``convert`` prints are accepted by the
+    other, however large the products that cancel."""
+
+    @SETTINGS
+    @given(form=cancelling_b_forms())
+    def test_both_directions_round_trip(self, form):
+        code, out, err = _run("convert", "bd-to-alpha", "--bd", ",".join(map(repr, form)))
+        assert (code, err) == (0, ""), form
+        a = AlphaBC(*(complex(*z) for z in _json(out)["alpha"]))
+        assert a == bd_to_alpha(form)
+        if not _in_domain(a):  # a modulus rounded past B: not valid input
+            return
+        # bd-to-alpha -> alpha-to-bd
+        code, out, err = _run("convert", "alpha-to-bd", "--alpha", _pairs(*a))
+        assert (code, err) == (0, ""), (form, a)
+        # alpha-to-bd -> bd-to-alpha
+        back = _json(out)
+        code, out, err = _run("convert", "bd-to-alpha", "--bd", ",".join(map(repr, [back["theta"], *back["a"]])))
+        assert (code, err) == (0, ""), (form, back)
+        _json(out)
+
+    @pytest.mark.parametrize("bd, expected", [
+        # products of 4.7e55 that cancel to 1 within a few units of roundoff
+        ("0.0,6.715110264912701e+16,2.753010143929865e+29,-1.702269258223234e+26,6.978834822825437e+38", 0),
+        # b1 b4 = 1.00005: a residual of 5e-5 against products of about 1, though |b1| = 1e6
+        ("0,1e6,0,0,1.00005e-6", 2),
+    ], ids=["products-cancel", "residual-hidden-by-b1"])
+    def test_the_residual_is_measured_against_the_products(self, bd, expected):
+        code, out, err = _run("convert", "bd-to-alpha", "--bd", bd)
+        assert code == expected, err
+        if code:
+            assert out == "" and "b1*b4 + b2*b3 = 1 violated" in err

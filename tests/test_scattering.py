@@ -529,6 +529,18 @@ class TestBForm:
         assert all(map(math.isfinite, [*cols.re_r, *cols.im_r, *cols.R, *cols.T, *cols.phase_t]))
         assert all(R + T == pytest.approx(1.0, abs=1e-15) for R, T in zip(cols.R, cols.T))
 
+    @pytest.mark.parametrize("b2", [1.0, 1e10, B])
+    def test_the_denominator_stays_positive_at_the_gap(self, b2):
+        # the kernel divides by |N|^2 + 4 lam^2, and every E > m within B
+        # gives lam^2 >= 2^-54, whatever the b's: at the first energy above
+        # the gap the columns are finite and R + T = 1
+        a = bd_to_alpha(BDForm(0.3, 1, b2, 0, 1))
+        for m in (0.0, 5e-324, 1e-300, 1.0, 1e10, B / 2):
+            res = scatter_alpha(a, math.nextafter(m, math.inf), m)
+            assert all(map(math.isfinite, (res.k, res.lam, res.r.real, res.r.imag, res.t.real, res.t.imag,
+                                           res.R, res.T, res.transmission_phase))), (b2, m)
+            assert res.lam >= 2.0**-27 and abs(res.R + res.T - 1.0) <= 1e-15, (b2, m, res)
+
     def test_exact_zeros_are_positive(self):
         # the free line with theta = pi: r = 0 and t = -1 with +0 parts, so
         # phase_t is +pi
