@@ -119,7 +119,7 @@ ExtensionClass = Separating | Transmitting
 
 def _require_unimodular(z: complex, name: str, tol: float) -> complex:
     z, tol = complex(z), max(tol, NORM_FLOOR)
-    if abs(abs(z) - 1.0) > tol:
+    if not abs(abs(z) - 1.0) <= tol:
         raise NotUnimodularError(f"|{name}| = {abs(z):.12g} is not 1 within tol={tol}")
     return z
 
@@ -146,10 +146,9 @@ def diagonal_u2_to_rho(
     so close that |rho| exceeds B = :data:`~.matrix2.MAX_MAGNITUDE` raises
     :class:`ValidationError`.
     """
-    m = check_mass(m)
+    m, s, _ = _mass_constants(m)
     gl = _require_unimodular(gl, "gamma_left", tol)
     gr = _require_unimodular(gr, "gamma_right", tol)
-    s = math.hypot(1.0, m)
 
     def finite(g: complex, sign: float) -> float:
         # tan(arg(g)/2) from the half-angle identities, using whichever
@@ -167,8 +166,7 @@ def diagonal_u2_to_rho(
 
 def rho_to_diagonal_u2(r: RhoBC, m: float) -> tuple[complex, complex]:
     """Diagonal unitary parameters (gl, gr) for a separating condition."""
-    m = check_mass(m)
-    s = math.hypot(1.0, m)
+    m, s, _ = _mass_constants(m)
 
     def phase(t: float) -> complex:
         # e^{2i atan t} = (1 + i t)^2 / (1 + t^2), in 1/t when |t| > 1.  t^2

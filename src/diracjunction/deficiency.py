@@ -23,12 +23,12 @@ of the restricted operator.  The boundary-value oracles of the parameter
 maps, :func:`oracle_alpha_from_u2` and :func:`solve_u2_matrix`, are built
 on the same eigenfunctions; only tests and the benchmark call them.  Both
 quadratures walk their grids in blocks (:func:`_simpson_blocks`), and the
-verifier its pairs in row blocks, below glibc's mmap threshold, in place
-where the bits allow: the Gram matrix squares N e^{+-s x} on each block's
-points, the verifier sums the boundary form's four products into one buffer,
-and the Green identity evaluates each distinct profile once per block, on
-the indices that cover its support, sums only the products w f' g it uses
-into Python floats and does the spinor algebra in Python complex scalars.
+verifier its pairs in row blocks, below glibc's mmap threshold: the Gram
+matrix squares N e^{+-s x} in place on each block's points, the verifier
+takes one :func:`boundary_form` per row block, and the Green identity
+evaluates each distinct profile once per block, on the indices that cover
+its support, sums only the products w f' g it uses into Python floats and
+does the spinor algebra in Python complex scalars.
 
 Face values are complex arrays of shape (..., 2, 2): axis -2 is the face
 (-L, then +L) and axis -1 is (up, down).
@@ -43,7 +43,6 @@ one scales the term's coefficient.  :func:`gram_matrix` uses
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,8 +74,6 @@ class _SpinorProfile:
     def evaluate(self, x) -> np.ndarray:
         """Spinor value; zero outside the support. Shape (2,) + x.shape."""
         return np.multiply.outer(np.asarray(self.spinor, dtype=complex), self.profile(x)[0])
-
-    __call__ = evaluate
 
     def derivative(self, x) -> np.ndarray:
         """Analytic derivative (zero outside the support)."""
@@ -198,12 +195,7 @@ def gram_matrix(sign: Sign, m: float, lam: float, num_points: int = 2**16 + 1) -
     otherwise).  Rank 2 certifies deficiency indices (2, 2).
     """
     rate = decay_rate(check_mass(m))
-    top = -math.log(sys.float_info.min) / (4.0 * rate)
-    if not 0.0 <= lam <= top:
-        raise ValidationError(
-            f"lam = {lam!r} is out of range: the reference Gram diagonal "
-            f"e^(-4 sqrt(1+m^2) lam) is a normal double only for 0 <= lam <= {top:.6g} at m = {m!r}"
-        )
+    face_factor(m, lam, 4)  # refuses a lam whose diagonal e^{-4 sqrt(1+m^2) lam} is not a normal double
     norm = reference_normalization(m, lam)
     diag = []
     for island, slope in ((Island.LEFT, rate), (Island.RIGHT, -rate)):
@@ -220,12 +212,11 @@ def boundary_form(p, q) -> np.ndarray:
     psi and ``q`` of phi, each of shape (..., 2, 2); the other axes
     broadcast.
     """
-    return -1j * (
-        np.conj(p[..., 1, 0]) * q[..., 1, 1]
-        + np.conj(p[..., 1, 1]) * q[..., 1, 0]
-        - np.conj(p[..., 0, 0]) * q[..., 0, 1]
-        - np.conj(p[..., 0, 1]) * q[..., 0, 0]
-    )
+    form = np.conj(p[..., 1, 0]) * q[..., 1, 1]  # summed in place in the formula's order
+    form += np.conj(p[..., 1, 1]) * q[..., 1, 0]
+    form -= np.conj(p[..., 0, 0]) * q[..., 0, 1]
+    form -= np.conj(p[..., 0, 1]) * q[..., 0, 0]
+    return -1j * form  # not in place: real face values give a real sum
 
 
 @dataclass(frozen=True)
@@ -500,21 +491,12 @@ def verify_selfadjoint_domain(
     else:
         s = draws[..., 0] + 1j * draws[..., 1]
         faces = np.stack([_face(bc.rho.rho_minus, s[:, 0]), _face(bc.rho.rho_plus, s[:, 1])], axis=1)
-    # row i is psi = sample i, column j is phi = sample j, in row blocks below glibc's mmap threshold. A
-    # block sums boundary_form's products into one buffer in its order and operand shapes (numpy rounds
-    # a complex product by its layout) and drops its factor -i, which leaves every modulus unchanged
-    mags, p, q = np.abs(faces).max(axis=(1, 2)), faces.conj()[..., None], faces[None]
+    # row i is psi = sample i, column j is phi = sample j, in row blocks below glibc's mmap threshold
+    mags = np.abs(faces).max(axis=(1, 2))
     rows, worst = max(1, _BLOCK // 2 // max(samples, 1)), 0.0  # a complex entry is two doubles
-    form, term = np.empty((2, min(rows, samples), samples), dtype=complex)
-    forms, scales = np.empty((2, min(rows, samples), samples))
     for i in range(0, samples, rows):
-        n, psi = min(rows, samples - i), p[i : i + rows]
-        acc = np.multiply(psi[:, 1, 0], q[..., 1, 1], out=form[:n])
-        acc += np.multiply(psi[:, 1, 1], q[..., 1, 0], out=term[:n])
-        acc -= np.multiply(psi[:, 0, 0], q[..., 0, 1], out=term[:n])
-        acc -= np.multiply(psi[:, 0, 1], q[..., 0, 0], out=term[:n])
-        scale = np.maximum(np.multiply(mags[i : i + n, None], mags, out=scales[:n]), 1.0, out=scales[:n])
-        worst = float(np.maximum(worst, np.max(np.divide(np.abs(acc, out=forms[:n]), scale, out=forms[:n]))))
+        form = np.abs(boundary_form(faces[i : i + rows, None], faces[None]))
+        worst = float(np.maximum(worst, np.max(form / np.maximum(mags[i : i + rows, None] * mags, 1.0))))
     probes = faces[:16]
     witnesses = {
         face: float(np.max(np.abs(boundary_form(bad, probes)), initial=0.0))

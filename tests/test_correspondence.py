@@ -114,6 +114,16 @@ class TestDiagonalCorrespondence:
         with pytest.raises(NotUnimodularError):
             diagonal_u2_to_rho(0.5, 1, 0.0)
 
+    @pytest.mark.parametrize("g", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.nan, math.nan)])
+    def test_nan_gamma_is_not_unimodular(self, g):
+        # |NaN| - 1 > tol is false; the map divided by g.imag = 0 and the
+        # oracle reached RhoBC's bound check with a NaN rho
+        for func in (diagonal_u2_to_rho, oracle_rho_from_diagonal):
+            with pytest.raises(NotUnimodularError, match="gamma_left"):
+                func(g, 1 + 0j, 0.0)
+            with pytest.raises(NotUnimodularError, match="gamma_right"):
+                func(1 + 0j, g, 0.0)
+
     def test_inverse_examples(self):
         assert rho_to_diagonal_u2(RhoBC(math.inf, math.inf), 0.7) == (-1, -1)
         gl, gr = rho_to_diagonal_u2(RhoBC(0.0, 0.0), 0.0)

@@ -26,6 +26,11 @@ from diracjunction.errors import JunctionError, OutsideIslandError, ValidationEr
 from helpers import B, random_spinor
 
 
+#: The oracles raise no floating-point warning: an overflow or an invalid
+#: operation anywhere in this module's tests fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 #: Grid sizes at the block edges: the shortest grid, one point short of a
 #: full block, and one point past one and two full blocks.
 BLOCK_EDGE_POINTS = (3, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1)
@@ -351,6 +356,42 @@ class TestBoundaryForm:
         psi = np.array([[1, 0], [1, 0]], dtype=complex)
         phi = np.array([[0, 1], [0, 1]], dtype=complex)
         assert boundary_form(psi, phi) == pytest.approx(0.0)
+
+    #: Finite parts with signed zeros, the least subnormal and magnitudes whose
+    #: products overflow, so the pinned sums round, cancel and reach inf.
+    PARTS = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.1, -2.5, 3e-10, 7.25e8, 1e300, -1e300)
+
+    @staticmethod
+    def _literal(p, q):
+        """The form as one expression, the order every result's bits are pinned to."""
+        return -1j * (
+            np.conj(p[..., 1, 0]) * q[..., 1, 1]
+            + np.conj(p[..., 1, 1]) * q[..., 1, 0]
+            - np.conj(p[..., 0, 0]) * q[..., 0, 1]
+            - np.conj(p[..., 0, 1]) * q[..., 0, 0]
+        )
+
+    def _faces(self, rng, shape, real):
+        """Face values of the given batch shape, each part drawn from PARTS
+        (a complex value is viewed from its two parts, so no sign of zero is lost)."""
+        if real:
+            return rng.choice(self.PARTS, size=(*shape, 2, 2))
+        return rng.choice(self.PARTS, size=(*shape, 2, 2, 2)).view(complex)[..., 0]
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("p_shape, q_shape", [((), ()), ((), (16,)), ((40, 1), (1, 100))])
+    def test_bits_match_the_literal_expression(self, p_shape, q_shape, real):
+        # one pair gives the literal's scalar type too: numpy's complex128
+        # for complex face values
+        rng = np.random.default_rng([len(p_shape), len(q_shape), real])
+        for _ in range(200 if p_shape == () else 10):
+            p, q = self._faces(rng, p_shape, real), self._faces(rng, q_shape, real)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = boundary_form(p, q), self._literal(p, q)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            if not (p_shape or q_shape or real):
+                assert type(got) is np.complex128
 
 
 class TestQuadratureGreenIdentity:
