@@ -56,7 +56,6 @@ _EXPORTS = {
         "QuaternionForm",
         "compose",
         "decompose_u2",
-        "is_diagonal",
         "is_unitary",
     ),
     "scattering": (

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -250,6 +251,8 @@ def draw_fuzz(count: int, m: float, seed: int) -> Iterator[tuple[AlphaBC, float,
     transmitting condition, an energy above the gap and a separating condition each."""
     if count < 1:
         raise ValidationError(f"--fuzz needs N >= 1 instances, got {count}")
+    if count > sys.maxsize:  # the most that one part can slice from the stream
+        raise ValidationError(f"--fuzz needs N <= {sys.maxsize} instances, got {count}")
     rng = random.Random(seed)
 
     def energy() -> float:  # at a mass this large the kinetic energy may round away; E stays above the gap

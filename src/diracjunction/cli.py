@@ -65,17 +65,22 @@ def _finite(z: complex, token) -> complex:
     return z
 
 
+def _pair(value) -> complex:
+    """The complex number of a decoded JSON ``[re, im]``, a list of exactly two numbers."""
+    real, imag = value if isinstance(value, list) else ()
+    return complex(float(real), float(imag))
+
+
 def parse_complex(token: str) -> complex:
     """Parse 'a+bi' shorthand or a JSON [re, im] pair, both parts finite."""
     s = token.strip()
     try:
         if s.startswith("["):
             import json
-            pair = json.loads(s)
-            z = complex(float(pair[0]), float(pair[1]))
+            z = _pair(json.loads(s))
         else:
             z = complex(s.replace(" ", "").replace("i", "j"))
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ValidationError(f"bad complex literal {token!r}") from exc
     return _finite(z, token)
 
@@ -93,8 +98,8 @@ def parse_matrix(text: str) -> matrix2.Entries:
     import json
     try:
         rows = json.loads(text)
-        m = [[_finite(complex(float(e[0]), float(e[1])), e) for e in row] for row in rows]
-    except (ValueError, TypeError, IndexError) as exc:
+        m = [[_finite(_pair(e), e) for e in row] for row in rows]
+    except (ValueError, TypeError) as exc:
         raise ValidationError(f"bad matrix literal: {exc}") from exc
     sizes = [len(row) for row in m]
     if sizes != [2, 2]:
@@ -265,12 +270,13 @@ def cmd_convert(args) -> int:
             payload = {"type": "transmitting", "alpha": bc.alpha}
     elif args.direction == "bc-to-u2":
         comparison = correspondence.compare_closed_form(x.alpha, m, tol=args.tol)
+        kind = comparison.classification
         payload = {
             **_gammas(comparison.primary),
             "closed_form_comparison": {
-                "agrees_exactly": comparison.agrees_exactly,
-                "agrees_up_to_sign_pair": comparison.agrees_up_to_sign_pair,
-                "disagrees": comparison.disagrees,
+                "agrees_exactly": kind == "exact",
+                "agrees_up_to_sign_pair": kind == "sign_pair",
+                "disagrees": kind == "mismatch",
                 "max_abs_difference": min(comparison.difference, comparison.difference_flipped),
             },
         }
@@ -374,16 +380,13 @@ def _constant(col: list[float]) -> bool:
 
 def _rows_text(cols: ScatteringColumns, fmt: str) -> str:
     """A grid part's rows, joined, each constant column formatted once; a JSON record is what
-    ``json.dumps`` gives for its dict (``str`` of a float is the ``repr`` that ``json`` writes, bar the
-    non-finite values)."""
+    ``json.dumps`` gives for its dict (``str`` of a float is the ``repr`` that ``json`` writes, and every
+    sweep value is finite)."""
     spec, row, sep, _, _ = _LAYOUT[fmt]
     constant = [_constant(col) for col in cols]
     template = row % tuple(spec % col[0] if c else spec for col, c in zip(cols, constant))
     varying = [col for col, c in zip(cols, constant) if not c]
-    text = sep.join(map(template.__mod__, zip(*varying)) if varying else [template] * len(cols.E))
-    if fmt == "json":
-        text = text.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(": -inf", ": -Infinity")
-    return text
+    return sep.join(map(template.__mod__, zip(*varying)) if varying else [template] * len(cols.E))
 
 
 def _sweep_bytes(bc, args, parts: int) -> bytes:

@@ -387,18 +387,6 @@ class ClosedFormComparison(NamedTuple):
     difference_flipped: float  # max |candidate + primary|
     identity_residual: float  # worst defining-identity residual of the candidate
 
-    @property
-    def agrees_exactly(self) -> bool:
-        return self.classification == "exact"
-
-    @property
-    def agrees_up_to_sign_pair(self) -> bool:
-        return self.classification == "sign_pair"
-
-    @property
-    def disagrees(self) -> bool:
-        return self.classification == "mismatch"
-
 
 def compare_closed_form(
     a: AlphaBC, m: float, primary: QuaternionForm | None = None, tol: float = DEFAULT_TOL
@@ -444,6 +432,6 @@ def classify(matrix, m: float, tol: float = DEFAULT_TOL) -> ExtensionClass:
     if not _unitarity_residual(u) <= limit:
         raise NotUnitaryError(f"matrix is not unitary within tol={limit}")
     (gl, u12), (u21, gr) = u
-    if abs(u12) <= tol and abs(u21) <= tol:  # is_diagonal
+    if abs(u12) <= tol and abs(u21) <= tol:
         return Separating(diagonal_u2_to_rho(gl, gr, m, tol))
     return Transmitting(u2_to_alpha(_split_unitary(u, tol), m))

@@ -421,13 +421,6 @@ class SelfAdjointReport:
     tol: float
     passed: bool
 
-    def __str__(self) -> str:  # pragma: no cover - formatting only
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status}: symmetry residual {self.max_symmetry_residual:.3e} over "
-            f"{self.samples} samples; maximality witnesses {self.witness_magnitudes}"
-        )
-
 
 def _face(r: float, s) -> np.ndarray:
     """Spinors s (1, i r) satisfying rho = r at a face, or s (0, 1) for

@@ -140,12 +140,6 @@ def is_unitary(matrix, tol: float = DEFAULT_TOL) -> bool:
     return unitarity_residual(matrix) <= tol
 
 
-def is_diagonal(matrix, tol: float = DEFAULT_TOL) -> bool:
-    """True iff both off-diagonal entries have magnitude <= tol."""
-    (_, b), (c, _) = as_c2matrix(matrix)
-    return abs(b) <= tol and abs(c) <= tol
-
-
 def compose_entries(q: QuaternionForm, tol: float = DEFAULT_TOL) -> Entries:
     """The entries of the unitary g3 * [[g1, -g2*], [g2, g1*]], as Python complex."""
     g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)

@@ -217,7 +217,7 @@ def _row(E: list[float], cols: tuple[list[float], ...]) -> ScatteringResult:
 def scatter_alpha(a: AlphaBC, E: float, m: float) -> ScatteringResult:
     """Scatter the right-moving mode off a transmitting condition.
 
-    Solves the 2x2 complex system for (r, t); raises
+    Runs the b-form kernel (module docstring) at one energy; raises
     :class:`NotInClassError` when ``a`` is not in the class.
     """
     E, m = _energy(E, m)

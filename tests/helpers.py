@@ -87,10 +87,7 @@ def rows_text(cols: scattering.ScatteringColumns, fmt: str) -> str:
     """A grid part's rows, joined, with every value formatted in its own row:
     the reference for the CLI's formatter, which formats a constant column once."""
     row, sep = (_CSV_ROW, "\n") if fmt == "csv" else (_JSON_ROW, ", ")
-    text = sep.join(map(row.__mod__, zip(*cols, [""] * len(cols.E))))
-    if fmt == "json":
-        text = text.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(": -inf", ": -Infinity")
-    return text
+    return sep.join(map(row.__mod__, zip(*cols, [""] * len(cols.E))))
 
 
 def bd_equivalent(f: BDForm, g: BDForm, tol: float = 1e-9) -> bool:

@@ -71,6 +71,23 @@ class TestParsers:
             with pytest.raises(ValidationError):
                 parse_complex(bad)
 
+    def test_json_pair_has_exactly_two_entries(self, capsys):
+        # a three-entry [re, im] or a string was read by its first two entries, and a
+        # matrix entry that is a JSON object ended in a KeyError traceback
+        for bad in ("[1,0,3]", "[]", "[1,0,[]]"):
+            with pytest.raises(ValidationError, match="bad complex literal"):
+                parse_complex(bad)
+        code, out, err = run(capsys, "verify", "--alpha", "[1,0,3],0,0,1")
+        assert code == 2 and out == "" and "bad complex literal '[1,0,3]'" in err
+        for matrix in (
+            "[[{},[0,0]],[[0,0],[1,0]]]",
+            '[[{"0": 1, "1": 0},[0,0]],[[0,0],[1,0]]]',
+            "[[[1,0,5],[0,0]],[[0,0],[1,0]]]",
+            '[["10",[0,0]],[[0,0],[1,0]]]',
+        ):
+            code, out, err = run(capsys, "decompose", "--matrix", matrix)
+            assert code == 2 and out == "" and "bad matrix literal" in err
+
     def test_parse_rho(self):
         r = parse_rho("inf,0.5")
         assert math.isinf(r.rho_plus) and r.rho_minus == 0.5
@@ -342,6 +359,12 @@ class TestVerify:
             code, out, err = run(capsys, "verify", "--fuzz", n)
             assert code == 2
             assert out == "" and "N >= 1" in err
+
+    def test_fuzz_count_above_maxsize_exits_2(self, capsys):
+        # no part can slice so many instances from the stream; this was a ValueError traceback
+        code, out, err = run(capsys, "verify", "--fuzz", "99999999999999999999")
+        assert code == 2 and out == ""
+        assert f"N <= {sys.maxsize} instances, got 99999999999999999999" in err
 
 
 class TestPayloadFlags:
@@ -982,8 +1005,8 @@ class TestScatter:
                                "--format", "json")
             for parts in (1, 2):
                 assert _sweep_bytes(bc, args, parts) == (dumps(cols) + "\n").encode()
-        # json's spellings of the non-finite floats
-        cols = ScatteringColumns(*[[math.inf, -math.inf, math.nan, -0.0]] * 10)
+        # json's spellings of signed zeros, subnormals and large floats
+        cols = ScatteringColumns(*[[-0.0, 5e-324, 1e300, -1e300]] * 10)
         assert "[" + _rows_text(cols, "json") + "]" == dumps(cols)
 
     def test_infinite_grid_exits_2(self, capsys):

@@ -22,12 +22,15 @@ NUMBERS = [
     # the bound B = 2^255 of every magnitude, and the next double above it
     "5.78960446186581e+76", "5.789604461865811e+76",
 ]
-COMPLEX = NUMBERS + ["i", "-i", "1+i", "0.6+0.8i", "1.5e308+1.5e308i", "[1,0]", "[0.6, 0.8]", "[1]"]
+COMPLEX = NUMBERS + ["i", "-i", "1+i", "0.6+0.8i", "1.5e308+1.5e308i", "[1,0]", "[0.6, 0.8]", "[1]", "[1,0,3]", "{}"]
 ALPHAS = ["0,1,1,0", "1,0,0,1", "-i,0,0,-i", "1,0,1,0", "1e15,0,0,1e-15", "1e-11,0,0,1e11"]
 RHOS = ["0,0", "inf,inf", "inf,0.5", "0.7,-2.5", "1e300,-1e300"]
 GAMMAS = ["1,0,1", "0,-i,i", "0.6+0.8i,0,1", "1,1e200,0"]
 MATRICES = ["[[[0,0],[-1,0]],[[1,0],[0,0]]]", "[[[1,0],[0,0]],[[0,0],[1,0]]]", "[[[0.6,0],[0,0.8]],[[0,0.8],[0.6,0]]]"]
-BAD_MATRICES = ["[[[1,0],[1,0]],[[0,0],[1,0]]]", "[[[2,0],[0,0]],[[0,0],[2,0]]]", "[[1,2]]"]
+BAD_MATRICES = [
+    "[[[1,0],[1,0]],[[0,0],[1,0]]]", "[[[2,0],[0,0]],[[0,0],[2,0]]]", "[[1,2]]",
+    "[[{},[0,0]],[[0,0],[1,0]]]", "[[[1,0,5],[0,0]],[[0,0],[1,0]]]",
+]
 
 
 def _listed(items, count: int):
@@ -53,7 +56,7 @@ PAYLOADS = {
     "matrix": _mostly(st.sampled_from(MATRICES), st.sampled_from(BAD_MATRICES)),
     "diag": _mostly(st.sampled_from(["1,-1", "i,1", "-1,-1"]), _listed(COMPLEX, 2)),
     "bd": _mostly(st.sampled_from(["pi/2,0,1,1,0", "0,2,0,0,0.5"]), _listed(NUMBERS, 5)),
-    "fuzz": _mostly(st.sampled_from(["1", "3"]), st.sampled_from(["-1", "0", "x"])),
+    "fuzz": _mostly(st.sampled_from(["1", "3"]), st.sampled_from(["-1", "0", "x", "99999999999999999999"])),
 }
 #: payload flags each command, or convert direction, accepts
 ACCEPTS = {
@@ -156,6 +159,11 @@ def _run(argv):
 @example(argv=["verify", "--alpha", "0,1,1,0", "--seed", "-1"])
 @example(argv=["demo-switch", "--phase", "nan"])
 @example(argv=["demo-switch", "--phase", "pi/0"])
+@example(argv=["decompose", "--matrix", "[[{},[0,0]],[[0,0],[1,0]]]"])
+@example(argv=["decompose", "--matrix", "[[[1,0,5],[0,0]],[[0,0],[1,0]]]"])
+@example(argv=["verify", "--alpha", "{},0,0,1"])
+@example(argv=["verify", "--alpha", "[1,0,3],0,0,1"])
+@example(argv=["verify", "--fuzz", "99999999999999999999"])
 def test_main_keeps_its_exit_code_contract(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)

@@ -415,18 +415,18 @@ class TestClosedFormCrossCheck:
         # candidate (0, i, i) composes to the wrong matrix and violates the
         # second defining identity; the solved result is (0, -i, i)
         comparison = compare_closed_form(AlphaBC(1, 0, 0, 1), 0.0)
-        assert comparison.disagrees
+        assert comparison.classification == "mismatch"
         cand = closed_form_u2_candidate(AlphaBC(1, 0, 0, 1), 0.0)
         assert np.abs(np.array(cand) - np.array([0, 1j, 1j])).max() <= 1e-14
         assert comparison.identity_residual > 0.5
 
     def test_spin_flip_sign_pair(self):
         comparison = compare_closed_form(AlphaBC(0, 1, 1, 0), 0.0)
-        assert comparison.agrees_up_to_sign_pair
+        assert comparison.classification == "sign_pair"
 
     def test_phase_sign_pair(self):
         comparison = compare_closed_form(AlphaBC(-1j, 0, 0, -1j), 0.0)
-        assert comparison.agrees_up_to_sign_pair
+        assert comparison.classification == "sign_pair"
 
     def test_candidate_always_satisfies_norm_constraints(self):
         rng = np.random.default_rng(51)
@@ -441,12 +441,7 @@ class TestClosedFormCrossCheck:
         rng = np.random.default_rng(52)
         for i in range(100):
             comparison = compare_closed_form(random_alpha(rng), MASSES[i % 4])
-            assert (
-                comparison.agrees_exactly
-                + comparison.agrees_up_to_sign_pair
-                + comparison.disagrees
-                == 1
-            )
+            assert comparison.classification in ("exact", "sign_pair", "mismatch")
 
 
 class TestClassify:

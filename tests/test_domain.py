@@ -14,7 +14,7 @@ import json
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diracjunction.boundary import AlphaBC, BDForm, RhoBC, bd_to_alpha, validate_class
@@ -163,6 +163,24 @@ def energies(draw, m: float) -> tuple[float, float]:
 
 
 @st.composite
+def sweeps(draw) -> tuple[list[str], float, float, float]:
+    """A condition flag and its value, a mass below B and two energies of :func:`energies` at it."""
+    m = draw(masses.filter(lambda m: m < B))
+    e_min, e_max = draw(energies(m))
+    if draw(st.booleans()):
+        a = bd_to_alpha(draw(b_forms()))
+        assume(_in_domain(a))
+        return ["--alpha", _pairs(*a)], m, e_min, e_max
+    return ["--rho", ",".join(map(repr, draw(st.tuples(rhos, rhos))))], m, e_min, e_max
+
+
+#: the domain's corners: b's at +-B and at 2^-255, rho at +-B, a mass of B/2 and energies from just above it to B
+CORNER_ALPHA = ["--alpha", _pairs(*bd_to_alpha(BDForm(0.0, B, -B, TINY, 2.0 / B)))]
+CORNER_RHO = ["--rho", f"{B!r},{-B!r}"]
+HALF_B = B / 2
+
+
+@st.composite
 def unitaries(draw) -> str:
     """--gamma of a unitary with |g2| in [2^-255, 1]."""
     r2 = draw(magnitudes(TINY, 1.0))
@@ -204,16 +222,13 @@ class TestValidInputOverTheDomain:
             _json(out)
 
     @SETTINGS
-    @given(data=st.data(), m=masses.filter(lambda m: m < B), fmt=st.sampled_from(["csv", "json"]))
-    def test_conditions_scatter(self, data, m, fmt):
-        e_min, e_max = data.draw(energies(m))
-        if data.draw(st.booleans()):
-            a = bd_to_alpha(data.draw(b_forms()))
-            if not _in_domain(a):
-                return
-            condition = ["--alpha", _pairs(*a)]
-        else:
-            condition = ["--rho", ",".join(map(repr, data.draw(st.tuples(rhos, rhos))))]
+    @given(sweep=sweeps(), fmt=st.sampled_from(["csv", "json"]))
+    @example(sweep=(CORNER_ALPHA, HALF_B, math.nextafter(HALF_B, B), B), fmt="json")
+    @example(sweep=(CORNER_ALPHA, 0.0, TINY, B), fmt="json")
+    @example(sweep=(CORNER_RHO, HALF_B, math.nextafter(HALF_B, B), B), fmt="json")
+    @example(sweep=(["--rho", f"inf,{-B!r}"], 1.0, math.nextafter(1.0, B), B), fmt="json")
+    def test_conditions_scatter(self, sweep, fmt):
+        condition, m, e_min, e_max = sweep
         grid = ["--emin", repr(e_min), "--emax", repr(e_max), "--steps", "3", "--format", fmt]
         code, out, err = _run("scatter", *condition, "--mass", repr(m), *grid)
         assert (code, err) == (0, ""), (condition, m, e_min, e_max)

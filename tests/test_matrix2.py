@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diracjunction.correspondence import Separating, Transmitting, classify
 from diracjunction.errors import InvalidFormError, NotUnitaryError
 from diracjunction.matrix2 import (
     QuaternionForm,
@@ -10,7 +11,6 @@ from diracjunction.matrix2 import (
     compose,
     decompose_branch,
     decompose_u2,
-    is_diagonal,
     is_unitary,
     unitarity_residual,
 )
@@ -75,10 +75,10 @@ class TestPredicates:
             assert abs(m[1, 1] - np.conj(m[0, 0])) <= 1e-12
             assert abs(m[0, 1] + np.conj(m[1, 0])) <= 1e-12
 
-    def test_is_diagonal(self):
-        assert is_diagonal(np.diag([1j, -1]))
-        assert not is_diagonal(SWAP)
-        assert is_diagonal(np.array([[1, 1e-14], [0, 1]], dtype=complex), tol=1e-12)
+    def test_classify_separates_diagonal_unitaries(self):
+        assert isinstance(classify(np.diag([1j, -1]), 1.0), Separating)
+        assert isinstance(classify(SWAP, 1.0), Transmitting)
+        assert isinstance(classify(np.array([[1, 1e-14], [0, 1]], dtype=complex), 1.0, tol=1e-12), Separating)
 
 
 class TestCompose:
