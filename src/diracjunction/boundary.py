@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     ZeroParameterError,
 )
-from .matrix2 import DEFAULT_TOL, MAX_MAGNITUDE, NORM_FLOOR, arg_2pi, record_type
+from .matrix2 import BOUND, DEFAULT_TOL, MAX_MAGNITUDE, NORM_FLOOR, arg_2pi, record_type
 
 if TYPE_CHECKING:
     import random
@@ -54,7 +54,7 @@ class Island(Enum):
 def _check_extended_real(value: float, name: str) -> float:
     v = float(value)
     if not (abs(v) <= MAX_MAGNITUDE or v == math.inf):
-        raise ValidationError(f"{name} must be +inf or of modulus <= B = 2^255 = {MAX_MAGNITUDE!r}, got {value!r}")
+        raise ValidationError(f"{name} must be +inf or of modulus <= {BOUND}, got {value!r}")
     return v
 
 
@@ -186,7 +186,7 @@ def _measure_class(a: AlphaBC, tol: float) -> ClassReport:
     x3, y3, x4, y4 = a3.real, a3.imag, a4.real, a4.imag
     m1, m2, m3, m4 = math.hypot(x1, y1), math.hypot(x2, y2), math.hypot(x3, y3), math.hypot(x4, y4)
     if not (m1 <= MAX_MAGNITUDE and m2 <= MAX_MAGNITUDE and m3 <= MAX_MAGNITUDE and m4 <= MAX_MAGNITUDE):  # or NaN
-        raise ValidationError(f"a boundary parameter's modulus is NaN or above B = 2^255 = {MAX_MAGNITUDE!r}")
+        raise ValidationError(f"a boundary parameter's modulus is NaN or above {BOUND}")
     r12, r13 = abs(x1 * x2 + y1 * y2), abs(x1 * x3 + y1 * y3)
     r24, r34 = abs(x2 * x4 + y2 * y4), abs(x3 * x4 + y3 * y4)
     p = a1 * a4.conjugate()
@@ -293,7 +293,7 @@ def bd_to_alpha(f: BDForm, tol: float = DEFAULT_TOL) -> AlphaBC:
     theta, b1, b2, b3, b4 = f
     bound = MAX_MAGNITUDE  # x - x is NaN unless x is finite; NaN fails every comparison
     if not (theta - theta == 0 and abs(b1) <= bound and abs(b2) <= bound and abs(b3) <= bound and abs(b4) <= bound):
-        raise InvalidBDError(f"theta must be finite and each |b_i| <= B = 2^255 = {bound!r}, got {f!r}")
+        raise InvalidBDError(f"theta must be finite and each |b_i| <= {BOUND}, got {f!r}")
     residual = f.residual()
     if not residual <= tol * max(1.0, abs(b1 * b4) + abs(b2 * b3)):
         raise InvalidBDError(f"b1*b4 + b2*b3 = 1 violated: residual {residual:.3e}")

@@ -80,37 +80,34 @@ def parse_complex(token: str) -> complex:
             z = _pair(json.loads(s))
         else:
             z = complex(s.replace(" ", "").replace("i", "j"))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"bad complex literal {token!r}") from exc
     return _finite(z, token)
 
 
-def parse_complex_list(text: str, count: int, what: str) -> list[complex]:
-    """Split on the commas outside brackets, so JSON [re, im] entries stay whole."""
+def _values(text: str, count: int, what: str) -> list[str]:
+    """The ``count`` values of the list flag ``what``, split on the commas outside brackets, so a
+    JSON [re, im] entry stays whole."""
     parts = re.split(r",(?![^\[]*\])", text)
     if len(parts) != count:
         raise ValidationError(f"{what} needs {count} comma-separated values, got {len(parts)}")
-    return [parse_complex(p) for p in parts]
+    return parts
 
 
 def parse_matrix(text: str) -> matrix2.Entries:
     """Parse a JSON 2x2 matrix of [re, im] pairs, every part finite."""
     import json
     try:
-        rows = json.loads(text)
-        m = [[_finite(_pair(e), e) for e in row] for row in rows]
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"bad matrix literal: {exc}") from exc
-    sizes = [len(row) for row in m]
-    if sizes != [2, 2]:
-        raise ValidationError(f"matrix must be 2x2, got rows of {sizes} entries")
-    (a, b), (c, d) = m
-    return (a, b), (c, d)
+        (p, q), (r, s) = json.loads(text)
+        a, b, c, d = map(_pair, (p, q, r, s))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"bad matrix literal {text!r}: need two rows of two [re, im] pairs") from exc
+    return (_finite(a, p), _finite(b, q)), (_finite(c, r), _finite(d, s))
 
 
 def parse_rho_component(token: str) -> float:
     s = token.strip().lower()
-    if s in {"inf", "+inf", "infinity"}:
+    if s in {"inf", "+inf", "infinity", "+infinity"}:
         return math.inf
     try:
         v = float(s)
@@ -119,13 +116,6 @@ def parse_rho_component(token: str) -> float:
     if math.isnan(v) or math.isinf(v):
         raise ValidationError("separating parameters are finite reals or 'inf'")
     return v
-
-
-def parse_rho(text: str) -> RhoBC:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError("--rho needs two comma-separated values (rho_plus,rho_minus)")
-    return RhoBC(rho_plus=parse_rho_component(parts[0]), rho_minus=parse_rho_component(parts[1]))
 
 
 def parse_angle(text: str) -> float:
@@ -156,15 +146,12 @@ def parse_angle(text: str) -> float:
 
 def parse_bd(text: str) -> BDForm:
     """Parse theta,b1,b2,b3,b4; theta accepts pi expressions."""
-    parts = text.split(",")
-    if len(parts) != 5:
-        raise ValidationError("--bd needs five comma-separated values")
-    theta = parse_angle(parts[0])
+    theta, *bs = _values(text, 5, "--bd")
+    theta = parse_angle(theta) % (2.0 * math.pi)
     try:
-        bs = [float(p) for p in parts[1:]]
+        return BDForm(theta, *map(float, bs))
     except ValueError as exc:
         raise ValidationError(f"bad --bd values: {exc}") from exc
-    return BDForm(theta % (2.0 * math.pi), *bs)
 
 
 def rho_json_value(v: float):
@@ -202,12 +189,13 @@ def emit(obj, out=None, *lines: str) -> None:
 #: pair of pairs of complex.
 _PAYLOADS = {
     "alpha": ("a1,a2,a3,a4 complex shorthand",
-              lambda text, tol: Transmitting(AlphaBC(*parse_complex_list(text, 4, "--alpha")))),
-    "rho": ("rho_plus,rho_minus ('inf' allowed)", lambda text, tol: Separating(parse_rho(text))),
+              lambda text, tol: Transmitting(AlphaBC(*map(parse_complex, _values(text, 4, "--alpha"))))),
+    "rho": ("rho_plus,rho_minus ('inf' allowed)",
+            lambda text, tol: Separating(RhoBC(*map(parse_rho_component, _values(text, 2, "--rho"))))),
     "gamma": ("g1,g2,g3 complex shorthand", lambda text, tol: matrix2.compose_entries(
-        matrix2.QuaternionForm(*parse_complex_list(text, 3, "--gamma")), tol)),
+        matrix2.QuaternionForm(*map(parse_complex, _values(text, 3, "--gamma"))), tol)),
     "matrix": ("JSON 2x2 matrix of [re,im] pairs", lambda text, tol: parse_matrix(text)),
-    "diag": ("gL,gR complex shorthand", lambda text, tol: _diagonal(*parse_complex_list(text, 2, "--diag"))),
+    "diag": ("gL,gR complex shorthand", lambda text, tol: _diagonal(*map(parse_complex, _values(text, 2, "--diag")))),
     "bd": ("theta,b1,b2,b3,b4 (theta accepts pi expressions)", lambda text, tol: parse_bd(text)),
 }
 _CONDITION = ("alpha", "rho", "gamma", "matrix")

@@ -39,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .matrix2 import (
+    BOUND,
     DEFAULT_TOL,
     MAX_MAGNITUDE,
     NORM_FLOOR,
@@ -57,7 +58,7 @@ def check_mass(m: float) -> float:
     m = float(m)
     if not 0.0 <= m <= MAX_MAGNITUDE:
         raise ValidationError(f"mass must be finite and >= 0, got {m!r}" if not m >= 0.0 else
-                              f"mass must be at most B = 2^255 = {MAX_MAGNITUDE!r}, got {m!r}")
+                              f"mass must be at most {BOUND}, got {m!r}")
     return m
 
 
@@ -246,7 +247,7 @@ def u2_to_alpha(q: QuaternionForm, m: float) -> AlphaBC:
     if not (hypot(a1.real, a1.imag) <= bound and hypot(a2.real, a2.imag) <= bound
             and hypot(a3.real, a3.imag) <= bound and hypot(a4.real, a4.imag) <= bound):
         raise DiagonalInputError(
-            f"a transmitting parameter exceeds B = 2^255 = {bound!r} at g2 = {g2!r}, m = {m!r}; it is out of range"
+            f"a transmitting parameter exceeds {BOUND} at g2 = {g2!r}, m = {m!r}; it is out of range"
             if g2
             else "extension is diagonal (g2 = 0); it has separating parameters, not transmitting ones"
         )

@@ -33,8 +33,9 @@ DEFAULT_TOL = 1e-10
 #: B = 2^255, the bound of every finite magnitude the maps accept or produce
 #: (|a_i|, the b's, |rho|, m and E): below it every product of two moduli, and
 #: every sum of four such products, is finite.  A larger one raises a
-#: ``ValidationError`` that names B.
+#: ``ValidationError`` that names B in the words of :data:`BOUND`.
 MAX_MAGNITUDE = 2.0 ** 255
+BOUND = f"B = 2^255 = {MAX_MAGNITUDE!r}"
 
 #: Floor of the tolerance a modulus or a unitarity residual is held to: rounding
 #: alone leaves up to 3.5 units of roundoff in the norms of ``alpha_to_u2``'s

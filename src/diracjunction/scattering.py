@@ -44,7 +44,7 @@ from typing import NamedTuple
 from .boundary import TWO_PI, AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, phase_form
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
 from .errors import BelowGapError, ValidationError
-from .matrix2 import DEFAULT_TOL, MAX_MAGNITUDE, record_type
+from .matrix2 import BOUND, DEFAULT_TOL, MAX_MAGNITUDE, record_type
 
 
 @record_type
@@ -201,7 +201,7 @@ def _energy(E: float, m: float) -> tuple[list[float], float]:
     if E <= m:
         raise BelowGapError(f"E = {E} is not above the mass gap m = {m}")
     if not E <= MAX_MAGNITUDE:
-        raise ValidationError(f"E must be at most B = 2^255 = {MAX_MAGNITUDE!r}, got {E!r}")
+        raise ValidationError(f"E must be at most {BOUND}, got {E!r}")
     return [E], m
 
 
@@ -242,7 +242,7 @@ def check_sweep(bc: ExtensionClass, e_min: float, e_max: float, steps: int, m: f
     if steps < 2:
         raise ValidationError("steps must be >= 2")
     if not (m < e_min < e_max <= MAX_MAGNITUDE):
-        raise ValidationError(f"need m < e_min < e_max <= B = 2^255 = {MAX_MAGNITUDE!r}")
+        raise ValidationError(f"need m < e_min < e_max <= {BOUND}")
     try:  # one allocation refuses a grid that cannot fit, before any is built
         [0.0] * steps
     except (MemoryError, OverflowError):

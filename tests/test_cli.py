@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from diracjunction.cli import (
     _COMMANDS,
+    _PAYLOADS,
     _PART_INSTANCES,
     _PART_ROWS,
     FMT17,
@@ -22,11 +23,11 @@ from diracjunction.cli import (
     parse_angle,
     parse_args,
     parse_complex,
-    parse_rho,
 )
 from diracjunction.boundary import AlphaBC, BDForm, Island, RhoBC, bd_to_alpha
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.errors import InternalInconsistencyError, ValidationError
+from diracjunction.matrix2 import DEFAULT_TOL
 from diracjunction.scattering import ScatteringColumns
 from helpers import B, BOUND_MATCH, BOUND_TEXT, rows_text
 
@@ -73,8 +74,9 @@ class TestParsers:
 
     def test_json_pair_has_exactly_two_entries(self, capsys):
         # a three-entry [re, im] or a string was read by its first two entries, and a
-        # matrix entry that is a JSON object ended in a KeyError traceback
-        for bad in ("[1,0,3]", "[]", "[1,0,[]]"):
+        # matrix entry that is a JSON object ended in a KeyError traceback; an integer too
+        # large for a float, in an OverflowError traceback
+        for bad in ("[1,0,3]", "[]", "[1,0,[]]", f"[1{'0' * 400},0]"):
             with pytest.raises(ValidationError, match="bad complex literal"):
                 parse_complex(bad)
         code, out, err = run(capsys, "verify", "--alpha", "[1,0,3],0,0,1")
@@ -89,12 +91,13 @@ class TestParsers:
             assert code == 2 and out == "" and "bad matrix literal" in err
 
     def test_parse_rho(self):
-        r = parse_rho("inf,0.5")
+        parse_rho = _PAYLOADS["rho"][1]
+        r = parse_rho("inf,0.5", DEFAULT_TOL).rho
         assert math.isinf(r.rho_plus) and r.rho_minus == 0.5
         with pytest.raises(ValidationError):
-            parse_rho("-inf,0")
+            parse_rho("-inf,0", DEFAULT_TOL)
         with pytest.raises(ValidationError):
-            parse_rho("1,2,3")
+            parse_rho("1,2,3", DEFAULT_TOL)
 
     def test_parse_angle(self):
         assert parse_angle("pi/2") == pytest.approx(math.pi / 2)
@@ -122,6 +125,47 @@ class TestParsers:
         code, out, err = run(capsys, "convert", "u2-to-bc", "--gamma", "[1,0],0")
         assert code == 2 and out == ""
         assert "needs 3 comma-separated values, got 2" in err
+
+    @pytest.mark.parametrize(
+        "direction, flag, text, message",
+        [
+            ("bc-to-u2", "--alpha", "0,1,1", "--alpha needs 4 comma-separated values, got 3"),
+            ("u2-to-bc", "--gamma", "1,0,1,0", "--gamma needs 3 comma-separated values, got 4"),
+            ("u2-to-bc", "--diag", "1", "--diag needs 2 comma-separated values, got 1"),
+            ("rho-to-u2", "--rho", "1,2,3", "--rho needs 2 comma-separated values, got 3"),
+            ("bd-to-alpha", "--bd", "1,2", "--bd needs 5 comma-separated values, got 2"),
+            # every list flag keeps a bracketed pair whole; a rho is not a pair
+            ("rho-to-u2", "--rho", "[1,2],3", "bad separating parameter '[1,2]'"),
+        ],
+    )
+    def test_list_flags_count_their_values_in_one_wording(self, capsys, direction, flag, text, message):
+        assert run(capsys, "convert", direction, flag, text) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            "null", "{}", "nope", "[[1,2]]",
+            "[[[1],[0,0]],[[0,0],[1,0]]]", "[[{},[0,0]],[[0,0],[1,0]]]", "[[[1,0,5],[0,0]],[[0,0],[1,0]]]",
+            # an integer too large for a float was an OverflowError traceback
+            pytest.param(f"[[[1{'0' * 400},0],[0,0]],[[0,0],[1,0]]]", id="integer-above-float-range"),
+        ],
+    )
+    def test_malformed_matrix_names_the_literal_and_the_pair_form(self, capsys, matrix):
+        code, out, err = run(capsys, "decompose", "--matrix", matrix)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad matrix literal {matrix!r}: need two rows of two [re, im] pairs\n"
+        assert not any(word in err for word in ("unpack", "iterable", "Expecting value"))
+
+    def test_non_finite_matrix_entry_is_named(self, capsys):
+        matrix = "[[[1,0],[0,0]],[[0,0],[NaN,0]]]"
+        assert run(capsys, "decompose", "--matrix", matrix) == (
+            2, "", "error: complex value must be finite, got [nan, 0]\n")
+
+    @pytest.mark.parametrize("spelling", ["+infinity", "+Infinity"])
+    def test_signed_infinity_is_the_pole(self, capsys, spelling):
+        want = run(capsys, "convert", "rho-to-u2", "--rho", "infinity,0")
+        assert want[0] == 0
+        assert run(capsys, "convert", "rho-to-u2", "--rho", f"{spelling},0") == want
 
     def test_fmt17_roundtrips_bit_exactly(self):
         rng = np.random.default_rng(71)

@@ -18,7 +18,7 @@ from diracjunction.cli import main
 
 NUMBERS = [
     "0", "1", "-1", "0.5", "2", "10", "1e-11", "1e11", "1e-200", "1e200",
-    "1e-308", "1e308", "1.5e308", "5e-324", "nan", "inf", "-inf", "foo", "",
+    "1e-308", "1e308", "1.5e308", "5e-324", "nan", "inf", "-inf", "+infinity", "foo", "",
     # the bound B = 2^255 of every magnitude, and the next double above it
     "5.78960446186581e+76", "5.789604461865811e+76",
 ]
@@ -29,8 +29,10 @@ GAMMAS = ["1,0,1", "0,-i,i", "0.6+0.8i,0,1", "1,1e200,0"]
 MATRICES = ["[[[0,0],[-1,0]],[[1,0],[0,0]]]", "[[[1,0],[0,0]],[[0,0],[1,0]]]", "[[[0.6,0],[0,0.8]],[[0,0.8],[0.6,0]]]"]
 BAD_MATRICES = [
     "[[[1,0],[1,0]],[[0,0],[1,0]]]", "[[[2,0],[0,0]],[[0,0],[2,0]]]", "[[1,2]]",
-    "[[{},[0,0]],[[0,0],[1,0]]]", "[[[1,0,5],[0,0]],[[0,0],[1,0]]]",
+    "[[{},[0,0]],[[0,0],[1,0]]]", "[[[1,0,5],[0,0]],[[0,0],[1,0]]]", "null", "{}", "nope",
 ]
+#: a JSON integer too large for a float
+HUGE_INT = "1" + "0" * 400
 
 
 def _listed(items, count: int):
@@ -164,6 +166,12 @@ def _run(argv):
 @example(argv=["verify", "--alpha", "{},0,0,1"])
 @example(argv=["verify", "--alpha", "[1,0,3],0,0,1"])
 @example(argv=["verify", "--fuzz", "99999999999999999999"])
+@example(argv=["convert", "rho-to-u2", "--rho", "+infinity,0"])
+@example(argv=["decompose", "--matrix", "null"])
+@example(argv=["decompose", "--matrix", "{}"])
+@example(argv=["decompose", "--matrix", "nope"])
+@example(argv=["decompose", "--matrix", f"[[[{HUGE_INT},0],[0,0]],[[0,0],[1,0]]]"])
+@example(argv=["verify", "--alpha", f"[{HUGE_INT},0],0,0,1"])
 def test_main_keeps_its_exit_code_contract(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
