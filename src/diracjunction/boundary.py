@@ -12,8 +12,9 @@ The admissible transmitting vectors form the class
 
 equivalent to the real four-parameter family
 ``e^{i theta} [[b1, i b2], [i b3, b4]]`` with ``b1 b4 + b2 b3 = 1``
-(:class:`BDForm`).  Every admissible matrix preserves the probability
-current ``j = 2 Re(psi_up* psi_down)`` across the junction.
+(:class:`BDForm`), in which :func:`validate_class` measures membership.
+Every admissible matrix preserves the probability current
+``j = 2 Re(psi_up* psi_down)`` across the junction.
 
 Random-instance generators live here (not in the tests) so the CLI
 fuzzing entry point can reuse them.  They draw only ``uniform(low, high)``
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     InvalidBDError,
@@ -89,9 +89,8 @@ class _AlphaFields(NamedTuple):
 
 class AlphaBC(_AlphaFields):
     """Transmitting condition parameters (a1, a2, a3, a4).  The reports of
-    :func:`validate_class` and the forms of :func:`phase_form` are kept in
-    ``__dict__``, which equality, hashing, ``repr``, pickling and copying
-    ignore."""
+    :func:`validate_class` are kept in ``__dict__``, which equality,
+    hashing, ``repr``, pickling and copying ignore."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -119,53 +118,53 @@ class BDForm(NamedTuple):
     b3: float
     b4: float
 
-    def residual(self) -> float:
-        return abs(self.b1 * self.b4 + self.b2 * self.b3 - 1.0)
-
     def bs(self) -> tuple[float, float, float, float]:
         return (self.b1, self.b2, self.b3, self.b4)
 
 
 class ClassReport(NamedTuple):
-    """Outcome of :func:`validate_class`: per-constraint residuals (a
-    read-only mapping, since one report is shared by every caller) and the
-    scales their limits are taken in."""
+    """Outcome of :func:`validate_class`: the condition's distance from the
+    class, the limit it is held to, and the b-form of the real parts with
+    the unit complex e^{i theta} the b's were taken against (both None
+    when a1 ~ 0 and a3 = 0 leave no pivot)."""
 
-    residuals: Mapping[str, float]
-    scale: float  # of the four orthogonality constraints
-    det_scale: float  # of the two determinant constraints
-    failed: tuple[str, ...]  # the constraints over their limits
+    distance: float
+    limit: float
+    form: BDForm | None
+    phase: complex | None
 
     @property
     def valid(self) -> bool:
-        return not self.failed
+        return self.distance <= self.limit
 
-    def worst(self) -> tuple[str, float]:
-        """The failing constraint with the largest residual when there are
-        any, else the constraint with the largest residual in units of the
-        scale of its limit."""
-        if self.failed:
-            name = max(self.failed, key=self.residuals.get)
-        else:
-            name = max(self.residuals, key=lambda n: self.residuals[n] / self.scale_of(n))
-        return name, self.residuals[name]
 
-    def scale_of(self, name: str) -> float:
-        """The scale of constraint ``name``'s limit, ``tol`` times this."""
-        return self.det_scale if name.startswith("unit_det") else self.scale
+def _unit_det(b1: complex, b2: complex, b3: complex, b4: complex) -> tuple[float, float]:
+    """|b1* b4 + b3* b2 - 1|, the corner of B^dag J B - J in the b's, and the
+    size of the products it is formed from, max(1, |b1||b4| + |b2||b3|).
+    For real b's this is the residual of b1 b4 + b2 b3 = 1."""
+    size = abs(b1) * abs(b4) + abs(b2) * abs(b3)
+    return abs(b1.conjugate() * b4 + b3.conjugate() * b2 - 1.0), (size if size > 1.0 else 1.0)
 
 
 def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
-    """Check the six admissibility constraints, reporting each residual.
+    """Measure how far ``a`` is from the class, in its b-form.
 
-    An orthogonality residual |Re(a_i a_j*)| passes when it is at most
-    tol * max(1, sum |a_i|^2); a determinant residual |a1 a4* + a2 a3* - 1|
-    (or with a2* a3) when it is at most tol * max(1, |a1||a4| + |a2||a3|),
-    the size of the products it subtracts 1 from.  Both verdicts are
-    invariant under rescaling the overall magnitude of the data.  Raises
-    :class:`ValidationError` when a modulus |a_i| exceeds
-    B = :data:`~.matrix2.MAX_MAGNITUDE` or is NaN; below B every product and
-    every residual is finite.
+    Pivots on a1 when |a1| > tol * max(|a1|, |a3|), else on a3, divides the
+    pivot by its modulus and takes b1..b4 from e^{-i theta} B.  On the class
+    the b's are real and B preserves the current, B^dag J B = J with
+    J = [[0, 1], [1, 0]].  The distance is the largest of
+    max |Im b_i| / max(1, max |a_i|), the imaginary parts the form drops;
+    |Im(b1* b3)| / max(1, |b1||b3|) and |Im(b2* b4)| / max(1, |b2||b4|),
+    the diagonal of B^dag J B - J over 2; and
+    |b1* b4 + b3* b2 - 1| / max(1, |b1||b4| + |b2||b3|), its corner.  Each
+    entry is held against the products it is formed from, so an imaginary
+    part that is small beside max |a_i| but not beside its partner in a
+    product still counts.  The distance is inf when a1 ~ 0 and a3 = 0,
+    which no member has.  The condition is valid when the distance is at
+    most max(tol, :data:`~.matrix2.NORM_FLOOR`), as the b's carry a few
+    units of roundoff.  Raises :class:`ValidationError` when a modulus
+    |a_i| exceeds B = :data:`~.matrix2.MAX_MAGNITUDE` or is NaN; below B
+    every product is finite.
 
     The report is computed once per condition object and ``tol``, kept on
     the object, and returned again by later calls, so the maps, the
@@ -181,82 +180,15 @@ def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
 
 def _measure_class(a: AlphaBC, tol: float) -> ClassReport:
     """The :func:`validate_class` report, computed afresh."""
-    a1, a2, a3, a4 = complex(a.a1), complex(a.a2), complex(a.a3), complex(a.a4)
-    x1, y1, x2, y2 = a1.real, a1.imag, a2.real, a2.imag
-    x3, y3, x4, y4 = a3.real, a3.imag, a4.real, a4.imag
-    m1, m2, m3, m4 = math.hypot(x1, y1), math.hypot(x2, y2), math.hypot(x3, y3), math.hypot(x4, y4)
+    a1, a2, a3, a4 = a.as_tuple()
+    # math.hypot, as abs() of a complex overflows at a modulus of 1.5e308
+    m1, m2 = math.hypot(a1.real, a1.imag), math.hypot(a2.real, a2.imag)
+    m3, m4 = math.hypot(a3.real, a3.imag), math.hypot(a4.real, a4.imag)
     if not (m1 <= MAX_MAGNITUDE and m2 <= MAX_MAGNITUDE and m3 <= MAX_MAGNITUDE and m4 <= MAX_MAGNITUDE):  # or NaN
         raise ValidationError(f"a boundary parameter's modulus is NaN or above {BOUND}")
-    r12, r13 = abs(x1 * x2 + y1 * y2), abs(x1 * x3 + y1 * y3)
-    r24, r34 = abs(x2 * x4 + y2 * y4), abs(x3 * x4 + y3 * y4)
-    p = a1 * a4.conjugate()
-    det_plus, det_conj = abs(p + a2 * a3.conjugate() - 1.0), abs(p + a2.conjugate() * a3 - 1.0)
-    # maxima by comparison: a max() call costs more than the rest of its line
-    big = m1 if m1 > m2 else m2
-    big = big if big > m3 else m3
-    big = big if big > m4 else m4
-    # the moduli in units of big (Higham, *Accuracy and Stability of
-    # Numerical Algorithms*, 2nd ed., sec. 2)
-    s1, s2, s3, s4 = (m1 / big, m2 / big, m3 / big, m4 / big) if big else (m1, m2, m3, m4)
-    sigma = s1 ** 2 + s2 ** 2 + s3 ** 2 + s4 ** 2
-    scale, det_scale = big * big * sigma, m1 * m4 + m2 * m3
-    scale, det_scale = (scale if scale > 1.0 else 1.0), (det_scale if det_scale > 1.0 else 1.0)
-    residuals = MappingProxyType({
-        "re_a1_a2": r12, "re_a1_a3": r13, "re_a2_a4": r24, "re_a3_a4": r34,
-        "unit_det_plus": det_plus, "unit_det_conj": det_conj,
-    })
-    # all pass: r <= tol * scale
-    orth_limit, det_limit = tol * scale, tol * det_scale
-    if (
-        r12 <= orth_limit and r13 <= orth_limit and r24 <= orth_limit and r34 <= orth_limit
-        and det_plus <= det_limit and det_conj <= det_limit
-    ):
-        return ClassReport(residuals, scale, det_scale, ())
-    failed = tuple(n for n, r in residuals.items() if not r <= (det_limit if n.startswith("unit") else orth_limit))
-    return ClassReport(residuals, scale, det_scale, failed)
-
-
-def require_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
-    """The passing :func:`validate_class` report; raises
-    :class:`NotInClassError` naming the worst constraint otherwise."""
-    report = validate_class(a, tol)
-    if not report.valid:
-        name, value = report.worst()
-        raise NotInClassError(
-            f"boundary parameters fail class constraint {name}: "
-            f"residual {value:.3e} > {tol:.1e} * scale {report.scale_of(name):.3e}"
-        )
-    return report
-
-
-def alpha_to_bd(a: AlphaBC, tol: float = DEFAULT_TOL) -> BDForm:
-    """Extract (theta, b1..b4) with B = e^{i theta} [[b1, i b2], [i b3, b4]].
-
-    Pivots on a1 when |a1| > tol * max(|a1|, |a3|), else on a3; for class
-    input at least one of a1, a3 is nonzero.  The pivot is divided by its
-    modulus before any product is formed.  The b's are real for class input
-    up to rounding; residual imaginary parts beyond tolerance raise
-    :class:`NotInClassError`.  Like the class report, the form is computed
-    once per condition object and ``tol`` (:func:`phase_form`).
-    """
-    return phase_form(a, tol)[0]
-
-
-def phase_form(a: AlphaBC, tol: float = DEFAULT_TOL) -> tuple[BDForm, complex]:
-    """The :func:`alpha_to_bd` form and e^{i theta} as the unit complex the
-    b's were taken against (its argument is theta), kept on the condition
-    next to its class reports."""
-    forms = a.__dict__.setdefault("_bd_forms", {})
-    form = forms.get(tol)
-    if form is None:
-        require_class(a, tol)
-        form = forms[tol] = _extract_form(a, tol)
-    return form
-
-
-def _extract_form(a: AlphaBC, tol: float) -> tuple[BDForm, complex]:
-    """The :func:`phase_form` of a class member, computed afresh."""
-    a1, a2, a3, a4 = a.as_tuple()
+    limit = NORM_FLOOR if tol < NORM_FLOOR else tol  # a NaN tol is a NaN limit, which nothing meets
+    # the pivot's modulus by abs(), which math.hypot can miss by an ulp: the
+    # form's bits are pinned (tests/test_map_layer_bits.py)
     r1, r3 = abs(a1), abs(a3)
     if r1 > tol * (r1 if r1 > r3 else r3):
         theta = arg_2pi(a1)
@@ -264,25 +196,44 @@ def _extract_form(a: AlphaBC, tol: float) -> tuple[BDForm, complex]:
         u = phase.conjugate()
         w = -1j * u
         b1, b2, b3, b4 = complex(r1), w * a2, w * a3, u * a4
+    elif a3 == 0:
+        return ClassReport(math.inf, limit, None, None)
     else:
-        if a3 == 0:
-            raise NotInClassError("a1 ~ 0 and a3 = 0: no admissible matrix has both")
         phase = -1j * a3 / r3
         theta = arg_2pi(phase)
         u = (a3 / r3).conjugate()
         w = 1j * u
         b1, b2, b3, b4 = w * a1, u * a2, complex(r3), w * a4
-    # the limit is max(tol, NORM_FLOOR) * max(1, |b_i|), as the b's carry
-    # about one ulp of rounding, so only an imaginary part over the floor
-    # needs the moduli
-    floor = tol if tol > NORM_FLOOR else NORM_FLOOR
-    if abs(b1.imag) > floor or abs(b2.imag) > floor or abs(b3.imag) > floor or abs(b4.imag) > floor:
-        worst_imag = max(abs(b1.imag), abs(b2.imag), abs(b3.imag), abs(b4.imag))
-        if worst_imag > floor * max(1.0, abs(b1), abs(b2), abs(b3), abs(b4)):
-            raise NotInClassError(
-                f"extracted parameters are not real: max imaginary part {worst_imag:.3e}"
-            )
-    return BDForm(theta, b1.real, b2.real, b3.real, b4.real), phase
+    # maxima by comparison: a max() call costs more than the rest of its line
+    big = m1 if m1 > m2 else m2
+    big = big if big > m3 else m3
+    big = big if big > m4 else m4
+    imag = max(abs(b1.imag), abs(b2.imag), abs(b3.imag), abs(b4.imag)) / (big if big > 1.0 else 1.0)
+    # |b_i| = |a_i|, up to an ulp
+    s13, s24 = m1 * m3, m2 * m4
+    d13 = abs((b1.conjugate() * b3).imag) / (s13 if s13 > 1.0 else 1.0)
+    d24 = abs((b2.conjugate() * b4).imag) / (s24 if s24 > 1.0 else 1.0)
+    residual, size = _unit_det(b1, b2, b3, b4)
+    distance = max(imag, d13, d24, residual / size)
+    return ClassReport(distance, limit, BDForm(theta, b1.real, b2.real, b3.real, b4.real), phase)
+
+
+def require_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
+    """The passing :func:`validate_class` report; raises
+    :class:`NotInClassError` giving the distance otherwise."""
+    report = validate_class(a, tol)
+    if not report.valid:
+        raise NotInClassError(
+            f"boundary parameters are not in the class: distance {report.distance:.3e} > {report.limit:.1e}"
+        )
+    return report
+
+
+def alpha_to_bd(a: AlphaBC, tol: float = DEFAULT_TOL) -> BDForm:
+    """(theta, b1..b4) with B = e^{i theta} [[b1, i b2], [i b3, b4]]: the
+    form of the :func:`validate_class` report, which must pass (else
+    :class:`NotInClassError`)."""
+    return require_class(a, tol).form
 
 
 def bd_to_alpha(f: BDForm, tol: float = DEFAULT_TOL) -> AlphaBC:
@@ -294,8 +245,8 @@ def bd_to_alpha(f: BDForm, tol: float = DEFAULT_TOL) -> AlphaBC:
     bound = MAX_MAGNITUDE  # x - x is NaN unless x is finite; NaN fails every comparison
     if not (theta - theta == 0 and abs(b1) <= bound and abs(b2) <= bound and abs(b3) <= bound and abs(b4) <= bound):
         raise InvalidBDError(f"theta must be finite and each |b_i| <= {BOUND}, got {f!r}")
-    residual = f.residual()
-    if not residual <= tol * max(1.0, abs(b1 * b4) + abs(b2 * b3)):
+    residual, size = _unit_det(b1, b2, b3, b4)
+    if not residual <= tol * size:
         raise InvalidBDError(f"b1*b4 + b2*b3 = 1 violated: residual {residual:.3e}")
     phase = complex(math.cos(theta), math.sin(theta))
     i_phase = 1j * phase

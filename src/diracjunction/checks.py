@@ -201,8 +201,7 @@ RHO_ROUND_TRIP = Check("extension-round-trip", _rho_round_trip, 1e-12)
 RATIO_ORACLE = Check("boundary-ratio-oracle", _ratio_oracle, 1e-12)
 
 FUZZ_CHECKS = (
-    # the worst class residual, in units of its own constraint's scale
-    Check("fuzz-class", lambda report: (w := report.worst())[1] / report.scale_of(w[0]), 1e-12),
+    Check("fuzz-class", lambda report: report.distance, 1e-12),
     ROUND_TRIP._replace(name="fuzz-round-trip"),
     CURRENT._replace(name="fuzz-current"),
     Check("fuzz-scatter-unitarity", lambda res: abs(res.R + res.T - 1.0), 1e-12),
@@ -217,8 +216,9 @@ def verify_condition(condition: ExtensionClass | matrix2.Entries, m: float, tol:
 
     A unitary is decomposed and recomposed (``decomposition-round-trip``),
     then classified and checked as its boundary condition.  A transmitting
-    condition outside the class at ``tol`` fails ``class-constraints``,
-    under the name of its worst constraint, and runs no further check.
+    condition's ``class-constraints`` record is its distance from the class
+    against the class check's limit; outside the class it fails and no
+    further check runs.
     Every check is exact or a closed form, so the result is deterministic.
     """
     if not isinstance(condition, ExtensionClass):  # a unitary
@@ -230,13 +230,12 @@ def verify_condition(condition: ExtensionClass | matrix2.Entries, m: float, tol:
         return Verification((RHO_ROUND_TRIP(r, m, tol), RATIO_ORACLE(r, m, tol), SYMMETRY(condition)), {})
     a = condition.alpha
     report = boundary.validate_class(a, tol)
-    name, worst = report.worst()
-    limit = tol * report.scale_of(name)
+    in_class = CheckRecord("class-constraints", report.distance, report.limit, report.valid)
     if not report.valid:
-        return Verification((CheckRecord(f"class-constraints {name}", worst, limit, False),), {})
+        return Verification((in_class,), {})
     q = correspondence.alpha_to_u2(a, m, tol)
     records = (
-        CheckRecord("class-constraints", worst, limit, True),
+        in_class,
         ROUND_TRIP(a, q, m),
         IDENTITIES(q, a, m, scale=alpha_scale(a)),
         CURRENT(a),
@@ -264,7 +263,7 @@ def draw_fuzz(count: int, m: float, seed: int) -> Iterator[tuple[AlphaBC, float,
 def check_fuzz(instances: Iterable[tuple[AlphaBC, float, RhoBC]], m: float, tol: float) -> tuple:
     """The worst residual of each of :data:`FUZZ_CHECKS` over ``instances``, then the
     closed-form tally; or, at the first instance outside the class at ``tol``, only its
-    ``fuzz-class`` residual."""
+    ``fuzz-class`` residual and the class check's limit."""
     from . import scattering  # only the fuzz checks scatter; checking one condition does not load it
     in_class, round_trip, current, unitarity, rho_round_trip, reflection = FUZZ_CHECKS
     worst = [0.0] * len(FUZZ_CHECKS)
@@ -272,7 +271,7 @@ def check_fuzz(instances: Iterable[tuple[AlphaBC, float, RhoBC]], m: float, tol:
     for a, E, r in instances:
         report = boundary.validate_class(a, tol)
         if not report.valid:
-            return (in_class.residual(report),)
+            return (in_class.residual(report), report.limit)
         q = correspondence.alpha_to_u2(a, m, tol)
         residuals = (
             in_class.residual(report),
@@ -287,7 +286,7 @@ def check_fuzz(instances: Iterable[tuple[AlphaBC, float, RhoBC]], m: float, tol:
     return (*worst, counts)
 
 
-def merge_fuzz(parts: Iterable[tuple | JunctionError], tol: float) -> Verification:
+def merge_fuzz(parts: Iterable[tuple | JunctionError]) -> Verification:
     """A fuzz run's verdict from the :func:`check_fuzz` results (or raised errors)
     of its consecutive parts, in order: the first part that stopped decides, as in
     one run over them all; else each check's worst residual, and the summed tally."""
@@ -296,8 +295,9 @@ def merge_fuzz(parts: Iterable[tuple | JunctionError], tol: float) -> Verificati
     for part in parts:
         if isinstance(part, JunctionError):
             raise part
-        if len(part) == 1:
-            return Verification((CheckRecord(in_class.name, part[0], min(tol, in_class.limit), False),), {})
+        if len(part) == 2:
+            residual, limit = part
+            return Verification((CheckRecord(in_class.name, residual, min(limit, in_class.limit), False),), {})
         worst = list(map(max, worst, part[:-1]))
         tally.update(part[-1])
     return Verification(tuple(check.record(w) for check, w in zip(FUZZ_CHECKS, worst)), dict(tally))
@@ -307,5 +307,5 @@ def verify_fuzz(count: int, m: float, tol: float, seed: int) -> Verification:
     """Worst residual of each fuzz check over ``count`` random transmitting
     and separating conditions, one energy each, and the closed-form tally; an
     instance outside the class at ``tol`` fails ``fuzz-class`` (against the
-    smaller of ``tol`` and its usual limit) and ends the run."""
-    return merge_fuzz([check_fuzz(draw_fuzz(count, m, seed), m, tol)], tol)
+    smaller of the class check's limit and its usual one) and ends the run."""
+    return merge_fuzz([check_fuzz(draw_fuzz(count, m, seed), m, tol)])

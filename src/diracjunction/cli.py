@@ -80,7 +80,7 @@ def parse_complex(token: str) -> complex:
             z = _pair(json.loads(s))
         else:
             z = complex(s.replace(" ", "").replace("i", "j"))
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise ValidationError(f"bad complex literal {token!r}") from exc
     return _finite(z, token)
 
@@ -100,7 +100,7 @@ def parse_matrix(text: str) -> matrix2.Entries:
     try:
         (p, q), (r, s) = json.loads(text)
         a, b, c, d = map(_pair, (p, q, r, s))
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ValidationError(f"bad matrix literal {text!r}: need two rows of two [re, im] pairs") from exc
     return (_finite(a, p), _finite(b, q)), (_finite(c, r), _finite(d, s))
 
@@ -144,14 +144,17 @@ def parse_angle(text: str) -> float:
     return angle
 
 
+def _bd_value(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise ValidationError(f"bad --bd value {token!r}") from exc
+
+
 def parse_bd(text: str) -> BDForm:
     """Parse theta,b1,b2,b3,b4; theta accepts pi expressions."""
     theta, *bs = _values(text, 5, "--bd")
-    theta = parse_angle(theta) % (2.0 * math.pi)
-    try:
-        return BDForm(theta, *map(float, bs))
-    except ValueError as exc:
-        raise ValidationError(f"bad --bd values: {exc}") from exc
+    return BDForm(parse_angle(theta) % (2.0 * math.pi), *map(_bd_value, bs))
 
 
 def rho_json_value(v: float):
@@ -408,7 +411,7 @@ def _fuzz(args, parts: int | None = None):
     pieces = _in_parts(n, parts or _part_count(n, _PART_INSTANCES), render)
     typed = (ValidationError, InternalInconsistencyError)  # by exit code - 2
     return checks.merge_fuzz([typed[p["exit"] - 2](p["error"]) if isinstance(p, dict) else p
-                              for p in map(marshal.loads, pieces)], args.tol)
+                              for p in map(marshal.loads, pieces)])
 
 
 def cmd_scatter(args) -> int:

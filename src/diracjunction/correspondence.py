@@ -272,19 +272,18 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     with the boundary-value solve (:func:`~.deficiency.solve_u2_matrix`).
     Raises :class:`~.errors.NotInClassError` outside the class and
     :class:`InternalInconsistencyError` when |g1|^2 + |g2|^2 misses 1 by more
-    than ``tol``, at least :data:`NORM_FLOOR` here, or |g3| by more than the
-    class check allows (``tol`` times the :func:`~.boundary.validate_class`
-    report's scale), which happens only where the map amplifies the
-    condition's class residual.
+    than ``tol``, at least :data:`NORM_FLOOR` here, or |g3| by more than
+    ``tol`` times max(1, sum |a_i|^2), which happens only where the map
+    amplifies the condition's class residual.
     """
     _, s, mu = _mass_constants(m)
     muc = mu.conjugate()
-    scale = require_class(a, tol).scale
+    require_class(a, tol)
     a1, a2, a3, a4 = a.as_tuple()
     # e^{i theta} up to sign, from the larger of a1 = e^{i theta} b1 and
     # a3 = i e^{i theta} b3 (one is nonzero on the class); the sign is
     # removed by the flip below
-    n1, n3 = abs(a1), abs(a3)
+    n1, n2, n3, n4 = abs(a1), abs(a2), abs(a3), abs(a4)
     p = a1 / n1 if n1 >= n3 else -1j * a3 / n3
     w = -muc * a1 + a2 - a3 + mu * a4
     g2_scale = 2.0 / s
@@ -298,10 +297,10 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     # + 0j turns -0.0 into 0.0, so no parameter prints as a negative zero
     q = QuaternionForm(g1 + 0j, g2 + 0j, g3 + 0j)
     # g1, g2 are normalized by construction; |g3| inherits the class residual,
-    # which the class check allows up to tol times the report's scale
+    # allowed up to tol times the size of the a's
     r1, r2 = _norm_residuals(*q)
     tol = max(tol, NORM_FLOOR)
-    limit = tol * scale
+    limit = tol * max(1.0, n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4)
     if not (r1 <= tol and r2 <= limit):
         raise InternalInconsistencyError(
             f"closed-form extension parameters fail the norm constraints: "

@@ -21,9 +21,14 @@ the solution is
     r = N / D,   t = 2 lam e^{i theta} / D,   R = |N|^2 / |D|^2,   T = 4 lam^2 / |D|^2,
 
 and |D|^2 = |N|^2 + 4 lam^2 >= 4 lam^2 on the class, so the system is never
-singular above the gap.  The kernel divides by |N|^2 + 4 lam^2, which is
-positive for any finite b's: every E > m within B gives lam^2 >= 2^-54.  A
-separating condition reflects at its face with |r| = 1 and transmits nothing.
+singular above the gap.  A wave from the right solves
+u_minus + r' u_plus = B t' u_minus, with the same D:
+
+    r' = (lam (b1 - b4) + i (b3 - b2 lam^2)) / D,   t' = 2 lam e^{-i theta} / D = t e^{-2i theta}.
+
+The kernel divides by |N|^2 + 4 lam^2, which is positive for any finite
+b's: every E > m within B gives lam^2 >= 2^-54.  A separating condition
+reflects at its face with |r| = 1 and transmits nothing.
 
 Only the particle branch E > m is exposed; the hole branch E < -m would
 need nothing beyond sign bookkeeping in the wavenumbers but is left
@@ -41,7 +46,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .boundary import TWO_PI, AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, phase_form
+from .boundary import TWO_PI, AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, require_class
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
 from .errors import BelowGapError, ValidationError
 from .matrix2 import BOUND, DEFAULT_TOL, MAX_MAGNITUDE, record_type
@@ -109,12 +114,15 @@ class ScatteringColumns(NamedTuple):
 # k = E exactly.
 
 
-def _transmitting(a: AlphaBC, E: list[float], m: float, tol: float) -> tuple[list[float], ...]:
-    """The :func:`_columns` of a class member at ``tol``, from the b-form
-    (module docstring)."""
-    form, phase = phase_form(a, tol)
-    _, b1, b2, b3, b4 = form
+def _transmitting(a: AlphaBC, face: Island, E: list[float], m: float, tol: float) -> tuple[list[float], ...]:
+    """The :func:`_columns` of a class member at ``tol`` for a wave coming in
+    through ``face``, from the b-form (module docstring)."""
+    report = require_class(a, tol)
+    _, b1, b2, b3, b4 = report.form
+    phase = report.phase
     s, d, pr, pi = b1 + b4, b4 - b1, phase.real, phase.imag
+    if face is Island.RIGHT:  # N with b1 and b4 swapped, t with the conjugate phase
+        d, pi = b1 - b4, -pi
     cols = k, lam, re_r, im_r, re_t, im_t, R, T, phase_t = [], [], [], [], [], [], [], [], []
     sqrt, atan2 = math.sqrt, math.atan2
     for e in E:
@@ -176,9 +184,9 @@ def _separating(rho: RhoBC, face: Island, E: list[float], m: float) -> tuple[lis
 
 def _columns(bc: ExtensionClass, E: list[float], m: float, face: Island, tol: float) -> tuple[list[float], ...]:
     """The output columns after E, (k, lam, re_r, im_r, re_t, im_t, R, T,
-    phase_t), at energies ``E`` above the gap: a transmitting condition must
-    be in the class at ``tol`` and takes the wave from the left whatever
-    ``face`` says; a separating one reflects totally at ``face``.
+    phase_t), at energies ``E`` above the gap, for a wave coming in through
+    ``face``: a transmitting condition must be in the class at ``tol``; a
+    separating one reflects totally at ``face``.
 
     At m = 0 the kernels give lambda = 1 and k = E exactly, and every other
     column depends on the energy only through lambda, so one row is computed
@@ -188,7 +196,7 @@ def _columns(bc: ExtensionClass, E: list[float], m: float, face: Island, tol: fl
         n = len(E)
         return (list(E), *(col * n for col in _columns(bc, E[:1], m, face, tol)[1:]))
     if isinstance(bc, Transmitting):
-        return _transmitting(bc.alpha, E, m, tol)
+        return _transmitting(bc.alpha, face, E, m, tol)
     return _separating(bc.rho, face, E, m)
 
 
@@ -221,7 +229,7 @@ def scatter_alpha(a: AlphaBC, E: float, m: float) -> ScatteringResult:
     :class:`NotInClassError` when ``a`` is not in the class.
     """
     E, m = _energy(E, m)
-    return _row(E, _transmitting(a, E, m, DEFAULT_TOL))
+    return _row(E, _transmitting(a, Island.LEFT, E, m, DEFAULT_TOL))
 
 
 def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> ScatteringResult:
@@ -248,7 +256,7 @@ def check_sweep(bc: ExtensionClass, e_min: float, e_max: float, steps: int, m: f
     except (MemoryError, OverflowError):
         raise ValidationError(f"no energy grid of {steps} steps fits in memory") from None
     if isinstance(bc, Transmitting):
-        phase_form(bc.alpha, tol)
+        require_class(bc.alpha, tol)
     return m
 
 

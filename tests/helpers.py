@@ -21,6 +21,22 @@ BOUND_TEXT = f"B = 2^255 = {B!r}"
 BOUND_MATCH = re.escape(BOUND_TEXT)
 
 
+def off_the_class(a: AlphaBC) -> AlphaBC:
+    """``a`` with a1 scaled by 1 + 1e-6: a distance of about 1e-6 from the class."""
+    return a._replace(a1=a.a1 * (1.0 + 1e-6))
+
+
+def leaving_the_class(draw_fuzz, *indices: int):
+    """``checks.draw_fuzz`` with the transmitting condition of each instance
+    in ``indices`` moved :func:`off_the_class`; it refuses a count as eagerly."""
+
+    def draws(count: int, m: float, seed: int):
+        stream = draw_fuzz(count, m, seed)
+        return ((off_the_class(a) if i in indices else a, E, r) for i, (a, E, r) in enumerate(stream))
+
+    return draws
+
+
 def apply_alpha(a: AlphaBC, v_minus) -> np.ndarray:
     """Boundary value at the right face: B times the left-face spinor."""
     return a.matrix() @ np.asarray(v_minus, dtype=complex)

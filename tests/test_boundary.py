@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from diracjunction.errors import (
     ValidationError,
     ZeroParameterError,
 )
+from diracjunction.matrix2 import DEFAULT_TOL, NORM_FLOOR
 from helpers import B, BOUND_MATCH, apply_alpha, bd_equivalent, current, random_spinor, satisfies_rho
 
 IDENTITY = AlphaBC(1, 0, 0, 1)
@@ -51,61 +53,69 @@ class TestValidateClass:
         assert validate_class(SPIN_FLIP).valid
 
     def test_sign_flipped_diagonal_invalid(self):
+        # b1 b4 + b2 b3 = -1 misses 1 by 2, in units of max(1, |b1 b4|) = 1
         report = validate_class(AlphaBC(1, 0, 0, -1))
         assert not report.valid
-        assert report.residuals["unit_det_plus"] == pytest.approx(2.0)
+        assert report.distance == 2.0
 
     def test_residuals_all_reported(self):
+        # b2 = -i a2 = -i is imaginary by 1, in units of max(1, max |a_i|) = 1;
+        # the report gives the distance, its limit and the real parts' form
         report = validate_class(AlphaBC(1, 1, 0, 1))
         assert not report.valid
-        assert report.residuals["re_a1_a2"] == pytest.approx(1.0)
-        assert len(report.residuals) == 6
+        assert (report.distance, report.limit) == (1.0, DEFAULT_TOL)
+        assert report.form == BDForm(0.0, 1.0, 0.0, 0.0, 1.0) and report.phase == 1.0
+
+    def test_no_pivot_is_an_infinite_distance(self):
+        for a in (AlphaBC(0, 0, 0, 0), AlphaBC(0, 1, 0, 1), AlphaBC(-0.0, 1j, 0, 0)):
+            report = validate_class(a)
+            assert (report.distance, report.form, report.phase) == (math.inf, None, None)
+            with pytest.raises(NotInClassError, match="distance inf"):
+                alpha_to_bd(a)
+
+    def test_the_limit_is_tol_or_the_floor(self):
+        assert validate_class(IDENTITY, 1e-3).limit == 1e-3
+        assert validate_class(IDENTITY, 1e-20).limit == NORM_FLOOR
 
 
 class TestDeterminantScale:
-    """The two determinant constraints are measured against
-    max(1, |a1||a4| + |a2||a3|), the four orthogonality ones against
-    max(1, sum |a_i|^2)."""
+    """The determinant term is measured against max(1, |b1 b4| + |b2 b3|),
+    the imaginary parts of the b's against max(1, max |a_i|)."""
 
     @pytest.mark.parametrize("big", [1e5, 1e6, B, 1e100, 1e200])
     def test_a_lone_large_entry_breaks_the_determinant(self, big):
-        # b1 b4 + b2 b3 = 0, which sum |a_i|^2 >= 1/tol used to hide; an
-        # entry beyond the bound B is refused before any constraint is measured
+        # b1 b4 + b2 b3 = 0, which sum |a_i|^2 >= 1/tol once hid; an entry
+        # beyond the bound B is refused before any distance is measured
         if big > B:
             with pytest.raises(ValidationError, match=BOUND_MATCH):
                 validate_class(AlphaBC(big, 0, 0, 0))
             return
         report = validate_class(AlphaBC(big, 0, 0, 0))
-        assert report.failed == ("unit_det_plus", "unit_det_conj")
-        assert report.worst() == ("unit_det_plus", 1.0)
-        assert (report.scale, report.det_scale) == (max(1.0, big * big), 1.0)
-        assert report.scale_of("unit_det_conj") == 1.0 and report.scale_of("re_a1_a2") == report.scale
-        message = "unit_det_plus: residual 1.000e.00 > 1.0e-10 . scale 1.000e.00"
+        assert not report.valid and report.distance == 1.0
+        message = "not in the class: distance 1.000e.00 > 1.0e-10"
         with pytest.raises(NotInClassError, match=message):
             alpha_to_bd(AlphaBC(big, 0, 0, 0))
 
     def test_the_worst_failing_constraint_is_named(self):
-        # Re(a1 a3*) = -B passes against tol * sum |a_i|^2 = tol * B^2; the
-        # determinant residual B fails against tol * B
+        # b3 = -i, b4 = i are imaginary by 1/B of max |a_i| = B; the
+        # determinant misses 1 by all of it
         report = validate_class(AlphaBC(B, 0, -1, 1j))
-        assert report.failed == ("unit_det_plus", "unit_det_conj")
-        assert report.worst() == ("unit_det_plus", B)
+        assert not report.valid and report.distance == 1.0
 
     def test_a_passing_report_ranks_by_residual_over_scale(self):
-        # Re(a1 a2*) = 2^-37 is the largest residual, but 2^-37/64 of its
-        # scale; the determinant residual 2^-42 is a larger share of ~1
+        # Im b2 = -2^-40 is the largest residual, but 2^-43 of its scale 8;
+        # the determinant residual 2^-42 is a larger share of 1 + 2^-42
         report = validate_class(AlphaBC(8, 2**-40, 0, 0.125 + 2**-45))
-        assert report.valid and max(report.residuals, key=report.residuals.get) == "re_a1_a2"
-        assert report.worst() == ("unit_det_plus", 2**-42)
+        assert report.valid and report.distance == 2**-42 / (1 + 2**-42)
 
     def test_huge_entries_keep_an_exact_determinant_verdict(self):
-        # sum |a_i|^2 = B^2, |a1||a4| = 1
+        # |b1 b4| = 1
         assert validate_class(AlphaBC(B, 0, 0, 1 / B)).valid
         assert validate_class(AlphaBC(B, 0, 0, 1 / B * (1 + 1e-12))).valid
         assert not validate_class(AlphaBC(B, 0, 0, 1 / B * (1 + 1e-9))).valid
-        # |a1||a4| = B^2 and the residual B^2 - 1 are finite: it fails
+        # |b1 b4| = B^2 and the residual B^2 - 1 are finite: it fails
         report = validate_class(AlphaBC(B, 0, 0, B))
-        assert report.det_scale == B * B and report.failed == ("unit_det_plus", "unit_det_conj")
+        assert not report.valid and report.distance == 1.0
         # an entry whose square overflows is refused
         with pytest.raises(ValidationError, match=BOUND_MATCH):
             validate_class(AlphaBC(1e300, 0, 0, 1e-300))
@@ -119,45 +129,89 @@ class TestDeterminantScale:
             a = bd_to_alpha(BDForm(rng.uniform(0.0, 2.0 * math.pi), b1, b2, b3, (1.0 - b2 * b3) / b1))
             report = validate_class(a)
             assert report.valid, a
-            worst = max(worst, max(report.residuals[n] / report.scale_of(n) for n in report.residuals))
+            worst = max(worst, report.distance)
         assert worst <= 1e-14
 
 
+class TestCurrentDefect:
+    """An imaginary part under tol times max |a_i| still fails when the entry
+    it multiplies in B^dag J B is large: each entry of B^dag J B - J is held
+    against its own products."""
+
+    @pytest.mark.parametrize("a, distance", [
+        # Im b4 beside b1 = 1e6: b1* b4 + b3* b2 - 1 = i
+        (AlphaBC(1e6, 0, 0, 1e-6 + 1e-6j), 2**-0.5),
+        (AlphaBC(B, 0, 0, (1 + 1j) / B), 2**-0.5),
+        # Im b3 = 5e-5 beside b1 = 1e6: Im(b1* b3) = 50 of |b1||b3| = 50
+        (AlphaBC(1e6, 0, -5e-5, 1e-6), 1.0),
+        # Im b2 = 5e-5 beside b4 = 1e6: Im(b2* b4) = 50 of |b2||b4| ~ 1e6
+        (AlphaBC(1e-6, 1j - 5e-5, 0, 1e6), 5e-5),
+    ])
+    def test_a_small_imaginary_part_beside_a_large_partner_fails(self, a, distance):
+        report = validate_class(a)
+        assert not report.valid and report.distance == pytest.approx(distance, rel=1e-9)
+        with pytest.raises(NotInClassError, match="not in the class"):
+            alpha_to_bd(a)
+
+    def test_the_real_parts_alone_would_pass(self):
+        # the form of AlphaBC(1e6, 0, 0, 1e-6 + 1e-6j) is diag(1e6, 1e-6), a member
+        report = validate_class(AlphaBC(1e6, 0, 0, 1e-6 + 1e-6j))
+        assert report.form == BDForm(0.0, 1e6, 0.0, 0.0, 1e-6)
+        assert validate_class(bd_to_alpha(report.form)).valid
+
+
+class TestOneVerdict:
+    def test_every_member_the_class_check_accepts_has_a_form(self):
+        # members moved by up to 0.3 tol max(1, |a_i|) in each part, on both
+        # sides of the class's edge: one measurement decides both verdicts
+        rng, accepted = random.Random(1), 0
+        for _ in range(5000):
+            a = random_alpha(rng)
+            moved = AlphaBC(*(z + 0.3 * DEFAULT_TOL * max(1.0, abs(z)) * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                              for z in a.as_tuple()))
+            if validate_class(moved).valid:
+                accepted += 1
+                assert alpha_to_bd(moved) == validate_class(moved).form, moved
+        assert 4500 < accepted < 5000
+
+
 class TestClassScaleOverflow:
-    """No scale overflows: every modulus is at most B, so every sum of the
-    products of two moduli is finite, and a larger modulus is refused."""
+    """No scale overflows: every modulus is at most B, so every product of
+    two moduli is finite, and a larger modulus is refused."""
 
     def test_scale_of_huge_parameters_is_finite_not_an_error(self):
-        assert validate_class(AlphaBC(B, 0, 0, 1 / B)).scale == B * B
-        assert validate_class(AlphaBC(3, 4j, 0, 0)).scale == 25.0
+        assert validate_class(AlphaBC(B, 0, 0, 1 / B)).distance == 0.0
+        assert validate_class(AlphaBC(3, 4j, 0, 0)).distance == 1.0
         with pytest.raises(ValidationError, match=BOUND_MATCH):
             validate_class(AlphaBC(1e200, 0, 0, 1e-200))
+        # a modulus of 1.5e308, which abs() of a complex overflows on
+        with pytest.raises(ValidationError, match=BOUND_MATCH):
+            validate_class(AlphaBC(1.5e308 + 1.5e308j, 0, 0, 0))
 
     def test_verdict_stays_exact_at_the_bound(self):
-        # diag(B, 1/B) and [[B, B i], [0, 1/B]] are in the class, with finite residuals
+        # diag(B, 1/B) and [[B, B i], [0, 1/B]] are in the class, at distance 0
         for a in (AlphaBC(B, 0, 0, 1 / B), AlphaBC(B, B * 1j, 0, 1 / B)):
             report = validate_class(a)
-            assert report.valid and all(map(math.isfinite, report.residuals.values()))
+            assert report.valid and report.distance == 0.0
         f = alpha_to_bd(AlphaBC(B, 0, 0, 1 / B))
         assert (f.theta, f.bs()) == (0.0, (B, 0.0, 0.0, 1 / B))
-        # Re(a1 a2*) / |a|^2 = 1e-5 is far outside the 1e-10 tolerance
+        # Im b2 / max |a_i| = 1e-5 is far outside the 1e-10 tolerance
         assert not validate_class(AlphaBC(B, B * 1e-5, 0, 1 / B)).valid
-        # the largest residual, B^2, fails rather than passing vacuously
+        # the largest distance, 1, fails rather than passing vacuously
         report = validate_class(AlphaBC(B, B, 0, 0))
-        assert not report.valid and report.residuals["re_a1_a2"] == B * B
+        assert not report.valid and report.distance == 1.0
 
     @pytest.mark.parametrize("alpha", [
         # the parameters of --gamma 0.6,0.8i,i at m = B: products of order B^2
         AlphaBC(4.3422033463993573e76, -4.3422033463993573e76j, 4.3422033463993573e76j, 4.3422033463993573e76),
-        # a1 a4* + a2 a3* is B^2 - B^2; its true value 0 misses 1 by far less
-        # than tol times |a1||a4| + |a2||a3| = 2 B^2
+        # b1 b4 + b2 b3 is B^2 - B^2; its true value 0 misses 1 by far less
+        # than tol times |b1 b4| + |b2 b3| = 2 B^2
         AlphaBC(B, B * 1j, -B * 1j, B),
     ])
     def test_overflowing_products_leave_no_nan_residual(self, alpha):
         report = validate_class(alpha)
-        assert report.valid and all(map(math.isfinite, report.residuals.values()))
-        assert math.isfinite(report.scale) and math.isfinite(report.det_scale)
-        assert report.residuals["re_a1_a2"] == 0.0 and report.worst()[1] == 1.0
+        assert report.valid and 0.0 < report.distance < 1e-150
+        assert all(map(math.isfinite, report.form))
 
 
 class TestBDForm:

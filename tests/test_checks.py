@@ -12,8 +12,8 @@ from diracjunction import checks, deficiency, matrix2
 from diracjunction.boundary import AlphaBC, BDForm, RhoBC, bd_to_alpha, random_alpha, random_rho, validate_class
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.errors import ValidationError
-from diracjunction.matrix2 import DEFAULT_TOL
-from helpers import B, BOUND_MATCH, current, random_quaternion_form, random_spinor
+from diracjunction.matrix2 import DEFAULT_TOL, NORM_FLOOR
+from helpers import B, BOUND_MATCH, current, leaving_the_class, off_the_class, random_quaternion_form, random_spinor
 
 MASSES = (0.0, 1.0, 10.0)
 
@@ -128,27 +128,30 @@ class TestRecordVerdicts:
         for seed, m in ((1, 0.0), (2, 1.0), (3, 1.0), (4, 10.0)):
             self._consistent(checks.verify_fuzz(3600 if seed == 3 else 400, m, tol, seed))
 
-    def test_fuzz_class_residual_is_on_its_constraints_scale(self):
-        # instance 0 of seed 3 fails a determinant constraint, whose scale
-        # is not the orthogonality scale the residual was once divided by
+    def test_fuzz_class_residual_is_on_its_constraints_scale(self, monkeypatch):
+        # the residual of an instance off the class is its class distance,
+        # a share of the scales of its terms, against the limit the verdict
+        # was taken at: max(tol, NORM_FLOOR)
+        monkeypatch.setattr(checks, "draw_fuzz", leaving_the_class(checks.draw_fuzz, 0))
         (record,) = checks.verify_fuzz(3600, 1.0, 1e-16, 3).records
-        assert record.name == "fuzz-class" and record.residual > record.limit == 1e-16
+        a = next(checks.draw_fuzz(1, 1.0, 3))[0]
+        assert record.name == "fuzz-class" and record.residual > record.limit == NORM_FLOOR
+        assert record.residual == validate_class(a, 1e-16).distance > 1e-7
 
     def test_passing_class_record_takes_its_constraints_scale(self):
-        # the worst share of its scale is a determinant residual, whose
-        # limit is tol times the determinant scale, not the orthogonality one
+        # the distance is the determinant residual 2^-42 in units of its
+        # products, 1 + 2^-42, held to the class check's limit
         a = AlphaBC(8, 2**-40, 0, 0.125 + 2**-45)
-        report = validate_class(a, DEFAULT_TOL)
         record = checks.verify_condition(Transmitting(a), 1.0, DEFAULT_TOL).records[0]
-        assert record == checks.CheckRecord("class-constraints", 2**-42, DEFAULT_TOL * report.det_scale, True)
-        assert report.det_scale != report.scale
+        assert record == checks.CheckRecord("class-constraints", 2**-42 / (1 + 2**-42), DEFAULT_TOL, True)
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-16, 1e-17])
     def test_condition_records(self, tol):
         rng = np.random.default_rng(91)
         for i in range(300):
             m = MASSES[i % 3]
-            for condition in (Transmitting(random_alpha(rng)), Separating(random_rho(rng))):
+            a = random_alpha(rng)
+            for condition in (Transmitting(a), Transmitting(off_the_class(a)), Separating(random_rho(rng))):
                 self._consistent(checks.verify_condition(condition, m, tol))
             # a composed unitary misses unitarity by a few units of roundoff,
             # which a smaller tol rejects as input
@@ -165,17 +168,21 @@ class TestFuzzParts:
             expected = checks.verify_fuzz(300, m, tol, seed)
             for bounds in ([0, 300], [0, 1, 300], [0, 150, 299, 300], [0, 7, 100, 200, 300]):
                 parts = [checks.check_fuzz(draws[lo:hi], m, tol) for lo, hi in zip(bounds, bounds[1:])]
-                assert checks.merge_fuzz(parts, tol) == expected
+                assert checks.merge_fuzz(parts) == expected
 
     def test_the_first_part_that_stopped_decides(self):
         from diracjunction.errors import InternalInconsistencyError
 
         done = checks.check_fuzz(checks.draw_fuzz(5, 1.0, 7), 1.0, DEFAULT_TOL)
         error = InternalInconsistencyError("a later instance")
-        verdict = checks.merge_fuzz([done, (2e-16,), error], DEFAULT_TOL)
-        assert verdict.records == (checks.CheckRecord("fuzz-class", 2e-16, 1e-12, False),)
+        # a stopped part carries its distance and the class check's limit;
+        # the record takes the smaller of that limit and 1e-12
+        verdict = checks.merge_fuzz([done, (2e-9, DEFAULT_TOL), error])
+        assert verdict.records == (checks.CheckRecord("fuzz-class", 2e-9, 1e-12, False),)
+        verdict = checks.merge_fuzz([done, (2e-15, NORM_FLOOR), error])
+        assert verdict.records == (checks.CheckRecord("fuzz-class", 2e-15, NORM_FLOOR, False),)
         with pytest.raises(InternalInconsistencyError, match="a later instance"):
-            checks.merge_fuzz([done, error, (2e-16,)], DEFAULT_TOL)
+            checks.merge_fuzz([done, error, (2e-9, DEFAULT_TOL)])
 
     def test_draws_are_one_stream(self):
         # each instance draws its condition, energy and separating condition in turn

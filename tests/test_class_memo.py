@@ -1,15 +1,20 @@
-"""The class check measures each condition once per ``tol``, and measures it
-exactly as the dict-based check it replaced did.
+"""The class check measures each condition once per ``tol``, its distance
+matches an independent 50-digit reference, and its verdicts agree with the
+paper's six constraints.
 
-``_oracle_validate_class`` is that earlier ``validate_class`` (its docstring
-aside), the reference for the leaner measurement, with one change: a modulus
-above the bound B is refused, so that no product overflows into a NaN or
-infinite residual.
+``_reference_distance`` computes the distance from its definition in
+``mpmath``: the pivot, e^{-i theta} and the b's of
+B = e^{i theta} [[b1, i b2], [i b3, b4]], each exact to 50 digits, then the
+largest of the imaginary parts' share of max(1, max |a_i|) and the three
+entries of B^dag J B - J, each a share of the products it is formed from.
+``_six_constraint_defect`` takes no b's: it holds the six constraints of
+the class on the a's, each against its own products.
 """
 
 import copy
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -19,47 +24,62 @@ from hypothesis import strategies as st
 from diracjunction import boundary, checks, correspondence, scattering
 from diracjunction.boundary import (
     AlphaBC,
-    ClassReport,
+    BDForm,
     alpha_to_bd,
+    bd_to_alpha,
     random_alpha,
     require_class,
     validate_class,
 )
 from diracjunction.errors import NotInClassError, ValidationError
-from diracjunction.matrix2 import DEFAULT_TOL
+from diracjunction.matrix2 import DEFAULT_TOL, NORM_FLOOR
 from helpers import B, BOUND_MATCH
 
-
-def _oracle_validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
-    a1, a2, a3, a4 = a.as_tuple()
-    m1, m2, m3, m4 = mags = [math.hypot(z.real, z.imag) for z in (a1, a2, a3, a4)]
-    if not all(m <= B for m in mags):
-        raise ValidationError("a boundary parameter's modulus exceeds B or is NaN")
-    big = max(mags)
-    # the moduli in units of big (Higham, *Accuracy and Stability of
-    # Numerical Algorithms*, 2nd ed., sec. 2)
-    s1, s2, s3, s4 = (m1 / big, m2 / big, m3 / big, m4 / big) if big else (m1, m2, m3, m4)
-    sigma = s1 ** 2 + s2 ** 2 + s3 ** 2 + s4 ** 2
-    scale = max(1.0, big * big * sigma)
-    det_scale = max(1.0, m1 * m4 + m2 * m3)
-    orth_limit, det_limit = tol * scale, tol * det_scale
-    orthogonality = {
-        "re_a1_a2": abs((a1 * a2.conjugate()).real),
-        "re_a1_a3": abs((a1 * a3.conjugate()).real),
-        "re_a2_a4": abs((a2 * a4.conjugate()).real),
-        "re_a3_a4": abs((a3 * a4.conjugate()).real),
-    }
-    determinant = {
-        "unit_det_plus": abs(a1 * a4.conjugate() + a2 * a3.conjugate() - 1.0),
-        "unit_det_conj": abs(a1 * a4.conjugate() + a2.conjugate() * a3 - 1.0),
-    }
-    failed = [name for name, r in orthogonality.items() if not r <= orth_limit]
-    failed += [name for name, r in determinant.items() if not r <= det_limit]
-    return ClassReport({**orthogonality, **determinant}, scale, det_scale, tuple(failed))
+#: How far the measured distance, at most 2 or inf, may miss the reference:
+#: each b_i carries a few units of roundoff of |a_i|, and each term is a
+#: share of the products of the moduli it is formed from
+SLACK = 2.0 ** -48
 
 
-def _bits(x: float) -> str:
-    return repr(float(x))  # distinguishes -0.0, keeps every digit, spells nan once
+def _reference_distance(a: AlphaBC, tol: float) -> float:
+    """The distance, to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        # the domain bounds the modulus as rounded to a double
+        if not all(math.hypot(x.real, x.imag) <= B for x in a.as_tuple()):  # NaN fails too
+            raise ValidationError("a boundary parameter's modulus exceeds B or is NaN")
+        z = [mpmath.mpc(x.real, x.imag) for x in a.as_tuple()]
+        moduli = [abs(x) for x in z]
+        if moduli[0] > tol * max(moduli[0], moduli[2]):
+            e = mpmath.conj(z[0]) / moduli[0]  # a1 = e^{i theta} b1, b1 > 0
+        elif z[2] == 0:
+            return math.inf
+        else:
+            e = 1j * mpmath.conj(z[2]) / moduli[2]  # a3 = i e^{i theta} b3, b3 > 0
+        b1, b2, b3, b4 = e * z[0], -1j * e * z[1], -1j * e * z[2], e * z[3]
+        m1, m2, m3, m4 = moduli
+        c = mpmath.conj
+        return float(max(
+            max(abs(x.imag) for x in (b1, b2, b3, b4)) / max(1, *moduli),
+            abs((c(b1) * b3).imag) / max(1, m1 * m3),
+            abs((c(b2) * b4).imag) / max(1, m2 * m4),
+            abs(c(b1) * b4 + c(b3) * b2 - 1) / max(1, m1 * m4 + m2 * m3),
+        ))
+
+
+def _six_constraint_defect(a: AlphaBC) -> float:
+    """The largest of the six constraints' residuals, Re(a1 a2*), Re(a1 a3*),
+    Re(a2 a4*), Re(a3 a4*), a1 a4* + a2 a3* - 1 and a1 a4* + a2* a3 - 1,
+    each a share of max(1, the moduli of its products), to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        z = [mpmath.mpc(x.real, x.imag) for x in a.as_tuple()]
+        m = [abs(x) for x in z]
+        c = mpmath.conj
+        orthogonal = [abs((z[i] * c(z[j])).real) / max(1, m[i] * m[j]) for i, j in ((0, 1), (0, 2), (1, 3), (2, 3))]
+        size = max(1, m[0] * m[3] + m[1] * m[2])
+        unit = [abs(z[0] * c(z[3]) + z[1] * c(z[2]) - 1) / size, abs(z[0] * c(z[3]) + c(z[1]) * z[2] - 1) / size]
+        return float(max(orthogonal + unit))
 
 
 def _seeded_alpha(seed: int, delta: float) -> AlphaBC:
@@ -88,7 +108,25 @@ CONDITIONS = st.one_of(
 )
 
 
-class TestMeasurementMatchesTheDictCheck:
+def _assert_matches_the_reference(a: AlphaBC, tol: float) -> None:
+    try:
+        expected = _reference_distance(a, tol)
+    except ValidationError:
+        with pytest.raises(ValidationError, match=BOUND_MATCH):
+            validate_class(a, tol)
+        return
+    report = validate_class(a, tol)
+    limit = max(tol, NORM_FLOOR)  # NaN for a NaN tol
+    assert report.limit == limit or math.isnan(tol), a
+    if math.isinf(expected):
+        assert (report.distance, report.form, report.phase) == (math.inf, None, None), a
+        return
+    assert abs(report.distance - expected) <= SLACK, (a, report.distance, expected)
+    if not abs(expected - limit) <= SLACK:
+        assert report.valid == (expected <= limit), a
+
+
+class TestReferenceDistance:
     @settings(max_examples=600, derandomize=True, deadline=None, database=None)
     @given(a=CONDITIONS, tol=TOLERANCES)
     @example(a=AlphaBC(0, 0, 0, 0), tol=DEFAULT_TOL)
@@ -99,42 +137,77 @@ class TestMeasurementMatchesTheDictCheck:
     @example(a=AlphaBC(1.5e308 + 1.5e308j, 0, 0, 0), tol=DEFAULT_TOL)
     @example(a=AlphaBC(B, 0, 0, math.nextafter(B, math.inf)), tol=DEFAULT_TOL)
     @example(a=AlphaBC(1.5e200, 0, 0, 1e108 - 1e108j), tol=DEFAULT_TOL)
-    def test_same_residuals_scales_and_verdict(self, a, tol):
-        try:
-            expected = _oracle_validate_class(a, tol)
-        except ValidationError:
-            with pytest.raises(ValidationError, match=BOUND_MATCH):
-                validate_class(a, tol)
-            return
-        report = validate_class(a, tol)
-        assert list(report.residuals) == list(expected.residuals)
-        assert [_bits(r) for r in report.residuals.values()] == [_bits(r) for r in expected.residuals.values()]
-        assert (_bits(report.scale), _bits(report.det_scale)) == (_bits(expected.scale), _bits(expected.det_scale))
-        assert report.failed == expected.failed
+    @example(a=AlphaBC(1e-3, 1j, 1j, 5e-8 + 1.5e-10j), tol=DEFAULT_TOL)
+    @example(a=AlphaBC(5e-324 + 5e-324j, 0, 0, 1), tol=DEFAULT_TOL)  # a subnormal pivot
+    @example(a=AlphaBC(1e6, 0, 0, 1e-6 + 1e-6j), tol=DEFAULT_TOL)  # Im b4, seen beside b1 only
+    @example(a=AlphaBC(B, 0, 0, (1 + 1j) / B), tol=DEFAULT_TOL)
+    @example(a=AlphaBC(1e6, 0, -5e-5, 1e-6), tol=DEFAULT_TOL)  # Im b3, seen beside b1 only
+    @example(a=AlphaBC(1e-6, 1j - 5e-5, 0, 1e6), tol=DEFAULT_TOL)  # Im b2, seen beside b4 only
+    def test_same_distance_and_verdict(self, a, tol):
+        _assert_matches_the_reference(a, tol)
 
-    def test_same_bits_over_many_conditions(self):
-        # last-ulp differences (x**2 against x*x, math.hypot against abs of a
-        # complex) show up in about one value in a thousand, so this sweep
-        # is wide rather than clever
+    def test_same_distance_over_many_conditions(self):
         rng = np.random.default_rng(2024)
-        conditions = [_seeded_alpha(seed, delta) for seed in range(4000) for delta in (0.0, 1e-9)]
-        parts = rng.standard_normal((12000, 8)) * 10.0 ** rng.uniform(-3, 3, (12000, 8))
+        conditions = [_seeded_alpha(seed, delta) for seed in range(5000) for delta in (0.0, 1e-9)]
+        parts = rng.standard_normal((10000, 8)) * 10.0 ** rng.uniform(-3, 3, (10000, 8))
         conditions += [AlphaBC(*(complex(x, y) for x, y in zip(row[::2], row[1::2]))) for row in parts]
         for a in conditions:
-            expected, report = _oracle_validate_class(a), validate_class(a)
-            assert [_bits(r) for r in report.residuals.values()] == [_bits(r) for r in expected.residuals.values()], a
-            assert (_bits(report.scale), _bits(report.det_scale), report.failed) == (
-                _bits(expected.scale), _bits(expected.det_scale), expected.failed
-            ), a
+            _assert_matches_the_reference(a, DEFAULT_TOL)
 
     def test_overflowing_determinant_fails_instead_of_raising(self):
         # the largest determinant residual, of moduli at B, is finite and fails
         report = validate_class(AlphaBC(B, 0, 0, B * (0.6 - 0.8j)))
-        assert report.residuals["unit_det_plus"] == pytest.approx(B * B, rel=1e-15)
-        assert report.failed == ("unit_det_plus", "unit_det_conj")
+        assert not report.valid and report.distance == pytest.approx(1.0, rel=1e-15)
         # finite moduli whose product a1 a4* overflows are refused
         with pytest.raises(ValidationError, match=BOUND_MATCH):
             validate_class(AlphaBC(1.5e200, 0, 0, 1e108 - 1e108j))
+
+
+def _moved(rng: random.Random, a: AlphaBC) -> AlphaBC:
+    """``a`` with one entry moved by a complex step of 1e-9 to 1 times
+    max(1e-3, its modulus)."""
+    z, i = list(a.as_tuple()), rng.randrange(4)
+    z[i] += 10.0 ** rng.uniform(-9, 0) * max(1e-3, abs(z[i])) * complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    return AlphaBC(*z)
+
+
+def _wide_member(rng: random.Random, decades: float) -> AlphaBC:
+    """A class member whose |b1|, |b2|, |b3| are log-uniform over 10^-decades..10^decades."""
+    b1, b2, b3 = (10.0 ** rng.uniform(-decades, decades) * rng.choice([-1.0, 1.0]) for _ in range(3))
+    return bd_to_alpha(BDForm(rng.uniform(0.0, 2.0 * math.pi), b1, b2, b3, (1.0 - b2 * b3) / b1))
+
+
+class TestSixConstraints:
+    """The distance against the six constraints of the class, measured on
+    the a's alone: both vanish on exact members, and off the class they
+    agree within a small factor where the b's are of moderate size."""
+
+    def test_exact_members_pass_both(self):
+        rng = random.Random(31)
+        for a in [random_alpha(rng) for _ in range(1000)] + [_wide_member(rng, 6) for _ in range(1000)]:
+            assert validate_class(a, NORM_FLOOR).valid and _six_constraint_defect(a) < 1e-14, a
+
+    def test_moved_members_keep_the_verdict(self):
+        # with |b| in 1/4..4, members moved by 1e-9 to 1 of an entry: the two
+        # measures agree within a factor 20 either way, so a condition the
+        # six constraints put well inside or well outside the class at tol
+        # is on the same side of the distance's limit
+        rng = random.Random(32)
+        for _ in range(3000):
+            a = _moved(rng, _wide_member(rng, math.log10(4.0)))
+            distance, defect = validate_class(a).distance, _six_constraint_defect(a)
+            assert defect / 20.0 <= distance <= 5.0 * defect, (a, distance, defect)
+
+    @pytest.mark.parametrize("a", [
+        AlphaBC(1e6, 0, 0, 1e-6 + 1e-6j),
+        AlphaBC(B, 0, 0, (1 + 1j) / B),
+        AlphaBC(1e6, 0, -5e-5, 1e-6),
+        AlphaBC(1e-6, 1j - 5e-5, 0, 1e6),
+    ])
+    def test_small_imaginary_parts_beside_large_partners_fail_both(self, a):
+        # each imaginary part is under tol times max |a_i|, but not beside
+        # the entry it multiplies in the current
+        assert _six_constraint_defect(a) > 1e-5 and validate_class(a).distance > 1e-5
 
 
 class TestMemo:
@@ -144,8 +217,8 @@ class TestMemo:
         assert validate_class(a, 1e-12) is not validate_class(a)
 
     def test_no_stale_verdict_across_tolerances(self):
-        # off the class by 1e-15: inside 1e-10, outside 1e-20
-        a = AlphaBC(1.0 + 1e-15, 0, 0, 1.0)
+        # off the class by 1e-12: inside 1e-10, outside 1e-20 (whose limit is NORM_FLOOR)
+        a = AlphaBC(1.0 + 1e-12, 0, 0, 1.0)
         assert validate_class(a, 1e-10).valid
         alpha_to_bd(a, 1e-10)
         with pytest.raises(NotInClassError):
@@ -169,18 +242,18 @@ class TestMemo:
         for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a), a._replace()):
             assert b == a and b.as_tuple() == a.as_tuple()
             # measured afresh, not carried along
-            assert "_class_reports" not in b.__dict__ and "_bd_forms" not in b.__dict__
+            assert "_class_reports" not in b.__dict__
             assert validate_class(b) == report and validate_class(b) is not report
         c = a._replace(a1=a.a1 + 1.0)
         assert not validate_class(c).valid and validate_class(a).valid
 
     def test_a_shared_report_cannot_be_changed(self):
         report = validate_class(AlphaBC(1, 1, 0, 1))
-        with pytest.raises(TypeError):
-            report.residuals["re_a1_a2"] = 0.0
         with pytest.raises(AttributeError):
-            report.failed = ()
-        assert validate_class(AlphaBC(1, 1, 0, 1)).failed == report.failed != ()
+            report.distance = 0.0
+        with pytest.raises(AttributeError):
+            report.form.b2 = 1.0
+        assert validate_class(AlphaBC(1, 1, 0, 1)) == report and not report.valid
 
 
 class TestOneMeasurementPerCondition:

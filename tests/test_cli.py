@@ -29,7 +29,7 @@ from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.errors import InternalInconsistencyError, ValidationError
 from diracjunction.matrix2 import DEFAULT_TOL
 from diracjunction.scattering import ScatteringColumns
-from helpers import B, BOUND_MATCH, BOUND_TEXT, rows_text
+from helpers import B, BOUND_MATCH, BOUND_TEXT, leaving_the_class, rows_text
 
 CSV_HEADER_FIELDS = "E,k,lambda,re_r,im_r,re_t,im_t,R,T,phase_t,flag".split(",")
 
@@ -161,6 +161,18 @@ class TestParsers:
         assert run(capsys, "decompose", "--matrix", matrix) == (
             2, "", "error: complex value must be finite, got [nan, 0]\n")
 
+    @pytest.mark.parametrize("argv, literal", [
+        (["decompose", "--matrix", "[" * 100_000], "bad matrix literal '[[["),
+        (["verify", "--alpha", "[" * 100_000 + ",0,0,1"], "bad complex literal '[[["),
+    ], ids=["matrix", "alpha"])
+    def test_json_nested_too_deep_exits_2(self, capsys, argv, literal):
+        # the decoder's RecursionError was a traceback with exit 1
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(f"error: {literal}")
+
+    def test_a_bad_bd_value_is_named_in_its_own_words(self, capsys):
+        assert run(capsys, "convert", "bd-to-alpha", "--bd", "pi/2,x,1,1,0") == (2, "", "error: bad --bd value 'x'\n")
+
     @pytest.mark.parametrize("spelling", ["+infinity", "+Infinity"])
     def test_signed_infinity_is_the_pole(self, capsys, spelling):
         want = run(capsys, "convert", "rho-to-u2", "--rho", "infinity,0")
@@ -287,8 +299,7 @@ class TestVerify:
     def test_invalid_alpha_fails_with_residual(self, capsys):
         code, out, _ = run(capsys, "verify", "--alpha", "1,1,0,1")
         assert code == 1
-        assert "FAIL class-constraints re_a1_a2" in out
-        assert "1.0" in out
+        assert "FAIL class-constraints residual=1.000000e+00" in out
 
     def test_rho_payload(self, capsys):
         code, out, _ = run(capsys, "verify", "--rho", "0,inf", "--mass", "1")
@@ -354,7 +365,7 @@ class TestVerify:
               "PASS fuzz-scatter-unitarity", "PASS fuzz-rho-round-trip",
               "PASS fuzz-rho-reflection",
               "INFO closed-form-inverse exact=0 sign_pair=0 mismatch=20", "PASS"], 0),
-            (["--alpha", "1,1,0,1"], ["FAIL class-constraints re_a1_a2", "FAIL"], 1),
+            (["--alpha", "1,1,0,1"], ["FAIL class-constraints", "FAIL"], 1),
         ],
     )
     def test_output_structure(self, capsys, argv, lines, code):
@@ -385,7 +396,11 @@ class TestVerify:
         assert code == 0 and "mismatch=30" in out
         assert calls == 30
 
-    def test_fuzz_instance_outside_tight_tolerance_fails(self, capsys):
+    def test_fuzz_instance_outside_tight_tolerance_fails(self, capsys, monkeypatch):
+        from diracjunction import checks
+
+        # under NORM_FLOOR every drawn member passes, so instance 1 is moved off the class
+        monkeypatch.setattr(checks, "draw_fuzz", leaving_the_class(checks.draw_fuzz, 1))
         code, out, err = run(capsys, "verify", "--fuzz", "3", "--tol", "1e-20")
         assert (code, err) == (1, "")
         assert [line.split(" residual=")[0] for line in out.splitlines()] == [
@@ -680,13 +695,24 @@ class TestExitCodeContract:
         json.loads(p.stdout, parse_constant=_reject_constant)
 
     def test_huge_out_of_class_alpha_exits_2(self):
-        # |a|^2 = B^2; the class check must still see Re(a1 a2*) != 0
+        # max |a_i| = B; the class check must still see Im b2 = -B 1e-5
         p = run_process(
             "-m", "diracjunction.cli", "convert", "alpha-to-bd", "--alpha", f"{B!r},{B * 1e-5!r},0,{1 / B!r}"
         )
         assert p.returncode == 2
         assert p.stdout == ""
-        assert "Traceback" not in p.stderr and "class constraint" in p.stderr
+        assert "Traceback" not in p.stderr and "not in the class: distance 1.000e-05" in p.stderr
+
+    def test_imaginary_part_beside_a_large_entry_exits_2(self):
+        # Im b4 = 1e-6 is 1e-12 of max |a_i| but all of b1 b4's imaginary part;
+        # no command takes the real parts diag(1e6, 1e-6) in its place
+        alpha = "1e6,0,0,1e-6+1e-6i"
+        for argv in (["convert", "alpha-to-bd"], ["scatter", "--emin", "1.5", "--emax", "3", "--steps", "2"]):
+            p = run_process("-m", "diracjunction.cli", *argv, "--alpha", alpha)
+            assert (p.returncode, p.stdout) == (2, "")
+            assert "Traceback" not in p.stderr and "not in the class: distance 7.071e-01" in p.stderr
+        p = run_process("-m", "diracjunction.cli", "verify", "--alpha", alpha)
+        assert (p.returncode, p.stdout) == (1, "FAIL class-constraints residual=7.071068e-01\nFAIL\n")
 
     def test_tiny_a1_class_member_converts(self):
         # b = (1e-11, 0, 0, 1e11): a1 is below tol but a3 = 0, so pivot on a1
@@ -759,11 +785,10 @@ class TestExitCodeContract:
             # b1 b4 + b2 b3 = 0: no class member, whatever the scale of a1
             (["convert", "alpha-to-bd", "--alpha", "1e5,0,0,0"], 2, ""),
             (["verify", "--alpha", "1e6,0,0,0"], 1,
-             "FAIL class-constraints unit_det_plus residual=1.000000e+00\nFAIL\n"),
-            # the determinant residual is as large as the products it is
-            # formed from, and sum |a_i|^2 = B^2 is finite
+             "FAIL class-constraints residual=1.000000e+00\nFAIL\n"),
+            # b1 b4 + b2 b3 = 0 at the bound: the distance is still 1
             (["verify", "--alpha", f"{B!r},0,-1,i"], 1,
-             "FAIL class-constraints unit_det_plus residual=5.789604e+76\nFAIL\n"),
+             "FAIL class-constraints residual=1.000000e+00\nFAIL\n"),
             # above B an entry is refused
             (["verify", "--alpha", "1e200,0,-1,i"], 2, ""),
             (["scatter", "--alpha", "1,1e308,1,1", "--emin", "1", "--emax", "2", "--steps", "2"], 2, ""),
@@ -1382,21 +1407,23 @@ class TestFuzzWorkers:
         _no_child_left()
 
     @pytest.mark.parametrize("count", [12, 24])
-    def test_first_instance_outside_the_class_decides(self, count):
-        # seed 13 first leaves the class at 1e-16 in instance 10, then in 12:
-        # in the process's half of 12 instances, in the worker's half of 24
-        from diracjunction.checks import check_fuzz, draw_fuzz, verify_fuzz
+    def test_first_instance_outside_the_class_decides(self, count, monkeypatch):
+        # instances 10 and 12 are moved off the class: the first is in the
+        # process's half of 12 instances, in the worker's half of 24
+        from diracjunction import checks
 
-        draws = list(draw_fuzz(24, 1.0, 13))
-        assert check_fuzz(draws[:10], 1.0, 1e-16)[-1] == {"exact": 0, "sign_pair": 0, "mismatch": 10}
-        assert [len(check_fuzz(draws[i : i + 1], 1.0, 1e-16)) for i in (10, 11, 12)] == [1, 7, 1]
-        (record,) = self._fuzz(count, 1.0, 1e-16, 13, 2).records
-        assert record == verify_fuzz(count, 1.0, 1e-16, 13).records[0]
+        monkeypatch.setattr(checks, "draw_fuzz", leaving_the_class(checks.draw_fuzz, 10, 12))
+        check_fuzz, tol = checks.check_fuzz, 1e-16
+        draws = list(checks.draw_fuzz(24, 1.0, 13))
+        assert check_fuzz(draws[:10], 1.0, tol)[-1] == {"exact": 0, "sign_pair": 0, "mismatch": 10}
+        assert [len(check_fuzz(draws[i : i + 1], 1.0, tol)) for i in (10, 11, 12)] == [2, 7, 2]
+        (record,) = self._fuzz(count, 1.0, tol, 13, 2).records
+        assert record == checks.verify_fuzz(count, 1.0, tol, 13).records[0]
         assert record.name == "fuzz-class" and not record.passed
-        assert (record.residual,) == check_fuzz(draws[10:11], 1.0, 1e-16)
+        assert (record.residual, record.limit) == check_fuzz(draws[10:11], 1.0, tol)
 
     @pytest.mark.parametrize("argv", [
-        ["--fuzz", "3600", "--tol", "1e-16", "--seed", "3"],  # instance 0 leaves the class
+        ["--fuzz", "3600", "--tol", "1e-16", "--seed", "3"],  # every instance passes under NORM_FLOOR
         ["--fuzz", "800", "--mass", repr(B / 2)],  # every instance's round trip fails
         ["--fuzz", "1000", "--mass", "1", "--seed", "7"],
     ])
@@ -1406,6 +1433,19 @@ class TestFuzzWorkers:
         assert forks == []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert run(capsys, "verify", *argv) == one_part and len(forks) == 2
+        _no_child_left()
+
+    @pytest.mark.parametrize("leaving", [0, 3599])
+    def test_main_prints_the_one_part_early_exit(self, capsys, monkeypatch, forks, leaving):
+        # one instance off the class, in the first worker's part or in the process's own
+        from diracjunction import checks
+
+        monkeypatch.setattr(checks, "draw_fuzz", leaving_the_class(checks.draw_fuzz, leaving))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_part = run(capsys, "verify", "--fuzz", "3600", "--seed", "3")
+        assert one_part[0] == 1 and one_part[1].startswith("FAIL fuzz-class residual=")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert run(capsys, "verify", "--fuzz", "3600", "--seed", "3") == one_part and len(forks) == 2
         _no_child_left()
 
     @pytest.mark.parametrize("to_file", [False, True])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from diracjunction.boundary import (
     bd_to_alpha,
     make_phase_shift,
     make_spin_flip,
-    phase_form,
     random_alpha,
     random_rho,
+    validate_class,
 )
 from diracjunction import scattering
 from diracjunction.correspondence import Separating, Transmitting, alpha_to_u2
@@ -262,6 +263,14 @@ class TestMassZero:
             else:
                 alone = scatter_rho(bc.rho, e, 0.0, face)
             expected = cols.row(i)
+            if isinstance(bc, Transmitting) and face is Island.RIGHT:
+                # scatter_alpha takes the wave from the left: the right face
+                # has its R and T, and t' = t e^{-2i theta}
+                phase = validate_class(bc.alpha).phase
+                assert expected.t == pytest.approx(alone.t * phase.conjugate() ** 2, abs=1e-15)
+                same = ("E", "k", "lam", "R", "T")
+                assert [getattr(alone, n).hex() for n in same] == [getattr(expected, n).hex() for n in same]
+                continue
             assert [x.hex() for x in _parts(alone)] == [x.hex() for x in _parts(expected)]
 
 
@@ -270,13 +279,16 @@ def _parts(res: ScatteringResult) -> list[float]:
             res.transmission_phase]
 
 
-def solve_oracle(a: AlphaBC, lam: float) -> tuple[complex, complex]:
-    """Per-energy reference: np.linalg.solve on the matching system."""
+def solve_oracle(a: AlphaBC, lam: float, face: Island = Island.LEFT) -> tuple[complex, complex]:
+    """Per-energy reference: np.linalg.solve on the matching system, of
+    t u_+ = B (u_+ + r u_-) from the left and u_- + r u_+ = B t u_- from the right."""
     b = a.matrix()
     u_plus = np.array([1.0, lam], dtype=complex)
     u_minus = np.array([1.0, -lam], dtype=complex)
-    system = np.column_stack([b @ u_minus, -u_plus])
-    r, t = np.linalg.solve(system, -(b @ u_plus))
+    if face is Island.RIGHT:
+        r, t = np.linalg.solve(np.column_stack([u_plus, -(b @ u_minus)]), -u_minus)
+    else:
+        r, t = np.linalg.solve(np.column_stack([b @ u_minus, -u_plus]), -(b @ u_plus))
     return complex(r), complex(t)
 
 
@@ -316,6 +328,34 @@ def wide_alpha(rng) -> AlphaBC:
 
     b1, b2, b3 = b(), b(), b()
     return bd_to_alpha(BDForm(rng.uniform(0.0, 2.0 * math.pi), b1, b2, b3, (1.0 - b2 * b3) / b1))
+
+
+class TestRightFace:
+    """A wave coming in from the right: r' = (lam (b1 - b4) + i (b3 - b2 lam^2)) / D
+    and t' = t e^{-2i theta}, with R and T those of the left face."""
+
+    def test_matches_the_right_face_solve(self):
+        rng = random.Random(9)
+        worst = 0.0
+        for i in range(2000):
+            m = (0.0, 0.5, 1.0, 10.0)[i % 4]
+            a = random_alpha(rng)
+            E = m + math.exp(rng.uniform(-3.0, 3.0))
+            cols = scatter_batch(Transmitting(a), [E], m, Island.RIGHT)
+            r0, t0 = solve_oracle(a, float(cols.lam[0]), Island.RIGHT)
+            worst = max(worst, abs(cols.r[0] - r0), abs(cols.t[0] - t0))
+            left = scatter_batch(Transmitting(a), [E], m)
+            assert (cols.R[0], cols.T[0]) == (left.R[0], left.T[0])
+        assert worst <= 1e-14  # 6.8e-16 on these draws
+
+    def test_the_cli_sweep_takes_the_face(self):
+        # the member of bd = (0.3, 2, 0.5, 1, 0.25) at m = 1, E = 2
+        a = bd_to_alpha(BDForm(0.3, 2.0, 0.5, 1.0, 0.25))
+        right = sweep_columns(Transmitting(a), 2.0, 3.0, 2, 1.0, Island.RIGHT).row(0)
+        r0, t0 = solve_oracle(a, right.lam, Island.RIGHT)
+        assert right.r == pytest.approx(r0, abs=1e-15) and right.t == pytest.approx(t0, abs=1e-15)
+        assert right.transmission_phase == pytest.approx(cmath.phase(t0), abs=1e-15)
+        assert abs(right.r - scatter_alpha(a, 2.0, 1.0).r) > 0.5
 
 
 class TestScatterBatch:
@@ -551,8 +591,9 @@ class TestBForm:
 
     def test_the_form_is_measured_once_per_condition_and_tol(self):
         a = random_alpha(np.random.default_rng(70))
-        assert phase_form(a) is phase_form(a) and phase_form(a, 1e-12) is not phase_form(a)
-        form, phase = phase_form(a)
+        report = validate_class(a)
+        assert validate_class(a) is report and validate_class(a, 1e-12) is not report
+        form, phase = report.form, report.phase
         assert alpha_to_bd(a) is form and abs(phase) == pytest.approx(1.0, abs=1e-15)
         assert arg_2pi(phase) == form.theta
 
