@@ -39,8 +39,6 @@ from .matrix2 import BOUND, DEFAULT_TOL, MAX_MAGNITUDE, NORM_FLOOR, arg_2pi, rec
 if TYPE_CHECKING:
     import random
 
-    import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -100,12 +98,6 @@ class AlphaBC(_AlphaFields):
 
     def as_tuple(self) -> tuple[complex, complex, complex, complex]:
         return (complex(self.a1), complex(self.a2), complex(self.a3), complex(self.a4))
-
-    def matrix(self) -> np.ndarray:
-        """The boundary matrix [[a1, a2], [a3, a4]]."""
-        import numpy as np
-
-        return np.array([[self.a1, self.a2], [self.a3, self.a4]], dtype=complex)
 
 
 @record_type

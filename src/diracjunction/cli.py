@@ -195,7 +195,7 @@ _PAYLOADS = {
               lambda text, tol: Transmitting(AlphaBC(*map(parse_complex, _values(text, 4, "--alpha"))))),
     "rho": ("rho_plus,rho_minus ('inf' allowed)",
             lambda text, tol: Separating(RhoBC(*map(parse_rho_component, _values(text, 2, "--rho"))))),
-    "gamma": ("g1,g2,g3 complex shorthand", lambda text, tol: matrix2.compose_entries(
+    "gamma": ("g1,g2,g3 complex shorthand", lambda text, tol: matrix2.compose(
         matrix2.QuaternionForm(*map(parse_complex, _values(text, 3, "--gamma"))), tol)),
     "matrix": ("JSON 2x2 matrix of [re,im] pairs", lambda text, tol: parse_matrix(text)),
     "diag": ("gL,gR complex shorthand", lambda text, tol: _diagonal(*map(parse_complex, _values(text, 2, "--diag")))),

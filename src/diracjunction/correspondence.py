@@ -35,7 +35,6 @@ from .errors import (
     DiagonalInputError,
     InternalInconsistencyError,
     NotUnimodularError,
-    NotUnitaryError,
     ValidationError,
 )
 from .matrix2 import (
@@ -46,8 +45,7 @@ from .matrix2 import (
     QuaternionForm,
     _norm_residuals,
     _split_unitary,
-    _unitarity_residual,
-    as_c2matrix,
+    _unitary,
     record_type,
 )
 
@@ -426,11 +424,9 @@ def compare_closed_form(
 
 def classify(matrix, m: float, tol: float = DEFAULT_TOL) -> ExtensionClass:
     """Boundary condition of an arbitrary extension: separating when the
-    unitary is diagonal, transmitting otherwise; its unitarity is held to
-    ``tol`` or :data:`~.matrix2.NORM_FLOOR`, whichever is larger."""
-    u, limit = as_c2matrix(matrix), max(tol, NORM_FLOOR)
-    if not _unitarity_residual(u) <= limit:
-        raise NotUnitaryError(f"matrix is not unitary within tol={limit}")
+    unitary is diagonal, transmitting otherwise; it refuses a matrix that
+    :func:`~.matrix2.decompose_u2` refuses, with the same message."""
+    u = _unitary(matrix, tol)
     (gl, u12), (u21, gr) = u
     if abs(u12) <= tol and abs(u21) <= tol:
         return Separating(diagonal_u2_to_rho(gl, gr, m, tol))

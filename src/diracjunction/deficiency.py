@@ -478,9 +478,9 @@ def verify_selfadjoint_domain(
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}") from exc
     draws = rng.standard_normal((samples, 2, 2))
     if isinstance(bc, Transmitting):
-        at_minus = draws[:, 0] + 1j * draws[:, 1]
+        at_minus, b = draws[:, 0] + 1j * draws[:, 1], np.array(bc.alpha.as_tuple()).reshape(2, 2)
         # a stack of matrix-vector products rounds as one B @ v per sample
-        faces = np.stack([at_minus, (bc.alpha.matrix() @ at_minus[..., None])[..., 0]], axis=1)
+        faces = np.stack([at_minus, (b @ at_minus[..., None])[..., 0]], axis=1)
     else:
         s = draws[..., 0] + 1j * draws[..., 1]
         faces = np.stack([_face(bc.rho.rho_minus, s[:, 0]), _face(bc.rho.rho_plus, s[:, 1])], axis=1)

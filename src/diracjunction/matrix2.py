@@ -3,11 +3,12 @@
 Every public function accepts a matrix as a ``(2, 2)`` ``numpy`` array or
 as a pair of pairs of numbers and converts it once, with
 :func:`as_c2matrix`, to its four entries as Python ``complex``.  The
-private helpers behind it (``_unitarity_residual``, ``_split_unitary``)
-take those :data:`Entries`, so :func:`decompose_u2` and
-:func:`~.correspondence.classify` never convert a matrix twice.  None of
-the 2x2 closed forms needs ``numpy``; only :func:`compose`, which returns
-an array, imports it.  The three-parameter representation
+private gate ``_unitary`` converts a matrix and holds its unitarity
+residual to the tolerance, so :func:`decompose_u2` and
+:func:`~.correspondence.classify` refuse the same matrices with one message
+and never convert a matrix twice.  Nothing here imports ``numpy``: a
+matrix this module returns, such as :func:`compose`'s, is its
+:data:`Entries`.  The three-parameter representation
 ``U = g3 * [[g1, -g2*], [g2, g1*]]`` with ``|g1|^2 + |g2|^2 = |g3| = 1`` is
 carried by :class:`QuaternionForm`.  All operations are pure functions on
 immutable values and are safe to call concurrently.
@@ -16,12 +17,9 @@ immutable values and are safe to call concurrently.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvalidFormError, NotUnitaryError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: A 2x2 matrix as its rows of Python complex entries.
 Entries = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -40,7 +38,7 @@ BOUND = f"B = 2^255 = {MAX_MAGNITUDE!r}"
 #: Floor of the tolerance a modulus or a unitarity residual is held to: rounding
 #: alone leaves up to 3.5 units of roundoff in the norms of ``alpha_to_u2``'s
 #: parameters on class members, one in the moduli of ``rho_to_diagonal_u2``'s
-#: phases, and 3 in the unitarity residual of :func:`compose_entries` of a form.
+#: phases, and 3 in the unitarity residual of :func:`compose` of a form.
 NORM_FLOOR = 8.0 * math.ulp(1.0)
 
 
@@ -141,8 +139,10 @@ def is_unitary(matrix, tol: float = DEFAULT_TOL) -> bool:
     return unitarity_residual(matrix) <= tol
 
 
-def compose_entries(q: QuaternionForm, tol: float = DEFAULT_TOL) -> Entries:
-    """The entries of the unitary g3 * [[g1, -g2*], [g2, g1*]], as Python complex."""
+def compose(q: QuaternionForm, tol: float = DEFAULT_TOL) -> Entries:
+    """The entries of the unitary g3 * [[g1, -g2*], [g2, g1*]], as Python
+    complex; raises :class:`InvalidFormError` when a norm residual of ``q``
+    exceeds ``tol`` (``math.inf`` composes any finite parameters)."""
     g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
     r1, r2 = _norm_residuals(g1, g2, g3)
     if not (r1 <= tol and r2 <= tol):
@@ -150,12 +150,14 @@ def compose_entries(q: QuaternionForm, tol: float = DEFAULT_TOL) -> Entries:
     return (g3 * g1, g3 * -g2.conjugate()), (g3 * g2, g3 * g1.conjugate())
 
 
-def compose(q: QuaternionForm, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Assemble the unitary g3 * [[g1, -g2*], [g2, g1*]] from its parameters,
-    as a (2, 2) complex ndarray of :func:`compose_entries`."""
-    import numpy as np
-
-    return np.array(compose_entries(q, tol), dtype=complex)
+def _unitary(matrix, tol: float) -> Entries:
+    """The entries of ``matrix``; raises :class:`NotUnitaryError` when its
+    unitarity residual exceeds ``tol``, or :data:`NORM_FLOOR` if that is larger."""
+    m, limit = as_c2matrix(matrix), max(tol, NORM_FLOOR)
+    residual = _unitarity_residual(m)
+    if not residual <= limit:
+        raise NotUnitaryError(f"matrix is not unitary: residual {residual:.3e} > tol {limit:.1e}")
+    return m
 
 
 def decompose_u2(matrix, tol: float = DEFAULT_TOL) -> QuaternionForm:
@@ -167,11 +169,7 @@ def decompose_u2(matrix, tol: float = DEFAULT_TOL) -> QuaternionForm:
     rounding.  Raises :class:`NotUnitaryError` on input whose unitarity
     residual exceeds ``tol``, or :data:`NORM_FLOOR` if that is larger.
     """
-    m, limit = as_c2matrix(matrix), max(tol, NORM_FLOOR)
-    residual = _unitarity_residual(m)
-    if residual > limit:
-        raise NotUnitaryError(f"matrix is not unitary: residual {residual:.3e} > tol {limit:.1e}")
-    return _split_unitary(m, tol)
+    return _split_unitary(_unitary(matrix, tol), tol)
 
 
 def _split_unitary(m: Entries, tol: float) -> QuaternionForm:

@@ -93,16 +93,7 @@ class ScatteringColumns(NamedTuple):
 
     def row(self, i: int) -> ScatteringResult:
         """Row ``i`` as a :class:`ScatteringResult`."""
-        return ScatteringResult(
-            float(self.E[i]),
-            float(self.k[i]),
-            float(self.lam[i]),
-            complex(self.re_r[i], self.im_r[i]),
-            complex(self.re_t[i], self.im_t[i]),
-            float(self.R[i]),
-            float(self.T[i]),
-            float(self.phase_t[i]),
-        )
+        return _row(self.E, self[1:], i)
 
     def rows(self) -> list[ScatteringResult]:
         return [self.row(i) for i in range(len(self.E))]
@@ -213,12 +204,12 @@ def _energy(E: float, m: float) -> tuple[list[float], float]:
     return [E], m
 
 
-def _row(E: list[float], cols: tuple[list[float], ...]) -> ScatteringResult:
-    """The one row of the kernel's columns at the one energy ``E``; the row
-    of :func:`sweep_columns` there, bit for bit."""
+def _row(E: list[float], cols: tuple[list[float], ...], i: int = 0) -> ScatteringResult:
+    """Row ``i`` of the kernel's columns over the energies ``E``; at one
+    energy, the row of :func:`sweep_columns` there, bit for bit."""
     k, lam, re_r, im_r, re_t, im_t, R, T, phase_t = cols
     return ScatteringResult(
-        E[0], k[0], lam[0], complex(re_r[0], im_r[0]), complex(re_t[0], im_t[0]), R[0], T[0], phase_t[0]
+        E[i], k[i], lam[i], complex(re_r[i], im_r[i]), complex(re_t[i], im_t[i]), R[i], T[i], phase_t[i]
     )
 
 

@@ -1,7 +1,7 @@
-"""Helpers only the tests use: boundary spinors, the probability current,
-form equivalence, scattering columns as numpy arrays, the sweep rows
-formatted one row at a time and random draws that the package itself never
-needs."""
+"""Helpers only the tests use: 2x2 matrices as numpy arrays, boundary
+spinors, the probability current, form equivalence, scattering columns as
+numpy arrays, the sweep rows formatted one row at a time and random draws
+that the package itself never needs."""
 
 import math
 import re
@@ -37,9 +37,15 @@ def leaving_the_class(draw_fuzz, *indices: int):
     return draws
 
 
+def as_array(matrix) -> np.ndarray:
+    """A 2x2 matrix as a complex ndarray: entries such as ``compose`` returns,
+    or the boundary matrix [[a1, a2], [a3, a4]] of an :class:`AlphaBC`."""
+    return np.array(matrix, dtype=complex).reshape(2, 2)
+
+
 def apply_alpha(a: AlphaBC, v_minus) -> np.ndarray:
     """Boundary value at the right face: B times the left-face spinor."""
-    return a.matrix() @ np.asarray(v_minus, dtype=complex)
+    return as_array(a) @ np.asarray(v_minus, dtype=complex)
 
 
 def satisfies_rho(r: RhoBC, v_minus, v_plus, tol: float = DEFAULT_TOL) -> bool:
@@ -69,7 +75,11 @@ def current(v) -> float:
 
 
 class ArrayColumns(scattering.ScatteringColumns):
-    """Scattering columns as numpy arrays, ``r`` and ``t`` as complex arrays."""
+    """Scattering columns as numpy arrays, ``r`` and ``t`` as complex arrays,
+    and each row of Python numbers."""
+
+    def row(self, i: int) -> scattering.ScatteringResult:
+        return scattering.ScatteringColumns(*(col[i : i + 1].tolist() for col in self)).row(0)
 
     @staticmethod
     def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:

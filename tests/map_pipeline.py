@@ -17,7 +17,7 @@ import sys
 
 import diracjunction as dj
 from diracjunction.checks import verify_fuzz
-from diracjunction.matrix2 import compose_entries, decompose_u2
+from diracjunction.matrix2 import compose, decompose_u2
 
 
 def main() -> None:
@@ -33,7 +33,7 @@ def main() -> None:
     again = dj.bd_to_alpha(f)
     for x, y, z in zip(a.as_tuple(), back.as_tuple(), again.as_tuple()):
         assert abs(x - y) <= 1e-12 and abs(x - z) <= 1e-12, (a, back, again)
-    entries = compose_entries(q)
+    entries = compose(q)
     assert all(abs(x - y) <= 1e-12 for row, given in zip(entries, u) for x, y in zip(row, given)), (entries, u)
     sep = dj.classify([[1j, 0], [0, complex(0.6, 0.8)]], m)
     gl, gr = dj.rho_to_diagonal_u2(sep.rho, m)

@@ -48,7 +48,7 @@ from diracjunction.matrix2 import (
     decompose_u2,
 )
 from diracjunction.scattering import scatter_alpha, scatter_rho
-from helpers import apply_alpha, random_quaternion_form
+from helpers import apply_alpha, as_array, random_quaternion_form
 
 MASSES = [0.0, 0.5, 1.0, 10.0]
 ARTIFACT_DIR = Path(__file__).resolve().parents[1] / "artifacts"
@@ -69,8 +69,8 @@ def test_criterion_01_decomposition_roundtrip():
         rng = np.random.default_rng(1001)
         worst = 0.0
         for _ in range(1000):
-            u = compose(random_quaternion_form(rng))
-            worst = max(worst, float(np.abs(compose(decompose_u2(u)) - u).max()))
+            u = as_array(compose(random_quaternion_form(rng)))
+            worst = max(worst, float(np.abs(as_array(compose(decompose_u2(u))) - u).max()))
         assert worst <= 1e-12
 
 

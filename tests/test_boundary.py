@@ -27,7 +27,7 @@ from diracjunction.errors import (
     ZeroParameterError,
 )
 from diracjunction.matrix2 import DEFAULT_TOL, NORM_FLOOR
-from helpers import B, BOUND_MATCH, apply_alpha, bd_equivalent, current, random_spinor, satisfies_rho
+from helpers import B, BOUND_MATCH, apply_alpha, as_array, bd_equivalent, current, random_spinor, satisfies_rho
 
 IDENTITY = AlphaBC(1, 0, 0, 1)
 SPIN_FLIP = AlphaBC(0, 1, 1, 0)
@@ -235,7 +235,7 @@ class TestBDForm:
             f = alpha_to_bd(a)
             phase = np.exp(1j * f.theta)
             b = phase * np.array([[f.b1, 1j * f.b2], [1j * f.b3, f.b4]])
-            np.testing.assert_allclose(b, a.matrix(), atol=1e-14)
+            np.testing.assert_allclose(b, as_array(a), atol=1e-14)
 
     def test_bd_to_alpha_examples(self):
         assert bd_to_alpha(BDForm(0, 1, 0, 0, 1)).as_tuple() == pytest.approx(
@@ -313,9 +313,9 @@ class TestInvert:
             a = random_alpha(rng)
             inv = invert_alpha(a)
             assert validate_class(inv).valid
-            prod = a.matrix() @ inv.matrix()
+            prod = as_array(a) @ as_array(inv)
             assert float(np.abs(prod - np.eye(2)).max()) <= 1e-12 * max(
-                1.0, float(np.abs(a.matrix()).max()) ** 2
+                1.0, float(np.abs(as_array(a)).max()) ** 2
             )
 
     def test_rejects_out_of_class(self):
@@ -367,7 +367,7 @@ class TestCurrent:
             a = random_alpha(rng)
             v = random_spinor(rng)
             scale = max(1.0, float(np.abs(v).max()) ** 2) * max(
-                1.0, float(np.abs(a.matrix()).max()) ** 2
+                1.0, float(np.abs(as_array(a)).max()) ** 2
             )
             worst = max(
                 worst, abs(current(apply_alpha(a, v)) - current(v)) / scale
@@ -379,7 +379,7 @@ class TestCurrent:
         sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
         rng = np.random.default_rng(8)
         for _ in range(300):
-            b = random_alpha(rng).matrix()
+            b = as_array(random_alpha(rng))
             lhs = b.conj().T @ sigma_x @ b
             assert float(np.abs(lhs - sigma_x).max()) <= 1e-12 * max(
                 1.0, float(np.abs(b).max()) ** 2
@@ -401,7 +401,7 @@ class TestMakers:
 
     def test_makers_shape(self):
         a = make_spin_flip(0.7, 2.0)
-        m = a.matrix()
+        m = as_array(a)
         phase = np.exp(1j * (0.7 + math.pi / 2))
         np.testing.assert_allclose(
             m, phase * np.array([[0, 2.0], [0.5, 0]]), atol=1e-14
@@ -409,7 +409,7 @@ class TestMakers:
         assert validate_class(a).valid
         b = make_phase_shift(0.7, 2.0)
         np.testing.assert_allclose(
-            b.matrix(), np.exp(0.7j) * np.diag([2.0, 0.5]), atol=1e-14
+            as_array(b), np.exp(0.7j) * np.diag([2.0, 0.5]), atol=1e-14
         )
         assert validate_class(b).valid
 

@@ -13,7 +13,8 @@ from diracjunction.boundary import AlphaBC, BDForm, RhoBC, bd_to_alpha, random_a
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.errors import ValidationError
 from diracjunction.matrix2 import DEFAULT_TOL, NORM_FLOOR
-from helpers import B, BOUND_MATCH, current, leaving_the_class, off_the_class, random_quaternion_form, random_spinor
+from helpers import (B, BOUND_MATCH, as_array, current, leaving_the_class, off_the_class, random_quaternion_form,
+                     random_spinor)
 
 MASSES = (0.0, 1.0, 10.0)
 
@@ -38,7 +39,7 @@ def _sampled_current(a: AlphaBC, v: np.ndarray) -> float:
     |j(B v) - j(v)| / max(1, max|v_i|^2 max(1, max|a_i|)^2)."""
     v_scale, a_scale = float(np.abs(v).max()), checks.alpha_scale(a)
     scale = max(1.0, (v_scale * v_scale) * (a_scale * a_scale))
-    return abs(current(a.matrix() @ v) - current(v)) / scale
+    return abs(current(as_array(a) @ v) - current(v)) / scale
 
 
 class TestExactResiduals:
@@ -49,7 +50,7 @@ class TestExactResiduals:
             a = _class_member(rng, top)
             sampled = deficiency.verify_selfadjoint_domain(Transmitting(a), samples=50, seed=i)
             # the 100 spinors the old check drew, and B's two right singular vectors
-            _, _, vh = np.linalg.svd(a.matrix())
+            _, _, vh = np.linalg.svd(as_array(a))
             spinors = [random_spinor(rng) for _ in range(100)] + [vh[0].conj(), vh[1].conj()]
             worst_current = max(_sampled_current(a, v) for v in spinors)
             for m in MASSES:
@@ -109,8 +110,8 @@ class TestExactResiduals:
         for _ in range(200):
             u = matrix2.compose(random_quaternion_form(rng))
             q = matrix2.decompose_u2(u)
-            expected = float(np.abs(matrix2.compose(q) - np.array(u)).max())
-            for given in (u, matrix2.as_c2matrix(u)):
+            expected = float(np.abs(as_array(matrix2.compose(q)) - as_array(u)).max())
+            for given in (as_array(u), u):
                 assert abs(checks.DECOMPOSITION.residual(given, q) - expected) <= math.ulp(expected)
 
 

@@ -311,6 +311,22 @@ class TestVerify:
         assert code == 0
         assert "decomposition-round-trip" in out
 
+    @pytest.mark.parametrize("payload", [
+        ["--gamma", "0.6006,-0.8008,1"],
+        ["--matrix", "[[[0.6006,0],[0.8008,0]],[[-0.8008,0],[0.6006,0]]]"],
+    ])
+    def test_a_unitary_the_tol_accepts_gets_a_verdict(self, capsys, payload):
+        # |g1|^2 + |g2|^2 = 1.002001: inside --tol 0.01, as convert and
+        # scatter read it, so verify measures its recomposition, not refuses it
+        for argv in (["convert", "u2-to-bc"], ["scatter", "--emin", "0.5", "--emax", "1", "--steps", "2"]):
+            assert run(capsys, *argv, *payload, "--tol", "0.01")[0] == 0
+        code, out, err = run(capsys, "verify", *payload, "--tol", "0.01")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == "PASS decomposition-round-trip residual=0.000000e+00"
+        assert "FAIL current-conservation residual=1.562109e-03" in lines
+        assert lines[-1] == "FAIL"
+
     def test_fuzz(self, capsys):
         code, out, _ = run(capsys, "verify", "--fuzz", "50", "--mass", "1")
         assert code == 0

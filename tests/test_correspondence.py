@@ -34,7 +34,7 @@ from diracjunction.matrix2 import (
     decompose_u2,
     is_unitary,
 )
-from helpers import B, BOUND_MATCH, random_quaternion_form
+from helpers import B, BOUND_MATCH, as_array, random_quaternion_form
 
 MASSES = [0.0, 0.5, 1.0, 10.0]
 
@@ -322,10 +322,10 @@ class TestInverseMap:
     def test_roundtrip_u2_origin(self):
         rng = np.random.default_rng(43)
         for i in range(500):
-            u = compose(random_quaternion_form(rng, min_offdiag=0.05))
+            u = as_array(compose(random_quaternion_form(rng, min_offdiag=0.05)))
             m = MASSES[i % 4]
             q = alpha_to_u2(u2_to_alpha(decompose_u2(u), m), m)
-            assert float(np.abs(compose(q) - u).max()) <= 1e-10
+            assert float(np.abs(as_array(compose(q)) - u).max()) <= 1e-10
 
     def test_defining_identities_hold_for_primary(self):
         rng = np.random.default_rng(44)
@@ -463,8 +463,27 @@ class TestClassify:
         with pytest.raises(NotUnitaryError):
             classify(np.array([[1, 1], [0, 1]], dtype=complex), 0.0)
 
+    @pytest.mark.parametrize("matrix, tol", [
+        ([[1, 1], [0, 1]], 1e-10),
+        ([[1, 0], [0, 1 + 1e-9]], 1e-10),
+        ([[1, 0], [0, 1 + 1e-9]], 1e-8),
+        ([[1, 0], [0, 1 + 4.4e-16]], 0.0),  # residual 8.9e-16: held to NORM_FLOOR, not to 0
+        ([[1, 0], [0, 1 + 1e-15]], 0.0),  # residual 2.2e-15, above NORM_FLOOR
+        ([[math.nan, 0], [0, 1]], 1e-10),
+        ([[0, 1], [1, math.inf]], 1e-10),
+    ])
+    def test_refuses_what_decompose_u2_refuses_in_its_words(self, matrix, tol):
+        def outcome(f, *args):
+            try:
+                f(*args)
+            except NotUnitaryError as exc:
+                return str(exc)
+            return None
+
+        assert outcome(classify, matrix, 1.0, tol) == outcome(decompose_u2, matrix, tol)
+
     def test_measures_unitarity_once(self, monkeypatch):
-        from diracjunction import correspondence, matrix2
+        from diracjunction import matrix2
 
         residual = matrix2._unitarity_residual
         calls = []
@@ -473,7 +492,8 @@ class TestClassify:
             calls.append(m)
             return residual(m)
 
-        # classify converts the matrix once and measures its entries with the private helper
-        monkeypatch.setattr(correspondence, "_unitarity_residual", counting)
+        # classify converts the matrix once, in the one unitarity gate, which
+        # measures the entries with the private helper
+        monkeypatch.setattr(matrix2, "_unitarity_residual", counting)
         assert isinstance(classify(SWAP, 0.5), Transmitting)
         assert calls == [((0j, 1 + 0j), (1 + 0j, 0j))]

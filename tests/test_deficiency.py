@@ -23,7 +23,7 @@ from diracjunction.deficiency import (
 )
 from diracjunction.deficiency import _BLOCK, _check_terms, _simpson_blocks, _violating_pairs
 from diracjunction.errors import JunctionError, OutsideIslandError, ValidationError
-from helpers import B, random_spinor
+from helpers import B, as_array, random_spinor
 
 
 #: The oracles raise no floating-point warning: an overflow or an invalid
@@ -87,7 +87,7 @@ def _domain_pair(bc, rng):
     reference for the verifier's single batched draw."""
     if isinstance(bc, Transmitting):
         v = random_spinor(rng)
-        return np.array([v, bc.alpha.matrix() @ v])
+        return np.array([v, as_array(bc.alpha) @ v])
     rho = bc.rho
 
     def face(r):

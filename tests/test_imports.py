@@ -1,5 +1,6 @@
-"""Where the package imports numpy: ``deficiency`` at module level, and two
-array helpers on call; every other module runs on Python numbers.  And what a
+"""Where the package imports numpy: ``deficiency`` at module level, and
+nowhere else, not on call and not for annotations; every other module runs
+on Python numbers.  And what a
 CLI process loads: no command imports ``argparse``, numpy or ``cmath``,
 ``json`` only where JSON is parsed or emitted, the scattering module only to
 scatter, and every command runs with numpy blocked."""
@@ -15,10 +16,6 @@ import pytest
 import diracjunction
 
 PACKAGE = Path(diracjunction.__file__).parent
-#: (module, function) of the only numpy imports made on call
-LAZY = {("matrix2", "compose"), ("boundary", "AlphaBC.matrix")}
-#: modules whose annotations name numpy types, imported under TYPE_CHECKING only
-ANNOTATIONS = {"matrix2", "boundary"}
 
 
 def _is_numpy(node: ast.AST) -> bool:
@@ -48,20 +45,13 @@ def numpy_imports(tree: ast.Module) -> list[tuple[str, bool]]:
     return found
 
 
-def test_numpy_is_imported_only_by_deficiency_and_two_array_helpers():
-    at_module_level, on_call, for_annotations = set(), set(), set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = path.stem
-        for scope, typing_only in numpy_imports(ast.parse(path.read_text(encoding="utf-8"))):
-            if typing_only:
-                for_annotations.add(module)
-            elif scope:
-                on_call.add((module, scope))
-            else:
-                at_module_level.add(module)
-    assert at_module_level == {"deficiency"}
-    assert on_call == LAZY
-    assert for_annotations <= ANNOTATIONS
+def test_numpy_is_imported_only_by_deficiency_at_module_level():
+    found = {
+        (path.stem, scope, typing_only)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, typing_only in numpy_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("deficiency", "", False)}
 
 
 def test_the_scan_sees_every_kind_of_numpy_import():
@@ -205,3 +195,12 @@ def test_the_map_pipeline_runs_without_numpy():
     # importable or not, the maps, the kernel and the fuzz checks never load numpy
     assert free.stdout.endswith("numpy loaded: False\n")
     assert len(free.stdout.splitlines()) == 15
+
+
+def test_the_readme_worked_example_runs_without_numpy():
+    section = (SRC.parent / "README.md").read_text(encoding="utf-8").partition("## Worked example")[2]
+    code = section.partition("```python\n")[2].partition("```")[0]
+    blocked, free = _run(_BLOCKER + code, "block"), _run(_BLOCKER + code, "run")
+    assert blocked.returncode == 0 and free.returncode == 0, blocked.stderr + free.stderr
+    assert blocked.stdout == free.stdout
+    assert blocked.stdout.splitlines()[0] == "((0j, (-1+0j)), ((1+0j), 0j))"

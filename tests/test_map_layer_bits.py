@@ -35,7 +35,7 @@ from diracjunction.correspondence import (
     u2_to_alpha,
 )
 from diracjunction.errors import JunctionError
-from diracjunction.matrix2 import compose_entries, decompose_u2, unitarity_residual
+from diracjunction.matrix2 import compose, decompose_u2, unitarity_residual
 from diracjunction.scattering import scatter_alpha, scatter_rho
 
 RECORD = Path(__file__).resolve().parent.parent / "artifacts" / "map_layer_bits.json"
@@ -118,7 +118,8 @@ def alpha_outputs(out: list, a: AlphaBC, m: float, E: float) -> None:
         _call(out, "bd_to_alpha", bd_to_alpha, f)
     if q is not None:
         _call(out, "u2_to_alpha", u2_to_alpha, q, m)
-        _call(out, "compose_entries", compose_entries, q)
+        # the record labels compose's output by the name it had when the record was written
+        _call(out, "compose_entries", compose, q)
     _call(out, "scatter_alpha", scatter_alpha, a, E, m)
     _call(out, "compare_closed_form", compare_closed_form, a, m)
 
@@ -129,7 +130,7 @@ def outputs(u, m: float, E: float) -> list:
     _call(out, "unitarity_residual", unitarity_residual, u)
     q = _call(out, "decompose_u2", decompose_u2, u)
     if q is not None:
-        _call(out, "compose_entries", compose_entries, q)
+        _call(out, "compose_entries", compose, q)
     bc = _call(out, "classify", classify, u, m)
     if bc is None:
         return out

@@ -14,7 +14,7 @@ from diracjunction.matrix2 import (
     is_unitary,
     unitarity_residual,
 )
-from helpers import is_su2, random_quaternion_form
+from helpers import as_array, is_su2, random_quaternion_form
 
 I2 = np.eye(2, dtype=complex)
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -70,7 +70,7 @@ class TestPredicates:
         for _ in range(200):
             q = random_quaternion_form(rng)
             sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            m = compose(QuaternionForm(q.g1, q.g2, sign))
+            m = as_array(compose(QuaternionForm(q.g1, q.g2, sign)))
             assert is_su2(m)
             assert abs(m[1, 1] - np.conj(m[0, 0])) <= 1e-12
             assert abs(m[0, 1] + np.conj(m[1, 0])) <= 1e-12
@@ -128,8 +128,8 @@ class TestDecompose:
         rng = np.random.default_rng(123)
         worst = 0.0
         for _ in range(1000):
-            u = compose(random_quaternion_form(rng))
-            worst = max(worst, float(np.abs(compose(decompose_u2(u)) - u).max()))
+            u = as_array(compose(random_quaternion_form(rng)))
+            worst = max(worst, float(np.abs(as_array(compose(decompose_u2(u))) - u).max()))
         assert worst <= 1e-12
 
     def test_output_invariants(self):
@@ -189,7 +189,7 @@ def _numpy_unitarity_residual(m: np.ndarray) -> float:
 def test_unitarity_residual_matches_numpy_formula():
     rng = np.random.default_rng(29)
     for _ in range(300):
-        unitary = compose(random_quaternion_form(rng))
+        unitary = as_array(compose(random_quaternion_form(rng)))
         near = unitary + 1e-9 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         general = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         for m in (unitary, near, general, ROT, HADAMARD):

@@ -21,7 +21,7 @@ from diracjunction import scattering
 from diracjunction.correspondence import Separating, Transmitting, alpha_to_u2
 from diracjunction.deficiency import Island
 from diracjunction.errors import BelowGapError, NotInClassError, ValidationError
-from diracjunction.matrix2 import DEFAULT_TOL, arg_2pi
+from diracjunction.matrix2 import DEFAULT_TOL, arg_2pi, compose
 from diracjunction.scattering import (
     PhaseVariant,
     ScatteringColumns,
@@ -32,7 +32,7 @@ from diracjunction.scattering import (
     sweep_columns,
     switch_demo,
 )
-from helpers import B, BOUND_MATCH, apply_alpha, current, scatter_batch
+from helpers import B, BOUND_MATCH, apply_alpha, as_array, current, scatter_batch
 
 SPIN_FLIP = AlphaBC(0, 1, 1, 0)
 
@@ -282,7 +282,7 @@ def _parts(res: ScatteringResult) -> list[float]:
 def solve_oracle(a: AlphaBC, lam: float, face: Island = Island.LEFT) -> tuple[complex, complex]:
     """Per-energy reference: np.linalg.solve on the matching system, of
     t u_+ = B (u_+ + r u_-) from the left and u_- + r u_+ = B t u_- from the right."""
-    b = a.matrix()
+    b = as_array(a)
     u_plus = np.array([1.0, lam], dtype=complex)
     u_minus = np.array([1.0, -lam], dtype=complex)
     if face is Island.RIGHT:
@@ -320,11 +320,11 @@ def relative_grid(rng, m: float, n: int) -> np.ndarray:
     return m + max(m, 1.0) * np.exp(rng.uniform(math.log(1e-6), math.log(30.0), n))
 
 
-def wide_alpha(rng) -> AlphaBC:
-    """A class member with |b1|, |b2|, |b3| log-uniform over 1e-3 to 1e3."""
+def wide_alpha(rng, top: float = 1e3) -> AlphaBC:
+    """A class member with |b1|, |b2|, |b3| log-uniform over 1/top to top."""
 
     def b() -> float:
-        return math.exp(rng.uniform(math.log(1e-3), math.log(1e3))) * rng.choice([-1.0, 1.0])
+        return math.exp(rng.uniform(math.log(1.0 / top), math.log(top))) * rng.choice([-1.0, 1.0])
 
     b1, b2, b3 = b(), b(), b()
     return bd_to_alpha(BDForm(rng.uniform(0.0, 2.0 * math.pi), b1, b2, b3, (1.0 - b2 * b3) / b1))
@@ -356,6 +356,27 @@ class TestRightFace:
         assert right.r == pytest.approx(r0, abs=1e-15) and right.t == pytest.approx(t0, abs=1e-15)
         assert right.transmission_phase == pytest.approx(cmath.phase(t0), abs=1e-15)
         assert abs(right.r - scatter_alpha(a, 2.0, 1.0).r) > 0.5
+
+
+class TestSMatrix:
+    """The on-shell S-matrix [[r, t'], [t, r']], from the kernel at both faces,
+    is conj(U) of the lambda-similar condition (a1, lam a2, a3/lam, a4) at
+    m = 0, U its extension's unitary: the kernel and the maps computed apart."""
+
+    @pytest.mark.parametrize("seed, draw", [(7, random_alpha), (9, lambda rng: wide_alpha(rng, 1e6))])
+    def test_is_the_conjugate_extension_unitary(self, seed, draw):
+        rng = random.Random(seed)
+        worst = 0.0
+        for i in range(2000):
+            a = draw(rng)
+            m = (0.0, 0.5, 1.0, 10.0)[i % 4]
+            E = m + math.exp(rng.uniform(-3.0, 3.0))
+            left, right = (sweep_columns(Transmitting(a), E, 2.0 * E, 2, m, face).row(0) for face in Island)
+            a1, a2, a3, a4 = a.as_tuple()
+            u = compose(alpha_to_u2(AlphaBC(a1, left.lam * a2, a3 / left.lam, a4), 0.0))
+            s = ((left.r, right.t), (left.t, right.r))
+            worst = max(worst, *(abs(x - y.conjugate()) for row, urow in zip(s, u) for x, y in zip(row, urow)))
+        assert worst <= 1e-14  # 7.9e-16 and 1.2e-15 on these draws
 
 
 class TestScatterBatch:

@@ -1,5 +1,7 @@
 """Symbolic proofs: the corrected closed-form inverse map is exact on the
-class, and the scattering kernel's matching system is never singular on it.
+class, the scattering kernel's matching system is never singular on it, and
+the kernel's two-sided S-matrix is unitary there and is the conjugate of the
+extension's unitary (of the lambda-similar condition when m > 0).
 
 Every transmitting condition is ``a = e^{i theta} (b1, i b2, i b3, b4)`` with
 real b's and ``b1 b4 + b2 b3 = 1``.  Since b1 and b3 are never both zero,
@@ -44,7 +46,8 @@ def corrected_triple(request):
     g1 = c * w
     g2 = c * 2 / s
     g3 = sp.conjugate((a1 + muc * a2) * g2 - sp.conjugate(g1))
-    return {"a": (a1, a2, a3, a4), "mu": mu, "w": w, "g": (g1, g2, g3), "m": m}
+    return {"a": (a1, a2, a3, a4), "mu": mu, "w": w, "g": (g1, g2, g3), "m": m, "b": (b1, b2, b3, b4),
+            "phase": phase}
 
 
 def test_corrected_triple_satisfies_the_four_defining_identities(corrected_triple):
@@ -190,3 +193,61 @@ def test_reflection_and_penetration_are_the_quaternion_moduli():
     for at_one, at_lam in ((D1, D), (N1, N)):
         scaled = at_one.subs({b2: lam * b2, b3: b3 / lam}, simultaneous=True)
         assert _simplified(lam * scaled - at_lam) == 0
+
+
+def _d_times_s(phase, bs, lam, D, N):
+    """D S, with S = [[r, t'], [t, r']] the on-shell S-matrix of the kernel:
+    r = N/D and t = 2 lam e^{i theta}/D from the left; r' (N with b1 and b4
+    swapped) over D and t' = 2 lam e^{-i theta}/D from the right."""
+    b1, _, _, b4 = bs
+    swapped = N.subs({b1: b4, b4: b1}, simultaneous=True)
+    return sp.Matrix([[N, 2 * lam * sp.conjugate(phase)], [2 * lam * phase, swapped]])
+
+
+def test_right_incidence_amplitudes_solve_their_matching_system():
+    """D times the residual u- + r' u+ - B t' u- of a wave from the right
+    vanishes for any b's, on the class and off it."""
+    b, phase, bs, lam, D, N = _b_form_condition()
+    u_plus, u_minus = sp.Matrix([1, lam]), sp.Matrix([1, -lam])
+    (_, t_right), (_, r_right) = _d_times_s(phase, bs, lam, D, N).tolist()
+    residual = D * u_minus + r_right * u_plus - b * t_right * u_minus
+    assert residual.applyfunc(_simplified) == sp.zeros(2, 1)
+
+
+def test_s_matrix_is_unitary_on_the_class():
+    """(D S)^H (D S) - |D|^2 = 4 lam^2 (1 - b1 b4 - b2 b3): S^H S = 1 on the class."""
+    b, phase, bs, lam, D, N = _b_form_condition()
+    b1, b2, b3, b4 = bs
+    ds = _d_times_s(phase, bs, lam, D, N)
+    residual = ds.H * ds - (D * sp.conjugate(D) + 4 * lam**2 * (1 - b1 * b4 - b2 * b3)) * sp.eye(2)
+    assert residual.applyfunc(_simplified) == sp.zeros(2, 2)
+
+
+def test_s_matrix_is_the_conjugate_extension_unitary_at_zero_mass(corrected_triple):
+    """At m = 0 (lambda = 1) S = conj(U), U = g3 [[g1, -g2*], [g2, g1*]] of
+    :func:`~diracjunction.correspondence.alpha_to_u2`, at every energy.  U is
+    of degree two in G0, and G0^-2 = |g3|^2 at G0 = 1 equals |D|^2 there, so
+    S = conj(U) reads U at G0 = 1 = conj(D S) D."""
+    g1, g2, g3 = (g.subs(corrected_triple["m"], 0) for g in corrected_triple["g"])
+    phase, bs = corrected_triple["phase"], corrected_triple["b"]
+    b1, b2, b3, b4 = bs
+    D = (b1 + b4) - sp.I * (b2 + b3)
+    N = (b4 - b1) + sp.I * (b3 - b2)
+    assert _simplified(g3 * sp.conjugate(g3) - D * sp.conjugate(D)) == 0
+    unitary = g3 * sp.Matrix([[g1, -sp.conjugate(g2)], [g2, sp.conjugate(g1)]])
+    residual = unitary - _d_times_s(phase, bs, 1, D, N).conjugate() * D
+    assert residual.applyfunc(_simplified) == sp.zeros(2, 2)
+
+
+def test_s_matrix_at_lambda_is_that_of_the_similar_condition_at_zero_mass():
+    """For m > 0, S at lambda is S at lambda = 1 of the similar condition
+    diag(1, lam)^-1 B diag(1, lam), whose b's are (b1, lam b2, b3/lam, b4):
+    its D and D S are those at lambda divided by lambda.  With the identity
+    at m = 0, S(E) = conj(U) of that condition's extension."""
+    b, phase, bs, lam, D, N = _b_form_condition()
+    b1, b2, b3, b4 = bs
+    similar = {b2: lam * b2, b3: b3 / lam}
+    at_one = {lam: 1}
+    ds_one = _d_times_s(phase, bs, 1, D.subs(at_one), N.subs(at_one)).subs(similar, simultaneous=True)
+    assert _simplified(lam * D.subs(at_one).subs(similar, simultaneous=True) - D) == 0
+    assert (lam * ds_one - _d_times_s(phase, bs, lam, D, N)).applyfunc(_simplified) == sp.zeros(2, 2)
