@@ -170,6 +170,17 @@ def validate_class(a: AlphaBC, tol: float = DEFAULT_TOL) -> ClassReport:
     return report
 
 
+#: The smallest normal float: the modulus of a smaller pivot has too few digits to divide it by.
+_NORMAL = 2.0**-1022
+
+
+def _scaled(z: complex) -> tuple[complex, float]:
+    """A pivot ``z`` of subnormal modulus and that modulus, both times 2^600: exactly, and with every
+    digit, so that their quotient is the pivot's direction."""
+    z = complex(z.real * 2.0**600, z.imag * 2.0**600)
+    return z, abs(z)
+
+
 def _measure_class(a: AlphaBC, tol: float) -> ClassReport:
     """The :func:`validate_class` report, computed afresh."""
     a1, a2, a3, a4 = a.as_tuple()
@@ -184,16 +195,18 @@ def _measure_class(a: AlphaBC, tol: float) -> ClassReport:
     r1, r3 = abs(a1), abs(a3)
     if r1 > tol * (r1 if r1 > r3 else r3):
         theta = arg_2pi(a1)
-        phase = a1 / r1
+        p1, s1 = (a1, r1) if r1 >= _NORMAL else _scaled(a1)
+        phase = p1 / s1
         u = phase.conjugate()
         w = -1j * u
         b1, b2, b3, b4 = complex(r1), w * a2, w * a3, u * a4
     elif a3 == 0:
         return ClassReport(math.inf, limit, None, None)
     else:
-        phase = -1j * a3 / r3
+        p3, s3 = (a3, r3) if r3 >= _NORMAL else _scaled(a3)
+        phase = -1j * p3 / s3
         theta = arg_2pi(phase)
-        u = (a3 / r3).conjugate()
+        u = (p3 / s3).conjugate()
         w = 1j * u
         b1, b2, b3, b4 = w * a1, u * a2, complex(r3), w * a4
     # maxima by comparison: a max() call costs more than the rest of its line

@@ -15,8 +15,9 @@ default seed.  Complex flag values accept ``a+bi`` shorthand or JSON
 
 A unitary payload is a pair of pairs of Python complex.  No command imports
 ``numpy`` or ``argparse``; only code that reads or writes JSON imports ``json``.
-Both bulk commands run in parts, one per usable CPU, through one fork runner
-(:func:`_in_parts`), byte for byte as in one part.  Entry point: :func:`run`.
+Both bulk commands run in one process per usable CPU, which take small chunks
+of the work on demand from a token pipe through one fork runner
+(:func:`_in_parts`), byte for byte as in one process.  Entry point: :func:`run`.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import os
 import re
 import struct
 import sys
-from itertools import islice
+from itertools import chain, islice
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import boundary, correspondence, matrix2
 from .boundary import AlphaBC, BDForm, Island, RhoBC
@@ -310,6 +311,14 @@ _PART_ROWS = 4096
 _PART_INSTANCES = 256
 #: cgroup v2's CPU quota of this process's group: "max", or a quota and a period.
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"
+#: Chunks per part: each process takes the next chunk when it is done with one (README).
+_CHUNKS_PER_PART = 16
+#: A chunk index in the token pipe, of one width, so that one read takes one token.
+_TOKEN = struct.Struct("=I")
+#: The most tokens written before the first fork: a pipe holds at least a page, 4,096 bytes, unread.
+_TOKENS = 4096 // _TOKEN.size
+#: A worker's frame head: a chunk's index and its length in bytes, followed by its bytes.
+_FRAME = struct.Struct("=IQ")
 
 
 def _part_count(n: int, per_part: int) -> int:
@@ -321,13 +330,43 @@ def _part_count(n: int, per_part: int) -> int:
     return max(1, min(cpus, n // per_part)) if hasattr(os, "fork") else 1
 
 
-def _in_parts(n: int, parts: int, render: Callable[[int, int], bytes]) -> list[bytes]:
-    """``render(lo, hi)`` over ``parts`` contiguous pieces of ``range(n)``, in order: a forked worker
-    renders each but the last, which this process renders, with every part whose pipe or fork failed.
-    A worker that fails, whatever its error, makes this raise :class:`InternalInconsistencyError`."""
-    bounds = [n * i // parts for i in range(parts + 1)]
-    workers = []
+def _taken(tokens: int) -> Iterator[int]:
+    """The chunk indices in the token pipe ``tokens``, read one token at a time until it is empty."""
+    while token := os.read(tokens, _TOKEN.size):
+        yield _TOKEN.unpack(token)[0]
+
+
+def _in_parts(n: int, parts: int, render: Callable[[int, int], bytes]) -> list[bytes | memoryview]:
+    """``render(lo, hi)`` over the contiguous chunks of ``range(n)``, in order, shared on demand by
+    ``parts`` (<= ``n``) processes: :data:`_CHUNKS_PER_PART` chunks a part, one when ``parts`` is 1.
+
+    Forked worker i starts on chunk i and this process on those up to ``parts`` that no worker started
+    on.  The later chunks' indices wait as tokens in one pipe, written before the first fork, and every
+    process reads one at a time until it is empty, so a faster CPU renders more; a failed pipe or fork
+    leaves more to this process.  A worker keeps its chunks and sends them back at the end as
+    index-tagged frames.  Every worker is reaped before any reply is decoded, and one that fails,
+    whatever its error, makes this raise :class:`InternalInconsistencyError`."""
+    chunks = min(n, parts * _CHUNKS_PER_PART, parts + _TOKENS) if parts > 1 else 1
+    bounds = [n * i // chunks for i in range(chunks + 1)]
+    pieces: list[bytes | memoryview] = [b""] * chunks
+
+    def take(indices: Iterable[int]) -> list[int]:
+        done = []
+        for i in indices:
+            pieces[i] = render(bounds[i], bounds[i + 1])
+            done.append(i)
+        return done
+
+    workers, tokens, replies = [], None, []
     try:
+        if parts > 1:
+            try:
+                tokens, w = os.pipe()
+            except OSError:  # out of descriptors: no worker, and this process takes every chunk
+                parts = 1
+            else:
+                with open(w, "wb") as pipe:  # at most a page, which the pipe holds unread
+                    pipe.write(b"".join(map(_TOKEN.pack, range(parts, chunks))))
         for i in range(parts - 1):
             fds = ()
             try:
@@ -337,24 +376,34 @@ def _in_parts(n: int, parts: int, render: Callable[[int, int], bytes]) -> list[b
                 for fd in fds:
                     os.close(fd)
                 break
-            if pid == 0:  # the worker writes its piece to its pipe; os._exit flushes no inherited buffer
+            if pid == 0:  # the worker writes its frames to its pipe; os._exit flushes no inherited buffer
                 try:
                     os.close(r)
+                    done = take(chain((i,), _taken(tokens)))
                     with open(w, "wb") as pipe:
-                        pipe.write(render(*bounds[i : i + 2]))
+                        pipe.writelines(part for j in done for part in (_FRAME.pack(j, len(pieces[j])), pieces[j]))
                 except BaseException:  # nothing written, no traceback: the parent reports it
                     os._exit(1)
                 os._exit(0)
             os.close(w)
             workers.append((pid, open(r, "rb")))
-        mine = render(bounds[len(workers)], n)
-        pieces = [pipe.read() for _, pipe in workers] + [mine]
+        take(range(chunks) if tokens is None else chain(range(len(workers), parts), _taken(tokens)))
+        replies = [pipe.read() for _, pipe in workers]
     finally:
+        if tokens is not None:
+            os.read(tokens, _TOKENS * _TOKEN.size)  # what is left if this process failed: the workers stop
+            os.close(tokens)
         for _, pipe in workers:  # a worker still writing then sees a broken pipe and exits
             pipe.close()
         failed = [pid for pid, _ in workers if os.waitpid(pid, 0)[1]]
     if failed:
         raise InternalInconsistencyError("a worker computing part of the output failed")
+    for reply in replies:
+        view, at = memoryview(reply), 0
+        while at < len(reply):
+            i, size = _FRAME.unpack_from(reply, at)
+            at += _FRAME.size + size
+            pieces[i] = view[at - size : at]
     return pieces
 
 
@@ -381,29 +430,36 @@ def _rows_text(cols: ScatteringColumns, fmt: str) -> str:
 
 
 def _sweep_bytes(bc, args, parts: int) -> bytes:
-    """A checked sweep's output, as UTF-8, from ``parts`` (<= steps) grid parts (:func:`_in_parts`)."""
+    """A checked sweep's output, as UTF-8, from ``parts`` (<= steps) processes (:func:`_in_parts`)."""
     from .scattering import sweep_part
 
     sweep = bc, args.emin, args.emax, args.steps, args.mass, Island(args.face), args.tol
     pieces = _in_parts(args.steps, parts, lambda lo, hi: _rows_text(sweep_part(*sweep, lo, hi), args.format).encode())
     _, _, sep, head, tail = (text.encode() for text in _LAYOUT[args.format])
     chunks = [head, *(chunk for piece in pieces for chunk in (piece, sep))]
-    chunks[-1] = tail  # in place of the separator after the last part
+    chunks[-1] = tail  # in place of the separator after the last piece
     return b"".join(chunks)
 
 
 def _fuzz(args, parts: int | None = None):
-    """``verify --fuzz``'s verdict from ``parts`` parts (:func:`_part_count`'s by default), each of which
-    draws the run's one stream up to its own end and sends back, in :mod:`marshal`'s format (built in, so
-    nothing is imported), its :func:`~.checks.check_fuzz` result or its typed error's exit code and message."""
+    """``verify --fuzz``'s verdict from ``parts`` processes (:func:`_part_count`'s by default) sharing
+    its chunks (:func:`_in_parts`).  Each process draws its own copy of the run's one stream on demand:
+    only when it takes a later chunk does it draw the rest of its last one and those the others took.
+    It sends back, in :mod:`marshal`'s format (built in, so nothing is imported), each chunk's
+    :func:`~.checks.check_fuzz` result or its typed error's exit code and message."""
     from . import checks
 
     n = args.fuzz
-    checks.draw_fuzz(n, args.mass, args.seed)  # refuses n < 1 before any fork; draws nothing
+    draws = checks.draw_fuzz(n, args.mass, args.seed)  # refuses n < 1 before any fork; draws nothing yet
+    chunk, drawn = iter(()), 0  # the last chunk taken, what a check left of it, and where it ends
 
     def render(lo: int, hi: int) -> bytes:
+        nonlocal chunk, drawn
+        for _ in chunk:  # what a check that stopped early left
+            pass
+        chunk, drawn = islice(draws, lo - drawn, hi - drawn), hi
         try:
-            part = checks.check_fuzz(islice(checks.draw_fuzz(n, args.mass, args.seed), lo, hi), args.mass, args.tol)
+            part = checks.check_fuzz(chunk, args.mass, args.tol)
         except JunctionError as exc:
             part = {"exit": 3 if isinstance(exc, InternalInconsistencyError) else 2, "error": str(exc)}
         return marshal.dumps(part)

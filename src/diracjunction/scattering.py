@@ -213,14 +213,14 @@ def _row(E: list[float], cols: tuple[list[float], ...], i: int = 0) -> Scatterin
     )
 
 
-def scatter_alpha(a: AlphaBC, E: float, m: float) -> ScatteringResult:
-    """Scatter the right-moving mode off a transmitting condition.
+def scatter_alpha(a: AlphaBC, E: float, m: float, face: Island = Island.LEFT) -> ScatteringResult:
+    """Scatter a wave coming in through ``face`` off a transmitting condition.
 
     Runs the b-form kernel (module docstring) at one energy; raises
     :class:`NotInClassError` when ``a`` is not in the class.
     """
     E, m = _energy(E, m)
-    return _row(E, _transmitting(a, Island.LEFT, E, m, DEFAULT_TOL))
+    return _row(E, _transmitting(a, face, E, m, DEFAULT_TOL))
 
 
 def scatter_rho(rho: RhoBC, E: float, m: float, face: Island = Island.LEFT) -> ScatteringResult:

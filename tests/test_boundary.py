@@ -77,6 +77,23 @@ class TestValidateClass:
         assert validate_class(IDENTITY, 1e-3).limit == 1e-3
         assert validate_class(IDENTITY, 1e-20).limit == NORM_FLOOR
 
+    @pytest.mark.parametrize("a", [
+        AlphaBC(5e-324 + 5e-324j, 0, 0, 1),
+        AlphaBC(1e-320 + 3e-320j, 0, 0, 1),
+        AlphaBC(-2e-310 + 1e-321j, 0, 0, 1),
+        AlphaBC(0, 0, 5e-324 + 5e-324j, 1),
+        AlphaBC(0, 0, -7e-322 - 3e-316j, 1),
+    ])
+    def test_a_subnormal_pivot_gives_a_unit_phase(self, a):
+        # abs() of a subnormal complex keeps few digits: abs(5e-324+5e-324j)
+        # is 5e-324, which made the phase 1+1j and b4 = 0.31625 in the second
+        report = validate_class(a)
+        pivot = a.a1 if a.a1 else -1j * a.a3  # e^{i theta} is a1 / |a1|, else -i a3 / |a3|
+        expected = complex(math.cos(math.atan2(pivot.imag, pivot.real)), math.sin(math.atan2(pivot.imag, pivot.real)))
+        assert abs(report.phase - expected) <= 2e-16 and abs(abs(report.phase) - 1.0) <= 2e-16
+        assert report.form.theta == pytest.approx(math.atan2(pivot.imag, pivot.real) % (2 * math.pi), abs=1e-15)
+        assert abs(report.form.b4 - (report.phase.conjugate() * a.a4).real) <= 2e-16
+
 
 class TestDeterminantScale:
     """The determinant term is measured against max(1, |b1 b4| + |b2 b3|),

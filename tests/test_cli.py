@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -1320,15 +1321,19 @@ def forks(monkeypatch):
     return pids
 
 
+#: The call that starts the second worker: the token pipe is the first pipe, the first worker's the second.
+SECOND_WORKER = {"pipe": 3, "fork": 2}
+
+
 def _second_fails(monkeypatch, failing):
-    """Make the second ``os.pipe`` or ``os.fork`` fail, as at a descriptor or process limit;
+    """Make the second worker's ``os.pipe`` or ``os.fork`` fail, as at a descriptor or process limit;
     returns the calls counted and the pipes made."""
     pipes, calls, pipe = [], {"pipe": 0, "fork": 0}, os.pipe
 
     def second_fails(name, call):
         def wrapped():
             calls[name] += 1
-            if name == failing and calls[name] == 2:
+            if name == failing and calls[name] == SECOND_WORKER[name]:
                 raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
             return call()
 
@@ -1381,10 +1386,22 @@ class TestSweepWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         calls, pipes = _second_fails(monkeypatch, failing)
         assert run(capsys, *self._big("--format", "json")) == one_part
-        assert one_part[0] == 0 and calls[failing] == 2 and len(forks) == 1
+        assert one_part[0] == 0 and calls[failing] == SECOND_WORKER[failing] and len(forks) == 1
         for fd in (fd for fds in pipes for fd in fds):  # every descriptor made is closed
             with pytest.raises(OSError):
                 os.fstat(fd)
+        _no_child_left()
+
+    def test_failed_token_pipe_renders_every_chunk_here(self, capsys, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_part = run(capsys, *self._big("--format", "json"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+        def no_pipe():  # the token pipe fails, as at a descriptor limit
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        assert run(capsys, *self._big("--format", "json")) == one_part and forks == []
         _no_child_left()
 
     def test_one_cpu_forks_nothing(self, capsys, monkeypatch, forks):
@@ -1398,6 +1415,78 @@ class TestSweepWorkers:
                              "--steps", "1000000000000000")
         assert (code, out) == (2, "") and "no energy grid" in err
         assert forks == []
+
+
+def _recording(path, call, slow):
+    """``call`` that first appends this process's id and its chunk's ``(lo, hi)``, the last two arguments,
+    to the ``O_APPEND`` file ``path`` and sleeps 50 ms in a process that ``slow(pid)`` names slow."""
+
+    def recorded(*args):
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {args[-2]} {args[-1]}\n".encode())
+        finally:
+            os.close(fd)
+        if slow(os.getpid()):
+            time.sleep(0.05)
+        return call(*args)
+
+    return recorded
+
+
+def _chunks_by_process(path, n):
+    """The recorded chunks, asserted to cover ``range(n)`` once each, counted by process id."""
+    records = [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+    ranges = sorted((lo, hi) for _, lo, hi in records)
+    assert [lo for lo, _ in ranges] == [0, *(hi for _, hi in ranges[:-1])] and ranges[-1][1] == n
+    assert all(lo < hi for lo, hi in ranges)
+    counts = {}
+    for pid, _, _ in records:
+        counts[pid] = counts.get(pid, 0) + 1
+    return counts
+
+
+class TestChunkScheduler:
+    """``_in_parts`` hands each chunk to exactly one process, whichever asks first, and gives the
+    chunks back in order, so the output does not depend on which process was faster."""
+
+    @pytest.mark.parametrize("n, parts", [(1, 1), (40, 1), (7, 2), (48, 3), (1000, 2), (4097, 4), (100000, 3), (20000, 8)])
+    def test_every_chunk_is_rendered_once(self, tmp_path, n, parts):
+        from diracjunction.cli import _CHUNKS_PER_PART, _in_parts
+
+        path = tmp_path / "chunks"
+        pieces = _in_parts(n, parts, _recording(path, lambda lo, hi: f"{lo}:{hi};".encode(), lambda pid: False))
+        counts = _chunks_by_process(path, n)
+        chunks = min(n, parts * _CHUNKS_PER_PART) if parts > 1 else 1
+        assert sum(counts.values()) == len(pieces) == chunks and len(counts) <= parts
+        bounds = [n * i // chunks for i in range(chunks + 1)]
+        assert b"".join(pieces) == "".join(f"{lo}:{hi};" for lo, hi in zip(bounds, bounds[1:])).encode()
+        _no_child_left()
+
+    @pytest.mark.parametrize("slow_side", ["workers", "process"])
+    @pytest.mark.parametrize("argv, n", [
+        (("scatter", "--rho", "inf,0.3", "--mass", "1", "--emin", "1.2", "--emax", "3",
+          "--steps", str(3 * _PART_ROWS + 5), "--format", "json"), 3 * _PART_ROWS + 5),
+        (("scatter", "--gamma", "0.6,0.8i,i", "--mass", "1", "--emin", "1.5", "--emax", "3",
+          "--steps", str(3 * _PART_ROWS)), 3 * _PART_ROWS),
+        (("verify", "--fuzz", "1000", "--mass", "1", "--seed", "7"), 1000),
+    ])
+    def test_uneven_speeds_give_the_one_part_output(self, capsys, monkeypatch, tmp_path, forks, argv, n, slow_side):
+        from diracjunction import cli
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_part = run(capsys, *argv)
+        parent, path, in_parts = os.getpid(), tmp_path / "chunks", cli._in_parts
+        slow = (lambda pid: pid != parent) if slow_side == "workers" else (lambda pid: pid == parent)
+        monkeypatch.setattr(cli, "_in_parts", lambda n, parts, render: in_parts(n, parts, _recording(path, render, slow)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert run(capsys, *argv) == one_part and one_part[0] == 0 and len(forks) == 2
+        counts = _chunks_by_process(path, n)
+        mine = counts.pop(parent)
+        assert len(counts) == 2  # each worker rendered at least its first chunk
+        # the fast side took the chunks that the slow one left
+        assert (mine > sum(counts.values())) == (slow_side == "workers")
+        _no_child_left()
 
 
 class TestFuzzWorkers:
@@ -1464,6 +1553,46 @@ class TestFuzzWorkers:
         assert run(capsys, "verify", "--fuzz", "3600", "--seed", "3") == one_part and len(forks) == 2
         _no_child_left()
 
+    @staticmethod
+    def _counting(monkeypatch, *leaving):
+        """``checks.draw_fuzz`` with ``leaving`` moved off the class, counting the instances drawn."""
+        from diracjunction import checks
+
+        draw_fuzz, drawn = leaving_the_class(checks.draw_fuzz, *leaving), []
+
+        def counted(*args):
+            for instance in draw_fuzz(*args):
+                drawn.append(instance)
+                yield instance
+
+        monkeypatch.setattr(checks, "draw_fuzz", counted)
+        return drawn
+
+    def test_one_part_draws_up_to_the_first_instance_outside_the_class(self, monkeypatch):
+        drawn = self._counting(monkeypatch, 10)
+        (record,) = self._fuzz(3600, 1.0, 1e-10, 3, 1).records
+        assert record.name == "fuzz-class" and not record.passed and len(drawn) == 11
+
+    def test_a_later_chunk_starts_where_it_should_after_an_early_stop(self, monkeypatch):
+        # one process takes chunks [0, 5) and [8, 12), another [5, 8): the first stops at instance 2
+        import marshal
+
+        from diracjunction import checks, cli
+
+        draws = list(leaving_the_class(checks.draw_fuzz, 2)(24, 1.0, 13))
+        drawn, replies = self._counting(monkeypatch, 2), []
+
+        def in_parts(n, parts, render):
+            replies.extend(render(lo, hi) for lo, hi in ((0, 5), (8, 12)))
+            return replies
+
+        monkeypatch.setattr(cli, "_in_parts", in_parts)
+        self._fuzz(24, 1.0, 1e-10, 13, 2)
+        assert [marshal.loads(reply) for reply in replies] == [
+            checks.check_fuzz(draws[0:3], 1.0, 1e-10), checks.check_fuzz(draws[8:12], 1.0, 1e-10)
+        ]
+        assert len(marshal.loads(replies[0])) == 2 and len(drawn) == 12
+
     @pytest.mark.parametrize("to_file", [False, True])
     def test_failed_worker_exits_3_and_writes_nothing(self, capsys, monkeypatch, tmp_path, forks, to_file):
         from diracjunction import checks
@@ -1506,7 +1635,7 @@ class TestFuzzWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         calls, pipes = _second_fails(monkeypatch, failing)
         assert run(capsys, "verify", "--fuzz", "1000", "--mass", "0.5") == one_part
-        assert one_part[0] == 0 and calls[failing] == 2 and len(forks) == 1
+        assert one_part[0] == 0 and calls[failing] == SECOND_WORKER[failing] and len(forks) == 1
         for fd in (fd for fds in pipes for fd in fds):  # every descriptor made is closed
             with pytest.raises(OSError):
                 os.fstat(fd)
