@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import (
     InvalidBDError,
@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     ZeroParameterError,
 )
-from .matrix2 import BOUND, DEFAULT_TOL, MAX_MAGNITUDE, NORM_FLOOR, arg_2pi, record_type
+from .matrix2 import BOUND, DEFAULT_TOL, MAX_MAGNITUDE, NORM_FLOOR, Record, _new, arg_2pi
 
 if TYPE_CHECKING:
     import random
@@ -56,13 +56,7 @@ def _check_extended_real(value: float, name: str) -> float:
     return v
 
 
-@record_type
-class _RhoFields(NamedTuple):
-    rho_plus: float
-    rho_minus: float
-
-
-class RhoBC(_RhoFields):
+class RhoBC(Record):
     """Separating condition; each component is +inf or of modulus <= MAX_MAGNITUDE."""
 
     __slots__ = ()
@@ -70,25 +64,16 @@ class RhoBC(_RhoFields):
     def __new__(cls, rho_plus: float, rho_minus: float):
         _check_extended_real(rho_plus, "rho_plus")
         _check_extended_real(rho_minus, "rho_minus")
-        return super().__new__(cls, rho_plus, rho_minus)
-
-    @classmethod
-    def _make(cls, fields):  # so that _replace validates too
-        return cls(*fields)
+        return _new(cls, (rho_plus, rho_minus))
 
 
-@record_type
-class _AlphaFields(NamedTuple):
-    a1: complex
-    a2: complex
-    a3: complex
-    a4: complex
-
-
-class AlphaBC(_AlphaFields):
+class AlphaBC(Record):
     """Transmitting condition parameters (a1, a2, a3, a4).  The reports of
     :func:`validate_class` are kept in ``__dict__``, which equality,
     hashing, ``repr``, pickling and copying ignore."""
+
+    def __new__(cls, a1: complex, a2: complex, a3: complex, a4: complex):
+        return _new(cls, (a1, a2, a3, a4))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -100,30 +85,28 @@ class AlphaBC(_AlphaFields):
         return (complex(self.a1), complex(self.a2), complex(self.a3), complex(self.a4))
 
 
-@record_type
-class BDForm(NamedTuple):
+class BDForm(Record):
     """Real four-parameter form: theta in [0, 2*pi), b1*b4 + b2*b3 = 1."""
 
-    theta: float
-    b1: float
-    b2: float
-    b3: float
-    b4: float
+    __slots__ = ()
+
+    def __new__(cls, theta: float, b1: float, b2: float, b3: float, b4: float):
+        return _new(cls, (theta, b1, b2, b3, b4))
 
     def bs(self) -> tuple[float, float, float, float]:
         return (self.b1, self.b2, self.b3, self.b4)
 
 
-class ClassReport(NamedTuple):
+class ClassReport(Record):
     """Outcome of :func:`validate_class`: the condition's distance from the
     class, the limit it is held to, and the b-form of the real parts with
     the unit complex e^{i theta} the b's were taken against (both None
     when a1 ~ 0 and a3 = 0 leave no pivot)."""
 
-    distance: float
-    limit: float
-    form: BDForm | None
-    phase: complex | None
+    __slots__ = ()
+
+    def __new__(cls, distance: float, limit: float, form: BDForm | None, phase: complex | None):
+        return _new(cls, (distance, limit, form, phase))
 
     @property
     def valid(self) -> bool:

@@ -30,13 +30,13 @@ import math
 import random
 import sys
 from collections import Counter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from . import boundary, correspondence, matrix2
 from .boundary import AlphaBC, RhoBC
 from .correspondence import ExtensionClass, Separating
 from .errors import DiagonalInputError, JunctionError, ValidationError
-from .matrix2 import record_type
+from .matrix2 import Record, _new
 
 #: Allowance, in units of the scale a residual is divided by, for evaluating
 #: the form or the current in double precision on a domain pair, 2^6 units
@@ -47,23 +47,22 @@ from .matrix2 import record_type
 ROUNDING = 2.0 ** -47
 
 
-@record_type
-class CheckRecord(NamedTuple):
+class CheckRecord(Record):
     """Outcome of one check: its residual next to the limit it must meet."""
 
-    name: str
-    residual: float
-    limit: float
-    passed: bool
+    __slots__ = ()
+
+    def __new__(cls, name: str, residual: float, limit: float, passed: bool):
+        return _new(cls, (name, residual, limit, passed))
 
 
-@record_type
-class Check(NamedTuple):
+class Check(Record):
     """One verification check: a name, a residual function and a limit."""
 
-    name: str
-    residual: Callable[..., float]
-    limit: float
+    __slots__ = ()
+
+    def __new__(cls, name: str, residual: Callable[..., float], limit: float):
+        return _new(cls, (name, residual, limit))
 
     def record(self, residual: float, scale: float = 1.0) -> CheckRecord:
         """Compare ``residual`` with the limit times ``scale``."""
@@ -73,13 +72,14 @@ class Check(NamedTuple):
         return self.record(self.residual(*args), scale)
 
 
-@record_type
-class Verification(NamedTuple):
+class Verification(Record):
     """Check records, and the closed-form inverse tally: ``{"classification":
     kind}`` for one transmitting condition, counts for a fuzz run, else empty."""
 
-    records: tuple[CheckRecord, ...]
-    closed_form: dict
+    __slots__ = ()
+
+    def __new__(cls, records: tuple[CheckRecord, ...], closed_form: dict):
+        return _new(cls, (records, closed_form))
 
     @property
     def passed(self) -> bool:

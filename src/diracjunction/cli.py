@@ -14,7 +14,8 @@ default seed.  Complex flag values accept ``a+bi`` shorthand or JSON
 ``[re, im]`` pair; the infinite separating parameter is spelled ``inf``.
 
 A unitary payload is a pair of pairs of Python complex.  No command imports
-``numpy`` or ``argparse``; only code that reads or writes JSON imports ``json``.
+``numpy`` or ``argparse``; only code that reads JSON imports ``json``, and
+:func:`to_json` writes it.
 Both bulk commands run in one process per usable CPU, which take small chunks
 of the work on demand from a token pipe through one fork runner
 (:func:`_in_parts`), byte for byte as in one process.  Entry point: :func:`run`.
@@ -178,10 +179,35 @@ def write(text: str | bytes, out=None) -> None:
         sys.stdout.write(data.decode())
 
 
+def to_json(obj) -> str:
+    """``json.dumps(obj, default=lambda z: [z.real, z.imag])``, byte for byte, of what the commands emit:
+    dicts with string keys, lists, tuples (records too), strings, None, bools, ints, floats, and anything
+    else, a complex number above all, as its [re, im] pair.  Only a string that ``json`` escapes, which no
+    command writes, imports ``json``; the CLI's names are printable ASCII without quotes or backslashes."""
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, str):
+        if obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
+            return f'"{obj}"'
+        import json
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):  # float's repr, or json's spelling of a value that is not finite
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "-Infinity" if obj < 0.0 else "Infinity"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{to_json(key)}: {to_json(value)}" for key, value in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(to_json, obj)) + "]"
+    return to_json([obj.real, obj.imag])
+
+
 def emit(obj, out=None, *lines: str) -> None:
-    """Write ``lines``, then ``obj`` as one line of JSON with each complex number as its [re, im] pair."""
-    import json
-    write("".join(f"{line}\n" for line in (*lines, json.dumps(obj, default=lambda z: [z.real, z.imag]))), out)
+    """Write ``lines``, then ``obj`` as one line of JSON (:func:`to_json`) with each complex number as its
+    [re, im] pair."""
+    write("".join(f"{line}\n" for line in (*lines, to_json(obj))), out)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import NamedTuple
 
 from .boundary import AlphaBC, Island, RhoBC, alpha_to_bd, require_class
 from .errors import (
@@ -43,10 +42,11 @@ from .matrix2 import (
     MAX_MAGNITUDE,
     NORM_FLOOR,
     QuaternionForm,
+    Record,
+    _new,
     _norm_residuals,
     _split_unitary,
     _unitary,
-    record_type,
 )
 
 
@@ -99,18 +99,22 @@ def face_factor(m: float, lam: float, power: int = 1) -> float:
     return math.exp(-rate * lam)
 
 
-@record_type
-class Separating(NamedTuple):
+class Separating(Record):
     """Extension acting independently on the two half-lines."""
 
-    rho: RhoBC
+    __slots__ = ()
+
+    def __new__(cls, rho: RhoBC):
+        return _new(cls, (rho,))
 
 
-@record_type
-class Transmitting(NamedTuple):
+class Transmitting(Record):
     """Extension coupling the half-lines through the junction."""
 
-    alpha: AlphaBC
+    __slots__ = ()
+
+    def __new__(cls, alpha: AlphaBC):
+        return _new(cls, (alpha,))
 
 
 ExtensionClass = Separating | Transmitting
@@ -372,18 +376,19 @@ def _candidate(a: AlphaBC, s: float, mu: complex, tol: float) -> QuaternionForm:
     return QuaternionForm(c * w, c * g2_scale, c * mu * (a1 + muc * a2 + mu * a3 + a4).conjugate())
 
 
-@record_type
-class ClosedFormComparison(NamedTuple):
+class ClosedFormComparison(Record):
     """Three-way classification of the closed-form candidate against the
     solved extension: componentwise equal, equal to the flipped sign-pair
-    member, or neither."""
+    member, or neither.  ``classification`` is "exact", "sign_pair" or
+    "mismatch"; ``difference`` is max |candidate - primary| and
+    ``difference_flipped`` max |candidate + primary|; ``identity_residual``
+    is the candidate's worst defining-identity residual."""
 
-    classification: str  # "exact" | "sign_pair" | "mismatch"
-    primary: QuaternionForm
-    candidate: QuaternionForm
-    difference: float  # max |candidate - primary|
-    difference_flipped: float  # max |candidate + primary|
-    identity_residual: float  # worst defining-identity residual of the candidate
+    __slots__ = ()
+
+    def __new__(cls, classification: str, primary: QuaternionForm, candidate: QuaternionForm,
+                difference: float, difference_flipped: float, identity_residual: float):
+        return _new(cls, (classification, primary, candidate, difference, difference_flipped, identity_residual))
 
 
 def compare_closed_form(

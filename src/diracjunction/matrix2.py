@@ -12,12 +12,16 @@ matrix this module returns, such as :func:`compose`'s, is its
 ``U = g3 * [[g1, -g2*], [g2, g1*]]`` with ``|g1|^2 + |g2|^2 = |g3| = 1`` is
 carried by :class:`QuaternionForm`.  All operations are pure functions on
 immutable values and are safe to call concurrently.
+
+The package's value types are records (:class:`Record`), named tuples that state
+their fields once, as the parameters of their ``__new__``, so importing them
+compiles nothing at run time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import _tuplegetter
 
 from .errors import InvalidFormError, NotUnitaryError
 
@@ -54,22 +58,63 @@ def as_c2matrix(obj) -> Entries:
     return (complex(a), complex(b)), (complex(c), complex(d))
 
 
-def _same_type_eq(self, other) -> bool:
-    return type(other) is type(self) and tuple.__eq__(self, other)
+#: The C constructor every record's ``__new__`` returns through, bound once as
+#: ``namedtuple``'s is: one global lookup per construction instead of a global
+#: and an attribute lookup, which ``lib-maps`` measures (BENCH_34.json).
+_new = tuple.__new__
 
 
-def _unordered(self, other):
-    raise TypeError(f"{type(self).__name__} instances are not ordered")
+class Record(tuple):
+    """A value type: a tuple with named fields that compares as a frozen
+    dataclass does, equal only to an instance of its own type with equal
+    fields (never to a plain tuple), hashed as its tuple, and unordered.
 
+    A subclass states its fields once, as the parameters of its own
+    ``__new__``, which returns ``_new(cls, (field, ...))``.  Its ``_fields``
+    are read from that signature, and each field gets the C accessor that
+    ``collections.namedtuple`` installs.  So building a class compiles
+    nothing at run time (``namedtuple`` compiles its constructor with
+    ``eval``, and ``typing``'s named tuples compile each string annotation),
+    the constructor sits in the bytecode cache, and construction and field
+    access run the C paths of a ``namedtuple``.  ``repr``, ``_asdict``,
+    ``_replace`` (through ``__new__``, so a validating one validates) and
+    pickling are those of a ``namedtuple``."""
 
-def record_type(cls: type) -> type:
-    """Make a ``NamedTuple`` class compare as a frozen dataclass does: equal
-    only to an instance of its own type with equal fields, never to a plain
-    tuple, and unordered.  The package's value types are such classes, as
-    they build in half the time and ``dataclasses`` imports ``inspect``."""
-    cls.__eq__, cls.__ne__ = _same_type_eq, lambda self, other: not _same_type_eq(self, other)
-    cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered
-    return cls
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__new__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, None))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        raise TypeError(f"{type(self).__name__} instances are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in zip(self._fields, self))})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def _replace(self, **changes):
+        record = type(self)(*map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return record
 
 
 def arg_2pi(z: complex) -> float:
@@ -82,17 +127,17 @@ def arg_2pi(z: complex) -> float:
     return a
 
 
-@record_type
-class QuaternionForm(NamedTuple):
+class QuaternionForm(Record):
     """Parameters (g1, g2, g3) of the phase-times-quaternion form of a unitary.
 
     The pair (g1, g2, g3) and (-g1, -g2, -g3) compose to the same matrix;
     the canonical representative has arg(g3) in [0, pi).
     """
 
-    g1: complex
-    g2: complex
-    g3: complex
+    __slots__ = ()
+
+    def __new__(cls, g1: complex, g2: complex, g3: complex):
+        return _new(cls, (g1, g2, g3))
 
     def norm_residuals(self) -> tuple[float, float]:
         """Residuals of |g1|^2 + |g2|^2 = 1 and |g3| = 1; inf, not an

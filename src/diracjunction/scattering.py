@@ -44,44 +44,32 @@ energy.  Nothing here imports ``numpy``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .boundary import TWO_PI, AlphaBC, Island, RhoBC, make_phase_shift, make_spin_flip, require_class
 from .correspondence import ExtensionClass, Separating, Transmitting, check_mass
 from .errors import BelowGapError, ValidationError
-from .matrix2 import BOUND, DEFAULT_TOL, MAX_MAGNITUDE, record_type
+from .matrix2 import BOUND, DEFAULT_TOL, MAX_MAGNITUDE, Record, _new
 
 
-@record_type
-class ScatteringResult(NamedTuple):
-    """Reflection/transmission amplitudes at one energy."""
+class ScatteringResult(Record):
+    """Reflection/transmission amplitudes at one energy.  ``flag`` is always
+    None: a class member's matching system is never singular."""
 
-    E: float
-    k: float
-    lam: float
-    r: complex
-    t: complex
-    R: float
-    T: float
-    transmission_phase: float
-    flag: str | None = None  # always None: a class member's matching system is never singular
+    __slots__ = ()
+
+    def __new__(cls, E: float, k: float, lam: float, r: complex, t: complex, R: float, T: float,
+                transmission_phase: float, flag: str | None = None):
+        return _new(cls, (E, k, lam, r, t, R, T, transmission_phase, flag))
 
 
-@record_type
-class ScatteringColumns(NamedTuple):
-    """Scattering results over an energy grid, one list per output column;
-    ``r`` and ``t`` are assembled from their parts on request."""
+class ScatteringColumns(Record):
+    """Scattering results over an energy grid, one list of floats per output
+    column; ``r`` and ``t`` are assembled from their parts on request."""
 
-    E: list[float]
-    k: list[float]
-    lam: list[float]
-    re_r: list[float]
-    im_r: list[float]
-    re_t: list[float]
-    im_t: list[float]
-    R: list[float]
-    T: list[float]
-    phase_t: list[float]
+    __slots__ = ()
+
+    def __new__(cls, E, k, lam, re_r, im_r, re_t, im_t, R, T, phase_t):
+        return _new(cls, (E, k, lam, re_r, im_r, re_t, im_t, R, T, phase_t))
 
     @property
     def r(self) -> list[complex]:
@@ -281,28 +269,26 @@ def sweep_columns(bc: ExtensionClass, e_min: float, e_max: float, steps: int, m:
 DEMO_E, DEMO_M = 1.0, 0.0
 
 
-@record_type
-class UnitReport(NamedTuple):
-    """One junction unit: its condition, transparency, and spin action."""
+class UnitReport(Record):
+    """One junction unit: its condition, transparency, and spin action;
+    ``up_maps_to`` is B (1, 0) normalized, and ``down_maps_to`` B (0, 1)."""
 
-    name: str
-    alpha: AlphaBC
-    r: complex
-    t: complex
-    T: float
-    transmission_phase: float
-    up_maps_to: tuple[complex, complex]  # B (1, 0), normalized
-    down_maps_to: tuple[complex, complex]  # B (0, 1), normalized
-    preserves_spin: bool
-    swaps_spin: bool
+    __slots__ = ()
+
+    def __new__(cls, name: str, alpha: AlphaBC, r: complex, t: complex, T: float, transmission_phase: float,
+                up_maps_to: tuple[complex, complex], down_maps_to: tuple[complex, complex],
+                preserves_spin: bool, swaps_spin: bool):
+        return _new(cls, (name, alpha, r, t, T, transmission_phase, up_maps_to, down_maps_to,
+                          preserves_spin, swaps_spin))
 
 
-@record_type
-class PhaseVariant(NamedTuple):
-    theta: float
-    t: complex
-    T: float
-    transmission_phase: float
+class PhaseVariant(Record):
+    """Transmission through a phase-shift unit of phase ``theta``."""
+
+    __slots__ = ()
+
+    def __new__(cls, theta: float, t: complex, T: float, transmission_phase: float):
+        return _new(cls, (theta, t, T, transmission_phase))
 
     @property
     def verified(self) -> bool:
@@ -315,12 +301,13 @@ class PhaseVariant(NamedTuple):
         )
 
 
-@record_type
-class SwitchDemoReport(NamedTuple):
-    unit0: UnitReport
-    unit1: UnitReport
-    phase_variants: tuple[PhaseVariant, ...]
-    ok: bool
+class SwitchDemoReport(Record):
+    """The demonstration's two units, its phase variants and its verdict."""
+
+    __slots__ = ()
+
+    def __new__(cls, unit0: UnitReport, unit1: UnitReport, phase_variants: tuple[PhaseVariant, ...], ok: bool):
+        return _new(cls, (unit0, unit1, phase_variants, ok))
 
 
 def _unit(x: complex, y: complex) -> tuple[complex, complex]:

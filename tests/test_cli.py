@@ -24,12 +24,13 @@ from diracjunction.cli import (
     parse_angle,
     parse_args,
     parse_complex,
+    to_json,
 )
-from diracjunction.boundary import AlphaBC, BDForm, Island, RhoBC, bd_to_alpha
+from diracjunction.boundary import AlphaBC, BDForm, ClassReport, Island, RhoBC, bd_to_alpha
 from diracjunction.correspondence import Separating, Transmitting
 from diracjunction.errors import InternalInconsistencyError, ValidationError
-from diracjunction.matrix2 import DEFAULT_TOL
-from diracjunction.scattering import ScatteringColumns
+from diracjunction.matrix2 import DEFAULT_TOL, QuaternionForm
+from diracjunction.scattering import ScatteringColumns, ScatteringResult
 from helpers import B, BOUND_MATCH, BOUND_TEXT, leaving_the_class, rows_text
 
 CSV_HEADER_FIELDS = "E,k,lambda,re_r,im_r,re_t,im_t,R,T,phase_t,flag".split(",")
@@ -814,7 +815,7 @@ class TestExitCodeContract:
     )
     def test_determinant_constraints_take_the_scale_of_their_products(self, argv, code, stdout):
         p = run_process("-W", "error", "-m", "diracjunction.cli", *argv)
-        assert (p.returncode, p.stdout) == (code, stdout)
+        assert (p.returncode, p.stdout) == (code, stdout), p.stderr
         assert "Traceback" not in p.stderr and "Warning" not in p.stderr
 
     def test_cli_import_leaves_scipy_out(self):
@@ -1705,6 +1706,25 @@ class TestDemoSwitch:
         assert path.read_text() == expected
 
 
+#: What the JSON commands emit, for the writer's test: floats with their extremes (a negative zero, the
+#: smallest subnormal, the largest powers, not finite), complex numbers, printable ASCII names, any text,
+#: records, and dicts, lists and tuples of them.
+EMIT_FLOAT = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+EMIT_COMPLEX = st.builds(complex, EMIT_FLOAT, EMIT_FLOAT)
+EMIT_NAME = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=12)
+EMIT_RECORD = (
+    st.builds(AlphaBC, *[EMIT_COMPLEX] * 4)
+    | st.builds(QuaternionForm, *[EMIT_COMPLEX] * 3)
+    | st.builds(ClassReport, EMIT_FLOAT, EMIT_FLOAT, st.none() | st.builds(BDForm, *[EMIT_FLOAT] * 5),
+                st.none() | EMIT_COMPLEX)
+    | st.builds(ScatteringResult, *[EMIT_FLOAT] * 3, EMIT_COMPLEX, EMIT_COMPLEX, *[EMIT_FLOAT] * 3)
+)
+EMIT_LEAF = (st.none() | st.booleans() | st.integers() | EMIT_FLOAT | EMIT_COMPLEX | EMIT_NAME | st.text(max_size=8)
+             | EMIT_RECORD)
+EMIT_TREE = st.recursive(EMIT_LEAF, lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                         | st.dictionaries(EMIT_NAME, kids, max_size=4), max_leaves=24)
+
+
 class TestJsonBytes:
     """The JSON commands print exactly these bytes: one separating and one
     transmitting ``u2-to-bc``, every other ``convert`` direction, ``decompose``
@@ -1778,6 +1798,14 @@ class TestJsonBytes:
     @pytest.mark.parametrize("argv, expected", CASES)
     def test_stdout_is_pinned(self, capsys, argv, expected):
         assert run(capsys, *argv) == (0, expected, "")
+
+    @settings(max_examples=400, deadline=None)
+    @given(EMIT_TREE)
+    @example({"a": [1.5, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, True, False, None, 7, "x"]})
+    @example(AlphaBC(1j, complex(math.nan, -0.0), complex(-math.inf, 5e-324), 0j))
+    @example('quote " backslash \\ tab \t e-acute \u00e9 emoji \U0001f600')
+    def test_the_writer_is_json_dumps(self, obj):
+        assert to_json(obj) == json.dumps(obj, default=lambda z: [z.real, z.imag])
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

@@ -2,13 +2,16 @@
 nowhere else, not on call and not for annotations; every other module runs
 on Python numbers.  And what a
 CLI process loads: no command imports ``argparse``, numpy or ``cmath``,
-``json`` only where JSON is parsed or emitted, the scattering module only to
-scatter, and every command runs with numpy blocked."""
+``json`` only where JSON is parsed, the scattering module only to scatter,
+and every command runs with numpy blocked.  And what importing the CLI's
+modules compiles at run time: nothing, and every module compiles without
+a warning."""
 
 import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -94,15 +97,15 @@ print("exit", code, sorted(watched & set(sys.modules)), file=sys.stderr)
 """
 _ROT = "[[[0,0],[-1,0]],[[1,0],[0,0]]]"
 _GRID = ["--emin", "1.2", "--emax", "3", "--steps", "16"]
-#: argv -> whether it loads json: only to parse a JSON flag value or to emit a JSON object
+#: argv -> whether it loads json: only to parse a JSON flag value, never to emit a JSON object
 COMMANDS = [
     (["--help"], False),
     (["verify", "-h"], False),
     (["decompose", "--matrix", _ROT], True),
-    (["convert", "u2-to-bc", "--gamma", "0,-i,i", "--mass", "1"], True),
-    (["convert", "alpha-to-bd", "--alpha", "0,1,1,0"], True),
-    (["convert", "bd-to-alpha", "--bd", "3pi/2,0,1,1,0"], True),
-    (["convert", "rho-to-u2", "--rho", "inf,0.5", "--mass", "1"], True),
+    (["convert", "u2-to-bc", "--gamma", "0,-i,i", "--mass", "1"], False),
+    (["convert", "alpha-to-bd", "--alpha", "0,1,1,0"], False),
+    (["convert", "bd-to-alpha", "--bd", "3pi/2,0,1,1,0"], False),
+    (["convert", "rho-to-u2", "--rho", "inf,0.5", "--mass", "1"], False),
     (["verify", "--alpha", "0,1,1,0", "--mass", "1"], False),
     (["verify", "--rho", "inf,0.5", "--mass", "1"], False),
     (["verify", "--alpha", "1,1,0,1"], False),
@@ -110,9 +113,10 @@ COMMANDS = [
     (["verify", "--fuzz", "600", "--mass", "1", "--seed", "7"], False),  # in parts on 2 CPUs or more
     (["scatter", "--alpha", "0,1,1,0", "--mass", "1", *_GRID], False),
     (["scatter", "--rho", "0,0", "--mass", "0", *_GRID, "--format", "json"], False),  # rows from a template
-    (["demo-switch", "--phase", "pi/2"], True),
+    (["demo-switch", "--phase", "pi/2"], False),
     (["scatter", "--alpha", "0,1,1,0", "--emax", "3", "--steps", "16"], False),  # usage error
     (["verify", "--alpha", "0,1,1,0", "--mass", "-1"], False),
+    (["convert", "u2-to-bc", "--gamma", "[0,0],[0,-1],[0,1]", "--mass", "1"], True),  # a JSON [re, im] value
 ]
 
 
@@ -138,6 +142,41 @@ def test_the_blocker_makes_numpy_unimportable():
 def test_cli_loads_no_argparse_numpy_or_unneeded_json(argv, loads_json):
     _, _, loaded = _probe(False, argv)
     assert loaded & {"argparse", "gettext", "locale", "json", "numpy"} == ({"json"} if loads_json else set())
+
+
+#: Runs its first argument under an audit hook, then prints how many sources named "<string>" were
+#: compiled: what ``eval``, ``exec`` and ``compile`` of a string compile, which no bytecode cache holds,
+#: such as the constructor a ``namedtuple`` makes or the string annotations a ``typing`` named tuple
+#: turns into ``ForwardRef``\ s.
+_COMPILES = """
+import sys
+code, compiled = compile(sys.argv[1], "<argument>", "exec"), []
+sys.addaudithook(lambda event, args: event == "compile" and args[1] == "<string>" and compiled.append(args[0]))
+exec(code)
+print(len(compiled))
+"""
+_CLI_MODULES = "import diracjunction.cli, diracjunction.checks, diracjunction.scattering"
+
+
+def test_importing_the_cli_modules_compiles_nothing():
+    warm = _run(_CLI_MODULES)  # so that the bytecode cache holds every module
+    assert warm.returncode == 0, warm.stderr
+    p = _run(_COMPILES, _CLI_MODULES)
+    assert (p.returncode, p.stdout) == (0, "0\n"), p.stderr
+
+
+def test_the_compile_count_sees_a_namedtuple():
+    p = _run(_COMPILES, "import collections; collections.namedtuple('P', 'x y')")
+    assert (p.returncode, p.stdout) == (0, "1\n"), p.stderr
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_module_compiles_without_a_warning(path):
+    """Such as an invalid escape in a docstring: uncached, it is a warning on
+    every start-up and an error under ``python -W error``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
 #: argv -> whether it loads the scattering module: only to scatter or to fuzz,
