@@ -57,23 +57,23 @@ def _check_extended_real(value: float, name: str) -> float:
 
 
 class RhoBC(Record):
-    """Separating condition; each component is +inf or of modulus <= MAX_MAGNITUDE."""
+    """Separating condition; each component is a Python float, +inf or of
+    modulus <= MAX_MAGNITUDE."""
 
     __slots__ = ()
 
     def __new__(cls, rho_plus: float, rho_minus: float):
-        _check_extended_real(rho_plus, "rho_plus")
-        _check_extended_real(rho_minus, "rho_minus")
-        return _new(cls, (rho_plus, rho_minus))
+        return _new(cls, (_check_extended_real(rho_plus, "rho_plus"), _check_extended_real(rho_minus, "rho_minus")))
 
 
 class AlphaBC(Record):
-    """Transmitting condition parameters (a1, a2, a3, a4).  The reports of
-    :func:`validate_class` are kept in ``__dict__``, which equality,
-    hashing, ``repr``, pickling and copying ignore."""
+    """Transmitting condition parameters (a1, a2, a3, a4), each held as a
+    Python complex.  The reports of :func:`validate_class` are kept in
+    ``__dict__``, which equality, hashing, ``repr``, pickling and copying
+    ignore."""
 
     def __new__(cls, a1: complex, a2: complex, a3: complex, a4: complex):
-        return _new(cls, (a1, a2, a3, a4))
+        return _new(cls, (complex(a1), complex(a2), complex(a3), complex(a4)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -82,7 +82,8 @@ class AlphaBC(Record):
         return None  # the stored reports are not state
 
     def as_tuple(self) -> tuple[complex, complex, complex, complex]:
-        return (complex(self.a1), complex(self.a2), complex(self.a3), complex(self.a4))
+        """The four entries as a plain tuple (``perfbench`` reads them so)."""
+        return tuple(self)
 
 
 class BDForm(Record):
@@ -166,7 +167,7 @@ def _scaled(z: complex) -> tuple[complex, float]:
 
 def _measure_class(a: AlphaBC, tol: float) -> ClassReport:
     """The :func:`validate_class` report, computed afresh."""
-    a1, a2, a3, a4 = a.as_tuple()
+    a1, a2, a3, a4 = a
     # math.hypot, as abs() of a complex overflows at a modulus of 1.5e308
     m1, m2 = math.hypot(a1.real, a1.imag), math.hypot(a2.real, a2.imag)
     m3, m4 = math.hypot(a3.real, a3.imag), math.hypot(a4.real, a4.imag)
@@ -244,7 +245,7 @@ def bd_to_alpha(f: BDForm, tol: float = DEFAULT_TOL) -> AlphaBC:
 def invert_alpha(a: AlphaBC, tol: float = DEFAULT_TOL) -> AlphaBC:
     """Parameters of the inverse boundary matrix: B^{-1} = [[a4*, a2*], [a3*, a1*]]."""
     require_class(a, tol)
-    a1, a2, a3, a4 = a.as_tuple()
+    a1, a2, a3, a4 = a
     return AlphaBC(a4.conjugate(), a2.conjugate(), a3.conjugate(), a1.conjugate())
 
 

@@ -88,7 +88,7 @@ class Verification(Record):
 
 def alpha_scale(a: AlphaBC) -> float:
     """max(1, max |a_i|), of a class member (finite entries)."""
-    a1, a2, a3, a4 = a.as_tuple()
+    a1, a2, a3, a4 = a
     return max(1.0, abs(a1), abs(a2), abs(a3), abs(a4))
 
 
@@ -120,7 +120,7 @@ def _alpha_round_trip(a: AlphaBC, q: matrix2.QuaternionForm, m: float) -> float:
         back = correspondence.u2_to_alpha(q, m)
     except DiagonalInputError:
         return math.inf
-    (x1, x2, x3, x4), (y1, y2, y3, y4) = a.as_tuple(), back.as_tuple()
+    (x1, x2, x3, x4), (y1, y2, y3, y4) = a, back
     return max(abs(x1 - y1), abs(x2 - y2), abs(x3 - y3), abs(x4 - y4)) / alpha_scale(a)
 
 
@@ -136,7 +136,7 @@ def _current_change(a: AlphaBC) -> float:
     The class check holds every |a_i| to MAX_MAGNITUDE: no product overflows.
     """
     scale = alpha_scale(a)
-    a1, a2, a3, a4 = a.as_tuple()
+    a1, a2, a3, a4 = a
     h11, h22 = 2.0 * (a1.conjugate() * a3).real, 2.0 * (a2.conjugate() * a4).real
     h12 = a1.conjugate() * a4 + a3.conjugate() * a2 - 1.0
     norm = abs(h11 + h22) / 2.0 + math.hypot((h11 - h22) / 2.0, h12.real, h12.imag)
@@ -162,7 +162,7 @@ def _form_bound(bc: ExtensionClass) -> float:
     """
     if isinstance(bc, Separating):
         return ROUNDING
-    ratios = [x.as_integer_ratio() for z in bc.alpha.as_tuple() for x in (z.real, z.imag)]
+    ratios = [x.as_integer_ratio() for z in bc.alpha for x in (z.real, z.imag)]
     den = max(d for _, d in ratios)
     x1, y1, x2, y2, x3, y3, x4, y4 = (n * (den // d) for n, d in ratios)
     one = den * den

@@ -160,7 +160,7 @@ def parse_bd(text: str) -> BDForm:
 
 
 def rho_json_value(v: float):
-    return "inf" if math.isinf(v) else float(v)
+    return "inf" if math.isinf(v) else v
 
 
 def write(text: str | bytes, out=None) -> None:

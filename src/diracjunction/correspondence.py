@@ -44,7 +44,6 @@ from .matrix2 import (
     QuaternionForm,
     Record,
     _new,
-    _norm_residuals,
     _split_unitary,
     _unitary,
 )
@@ -238,7 +237,7 @@ def u2_to_alpha(q: QuaternionForm, m: float) -> AlphaBC:
     test before calling this.
     """
     m, s, mu = _mass_constants(m)
-    g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
+    g1, g2, g3 = q
     inv = s / g2 if g2 else math.inf  # s / 0 raises ZeroDivisionError
     g3c_mu = g3.conjugate() * mu
     a1 = 1j * inv * ((g1.conjugate() * mu).imag + g3c_mu.imag)
@@ -281,7 +280,7 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     _, s, mu = _mass_constants(m)
     muc = mu.conjugate()
     require_class(a, tol)
-    a1, a2, a3, a4 = a.as_tuple()
+    a1, a2, a3, a4 = a
     # e^{i theta} up to sign, from the larger of a1 = e^{i theta} b1 and
     # a3 = i e^{i theta} b3 (one is nonzero on the class); the sign is
     # removed by the flip below
@@ -300,7 +299,7 @@ def alpha_to_u2(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> QuaternionFor
     q = QuaternionForm(g1 + 0j, g2 + 0j, g3 + 0j)
     # g1, g2 are normalized by construction; |g3| inherits the class residual,
     # allowed up to tol times the size of the a's
-    r1, r2 = _norm_residuals(*q)
+    r1, r2 = q.norm_residuals()
     tol = max(tol, NORM_FLOOR)
     limit = tol * max(1.0, n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4)
     if not (r1 <= tol and r2 <= limit):
@@ -325,14 +324,11 @@ def inverse_identity_residuals(
     All four vanish for the solved extension of the given condition; they
     are invariant under the joint sign flip of the form.
     """
-    return _identity_residuals(q, a, mu_constant(m))
-
-
-def _identity_residuals(q: QuaternionForm, a: AlphaBC, mu: complex) -> tuple[float, float, float, float]:
+    mu = mu_constant(m)
     muc = mu.conjugate()
-    g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
+    g1, g2, g3 = q
     g1c, g2c, g3c = g1.conjugate(), g2.conjugate(), g3.conjugate()
-    a1, a2, a3, a4 = a.as_tuple()
+    a1, a2, a3, a4 = a
     return (
         abs((a1 + muc * a2) * g1 + g2c - g3c * (-a1 + mu * a2)),
         abs((a1 + muc * a2) * g2 - g1c - g3c),
@@ -361,12 +357,8 @@ def closed_form_u2_candidate(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> 
     uncanonicalized, exactly as evaluated.
     """
     _, s, mu = _mass_constants(m)
-    return _candidate(a, s, mu, tol)
-
-
-def _candidate(a: AlphaBC, s: float, mu: complex, tol: float) -> QuaternionForm:
     theta = alpha_to_bd(a, tol).theta
-    a1, a2, a3, a4 = a.as_tuple()
+    a1, a2, a3, a4 = a
     muc = mu.conjugate()
     w = -muc * a1 + a2 - a3 + mu * a4
     g2_scale = 2.0 / s  # 2/sqrt(1+m^2)
@@ -377,18 +369,18 @@ def _candidate(a: AlphaBC, s: float, mu: complex, tol: float) -> QuaternionForm:
 
 
 class ClosedFormComparison(Record):
-    """Three-way classification of the closed-form candidate against the
-    solved extension: componentwise equal, equal to the flipped sign-pair
-    member, or neither.  ``classification`` is "exact", "sign_pair" or
-    "mismatch"; ``difference`` is max |candidate - primary| and
-    ``difference_flipped`` max |candidate + primary|; ``identity_residual``
-    is the candidate's worst defining-identity residual."""
+    """Three-way classification of the closed-form candidate
+    (:func:`closed_form_u2_candidate`) against the solved extension
+    ``primary``: componentwise equal, equal to the flipped sign-pair member,
+    or neither.  ``classification`` is "exact", "sign_pair" or "mismatch";
+    ``difference`` is max |candidate - primary| and ``difference_flipped``
+    max |candidate + primary|.  The candidate itself is not kept: evaluate
+    it, and its :func:`inverse_identity_residuals`, where they are wanted."""
 
     __slots__ = ()
 
-    def __new__(cls, classification: str, primary: QuaternionForm, candidate: QuaternionForm,
-                difference: float, difference_flipped: float, identity_residual: float):
-        return _new(cls, (classification, primary, candidate, difference, difference_flipped, identity_residual))
+    def __new__(cls, classification: str, primary: QuaternionForm, difference: float, difference_flipped: float):
+        return _new(cls, (classification, primary, difference, difference_flipped))
 
 
 def compare_closed_form(
@@ -398,12 +390,10 @@ def compare_closed_form(
     ``primary`` (:func:`alpha_to_u2` of ``a`` at ``tol``, solved here when not
     given); the two agree when their largest entry difference is at most
     1e-8."""
-    _, s, mu = _mass_constants(m)
     if primary is None:
         primary = alpha_to_u2(a, m, tol)
-    candidate = _candidate(a, s, mu, tol)
-    c1, c2, c3 = candidate
-    p1, p2, p3 = complex(primary.g1), complex(primary.g2), complex(primary.g3)
+    c1, c2, c3 = closed_form_u2_candidate(a, m, tol)
+    p1, p2, p3 = primary
     diff = max(abs(c1 - p1), abs(c2 - p2), abs(c3 - p3))
     diff_flipped = max(abs(c1 + p1), abs(c2 + p2), abs(c3 + p3))
     if diff <= 1e-8:
@@ -412,14 +402,7 @@ def compare_closed_form(
         kind = "sign_pair"
     else:
         kind = "mismatch"
-    return ClosedFormComparison(
-        classification=kind,
-        primary=primary,
-        candidate=candidate,
-        difference=diff,
-        difference_flipped=diff_flipped,
-        identity_residual=max(_identity_residuals(candidate, a, mu)),
-    )
+    return ClosedFormComparison(kind, primary, diff, diff_flipped)
 
 
 # ---------------------------------------------------------------------------

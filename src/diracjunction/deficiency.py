@@ -53,9 +53,8 @@ except ImportError as exc:
 
 from .boundary import AlphaBC, Island, require_class
 from .correspondence import ExtensionClass, Sign, Transmitting, check_mass, eigen_spinor, face_factor
-from .errors import (InternalInconsistencyError, NotUnitaryError, OutsideIslandError, SingularSystemError,
-                     ValidationError)
-from .matrix2 import DEFAULT_TOL, _unitarity_residual, as_c2matrix, is_unitary
+from .errors import InternalInconsistencyError, OutsideIslandError, SingularSystemError, ValidationError
+from .matrix2 import DEFAULT_TOL, _unitary, is_unitary
 
 
 def decay_rate(m: float) -> float:
@@ -364,12 +363,11 @@ def oracle_alpha_from_u2(matrix, m: float, lam: float = 0.0, tol: float = DEFAUL
     [phi_L(+L) phi_R(+L)] for V.  The result is independent of ``lam``, which
     must keep the square of :func:`~.correspondence.face_factor` a normal
     double, and class-valid; the matching matrix is singular exactly when U
-    is diagonal (its determinant is proportional to u21).
+    is diagonal (its determinant is proportional to u21).  Refuses a matrix
+    that :func:`~.matrix2.decompose_u2` refuses, with the same message.
     """
     m = check_mass(m)
-    u = as_c2matrix(matrix)
-    if not _unitarity_residual(u) <= tol:
-        raise NotUnitaryError(f"matrix is not unitary within tol={tol}")
+    u = _unitary(matrix, tol)
     e = face_factor(m, lam, 2)
     lp, lm, rp, rm = e * np.array([eigen_spinor(island, sign, m) for island in Island for sign in Sign])
     (u11, u12), (u21, u22) = u
@@ -393,7 +391,7 @@ def solve_u2_matrix(a: AlphaBC, m: float, tol: float = DEFAULT_TOL) -> np.ndarra
     """
     m = check_mass(m)
     require_class(a, tol)
-    a1, a2, a3, a4 = a.as_tuple()
+    a1, a2, a3, a4 = a
     (lp, lm), (rp, rm) = ([eigen_spinor(island, sign, m) for sign in Sign] for island in Island)
     coeff = np.array([[a1 * lm[0] + a2 * lm[1], -rm[0]], [a3 * lm[0] + a4 * lm[1], -rm[1]]], dtype=complex)
     rhs = np.array([[-(a1 * lp[0] + a2 * lp[1]), rp[0]], [-(a3 * lp[0] + a4 * lp[1]), rp[1]]], dtype=complex)
@@ -478,7 +476,7 @@ def verify_selfadjoint_domain(
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}") from exc
     draws = rng.standard_normal((samples, 2, 2))
     if isinstance(bc, Transmitting):
-        at_minus, b = draws[:, 0] + 1j * draws[:, 1], np.array(bc.alpha.as_tuple()).reshape(2, 2)
+        at_minus, b = draws[:, 0] + 1j * draws[:, 1], np.array(bc.alpha).reshape(2, 2)
         # a stack of matrix-vector products rounds as one B @ v per sample
         faces = np.stack([at_minus, (b @ at_minus[..., None])[..., 0]], axis=1)
     else:

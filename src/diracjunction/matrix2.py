@@ -2,11 +2,15 @@
 
 Every public function accepts a matrix as a ``(2, 2)`` ``numpy`` array or
 as a pair of pairs of numbers and converts it once, with
-:func:`as_c2matrix`, to its four entries as Python ``complex``.  The
-private gate ``_unitary`` converts a matrix and holds its unitarity
-residual to the tolerance, so :func:`decompose_u2` and
-:func:`~.correspondence.classify` refuse the same matrices with one message
-and never convert a matrix twice.  Nothing here imports ``numpy``: a
+:func:`as_c2matrix`, to its four entries as Python ``complex``.  A record
+converts its entries once too, when it is built: :class:`QuaternionForm`
+and :class:`~.boundary.AlphaBC` hold Python ``complex`` and
+:class:`~.boundary.RhoBC` holds Python ``float``, so their readers unpack
+them as they are.  The private gate ``_unitary`` converts a matrix and
+holds its unitarity residual to the tolerance, so :func:`decompose_u2`,
+:func:`~.correspondence.classify` and the oracle
+:func:`~.deficiency.oracle_alpha_from_u2` refuse the same matrices with
+one message and never convert a matrix twice.  Nothing here imports ``numpy``: a
 matrix this module returns, such as :func:`compose`'s, is its
 :data:`Entries`.  The three-parameter representation
 ``U = g3 * [[g1, -g2*], [g2, g1*]]`` with ``|g1|^2 + |g2|^2 = |g3| = 1`` is
@@ -137,27 +141,23 @@ class QuaternionForm(Record):
     __slots__ = ()
 
     def __new__(cls, g1: complex, g2: complex, g3: complex):
-        return _new(cls, (g1, g2, g3))
+        return _new(cls, (complex(g1), complex(g2), complex(g3)))
 
     def norm_residuals(self) -> tuple[float, float]:
         """Residuals of |g1|^2 + |g2|^2 = 1 and |g3| = 1; inf, not an
         ``OverflowError``, when a modulus exceeds the float range."""
-        return _norm_residuals(complex(self.g1), complex(self.g2), complex(self.g3))
+        g1, g2, g3 = self
+        return (
+            abs(g1.real * g1.real + g1.imag * g1.imag + g2.real * g2.real + g2.imag * g2.imag - 1.0),
+            abs(math.hypot(g3.real, g3.imag) - 1.0),
+        )
 
     def is_canonical(self) -> bool:
-        g3 = complex(self.g3)
+        g3 = self.g3
         return g3.imag > 0.0 or (g3.imag == 0.0 and g3.real > 0.0)
 
     def negated(self) -> "QuaternionForm":
         return QuaternionForm(-self.g1, -self.g2, -self.g3)
-
-
-def _norm_residuals(g1: complex, g2: complex, g3: complex) -> tuple[float, float]:
-    """:meth:`QuaternionForm.norm_residuals` of parameters already complex."""
-    return (
-        abs(g1.real * g1.real + g1.imag * g1.imag + g2.real * g2.real + g2.imag * g2.imag - 1.0),
-        abs(math.hypot(g3.real, g3.imag) - 1.0),
-    )
 
 
 def unitarity_residual(matrix) -> float:
@@ -188,8 +188,8 @@ def compose(q: QuaternionForm, tol: float = DEFAULT_TOL) -> Entries:
     """The entries of the unitary g3 * [[g1, -g2*], [g2, g1*]], as Python
     complex; raises :class:`InvalidFormError` when a norm residual of ``q``
     exceeds ``tol`` (``math.inf`` composes any finite parameters)."""
-    g1, g2, g3 = complex(q.g1), complex(q.g2), complex(q.g3)
-    r1, r2 = _norm_residuals(g1, g2, g3)
+    g1, g2, g3 = q
+    r1, r2 = q.norm_residuals()
     if not (r1 <= tol and r2 <= tol):
         raise InvalidFormError(f"quaternion-form norm residuals {(r1, r2)} exceed tol={tol}")
     return (g3 * g1, g3 * -g2.conjugate()), (g3 * g2, g3 * g1.conjugate())

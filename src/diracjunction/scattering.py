@@ -319,7 +319,7 @@ def _unit(x: complex, y: complex) -> tuple[complex, complex]:
 
 def _unit_report(name: str, a: AlphaBC) -> UnitReport:
     res = scatter_alpha(a, DEMO_E, DEMO_M)
-    a1, a2, a3, a4 = a.as_tuple()
+    a1, a2, a3, a4 = a
     up_out = _unit(a1, a3)  # the columns of B = [[a1, a2], [a3, a4]]
     down_out = _unit(a2, a4)
     preserves = bool(abs(up_out[0]) > 1.0 - 1e-12 and abs(down_out[1]) > 1.0 - 1e-12)

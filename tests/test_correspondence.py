@@ -240,7 +240,45 @@ class TestForwardMap:
             assert validate_class(u2_to_alpha(q, m), 1e-12).distance <= 1e-12
 
 
+#: (matrix, tol) near the edge of the one unitarity gate, ``matrix2._unitary``
+GATE_CASES = [
+    ([[1, 1], [0, 1]], 1e-10),
+    ([[1, 0], [0, 1 + 1e-9]], 1e-10),
+    ([[1, 0], [0, 1 + 1e-9]], 1e-8),
+    ([[1, 0], [0, 1 + 4.4e-16]], 0.0),  # residual 8.9e-16: held to NORM_FLOOR, not to 0
+    ([[1, 0], [0, 1 + 1e-15]], 0.0),  # residual 2.2e-15, above NORM_FLOOR
+    ([[math.nan, 0], [0, 1]], 1e-10),
+    ([[0, 1], [1, math.inf]], 1e-10),
+]
+
+
+def refusal(f, *args):
+    """The message of the :class:`NotUnitaryError` that ``f(*args)`` raises,
+    else None (a diagonal matrix that passes the gate may make an oracle's
+    system singular)."""
+    try:
+        f(*args)
+    except NotUnitaryError as exc:
+        return str(exc)
+    except SingularSystemError:
+        pass
+    return None
+
+
 class TestBoundaryValueOracle:
+    @pytest.mark.parametrize("matrix", [matrix for matrix, _ in GATE_CASES])
+    def test_refuses_what_decompose_u2_refuses_in_its_words(self, matrix):
+        for tol in (1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+            assert refusal(oracle_alpha_from_u2, matrix, 1.0, 0.0, tol) == refusal(decompose_u2, matrix, tol)
+
+    def test_passes_the_unitaries_decompose_u2_passes_at_the_tightest_tol(self):
+        # held to max(tol, NORM_FLOOR), the rounding of a composed form passes
+        rng = np.random.default_rng(35)
+        for i in range(2000):
+            u = as_array(compose(random_quaternion_form(rng, min_offdiag=0.05)))
+            assert refusal(oracle_alpha_from_u2, u, MASSES[i % 4], 0.0, 1e-16) is None
+            assert refusal(decompose_u2, u, 1e-16) is None
+
     def test_swap_gives_identity(self):
         np.testing.assert_allclose(
             oracle_alpha_from_u2(SWAP, 0.0), np.eye(2), atol=1e-14
@@ -412,11 +450,11 @@ class TestClosedFormCrossCheck:
     def test_identity_condition_mismatch(self):
         # candidate (0, i, i) composes to the wrong matrix and violates the
         # second defining identity; the solved result is (0, -i, i)
-        comparison = compare_closed_form(AlphaBC(1, 0, 0, 1), 0.0)
-        assert comparison.classification == "mismatch"
-        cand = closed_form_u2_candidate(AlphaBC(1, 0, 0, 1), 0.0)
+        a = AlphaBC(1, 0, 0, 1)
+        assert compare_closed_form(a, 0.0).classification == "mismatch"
+        cand = closed_form_u2_candidate(a, 0.0)
         assert np.abs(np.array(cand) - np.array([0, 1j, 1j])).max() <= 1e-14
-        assert comparison.identity_residual > 0.5
+        assert max(inverse_identity_residuals(cand, a, 0.0)) > 0.5
 
     def test_spin_flip_sign_pair(self):
         comparison = compare_closed_form(AlphaBC(0, 1, 1, 0), 0.0)
@@ -463,24 +501,9 @@ class TestClassify:
         with pytest.raises(NotUnitaryError):
             classify(np.array([[1, 1], [0, 1]], dtype=complex), 0.0)
 
-    @pytest.mark.parametrize("matrix, tol", [
-        ([[1, 1], [0, 1]], 1e-10),
-        ([[1, 0], [0, 1 + 1e-9]], 1e-10),
-        ([[1, 0], [0, 1 + 1e-9]], 1e-8),
-        ([[1, 0], [0, 1 + 4.4e-16]], 0.0),  # residual 8.9e-16: held to NORM_FLOOR, not to 0
-        ([[1, 0], [0, 1 + 1e-15]], 0.0),  # residual 2.2e-15, above NORM_FLOOR
-        ([[math.nan, 0], [0, 1]], 1e-10),
-        ([[0, 1], [1, math.inf]], 1e-10),
-    ])
+    @pytest.mark.parametrize("matrix, tol", GATE_CASES)
     def test_refuses_what_decompose_u2_refuses_in_its_words(self, matrix, tol):
-        def outcome(f, *args):
-            try:
-                f(*args)
-            except NotUnitaryError as exc:
-                return str(exc)
-            return None
-
-        assert outcome(classify, matrix, 1.0, tol) == outcome(decompose_u2, matrix, tol)
+        assert refusal(classify, matrix, 1.0, tol) == refusal(decompose_u2, matrix, tol)
 
     def test_measures_unitarity_once(self, monkeypatch):
         from diracjunction import matrix2

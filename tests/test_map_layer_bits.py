@@ -29,6 +29,7 @@ from diracjunction.correspondence import (
     Transmitting,
     alpha_to_u2,
     classify,
+    closed_form_u2_candidate,
     compare_closed_form,
     diagonal_u2_to_rho,
     rho_to_diagonal_u2,
@@ -121,6 +122,7 @@ def alpha_outputs(out: list, a: AlphaBC, m: float, E: float) -> None:
         # the record labels compose's output by the name it had when the record was written
         _call(out, "compose_entries", compose, q)
     _call(out, "scatter_alpha", scatter_alpha, a, E, m)
+    _call(out, "closed_form_u2_candidate", closed_form_u2_candidate, a, m)
     _call(out, "compare_closed_form", compare_closed_form, a, m)
 
 
@@ -182,7 +184,7 @@ def test_the_corpus_covers_what_it_names():
     assert names == {
         "classify", "decompose_u2", "unitarity_residual", "alpha_to_u2", "alpha_to_bd", "bd_to_alpha",
         "u2_to_alpha", "compose_entries", "scatter_alpha", "scatter_rho", "rho_to_diagonal_u2",
-        "diagonal_u2_to_rho", "compare_closed_form",
+        "diagonal_u2_to_rho", "closed_form_u2_candidate", "compare_closed_form",
     }
     # a classify result is [rho_plus, rho_minus] (separating) or [a1, a2, a3, a4] (transmitting)
     results = [value for out in everything for name, value in out if name == "classify"]

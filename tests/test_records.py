@@ -7,6 +7,10 @@ agree on construction, ``repr``, ``_fields``, ``_asdict``, ``_replace``,
 ``hash``, pickling and copying.  Unlike its twin, a record equals only an
 instance of its own type, refuses ordering and refuses attribute
 assignment.
+
+A record also holds one form of its entries, Python ``complex`` (or
+``float`` for :class:`RhoBC`), whatever numbers it is built from, and every
+map of it keeps the bits of the record built from that form.
 """
 
 import copy
@@ -14,13 +18,22 @@ import math
 import pickle
 from collections import namedtuple
 
+import numpy as np
 import pytest
 
 from diracjunction import checks
-from diracjunction.boundary import AlphaBC, BDForm, ClassReport, RhoBC, validate_class
-from diracjunction.correspondence import ClosedFormComparison, Separating, Transmitting, compare_closed_form
+from diracjunction.boundary import AlphaBC, BDForm, ClassReport, Island, RhoBC, invert_alpha, validate_class
+from diracjunction.correspondence import (
+    ClosedFormComparison,
+    Separating,
+    Transmitting,
+    compare_closed_form,
+    inverse_identity_residuals,
+    rho_to_diagonal_u2,
+    u2_to_alpha,
+)
 from diracjunction.errors import ValidationError
-from diracjunction.matrix2 import QuaternionForm, Record, decompose_u2
+from diracjunction.matrix2 import QuaternionForm, Record, compose, decompose_u2
 from diracjunction.scattering import (
     PhaseVariant,
     ScatteringColumns,
@@ -28,9 +41,11 @@ from diracjunction.scattering import (
     SwitchDemoReport,
     UnitReport,
     scatter_alpha,
+    scatter_rho,
     sweep_columns,
     switch_demo,
 )
+from test_map_layer_bits import _call, alpha_outputs
 
 SWAP = AlphaBC(0j, 1 + 0j, 1 + 0j, 0j)
 DEMO = switch_demo()
@@ -48,8 +63,7 @@ RECORDS = {
     checks.Verification: ("records closed_form", VERIFICATION),
     Separating: ("rho", Separating(RhoBC(0.0, math.inf))),
     Transmitting: ("alpha", Transmitting(SWAP)),
-    ClosedFormComparison: ("classification primary candidate difference difference_flipped identity_residual",
-                           compare_closed_form(SWAP, 1.0)),
+    ClosedFormComparison: ("classification primary difference difference_flipped", compare_closed_form(SWAP, 1.0)),
     ScatteringResult: ("E k lam r t R T transmission_phase flag", scatter_alpha(SWAP, 2.0, 1.0)),
     ScatteringColumns: ("E k lam re_r im_r re_t im_t R T phase_t",
                         sweep_columns(Transmitting(SWAP), 1.5, 3.0, 3, 1.0)),
@@ -158,3 +172,50 @@ def test_replace_goes_through_the_validating_constructor():
     with pytest.raises(ValidationError):
         RhoBC(0.0, 1.0)._replace(rho_minus=math.nan)
 
+
+#: record type -> (its entries as Python complex or float, the same values given as ints, floats, bools and
+#: numpy scalars)
+ONE_FORM = [
+    (AlphaBC, (0j, 1 + 0j, 1 + 0j, 0j), [(0, 1, 1, 0), (False, True, True, False), (0.0, 1.0, 1.0, 0.0),
+                                         (np.int64(0), np.float64(1), np.complex128(1), np.bool_(False))]),
+    (AlphaBC, (2 + 0j, 0j, 0j, 0.5 + 0j), [(2, 0, 0, 0.5), (np.float32(2), np.int8(0), 0.0, np.float64(0.5))]),
+    (AlphaBC, (1j, 0j, 0j, 1j), [(np.complex128(1j), 0, False, np.complex64(1j))]),
+    (QuaternionForm, (0j, 1 + 0j, 1 + 0j), [(0, 1, 1), (False, True, True),
+                                            (np.float64(0), np.int64(1), np.complex128(1))]),
+    (QuaternionForm, (0.6 + 0j, 0.8 + 0j, -1 + 0j), [(0.6, 0.8, -1),
+                                                     (np.float64(0.6), np.float64(0.8), np.int16(-1))]),
+    (RhoBC, (0.0, 1.0), [(0, 1), (False, True), (np.int64(0), np.float64(1))]),
+    (RhoBC, (math.inf, -2.5), [(np.float64(np.inf), np.float32(-2.5)), (math.inf, -2.5)]),
+]
+
+
+def map_bits(record) -> list:
+    """The bits of every map of ``record``, and of the scattering off it, at two masses."""
+    out = []
+    for m in (0.0, 1.0):
+        if isinstance(record, AlphaBC):
+            alpha_outputs(out, record, m, m + 0.75)
+            _call(out, "invert_alpha", invert_alpha, record)
+        elif isinstance(record, QuaternionForm):
+            _call(out, "compose", compose, record)
+            _call(out, "norm_residuals", record.norm_residuals)
+            _call(out, "is_canonical", record.is_canonical)
+            a = _call(out, "u2_to_alpha", u2_to_alpha, record, m)
+            _call(out, "inverse_identity_residuals", inverse_identity_residuals, record, a, m)
+        else:
+            _call(out, "rho_to_diagonal_u2", rho_to_diagonal_u2, record, m)
+            for face in Island:
+                _call(out, "scatter_rho", scatter_rho, record, m + 0.75, m, face)
+    return out
+
+
+@pytest.mark.parametrize("cls, entries, givens", [pytest.param(*case, id=f"{case[0].__name__}-{i}")
+                                                   for i, case in enumerate(ONE_FORM)])
+def test_a_record_holds_one_form_of_its_entries(cls, entries, givens):
+    kind = float if cls is RhoBC else complex
+    want = cls(*entries)
+    for given in givens:
+        record = cls(*given)
+        assert [type(x) for x in record] == [kind] * len(entries), given
+        assert record == want and repr(record) == repr(want), given
+        assert map_bits(record) == map_bits(want), given
